@@ -262,6 +262,66 @@ class TestParseResponses:
         assert f"(r1, {qids[0]})" in str(err.value)
 
 
+class TestParseResponsesCells:
+    """Cell conversion: every spelling is judged on its own, in file order."""
+
+    @staticmethod
+    def parse(tmp_path, rows):
+        qids = load_default_instrument().question_ids
+        lines = ["respondent_id," + ",".join(qids)] + [",".join(r) for r in rows]
+        p = write(tmp_path / "resp.csv", "\n".join(lines) + "\n")
+        return parse_responses(p, load_default_instrument())
+
+    def test_first_bad_cell_in_file_order_is_reported(self, tmp_path):
+        qids = load_default_instrument().question_ids
+        rows = [[f"r{i}"] + ["2"] * len(qids) for i in range(500)]
+        rows[300][3] = "x"  # q3, and later in the same row q7
+        rows[300][7] = "9"
+        rows[450][1] = "7"
+        with pytest.raises(SchemaError) as err:
+            self.parse(tmp_path, rows)
+        assert "cell (r300, q3): 'x' is not an integer" in str(err.value)
+        rows[300][3] = "2"
+        with pytest.raises(SchemaError) as err:
+            self.parse(tmp_path, rows)
+        assert "cell (r300, q7): answer 9 outside [0, 4]" in str(err.value)
+
+    @pytest.mark.parametrize("raw", [" 3 ", "+3", "03", "3"])
+    def test_integer_spellings_accepted(self, tmp_path, raw):
+        rs = self.parse(tmp_path, [["r1", raw] + ["1"] * 20, ["r2", "3"] + [raw] * 20])
+        assert rs.consumer["r1"] == (3,) + (1,) * 20
+        assert rs.consumer["r2"] == (3,) * 21
+
+    @pytest.mark.parametrize("raw, message", [
+        ("5", "answer 5 outside [0, 4]"),
+        ("-1", "answer -1 outside [0, 4]"),
+        ("2.0", "'2.0' is not an integer"),
+        ("two", "'two' is not an integer"),
+        ("1e0", "'1e0' is not an integer"),
+    ])
+    def test_bad_cells_rejected(self, tmp_path, raw, message):
+        with pytest.raises(SchemaError) as err:
+            self.parse(tmp_path, [["r1"] + ["1"] * 21, ["r2"] + ["1"] * 20 + [raw]])
+        assert f"cell (r2, q21): {message}" in str(err.value)
+
+    def test_short_row_reads_as_missing(self, tmp_path):
+        rs = self.parse(tmp_path, [["r1", "4", "3"], ["r2"] + ["1"] * 21])
+        assert rs.consumer["r1"] == (4, 3) + (None,) * 19
+        assert rs.missing_cells()[:2] == (("r1", "q3"), ("r1", "q4"))
+        assert len(rs.missing_cells()) == 19
+
+    def test_blank_rows_skipped(self, tmp_path):
+        rs = self.parse(tmp_path, [["r1"] + ["1"] * 21, [""] * 22, ["  ", " "], [""],
+                                   ["r2"] + ["2"] * 21])
+        assert rs.respondents == ("r1", "r2")
+
+    def test_duplicate_respondent_rejected(self, tmp_path):
+        with pytest.raises(SchemaError) as err:
+            self.parse(tmp_path, [["r1"] + ["1"] * 21, ["r2"] + ["1"] * 21,
+                                  ["r1"] + ["2"] * 21])
+        assert "duplicate respondent id 'r1'" in str(err.value)
+
+
 class TestParseExpertBonus:
     def test_valid(self, tmp_path):
         p = write(tmp_path / "bonus.csv", "expert_id,b1,b2\ne1,4,2\ne2,3,3\n")
