@@ -98,4 +98,35 @@ from .scoring import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # ahp
+    "GroupConsistency", "PairwiseMatrix", "WeightTable", "combine_weights",
+    "compose_global", "consistency_ratio", "importance_weights", "principal_weights",
+    "weight_tree",
+    # consensus
+    "DEFAULT_CA_TABLE", "DEFAULT_CS_MAP", "IndicatorStats", "RoundConsensus",
+    "ScreeningResult", "authority_coefficient", "derive_thresholds",
+    "familiarity_coefficient", "indicator_stats", "judgment_coefficient", "kendalls_w",
+    "positivity_coefficient", "round_consensus", "screen_indicators",
+    # errors
+    "ConvergenceError", "DegenerateDataError", "IncompleteWeightsError",
+    "InsufficientDataError", "InvalidInputError", "PipelineStageError", "SchemaError",
+    "StagekitError", "UnsupportedOrderError",
+    # instrument
+    "default_tree", "demo_weighted_tree", "load_default_instrument",
+    # model
+    "ExpertProfile", "Familiarity", "IdentityGroup", "Impact", "IndicatorNode",
+    "IndicatorTree", "Instrument", "JudgmentBasis", "Level", "Question", "RatingRound",
+    "ResponseSet", "ScreeningThresholds", "validate_tree",
+    # psychometrics
+    "ReliabilityTable", "ValidityTable", "alpha_if_deleted", "corrected_item_total",
+    "cronbach_alpha", "i_cvi", "reliability_report", "s_cvi", "validity_report",
+    # report
+    "ReportBundle", "RoundSection", "WeightsSection", "bundle_to_obj", "display",
+    "emit_report", "render_json", "render_markdown",
+    # scoring
+    "ConsumerScores", "ScoreCard", "composite", "question_proportional_weights",
+    "score_consumer", "score_expert_bonus", "score_software",
+    # pipeline
+    "run_pipeline",
+]

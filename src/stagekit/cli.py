@@ -40,12 +40,23 @@ from .report import (
 from .scoring import DEFAULT_BONUS_CAP, score_software
 
 
+MAX_PRECISION = 17  # display decimals beyond this only print representation noise
+
+
+def precision(text: str) -> int:
+    """--precision value: an integer 0..MAX_PRECISION (a non-integer is argparse's error)."""
+    places = int(text)
+    if not 0 <= places <= MAX_PRECISION:
+        raise InvalidInputError(f"--precision must be between 0 and {MAX_PRECISION}, got {places}")
+    return places
+
+
 def _add_output_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="output file (default: stdout)")
     parser.add_argument("--format", choices=("json", "markdown"), default="json",
                         help="output format (default: json)")
-    parser.add_argument("--precision", type=int, default=4, metavar="N",
-                        help="display decimals for coefficients (default: 4)")
+    parser.add_argument("--precision", type=precision, default=4, metavar="N",
+                        help=f"display decimals for coefficients, 0..{MAX_PRECISION} (default: 4)")
 
 
 def _emit(bundle: ReportBundle, args: argparse.Namespace) -> None:
@@ -326,8 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         args.func(args)
     except StagekitError as exc:
         print(f"error: {exc}", file=sys.stderr)

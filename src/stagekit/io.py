@@ -10,14 +10,22 @@ from __future__ import annotations
 
 import csv
 import re
+from contextlib import contextmanager
 from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .ahp import PairwiseMatrix
 from .consensus import RoundConsensus
 from .errors import InvalidInputError, SchemaError
 from .model import (
+    MISSING,
+    RESPONSE_MAX,
+    RESPONSE_MIN,
+    RowMatrix,
     ExpertProfile,
     Familiarity,
     IdentityGroup,
@@ -43,8 +51,9 @@ _BASIS_COLUMNS = (
 )
 
 
-def _read_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:
-    path = Path(path)
+@contextmanager
+def _csv_rows(path: Path) -> Iterator[tuple[list[str], Iterator[list[str]]]]:
+    """The stripped header and a stream of the non-blank rows of a CSV file."""
     if not path.exists():
         raise SchemaError(f"{path}: file not found")
     with open(path, encoding="utf-8-sig", newline="") as fh:
@@ -53,12 +62,28 @@ def _read_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:
             header = next(reader)
         except StopIteration:
             raise SchemaError(f"{path}: empty file (header row is mandatory)") from None
-        rows = [row for row in reader if any(cell.strip() for cell in row)]
-    return [h.strip() for h in header], rows
+        yield [h.strip() for h in header], (row for row in reader if any(map(str.strip, row)))
+
+
+def _read_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:
+    with _csv_rows(Path(path)) as (header, rows):
+        return header, list(rows)
 
 
 def _cell(row: list[str], i: int) -> str:
     return row[i].strip() if i < len(row) else ""
+
+
+def _int_cell(path: Path, row_id: str, column: str, raw: str, lo: int, hi: int,
+              noun: str) -> int:
+    """A stripped cell as an integer in [lo, hi]; the error names the cell."""
+    try:
+        value = int(raw)
+    except ValueError:
+        raise SchemaError(f"{path}: cell ({row_id}, {column}): {raw!r} is not an integer") from None
+    if not lo <= value <= hi:
+        raise SchemaError(f"{path}: cell ({row_id}, {column}): {noun} {value} outside [{lo}, {hi}]")
+    return value
 
 
 def _require_columns(path: Path, header: list[str], required: Sequence[str],
@@ -228,21 +253,10 @@ def parse_ratings(
         if any(c == "" for c in cells):
             non_respondents.append(expert_id)
             continue
-        values = []
-        for indicator_id, raw in zip(indicator_ids, cells):
-            try:
-                value = int(raw)
-            except ValueError:
-                raise SchemaError(
-                    f"{path}: cell ({expert_id}, {indicator_id}): {raw!r} is not an integer"
-                ) from None
-            if not 1 <= value <= scale_max:
-                raise SchemaError(
-                    f"{path}: cell ({expert_id}, {indicator_id}): rating {value} "
-                    f"outside [1, {scale_max}]"
-                )
-            values.append(value)
-        ratings[expert_id] = tuple(values)
+        ratings[expert_id] = tuple(
+            _int_cell(path, expert_id, indicator_id, raw, 1, scale_max, "rating")
+            for indicator_id, raw in zip(indicator_ids, cells)
+        )
 
     if round_no is None:
         match = re.search(r"round[_-]?(\d+)", path.name, re.IGNORECASE)
@@ -267,48 +281,61 @@ def parse_responses(path: str | Path, instrument: Instrument) -> ResponseSet:
 
     Column order in the file is free; the result is normalized to the
     instrument's question order. Blank cells become missing answers.
+
+    Rows stream from the CSV reader straight into one ``int8`` buffer that
+    becomes the R x Q answer matrix of the result (``MISSING`` for a blank).
+    Each raw cell string is converted once per call and remembered, so a
+    file with a handful of distinct spellings costs one dict lookup per cell;
+    the conversion itself is the strict one (strip, ``int()``, range check),
+    and the first bad cell in file order is the one reported.
     """
     path = Path(path)
-    header, rows = _read_rows(path)
-    if not header or header[0] != "respondent_id":
-        raise SchemaError(f"{path}: first column must be respondent_id")
-    file_qids = header[1:]
-    expected = instrument.question_ids
-    if sorted(file_qids) != sorted(expected):
-        missing = sorted(set(expected) - set(file_qids))
-        extra = sorted(set(file_qids) - set(expected))
-        parts = []
-        if missing:
-            parts.append(f"missing question column(s) {', '.join(missing)}")
-        if extra:
-            parts.append(f"unknown column(s) {', '.join(extra)}")
-        raise SchemaError(f"{path}: {'; '.join(parts)}")
-    src = {qid: i + 1 for i, qid in enumerate(file_qids)}
-    bounds = {q.id: (q.min_value, q.max_value) for q in instrument.questions}
+    with _csv_rows(path) as (header, rows):
+        if not header or header[0] != "respondent_id":
+            raise SchemaError(f"{path}: first column must be respondent_id")
+        file_qids = header[1:]
+        expected = instrument.question_ids
+        if sorted(file_qids) != sorted(expected):
+            missing = sorted(set(expected) - set(file_qids))
+            extra = sorted(set(file_qids) - set(expected))
+            parts = []
+            if missing:
+                parts.append(f"missing question column(s) {', '.join(missing)}")
+            if extra:
+                parts.append(f"unknown column(s) {', '.join(extra)}")
+            raise SchemaError(f"{path}: {'; '.join(parts)}")
+        src = [file_qids.index(qid) + 1 for qid in expected]
+        width = len(header)
+        pick = itemgetter(*src) if len(src) > 1 else (lambda row: tuple(row[i] for i in src))
+        # The matrix holds 0..4 answers, so a question's range is clipped to that.
+        bounds = [(max(q.min_value, RESPONSE_MIN), min(q.max_value, RESPONSE_MAX))
+                  for q in instrument.questions]
+        # Per column: raw cell string -> matrix code as an unsigned byte.
+        memos: list[dict[str, int]] = [{} for _ in expected]
 
-    consumer: dict[str, tuple[int | None, ...]] = {}
-    for row in rows:
-        rid = _cell(row, 0)
-        if not rid:
-            raise SchemaError(f"{path}: row with empty respondent id")
-        if rid in consumer:
-            raise SchemaError(f"{path}: duplicate respondent id {rid!r}")
-        values: list[int | None] = []
-        for qid in expected:
-            raw = _cell(row, src[qid])
-            if raw == "":
-                values.append(None)
-                continue
+        buffer = bytearray()
+        row_of: dict[str, int] = {}
+        for row in rows:
+            rid = row[0].strip()
+            if not rid:
+                raise SchemaError(f"{path}: row with empty respondent id")
+            if rid in row_of:
+                raise SchemaError(f"{path}: duplicate respondent id {rid!r}")
+            row_of[rid] = len(row_of)
+            if len(row) < width:
+                row += [""] * (width - len(row))
+            cells = pick(row)
             try:
-                value = int(raw)
-            except ValueError:
-                raise SchemaError(f"{path}: cell ({rid}, {qid}): {raw!r} is not an integer") from None
-            lo, hi = bounds[qid]
-            if not lo <= value <= hi:
-                raise SchemaError(f"{path}: cell ({rid}, {qid}): answer {value} outside [{lo}, {hi}]")
-            values.append(value)
-        consumer[rid] = tuple(values)
-    return ResponseSet(question_ids=expected, consumer=consumer)
+                buffer += bytes(map(dict.__getitem__, memos, cells))
+            except KeyError:
+                for qid, (lo, hi), memo, raw in zip(expected, bounds, memos, cells):
+                    if raw not in memo:
+                        text = raw.strip()
+                        memo[raw] = (_int_cell(path, rid, qid, text, lo, hi, "answer")
+                                     if text else MISSING & 0xFF)
+                buffer += bytes(map(dict.__getitem__, memos, cells))
+    matrix = np.frombuffer(buffer, dtype=np.int8).reshape(len(row_of), len(expected))
+    return ResponseSet(question_ids=expected, consumer=RowMatrix(row_of, matrix))
 
 
 def parse_expert_bonus(path: str | Path, bonus_ids: Sequence[str]) -> dict[str, tuple[int, ...]]:
@@ -325,17 +352,10 @@ def parse_expert_bonus(path: str | Path, bonus_ids: Sequence[str]) -> dict[str, 
             raise SchemaError(f"{path}: row with empty expert id")
         if expert_id in out:
             raise SchemaError(f"{path}: duplicate expert row {expert_id!r}")
-        values = []
-        for bid in bonus_ids:
-            raw = _cell(row, col[bid])
-            try:
-                value = int(raw)
-            except ValueError:
-                raise SchemaError(f"{path}: cell ({expert_id}, {bid}): {raw!r} is not an integer") from None
-            if not 0 <= value <= 4:
-                raise SchemaError(f"{path}: cell ({expert_id}, {bid}): rating {value} outside [0, 4]")
-            values.append(value)
-        out[expert_id] = tuple(values)
+        out[expert_id] = tuple(
+            _int_cell(path, expert_id, bid, _cell(row, col[bid]), 0, 4, "rating")
+            for bid in bonus_ids
+        )
     return out
 
 
@@ -359,17 +379,10 @@ def parse_importance(path: str | Path) -> tuple[tuple[str, ...], list[tuple[int,
         if rater_id in seen:
             raise SchemaError(f"{path}: duplicate rater row {rater_id!r}")
         seen.add(rater_id)
-        values = []
-        for i, item_id in enumerate(item_ids):
-            raw = _cell(row, i + 1)
-            try:
-                value = int(raw)
-            except ValueError:
-                raise SchemaError(f"{path}: cell ({rater_id}, {item_id}): {raw!r} is not an integer") from None
-            if not 1 <= value <= 7:
-                raise SchemaError(f"{path}: cell ({rater_id}, {item_id}): rating {value} outside [1, 7]")
-            values.append(value)
-        matrix.append(tuple(values))
+        matrix.append(tuple(
+            _int_cell(path, rater_id, item_id, _cell(row, i + 1), 1, 7, "rating")
+            for i, item_id in enumerate(item_ids)
+        ))
     return item_ids, matrix
 
 

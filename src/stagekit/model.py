@@ -12,7 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import InvalidInputError
 
@@ -21,6 +23,12 @@ WEIGHT_SUM_TOL = 1e-9
 # Consumer questionnaire response coding: 0 = "Strongly Disagree" .. 4 = "Strongly Agree".
 RESPONSE_MIN = 0
 RESPONSE_MAX = 4
+MISSING = -1  # answer-matrix code of a consumer question left blank
+
+
+def is_int(value) -> bool:
+    """True for an integer answer or rating; ``bool`` is not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class Level(str, Enum):
@@ -272,7 +280,7 @@ class RatingRound:
                     f"expert {expert_id}: {len(row)} ratings for {len(ids)} indicators"
                 )
             for ind_id, value in zip(ids, row):
-                if not isinstance(value, int) or not 1 <= value <= self.scale_max:
+                if not is_int(value) or not 1 <= value <= self.scale_max:
                     raise InvalidInputError(
                         f"expert {expert_id}, indicator {ind_id}: rating {value!r} "
                         f"outside [1, {self.scale_max}]"
@@ -409,11 +417,105 @@ class Instrument:
         return tuple(bid for bid, _ in self.bonus_indicators)
 
 
+def _answer_row(row: list[int]) -> tuple[int | None, ...]:
+    return tuple(None if v == MISSING else v for v in row)
+
+
+class RowMatrix(Mapping):
+    """Read-only rows of one matrix, keyed by id and read back one row at a time.
+
+    ``row_of`` maps each id to its row number, in row order; ``read`` turns
+    one row, as a list, into the mapping's value. The object takes ownership
+    of ``matrix`` and marks it read-only. By default the rows are answers:
+    an ``int8`` matrix whose ``MISSING`` (-1) cells read back as ``None``.
+    """
+
+    def __init__(self, row_of: Mapping[str, int], matrix: np.ndarray,
+                 read: Callable[[list], Any] = _answer_row):
+        if matrix.ndim != 2 or len(matrix) != len(row_of):
+            raise InvalidInputError(f"matrix of shape {matrix.shape} for {len(row_of)} row ids")
+        matrix.flags.writeable = False
+        self.row_of = row_of
+        self.ids = tuple(row_of)
+        self.matrix = matrix
+        self._read = read
+
+    def __getitem__(self, key: str):
+        return self._read(self.matrix[self.row_of[key]].tolist())
+
+    def __iter__(self):
+        return iter(self.ids)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __repr__(self) -> str:
+        return f"RowMatrix({len(self.ids)} rows x {self.matrix.shape[1]} columns)"
+
+
+# (cell error, row-length error) for the two kinds of rows a ResponseSet holds.
+_CONSUMER_MESSAGES = (
+    "respondent {key}, question {column}: answer {value!r} outside [{lo}, {hi}]",
+    "respondent {key}: {n} answers for {k} questions",
+)
+_BONUS_MESSAGES = (
+    "expert {key}, bonus indicator {column}: rating {value!r} outside [{lo}, {hi}]",
+    "expert {key}: {n} bonus ratings for {k} indicators",
+)
+
+
+def _answer_matrix(rows, columns: tuple[str, ...], messages: tuple[str, str],
+                   allow_missing: bool) -> RowMatrix:
+    """``rows`` as a checked answer RowMatrix over ``columns``.
+
+    A matrix is checked with one vectorised range test and kept; any other
+    mapping (or iterable of pairs) is converted cell by cell. Either way the
+    first offending cell in row-major order is the one reported.
+    """
+    cell_error, length_error = messages
+    lo = MISSING if allow_missing else RESPONSE_MIN
+
+    def fail(key, column, value):
+        return InvalidInputError(cell_error.format(key=key, column=column, value=value,
+                                                   lo=RESPONSE_MIN, hi=RESPONSE_MAX))
+
+    if isinstance(rows, RowMatrix) and rows.matrix.dtype == np.int8:
+        matrix = rows.matrix
+        if matrix.shape[1] != len(columns):
+            raise InvalidInputError(f"answer matrix has {matrix.shape[1]} columns for "
+                                    f"{len(columns)} ids")
+        if matrix.size and (matrix.min() < lo or matrix.max() > RESPONSE_MAX):
+            r, c = np.argwhere((matrix < lo) | (matrix > RESPONSE_MAX))[0].tolist()
+            raise fail(rows.ids[r], columns[c], int(matrix[r, c]))
+        return rows
+
+    row_of: dict[str, int] = {}
+    codes: list[int] = []
+    for key, row in dict(rows).items():
+        row = tuple(row)
+        if len(row) != len(columns):
+            raise InvalidInputError(length_error.format(key=key, n=len(row), k=len(columns)))
+        for column, value in zip(columns, row):
+            if value is None and allow_missing:
+                codes.append(MISSING)
+            elif is_int(value) and RESPONSE_MIN <= value <= RESPONSE_MAX:
+                codes.append(value)
+            else:
+                raise fail(key, column, value)
+        row_of[key] = len(row_of)
+    return RowMatrix(row_of, np.array(codes, dtype=np.int8).reshape(len(row_of), len(columns)))
+
+
 @dataclass(frozen=True)
 class ResponseSet:
     """Collected answers: consumer questionnaire rows plus expert bonus ratings.
 
-    Consumer cells may be ``None`` (missing answer); bonus cells may not.
+    Both are stored as an answer :class:`RowMatrix`: ``consumer`` is respondents x
+    ``question_ids`` with ``MISSING`` (-1) for a blank answer, read back as
+    ``None``; ``expert_bonus`` is experts x ``bonus_ids`` and has no blanks.
+    A plain mapping of rows is checked cell by cell and converted; a matrix
+    (from the parser, or reused by ``with_bonus``) gets one vectorised range
+    check and is kept as it is, never re-read row by row.
     """
 
     question_ids: tuple[str, ...]
@@ -424,58 +526,36 @@ class ResponseSet:
     def __post_init__(self):
         qids = tuple(self.question_ids)
         object.__setattr__(self, "question_ids", qids)
-        rows = {}
-        for rid, row in dict(self.consumer).items():
-            row = tuple(row)
-            if len(row) != len(qids):
-                raise InvalidInputError(f"respondent {rid}: {len(row)} answers for {len(qids)} questions")
-            for qid, value in zip(qids, row):
-                if value is None:
-                    continue
-                if not isinstance(value, int) or not RESPONSE_MIN <= value <= RESPONSE_MAX:
-                    raise InvalidInputError(
-                        f"respondent {rid}, question {qid}: answer {value!r} outside "
-                        f"[{RESPONSE_MIN}, {RESPONSE_MAX}]"
-                    )
-            rows[rid] = row
-        object.__setattr__(self, "consumer", rows)
-
+        object.__setattr__(self, "consumer",
+                           _answer_matrix(self.consumer, qids, _CONSUMER_MESSAGES, True))
         bids = tuple(self.bonus_ids)
         object.__setattr__(self, "bonus_ids", bids)
-        brows = {}
-        for eid, row in dict(self.expert_bonus).items():
-            row = tuple(row)
-            if len(row) != len(bids):
-                raise InvalidInputError(f"expert {eid}: {len(row)} bonus ratings for {len(bids)} indicators")
-            for bid, value in zip(bids, row):
-                if not isinstance(value, int) or not RESPONSE_MIN <= value <= RESPONSE_MAX:
-                    raise InvalidInputError(
-                        f"expert {eid}, bonus indicator {bid}: rating {value!r} outside "
-                        f"[{RESPONSE_MIN}, {RESPONSE_MAX}]"
-                    )
-            brows[eid] = row
-        object.__setattr__(self, "expert_bonus", brows)
+        object.__setattr__(self, "expert_bonus",
+                           _answer_matrix(self.expert_bonus, bids, _BONUS_MESSAGES, False))
 
     @property
     def respondents(self) -> tuple[str, ...]:
-        return tuple(self.consumer)
+        return self.consumer.ids
+
+    @property
+    def complete_mask(self) -> np.ndarray:
+        """One bool per respondent: True when every question is answered."""
+        return (self.consumer.matrix != MISSING).all(axis=1)
 
     def complete_respondents(self) -> tuple[str, ...]:
-        return tuple(rid for rid, row in self.consumer.items() if all(v is not None for v in row))
+        ids = self.consumer.ids
+        return tuple(ids[i] for i in np.flatnonzero(self.complete_mask).tolist())
 
     def missing_cells(self) -> tuple[tuple[str, str], ...]:
-        """(respondent_id, question_id) pairs with no answer."""
-        out = []
-        for rid, row in self.consumer.items():
-            for qid, value in zip(self.question_ids, row):
-                if value is None:
-                    out.append((rid, qid))
-        return tuple(out)
+        """(respondent_id, question_id) pairs with no answer, in row-major order."""
+        rows, cols = np.nonzero(self.consumer.matrix == MISSING)
+        ids, qids = self.consumer.ids, self.question_ids
+        return tuple((ids[r], qids[c]) for r, c in zip(rows.tolist(), cols.tolist()))
 
     def with_bonus(self, bonus_ids: Sequence[str], expert_bonus: Mapping[str, Sequence[int]]) -> "ResponseSet":
         return ResponseSet(
             question_ids=self.question_ids,
             consumer=self.consumer,
             bonus_ids=tuple(bonus_ids),
-            expert_bonus={k: tuple(v) for k, v in expert_bonus.items()},
+            expert_bonus=expert_bonus,
         )

@@ -9,6 +9,7 @@ relative to the config file; environment variables are never consulted.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -27,6 +28,7 @@ from .model import (
     Familiarity,
     Impact,
     JudgmentBasis,
+    ResponseSet,
     ScreeningThresholds,
 )
 from .psychometrics import reliability_report, validity_report
@@ -66,19 +68,13 @@ def _parse_cs_map(raw: Mapping[str, float]):
         raise SchemaError(f"config cs_map: {exc}") from None
 
 
+@contextmanager
 def _stage(name: str):
-    """Decorator-free stage wrapper: re-raise library errors with the stage label."""
-
-    class _Ctx:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and isinstance(exc, StagekitError):
-                raise PipelineStageError(name, exc) from exc
-            return False
-
-    return _Ctx()
+    """Re-raise library errors with the stage label."""
+    try:
+        yield
+    except StagekitError as exc:
+        raise PipelineStageError(name, exc) from exc
 
 
 def run_pipeline(config_path: str | Path) -> ReportBundle:
@@ -159,13 +155,20 @@ def run_pipeline(config_path: str | Path) -> ReportBundle:
     if str(config.get("instrument", "default")) != "default":
         raise SchemaError(f'{config_path}: only the bundled default instrument is supported ("default")')
     instrument = load_default_instrument()
+    parsed_responses: dict[Path, ResponseSet] = {}
+
+    def responses_at(section: Mapping[str, Any]) -> ResponseSet:
+        """Each responses file is parsed once, even when two stages name it."""
+        path = resolve(require(section, "responses"))
+        if path not in parsed_responses:
+            parsed_responses[path] = sio.parse_responses(path, instrument)
+        return parsed_responses[path]
 
     reliability = None
     if "reliability" in config:
         section = config["reliability"] or {}
         with _stage("reliability"):
-            responses = sio.parse_responses(resolve(require(section, "responses")), instrument)
-            reliability = reliability_report(responses, instrument)
+            reliability = reliability_report(responses_at(section), instrument)
 
     validity = None
     if "validity" in config:
@@ -178,7 +181,7 @@ def run_pipeline(config_path: str | Path) -> ReportBundle:
     if "score" in config:
         section = config["score"] or {}
         with _stage("score"):
-            responses = sio.parse_responses(resolve(require(section, "responses")), instrument)
+            responses = responses_at(section)
             if section.get("bonus"):
                 bonus = sio.parse_expert_bonus(resolve(section["bonus"]), instrument.bonus_ids)
                 responses = responses.with_bonus(instrument.bonus_ids, bonus)

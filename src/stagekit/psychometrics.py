@@ -137,12 +137,13 @@ def reliability_report(responses: ResponseSet, instrument: Instrument) -> Reliab
     """
     if tuple(responses.question_ids) != instrument.question_ids:
         raise InvalidInputError("response columns do not match the instrument's questions")
-    complete = responses.complete_respondents()
-    if len(complete) < 2:
+    complete = responses.complete_mask
+    n_complete = int(complete.sum())
+    if n_complete < 2:
         raise InsufficientDataError(
-            f"need >= 2 complete respondents, got {len(complete)}"
+            f"need >= 2 complete respondents, got {n_complete}"
         )
-    data = np.asarray([responses.consumer[rid] for rid in complete], dtype=float)
+    data = responses.consumer.matrix[complete].astype(float)
     col_of = {qid: i for i, qid in enumerate(responses.question_ids)}
 
     total_alpha = cronbach_alpha(data)
@@ -191,8 +192,8 @@ def reliability_report(responses: ResponseSet, instrument: Instrument) -> Reliab
             ))
 
     return ReliabilityTable(
-        n_respondents=len(complete),
-        n_excluded=len(responses.consumer) - len(complete),
+        n_respondents=n_complete,
+        n_excluded=len(responses.consumer) - n_complete,
         total_alpha=total_alpha,
         indices=tuple(index_rows),
         questions=tuple(question_rows),

@@ -12,13 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .ahp import WeightTable
 from .errors import (
     DegenerateDataError,
     IncompleteWeightsError,
     InvalidInputError,
 )
-from .model import Instrument, ResponseSet
+from .model import MISSING, Instrument, ResponseSet, RowMatrix, is_int
 
 DEFAULT_BONUS_CAP = 10.0
 _TOL = 1e-9
@@ -26,7 +28,11 @@ _TOL = 1e-9
 
 @dataclass(frozen=True)
 class ConsumerScores:
-    """Dimension/index scores (0-100) per respondent and pooled."""
+    """Dimension/index scores (0-100) per respondent and pooled.
+
+    ``per_respondent`` reads each respondent's dimension scores, as a dict,
+    from one respondents x dimensions matrix when it is looked up.
+    """
 
     per_respondent: Mapping[str, Mapping[str, float]]
     pooled_dimensions: Mapping[str, float]
@@ -63,6 +69,14 @@ def score_consumer(
     A missing answer is imputed with the mean of that question's present
     answers (and recorded in ``imputed``); a dimension score is
     100 * sum over its indices of local_weight * mean question score.
+
+    The work is column-wise on the respondents x questions answer matrix,
+    in the float order of a per-respondent loop, so results are bit-for-bit
+    those of that loop: a question mean is an integer sum divided by a count;
+    an index score adds its question columns left to right, then divides; a
+    dimension starts at 0.0 and adds local weight x index score per index;
+    sums over respondents are the builtin ``sum`` in respondent order
+    (``ndarray.sum`` adds pairwise and would move the last bit).
     """
     if not responses.consumer:
         raise InvalidInputError("no respondents to score")
@@ -75,49 +89,38 @@ def score_consumer(
                 raise IncompleteWeightsError(f"no local weight for index {idx}")
 
     max_of = {q.id: q.max_value for q in instrument.questions}
-    col_of = {qid: i for i, qid in enumerate(responses.question_ids)}
+    answers = responses.consumer.matrix
+    blank = answers == MISSING
+    counts = (~blank).sum(axis=0).tolist()
+    sums = np.where(blank, 0, answers).sum(axis=0, dtype=np.int64).tolist()
 
-    # Per-question means over present answers, for imputation.
-    q_mean: dict[str, float] = {}
-    for qid in responses.question_ids:
-        present = [row[col_of[qid]] for row in responses.consumer.values()
-                   if row[col_of[qid]] is not None]
-        if not present:
+    # Normalized answers per question, blanks imputed with the question mean.
+    norm: dict[str, np.ndarray] = {}
+    for j, qid in enumerate(responses.question_ids):
+        if not counts[j]:
             raise DegenerateDataError(f"question {qid} has no answers at all; cannot impute")
-        q_mean[qid] = sum(present) / len(present)
+        norm[qid] = np.where(blank[:, j], sums[j] / counts[j], answers[:, j]) / max_of[qid]
 
-    imputed = responses.missing_cells()
-    per_respondent: dict[str, dict[str, float]] = {}
-    index_accum: dict[str, float] = {idx: 0.0 for idx, _ in instrument.indices}
-    for rid, row in responses.consumer.items():
-        norm = {}
-        for qid in responses.question_ids:
-            value = row[col_of[qid]]
-            if value is None:
-                value = q_mean[qid]
-            norm[qid] = value / max_of[qid]
-        dims = {}
-        for dim in instrument.dimensions():
-            acc = 0.0
-            for idx in instrument.indices_of_dimension(dim):
-                qids = instrument.questions_of(idx)
-                idx_score = sum(norm[q] for q in qids) / len(qids)
-                index_accum[idx] += idx_score
-                acc += local[idx] * idx_score
-            dims[dim] = 100.0 * acc
-        per_respondent[rid] = dims
+    index_scores: dict[str, np.ndarray] = {}
+    dim_scores: dict[str, np.ndarray] = {}
+    for dim in instrument.dimensions():
+        acc = 0.0
+        for idx in instrument.indices_of_dimension(dim):
+            qids = instrument.questions_of(idx)
+            index_scores[idx] = sum(norm[q] for q in qids) / len(qids)
+            acc = acc + local[idx] * index_scores[idx]
+        dim_scores[dim] = 100.0 * acc
 
-    n = len(per_respondent)
-    pooled_dims = {
-        dim: sum(scores[dim] for scores in per_respondent.values()) / n
-        for dim in instrument.dimensions()
-    }
-    pooled_indices = {idx: 100.0 * total / n for idx, total in index_accum.items()}
+    n = len(responses.consumer)
+    dims = tuple(dim_scores)
     return ConsumerScores(
-        per_respondent=per_respondent,
-        pooled_dimensions=pooled_dims,
-        pooled_indices=pooled_indices,
-        imputed=imputed,
+        per_respondent=RowMatrix(responses.consumer.row_of,
+                                 np.column_stack(list(dim_scores.values())),
+                                 lambda row: dict(zip(dims, row))),
+        pooled_dimensions={dim: sum(s.tolist()) / n for dim, s in dim_scores.items()},
+        pooled_indices={idx: 100.0 * sum(index_scores[idx].tolist()) / n
+                        for idx, _ in instrument.indices},
+        imputed=responses.missing_cells(),
     )
 
 
@@ -125,16 +128,23 @@ def score_expert_bonus(
     bonus: Mapping[str, Sequence[int]] | Sequence[Sequence[int]],
     cap: float = DEFAULT_BONUS_CAP,
 ) -> float:
-    """Mean bonus rating normalized to [0,1], scaled by the cap."""
+    """Mean bonus rating normalized to [0,1], scaled by the cap.
+
+    Rows are keyed by expert id, or numbered from 1 when given as a sequence.
+    """
     if cap <= 0:
         raise InvalidInputError(f"bonus cap must be positive, got {cap!r}")
-    rows = list(bonus.values()) if isinstance(bonus, Mapping) else [list(r) for r in bonus]
-    cells = [v for row in rows for v in row]
+    rows = bonus if isinstance(bonus, Mapping) else dict(enumerate(bonus, start=1))
+    cells = []
+    for expert, row in rows.items():
+        for position, v in enumerate(row, start=1):
+            if not is_int(v) or not 0 <= v <= 4:
+                raise InvalidInputError(
+                    f"expert {expert}, bonus rating {position}: {v!r} outside [0, 4]"
+                )
+            cells.append(v)
     if not cells:
         raise InvalidInputError("no expert bonus ratings given")
-    for v in cells:
-        if not isinstance(v, int) or not 0 <= v <= 4:
-            raise InvalidInputError(f"bonus rating {v!r} outside [0, 4]")
     return (sum(cells) / len(cells)) / 4.0 * cap
 
 

@@ -90,6 +90,21 @@ class TestRoundStats:
         display = obj["rounds"][0]["positivity"]["display"]
         assert len(display.split(".")[1]) == 6
 
+    @pytest.mark.parametrize("places", ["-3", "18"])
+    def test_precision_out_of_range_exits_2(self, capsys, places):
+        rc, out, err = run(capsys, "pipeline", "--config", DATA / "demo_config.json",
+                           "--precision", places)
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: --precision must be between 0 and 17, got {places}\n"
+
+    def test_precision_bounds_accepted(self, capsys):
+        for places in ("0", "17"):
+            obj = run_json(capsys, "round-stats", "--ratings", DATA / "ratings_round1.csv",
+                           "--precision", places)
+            display = obj["rounds"][0]["positivity"]["display"]
+            assert len(display.partition(".")[2]) == int(places)
+
     def test_out_of_scale_rating_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("expert_id,a,b\ne1,9,3\ne2,4,3\n", encoding="utf-8")

@@ -189,6 +189,13 @@ class TestRatingRound:
                 indicator_ids=("a", "a"), ratings={"e1": (5, 4)},
             )
 
+    def test_bool_rating_rejected(self):
+        with pytest.raises(InvalidInputError, match=r"expert e, indicator b: rating True"):
+            RatingRound(
+                round_no=1, scale_max=5, distributed=1,
+                indicator_ids=("a", "b"), ratings={"e": (3, True)},
+            )
+
     def test_column_and_matrix(self):
         rnd = RatingRound(
             round_no=2, scale_max=5, distributed=3,
@@ -314,6 +321,36 @@ class TestResponseSet:
                 bonus_ids=("b1",),
                 expert_bonus={"e1": (None,)},
             )
+
+    def test_bool_answer_rejected(self):
+        with pytest.raises(InvalidInputError, match=r"respondent r, question q2: answer True"):
+            ResponseSet(question_ids=("q1", "q2"), consumer={"r": (1, True)})
+        with pytest.raises(InvalidInputError, match=r"expert e, bonus indicator b1: rating False"):
+            ResponseSet(question_ids=("q1",), consumer={"r": (1,)},
+                        bonus_ids=("b1",), expert_bonus={"e": (False,)})
+
+    def test_first_bad_cell_reported(self):
+        with pytest.raises(InvalidInputError, match=r"respondent r2, question q1: answer 2.5"):
+            ResponseSet(question_ids=("q1", "q2"),
+                        consumer={"r1": (1, None), "r2": (2.5, 9), "r3": (7, 1)})
+
+    def test_consumer_reads_as_a_mapping_of_rows(self):
+        rows = {"r1": (4, None), "r2": (0, 3)}
+        rs = ResponseSet(question_ids=("q1", "q2"), consumer=rows)
+        assert len(rs.consumer) == 2
+        assert rs.consumer["r1"] == (4, None)
+        assert list(rs.consumer.items()) == list(rows.items())
+        assert {**rs.consumer} == rows
+        assert rs.consumer == rows
+        assert "r3" not in rs.consumer
+        assert rs.consumer.matrix.tolist() == [[4, -1], [0, 3]]
+        with pytest.raises(ValueError):
+            rs.consumer.matrix[0, 0] = 1
+
+    def test_matrix_is_shared_not_rebuilt(self):
+        rs = ResponseSet(question_ids=("q1",), consumer={"r1": (4,)})
+        assert ResponseSet(question_ids=("q1",), consumer=rs.consumer).consumer is rs.consumer
+        assert rs.with_bonus(("b1",), {"e1": (2,)}).consumer is rs.consumer
 
     def test_with_bonus_round_trip(self):
         rs = ResponseSet(question_ids=("q1",), consumer={"r1": (4,)})

@@ -1,5 +1,6 @@
 import json
 import os
+import types
 from pathlib import Path
 
 import pytest
@@ -55,6 +56,31 @@ class TestDemoRun:
         responses = responses.with_bonus(instrument.bonus_ids, bonus)
         card = score_software(responses, instrument, weights, bonus_cap=10)
         assert card.final == pytest.approx(bundle.score.final, abs=1e-12)
+
+
+    def test_shared_responses_file_parsed_once(self, monkeypatch):
+        from stagekit import io as sio
+
+        calls = []
+        original = sio.parse_responses
+
+        def counting(path, instrument):
+            calls.append(Path(path).name)
+            return original(path, instrument)
+
+        monkeypatch.setattr(sio, "parse_responses", counting)
+        bundle = run_pipeline(DEMO_CONFIG)
+        assert calls == ["responses.csv"]
+        assert bundle.reliability is not None and bundle.score is not None
+
+
+def test_star_import_binds_no_submodule():
+    namespace = {}
+    exec("from stagekit import *", namespace)
+    modules = [name for name, value in namespace.items()
+               if not name.startswith("__") and isinstance(value, types.ModuleType)]
+    assert modules == []
+    assert "run_pipeline" in namespace and "ResponseSet" in namespace
 
 
 class TestPathResolution:

@@ -144,6 +144,12 @@ class TestExpertBonus:
         with pytest.raises(InvalidInputError):
             score_expert_bonus({})
 
+    def test_bool_and_out_of_range_ratings_name_the_cell(self):
+        with pytest.raises(InvalidInputError, match=r"expert e2, bonus rating 2: True"):
+            score_expert_bonus({"e1": (4, 2), "e2": (3, True)})
+        with pytest.raises(InvalidInputError, match=r"expert 2, bonus rating 1: 5"):
+            score_expert_bonus([[4, 2], [5, 3]])
+
     def test_out_of_range_rejected(self):
         with pytest.raises(InvalidInputError):
             score_expert_bonus({"e1": (5, 0)})
