@@ -74,18 +74,6 @@ def _cell(row: list[str], i: int) -> str:
     return row[i].strip() if i < len(row) else ""
 
 
-def _int_cell(path: Path, row_id: str, column: str, raw: str, lo: int, hi: int,
-              noun: str) -> int:
-    """A stripped cell as an integer in [lo, hi]; the error names the cell."""
-    try:
-        value = int(raw)
-    except ValueError:
-        raise SchemaError(f"{path}: cell ({row_id}, {column}): {raw!r} is not an integer") from None
-    if not lo <= value <= hi:
-        raise SchemaError(f"{path}: cell ({row_id}, {column}): {noun} {value} outside [{lo}, {hi}]")
-    return value
-
-
 def _require_columns(path: Path, header: list[str], required: Sequence[str],
                      optional: Sequence[str] = ()) -> dict[str, int]:
     missing = [c for c in required if c not in header]
@@ -253,10 +241,21 @@ def parse_ratings(
         if any(c == "" for c in cells):
             non_respondents.append(expert_id)
             continue
-        ratings[expert_id] = tuple(
-            _int_cell(path, expert_id, indicator_id, raw, 1, scale_max, "rating")
-            for indicator_id, raw in zip(indicator_ids, cells)
-        )
+        values = []
+        for indicator_id, raw in zip(indicator_ids, cells):
+            try:
+                value = int(raw)
+            except ValueError:
+                raise SchemaError(
+                    f"{path}: cell ({expert_id}, {indicator_id}): {raw!r} is not an integer"
+                ) from None
+            if not 1 <= value <= scale_max:
+                raise SchemaError(
+                    f"{path}: cell ({expert_id}, {indicator_id}): rating {value} "
+                    f"outside [1, {scale_max}]"
+                )
+            values.append(value)
+        ratings[expert_id] = tuple(values)
 
     if round_no is None:
         match = re.search(r"round[_-]?(\d+)", path.name, re.IGNORECASE)
@@ -329,10 +328,19 @@ def parse_responses(path: str | Path, instrument: Instrument) -> ResponseSet:
                 buffer += bytes(map(dict.__getitem__, memos, cells))
             except KeyError:
                 for qid, (lo, hi), memo, raw in zip(expected, bounds, memos, cells):
-                    if raw not in memo:
-                        text = raw.strip()
-                        memo[raw] = (_int_cell(path, rid, qid, text, lo, hi, "answer")
-                                     if text else MISSING & 0xFF)
+                    if raw in memo:
+                        continue
+                    text = raw.strip()
+                    if not text:
+                        memo[raw] = MISSING & 0xFF
+                        continue
+                    try:
+                        value = int(text)
+                    except ValueError:
+                        raise SchemaError(f"{path}: cell ({rid}, {qid}): {text!r} is not an integer") from None
+                    if not lo <= value <= hi:
+                        raise SchemaError(f"{path}: cell ({rid}, {qid}): answer {value} outside [{lo}, {hi}]")
+                    memo[raw] = value
                 buffer += bytes(map(dict.__getitem__, memos, cells))
     matrix = np.frombuffer(buffer, dtype=np.int8).reshape(len(row_of), len(expected))
     return ResponseSet(question_ids=expected, consumer=RowMatrix(row_of, matrix))
@@ -352,10 +360,17 @@ def parse_expert_bonus(path: str | Path, bonus_ids: Sequence[str]) -> dict[str, 
             raise SchemaError(f"{path}: row with empty expert id")
         if expert_id in out:
             raise SchemaError(f"{path}: duplicate expert row {expert_id!r}")
-        out[expert_id] = tuple(
-            _int_cell(path, expert_id, bid, _cell(row, col[bid]), 0, 4, "rating")
-            for bid in bonus_ids
-        )
+        values = []
+        for bid in bonus_ids:
+            raw = _cell(row, col[bid])
+            try:
+                value = int(raw)
+            except ValueError:
+                raise SchemaError(f"{path}: cell ({expert_id}, {bid}): {raw!r} is not an integer") from None
+            if not 0 <= value <= 4:
+                raise SchemaError(f"{path}: cell ({expert_id}, {bid}): rating {value} outside [0, 4]")
+            values.append(value)
+        out[expert_id] = tuple(values)
     return out
 
 
@@ -379,10 +394,17 @@ def parse_importance(path: str | Path) -> tuple[tuple[str, ...], list[tuple[int,
         if rater_id in seen:
             raise SchemaError(f"{path}: duplicate rater row {rater_id!r}")
         seen.add(rater_id)
-        matrix.append(tuple(
-            _int_cell(path, rater_id, item_id, _cell(row, i + 1), 1, 7, "rating")
-            for i, item_id in enumerate(item_ids)
-        ))
+        values = []
+        for i, item_id in enumerate(item_ids):
+            raw = _cell(row, i + 1)
+            try:
+                value = int(raw)
+            except ValueError:
+                raise SchemaError(f"{path}: cell ({rater_id}, {item_id}): {raw!r} is not an integer") from None
+            if not 1 <= value <= 7:
+                raise SchemaError(f"{path}: cell ({rater_id}, {item_id}): rating {value} outside [1, 7]")
+            values.append(value)
+        matrix.append(tuple(values))
     return item_ids, matrix
 
 

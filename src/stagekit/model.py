@@ -24,11 +24,8 @@ WEIGHT_SUM_TOL = 1e-9
 RESPONSE_MIN = 0
 RESPONSE_MAX = 4
 MISSING = -1  # answer-matrix code of a consumer question left blank
-
-
-def is_int(value) -> bool:
-    """True for an integer answer or rating; ``bool`` is not one."""
-    return isinstance(value, int) and not isinstance(value, bool)
+# Answers and ratings must be of type int exactly: bool is an int subclass,
+# and True would otherwise pass as the rating 1.
 
 
 class Level(str, Enum):
@@ -280,7 +277,7 @@ class RatingRound:
                     f"expert {expert_id}: {len(row)} ratings for {len(ids)} indicators"
                 )
             for ind_id, value in zip(ids, row):
-                if not is_int(value) or not 1 <= value <= self.scale_max:
+                if type(value) is not int or not 1 <= value <= self.scale_max:
                     raise InvalidInputError(
                         f"expert {expert_id}, indicator {ind_id}: rating {value!r} "
                         f"outside [1, {self.scale_max}]"
@@ -482,8 +479,8 @@ def _answer_matrix(rows, columns: tuple[str, ...], messages: tuple[str, str],
     if isinstance(rows, RowMatrix) and rows.matrix.dtype == np.int8:
         matrix = rows.matrix
         if matrix.shape[1] != len(columns):
-            raise InvalidInputError(f"answer matrix has {matrix.shape[1]} columns for "
-                                    f"{len(columns)} ids")
+            raise InvalidInputError(f"answer matrix has {matrix.shape[1]} columns, expected "
+                                    f"{len(columns)}")
         if matrix.size and (matrix.min() < lo or matrix.max() > RESPONSE_MAX):
             r, c = np.argwhere((matrix < lo) | (matrix > RESPONSE_MAX))[0].tolist()
             raise fail(rows.ids[r], columns[c], int(matrix[r, c]))
@@ -498,7 +495,7 @@ def _answer_matrix(rows, columns: tuple[str, ...], messages: tuple[str, str],
         for column, value in zip(columns, row):
             if value is None and allow_missing:
                 codes.append(MISSING)
-            elif is_int(value) and RESPONSE_MIN <= value <= RESPONSE_MAX:
+            elif type(value) is int and RESPONSE_MIN <= value <= RESPONSE_MAX:
                 codes.append(value)
             else:
                 raise fail(key, column, value)

@@ -20,7 +20,7 @@ from .errors import (
     IncompleteWeightsError,
     InvalidInputError,
 )
-from .model import MISSING, Instrument, ResponseSet, RowMatrix, is_int
+from .model import MISSING, Instrument, ResponseSet, RowMatrix
 
 DEFAULT_BONUS_CAP = 10.0
 _TOL = 1e-9
@@ -138,7 +138,7 @@ def score_expert_bonus(
     cells = []
     for expert, row in rows.items():
         for position, v in enumerate(row, start=1):
-            if not is_int(v) or not 0 <= v <= 4:
+            if type(v) is not int or not 0 <= v <= 4:
                 raise InvalidInputError(
                     f"expert {expert}, bonus rating {position}: {v!r} outside [0, 4]"
                 )
