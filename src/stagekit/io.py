@@ -25,7 +25,6 @@ from .model import (
     MISSING,
     RESPONSE_MAX,
     RESPONSE_MIN,
-    RowMatrix,
     ExpertProfile,
     Familiarity,
     IdentityGroup,
@@ -37,6 +36,7 @@ from .model import (
     Level,
     RatingRound,
     ResponseSet,
+    RowMatrix,
     validate_tree,
 )
 
