@@ -1,8 +1,8 @@
 """Domain types for the STAGE instrument workflow.
 
 Everything here is immutable after construction: dataclasses are frozen and
-collection fields are normalized to tuples at construction time, so instances
-can be shared freely across threads. Validation that should never abort a
+collection fields are normalized to tuples (or read-only answer matrices) at
+construction time, so instances can be shared freely across threads. Validation that should never abort a
 workflow (tree well-formedness) is report-style via :func:`validate_tree`;
 per-value range checks raise :class:`~stagekit.errors.InvalidInputError`.
 """
