@@ -1,4 +1,6 @@
-"""Golden bytes: the rendered bundles of two fixed pipeline runs are pinned by sha256.
+"""Golden bytes: the rendered bundles of two fixed pipeline runs, and the output
+files of the README quick start run as a chain of CLI subcommands, are pinned
+by sha256.
 
 Any change to parsing, validation, statistics, scoring or rendering that moves
 a single byte of the JSON or markdown output fails here. The pinned digests
@@ -9,6 +11,7 @@ bit. A deliberate change to the output must update the digests and say why.
 
 import csv
 import hashlib
+import json
 import shutil
 from pathlib import Path
 
@@ -16,7 +19,7 @@ import numpy as np
 import pytest
 
 import stagekit
-from stagekit import render_json, render_markdown, run_pipeline
+from stagekit import bundle_to_obj, render_json, render_markdown, run_pipeline
 from stagekit.instrument import load_default_instrument
 
 DATA = Path(stagekit.__file__).parent / "data"
@@ -88,3 +91,73 @@ def test_survey_input_shape(survey_config):
     blanks = sum(cell == "" for row in rows for cell in row[1:])
     assert len(rows) == SURVEY_RESPONDENTS
     assert 0.005 < blanks / (len(rows) * 21) < 0.015
+
+
+# The README quick start as a chain of CLI calls on the bundled demo data:
+# (file written, argv). Later steps read the files earlier steps wrote.
+CLI_CHAIN = (
+    ("round1.json", ["round-stats", "--ratings", "{data}/ratings_round1.csv",
+                     "--experts", "{data}/experts.csv"]),
+    ("screened.json", ["screen", "--stats", "{tmp}/round1.json"]),
+    ("round2_form.csv", ["form", "--stats", "{tmp}/round1.json", "--screen",
+                         "{tmp}/screened.json", "--round", "2",
+                         "--names", "{data}/indicators.csv"]),
+    ("round2.json", ["round-stats", "--ratings", "{data}/ratings_round2.csv",
+                     "--experts", "{data}/experts.csv"]),
+    ("weights.json", ["weights", "--tree", "{data}/indicators.csv", "--pairwise",
+                      "{data}/pairwise_dimensions.csv,{data}/pairwise_ux.csv",
+                      "--importance", "{tmp}/round2.json"]),
+    ("score.json", ["score", "--responses", "{data}/responses.csv",
+                    "--bonus", "{data}/expert_bonus.csv", "--weights", "{tmp}/weights.json"]),
+    ("reliability.json", ["reliability", "--responses", "{data}/responses.csv"]),
+    ("validity.json", ["validity", "--importance", "{data}/importance.csv"]),
+    ("screened.md", ["report", "--bundle", "{tmp}/screened.json", "--format", "markdown"]),
+    ("weights.md", ["report", "--bundle", "{tmp}/weights.json", "--format", "markdown"]),
+    ("score.md", ["report", "--bundle", "{tmp}/score.json", "--format", "markdown"]),
+)
+
+GOLDEN_CLI = {
+    "round1.json": "08c1d930589a8f9748828d1eae44c71aa2e863830eba3f5a36f72f33069e06ba",
+    "screened.json": "4786d03cea55595b855668bee87a3446401961ef27dd753b1d1d3020f28f3777",
+    "round2_form.csv": "34453a7a46e0380229364161efb3c215030c86407cc3074bc3e5ef34eab966b7",
+    "round2.json": "e1e5d10c3981c85ccd3fdbc4fa0dee2dec02e4d0b7c61a47ca77e3b779f7e5f5",
+    "weights.json": "f293477b1fcc0aa4de233c7e6dc9c6e17393f0aa680ee117271a1b30a0bd7d5a",
+    "score.json": "9891ee6bafb9ba5964a41756f5451b3640db452c8be6134d45945dd7a4b4b50b",
+    "reliability.json": "48b3b9817c1de588a7f87f6e20eaea5d3fd02615e2c9c51adc2cca1040ac2308",
+    "validity.json": "1871e3458537fc942969a6ac1d92671485d339bf4b2ec7378668213e3bf8a79d",
+    "screened.md": "31bf37bf93e35098e188c74e098e3ea4d2cf098c803d826459338f2427f492e5",
+    "weights.md": "d4a6676ed47dd113035cc495944ef3fe602e716bf1a5d28d671974013fd35f80",
+    "score.md": "d3173f5da58ef6d432fc9357c76f1c89ef911c143acf9e92a7db500819699ead",
+}
+
+
+@pytest.fixture(scope="module")
+def cli_outputs(tmp_path_factory) -> Path:
+    from stagekit.cli import main
+
+    directory = tmp_path_factory.mktemp("golden-cli")
+    for name, argv in CLI_CHAIN:
+        args = [a.format(data=DATA, tmp=directory) for a in argv]
+        assert main([*args, "--out", str(directory / name)]) == 0, name
+    return directory
+
+
+def test_cli_output_bytes_pinned(cli_outputs):
+    digests = {name: hashlib.sha256((cli_outputs / name).read_bytes()).hexdigest()
+               for name, _ in CLI_CHAIN}
+    assert digests == GOLDEN_CLI
+
+
+def test_cli_chain_matches_pipeline_sections(cli_outputs):
+    pipeline = bundle_to_obj(run_pipeline(DATA / "demo_config.json"))
+
+    def section(name, key):
+        return json.loads((cli_outputs / name).read_text(encoding="utf-8"))[key]
+
+    assert section("screened.json", "rounds") == pipeline["rounds"][:1]
+    assert section("round1.json", "rounds") == [{**pipeline["rounds"][0], "screening": None}]
+    assert section("round2.json", "rounds") == pipeline["rounds"][1:2]
+    assert section("weights.json", "weights") == pipeline["weights"]
+    assert section("score.json", "score") == pipeline["score"]
+    assert section("reliability.json", "reliability") == pipeline["reliability"]
+    assert section("validity.json", "validity") == pipeline["validity"]
