@@ -11,6 +11,7 @@ Run from the repository root:  python3 tools/gen_demo_data.py
 
 from __future__ import annotations
 
+import argparse
 import csv
 import sys
 import time
@@ -275,7 +276,11 @@ def gen_config() -> None:
     (DATA_DIR / "demo_config.json").write_text(config, encoding="utf-8")
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    # No options: parsing only answers --help and rejects unknown flags before anything is written.
+    argparse.ArgumentParser(
+        description="Regenerate the bundled synthetic sample dataset under src/stagekit/data/."
+    ).parse_args(argv)
     DATA_DIR.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(SEED)
     gen_experts()
