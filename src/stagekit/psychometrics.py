@@ -84,9 +84,10 @@ def i_cvi(ratings: Sequence[int], relevance_floor: int = RELEVANCE_FLOOR) -> flo
     """Fraction of raters scoring the item at or above the relevance floor."""
     if len(ratings) == 0:
         raise InvalidInputError("no ratings given")
-    for r in ratings:
-        if not isinstance(r, (int, np.integer)) or not 1 <= int(r) <= 7:
-            raise InvalidInputError(f"importance rating {r!r} outside 1..7")
+    for rater, r in enumerate(ratings, start=1):
+        # bool is an int subclass: True would otherwise pass as the rating 1
+        if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or not 1 <= int(r) <= 7:
+            raise InvalidInputError(f"rater {rater}: importance rating {r!r} outside 1..7")
     return sum(1 for r in ratings if r >= relevance_floor) / len(ratings)
 
 
@@ -240,7 +241,10 @@ def validity_report(
     items: list[ItemValidity] = []
     for j, item_id in enumerate(ids):
         column = [row[j] for row in rows]
-        cvi = i_cvi(column, relevance_floor)
+        try:
+            cvi = i_cvi(column, relevance_floor)
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"item {item_id}, {exc}") from None
         items.append(ItemValidity(
             item_id=item_id,
             importance_mean=float(np.mean(column)),

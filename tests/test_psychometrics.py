@@ -406,3 +406,16 @@ class TestValidityReport:
     def test_out_of_range_rating_rejected(self):
         with pytest.raises(InvalidInputError):
             validity_report(["a"], [[8]])
+
+    @pytest.mark.parametrize("flag", [True, np.bool_(True), False])
+    def test_bool_rating_rejected_with_its_cell(self, flag):
+        with pytest.raises(InvalidInputError,
+                           match=rf"^item b, rater 2: importance rating {flag!r} outside 1\.\.7$"):
+            validity_report(["a", "b"], [[7, 7], [7, flag]])
+        with pytest.raises(InvalidInputError, match="rater 1: importance rating"):
+            i_cvi([flag, 7])
+
+    def test_numpy_integer_ratings_accepted(self):
+        rows = np.array([[7, 4], [6, 5]], dtype=np.int32).tolist()
+        numpy_rows = [list(row) for row in np.array([[7, 4], [6, 5]], dtype=np.int32)]
+        assert validity_report(["a", "b"], numpy_rows) == validity_report(["a", "b"], rows)
