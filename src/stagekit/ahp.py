@@ -16,7 +16,7 @@ from .errors import (
     InvalidInputError,
     UnsupportedOrderError,
 )
-from .model import IndicatorNode, IndicatorTree, WEIGHT_SUM_TOL
+from .model import IndicatorNode, IndicatorTree, weight_sum_problem
 
 RECIPROCAL_TOL = 1e-9
 POWER_TOL = 1e-12
@@ -182,13 +182,9 @@ def compose_global(tree: IndicatorTree) -> WeightTable:
         local[node.id] = node.local_weight
 
     for parent_id, members in tree.sibling_groups():
-        core = [n for n in members if not n.bonus]
-        if not core:
-            continue
-        total = sum(local[n.id] for n in core)
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
-            where = "root dimensions" if parent_id is None else f"children of {parent_id}"
-            raise InvalidInputError(f"local weights of {where} sum to {total!r}, expected 1")
+        problem = weight_sum_problem(parent_id, [local[n.id] for n in members if not n.bonus])
+        if problem:
+            raise InvalidInputError(problem)
 
     global_w: dict[str, float] = {}
     for node in tree.nodes:  # sorted by id; parents may come after children, so recurse

@@ -2,42 +2,43 @@
 
 Subcommands mirror the pipeline stages (round-stats, screen, weights,
 reliability, validity, score, form, report) plus the all-in-one `pipeline`.
-Each analysis subcommand writes a report bundle (JSON by default, markdown on
-request) to --out or stdout. Exit codes: 0 success, 2 schema/validation
-error, 3 numeric or degenerate-data error.
+Each analysis subcommand reads its arguments, runs the same stage function of
+:mod:`stagekit.pipeline` that a config run uses, and writes a report bundle
+(JSON by default, markdown on request) to --out or stdout. A bundle read back
+(`--stats`, `--screen`, `--importance`) must hold exactly one round. Exit
+codes: 0 success, 2 schema/validation error, 3 numeric or degenerate-data error.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
-from typing import Any, Mapping
 
 from . import io as sio
-from .ahp import PairwiseMatrix, weight_tree
-from .consensus import (
-    IndicatorStats,
-    RoundConsensus,
-    derive_thresholds,
-    round_consensus,
-    screen_indicators,
-)
+from .ahp import PairwiseMatrix
 from .errors import InvalidInputError, SchemaError, StagekitError
-from .instrument import load_default_instrument
-from .model import IndicatorTree, ScreeningThresholds
-from .pipeline import run_pipeline
-from .psychometrics import reliability_report, validity_report
+from .instrument import load_instrument
+from .model import IndicatorTree
+from .pipeline import (
+    read_thresholds,
+    reliability_stage,
+    round_stats_stage,
+    run_pipeline,
+    score_stage,
+    screen_stage,
+    validity_stage,
+    weights_stage,
+)
 from .report import (
     ReportBundle,
     RoundSection,
-    WeightsSection,
+    bundle_from_obj,
     emit_report,
+    render_json_obj,
     render_markdown_obj,
     write_output,
 )
-from .scoring import DEFAULT_BONUS_CAP, score_software
+from .scoring import DEFAULT_BONUS_CAP
 
 
 MAX_PRECISION = 17  # display decimals beyond this only print representation noise
@@ -59,103 +60,48 @@ def _add_output_args(parser: argparse.ArgumentParser) -> None:
                         help=f"display decimals for coefficients, 0..{MAX_PRECISION} (default: 4)")
 
 
-def _emit(bundle: ReportBundle, args: argparse.Namespace) -> None:
-    text = emit_report(bundle, args.format, coeff_places=args.precision)
+def _write(text: str, args: argparse.Namespace) -> None:
     if args.out:
         write_output(text, args.out)
     else:
         sys.stdout.write(text)
 
 
-def _load_json(path: str) -> Any:
-    p = Path(path)
-    if not p.exists():
-        raise SchemaError(f"{p}: file not found")
-    try:
-        return json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{p}: not valid JSON ({exc})") from None
+def _emit(bundle: ReportBundle, args: argparse.Namespace) -> None:
+    _write(emit_report(bundle, args.format, coeff_places=args.precision), args)
 
 
-def _consensus_from_obj(path: str, obj: Mapping[str, Any]) -> RoundConsensus:
-    """Rebuild one round's statistics from a previously emitted bundle."""
-    rounds = obj.get("rounds") or []
+def _single_round(path: str) -> RoundSection:
+    """The one round of a round-stats or screen bundle."""
+    rounds = bundle_from_obj(sio.read_json(path), path).rounds
     if not rounds:
         raise SchemaError(f"{path}: bundle contains no rounds")
-    rnd = rounds[0]
-    try:
-        authority = rnd["authority"]
-
-        def value(field):
-            return None if field is None else field["value"]
-
-        return RoundConsensus(
-            round_no=rnd["round_no"],
-            scale_max=rnd["scale_max"],
-            distributed=rnd["distributed"],
-            returned=rnd["returned"],
-            positivity=rnd["positivity"]["value"],
-            ca=value(authority["ca"]),
-            cs=value(authority["cs"]),
-            cr=value(authority["cr"]),
-            kendall_w=rnd["kendall_w"]["value"],
-            stats={
-                s["id"]: IndicatorStats(
-                    mean=s["mean"]["value"],
-                    sd=s["sd"]["value"],
-                    cv=s["cv"]["value"],
-                    full_score_freq=s["full_score_freq"]["value"],
-                )
-                for s in rnd["indicators"]
-            },
-        )
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"{path}: not a round-stats bundle (missing {exc})") from None
+    if len(rounds) > 1:
+        raise SchemaError(f"{path}: bundle holds {len(rounds)} rounds; "
+                          "give a single-round bundle (output of `stagekit round-stats` or `screen`)")
+    return rounds[0]
 
 
 def _cmd_round_stats(args) -> None:
     profiles = sio.parse_experts(args.experts) if args.experts else None
-    rnd = sio.parse_ratings(
-        args.ratings,
-        scale_max=args.scale_max,
-        round_no=args.round_no,
-        distributed=args.distributed,
-    )
-    consensus = round_consensus(rnd, profiles)
-    _emit(ReportBundle(rounds=(RoundSection(consensus=consensus),)), args)
-
-
-def _thresholds_from_file(path: str) -> ScreeningThresholds:
-    obj = _load_json(path)
-    try:
-        return ScreeningThresholds(
-            mean_floor=float(obj["mean_floor"]),
-            fsf_floor=float(obj["fsf_floor"]),
-            cv_ceiling=float(obj["cv_ceiling"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"{path}: expected mean_floor/fsf_floor/cv_ceiling ({exc})") from None
+    rnd = sio.parse_ratings(args.ratings, scale_max=args.scale_max, round_no=args.round_no,
+                            distributed=args.distributed)
+    _emit(ReportBundle(rounds=(round_stats_stage(rnd, profiles),)), args)
 
 
 def _cmd_screen(args) -> None:
-    consensus = _consensus_from_obj(args.stats, _load_json(args.stats))
-    thresholds = (
-        _thresholds_from_file(args.thresholds)
-        if args.thresholds
-        else derive_thresholds(consensus.stats)
-    )
-    screening = screen_indicators(consensus.stats, thresholds)
-    _emit(ReportBundle(rounds=(RoundSection(consensus=consensus, screening=screening),)), args)
+    section = _single_round(args.stats)
+    path = args.thresholds
+    thresholds = read_thresholds(sio.read_json(path), path) if path else None
+    _emit(ReportBundle(rounds=(screen_stage(section, thresholds),)), args)
 
 
 def _matrix_group(tree: IndicatorTree, matrix: PairwiseMatrix, path: str) -> str | None:
     """Which sibling group a matrix belongs to, inferred from its ids."""
-    parents = set()
     for node_id in matrix.ids:
-        node = tree.node(node_id)
-        if node is None:
+        if node_id not in tree:
             raise InvalidInputError(f"{path}: id {node_id!r} is not in the indicator tree")
-        parents.add(node.parent_id)
+    parents = {tree.node(node_id).parent_id for node_id in matrix.ids}
     if len(parents) != 1:
         raise InvalidInputError(f"{path}: matrix ids span multiple sibling groups")
     return parents.pop()
@@ -164,78 +110,46 @@ def _matrix_group(tree: IndicatorTree, matrix: PairwiseMatrix, path: str) -> str
 def _cmd_weights(args) -> None:
     tree = sio.parse_indicators(args.tree)
     pairwise: dict[str | None, PairwiseMatrix] = {}
-    for path in (args.pairwise.split(",") if args.pairwise else []):
-        path = path.strip()
-        if not path:
-            continue
+    for path in filter(None, map(str.strip, (args.pairwise or "").split(","))):
         matrix = sio.parse_pairwise(path)
         group = _matrix_group(tree, matrix, path)
         if group in pairwise:
             label = "the dimension group" if group is None else f"children of {group}"
             raise InvalidInputError(f"two pairwise matrices given for {label}")
         pairwise[group] = matrix
-    importance: dict[str, float] = {}
-    if args.importance:
-        consensus = _consensus_from_obj(args.importance, _load_json(args.importance))
-        importance = {i: s.mean for i, s in consensus.stats.items()}
-    weighted, table = weight_tree(
-        tree, pairwise=pairwise, importance=importance, method=args.method
-    )
-    _emit(ReportBundle(weights=WeightsSection(method=args.method, tree=weighted, table=table)), args)
+    importance = _single_round(args.importance) if args.importance else None
+    _emit(ReportBundle(weights=weights_stage(tree, pairwise, importance, args.method)), args)
 
 
 def _cmd_reliability(args) -> None:
-    instrument = _default_instrument_only(args.instrument)
+    instrument = load_instrument(args.instrument)
     responses = sio.parse_responses(args.responses, instrument)
-    _emit(ReportBundle(reliability=reliability_report(responses, instrument)), args)
+    _emit(ReportBundle(reliability=reliability_stage(responses, instrument)), args)
 
 
 def _cmd_validity(args) -> None:
-    item_ids, matrix = sio.parse_importance(args.importance)
-    _emit(ReportBundle(validity=validity_report(item_ids, matrix)), args)
-
-
-def _weights_from_bundle(path: str) -> dict[str, float]:
-    obj = _load_json(path)
-    nodes = ((obj.get("weights") or {}).get("nodes")) if isinstance(obj, dict) else None
-    if not nodes:
-        raise SchemaError(f"{path}: no weights section (expected output of `stagekit weights`)")
-    out = {}
-    for node in nodes:
-        lw = node.get("local_weight")
-        if lw is not None:
-            out[node["id"]] = lw["value"]
-    return out
-
-
-def _default_instrument_only(name: str):
-    if name != "default":
-        raise InvalidInputError("only the bundled default instrument is supported")
-    return load_default_instrument()
+    _emit(ReportBundle(validity=validity_stage(*sio.parse_importance(args.importance))), args)
 
 
 def _cmd_score(args) -> None:
-    instrument = _default_instrument_only(args.instrument)
+    instrument = load_instrument(args.instrument)
     responses = sio.parse_responses(args.responses, instrument)
-    if args.bonus:
-        bonus = sio.parse_expert_bonus(args.bonus, instrument.bonus_ids)
-        responses = responses.with_bonus(instrument.bonus_ids, bonus)
-    weights = _weights_from_bundle(args.weights)
-    card = score_software(responses, instrument, weights, bonus_cap=args.bonus_cap)
-    _emit(ReportBundle(score=card), args)
+    bonus = sio.parse_expert_bonus(args.bonus, instrument.bonus_ids) if args.bonus else None
+    weights = bundle_from_obj(sio.read_json(args.weights), args.weights).weights
+    if weights is None:
+        raise SchemaError(f"{args.weights}: no weights section (expected output of `stagekit weights`)")
+    _emit(ReportBundle(score=score_stage(responses, instrument, weights, bonus, args.bonus_cap)), args)
 
 
 def _cmd_form(args) -> None:
-    consensus = _consensus_from_obj(args.stats, _load_json(args.stats))
+    consensus = _single_round(args.stats).consensus
     if args.retained:
         retained = [i.strip() for i in args.retained.split(",") if i.strip()]
     else:
-        obj = _load_json(args.screen)
-        rounds = obj.get("rounds") or []
-        screening = rounds[0].get("screening") if rounds else None
-        if not screening:
+        screening = _single_round(args.screen).screening
+        if screening is None:
             raise SchemaError(f"{args.screen}: bundle has no screening section")
-        retained = screening["retained"]
+        retained = screening.retained
     names = {}
     if args.names:
         names = {n.id: n.name for n in sio.parse_indicators(args.names).nodes}
@@ -243,15 +157,9 @@ def _cmd_form(args) -> None:
 
 
 def _cmd_report(args) -> None:
-    obj = _load_json(args.bundle)
-    if args.format == "markdown":
-        text = render_markdown_obj(obj)
-    else:
-        text = json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
-    if args.out:
-        write_output(text, args.out)
-    else:
-        sys.stdout.write(text)
+    obj = sio.read_json(args.bundle)
+    markdown = args.format == "markdown"
+    _write(render_markdown_obj(obj) if markdown else render_json_obj(obj), args)
 
 
 def _cmd_pipeline(args) -> None:
@@ -266,53 +174,46 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("round-stats", help="consensus statistics for one Delphi round")
+    def command(name: str, func, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("round-stats", _cmd_round_stats, "consensus statistics for one Delphi round")
     p.add_argument("--ratings", required=True, help="ratings CSV (expert_id + indicator columns)")
     p.add_argument("--experts", help="expert profiles CSV (enables Ca/Cs/Cr)")
     p.add_argument("--scale-max", type=int, default=5)
     p.add_argument("--round-no", type=int)
     p.add_argument("--distributed", type=int,
                    help="questionnaires distributed (default: rows in the ratings file)")
-    _add_output_args(p)
-    p.set_defaults(func=_cmd_round_stats)
 
-    p = sub.add_parser("screen", help="apply retention thresholds to a round's indicators")
+    p = command("screen", _cmd_screen, "apply retention thresholds to a round's indicators")
     p.add_argument("--stats", required=True, help="round-stats JSON output")
     p.add_argument("--thresholds", help="JSON with mean_floor/fsf_floor/cv_ceiling "
                                         "(default: derived from the round itself)")
-    _add_output_args(p)
-    p.set_defaults(func=_cmd_screen)
 
-    p = sub.add_parser("weights", help="derive indicator weights")
+    p = command("weights", _cmd_weights, "derive indicator weights")
     p.add_argument("--tree", required=True, help="indicators CSV")
     p.add_argument("--pairwise", help="comma-separated pairwise matrix CSVs "
                                       "(each matrix's ids identify its sibling group)")
     p.add_argument("--importance", help="round-stats JSON supplying importance means")
     p.add_argument("--method", choices=("ahp", "scoring", "combined"), default="combined")
-    _add_output_args(p)
-    p.set_defaults(func=_cmd_weights)
 
-    p = sub.add_parser("reliability", help="Cronbach's alpha / item-total analysis")
+    p = command("reliability", _cmd_reliability, "Cronbach's alpha / item-total analysis")
     p.add_argument("--responses", required=True, help="consumer responses CSV")
     p.add_argument("--instrument", default="default")
-    _add_output_args(p)
-    p.set_defaults(func=_cmd_reliability)
 
-    p = sub.add_parser("validity", help="content validity (I-CVI / S-CVI)")
+    p = command("validity", _cmd_validity, "content validity (I-CVI / S-CVI)")
     p.add_argument("--importance", required=True, help="rater x item importance CSV (1-7)")
-    _add_output_args(p)
-    p.set_defaults(func=_cmd_validity)
 
-    p = sub.add_parser("score", help="score software from responses and weights")
+    p = command("score", _cmd_score, "score software from responses and weights")
     p.add_argument("--responses", required=True, help="consumer responses CSV")
     p.add_argument("--bonus", help="expert bonus ratings CSV")
     p.add_argument("--weights", required=True, help="weights JSON (output of `stagekit weights`)")
     p.add_argument("--bonus-cap", type=float, default=DEFAULT_BONUS_CAP)
     p.add_argument("--instrument", default="default")
-    _add_output_args(p)
-    p.set_defaults(func=_cmd_score)
 
-    p = sub.add_parser("form", help="emit the next round's consultation form")
+    p = command("form", _cmd_form, "emit the next round's consultation form")
     p.add_argument("--stats", required=True, help="previous round's round-stats JSON")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--retained", help="comma-separated indicator ids to carry forward")
@@ -320,18 +221,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--round", type=int, required=True, help="number of the round being prepared")
     p.add_argument("--names", help="indicators CSV supplying display names")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.set_defaults(func=_cmd_form)
 
-    p = sub.add_parser("report", help="re-render an emitted bundle (e.g. to markdown)")
+    p = command("report", _cmd_report, "re-render an emitted bundle (e.g. to markdown)")
     p.add_argument("--bundle", required=True, help="bundle JSON produced by another subcommand")
-    _add_output_args(p)
-    p.set_defaults(func=_cmd_report)
 
-    p = sub.add_parser("pipeline", help="run every stage a config file declares")
+    p = command("pipeline", _cmd_pipeline, "run every stage a config file declares")
     p.add_argument("--config", required=True, help="pipeline config JSON")
-    _add_output_args(p)
-    p.set_defaults(func=_cmd_pipeline)
 
+    for name, p in sub.choices.items():
+        if name != "form":  # form writes a CSV, not a report bundle
+            _add_output_args(p)
     return parser
 
 

@@ -9,13 +9,9 @@ must treat them as read-only (they are frozen dataclasses anyway).
 
 from __future__ import annotations
 
-from importlib.resources import files
-from pathlib import Path
-
+from .errors import SchemaError
 from .model import IndicatorNode, IndicatorTree, Instrument, Level, Question
 
-# Canonical index names follow the questionnaire table; the running text of
-# the source material uses two alternates, kept as aliases below.
 DIMENSIONS: tuple[tuple[str, str], ...] = (
     ("ux", "User Experience"),
     ("pq", "Product Quality"),
@@ -53,14 +49,6 @@ ITEMS: tuple[tuple[str, str, str], ...] = (
     ("sp.social_integration.policy_awareness", "sp.social_integration", "Policy awareness"),
     ("sp.social_integration.social_integration", "sp.social_integration", "Social integration"),
 )
-
-# Alternate index names appearing in prose -> canonical index id.
-INDEX_ALIASES: dict[str, str] = {
-    "Usability": "ux.availability",
-    "Intelligibility": "ux.perceptibility",
-    "Innovativeness": "pq.innovation",
-    "Social influence": "sp.social_integration",
-}
 
 BONUS_INDICATORS: tuple[tuple[str, str], ...] = (
     ("compliance", "Compliance"),
@@ -173,11 +161,12 @@ def load_default_instrument() -> Instrument:
         dimension_of={idx: dim for idx, dim, _ in INDICES},
         dimension_names=dict(DIMENSIONS),
         index_names={idx: name for idx, _, name in INDICES},
-        aliases=dict(INDEX_ALIASES),
         bonus_indicators=BONUS_INDICATORS,
     )
 
 
-def data_path(name: str) -> Path:
-    """Absolute path of a bundled sample-data file (stagekit/data/<name>)."""
-    return Path(str(files(__package__).joinpath("data", name)))
+def load_instrument(name: str) -> Instrument:
+    """The instrument called ``name``; only the bundled default exists."""
+    if name != "default":
+        raise SchemaError(f'only the bundled default instrument is supported ("default"), got {name!r}')
+    return load_default_instrument()

@@ -1,6 +1,6 @@
-"""CSV ingestion and emission with strict validation.
+"""CSV and JSON ingestion and CSV emission with strict validation.
 
-All files are UTF-8 with a mandatory header row; emitted files use LF line
+All CSV files are UTF-8 with a mandatory header row; emitted files use LF line
 endings, '.' decimals, and no timestamps, so identical inputs always produce
 byte-identical outputs. Every parse error names the offending file and, where
 it applies, the row/column cell.
@@ -9,12 +9,13 @@ it applies, the row/column cell.
 from __future__ import annotations
 
 import csv
+import json
 import re
 from contextlib import contextmanager
 from fractions import Fraction
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -49,6 +50,17 @@ _BASIS_COLUMNS = (
     ("basis_peer", JudgmentBasis.PEER_REFERENCE),
     ("basis_intuition", JudgmentBasis.INTUITION),
 )
+
+
+def read_json(path: str | Path) -> Any:
+    """The parsed content of a UTF-8 JSON file (a config, a bundle, thresholds)."""
+    path = Path(path)
+    if not path.exists():
+        raise SchemaError(f"{path}: file not found")
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path}: not valid JSON ({exc})") from None
 
 
 @contextmanager
@@ -346,6 +358,30 @@ def parse_responses(path: str | Path, instrument: Instrument) -> ResponseSet:
     return ResponseSet(question_ids=expected, consumer=RowMatrix(row_of, matrix))
 
 
+def _rating_rows(path: Path, rows: Iterable[list[str]], kind: str,
+                 columns: Sequence[tuple[str, int]], lo: int, hi: int) -> dict[str, tuple[int, ...]]:
+    """Row id -> integer ratings in [lo, hi], read from the (column id, cell index) pairs."""
+    out: dict[str, tuple[int, ...]] = {}
+    for row in rows:
+        row_id = _cell(row, 0)
+        if not row_id:
+            raise SchemaError(f"{path}: row with empty {kind} id")
+        if row_id in out:
+            raise SchemaError(f"{path}: duplicate {kind} row {row_id!r}")
+        values = []
+        for column, i in columns:
+            raw = _cell(row, i)
+            try:
+                value = int(raw)
+            except ValueError:
+                raise SchemaError(f"{path}: cell ({row_id}, {column}): {raw!r} is not an integer") from None
+            if not lo <= value <= hi:
+                raise SchemaError(f"{path}: cell ({row_id}, {column}): rating {value} outside [{lo}, {hi}]")
+            values.append(value)
+        out[row_id] = tuple(values)
+    return out
+
+
 def parse_expert_bonus(path: str | Path, bonus_ids: Sequence[str]) -> dict[str, tuple[int, ...]]:
     """Read expert bonus ratings (expert_id, then one column per bonus indicator)."""
     path = Path(path)
@@ -353,25 +389,7 @@ def parse_expert_bonus(path: str | Path, bonus_ids: Sequence[str]) -> dict[str, 
     if not header or header[0] != "expert_id":
         raise SchemaError(f"{path}: first column must be expert_id")
     col = _require_columns(path, header, required=("expert_id",) + tuple(bonus_ids))
-    out: dict[str, tuple[int, ...]] = {}
-    for row in rows:
-        expert_id = _cell(row, 0)
-        if not expert_id:
-            raise SchemaError(f"{path}: row with empty expert id")
-        if expert_id in out:
-            raise SchemaError(f"{path}: duplicate expert row {expert_id!r}")
-        values = []
-        for bid in bonus_ids:
-            raw = _cell(row, col[bid])
-            try:
-                value = int(raw)
-            except ValueError:
-                raise SchemaError(f"{path}: cell ({expert_id}, {bid}): {raw!r} is not an integer") from None
-            if not 0 <= value <= 4:
-                raise SchemaError(f"{path}: cell ({expert_id}, {bid}): rating {value} outside [0, 4]")
-            values.append(value)
-        out[expert_id] = tuple(values)
-    return out
+    return _rating_rows(path, rows, "expert", [(bid, col[bid]) for bid in bonus_ids], 0, 4)
 
 
 def parse_importance(path: str | Path) -> tuple[tuple[str, ...], list[tuple[int, ...]]]:
@@ -385,27 +403,8 @@ def parse_importance(path: str | Path) -> tuple[tuple[str, ...], list[tuple[int,
         raise SchemaError(f"{path}: no item columns")
     if len(set(item_ids)) != len(item_ids):
         raise SchemaError(f"{path}: duplicated item column in header")
-    matrix: list[tuple[int, ...]] = []
-    seen: set[str] = set()
-    for row in rows:
-        rater_id = _cell(row, 0)
-        if not rater_id:
-            raise SchemaError(f"{path}: row with empty rater id")
-        if rater_id in seen:
-            raise SchemaError(f"{path}: duplicate rater row {rater_id!r}")
-        seen.add(rater_id)
-        values = []
-        for i, item_id in enumerate(item_ids):
-            raw = _cell(row, i + 1)
-            try:
-                value = int(raw)
-            except ValueError:
-                raise SchemaError(f"{path}: cell ({rater_id}, {item_id}): {raw!r} is not an integer") from None
-            if not 1 <= value <= 7:
-                raise SchemaError(f"{path}: cell ({rater_id}, {item_id}): rating {value} outside [1, 7]")
-            values.append(value)
-        matrix.append(tuple(values))
-    return item_ids, matrix
+    matrix = _rating_rows(path, rows, "rater", list(zip(item_ids, range(1, len(header)))), 1, 7)
+    return item_ids, list(matrix.values())
 
 
 def _parse_ratio(raw: str) -> float:

@@ -131,9 +131,6 @@ class IndicatorTree:
     def children(self, parent_id: str | None) -> tuple[IndicatorNode, ...]:
         return tuple(n for n in self.nodes if n.parent_id == parent_id)
 
-    def roots(self) -> tuple[IndicatorNode, ...]:
-        return self.children(None)
-
     def leaves(self) -> tuple[IndicatorNode, ...]:
         with_children = {n.parent_id for n in self.nodes if n.parent_id is not None}
         return tuple(n for n in self.nodes if n.id not in with_children)
@@ -148,17 +145,6 @@ class IndicatorTree:
             if members:
                 groups.append((pid, members))
         return tuple(groups)
-
-    def path_to_root(self, node_id: str) -> tuple[IndicatorNode, ...]:
-        """Node and its ancestors, root last. Stops on a missing parent."""
-        chain: list[IndicatorNode] = []
-        current = self.node(node_id)
-        seen: set[str] = set()
-        while current is not None and current.id not in seen:
-            chain.append(current)
-            seen.add(current.id)
-            current = self.node(current.parent_id) if current.parent_id else None
-        return tuple(chain)
 
 
 _CHILD_LEVEL = {Level.INDEX: Level.DIMENSION, Level.ITEM: Level.INDEX}
@@ -209,14 +195,22 @@ def validate_tree(tree: IndicatorTree) -> list[str]:
 
     for parent_id, members in tree.sibling_groups():
         core = [n for n in members if not n.bonus]
-        if not core or any(n.local_weight is None for n in core):
+        if any(n.local_weight is None for n in core):
             continue
-        total = sum(n.local_weight for n in core)
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
-            where = "root dimensions" if parent_id is None else f"children of {parent_id}"
-            problems.append(f"local weights of {where} sum to {total!r}, expected 1")
+        problem = weight_sum_problem(parent_id, [n.local_weight for n in core])
+        if problem:
+            problems.append(problem)
 
     return problems
+
+
+def weight_sum_problem(parent_id: str | None, local_weights: Sequence[float]) -> str | None:
+    """Why a core sibling group's local weights do not sum to 1; None if they do or it is empty."""
+    total = sum(local_weights)
+    if not local_weights or abs(total - 1.0) <= WEIGHT_SUM_TOL:
+        return None
+    where = "root dimensions" if parent_id is None else f"children of {parent_id}"
+    return f"local weights of {where} sum to {total!r}, expected 1"
 
 
 @dataclass(frozen=True)
@@ -348,7 +342,6 @@ class Instrument:
     dimension_of: Mapping[str, str]
     dimension_names: Mapping[str, str]
     index_names: Mapping[str, str]
-    aliases: Mapping[str, str] = field(default_factory=dict)
     bonus_indicators: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self):
@@ -358,7 +351,6 @@ class Instrument:
         object.__setattr__(self, "dimension_of", dict(self.dimension_of))
         object.__setattr__(self, "dimension_names", dict(self.dimension_names))
         object.__setattr__(self, "index_names", dict(self.index_names))
-        object.__setattr__(self, "aliases", dict(self.aliases))
         object.__setattr__(self, "bonus_indicators",
                            tuple((bid, bname) for bid, bname in self.bonus_indicators))
 

@@ -1,17 +1,19 @@
-"""Declarative end-to-end orchestration.
+"""Stage wiring and declarative end-to-end orchestration.
 
-A single JSON config file lists the inputs for each stage; stages run in a
-fixed order (round stats → screening → weights → reliability → validity →
-score) and a failure surfaces as a stage-labeled error. Paths are resolved
-relative to the config file; environment variables are never consulted.
+Each stage is wired once here, as a ``*_stage`` function from parsed inputs
+(and the earlier section it builds on) to its bundle section. A CLI subcommand
+calls one of them; :func:`run_pipeline` calls every stage a JSON config file
+declares, in a fixed order (round stats → screening → weights → reliability →
+validity → score), and a failure surfaces as a stage-labeled error. Paths are
+resolved relative to the config file; environment variables are never consulted.
 """
 
 from __future__ import annotations
 
-import json
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 from . import io as sio
 from .ahp import PairwiseMatrix, weight_tree
@@ -23,32 +25,98 @@ from .consensus import (
     screen_indicators,
 )
 from .errors import InvalidInputError, PipelineStageError, SchemaError, StagekitError
-from .instrument import load_default_instrument
+from .instrument import load_instrument
 from .model import (
+    ExpertProfile,
     Familiarity,
     Impact,
+    IndicatorTree,
+    Instrument,
     JudgmentBasis,
+    RatingRound,
     ResponseSet,
     ScreeningThresholds,
 )
-from .psychometrics import reliability_report, validity_report
-from .report import ReportBundle, RoundSection, WeightsSection
-from .scoring import DEFAULT_BONUS_CAP, score_software
+from .psychometrics import ReliabilityTable, ValidityTable, reliability_report, validity_report
+from .report import ROOT_GROUP, ReportBundle, RoundSection, WeightsSection
+from .scoring import DEFAULT_BONUS_CAP, ScoreCard, score_software
 
-ROOT_GROUP_KEY = "root"  # config alias for the dimension-level sibling group
+
+def round_stats_stage(rnd: RatingRound, profiles: Sequence[ExpertProfile] | None = None, *,
+                      ca_table=DEFAULT_CA_TABLE, cs_map=DEFAULT_CS_MAP) -> RoundSection:
+    """Consensus statistics of one Delphi round (authority only with profiles)."""
+    return RoundSection(consensus=round_consensus(rnd, profiles, ca_table=ca_table, cs_map=cs_map))
+
+
+def screen_stage(section: RoundSection, thresholds: ScreeningThresholds | None = None) -> RoundSection:
+    """The round with its indicators screened; thresholds default to ones derived from it."""
+    stats = section.consensus.stats
+    if thresholds is None:
+        thresholds = derive_thresholds(stats)
+    return replace(section, screening=screen_indicators(stats, thresholds))
+
+
+def weights_stage(tree: IndicatorTree, pairwise: Mapping[str | None, PairwiseMatrix],
+                  importance: RoundSection | None, method: str) -> WeightsSection:
+    """Local and global weights; ``importance`` is the round whose means score the indicators."""
+    means = {i: s.mean for i, s in importance.consensus.stats.items()} if importance else {}
+    weighted, table = weight_tree(tree, pairwise=pairwise, importance=means, method=method)
+    return WeightsSection(method=method, tree=weighted, table=table)
+
+
+def reliability_stage(responses: ResponseSet, instrument: Instrument) -> ReliabilityTable:
+    """Cronbach's alpha per index and item-total statistics per question."""
+    return reliability_report(responses, instrument)
+
+
+def validity_stage(item_ids: Sequence[str], ratings: Sequence[Sequence[int]]) -> ValidityTable:
+    """Content validity (I-CVI, S-CVI) of a rater x item importance matrix."""
+    return validity_report(item_ids, ratings)
+
+
+def score_stage(responses: ResponseSet, instrument: Instrument, weights: WeightsSection | None,
+                bonus: Mapping[str, Sequence[int]] | None = None,
+                bonus_cap: float = DEFAULT_BONUS_CAP) -> ScoreCard:
+    """Score the software with the weights stage's table, adding expert bonus ratings if given."""
+    if weights is None:
+        raise InvalidInputError("missing input: weights (the score stage needs the weights stage)")
+    if bonus is not None:
+        responses = responses.with_bonus(instrument.bonus_ids, bonus)
+    return score_software(responses, instrument, weights.table, bonus_cap=bonus_cap)
+
+
+def read_thresholds(obj: Any, source: str | Path) -> ScreeningThresholds:
+    """Screening thresholds from a JSON object with mean_floor/fsf_floor/cv_ceiling."""
+    try:
+        return ScreeningThresholds(
+            mean_floor=float(obj["mean_floor"]),
+            fsf_floor=float(obj["fsf_floor"]),
+            cv_ceiling=float(obj["cv_ceiling"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"{source}: expected mean_floor/fsf_floor/cv_ceiling ({exc})") from None
 
 
 def load_config(path: str | Path) -> dict[str, Any]:
-    path = Path(path)
-    if not path.exists():
-        raise SchemaError(f"{path}: file not found")
-    try:
-        config = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not valid JSON ({exc})") from None
+    config = sio.read_json(path)
     if not isinstance(config, dict):
         raise SchemaError(f"{path}: config must be a JSON object")
     return config
+
+
+def _section(config: Mapping[str, Any], key: str) -> Mapping[str, Any]:
+    """An optional config object (absent or null reads as empty)."""
+    value = config.get(key) or {}
+    if not isinstance(value, dict):
+        raise SchemaError(f"config {key}: expected a JSON object")
+    return value
+
+
+def _integer(section: Mapping[str, Any], key: str, default: int | None = None) -> int | None:
+    value = section.get(key, default)
+    if value is not None and type(value) is not int:
+        raise SchemaError(f"config {key}: expected an integer, got {value!r}")
+    return value
 
 
 def _parse_ca_table(raw: Mapping[str, Mapping[str, float]]):
@@ -57,14 +125,14 @@ def _parse_ca_table(raw: Mapping[str, Mapping[str, float]]):
             JudgmentBasis(basis): {Impact(impact): float(v) for impact, v in row.items()}
             for basis, row in raw.items()
         }
-    except ValueError as exc:
+    except (AttributeError, TypeError, ValueError) as exc:
         raise SchemaError(f"config ca_table: {exc}") from None
 
 
 def _parse_cs_map(raw: Mapping[str, float]):
     try:
         return {Familiarity(level): float(v) for level, v in raw.items()}
-    except ValueError as exc:
+    except (AttributeError, TypeError, ValueError) as exc:
         raise SchemaError(f"config cs_map: {exc}") from None
 
 
@@ -83,122 +151,101 @@ def run_pipeline(config_path: str | Path) -> ReportBundle:
     config = load_config(config_path)
     base = config_path.parent
 
-    def resolve(rel: str) -> Path:
-        return base / rel
-
-    def require(section: Mapping[str, Any], key: str) -> str:
+    def path(section: Mapping[str, Any], key: str) -> Path:
         value = section.get(key)
         if not value:
             raise InvalidInputError(f"missing input: {key}")
-        return value
+        if not isinstance(value, str):
+            raise SchemaError(f"config {key}: expected a file path, got {value!r}")
+        return base / value
 
-    scale_max = int(config.get("scale_max", 5))
+    scale_max = _integer(config, "scale_max", 5)
     ca_table = _parse_ca_table(config["ca_table"]) if "ca_table" in config else DEFAULT_CA_TABLE
     cs_map = _parse_cs_map(config["cs_map"]) if "cs_map" in config else DEFAULT_CS_MAP
+    entries = config.get("rounds") or []
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise SchemaError("config rounds: expected a list of JSON objects")
+    instrument = load_instrument(config.get("instrument", "default"))
 
     profiles = None
     if config.get("experts"):
         with _stage("round-stats"):
-            profiles = sio.parse_experts(resolve(config["experts"]))
+            profiles = sio.parse_experts(path(config, "experts"))
 
-    rounds: list[RoundSection] = []
-    consensus_by_no = {}
-    for entry in config.get("rounds", ()):
+    rounds: dict[int, RoundSection] = {}
+    for entry in entries:
         with _stage("round-stats"):
             rnd = sio.parse_ratings(
-                resolve(require(entry, "ratings")),
-                scale_max=int(entry.get("scale_max", scale_max)),
-                round_no=entry.get("round_no"),
-                distributed=entry.get("distributed"),
+                path(entry, "ratings"),
+                scale_max=_integer(entry, "scale_max", scale_max),
+                round_no=_integer(entry, "round_no"),
+                distributed=_integer(entry, "distributed"),
             )
-            consensus = round_consensus(rnd, profiles, ca_table=ca_table, cs_map=cs_map)
-        screening = None
+            if rnd.round_no in rounds:
+                raise SchemaError(f"config rounds: two rounds numbered {rnd.round_no}; "
+                                  "give each its own round_no")
+            section = round_stats_stage(rnd, profiles, ca_table=ca_table, cs_map=cs_map)
         if entry.get("screen"):
             with _stage("screen"):
-                if "thresholds" in entry:
-                    t = entry["thresholds"]
-                    thresholds = ScreeningThresholds(
-                        mean_floor=float(t["mean_floor"]),
-                        fsf_floor=float(t["fsf_floor"]),
-                        cv_ceiling=float(t["cv_ceiling"]),
-                    )
-                else:
-                    thresholds = derive_thresholds(consensus.stats)
-                screening = screen_indicators(consensus.stats, thresholds)
-        rounds.append(RoundSection(consensus=consensus, screening=screening))
-        consensus_by_no[consensus.round_no] = consensus
+                thresholds = entry.get("thresholds")
+                if thresholds is not None:
+                    thresholds = read_thresholds(thresholds, "config thresholds")
+                section = screen_stage(section, thresholds)
+        rounds[rnd.round_no] = section
 
-    weights_section = None
+    weights = None
     if "weights" in config:
-        spec = config["weights"] or {}
+        spec = _section(config, "weights")
         with _stage("weights"):
-            tree = sio.parse_indicators(resolve(require(config, "indicators")))
-            pairwise: dict[str | None, PairwiseMatrix] = {}
-            for group, rel in (spec.get("pairwise") or {}).items():
-                key = None if group == ROOT_GROUP_KEY else group
-                pairwise[key] = sio.parse_pairwise(resolve(rel))
-            importance: dict[str, float] = {}
-            if "importance_round" in spec:
-                source = consensus_by_no.get(int(spec["importance_round"]))
-                if source is None:
-                    raise InvalidInputError(
-                        f"missing input: round {spec['importance_round']} "
-                        "(importance_round refers to a round not in the config)"
-                    )
-                importance = {i: s.mean for i, s in source.stats.items()}
-            method = spec.get("method", "combined")
-            weighted_tree, table = weight_tree(
-                tree, pairwise=pairwise, importance=importance, method=method
-            )
-            weights_section = WeightsSection(method=method, tree=weighted_tree, table=table)
+            tree = sio.parse_indicators(path(config, "indicators"))
+            pairwise_spec = _section(spec, "pairwise")
+            pairwise = {
+                None if group == ROOT_GROUP else group: sio.parse_pairwise(path(pairwise_spec, group))
+                for group in pairwise_spec
+            }
+            importance_round = _integer(spec, "importance_round")
+            importance = rounds.get(importance_round)
+            if importance_round is not None and importance is None:
+                raise InvalidInputError(f"missing input: round {importance_round} "
+                                        "(importance_round refers to a round not in the config)")
+            weights = weights_stage(tree, pairwise, importance, spec.get("method", "combined"))
 
-    if str(config.get("instrument", "default")) != "default":
-        raise SchemaError(f'{config_path}: only the bundled default instrument is supported ("default")')
-    instrument = load_default_instrument()
     parsed_responses: dict[Path, ResponseSet] = {}
 
     def responses_at(section: Mapping[str, Any]) -> ResponseSet:
         """Each responses file is parsed once, even when two stages name it."""
-        path = resolve(require(section, "responses"))
-        if path not in parsed_responses:
-            parsed_responses[path] = sio.parse_responses(path, instrument)
-        return parsed_responses[path]
+        responses_path = path(section, "responses")
+        if responses_path not in parsed_responses:
+            parsed_responses[responses_path] = sio.parse_responses(responses_path, instrument)
+        return parsed_responses[responses_path]
 
     reliability = None
     if "reliability" in config:
-        section = config["reliability"] or {}
+        section = _section(config, "reliability")
         with _stage("reliability"):
-            reliability = reliability_report(responses_at(section), instrument)
+            reliability = reliability_stage(responses_at(section), instrument)
 
     validity = None
     if "validity" in config:
-        section = config["validity"] or {}
+        section = _section(config, "validity")
         with _stage("validity"):
-            item_ids, matrix = sio.parse_importance(resolve(require(section, "importance")))
-            validity = validity_report(item_ids, matrix)
+            validity = validity_stage(*sio.parse_importance(path(section, "importance")))
 
     score = None
     if "score" in config:
-        section = config["score"] or {}
+        section = _section(config, "score")
         with _stage("score"):
             responses = responses_at(section)
-            if section.get("bonus"):
-                bonus = sio.parse_expert_bonus(resolve(section["bonus"]), instrument.bonus_ids)
-                responses = responses.with_bonus(instrument.bonus_ids, bonus)
-            if weights_section is None:
-                raise InvalidInputError(
-                    "missing input: weights (the score stage needs the weights stage)"
-                )
-            score = score_software(
-                responses,
-                instrument,
-                weights_section.table,
-                bonus_cap=float(section.get("bonus_cap", DEFAULT_BONUS_CAP)),
-            )
+            bonus = (sio.parse_expert_bonus(path(section, "bonus"), instrument.bonus_ids)
+                     if section.get("bonus") else None)
+            bonus_cap = section.get("bonus_cap", DEFAULT_BONUS_CAP)
+            if type(bonus_cap) not in (int, float):
+                raise SchemaError(f"config bonus_cap: expected a number, got {bonus_cap!r}")
+            score = score_stage(responses, instrument, weights, bonus, float(bonus_cap))
 
     return ReportBundle(
-        rounds=tuple(rounds),
-        weights=weights_section,
+        rounds=tuple(rounds.values()),
+        weights=weights,
         reliability=reliability,
         validity=validity,
         score=score,

@@ -10,19 +10,20 @@ neither contains timestamps, locales, or other run-dependent bytes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Mapping
 
-from .ahp import WeightTable
-from .consensus import RoundConsensus, ScreeningResult
-from .errors import InvalidInputError
-from .model import IndicatorTree
+from .ahp import GroupConsistency, WeightTable
+from .consensus import IndicatorStats, RoundConsensus, ScreeningResult
+from .errors import InvalidInputError, SchemaError
+from .model import IndicatorNode, IndicatorTree, Level, ScreeningThresholds
 from .psychometrics import ReliabilityTable, ValidityTable
 from .scoring import ScoreCard
 
 COEFF_PLACES = 4
 SCORE_PLACES = 2
+ROOT_GROUP = "root"  # label of the dimension-level sibling group
 
 
 def display(value: float, places: int = COEFF_PLACES) -> str:
@@ -36,6 +37,11 @@ def _num(value: float, places: int) -> dict[str, Any]:
 
 def _opt(value: float | None, places: int) -> dict[str, Any] | None:
     return None if value is None else _num(value, places)
+
+
+def _nums(obj, places: int) -> dict[str, Any]:
+    """Every field of a dataclass of numbers, in field order, as number pairs."""
+    return {f.name: _num(getattr(obj, f.name), places) for f in fields(obj)}
 
 
 @dataclass(frozen=True)
@@ -77,13 +83,7 @@ def _round_obj(section: RoundSection, places: int) -> dict[str, Any]:
         },
         "kendall_w": _num(c.kendall_w, places),
         "indicators": [
-            {
-                "id": indicator_id,
-                "mean": _num(s.mean, places),
-                "sd": _num(s.sd, places),
-                "cv": _num(s.cv, places),
-                "full_score_freq": _num(s.full_score_freq, places),
-            }
+            {"id": indicator_id, **_nums(s, places)}
             for indicator_id, s in c.stats.items()
         ],
     }
@@ -92,11 +92,7 @@ def _round_obj(section: RoundSection, places: int) -> dict[str, Any]:
     else:
         scr = section.screening
         obj["screening"] = {
-            "thresholds": {
-                "mean_floor": _num(scr.thresholds.mean_floor, places),
-                "fsf_floor": _num(scr.thresholds.fsf_floor, places),
-                "cv_ceiling": _num(scr.thresholds.cv_ceiling, places),
-            },
+            "thresholds": _nums(scr.thresholds, places),
             "retained": list(scr.retained),
             "dropped": list(scr.dropped),
             "reasons": {i: list(scr.reasons[i]) for i in scr.dropped},
@@ -121,7 +117,7 @@ def _weights_obj(section: WeightsSection, places: int) -> dict[str, Any]:
         ],
         "consistency": [
             {
-                "group": "root" if g.parent_id is None else g.parent_id,
+                "group": ROOT_GROUP if g.parent_id is None else g.parent_id,
                 "n": g.n,
                 "lambda_max": _num(g.lambda_max, places),
                 "ci": _num(g.ci, places),
@@ -218,8 +214,79 @@ def bundle_to_obj(
     }
 
 
+def _value(field: Mapping[str, Any]) -> float:
+    value = field["value"]
+    if type(value) not in (int, float):
+        raise TypeError(f"value {value!r} is not a number")
+    return value
+
+
+def _opt_value(field: Mapping[str, Any] | None) -> float | None:
+    return None if field is None else _value(field)
+
+
+def _values(cls, obj: Mapping[str, Any]):
+    """The inverse of :func:`_nums`: a ``cls`` instance from its number pairs in obj."""
+    return cls(**{f.name: _value(obj[f.name]) for f in fields(cls)})
+
+
+def _round_from_obj(obj: Mapping[str, Any]) -> RoundSection:
+    consensus = RoundConsensus(
+        **{key: obj[key] for key in ("round_no", "scale_max", "distributed", "returned")},
+        positivity=_value(obj["positivity"]),
+        **{key: _opt_value(obj["authority"][key]) for key in ("ca", "cs", "cr")},
+        kendall_w=_value(obj["kendall_w"]),
+        stats={s["id"]: _values(IndicatorStats, s) for s in obj["indicators"]},
+    )
+    scr = obj["screening"]
+    return RoundSection(consensus=consensus, screening=None if scr is None else ScreeningResult(
+        thresholds=_values(ScreeningThresholds, scr["thresholds"]),
+        retained=tuple(scr["retained"]),
+        dropped=tuple(scr["dropped"]),
+        reasons={i: tuple(reasons) for i, reasons in scr["reasons"].items()},
+    ))
+
+
+def _weights_from_obj(obj: Mapping[str, Any]) -> WeightsSection:
+    nodes = tuple(IndicatorNode(
+        id=n["id"], name=n["name"], level=Level(n["level"]), parent_id=n["parent_id"],
+        local_weight=_opt_value(n["local_weight"]), global_weight=_opt_value(n["global_weight"]),
+    ) for n in obj["nodes"])
+    table = WeightTable(
+        local_weights={n.id: n.local_weight for n in nodes if n.local_weight is not None},
+        global_weights={n.id: n.global_weight for n in nodes if n.global_weight is not None},
+        consistency=tuple(GroupConsistency(
+            parent_id=None if g["group"] == ROOT_GROUP else g["group"], n=g["n"],
+            **{key: _value(g[key]) for key in ("lambda_max", "ci", "cr")},
+            acceptable=g["acceptable"],
+        ) for g in obj["consistency"]),
+    )
+    return WeightsSection(method=obj["method"], tree=IndicatorTree(nodes=nodes), table=table)
+
+
+def bundle_from_obj(obj: Any, source: str | Path = "bundle") -> ReportBundle:
+    """Rebuild the rounds and weights sections of an emitted bundle from its JSON dict.
+
+    The inverse of :func:`bundle_to_obj` for the sections a later stage reads
+    back; reliability, validity and score are not read and come back as None.
+    Display strings are dropped: output renders them again from the values.
+    """
+    try:
+        rounds = tuple(_round_from_obj(r) for r in obj.get("rounds") or ())
+        weights = obj.get("weights")
+        return ReportBundle(
+            rounds=rounds, weights=None if weights is None else _weights_from_obj(weights)
+        )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"{source}: not a stagekit bundle (bad or missing field {exc})") from None
+
+
+def render_json_obj(obj: Any) -> str:
+    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+
+
 def render_json(bundle: ReportBundle, **places) -> str:
-    return json.dumps(bundle_to_obj(bundle, **places), indent=2, ensure_ascii=False) + "\n"
+    return render_json_obj(bundle_to_obj(bundle, **places))
 
 
 def _md_table(headers: list[str], rows: list[list[str]]) -> list[str]:

@@ -345,6 +345,42 @@ class TestForm:
         assert rc == 2
 
 
+@pytest.fixture
+def pipeline_bundle(tmp_path, capsys):
+    """The three-round demo pipeline bundle, written to disk."""
+    path = tmp_path / "pipeline.json"
+    rc, _, err = run(capsys, "pipeline", "--config", DATA / "demo_config.json", "--out", path)
+    assert rc == 0, err
+    return path
+
+
+class TestSingleRoundInput:
+    @pytest.mark.parametrize("argv", [
+        ["screen", "--stats", "{bundle}"],
+        ["form", "--stats", "{bundle}", "--retained", "ux.availability",
+         "--round", "2", "--out", "{tmp}/form.csv"],
+        ["form", "--stats", "{stats1}", "--screen", "{bundle}",
+         "--round", "2", "--out", "{tmp}/form.csv"],
+        ["weights", "--tree", "{data}/indicators.csv", "--importance", "{bundle}",
+         "--method", "scoring"],
+    ], ids=["screen", "form-stats", "form-screen", "weights-importance"])
+    def test_multi_round_bundle_exits_2(self, argv, pipeline_bundle, stats1, tmp_path, capsys):
+        args = [a.format(bundle=pipeline_bundle, stats1=stats1, tmp=tmp_path, data=DATA)
+                for a in argv]
+        rc, out, err = run(capsys, *args)
+        assert rc == 2
+        assert out == ""
+        assert err == (f"error: {pipeline_bundle}: bundle holds 3 rounds; give a single-round "
+                       "bundle (output of `stagekit round-stats` or `screen`)\n")
+        assert not (tmp_path / "form.csv").exists()
+
+    def test_screen_of_screen_output_is_accepted(self, stats1, tmp_path, capsys):
+        screened = tmp_path / "screened.json"
+        assert run(capsys, "screen", "--stats", stats1, "--out", screened)[0] == 0
+        again = run_json(capsys, "screen", "--stats", screened)
+        assert again == json.loads(screened.read_text(encoding="utf-8"))
+
+
 class TestReport:
     def test_rerender_to_markdown(self, stats1, capsys):
         rc, out, err = run(capsys, "report", "--bundle", stats1, "--format", "markdown")

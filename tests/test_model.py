@@ -14,7 +14,6 @@ from stagekit import (
     load_default_instrument,
     validate_tree,
 )
-from stagekit.instrument import INDEX_ALIASES
 
 
 def node(node_id, level, parent=None, weight=None, bonus=False):
@@ -66,7 +65,6 @@ class TestIndicatorTree:
         assert tree.node("missing") is None
         assert "d.y" in tree
         assert [n.id for n in tree.children("d")] == ["d.x", "d.y"]
-        assert [n.id for n in tree.roots()] == ["d"]
         assert [n.id for n in tree.leaves()] == ["d.x", "d.y"]
 
     def test_sibling_groups_root_first(self):
@@ -78,12 +76,6 @@ class TestIndicatorTree:
         assert groups[0][0] is None
         assert [n.id for n in groups[0][1]] == ["d"]
         assert groups[1][0] == "d"
-
-    def test_path_to_root(self):
-        tree = default_tree()
-        path = tree.path_to_root("ux.availability.function_learnability")
-        assert [n.level for n in path] == [Level.ITEM, Level.INDEX, Level.DIMENSION]
-        assert path[-1].id == "ux"
 
 
 class TestValidateTree:
@@ -236,12 +228,6 @@ class TestInstrument:
         for dim in instrument.dimensions():
             for idx in instrument.indices_of_dimension(dim):
                 assert instrument.dimension_of[idx] == dim
-
-    def test_aliases_point_at_real_indices(self):
-        instrument = load_default_instrument()
-        index_ids = {idx for idx, _ in instrument.indices}
-        for alias, target in INDEX_ALIASES.items():
-            assert target in index_ids, alias
 
     def test_duplicate_question_assignment_rejected(self):
         questions = (Question(id="q1", text="Q1"), Question(id="q2", text="Q2"))

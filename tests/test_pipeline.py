@@ -248,3 +248,81 @@ class TestRoundOptions:
         assert consensus.distributed == 10
         assert consensus.positivity == pytest.approx(0.2)
         assert consensus.round_no == 4
+
+
+def demo_config_copy(tmp_path, change):
+    """The demo data copied to tmp_path, its config edited in place by ``change``."""
+    for src in DATA.iterdir():
+        (tmp_path / src.name).write_bytes(src.read_bytes())
+    config = json.loads(DEMO_CONFIG.read_text(encoding="utf-8"))
+    change(config)
+    return write_config(tmp_path, config)
+
+
+def set_key(*keys, value):
+    def change(config):
+        node = config
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+    return change
+
+
+class TestConfigTypeErrors:
+    """A mistyped config exits 2 with one line naming the key, never a traceback."""
+
+    @pytest.mark.parametrize("change, message", [
+        (set_key("rounds", value="foo"), "config rounds: expected a list of JSON objects"),
+        (set_key("rounds", value=["r1.csv"]), "config rounds: expected a list of JSON objects"),
+        (set_key("scale_max", value="x"), "config scale_max: expected an integer, got 'x'"),
+        (set_key("rounds", 0, "thresholds", value={"mean_floor": 1, "cv_ceiling": 1}),
+         "screen: config thresholds: expected mean_floor/fsf_floor/cv_ceiling ('fsf_floor')"),
+        (set_key("rounds", 0, "thresholds", value=[1, 2, 3]),
+         "screen: config thresholds: expected mean_floor/fsf_floor/cv_ceiling"),
+        (set_key("rounds", 1, "round_no", value="2"),
+         "round-stats: config round_no: expected an integer, got '2'"),
+        (set_key("rounds", 0, "ratings", value=7),
+         "round-stats: config ratings: expected a file path, got 7"),
+        (set_key("weights", value="combined"), "config weights: expected a JSON object"),
+        (set_key("weights", "pairwise", value=["pairwise_ux.csv"]),
+         "weights: config pairwise: expected a JSON object"),
+        (set_key("weights", "importance_round", value=True),
+         "weights: config importance_round: expected an integer, got True"),
+        (set_key("score", "bonus_cap", value="x"),
+         "score: config bonus_cap: expected a number, got 'x'"),
+        (set_key("reliability", value=["responses.csv"]),
+         "config reliability: expected a JSON object"),
+        (set_key("ca_table", value="x"), "config ca_table:"),
+        (set_key("cs_map", value={"familiar": None}), "config cs_map:"),
+    ], ids=["rounds-str", "rounds-of-str", "scale_max-str", "thresholds-missing-key",
+            "thresholds-list", "round_no-str", "ratings-int", "weights-str", "pairwise-list",
+            "importance_round-bool", "bonus_cap-str", "reliability-list", "ca_table-str",
+            "cs_map-null"])
+    def test_exits_2_with_one_line(self, tmp_path, capsys, change, message):
+        from stagekit.cli import main
+
+        config = demo_config_copy(tmp_path, change)
+        out_path = tmp_path / "bundle.json"
+        rc = main(["pipeline", "--config", str(config), "--out", str(out_path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.err.count("\n") == 1
+        assert not out_path.exists()
+
+
+class TestDuplicateRoundNumbers:
+    def test_two_rounds_with_one_number_rejected(self, tmp_path):
+        path = demo_config_copy(tmp_path, set_key("rounds", 2, "round_no", value=2))
+        with pytest.raises(PipelineStageError) as exc:
+            run_pipeline(path)
+        assert exc.value.stage == "round-stats"
+        assert exc.value.exit_code == 2
+        assert str(exc.value) == ("round-stats: config rounds: two rounds numbered 2; "
+                                  "give each its own round_no")
+
+    def test_distinct_numbers_still_accepted(self, tmp_path):
+        path = demo_config_copy(tmp_path, set_key("rounds", 2, "round_no", value=4))
+        bundle = run_pipeline(path)
+        assert [r.consensus.round_no for r in bundle.rounds] == [1, 2, 4]

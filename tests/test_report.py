@@ -1,8 +1,14 @@
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import stagekit
 from stagekit import (
+    DegenerateDataError,
+    InsufficientDataError,
     InvalidInputError,
     Instrument,
     Question,
@@ -10,15 +16,18 @@ from stagekit import (
     ReportBundle,
     ResponseSet,
     RoundSection,
+    SchemaError,
     ScreeningThresholds,
     WeightsSection,
     bundle_to_obj,
+    derive_thresholds,
     display,
     emit_report,
     reliability_report,
     render_json,
     render_markdown,
     round_consensus,
+    run_pipeline,
     score_software,
     screen_indicators,
     validity_report,
@@ -26,7 +35,9 @@ from stagekit import (
 )
 from stagekit.ahp import PairwiseMatrix
 from stagekit.model import IndicatorNode, IndicatorTree, Level
-from stagekit.report import render_markdown_obj, write_output
+from stagekit.report import bundle_from_obj, render_markdown_obj, write_output
+
+DATA = Path(stagekit.__file__).parent / "data"
 
 
 class TestDisplay:
@@ -254,3 +265,75 @@ class TestEmitReport:
         out = tmp_path / "report.json"
         write_output("line1\nline2\n", out)
         assert out.read_bytes() == b"line1\nline2\n"
+
+
+def read_sections(obj):
+    return {"rounds": obj["rounds"], "weights": obj["weights"]}
+
+
+class TestBundleFromObj:
+    def demo_round_stats_obj(self):
+        from stagekit.io import parse_experts, parse_ratings
+
+        rnd = parse_ratings(DATA / "ratings_round1.csv")
+        consensus = round_consensus(rnd, parse_experts(DATA / "experts.csv"))
+        return json.loads(render_json(ReportBundle(rounds=(RoundSection(consensus=consensus),))))
+
+    def test_round_trip_of_demo_pipeline_bundle(self):
+        obj = json.loads(render_json(run_pipeline(DATA / "demo_config.json")))
+        assert obj["weights"] is not None and len(obj["rounds"]) == 3
+        assert read_sections(bundle_to_obj(bundle_from_obj(obj))) == read_sections(obj)
+
+    def test_round_trip_of_round_stats_bundle(self):
+        obj = self.demo_round_stats_obj()
+        assert bundle_to_obj(bundle_from_obj(obj)) == obj
+
+    def test_round_trip_of_full_bundle_at_other_precision(self):
+        obj = bundle_to_obj(full_bundle(), coeff_places=6)
+        again = bundle_to_obj(bundle_from_obj(obj), coeff_places=6)
+        assert read_sections(again) == read_sections(obj)
+
+    def test_unread_sections_come_back_empty(self):
+        bundle = bundle_from_obj(bundle_to_obj(full_bundle()))
+        assert (bundle.reliability, bundle.validity, bundle.score) == (None, None, None)
+
+    def test_weight_table_read_back(self):
+        original = full_bundle().weights
+        section = bundle_from_obj(bundle_to_obj(full_bundle())).weights
+        assert dict(section.table.local_weights) == dict(original.table.local_weights)
+        assert dict(section.table.global_weights) == dict(original.table.global_weights)
+        assert section.table.consistency == original.table.consistency
+
+    @pytest.mark.parametrize("obj", [
+        [],
+        {"rounds": [{"round_no": 1}]},
+        {"rounds": "r"},
+        {"weights": {"method": "ahp", "nodes": [{"id": "x"}], "consistency": []}},
+    ])
+    def test_malformed_bundle_is_schema_error(self, obj):
+        with pytest.raises(SchemaError, match=r"^b\.json: not a stagekit bundle"):
+            bundle_from_obj(obj, "b.json")
+
+    def test_non_number_value_rejected(self):
+        obj = self.demo_round_stats_obj()
+        obj["rounds"][0]["kendall_w"]["value"] = "0.5"
+        with pytest.raises(SchemaError, match="not a number"):
+            bundle_from_obj(obj)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(3, 8).flatmap(lambda m: st.lists(
+        st.lists(st.integers(1, 5), min_size=m, max_size=m), min_size=3, max_size=8)))
+    def test_round_trip_property(self, rows):
+        rnd = RatingRound(
+            round_no=2, scale_max=5, distributed=len(rows) + 1,
+            indicator_ids=tuple(f"i{j}" for j in range(len(rows[0]))),
+            ratings={f"e{k}": tuple(row) for k, row in enumerate(rows)},
+        )
+        try:
+            consensus = round_consensus(rnd)
+            section = RoundSection(consensus=consensus, screening=screen_indicators(
+                consensus.stats, derive_thresholds(consensus.stats)))
+        except (DegenerateDataError, InsufficientDataError):
+            assume(False)
+        obj = json.loads(render_json(ReportBundle(rounds=(section,))))
+        assert bundle_to_obj(bundle_from_obj(obj)) == obj
