@@ -1,13 +1,15 @@
-"""Row-by-row references for the column-wise scoring and reliability code.
+"""Row-by-row references for the column-wise scoring, reliability and Delphi code.
 
 ``reference_score_consumer`` and ``reference_reliability_report`` are the
 per-respondent loops that ``score_consumer`` and ``reliability_report`` ran
-before consumer answers were stored as one matrix. They reach the answers
+before consumer answers were stored as one matrix; the Delphi references are
+further down. They reach the answers
 only through the ``ResponseSet.consumer`` mapping. The column-wise code keeps
 the loops' order of float operations, so the property below demands exact
 equality, with no tolerance.
 """
 
+import csv
 import re
 
 import numpy as np
@@ -19,13 +21,17 @@ from stagekit import (
     DegenerateDataError,
     InsufficientDataError,
     Instrument,
+    InvalidInputError,
     Question,
     ResponseSet,
+    SchemaError,
     StagekitError,
+    kendalls_w,
     load_default_instrument,
     reliability_report,
     score_consumer,
 )
+from stagekit.io import parse_ratings
 from stagekit.psychometrics import (
     CITC_FLOOR,
     IndexReliability,
@@ -207,3 +213,205 @@ def test_reliability_report_equals_loop_reference(case):
                                   lambda: reliability_report(responses, instrument))
     if expected is not None:
         assert got == expected
+
+
+# --- Delphi rounds -----------------------------------------------------------
+#
+# ``reference_kendalls_w`` is the per-rater midrank loop and
+# ``reference_parse_ratings`` the per-cell ratings parser that ran before a
+# round was stored as one rater x indicator matrix. Kendall's W is a sum of
+# half-integer midranks and integer tie terms, so the blocked computation must
+# return the same bits, not merely a close value.
+
+
+def reference_midranks(row):
+    """Within-row ranks 1..n, tied values sharing the mean of their positions."""
+    n = row.shape[0]
+    order = np.argsort(row, kind="stable")
+    ranks = np.empty(n, dtype=float)
+    sorted_vals = row[order]
+    i = 0
+    while i < n:
+        j = i + 1
+        while j < n and sorted_vals[j] == sorted_vals[i]:
+            j += 1
+        ranks[order[i:j]] = (i + 1 + j) / 2.0
+        i = j
+    return ranks
+
+
+def reference_tie_term(row_ranks):
+    """Sum of t^3 - t over one rater's tie groups (t = group size)."""
+    _, counts = np.unique(row_ranks, return_counts=True)
+    counts = counts.astype(float)
+    return float(np.sum(counts**3 - counts))
+
+
+def reference_kendalls_w(ratings, correct_ties=True):
+    matrix = [list(row) for row in ratings]
+    m = len(matrix)
+    if m < 2:
+        raise InsufficientDataError(f"need >= 2 raters, got {m}")
+    n = len(matrix[0])
+    if any(len(row) != n for row in matrix):
+        raise InvalidInputError("ragged ratings matrix")
+    if n < 2:
+        raise InsufficientDataError(f"need >= 2 indicators, got {n}")
+    arr = np.asarray(matrix, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise InvalidInputError("ratings matrix contains missing or non-finite values")
+    rank_rows = np.vstack([reference_midranks(arr[i]) for i in range(m)])
+    rank_sums = rank_rows.sum(axis=0)
+    s = float(np.sum((rank_sums - m * (n + 1) / 2.0) ** 2))
+    denom = m * m * (n**3 - n)
+    if correct_ties:
+        denom -= m * sum(reference_tie_term(rank_rows[i]) for i in range(m))
+    if denom == 0:
+        raise DegenerateDataError("every rater tied all indicators; W is undefined")
+    return 12.0 * s / denom
+
+
+def _same_w(rows, correct_ties):
+    """kendalls_w on ``rows`` (any accepted form) returns the reference's bits or error."""
+    expected, got = _same_outcome(lambda: reference_kendalls_w(rows, correct_ties),
+                                  lambda: kendalls_w(rows, correct_ties=correct_ties))
+    if expected is not None:
+        assert type(got) is float
+        assert got == expected
+
+
+@st.composite
+def int_rating_matrices(draw):
+    """Small-range integer matrices: ties everywhere, some rows tied throughout."""
+    m = draw(st.integers(2, 40))
+    n = draw(st.integers(2, 9))
+    top = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(st.integers(1, top), min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    for r in draw(st.lists(st.integers(0, m - 1), max_size=m)):
+        rows[r] = [rows[r][0]] * n
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_rating_matrices(), st.booleans())
+def test_kendalls_w_int_equals_loop_reference(rows, correct_ties):
+    _same_w(rows, correct_ties)
+    _same_w(np.array(rows, dtype=np.int8), correct_ties)
+
+
+FLOAT_VALUES = (-2.5, -0.0, 0.0, 0.1, 1.0, 1.0 + 2**-52, 3.75, 1e300)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 30), st.integers(2, 8), st.booleans(), st.data())
+def test_kendalls_w_float_equals_loop_reference(m, n, correct_ties, data):
+    cell = st.one_of(st.sampled_from(FLOAT_VALUES),
+                     st.floats(allow_nan=False, allow_infinity=False))
+    rows = data.draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=m, max_size=m))
+    _same_w(rows, correct_ties)
+    _same_w(np.array(rows, dtype=float), correct_ties)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from((1023, 1024, 1025, 2047, 2048, 2049, 3000)), st.integers(2, 30),
+       st.integers(1, 5), st.integers(0, 2**32 - 1), st.booleans())
+def test_kendalls_w_around_block_size_equals_loop_reference(m, n, top, seed, correct_ties):
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(1, top + 1, size=(m, n))
+    rows[rng.integers(0, m, size=m // 10)] = top  # rows tied throughout
+    _same_w(rows.tolist(), correct_ties)
+    _same_w(rows.astype(np.int8), correct_ties)
+
+
+@pytest.mark.parametrize("rows", [
+    [[3, 3, 3], [4, 4, 4]],
+    np.full((1500, 4), 2, dtype=np.int8),
+    [[1, 2, 3]],
+    [[1], [2]],
+    [[1, 2, 3], [1, 2]],
+    [[1.0, float("nan"), 3.0], [1.0, 2.0, 3.0]],
+    [[1.0, float("inf"), 3.0], [1.0, 2.0, 3.0]],
+])
+def test_kendalls_w_errors_equal_loop_reference(rows):
+    for correct_ties in (True, False):
+        _same_w(rows, correct_ties)
+
+
+def reference_parse_ratings(path, scale_max=5):
+    """The per-cell loop over a ratings file: (ratings, non_respondents), or its error."""
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        header = [h.strip() for h in next(reader)]
+        rows = [row for row in reader if any(map(str.strip, row))]
+    indicator_ids = tuple(header[1:])
+
+    def cell(row, i):
+        return row[i].strip() if i < len(row) else ""
+
+    ratings = {}
+    non_respondents = []
+    for row in rows:
+        expert_id = cell(row, 0)
+        if not expert_id:
+            raise SchemaError(f"{path}: row with empty expert id")
+        if expert_id in ratings or expert_id in non_respondents:
+            raise SchemaError(f"{path}: duplicate expert row {expert_id!r}")
+        cells = [cell(row, i + 1) for i in range(len(indicator_ids))]
+        if any(c == "" for c in cells):
+            non_respondents.append(expert_id)
+            continue
+        values = []
+        for indicator_id, raw in zip(indicator_ids, cells):
+            try:
+                value = int(raw)
+            except ValueError:
+                raise SchemaError(
+                    f"{path}: cell ({expert_id}, {indicator_id}): {raw!r} is not an integer"
+                ) from None
+            if not 1 <= value <= scale_max:
+                raise SchemaError(
+                    f"{path}: cell ({expert_id}, {indicator_id}): rating {value} "
+                    f"outside [1, {scale_max}]"
+                )
+            values.append(value)
+        ratings[expert_id] = tuple(values)
+    return ratings, tuple(non_respondents)
+
+
+RATING_CELLS = ("1", "2", "3", "4", "5", " 4 ", "\t2", "05", "+3", "", " ", "x", "0", "6",
+                "-1", "1.0", "127", "128", "200", "201")
+
+
+@st.composite
+def ratings_files(draw):
+    """Text of a ratings file: repeated ids, blanks, garbage, short and long rows."""
+    n = draw(st.integers(1, 5))
+    lines = ["expert_id," + ",".join(f"i{j}" for j in range(n))]
+    for _ in range(draw(st.integers(0, 25))):
+        expert_id = draw(st.sampled_from(("e1", "e2", " e3", "e4 ", "e5", "e6", "e7", "")))
+        width = draw(st.integers(max(0, n - 1), n + 1))
+        cells = draw(st.lists(st.sampled_from(RATING_CELLS), min_size=width, max_size=width))
+        if draw(st.integers(0, 3)):  # most rows carry only valid ratings
+            cells = [c if c.strip() and c.strip().isdigit() and 1 <= int(c) <= 5 else "4"
+                     for c in cells]
+        lines.append(",".join([expert_id, *cells]))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(ratings_files(), st.sampled_from((1, 5, 127, 200)))
+def test_parse_ratings_equals_loop_reference(tmp_path_factory, text, scale_max):
+    path = tmp_path_factory.mktemp("ratings") / "ratings.csv"
+    path.write_text(text, encoding="utf-8")
+    expected, got = _same_outcome(lambda: reference_parse_ratings(path, scale_max),
+                                  lambda: parse_ratings(path, scale_max=scale_max))
+    if expected is None:
+        return
+    ratings, non_respondents = expected
+    assert tuple(got.ratings) == tuple(ratings)
+    assert dict(got.ratings) == ratings
+    assert all(type(row) is tuple for row in got.ratings.values())
+    assert got.non_respondents == non_respondents
+    assert got.matrix() == [list(row) for row in ratings.values()]
+    assert got.distributed == len(ratings) + len(non_respondents)

@@ -1,4 +1,4 @@
-"""Golden bytes: the rendered bundles of two fixed pipeline runs, and the output
+"""Golden bytes: the rendered bundles of three fixed pipeline runs, and the output
 files of the README quick start run as a chain of CLI subcommands, are pinned
 by sha256.
 
@@ -6,7 +6,8 @@ Any change to parsing, validation, statistics, scoring or rendering that moves
 a single byte of the JSON or markdown output fails here. The pinned digests
 were taken from the row-by-row implementation that preceded the columnar
 response matrix, so they also show that the matrix code reproduces it bit for
-bit. A deliberate change to the output must update the digests and say why.
+bit; the scaled Delphi digests were taken from the per-cell ratings parser and
+the per-rater Kendall's W loop in the same way. A deliberate change to the output must update the digests and say why.
 """
 
 import csv
@@ -33,10 +34,16 @@ GOLDEN = {
         "json": "f6245199c42e0dea0fac0cc4ebaff9d77875551ff7e480ca9e82303a843d84e7",
         "markdown": "f065de775e5ffa2088e8570cab1080fce78c61d9aac39b50e51ea9800c7ccc19",
     },
+    "delphi-2k": {
+        "json": "d542ed7f74d9387039455624491de9c57008cb954460e7abf93073bada35fd44",
+        "markdown": "87669c482c80aad5e097e3347e01cec6b035472372773a8a64191c23b410cbef",
+    },
 }
 
 SURVEY_SEED = 20240205
 SURVEY_RESPONDENTS = 5000
+DELPHI_SEED = 20240206
+DELPHI_EXPERTS = 2000
 
 
 def _digests(config: Path) -> dict[str, str]:
@@ -91,6 +98,79 @@ def test_survey_input_shape(survey_config):
     blanks = sum(cell == "" for row in rows for cell in row[1:])
     assert len(rows) == SURVEY_RESPONDENTS
     assert 0.005 < blanks / (len(rows) * 21) < 0.015
+
+
+def _header(name: str) -> list[str]:
+    with open(DATA / name, encoding="utf-8", newline="") as fh:
+        return next(csv.reader(fh))
+
+
+def write_delphi(directory: Path, n: int, seed: int) -> dict[str, int]:
+    """``n`` expert profiles and three rating rounds over the demo rounds' columns.
+
+    Each indicator has a level and each rating is that level moved by -1, 0 or
+    +1 and clipped to 1-5, so every rater ties many indicators. Round 3 has
+    blank rows: a tenth fully blank, a twentieth with one blank cell and one
+    out-of-range cell, which is never read because the row is blank.
+    Only ``Generator.integers`` is drawn from. Returns the blank-row counts.
+    """
+    rng = np.random.default_rng(seed)
+    choices = {"group": ("service_decision_maker", "technology_rnd",
+                         "social_technology_researcher", "technology_implementer", "other"),
+               "familiarity": ("very_familiar", "familiar", "moderate", "unfamiliar",
+                               "very_unfamiliar")}
+    header = _header("experts.csv")
+    options = [choices.get(column, ("large", "medium", "small")) for column in header[1:]]
+    picks = rng.integers(0, 15, size=(n, len(options)))  # 15 is a multiple of 3 and of 5
+    with open(directory / "experts.csv", "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([f"e{i:04d}", *(values[k % len(values)] for values, k in zip(options, row))]
+                         for i, row in enumerate(picks.tolist()))
+    blanks = {}
+    for round_no in (1, 2, 3):
+        name = f"ratings_round{round_no}.csv"
+        columns = _header(name)
+        level = rng.integers(2, 6, size=(1, len(columns) - 1))
+        values = np.clip(level + rng.integers(-1, 2, size=(n, len(columns) - 1)), 1, 5)
+        rows = [[str(v) for v in row] for row in values.tolist()]
+        if round_no == 3:
+            full = rng.integers(0, 10, size=n) == 0
+            partial = ~full & (rng.integers(0, 20, size=n) == 0)
+            for i in np.flatnonzero(full).tolist():
+                rows[i] = [""] * len(rows[i])
+            for i in np.flatnonzero(partial).tolist():
+                j = int(rng.integers(0, len(rows[i])))
+                rows[i][j] = ""
+                rows[i][(j + 1) % len(rows[i])] = "9"
+            blanks = {"full": int(full.sum()), "partial": int(partial.sum())}
+        with open(directory / name, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(columns)
+            writer.writerows([f"e{i:04d}", *row] for i, row in enumerate(rows))
+    return blanks
+
+
+@pytest.fixture(scope="module")
+def delphi_config(tmp_path_factory) -> Path:
+    directory = tmp_path_factory.mktemp("golden-delphi")
+    for src in DATA.iterdir():
+        shutil.copy(src, directory / src.name)
+    write_delphi(directory, DELPHI_EXPERTS, DELPHI_SEED)
+    return directory / "demo_config.json"
+
+
+def test_delphi_bundle_bytes_pinned(delphi_config):
+    assert _digests(delphi_config) == GOLDEN["delphi-2k"]
+
+
+def test_delphi_input_shape(delphi_config):
+    bundle = run_pipeline(delphi_config)
+    assert [r.consensus.distributed for r in bundle.rounds] == [DELPHI_EXPERTS] * 3
+    returned = [r.consensus.returned for r in bundle.rounds]
+    assert returned[:2] == [DELPHI_EXPERTS] * 2
+    assert 0.8 * DELPHI_EXPERTS < returned[2] < 0.9 * DELPHI_EXPERTS
+    assert bundle.rounds[0].screening is not None
 
 
 # The README quick start as a chain of CLI calls on the bundled demo data:

@@ -217,6 +217,54 @@ class TestParseRatings:
         with pytest.raises(SchemaError):
             parse_ratings(p)
 
+    @pytest.mark.parametrize("body, message", [
+        ("e1,5,4\ne2,4,9\ne3,x,4\n", "cell (e2, b): rating 9 outside [1, 5]"),
+        ("e1,5,4\ne2,4,x\ne3,9,4\n", "cell (e2, b): 'x' is not an integer"),
+        ("e1,5,4\ne2,x,9\n", "cell (e2, a): 'x' is not an integer"),
+        ("e1,5,4\ne2,0,x\n", "cell (e2, a): rating 0 outside [1, 5]"),
+    ], ids=["range-before-garbage", "garbage-before-range", "garbage-first-in-row",
+            "range-first-in-row"])
+    def test_first_bad_cell_in_file_order_is_named(self, tmp_path, body, message):
+        p = write(tmp_path / "r.csv", "expert_id,a,b\n" + body)
+        with pytest.raises(SchemaError) as err:
+            parse_ratings(p)
+        assert str(err.value) == f"{p}: {message}"
+
+    def test_blank_cell_outranks_garbage_in_the_same_row(self, tmp_path):
+        p = write(tmp_path / "r.csv", "expert_id,a,b,c\ne1,5,4,3\ne2,x,,99\ne3,4,4,4\n")
+        rnd = parse_ratings(p)
+        assert rnd.non_respondents == ("e2",)
+        assert list(rnd.ratings) == ["e1", "e3"]
+
+    def test_short_rows_are_non_respondents(self, tmp_path):
+        p = write(tmp_path / "r.csv", "expert_id,a,b\ne1,5,4\ne2,4\ne3\ne4,3,3,extra\n")
+        rnd = parse_ratings(p)
+        assert rnd.non_respondents == ("e2", "e3")
+        assert dict(rnd.ratings) == {"e1": (5, 4), "e4": (3, 3)}
+
+    def test_whitespace_around_cells_and_ids_is_stripped(self, tmp_path):
+        p = write(tmp_path / "r.csv", "expert_id, a ,b\n e1 , 5 ,\t4\ne2,4 , 3\ne3, ,4\n")
+        rnd = parse_ratings(p)
+        assert rnd.indicator_ids == ("a", "b")
+        assert dict(rnd.ratings) == {"e1": (5, 4), "e2": (4, 3)}
+        assert rnd.non_respondents == ("e3",)
+
+    @pytest.mark.parametrize("body", ["e1,,4\ne1,5,4\n", "e1,5,4\ne1,,4\n", "e1,,\ne1,,4\n"],
+                             ids=["blank-then-full", "full-then-blank", "blank-then-blank"])
+    def test_id_repeated_across_blank_and_full_rows_rejected(self, tmp_path, body):
+        p = write(tmp_path / "r.csv", "expert_id,a,b\n" + body)
+        with pytest.raises(SchemaError, match=r"duplicate expert row 'e1'"):
+            parse_ratings(p)
+
+    def test_scale_above_127_round_trips(self, tmp_path):
+        p = write(tmp_path / "r.csv", "expert_id,a,b\ne1,150,200\ne2,1,128\n")
+        rnd = parse_ratings(p, scale_max=200)
+        assert rnd.ratings["e1"] == (150, 200)
+        assert rnd.matrix() == [[150, 200], [1, 128]]
+        assert rnd.column("b") == (200, 128)
+        with pytest.raises(SchemaError, match=r"cell \(e1, b\): rating 200 outside \[1, 199\]"):
+            parse_ratings(p, scale_max=199)
+
 
 class TestParseResponses:
     def test_column_order_normalized(self, tmp_path):
