@@ -158,8 +158,12 @@ def _cmd_form(args) -> None:
 
 def _cmd_report(args) -> None:
     obj = sio.read_json(args.bundle)
-    markdown = args.format == "markdown"
-    _write(render_markdown_obj(obj) if markdown else render_json_obj(obj), args)
+    try:
+        text = render_markdown_obj(obj) if args.format == "markdown" else render_json_obj(obj)
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise SchemaError(f"{args.bundle}: not a stagekit bundle "
+                          f"(bad or missing field {exc})") from None
+    _write(text, args)
 
 
 def _cmd_pipeline(args) -> None:

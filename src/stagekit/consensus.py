@@ -156,28 +156,7 @@ def indicator_stats(ratings: Sequence[int], scale_max: int) -> IndicatorStats:
     )
 
 
-def _midranks(row: np.ndarray) -> np.ndarray:
-    """Within-row ranks 1..n, tied values sharing the mean of their positions."""
-    n = row.shape[0]
-    order = np.argsort(row, kind="stable")
-    ranks = np.empty(n, dtype=float)
-    sorted_vals = row[order]
-    i = 0
-    while i < n:
-        j = i + 1
-        while j < n and sorted_vals[j] == sorted_vals[i]:
-            j += 1
-        # tie group occupies 1-based positions i+1 .. j
-        ranks[order[i:j]] = (i + 1 + j) / 2.0
-        i = j
-    return ranks
-
-
-def _tie_term(row_ranks: np.ndarray) -> float:
-    """Sum of t^3 - t over this rater's tie groups (t = group size)."""
-    _, counts = np.unique(row_ranks, return_counts=True)
-    counts = counts.astype(float)
-    return float(np.sum(counts**3 - counts))
+W_BLOCK = 1024  # raters ranked at once by kendalls_w, which bounds its temporaries
 
 
 def kendalls_w(ratings: Sequence[Sequence[float]], correct_ties: bool = True) -> float:
@@ -187,27 +166,46 @@ def kendalls_w(ratings: Sequence[Sequence[float]], correct_ties: bool = True) ->
     strictly monotone transform of a rater's scores leaves W unchanged.
     With ``correct_ties`` the denominator subtracts m * sum of per-rater
     tie terms, i.e. W = 12S / (m^2 (n^3 - n) - m * sum_i T_i).
+
+    Raters are ranked W_BLOCK rows at a time (an integer numpy matrix as it
+    is, anything else as floats): a tie group is a run of equal values in a
+    row's stable sort, and its members' rank is the mean of its first and last
+    position. Doubled mid-ranks and tie terms (t^3 - t per group, t^2 - 1 per
+    member) are integers, so every sum is exact whatever the blocking.
     """
-    matrix = [list(row) for row in ratings]
-    m = len(matrix)
+    rows = ratings if isinstance(ratings, np.ndarray) else [list(row) for row in ratings]
+    m = len(rows)
     if m < 2:
         raise InsufficientDataError(f"need >= 2 raters, got {m}")
-    n = len(matrix[0])
-    if any(len(row) != n for row in matrix):
+    n = len(rows[0])
+    if any(len(row) != n for row in rows):
         raise InvalidInputError("ragged ratings matrix")
     if n < 2:
         raise InsufficientDataError(f"need >= 2 indicators, got {n}")
-    arr = np.asarray(matrix, dtype=float)
+    int_matrix = isinstance(rows, np.ndarray) and rows.dtype.kind in "iu"
+    arr = rows if int_matrix else np.asarray(rows, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise InvalidInputError("ratings matrix contains missing or non-finite values")
 
-    rank_rows = np.vstack([_midranks(arr[i]) for i in range(m)])
-    rank_sums = rank_rows.sum(axis=0)
-    s = float(np.sum((rank_sums - m * (n + 1) / 2.0) ** 2))
+    positions = np.arange(n)
+    doubled_rank_sums = np.zeros(n)
+    tie_sum = 0
+    for start in range(0, m, W_BLOCK):
+        block = arr[start:start + W_BLOCK]
+        order = np.argsort(block, axis=1, kind="stable")
+        ordered = np.take_along_axis(block, order, axis=1)
+        starts = np.ones(block.shape, dtype=bool)  # a tie group starts at this position
+        starts[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+        first = np.maximum.accumulate(np.where(starts, positions, 0), axis=1)
+        ends = np.roll(starts, -1, axis=1)[:, ::-1]  # reversed: a tie group ends here
+        last = np.minimum.accumulate(np.where(ends, positions[::-1], n), axis=1)[:, ::-1]
+        doubled_rank_sums += np.bincount(order.ravel(), (first + last + 2).ravel(), minlength=n)
+        tie_sum += int(((last - first + 1) ** 2 - 1).sum())
+    s = float(np.sum((doubled_rank_sums / 2.0 - m * (n + 1) / 2.0) ** 2))
 
     denom = m * m * (n**3 - n)
     if correct_ties:
-        denom -= m * sum(_tie_term(rank_rows[i]) for i in range(m))
+        denom -= m * float(tie_sum)
     if denom == 0:
         raise DegenerateDataError("every rater tied all indicators; W is undefined")
     return 12.0 * s / denom
@@ -294,10 +292,10 @@ def round_consensus(
         cr = authority_coefficient(ca, cs)
 
     stats = {
-        indicator_id: indicator_stats(rnd.column(indicator_id), rnd.scale_max)
-        for indicator_id in rnd.indicator_ids
+        indicator_id: indicator_stats(rnd.ratings.matrix[:, j], rnd.scale_max)
+        for j, indicator_id in enumerate(rnd.indicator_ids)
     }
-    w = kendalls_w(rnd.matrix(), correct_ties=correct_ties)
+    w = kendalls_w(rnd.ratings.matrix, correct_ties=correct_ties)
     return RoundConsensus(
         round_no=rnd.round_no,
         scale_max=rnd.scale_max,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import re
+from array import array
 from contextlib import contextmanager
 from fractions import Fraction
 from operator import itemgetter
@@ -38,6 +39,7 @@ from .model import (
     RatingRound,
     ResponseSet,
     RowMatrix,
+    rating_dtype,
     validate_tree,
 )
 
@@ -224,63 +226,91 @@ def parse_ratings(
     excluded from the matrix but still counted in the distributed total.
     When ``distributed`` is omitted it defaults to the file's row count;
     ``round_no`` defaults to the number in the filename (e.g. round2), else 1.
+
+    Rows stream from the CSV reader straight into one buffer that becomes the
+    experts x indicators matrix of the result, as in :func:`parse_responses`:
+    each raw cell string is converted once per call and remembered (0 for a
+    blank). A row holding a string not seen before is read cell by cell: a
+    blank anywhere makes it a non-response, else its first bad cell is the
+    one reported.
     """
     path = Path(path)
-    header, rows = _read_rows(path)
-    if not header or header[0] != "expert_id":
-        raise SchemaError(f"{path}: first column must be expert_id")
-    indicator_ids = tuple(header[1:])
-    if not indicator_ids:
-        raise SchemaError(f"{path}: no indicator columns")
-    if len(set(indicator_ids)) != len(indicator_ids):
-        dupes = sorted({i for i in indicator_ids if indicator_ids.count(i) > 1})
-        raise SchemaError(f"{path}: duplicated indicator column(s) {', '.join(dupes)}")
-    if expected_ids is not None:
-        known = set(expected_ids)
-        unknown = [i for i in indicator_ids if i not in known]
-        if unknown:
-            raise SchemaError(f"{path}: unknown indicator column(s) {', '.join(unknown)}")
+    with _csv_rows(path) as (header, rows):
+        if not header or header[0] != "expert_id":
+            raise SchemaError(f"{path}: first column must be expert_id")
+        indicator_ids = tuple(header[1:])
+        if not indicator_ids:
+            raise SchemaError(f"{path}: no indicator columns")
+        if len(set(indicator_ids)) != len(indicator_ids):
+            dupes = sorted({i for i in indicator_ids if indicator_ids.count(i) > 1})
+            raise SchemaError(f"{path}: duplicated indicator column(s) {', '.join(dupes)}")
+        if expected_ids is not None:
+            known = set(expected_ids)
+            unknown = [i for i in indicator_ids if i not in known]
+            if unknown:
+                raise SchemaError(f"{path}: unknown indicator column(s) {', '.join(unknown)}")
 
-    ratings: dict[str, tuple[int, ...]] = {}
-    non_respondents: list[str] = []
-    for row in rows:
-        expert_id = _cell(row, 0)
-        if not expert_id:
-            raise SchemaError(f"{path}: row with empty expert id")
-        if expert_id in ratings or expert_id in non_respondents:
-            raise SchemaError(f"{path}: duplicate expert row {expert_id!r}")
-        cells = [_cell(row, i + 1) for i in range(len(indicator_ids))]
-        if any(c == "" for c in cells):
-            non_respondents.append(expert_id)
-            continue
-        values = []
-        for indicator_id, raw in zip(indicator_ids, cells):
+        width = len(header)
+        dtype = rating_dtype(scale_max)
+        # An int8 row packs into bytes, the fastest to build, test for a 0 and append.
+        pack = bytes if dtype == np.int8 else tuple
+        buffer = bytearray() if dtype == np.int8 else array(dtype.char)
+        memo: dict[str, int] = {}  # raw cell string -> rating, 0 for a blank cell
+
+        def learn(expert_id: str, cells: list[str]):
+            texts = [c.strip() for c in cells]
+            if "" in texts:  # a non-response: its other cells are never read
+                memo.update((raw, 0) for raw, text in zip(cells, texts) if not text)
+                return (0,)
+            for indicator_id, raw, text in zip(indicator_ids, cells, texts):
+                if raw in memo:
+                    continue
+                try:
+                    value = int(text)
+                except ValueError:
+                    raise SchemaError(
+                        f"{path}: cell ({expert_id}, {indicator_id}): {text!r} is not an integer"
+                    ) from None
+                if not 1 <= value <= scale_max:
+                    raise SchemaError(f"{path}: cell ({expert_id}, {indicator_id}): rating {value} "
+                                      f"outside [1, {scale_max}]")
+                memo[raw] = value
+            return pack(map(memo.__getitem__, cells))
+
+        row_of: dict[str, int] = {}
+        non_respondents: dict[str, None] = {}  # in file order
+        for row in rows:
+            expert_id = row[0].strip()
+            if not expert_id:
+                raise SchemaError(f"{path}: row with empty expert id")
+            if expert_id in row_of or expert_id in non_respondents:
+                raise SchemaError(f"{path}: duplicate expert row {expert_id!r}")
+            if len(row) < width:
+                row += [""] * (width - len(row))
+            cells = row[1:width]
             try:
-                value = int(raw)
-            except ValueError:
-                raise SchemaError(
-                    f"{path}: cell ({expert_id}, {indicator_id}): {raw!r} is not an integer"
-                ) from None
-            if not 1 <= value <= scale_max:
-                raise SchemaError(
-                    f"{path}: cell ({expert_id}, {indicator_id}): rating {value} "
-                    f"outside [1, {scale_max}]"
-                )
-            values.append(value)
-        ratings[expert_id] = tuple(values)
+                codes = pack(map(memo.__getitem__, cells))
+            except KeyError:
+                codes = learn(expert_id, cells)
+            if 0 in codes:
+                non_respondents[expert_id] = None
+            else:
+                row_of[expert_id] = len(row_of)
+                buffer.extend(codes)
+    matrix = np.frombuffer(buffer, dtype=dtype).reshape(len(row_of), len(indicator_ids))
 
     if round_no is None:
         match = re.search(r"round[_-]?(\d+)", path.name, re.IGNORECASE)
         round_no = int(match.group(1)) if match else 1
     if distributed is None:
-        distributed = len(ratings) + len(non_respondents)
+        distributed = len(row_of) + len(non_respondents)
     try:
         return RatingRound(
             round_no=round_no,
             scale_max=scale_max,
             distributed=distributed,
             indicator_ids=indicator_ids,
-            ratings=ratings,
+            ratings=RowMatrix(row_of, matrix, tuple),
             non_respondents=tuple(non_respondents),
         )
     except InvalidInputError as exc:

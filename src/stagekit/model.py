@@ -241,9 +241,13 @@ class ExpertProfile:
 class RatingRound:
     """One Delphi consultation round.
 
-    ``ratings`` holds one complete row per responding expert; experts who did
-    not return a usable questionnaire appear in ``non_respondents`` and count
-    toward ``distributed`` only.
+    ``ratings`` holds one complete row per responding expert, stored as a
+    read-only :class:`RowMatrix`: experts x ``indicator_ids`` integers, each
+    row read back as a tuple. Experts who did not return a usable
+    questionnaire appear in ``non_respondents`` and count toward
+    ``distributed`` only. A plain mapping of rows is checked cell by cell and
+    converted; a RowMatrix (from the parser) gets one vectorised range check
+    and is kept as it is.
     """
 
     round_no: int
@@ -258,25 +262,15 @@ class RatingRound:
             raise InvalidInputError(f"round_no must be positive, got {self.round_no}")
         if self.scale_max < 1:
             raise InvalidInputError(f"scale_max must be positive, got {self.scale_max}")
+        if self.scale_max > np.iinfo(np.int64).max:  # the widest rating matrix
+            raise InvalidInputError(f"scale_max {self.scale_max} is too large")
         ids = tuple(self.indicator_ids)
         if len(set(ids)) != len(ids):
             raise InvalidInputError("indicator ids must be unique")
         object.__setattr__(self, "indicator_ids", ids)
         object.__setattr__(self, "non_respondents", tuple(self.non_respondents))
-        rows = {}
-        for expert_id, row in dict(self.ratings).items():
-            row = tuple(row)
-            if len(row) != len(ids):
-                raise InvalidInputError(
-                    f"expert {expert_id}: {len(row)} ratings for {len(ids)} indicators"
-                )
-            for ind_id, value in zip(ids, row):
-                if type(value) is not int or not 1 <= value <= self.scale_max:
-                    raise InvalidInputError(
-                        f"expert {expert_id}, indicator {ind_id}: rating {value!r} "
-                        f"outside [1, {self.scale_max}]"
-                    )
-            rows[expert_id] = row
+        rows = _checked_rows(self.ratings, ids, _RATING_MESSAGES, 1, self.scale_max,
+                             rating_dtype(self.scale_max), tuple)
         if self.distributed < len(rows):
             raise InvalidInputError(
                 f"{len(rows)} responding experts exceed {self.distributed} distributed questionnaires"
@@ -292,11 +286,11 @@ class RatingRound:
             idx = self.indicator_ids.index(indicator_id)
         except ValueError:
             raise InvalidInputError(f"unknown indicator {indicator_id!r}") from None
-        return tuple(row[idx] for row in self.ratings.values())
+        return tuple(self.ratings.matrix[:, idx].tolist())
 
     def matrix(self) -> list[list[int]]:
         """Raters-by-indicators matrix in expert insertion order."""
-        return [list(row) for row in self.ratings.values()]
+        return self.ratings.matrix.tolist()
 
 
 @dataclass(frozen=True)
@@ -442,7 +436,16 @@ class RowMatrix(Mapping):
         return f"RowMatrix({len(self.ids)} rows x {self.matrix.shape[1]} columns)"
 
 
-# (cell error, row-length error) for the two kinds of rows a ResponseSet holds.
+def rating_dtype(scale_max: int) -> np.dtype:
+    """The matrix dtype of ratings 1..scale_max: int8 where it holds them, else int64."""
+    return np.dtype(np.int8 if scale_max <= np.iinfo(np.int8).max else np.int64)
+
+
+# (cell error, row-length error) for each kind of rows a RowMatrix is checked for.
+_RATING_MESSAGES = (
+    "expert {key}, indicator {column}: rating {value!r} outside [{lo}, {hi}]",
+    "expert {key}: {n} ratings for {k} indicators",
+)
 _CONSUMER_MESSAGES = (
     "respondent {key}, question {column}: answer {value!r} outside [{lo}, {hi}]",
     "respondent {key}: {n} answers for {k} questions",
@@ -453,30 +456,32 @@ _BONUS_MESSAGES = (
 )
 
 
-def _answer_matrix(rows, columns: tuple[str, ...], messages: tuple[str, str],
-                   allow_missing: bool) -> RowMatrix:
-    """``rows`` as a checked answer RowMatrix over ``columns``.
+def _checked_rows(rows, columns: tuple[str, ...], messages: tuple[str, str], lo: int, hi: int,
+                  dtype=np.int8, read: Callable[[list], Any] = _answer_row,
+                  allow_missing: bool = False) -> RowMatrix:
+    """``rows`` as a checked RowMatrix over ``columns`` of integers in [lo, hi].
 
-    A matrix is checked with one vectorised range test and kept; any other
-    mapping (or iterable of pairs) is converted cell by cell. Either way the
-    first offending cell in row-major order is the one reported.
+    A RowMatrix of ``dtype`` is checked with one vectorised range test and
+    kept; any other mapping (or iterable of pairs) is converted cell by cell,
+    with ``None`` stored as ``MISSING`` where ``allow_missing``. Either way
+    the first offending cell in row-major order is the one reported.
     """
     cell_error, length_error = messages
-    lo = MISSING if allow_missing else RESPONSE_MIN
 
     def fail(key, column, value):
         return InvalidInputError(cell_error.format(key=key, column=column, value=value,
-                                                   lo=RESPONSE_MIN, hi=RESPONSE_MAX))
+                                                   lo=lo, hi=hi))
 
-    if isinstance(rows, RowMatrix) and rows.matrix.dtype == np.int8:
+    if isinstance(rows, RowMatrix) and rows.matrix.dtype == dtype:
         matrix = rows.matrix
         if matrix.shape[1] != len(columns):
-            raise InvalidInputError(f"answer matrix has {matrix.shape[1]} columns, expected "
+            raise InvalidInputError(f"matrix has {matrix.shape[1]} columns, expected "
                                     f"{len(columns)}")
-        if matrix.size and (matrix.min() < lo or matrix.max() > RESPONSE_MAX):
-            r, c = np.argwhere((matrix < lo) | (matrix > RESPONSE_MAX))[0].tolist()
+        low = MISSING if allow_missing else lo
+        if matrix.size and (matrix.min() < low or matrix.max() > hi):
+            r, c = np.argwhere((matrix < low) | (matrix > hi))[0].tolist()
             raise fail(rows.ids[r], columns[c], int(matrix[r, c]))
-        return rows
+        return rows if rows._read is read else RowMatrix(rows.row_of, matrix, read)
 
     row_of: dict[str, int] = {}
     codes: list[int] = []
@@ -487,12 +492,13 @@ def _answer_matrix(rows, columns: tuple[str, ...], messages: tuple[str, str],
         for column, value in zip(columns, row):
             if value is None and allow_missing:
                 codes.append(MISSING)
-            elif type(value) is int and RESPONSE_MIN <= value <= RESPONSE_MAX:
+            elif type(value) is int and lo <= value <= hi:
                 codes.append(value)
             else:
                 raise fail(key, column, value)
         row_of[key] = len(row_of)
-    return RowMatrix(row_of, np.array(codes, dtype=np.int8).reshape(len(row_of), len(columns)))
+    matrix = np.array(codes, dtype=dtype).reshape(len(row_of), len(columns))
+    return RowMatrix(row_of, matrix, read)
 
 
 @dataclass(frozen=True)
@@ -515,12 +521,12 @@ class ResponseSet:
     def __post_init__(self):
         qids = tuple(self.question_ids)
         object.__setattr__(self, "question_ids", qids)
-        object.__setattr__(self, "consumer",
-                           _answer_matrix(self.consumer, qids, _CONSUMER_MESSAGES, True))
+        object.__setattr__(self, "consumer", _checked_rows(
+            self.consumer, qids, _CONSUMER_MESSAGES, RESPONSE_MIN, RESPONSE_MAX, allow_missing=True))
         bids = tuple(self.bonus_ids)
         object.__setattr__(self, "bonus_ids", bids)
-        object.__setattr__(self, "expert_bonus",
-                           _answer_matrix(self.expert_bonus, bids, _BONUS_MESSAGES, False))
+        object.__setattr__(self, "expert_bonus", _checked_rows(
+            self.expert_bonus, bids, _BONUS_MESSAGES, RESPONSE_MIN, RESPONSE_MAX))
 
     @property
     def respondents(self) -> tuple[str, ...]:

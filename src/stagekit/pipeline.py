@@ -86,15 +86,18 @@ def score_stage(responses: ResponseSet, instrument: Instrument, weights: Weights
 
 
 def read_thresholds(obj: Any, source: str | Path) -> ScreeningThresholds:
-    """Screening thresholds from a JSON object with mean_floor/fsf_floor/cv_ceiling."""
+    """Screening thresholds from a JSON object with mean_floor/fsf_floor/cv_ceiling numbers."""
     try:
-        return ScreeningThresholds(
-            mean_floor=float(obj["mean_floor"]),
-            fsf_floor=float(obj["fsf_floor"]),
-            cv_ceiling=float(obj["cv_ceiling"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        values = {key: obj[key] for key in ("mean_floor", "fsf_floor", "cv_ceiling")}
+    except (KeyError, TypeError) as exc:
         raise SchemaError(f"{source}: expected mean_floor/fsf_floor/cv_ceiling ({exc})") from None
+    for key, value in values.items():
+        if type(value) not in (int, float):  # a bool is not a threshold
+            raise SchemaError(f"{source}: {key}: expected a number, got {value!r}")
+    try:
+        return ScreeningThresholds(**{key: float(value) for key, value in values.items()})
+    except OverflowError:
+        raise SchemaError(f"{source}: thresholds must be finite numbers") from None
 
 
 def load_config(path: str | Path) -> dict[str, Any]:

@@ -146,6 +146,25 @@ class TestScreen:
         assert scr["dropped"] == []
         assert len(scr["retained"]) == 20
 
+    @pytest.mark.parametrize("value", [True, "0.5", None, [0.5]],
+                             ids=["bool", "string", "null", "list"])
+    def test_non_number_threshold_exits_2(self, stats1, tmp_path, capsys, value):
+        thresholds = tmp_path / "thresholds.json"
+        thresholds.write_text(json.dumps({"mean_floor": 1, "fsf_floor": value, "cv_ceiling": 1}),
+                              encoding="utf-8")
+        rc, out, err = run(capsys, "screen", "--stats", stats1, "--thresholds", thresholds)
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: {thresholds}: fsf_floor: expected a number, got {value!r}\n"
+
+    def test_threshold_too_large_for_a_float_exits_2(self, stats1, tmp_path, capsys):
+        thresholds = tmp_path / "thresholds.json"
+        thresholds.write_text('{"mean_floor": 1, "fsf_floor": 0.1, "cv_ceiling": 1' + "0" * 400 + "}",
+                              encoding="utf-8")
+        rc, out, err = run(capsys, "screen", "--stats", stats1, "--thresholds", thresholds)
+        assert rc == 2
+        assert err == f"error: {thresholds}: thresholds must be finite numbers\n"
+
     def test_non_bundle_input_exits_2(self, tmp_path, capsys):
         junk = tmp_path / "junk.json"
         junk.write_text("{}", encoding="utf-8")
@@ -391,6 +410,23 @@ class TestReport:
         rc, out, _ = run(capsys, "report", "--bundle", stats1)
         assert rc == 0
         assert out == stats1.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("drop, key", [(None, "rounds"), ("distributed", "distributed")],
+                             ids=["empty-object", "round-without-distributed"])
+    def test_incomplete_bundle_to_markdown_exits_2(self, stats1, tmp_path, capsys, drop, key):
+        bundle = tmp_path / "incomplete.json"
+        obj = {}
+        if drop:
+            obj = json.loads(stats1.read_text(encoding="utf-8"))
+            del obj["rounds"][0][drop]
+        bundle.write_text(json.dumps(obj), encoding="utf-8")
+        out_path = tmp_path / "report.md"
+        rc, out, err = run(capsys, "report", "--bundle", bundle, "--format", "markdown",
+                           "--out", out_path)
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: {bundle}: not a stagekit bundle (bad or missing field '{key}')\n"
+        assert not out_path.exists()
 
 
 class TestPipelineCommand:

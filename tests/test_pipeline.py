@@ -312,6 +312,26 @@ class TestConfigTypeErrors:
         assert not out_path.exists()
 
 
+class TestConfigThresholdTypes:
+    """A threshold that is not a JSON number (a bool, a string) exits 2 with one line."""
+
+    @pytest.mark.parametrize("key, value", [("fsf_floor", True), ("mean_floor", "4")],
+                             ids=["bool", "string"])
+    def test_exits_2_with_one_line(self, tmp_path, capsys, key, value):
+        from stagekit.cli import main
+
+        thresholds = {"mean_floor": 1, "fsf_floor": 0.1, "cv_ceiling": 1, key: value}
+        config = demo_config_copy(tmp_path, set_key("rounds", 0, "thresholds", value=thresholds))
+        out_path = tmp_path / "bundle.json"
+        rc = main(["pipeline", "--config", str(config), "--out", str(out_path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == (f"error: screen: config thresholds: {key}: "
+                                f"expected a number, got {value!r}\n")
+        assert not out_path.exists()
+
+
 class TestDuplicateRoundNumbers:
     def test_two_rounds_with_one_number_rejected(self, tmp_path):
         path = demo_config_copy(tmp_path, set_key("rounds", 2, "round_no", value=2))
