@@ -262,8 +262,6 @@ class RatingRound:
             raise InvalidInputError(f"round_no must be positive, got {self.round_no}")
         if self.scale_max < 1:
             raise InvalidInputError(f"scale_max must be positive, got {self.scale_max}")
-        if self.scale_max > np.iinfo(np.int64).max:  # the widest rating matrix
-            raise InvalidInputError(f"scale_max {self.scale_max} is too large")
         ids = tuple(self.indicator_ids)
         if len(set(ids)) != len(ids):
             raise InvalidInputError("indicator ids must be unique")
@@ -438,6 +436,8 @@ class RowMatrix(Mapping):
 
 def rating_dtype(scale_max: int) -> np.dtype:
     """The matrix dtype of ratings 1..scale_max: int8 where it holds them, else int64."""
+    if scale_max > np.iinfo(np.int64).max:
+        raise InvalidInputError(f"scale_max {scale_max} is too large")
     return np.dtype(np.int8 if scale_max <= np.iinfo(np.int8).max else np.int64)
 
 

@@ -265,6 +265,14 @@ class TestParseRatings:
         with pytest.raises(SchemaError, match=r"cell \(e1, b\): rating 200 outside \[1, 199\]"):
             parse_ratings(p, scale_max=199)
 
+    def test_scale_beyond_int64_rejected(self, tmp_path):
+        p = write(tmp_path / "r.csv", f"expert_id,a\ne1,{2**65}\ne2,4\n")
+        with pytest.raises(InvalidInputError, match=rf"scale_max {2**70} is too large"):
+            parse_ratings(p, scale_max=2**70)
+        with pytest.raises(InvalidInputError, match=rf"scale_max {2**70} is too large"):
+            RatingRound(round_no=1, scale_max=2**70, distributed=1, indicator_ids=("a",),
+                        ratings={"e1": (4,)})
+
 
 class TestParseResponses:
     def test_column_order_normalized(self, tmp_path):
