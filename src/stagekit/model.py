@@ -462,9 +462,10 @@ def _checked_rows(rows, columns: tuple[str, ...], messages: tuple[str, str], lo:
     """``rows`` as a checked RowMatrix over ``columns`` of integers in [lo, hi].
 
     A RowMatrix of ``dtype`` is checked with one vectorised range test and
-    kept; any other mapping (or iterable of pairs) is converted cell by cell,
-    with ``None`` stored as ``MISSING`` where ``allow_missing``. Either way
-    the first offending cell in row-major order is the one reported.
+    kept; any other mapping (or iterable of pairs) is converted cell by cell
+    into one whose rows are read back by ``read``, with ``None`` stored as
+    ``MISSING`` where ``allow_missing``. Either way the first offending cell
+    in row-major order is the one reported.
     """
     cell_error, length_error = messages
 
@@ -481,7 +482,7 @@ def _checked_rows(rows, columns: tuple[str, ...], messages: tuple[str, str], lo:
         if matrix.size and (matrix.min() < low or matrix.max() > hi):
             r, c = np.argwhere((matrix < low) | (matrix > hi))[0].tolist()
             raise fail(rows.ids[r], columns[c], int(matrix[r, c]))
-        return rows if rows._read is read else RowMatrix(rows.row_of, matrix, read)
+        return rows
 
     row_of: dict[str, int] = {}
     codes: list[int] = []
