@@ -31,7 +31,7 @@ from stagekit import (
     reliability_report,
     score_consumer,
 )
-from stagekit.io import parse_ratings
+from stagekit.io import parse_expert_bonus, parse_importance, parse_ratings, parse_responses
 from stagekit.psychometrics import (
     CITC_FLOOR,
     IndexReliability,
@@ -415,3 +415,186 @@ def test_parse_ratings_equals_loop_reference(tmp_path_factory, text, scale_max):
     assert got.non_respondents == non_respondents
     assert got.matrix() == [list(row) for row in ratings.values()]
     assert got.distributed == len(ratings) + len(non_respondents)
+
+
+# --- Integer tables -------------------------------------------------------------
+#
+# ``reference_parse_responses`` is the per-cell loop that read consumer answers
+# before they streamed into one matrix, and ``reference_rating_rows`` the
+# per-cell loop behind the importance and expert bonus parsers. Each parser
+# must return the same ids, rows and error text as its reference.
+
+
+def _reference_table(path):
+    """The stripped header and the non-blank rows of a CSV file."""
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        header = [h.strip() for h in next(reader)]
+        return header, [row for row in reader if any(map(str.strip, row))]
+
+
+def _reference_cell(row, i):
+    return row[i].strip() if i < len(row) else ""
+
+
+def reference_parse_responses(path, instrument):
+    """Respondent id -> answers in the instrument's question order (None for a blank)."""
+    header, rows = _reference_table(path)
+    consumer = {}
+    for row in rows:
+        rid = _reference_cell(row, 0)
+        if not rid:
+            raise SchemaError(f"{path}: row with empty respondent id")
+        if rid in consumer:
+            raise SchemaError(f"{path}: duplicate respondent id {rid!r}")
+        values = []
+        for q in instrument.questions:
+            raw = _reference_cell(row, header.index(q.id))
+            if not raw:
+                values.append(None)
+                continue
+            try:
+                value = int(raw)
+            except ValueError:
+                raise SchemaError(f"{path}: cell ({rid}, {q.id}): {raw!r} is not an integer") from None
+            lo, hi = max(q.min_value, 0), min(q.max_value, 4)
+            if not lo <= value <= hi:
+                raise SchemaError(f"{path}: cell ({rid}, {q.id}): answer {value} outside [{lo}, {hi}]")
+            values.append(value)
+        consumer[rid] = tuple(values)
+    return consumer
+
+
+def reference_rating_rows(path, rows, kind, columns, lo, hi):
+    """Row id -> integer ratings in [lo, hi], read from the (column id, cell index) pairs."""
+    out = {}
+    for row in rows:
+        row_id = _reference_cell(row, 0)
+        if not row_id:
+            raise SchemaError(f"{path}: row with empty {kind} id")
+        if row_id in out:
+            raise SchemaError(f"{path}: duplicate {kind} row {row_id!r}")
+        values = []
+        for column, i in columns:
+            raw = _reference_cell(row, i)
+            try:
+                value = int(raw)
+            except ValueError:
+                raise SchemaError(f"{path}: cell ({row_id}, {column}): {raw!r} is not an integer") from None
+            if not lo <= value <= hi:
+                raise SchemaError(f"{path}: cell ({row_id}, {column}): rating {value} outside [{lo}, {hi}]")
+            values.append(value)
+        out[row_id] = tuple(values)
+    return out
+
+
+def reference_parse_importance(path):
+    header, rows = _reference_table(path)
+    item_ids = tuple(header[1:])
+    matrix = reference_rating_rows(path, rows, "rater", list(zip(item_ids, range(1, len(header)))), 1, 7)
+    return item_ids, list(matrix.values())
+
+
+def reference_parse_expert_bonus(path, bonus_ids):
+    header, rows = _reference_table(path)
+    return reference_rating_rows(path, rows, "expert", [(b, header.index(b)) for b in bonus_ids], 0, 4)
+
+
+INT_CELLS = ("0", "1", "2", "3", "4", "5", "7", "8", " 3 ", "\t2", "+3", "03", "-1", "-0",
+             "", " ", "x", "2.0", "1e0", "127", "128", "300")
+ROW_IDS = ("r1", "r2", " r3", "r4 ", "r5", "r6", "r7", "", " ")
+
+
+@st.composite
+def int_table_files(draw, id_column, columns, valid):
+    """Text of an integer table: blanks, spellings, garbage, short and long rows, bad ids.
+
+    Each file has its own rate of messy choices, so some files hold only
+    distinct ids, full rows and cells from ``valid``, and parse.
+    """
+    n = len(columns)
+    rate = draw(st.sampled_from((0, 20, 5, 2)))
+
+    def messy():
+        return rate and draw(st.integers(1, rate)) == 1
+
+    lines = [",".join([id_column, *columns])]
+    for k in range(draw(st.integers(0, 25))):
+        row_id = draw(st.sampled_from(ROW_IDS if messy() else (f"r{k}", f" r{k} ")))
+        width = draw(st.integers(0, n + 2)) if messy() else n
+        cells = [draw(st.sampled_from(INT_CELLS if messy() else valid)) for _ in range(width)]
+        lines.append(",".join([row_id, *cells]))
+    return "\n".join(lines) + "\n"
+
+
+def ranged_instrument():
+    """Four questions whose ranges differ, one of them wider than the 0..4 matrix."""
+    questions = (Question(id="q1", text="Q1"), Question(id="q2", text="Q2", max_value=2),
+                 Question(id="q3", text="Q3", min_value=1, max_value=3),
+                 Question(id="q4", text="Q4", min_value=-2, max_value=9))
+    return Instrument(name="ranged", indices=(("d.a", ("q1", "q2")), ("d.b", ("q3", "q4"))),
+                      questions=questions, dimension_of={"d.a": "d", "d.b": "d"},
+                      dimension_names={"d": "D"}, index_names={"d.a": "A", "d.b": "B"})
+
+
+@st.composite
+def responses_files(draw):
+    """(file text, instrument): question columns in a shuffled order."""
+    instrument = draw(st.sampled_from((ranged_instrument(), *INSTRUMENTS)))
+    columns = draw(st.permutations(instrument.question_ids))
+    text = draw(int_table_files("respondent_id", columns, ("1", "2", " 2 ", "+1", "02", "")))
+    return text, instrument
+
+
+@settings(max_examples=200, deadline=None)
+@given(responses_files())
+def test_parse_responses_equals_loop_reference(tmp_path_factory, case):
+    text, instrument = case
+    path = tmp_path_factory.mktemp("responses") / "responses.csv"
+    path.write_text(text, encoding="utf-8")
+    expected, got = _same_outcome(lambda: reference_parse_responses(path, instrument),
+                                  lambda: parse_responses(path, instrument))
+    if expected is None:
+        return
+    assert got.question_ids == instrument.question_ids
+    assert got.respondents == tuple(expected)
+    assert dict(got.consumer) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda n: int_table_files("rater_id", [f"i{j}" for j in range(n)], ("1", "5", "7", " 6", "+4"))))
+def test_parse_importance_equals_loop_reference(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("importance") / "importance.csv"
+    path.write_text(text, encoding="utf-8")
+    expected, got = _same_outcome(lambda: reference_parse_importance(path),
+                                  lambda: parse_importance(path))
+    if expected is None:
+        return
+    item_ids, rows = got
+    assert item_ids == expected[0]
+    assert rows == expected[1]
+    assert type(rows) is list and all(type(row) is tuple for row in rows)
+
+
+@st.composite
+def bonus_files(draw):
+    """(file text, bonus ids): the file's columns in an order of their own."""
+    bonus_ids = tuple(f"b{j}" for j in range(draw(st.integers(1, 4))))
+    columns = draw(st.permutations(bonus_ids))
+    return draw(int_table_files("expert_id", columns, ("0", "2", "4", "03", " 1 "))), bonus_ids
+
+
+@settings(max_examples=200, deadline=None)
+@given(bonus_files())
+def test_parse_expert_bonus_equals_loop_reference(tmp_path_factory, case):
+    text, bonus_ids = case
+    path = tmp_path_factory.mktemp("bonus") / "bonus.csv"
+    path.write_text(text, encoding="utf-8")
+    expected, got = _same_outcome(lambda: reference_parse_expert_bonus(path, bonus_ids),
+                                  lambda: parse_expert_bonus(path, bonus_ids))
+    if expected is None:
+        return
+    assert got == expected
+    assert tuple(got) == tuple(expected)
+    assert all(type(v) is int for row in got.values() for v in row)
