@@ -159,11 +159,11 @@ def _cmd_form(args) -> None:
 def _cmd_report(args) -> None:
     obj = sio.read_json(args.bundle)
     try:
-        text = render_markdown_obj(obj) if args.format == "markdown" else render_json_obj(obj)
+        markdown = render_markdown_obj(obj)  # the bundle check, whichever format is asked for
     except (AttributeError, KeyError, TypeError) as exc:
         raise SchemaError(f"{args.bundle}: not a stagekit bundle "
                           f"(bad or missing field {exc})") from None
-    _write(text, args)
+    _write(markdown if args.format == "markdown" else render_json_obj(obj), args)
 
 
 def _cmd_pipeline(args) -> None:

@@ -66,17 +66,19 @@ def read_json(path: str | Path) -> Any:
 
 
 @contextmanager
-def _csv_rows(path: Path) -> Iterator[tuple[list[str], Iterator[list[str]]]]:
-    """The stripped header and a stream of the non-blank rows of a CSV file."""
+def _csv_rows(path: Path, id_column: str = "") -> Iterator[tuple[list[str], Iterator[list[str]]]]:
+    """The stripped header (first column ``id_column``, if given) and a stream of the non-blank rows."""
     if not path.exists():
         raise SchemaError(f"{path}: file not found")
     with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise SchemaError(f"{path}: empty file (header row is mandatory)") from None
-        yield [h.strip() for h in header], (row for row in reader if any(map(str.strip, row)))
+        if id_column and header[:1] != [id_column]:
+            raise SchemaError(f"{path}: first column must be {id_column}")
+        yield header, (row for row in reader if any(map(str.strip, row)))
 
 
 def _read_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:
@@ -212,13 +214,76 @@ def parse_experts(path: str | Path) -> tuple[ExpertProfile, ...]:
     return tuple(profiles)
 
 
+def _int_table(path: Path, rows: Iterable[list[str]], kind: str, columns: Sequence[str],
+               src: Sequence[int], bounds: Sequence[tuple[int, int]], word: str,
+               blank: str | None) -> tuple[dict[str, int], np.ndarray]:
+    """Row id -> row number, and the matrix of a table of integer cells keyed by row id.
+
+    The cells at ``src`` of a row are its ``columns``, each stripped, read with
+    ``int()`` and checked against its (lo, hi) in ``bounds``; a short row reads
+    as blanks and extra cells are ignored. A blank cell is ``MISSING`` when
+    ``blank`` is "cell", makes the row ``MISSING`` when it is "row", and is an
+    error when it is None. ``kind`` names a row in errors, e.g. "expert row".
+
+    Rows stream into one int8 buffer (int64 when a ``hi`` does not fit it).
+    Each range remembers the code of every raw string read for it, so a row
+    costs one dict lookup per cell; a row with a new string is read cell by
+    cell, so the first bad cell in file order is the one reported.
+    """
+    noun, repeat = kind.split()
+    dtype = rating_dtype(max((hi for _, hi in bounds), default=0))
+    # An int8 row packs into bytes, the fastest to build and append; codes are unsigned bytes.
+    pack, mask = (bytes, 0xFF) if dtype == np.int8 else (tuple, -1)
+    buffer = bytearray() if dtype == np.int8 else array(dtype.char)
+    memo_of: dict[tuple[int, int], dict[str, int]] = {}  # columns of one range share a memo
+    memos = [memo_of.setdefault(b, {}) for b in bounds]
+    pick = itemgetter(*src) if len(src) > 1 else (lambda row: tuple(row[i] for i in src))
+    width = max(src, default=0) + 1
+
+    def learn(row_id: str, cells: Sequence[str]):
+        texts = [c.strip() for c in cells]
+        if blank:
+            for memo, raw, text in zip(memos, cells, texts):
+                if not text:
+                    memo[raw] = MISSING & mask
+            if blank == "row" and "" in texts:  # the row's other cells are never read
+                return pack([MISSING & mask] * len(cells))
+        for column, (lo, hi), memo, raw, text in zip(columns, bounds, memos, cells, texts):
+            if raw in memo:
+                continue
+            try:
+                value = int(text)
+            except ValueError:
+                raise SchemaError(f"{path}: cell ({row_id}, {column}): {text!r} is not an integer") from None
+            if not lo <= value <= hi:
+                raise SchemaError(f"{path}: cell ({row_id}, {column}): {word} {value} outside [{lo}, {hi}]")
+            memo[raw] = value & mask
+        return pack(map(dict.__getitem__, memos, cells))
+
+    row_of: dict[str, int] = {}
+    for row in rows:
+        row_id = row[0].strip()
+        if not row_id:
+            raise SchemaError(f"{path}: row with empty {noun} id")
+        if row_id in row_of:
+            raise SchemaError(f"{path}: duplicate {noun} {repeat} {row_id!r}")
+        row_of[row_id] = len(row_of)
+        if len(row) < width:
+            row += [""] * (width - len(row))
+        cells = pick(row)
+        try:
+            buffer.extend(pack(map(dict.__getitem__, memos, cells)))
+        except KeyError:
+            buffer.extend(learn(row_id, cells))
+    return row_of, np.frombuffer(buffer, dtype=dtype).reshape(len(row_of), len(columns))
+
+
 def parse_ratings(
     path: str | Path,
     *,
     scale_max: int = 5,
     round_no: int | None = None,
     distributed: int | None = None,
-    expected_ids: Iterable[str] | None = None,
 ) -> RatingRound:
     """Read one round's ratings (expert_id, then one column per indicator id).
 
@@ -226,84 +291,31 @@ def parse_ratings(
     excluded from the matrix but still counted in the distributed total.
     When ``distributed`` is omitted it defaults to the file's row count;
     ``round_no`` defaults to the number in the filename (e.g. round2), else 1.
-
-    Rows stream from the CSV reader straight into one buffer that becomes the
-    experts x indicators matrix of the result, as in :func:`parse_responses`:
-    each raw cell string is converted once per call and remembered (0 for a
-    blank). A row holding a string not seen before is read cell by cell: a
-    blank anywhere makes it a non-response, else its first bad cell is the
-    one reported.
     """
     path = Path(path)
-    with _csv_rows(path) as (header, rows):
-        if not header or header[0] != "expert_id":
-            raise SchemaError(f"{path}: first column must be expert_id")
+    with _csv_rows(path, "expert_id") as (header, rows):
         indicator_ids = tuple(header[1:])
         if not indicator_ids:
             raise SchemaError(f"{path}: no indicator columns")
         if len(set(indicator_ids)) != len(indicator_ids):
             dupes = sorted({i for i in indicator_ids if indicator_ids.count(i) > 1})
             raise SchemaError(f"{path}: duplicated indicator column(s) {', '.join(dupes)}")
-        if expected_ids is not None:
-            known = set(expected_ids)
-            unknown = [i for i in indicator_ids if i not in known]
-            if unknown:
-                raise SchemaError(f"{path}: unknown indicator column(s) {', '.join(unknown)}")
-
-        width = len(header)
-        dtype = rating_dtype(scale_max)
-        # An int8 row packs into bytes, the fastest to build, test for a 0 and append.
-        pack = bytes if dtype == np.int8 else tuple
-        buffer = bytearray() if dtype == np.int8 else array(dtype.char)
-        memo: dict[str, int] = {}  # raw cell string -> rating, 0 for a blank cell
-
-        def learn(expert_id: str, cells: list[str]):
-            texts = [c.strip() for c in cells]
-            if "" in texts:  # a non-response: its other cells are never read
-                memo.update((raw, 0) for raw, text in zip(cells, texts) if not text)
-                return (0,)
-            for indicator_id, raw, text in zip(indicator_ids, cells, texts):
-                if raw in memo:
-                    continue
-                try:
-                    value = int(text)
-                except ValueError:
-                    raise SchemaError(
-                        f"{path}: cell ({expert_id}, {indicator_id}): {text!r} is not an integer"
-                    ) from None
-                if not 1 <= value <= scale_max:
-                    raise SchemaError(f"{path}: cell ({expert_id}, {indicator_id}): rating {value} "
-                                      f"outside [1, {scale_max}]")
-                memo[raw] = value
-            return pack(map(memo.__getitem__, cells))
-
-        row_of: dict[str, int] = {}
-        non_respondents: dict[str, None] = {}  # in file order
-        for row in rows:
-            expert_id = row[0].strip()
-            if not expert_id:
-                raise SchemaError(f"{path}: row with empty expert id")
-            if expert_id in row_of or expert_id in non_respondents:
-                raise SchemaError(f"{path}: duplicate expert row {expert_id!r}")
-            if len(row) < width:
-                row += [""] * (width - len(row))
-            cells = row[1:width]
-            try:
-                codes = pack(map(memo.__getitem__, cells))
-            except KeyError:
-                codes = learn(expert_id, cells)
-            if 0 in codes:
-                non_respondents[expert_id] = None
-            else:
-                row_of[expert_id] = len(row_of)
-                buffer.extend(codes)
-    matrix = np.frombuffer(buffer, dtype=dtype).reshape(len(row_of), len(indicator_ids))
+        row_of, matrix = _int_table(path, rows, "expert row", indicator_ids,
+                                    range(1, len(header)), [(1, scale_max)] * len(indicator_ids),
+                                    "rating", "row")
+    # Non-responses stayed in the matrix, in file order, as rows holding MISSING.
+    blank = (matrix == MISSING).any(axis=1)
+    ids = tuple(row_of)
+    non_respondents = tuple(ids[i] for i in np.flatnonzero(blank).tolist())
+    if non_respondents:
+        matrix = matrix[~blank]
+        row_of = {ids[i]: n for n, i in enumerate(np.flatnonzero(~blank).tolist())}
 
     if round_no is None:
         match = re.search(r"round[_-]?(\d+)", path.name, re.IGNORECASE)
         round_no = int(match.group(1)) if match else 1
     if distributed is None:
-        distributed = len(row_of) + len(non_respondents)
+        distributed = len(ids)
     try:
         return RatingRound(
             round_no=round_no,
@@ -311,7 +323,7 @@ def parse_ratings(
             distributed=distributed,
             indicator_ids=indicator_ids,
             ratings=RowMatrix(row_of, matrix, tuple),
-            non_respondents=tuple(non_respondents),
+            non_respondents=non_respondents,
         )
     except InvalidInputError as exc:
         raise SchemaError(f"{path}: {exc}") from None
@@ -322,18 +334,9 @@ def parse_responses(path: str | Path, instrument: Instrument) -> ResponseSet:
 
     Column order in the file is free; the result is normalized to the
     instrument's question order. Blank cells become missing answers.
-
-    Rows stream from the CSV reader straight into one ``int8`` buffer that
-    becomes the R x Q answer matrix of the result (``MISSING`` for a blank).
-    Each raw cell string is converted once per call and remembered, so a
-    file with a handful of distinct spellings costs one dict lookup per cell;
-    the conversion itself is the strict one (strip, ``int()``, range check),
-    and the first bad cell in file order is the one reported.
     """
     path = Path(path)
-    with _csv_rows(path) as (header, rows):
-        if not header or header[0] != "respondent_id":
-            raise SchemaError(f"{path}: first column must be respondent_id")
+    with _csv_rows(path, "respondent_id") as (header, rows):
         file_qids = header[1:]
         expected = instrument.question_ids
         if sorted(file_qids) != sorted(expected):
@@ -345,96 +348,41 @@ def parse_responses(path: str | Path, instrument: Instrument) -> ResponseSet:
             if extra:
                 parts.append(f"unknown column(s) {', '.join(extra)}")
             raise SchemaError(f"{path}: {'; '.join(parts)}")
-        src = [file_qids.index(qid) + 1 for qid in expected]
-        width = len(header)
-        pick = itemgetter(*src) if len(src) > 1 else (lambda row: tuple(row[i] for i in src))
         # The matrix holds 0..4 answers, so a question's range is clipped to that.
         bounds = [(max(q.min_value, RESPONSE_MIN), min(q.max_value, RESPONSE_MAX))
                   for q in instrument.questions]
-        # Per column: raw cell string -> matrix code as an unsigned byte.
-        memos: list[dict[str, int]] = [{} for _ in expected]
-
-        buffer = bytearray()
-        row_of: dict[str, int] = {}
-        for row in rows:
-            rid = row[0].strip()
-            if not rid:
-                raise SchemaError(f"{path}: row with empty respondent id")
-            if rid in row_of:
-                raise SchemaError(f"{path}: duplicate respondent id {rid!r}")
-            row_of[rid] = len(row_of)
-            if len(row) < width:
-                row += [""] * (width - len(row))
-            cells = pick(row)
-            try:
-                buffer += bytes(map(dict.__getitem__, memos, cells))
-            except KeyError:
-                for qid, (lo, hi), memo, raw in zip(expected, bounds, memos, cells):
-                    if raw in memo:
-                        continue
-                    text = raw.strip()
-                    if not text:
-                        memo[raw] = MISSING & 0xFF
-                        continue
-                    try:
-                        value = int(text)
-                    except ValueError:
-                        raise SchemaError(f"{path}: cell ({rid}, {qid}): {text!r} is not an integer") from None
-                    if not lo <= value <= hi:
-                        raise SchemaError(f"{path}: cell ({rid}, {qid}): answer {value} outside [{lo}, {hi}]")
-                    memo[raw] = value
-                buffer += bytes(map(dict.__getitem__, memos, cells))
-    matrix = np.frombuffer(buffer, dtype=np.int8).reshape(len(row_of), len(expected))
+        row_of, matrix = _int_table(path, rows, "respondent id", expected,
+                                    [file_qids.index(qid) + 1 for qid in expected], bounds,
+                                    "answer", "cell")
     return ResponseSet(question_ids=expected, consumer=RowMatrix(row_of, matrix))
 
 
-def _rating_rows(path: Path, rows: Iterable[list[str]], kind: str,
-                 columns: Sequence[tuple[str, int]], lo: int, hi: int) -> dict[str, tuple[int, ...]]:
-    """Row id -> integer ratings in [lo, hi], read from the (column id, cell index) pairs."""
-    out: dict[str, tuple[int, ...]] = {}
-    for row in rows:
-        row_id = _cell(row, 0)
-        if not row_id:
-            raise SchemaError(f"{path}: row with empty {kind} id")
-        if row_id in out:
-            raise SchemaError(f"{path}: duplicate {kind} row {row_id!r}")
-        values = []
-        for column, i in columns:
-            raw = _cell(row, i)
-            try:
-                value = int(raw)
-            except ValueError:
-                raise SchemaError(f"{path}: cell ({row_id}, {column}): {raw!r} is not an integer") from None
-            if not lo <= value <= hi:
-                raise SchemaError(f"{path}: cell ({row_id}, {column}): rating {value} outside [{lo}, {hi}]")
-            values.append(value)
-        out[row_id] = tuple(values)
-    return out
+def parse_expert_bonus(path: str | Path, bonus_ids: Sequence[str]) -> RowMatrix:
+    """Read expert bonus ratings (expert_id, then one column per bonus indicator).
 
-
-def parse_expert_bonus(path: str | Path, bonus_ids: Sequence[str]) -> dict[str, tuple[int, ...]]:
-    """Read expert bonus ratings (expert_id, then one column per bonus indicator)."""
+    The result maps each expert id to a tuple of ratings in ``bonus_ids`` order.
+    """
     path = Path(path)
-    header, rows = _read_rows(path)
-    if not header or header[0] != "expert_id":
-        raise SchemaError(f"{path}: first column must be expert_id")
-    col = _require_columns(path, header, required=("expert_id",) + tuple(bonus_ids))
-    return _rating_rows(path, rows, "expert", [(bid, col[bid]) for bid in bonus_ids], 0, 4)
+    with _csv_rows(path, "expert_id") as (header, rows):
+        col = _require_columns(path, header, required=("expert_id",) + tuple(bonus_ids))
+        row_of, matrix = _int_table(path, rows, "expert row", bonus_ids,
+                                    [col[bid] for bid in bonus_ids],
+                                    [(RESPONSE_MIN, RESPONSE_MAX)] * len(bonus_ids), "rating", None)
+    return RowMatrix(row_of, matrix)
 
 
 def parse_importance(path: str | Path) -> tuple[tuple[str, ...], list[tuple[int, ...]]]:
     """Read a rater x item importance matrix on the 1-7 scale."""
     path = Path(path)
-    header, rows = _read_rows(path)
-    if not header or header[0] != "rater_id":
-        raise SchemaError(f"{path}: first column must be rater_id")
-    item_ids = tuple(header[1:])
-    if not item_ids:
-        raise SchemaError(f"{path}: no item columns")
-    if len(set(item_ids)) != len(item_ids):
-        raise SchemaError(f"{path}: duplicated item column in header")
-    matrix = _rating_rows(path, rows, "rater", list(zip(item_ids, range(1, len(header)))), 1, 7)
-    return item_ids, list(matrix.values())
+    with _csv_rows(path, "rater_id") as (header, rows):
+        item_ids = tuple(header[1:])
+        if not item_ids:
+            raise SchemaError(f"{path}: no item columns")
+        if len(set(item_ids)) != len(item_ids):
+            raise SchemaError(f"{path}: duplicated item column in header")
+        _, matrix = _int_table(path, rows, "rater row", item_ids, range(1, len(header)),
+                               [(1, 7)] * len(item_ids), "rating", None)
+    return item_ids, list(map(tuple, matrix.tolist()))
 
 
 def _parse_ratio(raw: str) -> float:

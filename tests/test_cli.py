@@ -429,6 +429,23 @@ class TestReport:
         assert not out_path.exists()
 
 
+    @pytest.mark.parametrize("fmt", ["json", "markdown"])
+    @pytest.mark.parametrize("drop, key", [(None, "rounds"), ("distributed", "distributed")],
+                             ids=["empty-object", "round-without-distributed"])
+    def test_incomplete_bundle_exits_2_in_every_format(self, stats1, tmp_path, capsys,
+                                                       drop, key, fmt):
+        bundle = tmp_path / "incomplete.json"
+        obj = {}
+        if drop:
+            obj = json.loads(stats1.read_text(encoding="utf-8"))
+            del obj["rounds"][0][drop]
+        bundle.write_text(json.dumps(obj), encoding="utf-8")
+        rc, out, err = run(capsys, "report", "--bundle", bundle, "--format", fmt)
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: {bundle}: not a stagekit bundle (bad or missing field '{key}')\n"
+
+
 class TestPipelineCommand:
     def test_demo_config_runs_all_sections(self, capsys):
         obj = run_json(capsys, "pipeline", "--config", DATA / "demo_config.json")
