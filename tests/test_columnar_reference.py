@@ -2,8 +2,8 @@
 
 ``reference_score_consumer`` and ``reference_reliability_report`` are the
 per-respondent loops that ``score_consumer`` and ``reliability_report`` ran
-before consumer answers were stored as one matrix; the Delphi references are
-further down. They reach the answers
+before consumer answers were stored as one matrix; the Delphi, integer-table,
+expert-panel and content-validity references are further down. They reach the answers
 only through the ``ResponseSet.consumer`` mapping. The column-wise code keeps
 the loops' order of float operations, so the property below demands exact
 equality, with no tolerance.
@@ -19,24 +19,43 @@ from hypothesis import strategies as st
 
 from stagekit import (
     DegenerateDataError,
+    ExpertProfile,
+    Familiarity,
+    IdentityGroup,
+    Impact,
     InsufficientDataError,
     Instrument,
     InvalidInputError,
+    JudgmentBasis,
     Question,
+    RatingRound,
     ResponseSet,
     SchemaError,
     StagekitError,
     kendalls_w,
     load_default_instrument,
     reliability_report,
+    round_consensus,
     score_consumer,
+    validity_report,
 )
-from stagekit.io import parse_expert_bonus, parse_importance, parse_ratings, parse_responses
+from stagekit.consensus import DEFAULT_CA_TABLE, DEFAULT_CS_MAP
+from stagekit.io import (
+    parse_expert_bonus,
+    parse_experts,
+    parse_importance,
+    parse_ratings,
+    parse_responses,
+)
 from stagekit.psychometrics import (
     CITC_FLOOR,
+    ICVI_FLOOR,
+    SCVI_FLOOR,
     IndexReliability,
+    ItemValidity,
     QuestionReliability,
     ReliabilityTable,
+    ValidityTable,
     alpha_if_deleted,
     corrected_item_total,
     cronbach_alpha,
@@ -598,3 +617,289 @@ def test_parse_expert_bonus_equals_loop_reference(tmp_path_factory, case):
     assert got == expected
     assert tuple(got) == tuple(expected)
     assert all(type(v) is int for row in got.values() for v in row)
+
+
+# --- Expert panel and content validity -------------------------------------------
+#
+# ``reference_parse_experts`` is the per-cell loop that read one ExpertProfile
+# per row of an experts file, ``reference_authority`` the per-profile Ca/Cs
+# loops that ``round_consensus`` ran over the responding experts, and
+# ``reference_validity_report`` the per-cell check and per-column statistics
+# of ``validity_report``. Ca adds each expert's four lookups in JudgmentBasis
+# order and the panel's values with builtin ``sum``, so the code-matrix
+# computation must return the same bits and the same error text.
+
+BASIS_COLUMNS = ("basis_theory", "basis_practice", "basis_peer", "basis_intuition")
+
+
+def reference_parse_experts(path):
+    """One ExpertProfile per row, the cells read in basis, group, familiarity order."""
+    header, rows = _reference_table(path)
+    col = {c: header.index(c) for c in header}
+    profiles = []
+    seen = set()
+    for row in rows:
+        expert_id = _reference_cell(row, col["id"])
+        if not expert_id:
+            raise SchemaError(f"{path}: row with empty expert id")
+        if expert_id in seen:
+            raise SchemaError(f"{path}: duplicate expert id {expert_id!r}")
+        seen.add(expert_id)
+
+        def value(column, enum_cls):
+            raw = _reference_cell(row, col[column])
+            try:
+                return enum_cls(raw)
+            except ValueError:
+                valid = ", ".join(e.value for e in enum_cls)
+                raise SchemaError(f"{path}: row {expert_id!r}, column {column!r}: "
+                                  f"{raw!r} is not one of: {valid}") from None
+
+        basis = {b: value(column, Impact) for column, b in zip(BASIS_COLUMNS, JudgmentBasis)}
+        profiles.append(ExpertProfile(
+            id=expert_id,
+            identity_group=value("group", IdentityGroup),
+            familiarity=value("familiarity", Familiarity),
+            judgment_basis=basis,
+        ))
+    return tuple(profiles)
+
+
+def reference_authority(rnd, profiles, ca_table, cs_map):
+    """(Ca, Cs, Cr) of the round's responding experts, looked up profile by profile."""
+    by_id = {p.id: p for p in profiles}
+    missing = [eid for eid in rnd.ratings if eid not in by_id]
+    if missing:
+        raise InvalidInputError(
+            f"round {rnd.round_no}: no profile for responding expert(s) {', '.join(missing)}"
+        )
+    respondents = [by_id[eid] for eid in rnd.ratings]
+    for basis in JudgmentBasis:
+        row = ca_table.get(basis)
+        if row is None:
+            raise InvalidInputError(f"judgment table missing basis {basis.value!r}")
+        for impact in Impact:
+            if impact not in row:
+                raise InvalidInputError(
+                    f"judgment table missing impact {impact.value!r} for basis {basis.value!r}"
+                )
+    per_expert = [sum(ca_table[basis][impact] for basis, impact in p.judgment_basis.items())
+                  for p in respondents]
+    ca = sum(per_expert) / len(per_expert)
+    for level in Familiarity:
+        if level not in cs_map:
+            raise InvalidInputError(f"familiarity map missing level {level.value!r}")
+    values = [cs_map[p.familiarity] for p in respondents]
+    cs = sum(values) / len(values)
+    for label, v in (("ca", ca), ("cs", cs)):
+        if not 0.0 <= v <= 1.0:
+            raise InvalidInputError(f"{label} {v!r} outside [0, 1]")
+    return ca, cs, (ca + cs) / 2.0
+
+
+def reference_validity_report(item_ids, ratings, relevance_floor):
+    """Rows checked for length, then each item's column checked cell by cell and summarised."""
+    ids = tuple(item_ids)
+    if not ids:
+        raise InvalidInputError("no items given")
+    rows = [tuple(row) for row in ratings]
+    if not rows:
+        raise InvalidInputError("need at least one rater")
+    for row in rows:
+        if len(row) != len(ids):
+            raise InvalidInputError(f"rater row has {len(row)} ratings for {len(ids)} items")
+    items = []
+    for j, item_id in enumerate(ids):
+        column = [row[j] for row in rows]
+        for rater, r in enumerate(column, start=1):
+            if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or not 1 <= int(r) <= 7:
+                raise InvalidInputError(
+                    f"item {item_id}, rater {rater}: importance rating {r!r} outside 1..7")
+        cvi = sum(1 for r in column if r >= relevance_floor) / len(column)
+        items.append(ItemValidity(item_id=item_id, importance_mean=float(np.mean(column)),
+                                  i_cvi=cvi, passes=cvi >= ICVI_FLOOR))
+    scale = float(sum(it.i_cvi for it in items)) / len(items)
+    return ValidityTable(n_raters=len(rows), relevance_floor=relevance_floor, items=tuple(items),
+                         s_cvi=scale, s_cvi_passes=scale >= SCVI_FLOOR)
+
+
+def _enum_cells(enum_cls):
+    """Valid values, padded ones, and values that are not one of the enum's."""
+    values = tuple(e.value for e in enum_cls)
+    return values, values + tuple(f" {v}" for v in values[:2]) + (
+        f"{values[0]}\t", values[0].upper(), "", " ", "x", "large", "familiar", "other")
+
+
+EXPERT_COLUMNS = (("group", IdentityGroup), ("familiarity", Familiarity),
+                  *((c, Impact) for c in BASIS_COLUMNS))
+EXPERT_IDS = ("e1", "e2", " e3", "e4 ", "e5", "")
+
+
+@st.composite
+def experts_files(draw):
+    """Text of an experts file: shuffled columns, padded and bad cells, short rows, bad ids."""
+    columns = draw(st.permutations(("id", *(c for c, _ in EXPERT_COLUMNS))))
+    cells_of = dict(EXPERT_COLUMNS)
+    rate = draw(st.sampled_from((0, 20, 5, 2)))
+
+    def messy():
+        return rate and draw(st.integers(1, rate)) == 1
+
+    lines = [",".join(columns)]
+    for k in range(draw(st.integers(0, 20))):
+        cells = []
+        for column in columns:
+            if column == "id":
+                cells.append(draw(st.sampled_from(EXPERT_IDS if messy() else (f"e{k}", f" e{k} "))))
+            else:
+                valid, any_cell = _enum_cells(cells_of[column])
+                cells.append(draw(st.sampled_from(any_cell if messy() else valid)))
+        if messy():
+            cells = cells[:draw(st.integers(1, len(cells)))]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(experts_files())
+def test_parse_experts_equals_loop_reference(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("experts") / "experts.csv"
+    path.write_text(text, encoding="utf-8")
+    expected, got = _same_outcome(lambda: reference_parse_experts(path),
+                                  lambda: parse_experts(path))
+    if expected is None:
+        return
+    assert len(got) == len(expected)
+    assert tuple(got) == expected
+    assert [p.id for p in got] == [p.id for p in expected]
+    assert all(list(p.judgment_basis) == list(JudgmentBasis) for p in got)
+
+
+AUTHORITY_VALUES = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 1.0, 1 / 3, 0.15, 0.05)
+
+
+@st.composite
+def authority_cases(draw):
+    """(round, profiles, ca_table, cs_map): parsed or hand-built panels, custom lookups."""
+    n = draw(st.integers(2, 12))
+    ids = [f"e{i}" for i in range(n)]
+    rows = [[draw(st.sampled_from(tuple(Impact))) for _ in JudgmentBasis]
+            + [draw(st.sampled_from(tuple(IdentityGroup))), draw(st.sampled_from(tuple(Familiarity)))]
+            for _ in ids]
+    if draw(st.booleans()):
+        profiles = []
+        for expert_id, row in zip(ids, rows):
+            bases = draw(st.permutations(tuple(JudgmentBasis)))
+            profiles.append(ExpertProfile(
+                id=expert_id, identity_group=row[4], familiarity=row[5],
+                judgment_basis={b: row[list(JudgmentBasis).index(b)] for b in bases}))
+        profiles = draw(st.permutations(profiles))
+    else:
+        lines = ["familiarity,id,basis_peer,group,basis_theory,basis_intuition,basis_practice"]
+        for expert_id, row in zip(ids, rows):
+            lines.append(",".join([row[5].value, expert_id, row[2].value, row[4].value,
+                                   row[0].value, row[3].value, row[1].value]))
+        profiles = ("\n".join(lines) + "\n",)  # parsed by the test
+
+    respondents = draw(st.lists(st.sampled_from(ids + ["ghost"] * draw(st.integers(0, 1))),
+                                min_size=2, max_size=n, unique=True))
+    rnd = RatingRound(round_no=draw(st.integers(1, 3)), scale_max=5,
+                      distributed=len(respondents), indicator_ids=("a", "b"),
+                      ratings={eid: (1, 2) for eid in respondents})
+
+    value = st.one_of(st.sampled_from(AUTHORITY_VALUES), st.floats(0.0, 0.4))
+    ca_table = DEFAULT_CA_TABLE
+    if draw(st.booleans()):
+        ca_table = {b: {i: draw(value) for i in Impact} for b in JudgmentBasis}
+        if draw(st.integers(0, 5)) == 0:
+            del ca_table[draw(st.sampled_from(tuple(JudgmentBasis)))][draw(st.sampled_from(tuple(Impact)))]
+    cs_map = DEFAULT_CS_MAP
+    if draw(st.booleans()):
+        cs_map = {level: draw(st.one_of(value, st.floats(0.0, 1.2))) for level in Familiarity}
+        if draw(st.integers(0, 5)) == 0:
+            del cs_map[draw(st.sampled_from(tuple(Familiarity)))]
+    return rnd, profiles, ca_table, cs_map
+
+
+@settings(max_examples=200, deadline=None)
+@given(authority_cases())
+def test_round_authority_equals_loop_reference(tmp_path_factory, case):
+    rnd, profiles, ca_table, cs_map = case
+    if isinstance(profiles, tuple):
+        path = tmp_path_factory.mktemp("experts") / "experts.csv"
+        path.write_text(profiles[0], encoding="utf-8")
+        profiles = parse_experts(path)
+    expected, got = _same_outcome(
+        lambda: reference_authority(rnd, profiles, ca_table, cs_map),
+        lambda: round_consensus(rnd, profiles, ca_table=ca_table, cs_map=cs_map))
+    if expected is None:
+        return
+    assert (got.ca, got.cs, got.cr) == expected
+    assert all(type(v) is float for v in (got.ca, got.cs, got.cr))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from((2, 50, 1000, 3000)))
+def test_authority_of_large_panels_equals_loop_reference(tmp_path_factory, seed, n):
+    """The demo lookups over panels big enough for float rounding to build up."""
+    rng = np.random.default_rng(seed)
+    lines = ["id,group,familiarity," + ",".join(BASIS_COLUMNS)]
+    for i in range(n):
+        lines.append(",".join([f"e{i}", rng.choice([g.value for g in IdentityGroup]),
+                               rng.choice([f.value for f in Familiarity]),
+                               *rng.choice([m.value for m in Impact], size=4)]))
+    path = tmp_path_factory.mktemp("experts") / "experts.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    profiles = parse_experts(path)
+    ids = [f"e{i}" for i in rng.permutation(n)[:max(2, n - n // 7)].tolist()]
+    rnd = RatingRound(round_no=1, scale_max=5, distributed=n, indicator_ids=("a", "b"),
+                      ratings={eid: (1, 2) for eid in ids})
+    got = round_consensus(rnd, profiles)
+    assert (got.ca, got.cs, got.cr) == reference_authority(rnd, profiles, DEFAULT_CA_TABLE,
+                                                           DEFAULT_CS_MAP)
+
+
+IMPORTANCE_CELLS = (1, 2, 4, 5, 6, 7, 0, 8, -1, True, False, np.bool_(True), np.int32(6),
+                    np.int64(9), np.uint8(3), 7.0)
+
+
+@st.composite
+def importance_inputs(draw):
+    """(item ids, ratings, relevance floor): lists, integer ndarrays, bad and ragged cells."""
+    k = draw(st.integers(0, 5))
+    n = draw(st.integers(0, 12))
+    item_ids = [f"i{j}" for j in range(k)]
+    floor = draw(st.sampled_from((5, 1, 7, 8, 4.5)))
+    if draw(st.booleans()):
+        dtype = draw(st.sampled_from((np.int8, np.int16, np.int64, np.uint8)))
+        top = 9 if draw(st.integers(0, 3)) == 0 else 7
+        low = 0 if draw(st.integers(0, 3)) == 0 else 1
+        cells = draw(st.lists(st.integers(low, top), min_size=n * k, max_size=n * k))
+        width = k if draw(st.integers(0, 5)) else k + 1
+        ratings = np.array(cells + [7] * (n * (width - k)), dtype=dtype).reshape(n, width)
+        return item_ids, ratings, floor
+    rate = draw(st.sampled_from((0, 10, 3)))
+
+    def messy():
+        return rate and draw(st.integers(1, rate)) == 1
+
+    rows = []
+    for _ in range(n):
+        width = draw(st.integers(max(0, k - 1), k + 1)) if messy() else k
+        rows.append([draw(st.sampled_from(IMPORTANCE_CELLS if messy() else (1, 3, 5, 6, 7)))
+                     for _ in range(width)])
+    return item_ids, draw(st.sampled_from((rows, [tuple(r) for r in rows]))), floor
+
+
+@settings(max_examples=300, deadline=None)
+@given(importance_inputs())
+def test_validity_report_equals_loop_reference(case):
+    item_ids, ratings, floor = case
+    expected, got = _same_outcome(
+        lambda: reference_validity_report(item_ids, ratings, floor),
+        lambda: validity_report(item_ids, ratings, relevance_floor=floor))
+    if expected is None:
+        return
+    assert got == expected
+    assert all(type(it.importance_mean) is float and type(it.i_cvi) is float for it in got.items)
+    assert type(got.s_cvi) is float
