@@ -49,6 +49,7 @@ from .instrument import (
     load_default_instrument,
 )
 from .model import (
+    ExpertPanel,
     ExpertProfile,
     Familiarity,
     IdentityGroup,
@@ -115,7 +116,7 @@ __all__ = [
     # instrument
     "default_tree", "demo_weighted_tree", "load_default_instrument",
     # model
-    "ExpertProfile", "Familiarity", "IdentityGroup", "Impact", "IndicatorNode",
+    "ExpertPanel", "ExpertProfile", "Familiarity", "IdentityGroup", "Impact", "IndicatorNode",
     "IndicatorTree", "Instrument", "JudgmentBasis", "Level", "Question", "RatingRound",
     "ResponseSet", "ScreeningThresholds", "validate_tree",
     # psychometrics

@@ -18,6 +18,7 @@ from .errors import (
     InvalidInputError,
 )
 from .model import (
+    ExpertPanel,
     ExpertProfile,
     Familiarity,
     Impact,
@@ -110,11 +111,11 @@ def judgment_coefficient(
     if not profiles:
         raise InvalidInputError("judgment coefficient needs a non-empty expert panel")
     _check_ca_table(table)
-    per_expert = [
-        sum(table[basis][impact] for basis, impact in profile.judgment_basis.items())
-        for profile in profiles
-    ]
-    return sum(per_expert) / len(per_expert)
+    codes = ExpertPanel.of(profiles).codes
+    lookup = np.array([[table[b][i] for i in Impact] for b in JudgmentBasis], dtype=float)
+    # Builtin sums, as over profiles: 0 + each basis in JudgmentBasis order, then over the experts.
+    per_expert = sum(lookup[j].take(codes[:, j]) for j in range(len(JudgmentBasis)))
+    return sum(per_expert.tolist()) / len(codes)
 
 
 def familiarity_coefficient(
@@ -127,8 +128,8 @@ def familiarity_coefficient(
     for level in Familiarity:
         if level not in mapping:
             raise InvalidInputError(f"familiarity map missing level {level.value!r}")
-    values = [mapping[p.familiarity] for p in profiles]
-    return sum(values) / len(values)
+    lookup = np.array([mapping[level] for level in Familiarity], dtype=float)
+    return sum(lookup.take(ExpertPanel.of(profiles).codes[:, -1]).tolist()) / len(profiles)
 
 
 def authority_coefficient(ca: float, cs: float) -> float:
@@ -269,8 +270,8 @@ def round_consensus(
     """All consensus statistics for one round.
 
     Authority coefficients are computed over the experts who actually
-    responded this round (when their profiles are supplied); positivity uses
-    the round's distributed count. Pass ``profiles=None`` to skip Ca/Cs/Cr.
+    responded this round, when their profiles (with distinct ids) are supplied;
+    positivity uses the round's distributed count. Pass ``profiles=None`` to skip Ca/Cs/Cr.
     """
     if rnd.returned < 2:
         raise InsufficientDataError(
@@ -280,13 +281,14 @@ def round_consensus(
 
     ca = cs = cr = None
     if profiles is not None:
-        by_id = {p.id: p for p in profiles}
-        missing = [eid for eid in rnd.ratings if eid not in by_id]
+        panel = ExpertPanel.of(profiles)
+        missing = [eid for eid in rnd.ratings if eid not in panel.row_of]
         if missing:
             raise InvalidInputError(
                 f"round {rnd.round_no}: no profile for responding expert(s) {', '.join(missing)}"
             )
-        respondents = [by_id[eid] for eid in rnd.ratings]
+        rows = [panel.row_of[eid] for eid in rnd.ratings]
+        respondents = ExpertPanel(rnd.ratings.row_of, panel.codes[rows])
         ca = judgment_coefficient(respondents, ca_table)
         cs = familiarity_coefficient(respondents, cs_map)
         cr = authority_coefficient(ca, cs)

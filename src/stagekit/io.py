@@ -27,14 +27,10 @@ from .model import (
     MISSING,
     RESPONSE_MAX,
     RESPONSE_MIN,
-    ExpertProfile,
-    Familiarity,
-    IdentityGroup,
-    Impact,
+    ExpertPanel,
     IndicatorNode,
     IndicatorTree,
     Instrument,
-    JudgmentBasis,
     Level,
     RatingRound,
     ResponseSet,
@@ -46,12 +42,14 @@ from .model import (
 _TRUE = {"true", "1", "yes"}
 _FALSE = {"false", "0", "no", ""}
 
-_BASIS_COLUMNS = (
-    ("basis_theory", JudgmentBasis.THEORETICAL_ANALYSIS),
-    ("basis_practice", JudgmentBasis.PRACTICAL_EXPERIENCE),
-    ("basis_peer", JudgmentBasis.PEER_REFERENCE),
-    ("basis_intuition", JudgmentBasis.INTUITION),
-)
+# An experts file's columns of the ExpertPanel.ENUMS, in that order.
+_PANEL_COLUMNS = ("basis_theory", "basis_practice", "basis_peer", "basis_intuition",
+                  "group", "familiarity")
+
+
+def _unreadable(path: Path, exc: OSError | UnicodeDecodeError) -> SchemaError:
+    reason = exc.reason if isinstance(exc, UnicodeDecodeError) else exc.strerror or exc
+    return SchemaError(f"{path}: cannot read as UTF-8 text ({reason})")
 
 
 def read_json(path: str | Path) -> Any:
@@ -63,6 +61,8 @@ def read_json(path: str | Path) -> Any:
         return json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON ({exc})") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _unreadable(path, exc) from None
 
 
 @contextmanager
@@ -70,15 +70,18 @@ def _csv_rows(path: Path, id_column: str = "") -> Iterator[tuple[list[str], Iter
     """The stripped header (first column ``id_column``, if given) and a stream of the non-blank rows."""
     if not path.exists():
         raise SchemaError(f"{path}: file not found")
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file (header row is mandatory)") from None
-        if id_column and header[:1] != [id_column]:
-            raise SchemaError(f"{path}: first column must be {id_column}")
-        yield header, (row for row in reader if any(map(str.strip, row)))
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = [h.strip() for h in next(reader)]
+            except StopIteration:
+                raise SchemaError(f"{path}: empty file (header row is mandatory)") from None
+            if id_column and header[:1] != [id_column]:
+                raise SchemaError(f"{path}: first column must be {id_column}")
+            yield header, (row for row in reader if any(map(str.strip, row)))
+    except (OSError, UnicodeDecodeError) as exc:  # also raised while the caller reads the rows
+        raise _unreadable(path, exc) from None
 
 
 def _read_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:
@@ -184,61 +187,44 @@ def emit_indicators(tree: IndicatorTree, path: str | Path) -> None:
             writer.writerow(row)
 
 
-def parse_experts(path: str | Path) -> tuple[ExpertProfile, ...]:
-    """Read expert profiles (id,group,familiarity,basis_theory,...,basis_intuition)."""
+def parse_experts(path: str | Path) -> ExpertPanel:
+    """Read expert profiles (id,group,familiarity,basis_theory,...,basis_intuition) into a panel."""
     path = Path(path)
-    header, rows = _read_rows(path)
-    col = _require_columns(
-        path, header,
-        required=("id", "group", "familiarity") + tuple(c for c, _ in _BASIS_COLUMNS),
-    )
-    profiles = []
-    seen: set[str] = set()
-    for row in rows:
-        expert_id = _cell(row, col["id"])
-        if not expert_id:
-            raise SchemaError(f"{path}: row with empty expert id")
-        if expert_id in seen:
-            raise SchemaError(f"{path}: duplicate expert id {expert_id!r}")
-        seen.add(expert_id)
-        basis = {}
-        for column, b in _BASIS_COLUMNS:
-            basis[b] = _enum_value(path, expert_id, column, _cell(row, col[column]), Impact)
-        profiles.append(ExpertProfile(
-            id=expert_id,
-            identity_group=_enum_value(path, expert_id, "group", _cell(row, col["group"]), IdentityGroup),
-            familiarity=_enum_value(path, expert_id, "familiarity",
-                                    _cell(row, col["familiarity"]), Familiarity),
-            judgment_basis=basis,
-        ))
-    return tuple(profiles)
+    with _csv_rows(path) as (header, rows):
+        col = _require_columns(path, header, required=("id", "group", "familiarity") + _PANEL_COLUMNS[:4])
+        row_of, codes = _int_table(path, rows, "expert id", _PANEL_COLUMNS,
+                                   [col[c] for c in _PANEL_COLUMNS], ExpertPanel.ENUMS, "", None, col["id"])
+    return ExpertPanel(row_of, codes)
 
 
 def _int_table(path: Path, rows: Iterable[list[str]], kind: str, columns: Sequence[str],
-               src: Sequence[int], bounds: Sequence[tuple[int, int]], word: str,
-               blank: str | None) -> tuple[dict[str, int], np.ndarray]:
-    """Row id -> row number, and the matrix of a table of integer cells keyed by row id.
+               src: Sequence[int], bounds: Sequence, word: str,
+               blank: str | None, key: int = 0) -> tuple[dict[str, int], np.ndarray]:
+    """Row id (the cell at ``key``) -> row number, and the read-only matrix of a table keyed by row id.
 
-    The cells at ``src`` of a row are its ``columns``, each stripped, read with
-    ``int()`` and checked against its (lo, hi) in ``bounds``; a short row reads
+    The cells at ``src`` of a row are its ``columns``, each stripped and read
+    by its entry in ``bounds``: with ``int()`` and checked against a (lo, hi),
+    or looked up in an Enum and stored as its position there. A short row reads
     as blanks and extra cells are ignored. A blank cell is ``MISSING`` when
     ``blank`` is "cell", makes the row ``MISSING`` when it is "row", and is an
     error when it is None. ``kind`` names a row in errors, e.g. "expert row".
 
     Rows stream into one int8 buffer (int64 when a ``hi`` does not fit it).
-    Each range remembers the code of every raw string read for it, so a row
-    costs one dict lookup per cell; a row with a new string is read cell by
-    cell, so the first bad cell in file order is the one reported.
+    Each range or enum remembers the code of every raw string read for it
+    (an enum's memo starts with its values), so a row costs one dict lookup
+    per cell; a row with a new string is read cell by cell, so the first bad
+    cell in file order is the one reported.
     """
     noun, repeat = kind.split()
-    dtype = rating_dtype(max((hi for _, hi in bounds), default=0))
+    dtype = rating_dtype(max((b[1] if isinstance(b, tuple) else len(b) - 1 for b in bounds), default=0))
     # An int8 row packs into bytes, the fastest to build and append; codes are unsigned bytes.
     pack, mask = (bytes, 0xFF) if dtype == np.int8 else (tuple, -1)
     buffer = bytearray() if dtype == np.int8 else array(dtype.char)
-    memo_of: dict[tuple[int, int], dict[str, int]] = {}  # columns of one range share a memo
-    memos = [memo_of.setdefault(b, {}) for b in bounds]
+    memo_of: dict[Any, dict[str, int]] = {}  # columns of one range or enum share a memo
+    memos = [memo_of.setdefault(b, {} if isinstance(b, tuple) else {e.value: i for i, e in enumerate(b)})
+             for b in bounds]
     pick = itemgetter(*src) if len(src) > 1 else (lambda row: tuple(row[i] for i in src))
-    width = max(src, default=0) + 1
+    width = max([*src, key]) + 1
 
     def learn(row_id: str, cells: Sequence[str]):
         texts = [c.strip() for c in cells]
@@ -248,9 +234,13 @@ def _int_table(path: Path, rows: Iterable[list[str]], kind: str, columns: Sequen
                     memo[raw] = MISSING & mask
             if blank == "row" and "" in texts:  # the row's other cells are never read
                 return pack([MISSING & mask] * len(cells))
-        for column, (lo, hi), memo, raw, text in zip(columns, bounds, memos, cells, texts):
+        for column, bound, memo, raw, text in zip(columns, bounds, memos, cells, texts):
             if raw in memo:
                 continue
+            if not isinstance(bound, tuple):
+                memo[raw] = memo[_enum_value(path, row_id, column, text, bound).value]
+                continue
+            lo, hi = bound
             try:
                 value = int(text)
             except ValueError:
@@ -262,20 +252,22 @@ def _int_table(path: Path, rows: Iterable[list[str]], kind: str, columns: Sequen
 
     row_of: dict[str, int] = {}
     for row in rows:
-        row_id = row[0].strip()
+        if len(row) < width:
+            row += [""] * (width - len(row))
+        row_id = row[key].strip()
         if not row_id:
             raise SchemaError(f"{path}: row with empty {noun} id")
         if row_id in row_of:
             raise SchemaError(f"{path}: duplicate {noun} {repeat} {row_id!r}")
         row_of[row_id] = len(row_of)
-        if len(row) < width:
-            row += [""] * (width - len(row))
         cells = pick(row)
         try:
             buffer.extend(pack(map(dict.__getitem__, memos, cells)))
         except KeyError:
             buffer.extend(learn(row_id, cells))
-    return row_of, np.frombuffer(buffer, dtype=dtype).reshape(len(row_of), len(columns))
+    matrix = np.frombuffer(buffer, dtype=dtype).reshape(len(row_of), len(columns))
+    matrix.flags.writeable = False
+    return row_of, matrix
 
 
 def parse_ratings(
@@ -342,11 +334,14 @@ def parse_responses(path: str | Path, instrument: Instrument) -> ResponseSet:
         if sorted(file_qids) != sorted(expected):
             missing = sorted(set(expected) - set(file_qids))
             extra = sorted(set(file_qids) - set(expected))
+            dupes = sorted({q for q in file_qids if file_qids.count(q) > 1})
             parts = []
             if missing:
                 parts.append(f"missing question column(s) {', '.join(missing)}")
             if extra:
                 parts.append(f"unknown column(s) {', '.join(extra)}")
+            if dupes:
+                parts.append(f"duplicated question column(s) {', '.join(dupes)}")
             raise SchemaError(f"{path}: {'; '.join(parts)}")
         # The matrix holds 0..4 answers, so a question's range is clipped to that.
         bounds = [(max(q.min_value, RESPONSE_MIN), min(q.max_value, RESPONSE_MAX))
@@ -371,8 +366,8 @@ def parse_expert_bonus(path: str | Path, bonus_ids: Sequence[str]) -> RowMatrix:
     return RowMatrix(row_of, matrix)
 
 
-def parse_importance(path: str | Path) -> tuple[tuple[str, ...], list[tuple[int, ...]]]:
-    """Read a rater x item importance matrix on the 1-7 scale."""
+def parse_importance(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:
+    """Read a rater x item importance matrix on the 1-7 scale: the item ids and a read-only int8 matrix."""
     path = Path(path)
     with _csv_rows(path, "rater_id") as (header, rows):
         item_ids = tuple(header[1:])
@@ -382,7 +377,7 @@ def parse_importance(path: str | Path) -> tuple[tuple[str, ...], list[tuple[int,
             raise SchemaError(f"{path}: duplicated item column in header")
         _, matrix = _int_table(path, rows, "rater row", item_ids, range(1, len(header)),
                                [(1, 7)] * len(item_ids), "rating", None)
-    return item_ids, list(map(tuple, matrix.tolist()))
+    return item_ids, matrix
 
 
 def _parse_ratio(raw: str) -> float:

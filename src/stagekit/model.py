@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Mapping, Sequence
+from collections.abc import Sequence
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -234,7 +235,50 @@ class ExpertProfile:
                 detail.append(f"unknown bases: {', '.join(extra)}")
             raise InvalidInputError(f"expert {self.id}: judgment_basis must cover all four bases exactly once"
                                     + (f" ({'; '.join(detail)})" if detail else ""))
-        object.__setattr__(self, "judgment_basis", basis)
+        # In JudgmentBasis order, the order in which Ca adds an expert's bases.
+        object.__setattr__(self, "judgment_basis", {b: basis[b] for b in JudgmentBasis})
+
+
+class ExpertPanel(Sequence):
+    """Expert profiles as one read-only ``int8`` code matrix, read back one ExpertProfile at a time.
+
+    ``row_of`` maps each expert id to its row number, in row order. Column j holds a value of
+    ``ENUMS[j]`` as its position there: the four bases' impacts in JudgmentBasis order, group, familiarity.
+    """
+
+    ENUMS = (Impact,) * len(JudgmentBasis) + (IdentityGroup, Familiarity)
+
+    def __init__(self, row_of: Mapping[str, int], codes: np.ndarray):
+        if codes.shape != (len(row_of), len(self.ENUMS)):
+            raise InvalidInputError(f"code matrix of shape {codes.shape} for {len(row_of)} experts")
+        codes.flags.writeable = False
+        self.row_of = row_of
+        self.ids = tuple(row_of)
+        self.codes = codes
+
+    @classmethod
+    def of(cls, profiles: Sequence[ExpertProfile]) -> "ExpertPanel":
+        """``profiles`` as a panel (a panel as it is); two profiles may not share an id."""
+        if isinstance(profiles, ExpertPanel):
+            return profiles
+        row_of = {p.id: i for i, p in enumerate(profiles)}
+        if len(row_of) != len(profiles):
+            repeated = next(p.id for i, p in enumerate(profiles) if row_of[p.id] != i)
+            raise InvalidInputError(f"two expert profiles with id {repeated!r}")
+        code_of = [{m: i for i, m in enumerate(e)} for e in cls.ENUMS]
+        values = ([*p.judgment_basis.values(), p.identity_group, p.familiarity] for p in profiles)
+        codes = [list(map(dict.__getitem__, code_of, row)) for row in values]
+        return cls(row_of, np.array(codes, dtype=np.int8).reshape(-1, len(cls.ENUMS)))
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self))[i]))
+        *basis, group, familiarity = (list(e)[c] for e, c in zip(self.ENUMS, self.codes[i].tolist()))
+        return ExpertProfile(id=self.ids[i], identity_group=group, familiarity=familiarity,
+                             judgment_basis=dict(zip(JudgmentBasis, basis)))
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,10 @@ def _as_matrix(scores) -> np.ndarray:
 
 def cronbach_alpha(scores) -> float:
     """Internal-consistency alpha: k/(k-1) * (1 - sum of item variances / total variance)."""
-    arr = _as_matrix(scores)
+    return _alpha(_as_matrix(scores))
+
+
+def _alpha(arr: np.ndarray) -> float:
     n, k = arr.shape
     if n < 2:
         raise InsufficientDataError(f"need >= 2 respondents, got {n}")
@@ -48,6 +51,10 @@ def cronbach_alpha(scores) -> float:
 def corrected_item_total(scores, item: int) -> float:
     """Pearson correlation of one item with the sum of all other items."""
     arr = _as_matrix(scores)
+    return _citc(arr, arr.sum(axis=1), item)
+
+
+def _citc(arr: np.ndarray, row_sums: np.ndarray, item: int) -> float:
     n, k = arr.shape
     if not 0 <= item < k:
         raise InvalidInputError(f"item index {item} outside 0..{k - 1}")
@@ -56,7 +63,7 @@ def corrected_item_total(scores, item: int) -> float:
     if n < 2:
         raise InsufficientDataError(f"need >= 2 respondents, got {n}")
     x = arr[:, item]
-    rest = arr.sum(axis=1) - x
+    rest = row_sums - x
     xc = x - x.mean()
     rc = rest - rest.mean()
     denom = float(np.sqrt((xc @ xc) * (rc @ rc)))
@@ -77,7 +84,7 @@ def alpha_if_deleted(scores, item: int) -> float:
         )
     if not 0 <= item < k:
         raise InvalidInputError(f"item index {item} outside 0..{k - 1}")
-    return cronbach_alpha(np.delete(arr, item, axis=1))
+    return _alpha(np.delete(arr, item, axis=1))
 
 
 def i_cvi(ratings: Sequence[int], relevance_floor: int = RELEVANCE_FLOOR) -> float:
@@ -144,16 +151,17 @@ def reliability_report(responses: ResponseSet, instrument: Instrument) -> Reliab
         raise InsufficientDataError(
             f"need >= 2 complete respondents, got {n_complete}"
         )
-    data = responses.consumer.matrix[complete].astype(float)
+    data = _as_matrix(responses.consumer.matrix[complete])  # the one check of the report
     col_of = {qid: i for i, qid in enumerate(responses.question_ids)}
 
-    total_alpha = cronbach_alpha(data)
+    total_alpha = _alpha(data)
 
     index_rows: list[IndexReliability] = []
     question_rows: list[QuestionReliability] = []
     for index_id, qids in instrument.indices:
         cols = [col_of[q] for q in qids]
         sub = data[:, cols]
+        row_sums = sub.sum(axis=1)
         k = len(qids)
 
         alpha = None
@@ -162,7 +170,7 @@ def reliability_report(responses: ResponseSet, instrument: Instrument) -> Reliab
             note = "single question; alpha not applicable"
         else:
             try:
-                alpha = cronbach_alpha(sub)
+                alpha = _alpha(sub)
             except DegenerateDataError as exc:
                 note = str(exc)
         index_rows.append(IndexReliability(index_id=index_id, n_questions=k, alpha=alpha, note=note))
@@ -174,13 +182,13 @@ def reliability_report(responses: ResponseSet, instrument: Instrument) -> Reliab
                 q_note = "single question; item-rest correlation not applicable"
             else:
                 try:
-                    citc = corrected_item_total(sub, j)
+                    citc = _citc(sub, row_sums, j)
                 except DegenerateDataError as exc:
                     q_note = str(exc)
             aid = None
             if k >= 3:
                 try:
-                    aid = alpha_if_deleted(sub, j)
+                    aid = _alpha(np.delete(sub, j, axis=1))
                 except DegenerateDataError as exc:
                     q_note = str(exc) if q_note is None else f"{q_note}; {exc}"
             question_rows.append(QuestionReliability(
@@ -226,36 +234,42 @@ def validity_report(
     icvi_floor: float = ICVI_FLOOR,
     scvi_floor: float = SCVI_FLOOR,
 ) -> ValidityTable:
-    """Content validity from a complete rater x item importance matrix (1-7)."""
+    """Content validity from a complete rater x item importance matrix (1-7).
+
+    An integer ndarray (as from :func:`stagekit.io.parse_importance`) gets one vectorised range
+    check, other rows a check cell by cell; either reports the first bad cell by item, then rater.
+    """
     ids = tuple(item_ids)
     if not ids:
         raise InvalidInputError("no items given")
-    rows = [tuple(row) for row in ratings]
-    if not rows:
+    int_matrix = isinstance(ratings, np.ndarray) and ratings.ndim == 2 and ratings.dtype.kind in "iu"
+    rows = ratings if int_matrix else [tuple(row) for row in ratings]
+    if not len(rows):
         raise InvalidInputError("need at least one rater")
-    for row in rows:
+    for row in rows[:1] if int_matrix else rows:
         if len(row) != len(ids):
-            raise InvalidInputError(
-                f"rater row has {len(row)} ratings for {len(ids)} items"
-            )
-    items: list[ItemValidity] = []
-    for j, item_id in enumerate(ids):
-        column = [row[j] for row in rows]
-        try:
-            cvi = i_cvi(column, relevance_floor)
-        except InvalidInputError as exc:
-            raise InvalidInputError(f"item {item_id}, {exc}") from None
-        items.append(ItemValidity(
-            item_id=item_id,
-            importance_mean=float(np.mean(column)),
-            i_cvi=cvi,
-            passes=cvi >= icvi_floor,
-        ))
+            raise InvalidInputError(f"rater row has {len(row)} ratings for {len(ids)} items")
+    if not int_matrix:
+        for j, item_id in enumerate(ids):
+            try:
+                i_cvi([row[j] for row in rows])  # checks every rating of the item
+            except InvalidInputError as exc:
+                raise InvalidInputError(f"item {item_id}, {exc}") from None
+        rows = np.array(rows, dtype=np.int8)
+    bad = (rows < 1) | (rows > 7)
+    if bad.any():
+        j, i = np.argwhere(bad.T)[0].tolist()
+        raise InvalidInputError(f"item {ids[j]}, rater {i + 1}: importance rating {rows[i, j]!r} outside 1..7")
+    n = len(rows)
+    relevant = np.count_nonzero(rows >= relevance_floor, axis=0).tolist()
+    items = tuple(ItemValidity(item_id=item_id, importance_mean=total / n, i_cvi=count / n,
+                               passes=count / n >= icvi_floor)
+                  for item_id, total, count in zip(ids, rows.sum(axis=0, dtype=np.int64).tolist(), relevant))
     scale = s_cvi([it.i_cvi for it in items])
     return ValidityTable(
-        n_raters=len(rows),
+        n_raters=n,
         relevance_floor=relevance_floor,
-        items=tuple(items),
+        items=items,
         s_cvi=scale,
         s_cvi_passes=scale >= scvi_floor,
     )

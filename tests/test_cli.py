@@ -125,6 +125,34 @@ class TestRoundStats:
         assert err.startswith("error: ")
 
 
+class TestUnreadableInput:
+    """A file that cannot be read as UTF-8 text exits 2 with one line naming it."""
+
+    @pytest.fixture(params=["directory", "not-utf8"])
+    def unreadable(self, request, tmp_path):
+        if request.param == "directory":
+            path = tmp_path / "inputs.csv"
+            path.mkdir()
+        else:  # the bad byte lies beyond the first read, so it surfaces while rows stream
+            path = tmp_path / "latin1.csv"
+            rows = "".join(f"e{i},5,4\n" for i in range(3000)).encode()
+            path.write_bytes(b"expert_id,a,b\n" + rows + b"e\xff,4,3\n")
+        return path
+
+    @pytest.mark.parametrize("argv", [
+        ["round-stats", "--ratings"],
+        ["round-stats", "--ratings", DATA / "ratings_round1.csv", "--experts"],
+        ["screen", "--stats"],
+        ["pipeline", "--config"],
+    ])
+    def test_exits_2_with_one_line(self, argv, unreadable, capsys):
+        rc, out, err = run(capsys, *argv, unreadable)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith(f"error: {unreadable}: ")
+        assert err.count("\n") == 1
+
+
 class TestScreen:
     def test_derived_thresholds_on_demo_round(self, stats1, capsys):
         obj = run_json(capsys, "screen", "--stats", stats1)
@@ -253,6 +281,15 @@ class TestReliability:
         assert 0.0 < rel["total_alpha"]["value"] <= 1.0
         assert len(rel["indices"]) == 8
         assert len(rel["questions"]) == 21
+
+    def test_duplicated_question_column_is_named(self, tmp_path, capsys):
+        lines = (DATA / "responses.csv").read_text(encoding="utf-8").splitlines()
+        dup = tmp_path / "responses.csv"
+        dup.write_text("\n".join(f"{line},{line.split(',')[1]}" for line in lines) + "\n",
+                       encoding="utf-8")
+        rc, out, err = run(capsys, "reliability", "--responses", dup)
+        assert rc == 2
+        assert err == f"error: {dup}: duplicated question column(s) q1\n"
 
     def test_unknown_instrument_exits_2(self, capsys):
         rc, _, err = run(

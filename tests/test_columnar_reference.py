@@ -592,8 +592,8 @@ def test_parse_importance_equals_loop_reference(tmp_path_factory, text):
         return
     item_ids, rows = got
     assert item_ids == expected[0]
-    assert rows == expected[1]
-    assert type(rows) is list and all(type(row) is tuple for row in rows)
+    assert [tuple(r) for r in rows.tolist()] == expected[1]
+    assert rows.dtype == np.int8 and not rows.flags.writeable
 
 
 @st.composite

@@ -552,6 +552,17 @@ class TestRoundConsensus:
         with pytest.raises(InvalidInputError):
             round_consensus(rnd, profiles=profiles)
 
+    def test_repeated_profile_id_rejected(self):
+        rnd = self.make_round()
+        profiles = [
+            make_profile("e1", Familiarity.VERY_FAMILIAR, ALL_LARGE),
+            make_profile("e2", Familiarity.FAMILIAR, ALL_LARGE),
+            make_profile("e3", Familiarity.FAMILIAR, ALL_LARGE),
+            make_profile("e2", Familiarity.VERY_UNFAMILIAR, ALL_SMALL),
+        ]
+        with pytest.raises(InvalidInputError, match=r"^two expert profiles with id 'e2'$"):
+            round_consensus(rnd, profiles=profiles)
+
     def test_single_respondent_rejected(self):
         rnd = RatingRound(
             round_no=1,

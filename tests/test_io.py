@@ -1,6 +1,7 @@
 import pytest
 
 from stagekit import (
+    ExpertPanel,
     Familiarity,
     IdentityGroup,
     Impact,
@@ -134,6 +135,18 @@ class TestParseExperts:
         assert profiles[0].identity_group == IdentityGroup.TECHNOLOGY_RND
         assert profiles[0].familiarity == Familiarity.VERY_FAMILIAR
         assert profiles[1].judgment_basis[JudgmentBasis.PRACTICAL_EXPERIENCE] == Impact.LARGE
+
+    def test_panel_holds_codes_and_builds_profiles(self, tmp_path):
+        p = write(tmp_path / "experts.csv", EXPERTS_CSV)
+        panel = parse_experts(p)
+        assert isinstance(panel, ExpertPanel)
+        assert panel.row_of == {"e1": 0, "e2": 1}
+        # bases in JudgmentBasis order, then group, then familiarity; each its enum position
+        assert panel.codes.tolist() == [[0, 0, 2, 2, 1, 0], [1, 0, 2, 1, 4, 2]]
+        assert panel.codes.dtype == "int8" and not panel.codes.flags.writeable
+        assert panel[-1] == panel[1:][0] == panel[1]
+        assert ExpertPanel.of(panel) is panel
+        assert ExpertPanel.of(list(panel)).codes.tolist() == panel.codes.tolist()
 
     def test_bad_enum_lists_choices(self, tmp_path):
         p = write(
@@ -390,7 +403,8 @@ class TestParseImportance:
         p = write(tmp_path / "imp.csv", "rater_id,a,b\nr1,7,5\nr2,6,4\n")
         item_ids, rows = parse_importance(p)
         assert item_ids == ("a", "b")
-        assert rows == [(7, 5), (6, 4)]
+        assert [tuple(r) for r in rows.tolist()] == [(7, 5), (6, 4)]
+        assert rows.dtype == "int8" and not rows.flags.writeable
 
     def test_out_of_scale_names_cell(self, tmp_path):
         p = write(tmp_path / "imp.csv", "rater_id,a\nr1,8\n")
