@@ -48,6 +48,8 @@ _PANEL_COLUMNS = ("basis_theory", "basis_practice", "basis_peer", "basis_intuiti
 
 
 def _unreadable(path: Path, exc: OSError | UnicodeDecodeError) -> SchemaError:
+    if isinstance(exc, FileNotFoundError):
+        return SchemaError(f"{path}: file not found")
     reason = exc.reason if isinstance(exc, UnicodeDecodeError) else exc.strerror or exc
     return SchemaError(f"{path}: cannot read as UTF-8 text ({reason})")
 
@@ -55,8 +57,6 @@ def _unreadable(path: Path, exc: OSError | UnicodeDecodeError) -> SchemaError:
 def read_json(path: str | Path) -> Any:
     """The parsed content of a UTF-8 JSON file (a config, a bundle, thresholds)."""
     path = Path(path)
-    if not path.exists():
-        raise SchemaError(f"{path}: file not found")
     try:
         return json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -68,8 +68,6 @@ def read_json(path: str | Path) -> Any:
 @contextmanager
 def _csv_rows(path: Path, id_column: str = "") -> Iterator[tuple[list[str], Iterator[list[str]]]]:
     """The stripped header (first column ``id_column``, if given) and a stream of the non-blank rows."""
-    if not path.exists():
-        raise SchemaError(f"{path}: file not found")
     try:
         with open(path, encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)

@@ -10,9 +10,9 @@ per-value range checks raise :class:`~stagekit.errors.InvalidInputError`.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from collections.abc import Sequence
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -261,13 +261,17 @@ class ExpertPanel(Sequence):
         """``profiles`` as a panel (a panel as it is); two profiles may not share an id."""
         if isinstance(profiles, ExpertPanel):
             return profiles
-        row_of = {p.id: i for i, p in enumerate(profiles)}
-        if len(row_of) != len(profiles):
-            repeated = next(p.id for i, p in enumerate(profiles) if row_of[p.id] != i)
-            raise InvalidInputError(f"two expert profiles with id {repeated!r}")
         code_of = [{m: i for i, m in enumerate(e)} for e in cls.ENUMS]
-        values = ([*p.judgment_basis.values(), p.identity_group, p.familiarity] for p in profiles)
-        codes = [list(map(dict.__getitem__, code_of, row)) for row in values]
+        row_of: dict[str, int] = {}
+        codes: list[list[int]] = []
+        for p in profiles:
+            if row_of.setdefault(p.id, len(codes)) != len(codes):
+                raise InvalidInputError(f"two expert profiles with id {p.id!r}")
+            values = [*p.judgment_basis.values(), p.identity_group, p.familiarity]
+            try:
+                codes.append(list(map(dict.__getitem__, code_of, values)))
+            except KeyError as exc:
+                raise InvalidInputError(f"expert {p.id}: {exc.args[0]!r} is not a value of its field") from None
         return cls(row_of, np.array(codes, dtype=np.int8).reshape(-1, len(cls.ENUMS)))
 
     def __getitem__(self, i):

@@ -259,12 +259,14 @@ def validity_report(
     bad = (rows < 1) | (rows > 7)
     if bad.any():
         j, i = np.argwhere(bad.T)[0].tolist()
-        raise InvalidInputError(f"item {ids[j]}, rater {i + 1}: importance rating {rows[i, j]!r} outside 1..7")
+        raise InvalidInputError(f"item {ids[j]}, rater {i + 1}: importance rating "
+                                f"{rows[i, j]!r} outside 1..7")
     n = len(rows)
+    sums = rows.sum(axis=0, dtype=np.int64).tolist()  # exact, so a mean is the one np.mean gives
     relevant = np.count_nonzero(rows >= relevance_floor, axis=0).tolist()
     items = tuple(ItemValidity(item_id=item_id, importance_mean=total / n, i_cvi=count / n,
                                passes=count / n >= icvi_floor)
-                  for item_id, total, count in zip(ids, rows.sum(axis=0, dtype=np.int64).tolist(), relevant))
+                  for item_id, total, count in zip(ids, sums, relevant))
     scale = s_cvi([it.i_cvi for it in items])
     return ValidityTable(
         n_raters=n,

@@ -114,6 +114,12 @@ class TestJudgment:
         with pytest.raises(InvalidInputError):
             judgment_coefficient([])
 
+    def test_profile_value_outside_its_enum_rejected(self):
+        profile = dataclasses.replace(make_profile("e1", Familiarity.FAMILIAR, ALL_LARGE),
+                                      identity_group="nobody")
+        with pytest.raises(InvalidInputError, match=r"^expert e1: 'nobody' is not a value of its field$"):
+            judgment_coefficient([profile])
+
     def test_malformed_table_rejected(self):
         table = {JudgmentBasis.THEORETICAL_ANALYSIS: {Impact.LARGE: 0.3}}
         profiles = [make_profile("e1", Familiarity.FAMILIAR, ALL_LARGE)]
