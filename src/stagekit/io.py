@@ -48,10 +48,11 @@ _PANEL_COLUMNS = ("basis_theory", "basis_practice", "basis_peer", "basis_intuiti
 
 
 def _unreadable(path: Path, exc: OSError | UnicodeDecodeError) -> SchemaError:
+    if isinstance(exc, UnicodeDecodeError):
+        return SchemaError(f"{path}: not UTF-8 text ({exc.reason})")
     if isinstance(exc, FileNotFoundError):
         return SchemaError(f"{path}: file not found")
-    reason = exc.reason if isinstance(exc, UnicodeDecodeError) else exc.strerror or exc
-    return SchemaError(f"{path}: cannot read as UTF-8 text ({reason})")
+    return SchemaError(f"{path}: cannot read ({exc.strerror or exc})")
 
 
 def read_json(path: str | Path) -> Any:

@@ -141,7 +141,6 @@ class TestUnreadableInput:
 
     @pytest.mark.parametrize("argv", [
         ["round-stats", "--ratings"],
-        ["round-stats", "--ratings", DATA / "ratings_round1.csv", "--experts"],
         ["screen", "--stats"],
         ["pipeline", "--config"],
     ])
