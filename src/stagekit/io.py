@@ -191,13 +191,19 @@ def parse_experts(path: str | Path) -> ExpertPanel:
     path = Path(path)
     with _csv_rows(path) as (header, rows):
         col = _require_columns(path, header, required=("id", "group", "familiarity") + _PANEL_COLUMNS[:4])
-        row_of, codes = _int_table(path, rows, "expert id", _PANEL_COLUMNS,
+        row_of, codes = _int_table(path, header, rows, "expert id", _PANEL_COLUMNS,
                                    [col[c] for c in _PANEL_COLUMNS], ExpertPanel.ENUMS, "", None, col["id"])
     return ExpertPanel(row_of, codes)
 
 
-def _int_table(path: Path, rows: Iterable[list[str]], kind: str, columns: Sequence[str],
-               src: Sequence[int], bounds: Sequence, word: str,
+def _plain_table(path: Path, header: list[str], src: Sequence[int], bounds: Sequence,
+                 blank: str | None, key: int = 0) -> tuple[dict[str, int], np.ndarray] | None:
+    """``_int_table``'s result for a plain file, read from its bytes; None for any other file."""
+    return None
+
+
+def _int_table(path: Path, header: list[str], rows: Iterable[list[str]], kind: str,
+               columns: Sequence[str], src: Sequence[int], bounds: Sequence, word: str,
                blank: str | None, key: int = 0) -> tuple[dict[str, int], np.ndarray]:
     """Row id (the cell at ``key``) -> row number, and the read-only matrix of a table keyed by row id.
 
@@ -207,6 +213,7 @@ def _int_table(path: Path, rows: Iterable[list[str]], kind: str, columns: Sequen
     as blanks and extra cells are ignored. A blank cell is ``MISSING`` when
     ``blank`` is "cell", makes the row ``MISSING`` when it is "row", and is an
     error when it is None. ``kind`` names a row in errors, e.g. "expert row".
+    ``header`` is the file's header as ``_csv_rows`` read it.
 
     Rows stream into one int8 buffer (int64 when a ``hi`` does not fit it).
     Each range or enum remembers the code of every raw string read for it
@@ -227,12 +234,13 @@ def _int_table(path: Path, rows: Iterable[list[str]], kind: str, columns: Sequen
 
     def learn(row_id: str, cells: Sequence[str]):
         texts = [c.strip() for c in cells]
+        # A blank never enters a "row" memo, so every blank row is all MISSING.
+        if blank == "row" and "" in texts:  # the row's other cells are never read
+            return pack([MISSING & mask] * len(cells))
         if blank:
             for memo, raw, text in zip(memos, cells, texts):
                 if not text:
                     memo[raw] = MISSING & mask
-            if blank == "row" and "" in texts:  # the row's other cells are never read
-                return pack([MISSING & mask] * len(cells))
         for column, bound, memo, raw, text in zip(columns, bounds, memos, cells, texts):
             if raw in memo:
                 continue
@@ -249,6 +257,9 @@ def _int_table(path: Path, rows: Iterable[list[str]], kind: str, columns: Sequen
             memo[raw] = value & mask
         return pack(map(dict.__getitem__, memos, cells))
 
+    plain = _plain_table(path, header, src, bounds, blank, key)
+    if plain is not None:
+        return plain
     row_of: dict[str, int] = {}
     for row in rows:
         if len(row) < width:
@@ -291,7 +302,7 @@ def parse_ratings(
         if len(set(indicator_ids)) != len(indicator_ids):
             dupes = sorted({i for i in indicator_ids if indicator_ids.count(i) > 1})
             raise SchemaError(f"{path}: duplicated indicator column(s) {', '.join(dupes)}")
-        row_of, matrix = _int_table(path, rows, "expert row", indicator_ids,
+        row_of, matrix = _int_table(path, header, rows, "expert row", indicator_ids,
                                     range(1, len(header)), [(1, scale_max)] * len(indicator_ids),
                                     "rating", "row")
     # Non-responses stayed in the matrix, in file order, as rows holding MISSING.
@@ -345,7 +356,7 @@ def parse_responses(path: str | Path, instrument: Instrument) -> ResponseSet:
         # The matrix holds 0..4 answers, so a question's range is clipped to that.
         bounds = [(max(q.min_value, RESPONSE_MIN), min(q.max_value, RESPONSE_MAX))
                   for q in instrument.questions]
-        row_of, matrix = _int_table(path, rows, "respondent id", expected,
+        row_of, matrix = _int_table(path, header, rows, "respondent id", expected,
                                     [file_qids.index(qid) + 1 for qid in expected], bounds,
                                     "answer", "cell")
     return ResponseSet(question_ids=expected, consumer=RowMatrix(row_of, matrix))
@@ -359,7 +370,7 @@ def parse_expert_bonus(path: str | Path, bonus_ids: Sequence[str]) -> RowMatrix:
     path = Path(path)
     with _csv_rows(path, "expert_id") as (header, rows):
         col = _require_columns(path, header, required=("expert_id",) + tuple(bonus_ids))
-        row_of, matrix = _int_table(path, rows, "expert row", bonus_ids,
+        row_of, matrix = _int_table(path, header, rows, "expert row", bonus_ids,
                                     [col[bid] for bid in bonus_ids],
                                     [(RESPONSE_MIN, RESPONSE_MAX)] * len(bonus_ids), "rating", None)
     return RowMatrix(row_of, matrix)
@@ -374,7 +385,7 @@ def parse_importance(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:
             raise SchemaError(f"{path}: no item columns")
         if len(set(item_ids)) != len(item_ids):
             raise SchemaError(f"{path}: duplicated item column in header")
-        _, matrix = _int_table(path, rows, "rater row", item_ids, range(1, len(header)),
+        _, matrix = _int_table(path, header, rows, "rater row", item_ids, range(1, len(header)),
                                [(1, 7)] * len(item_ids), "rating", None)
     return item_ids, matrix
 

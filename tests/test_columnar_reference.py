@@ -11,6 +11,7 @@ equality, with no tolerance.
 
 import csv
 import re
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from stagekit import (
     score_consumer,
     validity_report,
 )
+from stagekit import io as sio
 from stagekit.consensus import DEFAULT_CA_TABLE, DEFAULT_CS_MAP
 from stagekit.io import (
     parse_expert_bonus,
@@ -617,6 +619,113 @@ def test_parse_expert_bonus_equals_loop_reference(tmp_path_factory, case):
     assert got == expected
     assert tuple(got) == tuple(expected)
     assert all(type(v) is int for row in got.values() for v in row)
+
+
+# --- Plain files -----------------------------------------------------------------
+#
+# ``io._plain_table`` reads an integer table from the file's bytes when the
+# file is plain (ASCII, unquoted, one-digit cells) and returns None otherwise.
+# Whatever it returns must be exactly what the csv loop of ``_int_table``
+# returns for the same file: the same ids in the same order, and a matrix of
+# the same values, dtype and read-only flag.
+
+PLAIN_BOUNDS = ((1, 5), (0, 4), (1, 3), (-2, 9), (1, 7))
+PLAIN_DEVIATIONS = ("bom", "crlf", "no final newline", "blank line", "header space", "quote",
+                    "space", "tab", "short row", "long row", "two digits", "non-ascii id",
+                    "empty id", "repeated id")
+
+
+@st.composite
+def plain_table_cases(draw):
+    """(file bytes, src, bounds, blank, key): a plain table, or one a few steps away from plain.
+
+    Cells are mostly digits in range; a file's own rate of messy cells adds
+    blanks, out-of-range digits and garbage, inside blank rows too.
+    """
+    n = draw(st.integers(1, 5))
+    blank = draw(st.sampled_from((None, "cell", "row")))
+    key = draw(st.integers(0, n))
+    src = draw(st.permutations([i for i in range(n + 1) if i != key]))
+    bounds = [draw(st.sampled_from(PLAIN_BOUNDS)) for _ in range(n)]
+    if draw(st.integers(0, 9)) == 0:
+        bounds[0] = (1, 200)  # an int64 matrix
+    bound_at = dict(zip(src, bounds))
+    rate = draw(st.sampled_from((0, 20, 5, 2)))
+
+    def messy():
+        return rate and draw(st.integers(1, rate)) == 1
+
+    rows = []
+    for k in range(draw(st.integers(0, 30))):
+        row = []
+        for i in range(n + 1):
+            if i == key:
+                row.append(f"r{k}")
+            elif messy():
+                row.append(draw(st.sampled_from(("", "0", "9", "x", "-"))))
+            else:
+                lo, hi = bound_at[i]
+                row.append(str(draw(st.integers(max(lo, 0), min(hi, 9)))))
+        rows.append(row)
+    header = [f"c{i}" for i in range(n + 1)]
+    deviations = draw(st.lists(st.sampled_from(PLAIN_DEVIATIONS), max_size=2))
+    for deviation in deviations:
+        if deviation == "header space":
+            header[0] = " " + header[0]
+        if not rows or deviation in ("bom", "crlf", "no final newline", "header space"):
+            continue
+        row = draw(st.sampled_from(rows))
+        cell = draw(st.integers(0, len(row) - 1)) if row else 0
+        if deviation == "blank line":
+            rows.insert(draw(st.integers(0, len(rows))), [])
+        elif deviation == "short row" and row:
+            row.pop()
+        elif deviation == "long row":
+            row.append("1")
+        elif not row:
+            continue
+        elif deviation == "two digits":
+            row[cell] = draw(st.sampled_from(("10", "03", "33")))
+        elif deviation in ("quote", "space", "tab"):
+            row[cell] = {"quote": '"{}"', "space": " {}", "tab": "{}\t"}[deviation].format(row[cell])
+        elif deviation == "non-ascii id" and key < len(row):
+            row[key] = "r\u00e9" + row[key]
+        elif deviation == "empty id" and key < len(row):
+            row[key] = ""
+        elif deviation == "repeated id" and key < len(row):
+            other = draw(st.sampled_from(rows))
+            row[key] = other[key] if key < len(other) else "r0"
+    end = "\r\n" if "crlf" in deviations else "\n"
+    text = end.join(",".join(row) for row in [header, *rows]) + end
+    if "no final newline" in deviations:
+        text = text[:-len(end)]
+    if "bom" in deviations:
+        text = "\ufeff" + text
+    return text.encode("utf-8"), src, bounds, blank, key
+
+
+def _streamed_int_table(path, src, bounds, blank, key):
+    """``_int_table`` read through its csv loop alone."""
+    with patch.object(sio, "_plain_table", return_value=None), sio._csv_rows(path) as (header, rows):
+        return sio._int_table(path, header, rows, "table row", [f"v{i}" for i in src],
+                              src, bounds, "value", blank, key)
+
+
+@settings(max_examples=400, deadline=None)
+@given(plain_table_cases())
+def test_plain_table_is_none_or_the_streamed_int_table(tmp_path_factory, case):
+    data, src, bounds, blank, key = case
+    path = tmp_path_factory.mktemp("plain") / "table.csv"
+    path.write_bytes(data)
+    with sio._csv_rows(path) as (header, _):
+        plain = sio._plain_table(path, header, src, bounds, blank, key)
+    if plain is None:
+        return
+    row_of, matrix = _streamed_int_table(path, src, bounds, blank, key)
+    assert list(plain[0].items()) == list(row_of.items())
+    assert plain[1].dtype == matrix.dtype and plain[1].shape == matrix.shape
+    assert np.array_equal(plain[1], matrix)
+    assert not plain[1].flags.writeable and not matrix.flags.writeable
 
 
 # --- Expert panel and content validity -------------------------------------------
