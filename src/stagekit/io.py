@@ -42,6 +42,9 @@ from .model import (
 _TRUE = {"true", "1", "yes"}
 _FALSE = {"false", "0", "no", ""}
 
+_BOM = b"\xef\xbb\xbf"
+_PLAIN_BLOCK_CELLS = 50_000
+
 # An experts file's columns of the ExpertPanel.ENUMS, in that order.
 _PANEL_COLUMNS = ("basis_theory", "basis_practice", "basis_peer", "basis_intuition",
                   "group", "familiarity")
@@ -81,6 +84,8 @@ def _csv_rows(path: Path, id_column: str = "") -> Iterator[tuple[list[str], Iter
             yield header, (row for row in reader if any(map(str.strip, row)))
     except (OSError, UnicodeDecodeError) as exc:  # also raised while the caller reads the rows
         raise _unreadable(path, exc) from None
+    except csv.Error as exc:
+        raise SchemaError(f"{path}: not a readable CSV file ({exc})") from None
 
 
 def _read_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:
@@ -198,8 +203,83 @@ def parse_experts(path: str | Path) -> ExpertPanel:
 
 def _plain_table(path: Path, header: list[str], src: Sequence[int], bounds: Sequence,
                  blank: str | None, key: int = 0) -> tuple[dict[str, int], np.ndarray] | None:
-    """``_int_table``'s result for a plain file, read from its bytes; None for any other file."""
-    return None
+    """``_int_table``'s result for a plain file, read from its bytes; None for any other file.
+
+    A file is plain when, after an optional BOM, it is ASCII with no quote, CR,
+    space, tab or other control byte; its first line is ``header``; every row
+    ends in LF and has exactly ``len(header)`` cells; the ids are non-empty and
+    distinct; and every cell at ``src`` is blank or one digit within its
+    (lo, hi), the matrix being int8. Blanks follow ``blank`` as in
+    ``_int_table``, and a blank ratings row's other cells are not range-checked.
+    The csv loop reads such a file without error, and this reads the same
+    result from separator positions, in blocks of about ``_PLAIN_BLOCK_CELLS``.
+    """
+    if not all(isinstance(b, tuple) for b in bounds) or \
+            rating_dtype(max((hi for _, hi in bounds), default=0)) != np.int8:
+        return None
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise _unreadable(path, exc) from None
+    start = len(_BOM) if data.startswith(_BOM) else 0
+    first_end = data.find(b"\n", start)
+    if first_end < 0:
+        first_end = len(data)
+    try:
+        if data[start:first_end].decode("ascii").split(",") != header:
+            return None
+    except UnicodeDecodeError:
+        return None
+    body = np.frombuffer(data, np.uint8)[first_end + 1:]
+    if body.size and body[-1] != ord("\n"):
+        return None
+    ends = np.flatnonzero(body == ord("\n"))
+    width = len(header)
+    cols: Any = list(src)
+    if cols and cols == list(range(cols[0], cols[0] + len(cols))):
+        cols = slice(cols[0], cols[0] + len(cols))  # columns read as views, not copies
+    lo = np.array([b[0] for b in bounds])
+    hi = np.array([b[1] for b in bounds])
+    id_end = ",\n"[key == width - 1]
+    id_limit = csv.field_size_limit()
+    matrix = np.empty((len(ends), len(src)), np.int8)
+    row_of: dict[str, int] = {}
+    offset = 0
+    step = max(1, _PLAIN_BLOCK_CELLS // width)
+    for first in range(0, len(ends), step):
+        last = ends[first:first + step] - offset
+        block = body[offset:offset + last[-1] + 1]
+        # Bytes outside '!'..'~' may only be the block's LFs, and none may be a quote.
+        if np.count_nonzero(block - np.uint8(0x21) >= 0x5E) != last.size or (block == ord('"')).any():
+            return None
+        sep = np.flatnonzero((block == ord(",")) | (block == ord("\n")))
+        if sep.size != last.size * width or not np.array_equal(sep[width - 1::width], last):
+            return None
+        size = np.diff(sep, prepend=-1).reshape(-1, width) - 1
+        sep = sep.reshape(-1, width)
+        id_size = size[:, key]
+        if not id_size.all() or id_size.max() > id_limit or (size[:, cols] > 1).any():
+            return None
+        cells = block[sep[:, cols] - 1].view(np.int8) - ord("0")  # a one-byte cell ends at its separator
+        empty = size[:, cols] == 0
+        if not (empty | ((cells >= 0) & (cells <= 9))).all() or (blank is None and empty.any()):
+            return None
+        if blank == "row":
+            empty = empty.any(axis=1, keepdims=True)
+        if (((cells < lo) | (cells > hi)) & ~empty).any():
+            return None
+        matrix[first:first + last.size] = np.where(empty, MISSING, cells)
+        # Gather each id and the separator after it into one string, and split that.
+        span = id_size + 1
+        total = np.cumsum(span)
+        at = np.arange(total[-1]) + np.repeat(sep[:, key] + 1 - total, span)
+        ids = block[at].tobytes().decode("ascii").split(id_end)[:-1]
+        row_of.update(zip(ids, range(first, first + last.size)))
+        offset += last[-1] + 1
+    if len(row_of) != len(ends):
+        return None
+    matrix.flags.writeable = False
+    return row_of, matrix
 
 
 def _int_table(path: Path, header: list[str], rows: Iterable[list[str]], kind: str,

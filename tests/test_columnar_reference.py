@@ -630,8 +630,11 @@ def test_parse_expert_bonus_equals_loop_reference(tmp_path_factory, case):
 # the same values, dtype and read-only flag.
 
 PLAIN_BOUNDS = ((1, 5), (0, 4), (1, 3), (-2, 9), (1, 7))
-PLAIN_DEVIATIONS = ("bom", "crlf", "no final newline", "blank line", "header space", "quote",
-                    "space", "tab", "short row", "long row", "two digits", "non-ascii id",
+FILE_DEVIATIONS = ("bom", "crlf", "no final newline", "blank line", "header space", "cr after header")
+# A cell (the row id or another) rewritten from its text.
+CELL_DEVIATIONS = {"quote": '"{}"', "space": " {}", "tab": "{}\t", "control": "{}\x0c",
+                   "non-ascii": "{}\u00e9", "two digits": "{}3"}
+PLAIN_DEVIATIONS = (*FILE_DEVIATIONS, *CELL_DEVIATIONS, "short row", "long row", "moved comma",
                     "empty id", "repeated id")
 
 
@@ -650,7 +653,9 @@ def plain_table_cases(draw):
     if draw(st.integers(0, 9)) == 0:
         bounds[0] = (1, 200)  # an int64 matrix
     bound_at = dict(zip(src, bounds))
-    rate = draw(st.sampled_from((0, 20, 5, 2)))
+    rate = draw(st.sampled_from((0, 0, 60, 15, 4)))
+    # One-character ids, digits first, let a row that lost a cell line up with one that gained one.
+    ids = draw(st.sampled_from(([f"r{k}" for k in range(30)], list("0123456789abcdefghijklmnopqrst"))))
 
     def messy():
         return rate and draw(st.integers(1, rate)) == 1
@@ -660,7 +665,7 @@ def plain_table_cases(draw):
         row = []
         for i in range(n + 1):
             if i == key:
-                row.append(f"r{k}")
+                row.append(ids[k])
             elif messy():
                 row.append(draw(st.sampled_from(("", "0", "9", "x", "-"))))
             else:
@@ -670,33 +675,35 @@ def plain_table_cases(draw):
     header = [f"c{i}" for i in range(n + 1)]
     deviations = draw(st.lists(st.sampled_from(PLAIN_DEVIATIONS), max_size=2))
     for deviation in deviations:
-        if deviation == "header space":
-            header[0] = " " + header[0]
-        if not rows or deviation in ("bom", "crlf", "no final newline", "header space"):
+        if deviation in FILE_DEVIATIONS or not rows:
             continue
-        row = draw(st.sampled_from(rows))
-        cell = draw(st.integers(0, len(row) - 1)) if row else 0
-        if deviation == "blank line":
-            rows.insert(draw(st.integers(0, len(rows))), [])
-        elif deviation == "short row" and row:
+        i = draw(st.integers(0, len(rows) - 1))
+        row = rows[i]
+        if key >= min(len(row), len(rows[i - 1])):  # a row shortened by an earlier step
+            continue
+        cell = key if draw(st.booleans()) else draw(st.integers(0, len(row) - 1))
+        if deviation == "short row":
             row.pop()
         elif deviation == "long row":
             row.append("1")
-        elif not row:
-            continue
-        elif deviation == "two digits":
-            row[cell] = draw(st.sampled_from(("10", "03", "33")))
-        elif deviation in ("quote", "space", "tab"):
-            row[cell] = {"quote": '"{}"', "space": " {}", "tab": "{}\t"}[deviation].format(row[cell])
-        elif deviation == "non-ascii id" and key < len(row):
-            row[key] = "r\u00e9" + row[key]
-        elif deviation == "empty id" and key < len(row):
+        elif deviation == "moved comma":  # one row a cell short, the next a cell long
+            row.pop()
+            rows[min(i + 1, len(rows) - 1)].append("1")
+        elif deviation == "empty id":
             row[key] = ""
-        elif deviation == "repeated id" and key < len(row):
-            other = draw(st.sampled_from(rows))
-            row[key] = other[key] if key < len(other) else "r0"
+        elif deviation == "repeated id":
+            row[key] = rows[i - 1][key]
+        else:
+            row[cell] = CELL_DEVIATIONS[deviation].format(row[cell])
+    if "header space" in deviations:
+        header[0] = " " + header[0]
+    lines = [",".join(row) for row in [header, *rows]]
+    if "cr after header" in deviations and rows:  # csv also ends a row at a lone CR
+        lines[:2] = [lines[0] + "\r" + lines[1]]
+    if "blank line" in deviations:
+        lines.insert(draw(st.integers(1, len(lines))), "")
     end = "\r\n" if "crlf" in deviations else "\n"
-    text = end.join(",".join(row) for row in [header, *rows]) + end
+    text = end.join(lines) + end
     if "no final newline" in deviations:
         text = text[:-len(end)]
     if "bom" in deviations:

@@ -1,5 +1,11 @@
+import importlib.util
+from pathlib import Path
+from unittest.mock import patch
+
+import numpy as np
 import pytest
 
+from stagekit import io as sio
 from stagekit import (
     ExpertPanel,
     Familiarity,
@@ -12,6 +18,7 @@ from stagekit import (
     Level,
     RatingRound,
     SchemaError,
+    StagekitError,
     default_tree,
     demo_weighted_tree,
     load_default_instrument,
@@ -417,6 +424,128 @@ class TestParseImportance:
         p = write(tmp_path / "imp.csv", "rater_id,a\nr1,7\nr1,6\n")
         with pytest.raises(SchemaError):
             parse_importance(p)
+
+_GEN_SPEC = importlib.util.spec_from_file_location(
+    "bench_gen", Path(__file__).resolve().parents[1] / "bench" / "gen.py")
+gen = importlib.util.module_from_spec(_GEN_SPEC)
+_GEN_SPEC.loader.exec_module(gen)
+
+
+def plain_calls(parse, *args, **kwargs):
+    """The parser's result (or error) and what each of its ``_plain_table`` calls returned."""
+    returned, plain_table = [], sio._plain_table
+
+    def spy(*spy_args):
+        returned.append(plain_table(*spy_args))
+        return returned[-1]
+
+    with patch.object(sio, "_plain_table", spy):
+        try:
+            return parse(*args, **kwargs), returned
+        except StagekitError as exc:
+            return exc, returned
+
+
+def streamed(parse, *args, **kwargs):
+    """The parser's result with every file read by the csv loop."""
+    with patch.object(sio, "_plain_table", return_value=None):
+        return parse(*args, **kwargs)
+
+
+class TestPlainTables:
+    """Files written like the benchmark's take the byte-level path; any step away from plain does not."""
+
+    @pytest.fixture(scope="class")
+    def bench_files(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("bench")
+        gen.gen_survey(np.random.default_rng(7), out, 5000)  # a few blocks of rows
+        gen.gen_delphi(np.random.default_rng(7), out, 3000)
+        return out
+
+    @pytest.mark.parametrize("name", ["ratings_round1.csv", "ratings_round2.csv", "ratings_round3.csv"])
+    def test_bench_ratings_are_plain(self, bench_files, name):
+        rnd, returned = plain_calls(parse_ratings, bench_files / name)
+        assert len(returned) == 1 and returned[0] is not None
+        expected = streamed(parse_ratings, bench_files / name)
+        assert rnd.non_respondents == expected.non_respondents
+        assert list(rnd.ratings.row_of.items()) == list(expected.ratings.row_of.items())
+        assert np.array_equal(rnd.ratings.matrix, expected.ratings.matrix)
+
+    def test_bench_responses_are_plain(self, bench_files):
+        instrument = load_default_instrument()
+        got, returned = plain_calls(parse_responses, bench_files / "responses.csv", instrument)
+        assert len(returned) == 1 and returned[0] is not None
+        expected = streamed(parse_responses, bench_files / "responses.csv", instrument)
+        assert list(got.consumer.row_of.items()) == list(expected.consumer.row_of.items())
+        assert np.array_equal(got.consumer.matrix, expected.consumer.matrix)
+
+    def test_bench_importance_is_plain(self, bench_files):
+        (ids, matrix), returned = plain_calls(parse_importance, bench_files / "importance.csv")
+        assert len(returned) == 1 and returned[0] is not None
+        assert np.array_equal(matrix, streamed(parse_importance, bench_files / "importance.csv")[1])
+
+    def test_bench_experts_decline(self, bench_files):
+        _, returned = plain_calls(parse_experts, bench_files / "experts.csv")
+        assert returned == [None]  # enum columns
+
+    def test_bonus_is_plain(self, tmp_path):
+        p = write(tmp_path / "bonus.csv", "expert_id,b2,b1\ne1,4,0\ne2,1,3\n")
+        got, returned = plain_calls(parse_expert_bonus, p, ("b1", "b2"))
+        assert returned[0] is not None and got == {"e1": (0, 4), "e2": (3, 1)}
+
+    RATINGS = "expert_id,a,b\ne1,1,2\ne2,3,4\n"
+
+    PLAIN = {
+        "lf": RATINGS,
+        "bom": "\ufeff" + RATINGS,
+        "blank rows not range-checked": "expert_id,a,b\ne1,1,2\ne2,,9\ne3,0,\n",
+        "no rows": "expert_id,a,b\n",
+    }
+    NOT_PLAIN = {
+        "crlf": RATINGS.replace("\n", "\r\n"),
+        "lone cr after header": RATINGS.replace("\n", "\r", 1),
+        "no final newline": RATINGS[:-1],
+        "quoted cell": RATINGS.replace("e1", '"e1"'),
+        "space": RATINGS.replace(",1,", ", 1,"),
+        "tab": RATINGS.replace(",1,", ",1\t,"),
+        "control byte": RATINGS.replace("e1", "e1\x0c"),
+        "not ascii": RATINGS.replace("e1", "\u00e91"),
+        "short row": RATINGS.replace("e1,1,2", "e1,1"),
+        "long row": RATINGS.replace("e1,1,2", "e1,1,2,3"),
+        "comma moved to the next row": "expert_id,a,b\n1,2\n3,4,5,1\n",
+        "blank line": RATINGS.replace("\ne2", "\n\ne2"),
+        "two digits": RATINGS.replace(",1,", ",01,"),
+        "out of range": RATINGS.replace(",1,", ",6,"),
+        "not a digit in a blank row": RATINGS.replace(",1,2", ",x,"),
+        "empty id": RATINGS.replace("e1", ""),
+        "repeated id": RATINGS.replace("e2", "e1"),
+        "id past the csv field limit": RATINGS.replace("e1", "e" * 131_073),
+    }
+
+    @pytest.mark.parametrize("text", PLAIN.values(), ids=PLAIN.keys())
+    def test_plain_ratings(self, tmp_path, text):
+        p = tmp_path / "ratings.csv"
+        p.write_bytes(text.encode("utf-8"))
+        _, returned = plain_calls(parse_ratings, p)
+        assert returned[0] is not None
+
+    @pytest.mark.parametrize("text", NOT_PLAIN.values(), ids=NOT_PLAIN.keys())
+    def test_any_step_from_plain_declines(self, tmp_path, text):
+        p = tmp_path / "ratings.csv"
+        p.write_bytes(text.encode("utf-8"))
+        _, returned = plain_calls(parse_ratings, p)
+        assert returned == [None]
+
+    def test_wide_scale_declines(self, tmp_path):
+        p = write(tmp_path / "ratings.csv", self.RATINGS)
+        _, returned = plain_calls(parse_ratings, p, scale_max=200)  # an int64 matrix
+        assert returned == [None]
+
+    def test_blank_in_a_file_without_blanks_declines(self, tmp_path):
+        p = write(tmp_path / "imp.csv", "rater_id,a,b\nr1,7,\n")
+        err, returned = plain_calls(parse_importance, p)
+        assert returned == [None]
+        assert "'' is not an integer" in str(err)
 
 
 class TestParsePairwise:
