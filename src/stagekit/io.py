@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import re
 from array import array
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from fractions import Fraction
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -56,6 +57,29 @@ def _unreadable(path: Path, exc: OSError | UnicodeDecodeError) -> SchemaError:
     if isinstance(exc, FileNotFoundError):
         return SchemaError(f"{path}: file not found")
     return SchemaError(f"{path}: cannot read ({exc.strerror or exc})")
+
+
+@contextmanager
+def replacing(path: str | Path) -> Iterator[TextIO]:
+    """A UTF-8 text handle (no newline translation) whose content replaces ``path`` once complete.
+
+    It writes to a temporary file beside ``path`` and moves that into place
+    with ``os.replace``, so a failed run leaves neither a partial output nor
+    the temporary file. A file-system error is a SchemaError naming ``path``.
+    """
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        try:
+            with open(tmp, "w", encoding="utf-8", newline="") as fh:
+                yield fh
+            os.replace(tmp, path)
+        except BaseException:
+            with suppress(OSError):
+                os.remove(tmp)
+            raise
+    except OSError as exc:
+        raise SchemaError(f"{path}: cannot write ({exc.strerror or exc})") from None
 
 
 def read_json(path: str | Path) -> Any:
@@ -179,7 +203,7 @@ def emit_indicators(tree: IndicatorTree, path: str | Path) -> None:
     header = ["id", "name", "level", "parent_id", "bonus"]
     if with_weights:
         header += ["local_weight", "global_weight"]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with replacing(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for n in tree.nodes:  # already sorted by id
@@ -528,7 +552,7 @@ def emit_round_form(
             f"retained indicator(s) absent from round {prev.round_no}: {', '.join(sorted(missing))}"
         )
     names = names or {}
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with replacing(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["indicator_id", "name", "prev_mean", "rating"])
         for indicator_id in sorted(retained):

@@ -17,6 +17,7 @@ from typing import Any, Mapping
 from .ahp import GroupConsistency, WeightTable
 from .consensus import IndicatorStats, RoundConsensus, ScreeningResult
 from .errors import InvalidInputError, SchemaError
+from .io import replacing
 from .model import IndicatorNode, IndicatorTree, Level, ScreeningThresholds
 from .psychometrics import ReliabilityTable, ValidityTable
 from .scoring import ScoreCard
@@ -447,6 +448,6 @@ def emit_report(bundle: ReportBundle, fmt: str = "json", **places) -> str:
 
 
 def write_output(text: str, path: str | Path) -> None:
-    """Write exactly the given text, LF endings, UTF-8."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    """Write exactly the given text, LF endings, UTF-8, replacing ``path`` only once complete."""
+    with replacing(path) as fh:
         fh.write(text)

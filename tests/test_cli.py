@@ -151,6 +151,42 @@ class TestUnreadableInput:
         assert err.startswith(f"error: {unreadable}: ")
         assert err.count("\n") == 1
 
+    def test_field_over_the_csv_limit_exits_2_with_one_line(self, tmp_path, capsys):
+        big = tmp_path / "big.csv"
+        big.write_text("expert_id,a,b\ne1," + "4" * 131_073 + ",3\n", encoding="utf-8")
+        rc, out, err = run(capsys, "round-stats", "--ratings", big)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith(f"error: {big}: not a readable CSV file (field larger than field limit")
+        assert err.count("\n") == 1
+
+
+class TestUnwritableOutput:
+    """An output that cannot be written exits 2 with one line naming it and leaves no file behind."""
+
+    @pytest.fixture(params=["missing directory", "directory"])
+    def target(self, request, tmp_path):
+        if request.param == "directory":
+            (tmp_path / "out").mkdir()
+            return tmp_path / "out"
+        return tmp_path / "nodir" / "x.json"
+
+    @pytest.mark.parametrize("argv", [
+        ["validity", "--importance", DATA / "importance.csv"],
+        ["round-stats", "--ratings", DATA / "ratings_round1.csv", "--format", "markdown"],
+        ["form", "--stats", "{stats1}", "--retained", "ux.availability.function_learnability",
+         "--round", "2"],
+    ], ids=["validity", "round-stats", "form"])
+    def test_exits_2_with_one_line(self, argv, target, stats1, tmp_path, capsys):
+        before = sorted(tmp_path.rglob("*"))
+        argv = [str(a).format(stats1=stats1) for a in argv]
+        rc, out, err = run(capsys, *argv, "--out", target)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith(f"error: {target}: cannot write (")
+        assert err.count("\n") == 1
+        assert sorted(tmp_path.rglob("*")) == before  # neither an output nor a temporary file
+
 
 class TestScreen:
     def test_derived_thresholds_on_demo_round(self, stats1, capsys):

@@ -66,6 +66,11 @@ class TestIndicatorsRoundTrip:
             assert b.local_weight == a.local_weight
             assert b.global_weight == a.global_weight
 
+    def test_unwritable_target_is_a_schema_error(self, tmp_path):
+        with pytest.raises(SchemaError, match="cannot write"):
+            emit_indicators(default_tree(), tmp_path / "nodir" / "tree.csv")
+        assert list(tmp_path.iterdir()) == []
+
     def test_emission_is_deterministic(self, tmp_path):
         tree = demo_weighted_tree()
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

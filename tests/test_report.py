@@ -266,6 +266,24 @@ class TestEmitReport:
         write_output("line1\nline2\n", out)
         assert out.read_bytes() == b"line1\nline2\n"
 
+    def test_write_output_replaces_the_file_only_once_complete(self, tmp_path):
+        out = tmp_path / "report.json"
+        out.write_text("old\n", encoding="utf-8")
+        with pytest.raises(UnicodeEncodeError):  # fails after "partial" is written
+            write_output("partial" * 10_000 + "\udc80", out)
+        assert out.read_text(encoding="utf-8") == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+        write_output("new\n", out)
+        assert out.read_text(encoding="utf-8") == "new\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+    def test_unwritable_output_is_a_schema_error(self, tmp_path):
+        with pytest.raises(SchemaError, match=r"nodir/x\.json: cannot write \(No such file or directory\)"):
+            write_output("x\n", tmp_path / "nodir" / "x.json")
+        with pytest.raises(SchemaError, match="cannot write"):
+            write_output("x\n", tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
 
 def read_sections(obj):
     return {"rounds": obj["rounds"], "weights": obj["weights"]}
