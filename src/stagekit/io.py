@@ -44,7 +44,8 @@ _TRUE = {"true", "1", "yes"}
 _FALSE = {"false", "0", "no", ""}
 
 _BOM = b"\xef\xbb\xbf"
-_PLAIN_BLOCK_CELLS = 50_000
+# Cells per block of a plain table: its temporary arrays take about 8 bytes a cell each.
+_PLAIN_BLOCK_CELLS = 25_000
 
 # An experts file's columns of the ExpertPanel.ENUMS, in that order.
 _PANEL_COLUMNS = ("basis_theory", "basis_practice", "basis_peer", "basis_intuition",
@@ -65,18 +66,24 @@ def replacing(path: str | Path) -> Iterator[TextIO]:
 
     It writes to a temporary file beside ``path`` and moves that into place
     with ``os.replace``, so a failed run leaves neither a partial output nor
-    the temporary file. A file-system error is a SchemaError naming ``path``.
+    the temporary file. A symlink keeps pointing at the output, and a target
+    that exists but is not a regular file (a device, a pipe) is written in
+    place. A file-system error is a SchemaError naming ``path``.
     """
-    head, tail = os.path.split(path)
-    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    target = os.path.realpath(path)
+    head, tail = os.path.split(target)
+    in_place = os.path.exists(target) and not os.path.isfile(target)
+    tmp = target if in_place else os.path.join(head, f".{tail}.{os.getpid()}.tmp")
     try:
         try:
             with open(tmp, "w", encoding="utf-8", newline="") as fh:
                 yield fh
-            os.replace(tmp, path)
+            if not in_place:
+                os.replace(tmp, target)
         except BaseException:
-            with suppress(OSError):
-                os.remove(tmp)
+            if not in_place:
+                with suppress(OSError):
+                    os.remove(tmp)
             raise
     except OSError as exc:
         raise SchemaError(f"{path}: cannot write ({exc.strerror or exc})") from None
@@ -249,19 +256,15 @@ def _plain_table(path: Path, header: list[str], src: Sequence[int], bounds: Sequ
     first_end = data.find(b"\n", start)
     if first_end < 0:
         first_end = len(data)
-    try:
-        if data[start:first_end].decode("ascii").split(",") != header:
-            return None
-    except UnicodeDecodeError:
+    first_line = data[start:first_end]
+    if not first_line.isascii() or first_line.decode("ascii").split(",") != header:
         return None
     body = np.frombuffer(data, np.uint8)[first_end + 1:]
     if body.size and body[-1] != ord("\n"):
         return None
     ends = np.flatnonzero(body == ord("\n"))
     width = len(header)
-    cols: Any = list(src)
-    if cols and cols == list(range(cols[0], cols[0] + len(cols))):
-        cols = slice(cols[0], cols[0] + len(cols))  # columns read as views, not copies
+    cols = np.array(src, dtype=np.intp)
     lo = np.array([b[0] for b in bounds])
     hi = np.array([b[1] for b in bounds])
     id_end = ",\n"[key == width - 1]
@@ -281,11 +284,11 @@ def _plain_table(path: Path, header: list[str], src: Sequence[int], bounds: Sequ
             return None
         size = np.diff(sep, prepend=-1).reshape(-1, width) - 1
         sep = sep.reshape(-1, width)
-        id_size = size[:, key]
-        if not id_size.all() or id_size.max() > id_limit or (size[:, cols] > 1).any():
+        id_size, cell_size = size[:, key], size[:, cols]
+        if not id_size.all() or id_size.max() > id_limit or (cell_size > 1).any():
             return None
         cells = block[sep[:, cols] - 1].view(np.int8) - ord("0")  # a one-byte cell ends at its separator
-        empty = size[:, cols] == 0
+        empty = cell_size == 0
         if not (empty | ((cells >= 0) & (cells <= 9))).all() or (blank is None and empty.any()):
             return None
         if blank == "row":

@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -276,6 +277,17 @@ class TestEmitReport:
         write_output("new\n", out)
         assert out.read_text(encoding="utf-8") == "new\n"
         assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+    def test_write_output_through_a_symlink_and_to_a_device(self, tmp_path):
+        out = tmp_path / "report.json"
+        out.write_text("old\n", encoding="utf-8")
+        (tmp_path / "link.json").symlink_to(out)
+        write_output("new\n", tmp_path / "link.json")
+        assert (tmp_path / "link.json").is_symlink()
+        assert out.read_text(encoding="utf-8") == "new\n"
+        write_output("dropped\n", os.devnull)
+        assert not Path(os.devnull).is_file()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "report.json"]
 
     def test_unwritable_output_is_a_schema_error(self, tmp_path):
         with pytest.raises(SchemaError, match=r"nodir/x\.json: cannot write \(No such file or directory\)"):
