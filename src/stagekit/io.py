@@ -43,7 +43,6 @@ from .model import (
 _TRUE = {"true", "1", "yes"}
 _FALSE = {"false", "0", "no", ""}
 
-_BOM = b"\xef\xbb\xbf"
 # Cells per block of a plain table: its temporary arrays take about 8 bytes a cell each.
 _PLAIN_BLOCK_CELLS = 25_000
 
@@ -236,14 +235,13 @@ def _plain_table(path: Path, header: list[str], src: Sequence[int], bounds: Sequ
                  blank: str | None, key: int = 0) -> tuple[dict[str, int], np.ndarray] | None:
     """``_int_table``'s result for a plain file, read from its bytes; None for any other file.
 
-    A file is plain when, after an optional BOM, it is ASCII with no quote, CR,
-    space, tab or other control byte; its first line is ``header``; every row
-    ends in LF and has exactly ``len(header)`` cells; the ids are non-empty and
-    distinct; and every cell at ``src`` is blank or one digit within its
-    (lo, hi), the matrix being int8. Blanks follow ``blank`` as in
-    ``_int_table``, and a blank ratings row's other cells are not range-checked.
-    The csv loop reads such a file without error, and this reads the same
-    result from separator positions, in blocks of about ``_PLAIN_BLOCK_CELLS``.
+    A plain file is ASCII after an optional BOM, with no quote, CR, space, tab
+    or other control byte; its first line is ``header``, each row ends in LF
+    and has ``len(header)`` cells, the ids are non-empty and distinct, and each
+    cell at ``src`` is blank (where ``blank`` allows) or one digit within its
+    int8 (lo, hi); a blank ratings row's other cells are not range-checked.
+    The csv loop reads such a file without error; this reads the same result
+    from separator positions, ``_PLAIN_BLOCK_CELLS`` cells at a time.
     """
     if not all(isinstance(b, tuple) for b in bounds) or \
             rating_dtype(max((hi for _, hi in bounds), default=0)) != np.int8:
@@ -252,7 +250,7 @@ def _plain_table(path: Path, header: list[str], src: Sequence[int], bounds: Sequ
         data = path.read_bytes()
     except OSError as exc:
         raise _unreadable(path, exc) from None
-    start = len(_BOM) if data.startswith(_BOM) else 0
+    start = 3 if data.startswith(b"\xef\xbb\xbf") else 0  # a UTF-8 BOM
     first_end = data.find(b"\n", start)
     if first_end < 0:
         first_end = len(data)
@@ -265,15 +263,13 @@ def _plain_table(path: Path, header: list[str], src: Sequence[int], bounds: Sequ
     ends = np.flatnonzero(body == ord("\n"))
     width = len(header)
     cols = np.array(src, dtype=np.intp)
-    lo = np.array([b[0] for b in bounds])
-    hi = np.array([b[1] for b in bounds])
+    lo, hi = np.array(bounds, dtype=np.int64).reshape(-1, 2).T
     id_end = ",\n"[key == width - 1]
-    id_limit = csv.field_size_limit()
     matrix = np.empty((len(ends), len(src)), np.int8)
     row_of: dict[str, int] = {}
-    offset = 0
     step = max(1, _PLAIN_BLOCK_CELLS // width)
     for first in range(0, len(ends), step):
+        offset = ends[first - 1] + 1 if first else 0
         last = ends[first:first + step] - offset
         block = body[offset:offset + last[-1] + 1]
         # Bytes outside '!'..'~' may only be the block's LFs, and none may be a quote.
@@ -285,7 +281,7 @@ def _plain_table(path: Path, header: list[str], src: Sequence[int], bounds: Sequ
         size = np.diff(sep, prepend=-1).reshape(-1, width) - 1
         sep = sep.reshape(-1, width)
         id_size, cell_size = size[:, key], size[:, cols]
-        if not id_size.all() or id_size.max() > id_limit or (cell_size > 1).any():
+        if not id_size.all() or id_size.max() > csv.field_size_limit() or (cell_size > 1).any():
             return None
         cells = block[sep[:, cols] - 1].view(np.int8) - ord("0")  # a one-byte cell ends at its separator
         empty = cell_size == 0
@@ -302,7 +298,6 @@ def _plain_table(path: Path, header: list[str], src: Sequence[int], bounds: Sequ
         at = np.arange(total[-1]) + np.repeat(sep[:, key] + 1 - total, span)
         ids = block[at].tobytes().decode("ascii").split(id_end)[:-1]
         row_of.update(zip(ids, range(first, first + last.size)))
-        offset += last[-1] + 1
     if len(row_of) != len(ends):
         return None
     matrix.flags.writeable = False

@@ -430,6 +430,8 @@ class TestParseImportance:
         with pytest.raises(SchemaError):
             parse_importance(p)
 
+
+# The benchmark's input generator, loaded from bench/ as test_bench_hooks.py loads spans.py.
 _GEN_SPEC = importlib.util.spec_from_file_location(
     "bench_gen", Path(__file__).resolve().parents[1] / "bench" / "gen.py")
 gen = importlib.util.module_from_spec(_GEN_SPEC)
