@@ -241,10 +241,13 @@ def _plain_table(path: Path, header: list[str], src: Sequence[int], bounds: Sequ
     cell at ``src`` is blank (where ``blank`` allows) or one digit within its
     int8 (lo, hi); a blank ratings row's other cells are not range-checked.
     The csv loop reads such a file without error; this reads the same result
-    from separator positions, ``_PLAIN_BLOCK_CELLS`` cells at a time.
+    from separator positions, ``_PLAIN_BLOCK_CELLS`` cells at a time. Only a
+    regular file is read, as this reads it a second time.
     """
     if not all(isinstance(b, tuple) for b in bounds) or \
             rating_dtype(max((hi for _, hi in bounds), default=0)) != np.int8:
+        return None
+    if not path.is_file():  # a pipe cannot be read a second time
         return None
     try:
         data = path.read_bytes()

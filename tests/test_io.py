@@ -1,4 +1,5 @@
 import importlib.util
+import os
 from pathlib import Path
 from unittest.mock import patch
 
@@ -542,6 +543,19 @@ class TestPlainTables:
         p.write_bytes(text.encode("utf-8"))
         _, returned = plain_calls(parse_ratings, p)
         assert returned == [None]
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_a_pipe_is_read_once_in_full(self):
+        rows = "".join(f"e{i},{1 + i % 5},{1 + i % 3}\n" for i in range(2000))  # past one read buffer
+        read_end, write_end = os.pipe()
+        os.write(write_end, f"expert_id,a,b\n{rows}".encode())
+        os.close(write_end)
+        try:
+            rnd, returned = plain_calls(parse_ratings, f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+        assert returned == [None]
+        assert len(rnd.ratings) == 2000
 
     def test_wide_scale_declines(self, tmp_path):
         p = write(tmp_path / "ratings.csv", self.RATINGS)
