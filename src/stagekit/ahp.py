@@ -294,7 +294,7 @@ def weight_tree(
     weighted_nodes = []
     for node in tree.nodes:
         if node.id in assigned:
-            weighted_nodes.append(node.replace_weights(local=assigned[node.id]))
+            weighted_nodes.append(replace(node, local_weight=assigned[node.id]))
         else:
             weighted_nodes.append(node)
     weighted = IndicatorTree(nodes=tuple(weighted_nodes))
@@ -303,7 +303,7 @@ def weight_tree(
     final_nodes = []
     for node in weighted.nodes:
         g = table.global_weights.get(node.id)
-        final_nodes.append(node if g is None else node.replace_weights(global_=g))
+        final_nodes.append(node if g is None else replace(node, global_weight=g))
     return IndicatorTree(nodes=tuple(final_nodes)), table
 
 

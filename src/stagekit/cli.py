@@ -2,9 +2,9 @@
 
 Subcommands mirror the pipeline stages (round-stats, screen, weights,
 reliability, validity, score, form, report) plus the all-in-one `pipeline`.
-Each analysis subcommand reads its arguments, runs the same stage function of
-:mod:`stagekit.pipeline` that a config run uses, and writes a report bundle
-(JSON by default, markdown on request) to --out or stdout. A bundle read back
+Each analysis subcommand reads its arguments, makes the same library or
+:mod:`stagekit.pipeline` stage call that a config run makes, and writes a
+report bundle (JSON by default, markdown on request) to --out or stdout. A bundle read back
 (`--stats`, `--screen`, `--importance`) must hold exactly one round. Exit
 codes: 0 success, 2 schema/validation error, 3 numeric or degenerate-data error.
 """
@@ -16,19 +16,12 @@ import sys
 
 from . import io as sio
 from .ahp import PairwiseMatrix
+from .consensus import round_consensus
 from .errors import InvalidInputError, SchemaError, StagekitError
-from .instrument import load_instrument
+from .instrument import load_default_instrument
 from .model import IndicatorTree
-from .pipeline import (
-    read_thresholds,
-    reliability_stage,
-    round_stats_stage,
-    run_pipeline,
-    score_stage,
-    screen_stage,
-    validity_stage,
-    weights_stage,
-)
+from .pipeline import read_thresholds, run_pipeline, score_stage, screen_stage, weights_stage
+from .psychometrics import reliability_report, validity_report
 from .report import (
     ReportBundle,
     RoundSection,
@@ -52,12 +45,13 @@ def precision(text: str) -> int:
     return places
 
 
-def _add_output_args(parser: argparse.ArgumentParser) -> None:
+def _add_output_args(parser: argparse.ArgumentParser, coefficients: bool) -> None:
     parser.add_argument("--out", help="output file (default: stdout)")
     parser.add_argument("--format", choices=("json", "markdown"), default="json",
                         help="output format (default: json)")
-    parser.add_argument("--precision", type=precision, default=4, metavar="N",
-                        help=f"display decimals for coefficients, 0..{MAX_PRECISION} (default: 4)")
+    if coefficients:
+        parser.add_argument("--precision", type=precision, default=4, metavar="N",
+                            help=f"display decimals for coefficients, 0..{MAX_PRECISION} (default: 4)")
 
 
 def _write(text: str, args: argparse.Namespace) -> None:
@@ -86,7 +80,7 @@ def _cmd_round_stats(args) -> None:
     profiles = sio.parse_experts(args.experts) if args.experts else None
     rnd = sio.parse_ratings(args.ratings, scale_max=args.scale_max, round_no=args.round_no,
                             distributed=args.distributed)
-    _emit(ReportBundle(rounds=(round_stats_stage(rnd, profiles),)), args)
+    _emit(ReportBundle(rounds=(RoundSection(consensus=round_consensus(rnd, profiles)),)), args)
 
 
 def _cmd_screen(args) -> None:
@@ -122,17 +116,18 @@ def _cmd_weights(args) -> None:
 
 
 def _cmd_reliability(args) -> None:
-    instrument = load_instrument(args.instrument)
+    instrument = load_default_instrument()
     responses = sio.parse_responses(args.responses, instrument)
-    _emit(ReportBundle(reliability=reliability_stage(responses, instrument)), args)
+    _emit(ReportBundle(reliability=reliability_report(responses, instrument)), args)
 
 
 def _cmd_validity(args) -> None:
-    _emit(ReportBundle(validity=validity_stage(*sio.parse_importance(args.importance))), args)
+    bundle = ReportBundle(validity=validity_report(*sio.parse_importance(args.importance)))
+    _write(emit_report(bundle, args.format), args)  # the validity section holds no coefficients
 
 
 def _cmd_score(args) -> None:
-    instrument = load_instrument(args.instrument)
+    instrument = load_default_instrument()
     responses = sio.parse_responses(args.responses, instrument)
     bonus = sio.parse_expert_bonus(args.bonus, instrument.bonus_ids) if args.bonus else None
     weights = bundle_from_obj(sio.read_json(args.weights), args.weights).weights
@@ -205,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("reliability", _cmd_reliability, "Cronbach's alpha / item-total analysis")
     p.add_argument("--responses", required=True, help="consumer responses CSV")
-    p.add_argument("--instrument", default="default")
 
     p = command("validity", _cmd_validity, "content validity (I-CVI / S-CVI)")
     p.add_argument("--importance", required=True, help="rater x item importance CSV (1-7)")
@@ -215,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bonus", help="expert bonus ratings CSV")
     p.add_argument("--weights", required=True, help="weights JSON (output of `stagekit weights`)")
     p.add_argument("--bonus-cap", type=float, default=DEFAULT_BONUS_CAP)
-    p.add_argument("--instrument", default="default")
 
     p = command("form", _cmd_form, "emit the next round's consultation form")
     p.add_argument("--stats", required=True, help="previous round's round-stats JSON")
@@ -234,7 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, p in sub.choices.items():
         if name != "form":  # form writes a CSV, not a report bundle
-            _add_output_args(p)
+            # report re-renders the displays it reads; validity has only CVI places
+            _add_output_args(p, coefficients=name not in ("report", "validity"))
     return parser
 
 

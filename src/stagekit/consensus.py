@@ -8,7 +8,7 @@ functions are pure; display rounding happens only at report serialization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 

@@ -9,7 +9,8 @@ must treat them as read-only (they are frozen dataclasses anyway).
 
 from __future__ import annotations
 
-from .errors import SchemaError
+from dataclasses import replace
+
 from .model import IndicatorNode, IndicatorTree, Instrument, Level, Question
 
 DIMENSIONS: tuple[tuple[str, str], ...] = (
@@ -145,7 +146,7 @@ def demo_weighted_tree() -> IndicatorTree:
         while parent_id is not None:
             g *= DEMO_LOCAL_WEIGHTS[parent_id]
             parent_id = bare.node(parent_id).parent_id
-        weighted.append(node.replace_weights(local=local, global_=g))
+        weighted.append(replace(node, local_weight=local, global_weight=g))
     return IndicatorTree(nodes=tuple(weighted))
 
 
@@ -163,10 +164,3 @@ def load_default_instrument() -> Instrument:
         index_names={idx: name for idx, _, name in INDICES},
         bonus_indicators=BONUS_INDICATORS,
     )
-
-
-def load_instrument(name: str) -> Instrument:
-    """The instrument called ``name``; only the bundled default exists."""
-    if name != "default":
-        raise SchemaError(f'only the bundled default instrument is supported ("default"), got {name!r}')
-    return load_default_instrument()

@@ -97,17 +97,6 @@ class IndicatorNode:
             if w is not None and not (math.isfinite(w) and 0.0 <= w <= 1.0):
                 raise InvalidInputError(f"node {self.id}: {label} {w!r} outside [0, 1]")
 
-    def replace_weights(self, local: float | None = None, global_: float | None = None) -> "IndicatorNode":
-        return IndicatorNode(
-            id=self.id,
-            name=self.name,
-            level=self.level,
-            parent_id=self.parent_id,
-            local_weight=self.local_weight if local is None else local,
-            global_weight=self.global_weight if global_ is None else global_,
-            bonus=self.bonus,
-        )
-
 
 @dataclass(frozen=True)
 class IndicatorTree:
@@ -327,17 +316,6 @@ class RatingRound:
     def returned(self) -> int:
         return len(self.ratings)
 
-    def column(self, indicator_id: str) -> tuple[int, ...]:
-        try:
-            idx = self.indicator_ids.index(indicator_id)
-        except ValueError:
-            raise InvalidInputError(f"unknown indicator {indicator_id!r}") from None
-        return tuple(self.ratings.matrix[:, idx].tolist())
-
-    def matrix(self) -> list[list[int]]:
-        """Raters-by-indicators matrix in expert insertion order."""
-        return self.ratings.matrix.tolist()
-
 
 @dataclass(frozen=True)
 class ScreeningThresholds:
@@ -411,17 +389,10 @@ class Instrument:
             raise InvalidInputError(f"questions not assigned to any index: {sorted(unassigned)}")
         if unknown:
             raise InvalidInputError(f"indices reference undefined questions: {sorted(unknown)}")
-        object.__setattr__(self, "_index_of", owner)
 
     @property
     def question_ids(self) -> tuple[str, ...]:
         return tuple(q.id for q in self.questions)
-
-    def index_of(self, question_id: str) -> str:
-        try:
-            return self._index_of[question_id]
-        except KeyError:
-            raise InvalidInputError(f"unknown question {question_id!r}") from None
 
     def questions_of(self, index_id: str) -> tuple[str, ...]:
         for idx, qids in self.indices:
@@ -585,10 +556,6 @@ class ResponseSet:
     def complete_mask(self) -> np.ndarray:
         """One bool per respondent: True when every question is answered."""
         return (self.consumer.matrix != MISSING).all(axis=1)
-
-    def complete_respondents(self) -> tuple[str, ...]:
-        ids = self.consumer.ids
-        return tuple(ids[i] for i in np.flatnonzero(self.complete_mask).tolist())
 
     def missing_cells(self) -> tuple[tuple[str, str], ...]:
         """(respondent_id, question_id) pairs with no answer, in row-major order."""

@@ -1,11 +1,13 @@
 """Stage wiring and declarative end-to-end orchestration.
 
-Each stage is wired once here, as a ``*_stage`` function from parsed inputs
-(and the earlier section it builds on) to its bundle section. A CLI subcommand
-calls one of them; :func:`run_pipeline` calls every stage a JSON config file
-declares, in a fixed order (round stats → screening → weights → reliability →
-validity → score), and a failure surfaces as a stage-labeled error. Paths are
-resolved relative to the config file; environment variables are never consulted.
+A stage that needs wiring beyond one library call (screening, weights, score)
+is a ``*_stage`` function here, from parsed inputs (and the earlier section it
+builds on) to its bundle section; round stats, reliability and validity are
+one call each to their library function. A CLI subcommand makes one such call;
+:func:`run_pipeline` runs every stage a JSON config file declares, in a fixed
+order (round stats → screening → weights → reliability → validity → score),
+and a failure surfaces as a stage-labeled error. Paths are resolved relative
+to the config file; environment variables are never consulted.
 """
 
 from __future__ import annotations
@@ -25,27 +27,19 @@ from .consensus import (
     screen_indicators,
 )
 from .errors import InvalidInputError, PipelineStageError, SchemaError, StagekitError
-from .instrument import load_instrument
+from .instrument import load_default_instrument
 from .model import (
-    ExpertProfile,
     Familiarity,
     Impact,
     IndicatorTree,
     Instrument,
     JudgmentBasis,
-    RatingRound,
     ResponseSet,
     ScreeningThresholds,
 )
-from .psychometrics import ReliabilityTable, ValidityTable, reliability_report, validity_report
+from .psychometrics import reliability_report, validity_report
 from .report import ROOT_GROUP, ReportBundle, RoundSection, WeightsSection
 from .scoring import DEFAULT_BONUS_CAP, ScoreCard, score_software
-
-
-def round_stats_stage(rnd: RatingRound, profiles: Sequence[ExpertProfile] | None = None, *,
-                      ca_table=DEFAULT_CA_TABLE, cs_map=DEFAULT_CS_MAP) -> RoundSection:
-    """Consensus statistics of one Delphi round (authority only with profiles)."""
-    return RoundSection(consensus=round_consensus(rnd, profiles, ca_table=ca_table, cs_map=cs_map))
 
 
 def screen_stage(section: RoundSection, thresholds: ScreeningThresholds | None = None) -> RoundSection:
@@ -62,16 +56,6 @@ def weights_stage(tree: IndicatorTree, pairwise: Mapping[str | None, PairwiseMat
     means = {i: s.mean for i, s in importance.consensus.stats.items()} if importance else {}
     weighted, table = weight_tree(tree, pairwise=pairwise, importance=means, method=method)
     return WeightsSection(method=method, tree=weighted, table=table)
-
-
-def reliability_stage(responses: ResponseSet, instrument: Instrument) -> ReliabilityTable:
-    """Cronbach's alpha per index and item-total statistics per question."""
-    return reliability_report(responses, instrument)
-
-
-def validity_stage(item_ids: Sequence[str], ratings: Sequence[Sequence[int]]) -> ValidityTable:
-    """Content validity (I-CVI, S-CVI) of a rater x item importance matrix."""
-    return validity_report(item_ids, ratings)
 
 
 def score_stage(responses: ResponseSet, instrument: Instrument, weights: WeightsSection | None,
@@ -168,7 +152,7 @@ def run_pipeline(config_path: str | Path) -> ReportBundle:
     entries = config.get("rounds") or []
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         raise SchemaError("config rounds: expected a list of JSON objects")
-    instrument = load_instrument(config.get("instrument", "default"))
+    instrument = load_default_instrument()
 
     profiles = None
     if config.get("experts"):
@@ -187,7 +171,8 @@ def run_pipeline(config_path: str | Path) -> ReportBundle:
             if rnd.round_no in rounds:
                 raise SchemaError(f"config rounds: two rounds numbered {rnd.round_no}; "
                                   "give each its own round_no")
-            section = round_stats_stage(rnd, profiles, ca_table=ca_table, cs_map=cs_map)
+            section = RoundSection(consensus=round_consensus(rnd, profiles,
+                                                             ca_table=ca_table, cs_map=cs_map))
         if entry.get("screen"):
             with _stage("screen"):
                 thresholds = entry.get("thresholds")
@@ -226,13 +211,13 @@ def run_pipeline(config_path: str | Path) -> ReportBundle:
     if "reliability" in config:
         section = _section(config, "reliability")
         with _stage("reliability"):
-            reliability = reliability_stage(responses_at(section), instrument)
+            reliability = reliability_report(responses_at(section), instrument)
 
     validity = None
     if "validity" in config:
         section = _section(config, "validity")
         with _stage("validity"):
-            validity = validity_stage(*sio.parse_importance(path(section, "importance")))
+            validity = validity_report(*sio.parse_importance(path(section, "importance")))
 
     score = None
     if "score" in config:

@@ -326,13 +326,10 @@ class TestReliability:
         assert rc == 2
         assert err == f"error: {dup}: duplicated question column(s) q1\n"
 
-    def test_unknown_instrument_exits_2(self, capsys):
-        rc, _, err = run(
-            capsys, "reliability",
-            "--responses", DATA / "responses.csv",
-            "--instrument", "other",
-        )
-        assert rc == 2
+    def test_unknown_instrument_exits_2(self):
+        with pytest.raises(SystemExit) as exc:  # only the bundled instrument exists: no option
+            main(["reliability", "--responses", str(DATA / "responses.csv"), "--instrument", "other"])
+        assert exc.value.code == 2
 
 
 class TestValidity:

@@ -434,7 +434,7 @@ def test_parse_ratings_equals_loop_reference(tmp_path_factory, text, scale_max):
     assert dict(got.ratings) == ratings
     assert all(type(row) is tuple for row in got.ratings.values())
     assert got.non_respondents == non_respondents
-    assert got.matrix() == [list(row) for row in ratings.values()]
+    assert got.ratings.matrix.tolist() == [list(row) for row in ratings.values()]
     assert got.distributed == len(ratings) + len(non_respondents)
 
 

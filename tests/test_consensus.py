@@ -530,7 +530,7 @@ class TestRoundConsensus:
         assert rc.ca == pytest.approx((1.0 + 1.0 + 0.6) / 3)
         assert rc.cr == pytest.approx((rc.ca + rc.cs) / 2, abs=1e-15)
         assert rc.kendall_w == pytest.approx(
-            kendalls_w_oracle(np.array(rnd.matrix())), abs=1e-12
+            kendalls_w_oracle(np.array(rnd.ratings.matrix)), abs=1e-12
         )
         assert set(rc.stats) == {"a", "b", "c"}
         assert rc.stats["a"].mean == pytest.approx(14 / 3)

@@ -280,8 +280,7 @@ class TestParseRatings:
         p = write(tmp_path / "r.csv", "expert_id,a,b\ne1,150,200\ne2,1,128\n")
         rnd = parse_ratings(p, scale_max=200)
         assert rnd.ratings["e1"] == (150, 200)
-        assert rnd.matrix() == [[150, 200], [1, 128]]
-        assert rnd.column("b") == (200, 128)
+        assert rnd.ratings.matrix.tolist() == [[150, 200], [1, 128]]
         with pytest.raises(SchemaError, match=r"cell \(e1, b\): rating 200 outside \[1, 199\]"):
             parse_ratings(p, scale_max=199)
 

@@ -38,14 +38,6 @@ class TestIndicatorNode:
         with pytest.raises(InvalidInputError):
             node("", Level.DIMENSION)
 
-    def test_replace_weights_preserves_identity(self):
-        original = node("d", Level.DIMENSION, weight=0.5)
-        updated = original.replace_weights(local=0.7, global_=0.7)
-        assert updated.id == "d"
-        assert updated.local_weight == 0.7
-        assert updated.global_weight == 0.7
-        assert original.local_weight == 0.5
-
 
 class TestIndicatorTree:
     def test_nodes_sorted_by_id(self):
@@ -196,10 +188,8 @@ class TestRatingRound:
             non_respondents=("e3",),
         )
         assert rnd.returned == 2
-        assert rnd.column("b") == (4, 2)
-        assert rnd.matrix() == [[5, 4], [3, 2]]
-        with pytest.raises(InvalidInputError):
-            rnd.column("zz")
+        assert rnd.ratings.matrix[:, 1].tolist() == [4, 2]
+        assert rnd.ratings.matrix.tolist() == [[5, 4], [3, 2]]
 
 
 class TestInstrument:
@@ -220,8 +210,6 @@ class TestInstrument:
                 assert qid not in seen
                 seen[qid] = index_id
         assert set(seen) == set(instrument.question_ids)
-        for qid, index_id in seen.items():
-            assert instrument.index_of(qid) == index_id
 
     def test_dimension_grouping(self):
         instrument = load_default_instrument()
@@ -286,7 +274,7 @@ class TestResponseSet:
             consumer={"r1": (4, None), "r2": (3, 2)},
         )
         assert rs.respondents == ("r1", "r2")
-        assert rs.complete_respondents() == ("r2",)
+        assert rs.complete_mask.tolist() == [False, True]
         assert rs.missing_cells() == (("r1", "q2"),)
 
     def test_value_range_enforced(self):
