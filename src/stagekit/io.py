@@ -92,11 +92,13 @@ def read_json(path: str | Path) -> Any:
     """The parsed content of a UTF-8 JSON file (a config, a bundle, thresholds)."""
     path = Path(path)
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not valid JSON ({exc})") from None
+        text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise _unreadable(path, exc) from None
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also an integer past int()'s digit limit, or deep nesting
+        raise SchemaError(f"{path}: not valid JSON ({exc})") from None
 
 
 @contextmanager

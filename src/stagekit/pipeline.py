@@ -12,7 +12,8 @@ to the config file; environment variables are never consulted.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+import math
+from contextlib import contextmanager, suppress
 from dataclasses import replace
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -84,32 +85,68 @@ def read_thresholds(obj: Any, source: str | Path) -> ScreeningThresholds:
         raise SchemaError(f"{source}: thresholds must be finite numbers") from None
 
 
+# The keys each config object may hold. Any other key is a schema error, so that a
+# misspelled one cannot drop its stage or setting unseen; pairwise group names are free.
+_KEYS = {
+    "config": ("scale_max", "indicators", "experts", "ca_table", "cs_map", "rounds",
+               "weights", "reliability", "validity", "score"),
+    "rounds": ("ratings", "screen", "thresholds", "round_no", "distributed", "scale_max"),
+    "weights": ("method", "pairwise", "importance_round"),
+    "reliability": ("responses",),
+    "validity": ("importance",),
+    "score": ("responses", "bonus", "bonus_cap"),
+}
+
+
+def _known_keys(obj: dict[str, Any], name: str) -> dict[str, Any]:
+    """``obj``, the config object ``name``, once it is known to hold only keys defined for it."""
+    for key in obj:
+        if key not in _KEYS[name]:
+            where = "config" if name == "config" else f"config {name}"
+            raise SchemaError(f"{where}: unknown key {key!r} (expected one of: {', '.join(_KEYS[name])})")
+    return obj
+
+
 def load_config(path: str | Path) -> dict[str, Any]:
     config = sio.read_json(path)
     if not isinstance(config, dict):
         raise SchemaError(f"{path}: config must be a JSON object")
-    return config
+    return _known_keys(config, "config")
 
 
 def _section(config: Mapping[str, Any], key: str) -> Mapping[str, Any]:
-    """An optional config object (absent or null reads as empty)."""
+    """An optional config object (absent or null reads as empty), its keys checked where defined."""
     value = config.get(key) or {}
     if not isinstance(value, dict):
         raise SchemaError(f"config {key}: expected a JSON object")
-    return value
+    return _known_keys(value, key) if key in _KEYS else value
 
 
 def _integer(section: Mapping[str, Any], key: str, default: int | None = None) -> int | None:
-    value = section.get(key, default)
-    if value is not None and type(value) is not int:
+    """An optional integer (absent or null reads as ``default``)."""
+    value = section.get(key)
+    if value is None:
+        return default
+    if type(value) is not int:
         raise SchemaError(f"config {key}: expected an integer, got {value!r}")
     return value
+
+
+def _number(value: Any, key: str) -> float:
+    """A config value that must be a JSON number, as a finite float (a bool is not a number)."""
+    if type(value) not in (int, float):
+        raise SchemaError(f"config {key}: expected a number, got {value!r}")
+    with suppress(OverflowError):
+        if math.isfinite(value):
+            return float(value)
+    raise SchemaError(f"config {key}: expected a finite number, got {value!r}")
 
 
 def _parse_ca_table(raw: Mapping[str, Mapping[str, float]]):
     try:
         return {
-            JudgmentBasis(basis): {Impact(impact): float(v) for impact, v in row.items()}
+            JudgmentBasis(basis): {Impact(impact): _number(v, f"ca_table: {basis}.{impact}")
+                                   for impact, v in row.items()}
             for basis, row in raw.items()
         }
     except (AttributeError, TypeError, ValueError) as exc:
@@ -118,7 +155,7 @@ def _parse_ca_table(raw: Mapping[str, Mapping[str, float]]):
 
 def _parse_cs_map(raw: Mapping[str, float]):
     try:
-        return {Familiarity(level): float(v) for level, v in raw.items()}
+        return {Familiarity(level): _number(v, f"cs_map: {level}") for level, v in raw.items()}
     except (AttributeError, TypeError, ValueError) as exc:
         raise SchemaError(f"config cs_map: {exc}") from None
 
@@ -152,6 +189,12 @@ def run_pipeline(config_path: str | Path) -> ReportBundle:
     entries = config.get("rounds") or []
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         raise SchemaError("config rounds: expected a list of JSON objects")
+    for entry in entries:
+        screen = _known_keys(entry, "rounds").get("screen")
+        if screen is not None and type(screen) is not bool:
+            raise SchemaError(f"config screen: expected true or false, got {screen!r}")
+    specs = {key: _section(config, key) for key in ("weights", "reliability", "validity", "score")
+             if key in config}
     instrument = load_default_instrument()
 
     profiles = None
@@ -182,8 +225,8 @@ def run_pipeline(config_path: str | Path) -> ReportBundle:
         rounds[rnd.round_no] = section
 
     weights = None
-    if "weights" in config:
-        spec = _section(config, "weights")
+    if "weights" in specs:
+        spec = specs["weights"]
         with _stage("weights"):
             tree = sio.parse_indicators(path(config, "indicators"))
             pairwise_spec = _section(spec, "pairwise")
@@ -208,28 +251,24 @@ def run_pipeline(config_path: str | Path) -> ReportBundle:
         return parsed_responses[responses_path]
 
     reliability = None
-    if "reliability" in config:
-        section = _section(config, "reliability")
+    if "reliability" in specs:
         with _stage("reliability"):
-            reliability = reliability_report(responses_at(section), instrument)
+            reliability = reliability_report(responses_at(specs["reliability"]), instrument)
 
     validity = None
-    if "validity" in config:
-        section = _section(config, "validity")
+    if "validity" in specs:
         with _stage("validity"):
-            validity = validity_report(*sio.parse_importance(path(section, "importance")))
+            validity = validity_report(*sio.parse_importance(path(specs["validity"], "importance")))
 
     score = None
-    if "score" in config:
-        section = _section(config, "score")
+    if "score" in specs:
+        section = specs["score"]
         with _stage("score"):
             responses = responses_at(section)
             bonus = (sio.parse_expert_bonus(path(section, "bonus"), instrument.bonus_ids)
                      if section.get("bonus") else None)
-            bonus_cap = section.get("bonus_cap", DEFAULT_BONUS_CAP)
-            if type(bonus_cap) not in (int, float):
-                raise SchemaError(f"config bonus_cap: expected a number, got {bonus_cap!r}")
-            score = score_stage(responses, instrument, weights, bonus, float(bonus_cap))
+            bonus_cap = _number(section.get("bonus_cap", DEFAULT_BONUS_CAP), "bonus_cap")
+            score = score_stage(responses, instrument, weights, bonus, bonus_cap)
 
     return ReportBundle(
         rounds=tuple(rounds.values()),

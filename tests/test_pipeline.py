@@ -7,6 +7,8 @@ import pytest
 
 import stagekit
 from stagekit import (
+    DEFAULT_CA_TABLE,
+    DEFAULT_CS_MAP,
     DegenerateDataError,
     PipelineStageError,
     SchemaError,
@@ -125,7 +127,15 @@ class TestConfigValidation:
     def test_unknown_instrument_rejected(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"instrument": "bespoke"}), encoding="utf-8")
-        with pytest.raises(SchemaError, match="default"):
+        with pytest.raises(SchemaError, match=r"^config: unknown key 'instrument' \(expected one of: "):
+            run_pipeline(path)
+
+    @pytest.mark.parametrize("text", ['{"scale_max": ' + "1" * 5000 + "}", "[" * 100_000 + "]" * 100_000],
+                             ids=["integer-past-digit-limit", "nesting-past-recursion-limit"])
+    def test_json_past_the_parser_limits(self, tmp_path, text):
+        path = tmp_path / "config.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(SchemaError, match="not valid JSON"):
             run_pipeline(path)
 
     def test_bad_ca_table_key(self, tmp_path):
@@ -141,6 +151,10 @@ class TestConfigValidation:
         path.write_text(json.dumps({"cs_map": {"psychic": 1.0}}), encoding="utf-8")
         with pytest.raises(SchemaError, match="cs_map"):
             run_pipeline(path)
+
+    def test_null_scale_max_reads_as_absent(self, tmp_path):
+        bundle = run_pipeline(demo_config_copy(tmp_path, set_key("scale_max", value=None)))
+        assert bundle == run_pipeline(DEMO_CONFIG)
 
 
 def write_config(tmp_path, obj):
@@ -268,6 +282,26 @@ def set_key(*keys, value):
     return change
 
 
+def rename_key(*keys, to):
+    def change(config):
+        node = config
+        for key in keys[:-1]:
+            node = node[key]
+        node[to] = node.pop(keys[-1])
+    return change
+
+
+# The default authority tables as config JSON, with one value replaced.
+def ca_table_with(value):
+    table = {b.value: {i.value: v for i, v in row.items()} for b, row in DEFAULT_CA_TABLE.items()}
+    table["intuition"]["small"] = value
+    return table
+
+
+def cs_map_with(value):
+    return {**{f.value: v for f, v in DEFAULT_CS_MAP.items()}, "very_familiar": value}
+
+
 class TestConfigTypeErrors:
     """A mistyped config exits 2 with one line naming the key, never a traceback."""
 
@@ -294,10 +328,35 @@ class TestConfigTypeErrors:
          "config reliability: expected a JSON object"),
         (set_key("ca_table", value="x"), "config ca_table:"),
         (set_key("cs_map", value={"familiar": None}), "config cs_map:"),
+        (rename_key("reliability", to="reliabilty"), "config: unknown key 'reliabilty' "),
+        (set_key("instrument", value="default"), "config: unknown key 'instrument' "),
+        (rename_key("rounds", 0, "screen", to="screan"), "config rounds: unknown key 'screan' "),
+        (rename_key("weights", "importance_round", to="importance"),
+         "config weights: unknown key 'importance' "),
+        (set_key("reliability", "bonus", value="expert_bonus.csv"),
+         "config reliability: unknown key 'bonus' "),
+        (set_key("validity", "responses", value="responses.csv"),
+         "config validity: unknown key 'responses' "),
+        (rename_key("score", "bonus_cap", to="cap"), "config score: unknown key 'cap' "),
+        (set_key("cs_map", value=cs_map_with(True)),
+         "config cs_map: very_familiar: expected a number, got True"),
+        (set_key("cs_map", value=cs_map_with("1.0")),
+         "config cs_map: very_familiar: expected a number, got '1.0'"),
+        (set_key("ca_table", value=ca_table_with(False)),
+         "config ca_table: intuition.small: expected a number, got False"),
+        (set_key("cs_map", value=cs_map_with(10 ** 400)),
+         "config cs_map: very_familiar: expected a finite number, got 1000"),
+        (set_key("score", "bonus_cap", value=10 ** 400),
+         "score: config bonus_cap: expected a finite number, got 1000"),
+        (set_key("rounds", 0, "screen", value="no"), "config screen: expected true or false, got 'no'"),
+        (set_key("rounds", 1, "screen", value=1), "config screen: expected true or false, got 1"),
     ], ids=["rounds-str", "rounds-of-str", "scale_max-str", "thresholds-missing-key",
             "thresholds-list", "round_no-str", "ratings-int", "weights-str", "pairwise-list",
             "importance_round-bool", "bonus_cap-str", "reliability-list", "ca_table-str",
-            "cs_map-null"])
+            "cs_map-null", "top-level-typo", "instrument", "round-typo", "weights-typo",
+            "reliability-unknown", "validity-unknown", "score-typo", "cs_map-bool",
+            "cs_map-str", "ca_table-bool", "cs_map-overflow", "bonus_cap-overflow",
+            "screen-str", "screen-int"])
     def test_exits_2_with_one_line(self, tmp_path, capsys, change, message):
         from stagekit.cli import main
 
