@@ -237,11 +237,12 @@ def _plain_table(path: Path, header: list[str], src: Sequence[int], bounds: Sequ
                  blank: str | None, key: int = 0) -> tuple[dict[str, int], np.ndarray] | None:
     """``_int_table``'s result for a plain file, read from its bytes; None for any other file.
 
-    A plain file is ASCII after an optional BOM, with no quote, CR, space, tab
-    or other control byte; its first line is ``header``, each row ends in LF
-    and has ``len(header)`` cells, the ids are non-empty and distinct, and each
-    cell at ``src`` is blank (where ``blank`` allows) or one digit within its
-    int8 (lo, hi); a blank ratings row's other cells are not range-checked.
+    A plain file is ASCII after an optional BOM, with no quote, space, tab or
+    other control byte but the CR of a CRLF; its first line is ``header``, each
+    row ends in LF or CRLF and has ``len(header)`` cells, the ids are non-empty
+    and distinct, and each cell at ``src`` is blank (where ``blank`` allows) or
+    one digit within its int8 (lo, hi); a blank ratings row's other cells are
+    not range-checked.
     The csv loop reads such a file without error; this reads the same result
     from separator positions, ``_PLAIN_BLOCK_CELLS`` cells at a time. Only a
     regular file is read, as this reads it a second time.
@@ -252,7 +253,7 @@ def _plain_table(path: Path, header: list[str], src: Sequence[int], bounds: Sequ
     if not path.is_file():  # a pipe cannot be read a second time
         return None
     try:
-        data = path.read_bytes()
+        data = path.read_bytes().replace(b"\r\n", b"\n")  # the same object when there is no CRLF
     except OSError as exc:
         raise _unreadable(path, exc) from None
     start = 3 if data.startswith(b"\xef\xbb\xbf") else 0  # a UTF-8 BOM

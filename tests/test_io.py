@@ -504,13 +504,14 @@ class TestPlainTables:
 
     PLAIN = {
         "lf": RATINGS,
+        "crlf": RATINGS.replace("\n", "\r\n"),
         "bom": "\ufeff" + RATINGS,
         "blank rows not range-checked": "expert_id,a,b\ne1,1,2\ne2,,9\ne3,0,\n",
         "no rows": "expert_id,a,b\n",
     }
     NOT_PLAIN = {
-        "crlf": RATINGS.replace("\n", "\r\n"),
         "lone cr after header": RATINGS.replace("\n", "\r", 1),
+        "cr before crlf": RATINGS.replace("\n", "\r\r\n"),
         "no final newline": RATINGS[:-1],
         "quoted cell": RATINGS.replace("e1", '"e1"'),
         "space": RATINGS.replace(",1,", ", 1,"),
