@@ -10,6 +10,10 @@ from pathlib import Path
 
 import pytest
 
+import stagekit
+
+DEMO_CONFIG = Path(stagekit.__file__).parent / "data" / "demo_config.json"
+
 _SPEC = importlib.util.spec_from_file_location(
     "bench_spans", Path(__file__).resolve().parents[1] / "bench" / "spans.py")
 spans = importlib.util.module_from_spec(_SPEC)
@@ -24,3 +28,17 @@ def test_wrapped_attribute_exists(target, attr):
 
 def test_tracer_installs_on_the_program():
     spans.Tracer()  # raises TraceError when a wrapped name no longer exists
+
+
+def test_every_expected_span_fires_on_the_demo_pipeline():
+    """The statistics are called through the module globals the tracer wraps, as the benchmark runs them."""
+    import stagekit.pipeline
+    import stagekit.report
+
+    tracer = spans.Tracer()
+    with tracer.installed("demo"):
+        bundle = stagekit.pipeline.run_pipeline(DEMO_CONFIG)
+        stagekit.report.render_json(bundle)
+        stagekit.report.render_markdown(bundle)
+    fired = {span.name for span in tracer.spans}
+    assert [name for name in spans.expected_spans("survey-100k") if name not in fired] == []
