@@ -238,7 +238,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         args.func(args)
     except StagekitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = str(exc).replace("\r", "\\r").replace("\n", "\\n")  # a quoted CSV cell may span lines
+        print(f"error: {message}", file=sys.stderr)
         return exc.exit_code
     return 0
 

@@ -160,6 +160,14 @@ class TestUnreadableInput:
         assert err.startswith(f"error: {big}: not a readable CSV file (field larger than field limit")
         assert err.count("\n") == 1
 
+    def test_quoted_id_spanning_lines_is_named_on_one_line(self, tmp_path, capsys):
+        bonus = tmp_path / "bonus.csv"
+        bonus.write_text('expert_id,compliance,sociability\ne1,4,3\n"e2,3,3\ne3,2,1\n', encoding="utf-8")
+        rc, out, err = run(capsys, "score", "--responses", DATA / "responses.csv", "--bonus", bonus,
+                           "--weights", DATA / "no_such_weights.json")
+        assert rc == 2
+        assert err == f"error: {bonus}: cell (e2,3,3\\ne3,2,1, compliance): '' is not an integer\n"
+
 
 class TestUnwritableOutput:
     """An output that cannot be written exits 2 with one line naming it and leaves no file behind."""
