@@ -4,9 +4,10 @@ Subcommands mirror the pipeline stages (round-stats, screen, weights,
 reliability, validity, score, form, report) plus the all-in-one `pipeline`.
 Each analysis subcommand reads its arguments, makes the same library or
 :mod:`stagekit.pipeline` stage call that a config run makes, and writes a
-report bundle (JSON by default, markdown on request) to --out or stdout. A bundle read back
-(`--stats`, `--screen`, `--importance`) must hold exactly one round. Exit
-codes: 0 success, 2 schema/validation error, 3 numeric or degenerate-data error.
+report bundle (JSON by default, markdown on request) to --out or stdout. A
+bundle read back (`--stats`, `--screen`, `--importance`) must hold exactly one
+round. Exit codes: 0 success, 2 schema/validation error, 3 numeric or
+degenerate-data error, each with one `error:` line on stderr.
 """
 
 from __future__ import annotations

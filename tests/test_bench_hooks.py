@@ -31,7 +31,7 @@ def test_tracer_installs_on_the_program():
 
 
 def test_every_expected_span_fires_on_the_demo_pipeline():
-    """The statistics are called through the module globals the tracer wraps, as the benchmark runs them."""
+    """Each statistic is called through the module global the tracer wraps, as in a benchmark run."""
     import stagekit.pipeline
     import stagekit.report
 

@@ -329,7 +329,6 @@ class TestConfigTypeErrors:
         (set_key("ca_table", value="x"), "config ca_table:"),
         (set_key("cs_map", value={"familiar": None}), "config cs_map:"),
         (rename_key("reliability", to="reliabilty"), "config: unknown key 'reliabilty' "),
-        (set_key("instrument", value="default"), "config: unknown key 'instrument' "),
         (rename_key("rounds", 0, "screen", to="screan"), "config rounds: unknown key 'screan' "),
         (rename_key("weights", "importance_round", to="importance"),
          "config weights: unknown key 'importance' "),
@@ -353,7 +352,7 @@ class TestConfigTypeErrors:
     ], ids=["rounds-str", "rounds-of-str", "scale_max-str", "thresholds-missing-key",
             "thresholds-list", "round_no-str", "ratings-int", "weights-str", "pairwise-list",
             "importance_round-bool", "bonus_cap-str", "reliability-list", "ca_table-str",
-            "cs_map-null", "top-level-typo", "instrument", "round-typo", "weights-typo",
+            "cs_map-null", "top-level-typo", "round-typo", "weights-typo",
             "reliability-unknown", "validity-unknown", "score-typo", "cs_map-bool",
             "cs_map-str", "ca_table-bool", "cs_map-overflow", "bonus_cap-overflow",
             "screen-str", "screen-int"])
