@@ -46,6 +46,11 @@ def precision(text: str) -> int:
     return places
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # a usage error is a schema error: one line, exit code 2
+        raise SchemaError(f"{self.prog}: {message}")
+
+
 def _add_output_args(parser: argparse.ArgumentParser, coefficients: bool) -> None:
     parser.add_argument("--out", help="output file (default: stdout)")
     parser.add_argument("--format", choices=("json", "markdown"), default="json",
@@ -156,7 +161,7 @@ def _cmd_report(args) -> None:
     obj = sio.read_json(args.bundle)
     try:
         markdown = render_markdown_obj(obj)  # the bundle check, whichever format is asked for
-    except (AttributeError, KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{args.bundle}: not a stagekit bundle "
                           f"(bad or missing field {exc})") from None
     _write(markdown if args.format == "markdown" else render_json_obj(obj), args)
@@ -167,7 +172,7 @@ def _cmd_pipeline(args) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stagekit",
         description="Delphi consensus, AHP weighting, reliability/validity, and "
                     "weighted scoring for the STAGE age-appropriateness instrument.",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import re
 from array import array
@@ -88,15 +89,23 @@ def replacing(path: str | Path) -> Iterator[TextIO]:
         raise SchemaError(f"{path}: cannot write ({exc.strerror or exc})") from None
 
 
+def _finite(text: str) -> float:
+    """A JSON number as a float; ``NaN``, ``Infinity`` and a literal past the float range are refused."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
 def read_json(path: str | Path) -> Any:
-    """The parsed content of a UTF-8 JSON file (a config, a bundle, thresholds)."""
+    """The parsed content of a UTF-8 JSON file (a config, a bundle, thresholds); numbers are finite."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise _unreadable(path, exc) from None
     try:
-        return json.loads(text)
+        return json.loads(text, parse_float=_finite, parse_constant=_finite)
     except (ValueError, RecursionError) as exc:  # also an integer past int()'s digit limit, or deep nesting
         raise SchemaError(f"{path}: not valid JSON ({exc})") from None
 

@@ -87,6 +87,7 @@ def read_thresholds(obj: Any, source: str | Path) -> ScreeningThresholds:
 
 # The keys each config object may hold. Any other key is a schema error, so that a
 # misspelled one cannot drop its stage or setting unseen; pairwise group names are free.
+# A key whose value is null reads as absent.
 _KEYS = {
     "config": ("scale_max", "indicators", "experts", "ca_table", "cs_map", "rounds",
                "weights", "reliability", "validity", "score"),
@@ -99,12 +100,12 @@ _KEYS = {
 
 
 def _known_keys(obj: dict[str, Any], name: str) -> dict[str, Any]:
-    """``obj``, the config object ``name``, once it is known to hold only keys defined for it."""
+    """The config object ``name`` without its null values, once it holds only keys defined for it."""
     for key in obj:
         if key not in _KEYS[name]:
             where = "config" if name == "config" else f"config {name}"
             raise SchemaError(f"{where}: unknown key {key!r} (expected one of: {', '.join(_KEYS[name])})")
-    return obj
+    return {key: value for key, value in obj.items() if value is not None}
 
 
 def load_config(path: str | Path) -> dict[str, Any]:
@@ -115,15 +116,15 @@ def load_config(path: str | Path) -> dict[str, Any]:
 
 
 def _section(config: Mapping[str, Any], key: str) -> Mapping[str, Any]:
-    """An optional config object (absent or null reads as empty), its keys checked where defined."""
-    value = config.get(key) or {}
+    """An optional config object (absent reads as empty), its keys checked where defined."""
+    value = config.get(key, {})
     if not isinstance(value, dict):
         raise SchemaError(f"config {key}: expected a JSON object")
     return _known_keys(value, key) if key in _KEYS else value
 
 
 def _integer(section: Mapping[str, Any], key: str, default: int | None = None) -> int | None:
-    """An optional integer (absent or null reads as ``default``)."""
+    """An optional integer (absent reads as ``default``)."""
     value = section.get(key)
     if value is None:
         return default
@@ -186,11 +187,12 @@ def run_pipeline(config_path: str | Path) -> ReportBundle:
     scale_max = _integer(config, "scale_max", 5)
     ca_table = _parse_ca_table(config["ca_table"]) if "ca_table" in config else DEFAULT_CA_TABLE
     cs_map = _parse_cs_map(config["cs_map"]) if "cs_map" in config else DEFAULT_CS_MAP
-    entries = config.get("rounds") or []
+    entries = config.get("rounds", [])
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         raise SchemaError("config rounds: expected a list of JSON objects")
+    entries = [_known_keys(entry, "rounds") for entry in entries]
     for entry in entries:
-        screen = _known_keys(entry, "rounds").get("screen")
+        screen = entry.get("screen")
         if screen is not None and type(screen) is not bool:
             raise SchemaError(f"config screen: expected true or false, got {screen!r}")
     specs = {key: _section(config, key) for key in ("weights", "reliability", "validity", "score")

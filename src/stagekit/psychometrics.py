@@ -231,8 +231,6 @@ def validity_report(
     ratings: Sequence[Sequence[int]],
     *,
     relevance_floor: int = RELEVANCE_FLOOR,
-    icvi_floor: float = ICVI_FLOOR,
-    scvi_floor: float = SCVI_FLOOR,
 ) -> ValidityTable:
     """Content validity from a complete rater x item importance matrix (1-7).
 
@@ -265,7 +263,7 @@ def validity_report(
     sums = rows.sum(axis=0, dtype=np.int64).tolist()  # exact, so a mean is the one np.mean gives
     relevant = np.count_nonzero(rows >= relevance_floor, axis=0).tolist()
     items = tuple(ItemValidity(item_id=item_id, importance_mean=total / n, i_cvi=count / n,
-                               passes=count / n >= icvi_floor)
+                               passes=count / n >= ICVI_FLOOR)
                   for item_id, total, count in zip(ids, sums, relevant))
     scale = s_cvi([it.i_cvi for it in items])
     return ValidityTable(
@@ -273,5 +271,5 @@ def validity_report(
         relevance_floor=relevance_floor,
         items=items,
         s_cvi=scale,
-        s_cvi_passes=scale >= scvi_floor,
+        s_cvi_passes=scale >= SCVI_FLOOR,
     )

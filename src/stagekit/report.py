@@ -40,9 +40,22 @@ def _opt(value: float | None, places: int) -> dict[str, Any] | None:
     return None if value is None else _num(value, places)
 
 
-def _nums(obj, places: int) -> dict[str, Any]:
-    """Every field of a dataclass of numbers, in field order, as number pairs."""
-    return {f.name: _num(getattr(obj, f.name), places) for f in fields(obj)}
+def _record(obj, places: int) -> dict[str, Any]:
+    """A result record's fields in declaration order.
+
+    A field declared ``float`` or ``float | None`` becomes a number pair (None stays
+    null), whatever the value's type; a tuple of records becomes a list of records;
+    any other value is written as it is.
+    """
+    out: dict[str, Any] = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.type in ("float", "float | None"):  # annotations are strings here
+            value = _opt(value, places)
+        elif isinstance(value, tuple):
+            value = [_record(row, places) for row in value]
+        out[f.name] = value
+    return out
 
 
 @dataclass(frozen=True)
@@ -84,7 +97,7 @@ def _round_obj(section: RoundSection, places: int) -> dict[str, Any]:
         },
         "kendall_w": _num(c.kendall_w, places),
         "indicators": [
-            {"id": indicator_id, **_nums(s, places)}
+            {"id": indicator_id, **_record(s, places)}
             for indicator_id, s in c.stats.items()
         ],
     }
@@ -93,7 +106,7 @@ def _round_obj(section: RoundSection, places: int) -> dict[str, Any]:
     else:
         scr = section.screening
         obj["screening"] = {
-            "thresholds": _nums(scr.thresholds, places),
+            "thresholds": _record(scr.thresholds, places),
             "retained": list(scr.retained),
             "dropped": list(scr.dropped),
             "reasons": {i: list(scr.reasons[i]) for i in scr.dropped},
@@ -130,52 +143,6 @@ def _weights_obj(section: WeightsSection, places: int) -> dict[str, Any]:
     }
 
 
-def _reliability_obj(table: ReliabilityTable, places: int) -> dict[str, Any]:
-    return {
-        "n_respondents": table.n_respondents,
-        "n_excluded": table.n_excluded,
-        "total_alpha": _num(table.total_alpha, places),
-        "indices": [
-            {
-                "index_id": row.index_id,
-                "n_questions": row.n_questions,
-                "alpha": _opt(row.alpha, places),
-                "note": row.note,
-            }
-            for row in table.indices
-        ],
-        "questions": [
-            {
-                "question_id": row.question_id,
-                "index_id": row.index_id,
-                "citc": _opt(row.citc, places),
-                "alpha_if_deleted": _opt(row.alpha_if_deleted, places),
-                "flagged": row.flagged,
-                "note": row.note,
-            }
-            for row in table.questions
-        ],
-    }
-
-
-def _validity_obj(table: ValidityTable, places: int) -> dict[str, Any]:
-    return {
-        "n_raters": table.n_raters,
-        "relevance_floor": table.relevance_floor,
-        "items": [
-            {
-                "item_id": item.item_id,
-                "importance_mean": _num(item.importance_mean, places),
-                "i_cvi": _num(item.i_cvi, places),
-                "passes": item.passes,
-            }
-            for item in table.items
-        ],
-        "s_cvi": _num(table.s_cvi, places),
-        "s_cvi_passes": table.s_cvi_passes,
-    }
-
-
 def _score_obj(card: ScoreCard, coeff_places: int, score_places: int) -> dict[str, Any]:
     return {
         "n_respondents": card.n_respondents,
@@ -207,9 +174,8 @@ def bundle_to_obj(
         "rounds": [_round_obj(s, coeff_places) for s in bundle.rounds],
         "weights": None if bundle.weights is None else _weights_obj(bundle.weights, coeff_places),
         "reliability": None if bundle.reliability is None
-        else _reliability_obj(bundle.reliability, coeff_places),
-        "validity": None if bundle.validity is None
-        else _validity_obj(bundle.validity, score_places),
+        else _record(bundle.reliability, coeff_places),
+        "validity": None if bundle.validity is None else _record(bundle.validity, score_places),
         "score": None if bundle.score is None
         else _score_obj(bundle.score, coeff_places, score_places),
     }
@@ -227,7 +193,7 @@ def _opt_value(field: Mapping[str, Any] | None) -> float | None:
 
 
 def _values(cls, obj: Mapping[str, Any]):
-    """The inverse of :func:`_nums`: a ``cls`` instance from its number pairs in obj."""
+    """The inverse of :func:`_record` on a record of numbers: a ``cls`` instance from obj."""
     return cls(**{f.name: _value(obj[f.name]) for f in fields(cls)})
 
 

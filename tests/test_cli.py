@@ -334,10 +334,11 @@ class TestReliability:
         assert rc == 2
         assert err == f"error: {dup}: duplicated question column(s) q1\n"
 
-    def test_unknown_instrument_exits_2(self):
-        with pytest.raises(SystemExit) as exc:  # only the bundled instrument exists: no option
-            main(["reliability", "--responses", str(DATA / "responses.csv"), "--instrument", "other"])
-        assert exc.value.code == 2
+    def test_unknown_instrument_exits_2(self, capsys):
+        # only the bundled instrument exists: no option
+        rc, out, err = run(capsys, "reliability", "--responses", DATA / "responses.csv",
+                           "--instrument", "other")
+        assert (rc, out, err) == (2, "", "error: stagekit: unrecognized arguments: --instrument other\n")
 
 
 class TestValidity:
@@ -523,6 +524,28 @@ class TestReport:
         assert err == f"error: {bundle}: not a stagekit bundle (bad or missing field '{key}')\n"
 
 
+    @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_number_exits_2(self, stats1, tmp_path, capsys, number):
+        text = stats1.read_text(encoding="utf-8")
+        bundle = tmp_path / "non_finite.json"
+        bundle.write_text(text.replace('"value": ', f'"value": {number}, "was": ', 1), encoding="utf-8")
+        rc, out, err = run(capsys, "report", "--bundle", bundle)
+        assert (rc, out) == (2, "")
+        assert err == f"error: {bundle}: not valid JSON ({number} is not a finite number)\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "markdown"])
+    @pytest.mark.parametrize("cap", ["ten", 10 ** 400], ids=["string", "past-float-range"])
+    def test_bonus_cap_not_a_float_exits_2(self, pipeline_bundle, tmp_path, capsys, cap, fmt):
+        obj = json.loads(pipeline_bundle.read_text(encoding="utf-8"))
+        obj["score"]["bonus_cap"] = cap
+        bundle = tmp_path / "bad_cap.json"
+        bundle.write_text(json.dumps(obj), encoding="utf-8")
+        rc, out, err = run(capsys, "report", "--bundle", bundle, "--format", fmt)
+        assert (rc, out) == (2, "")
+        assert err.startswith(f"error: {bundle}: not a stagekit bundle (bad or missing field ")
+        assert err.count("\n") == 1
+
+
 class TestPipelineCommand:
     def test_demo_config_runs_all_sections(self, capsys):
         obj = run_json(capsys, "pipeline", "--config", DATA / "demo_config.json")
@@ -544,11 +567,28 @@ class TestPipelineCommand:
 
 
 class TestArgparseSurface:
-    def test_unknown_subcommand_is_usage_error(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["frobnicate"])
-        assert exc.value.code == 2
+    """A usage error is one ``error:`` line with exit code 2, like any other input error."""
 
-    def test_no_subcommand_is_usage_error(self):
-        with pytest.raises(SystemExit):
-            main([])
+    @pytest.mark.parametrize("argv, message", [
+        (["frobnicate"], "stagekit: argument command: invalid choice: 'frobnicate'"),
+        ([], "stagekit: the following arguments are required: command"),
+        (["validity", "--importance", DATA / "importance.csv", "--precision", "3"],
+         "stagekit: unrecognized arguments: --precision 3"),
+        (["validity"], "stagekit validity: the following arguments are required: --importance"),
+        (["validity", "--importance", DATA / "importance.csv", "--format", "html"],
+         "stagekit validity: argument --format: invalid choice: 'html'"),
+        (["round-stats", "--ratings", DATA / "ratings_round1.csv", "--scale-max", "five"],
+         "stagekit round-stats: argument --scale-max: invalid int value: 'five'"),
+    ], ids=["unknown-subcommand", "no-subcommand", "unknown-option", "missing-required",
+            "bad-format-choice", "non-integer-scale-max"])
+    def test_usage_error_is_one_line(self, capsys, argv, message):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (2, "")
+        assert err.startswith(f"error: {message}")
+        assert err.count("\n") == 1
+
+    def test_help_is_unchanged(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["validity", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: stagekit validity [-h] --importance")

@@ -1,14 +1,16 @@
 """The exit-code contract under hostile input: the demo data, mutated, run through ``cli.main``.
 
-Whatever is done to one input file (the config or a CSV), a pipeline run
-either succeeds (exit 0) or fails with exit 2 or 3 and one ``error:`` line on
-stderr; no traceback, and no output file (nor its temporary file) unless it
+Whatever is done to one input file (the config or a CSV), to one flag of the
+pipeline call, or to one value of an emitted bundle read back by ``report``, a
+run either succeeds (exit 0) or fails with exit 2 or 3 and one ``error:`` line
+on stderr; no traceback, and no output file (nor its temporary file) unless it
 succeeded.
 """
 
 import contextlib
 import io
 import json
+import os
 import shutil
 from pathlib import Path
 
@@ -17,10 +19,12 @@ from hypothesis import strategies as st
 
 import stagekit
 from stagekit.cli import main
+from stagekit.report import bundle_to_obj
 
 DATA = Path(stagekit.__file__).parent / "data"
 CONFIG = json.loads((DATA / "demo_config.json").read_text(encoding="utf-8"))
 CSV_FILES = sorted(p.name for p in DATA.glob("*.csv"))
+BUNDLE = bundle_to_obj(stagekit.run_pipeline(DATA / "demo_config.json"))
 
 # JSON values of every type, for a config value swapped for one of another type.
 SWAPS = ("x", "", "ratings_round1.csv", 0, -1, 3, 1.5, 10 ** 30, 10 ** 400, float("inf"), True, False, None,
@@ -87,24 +91,104 @@ def header_edits(draw):
     return name, b",".join(cells) + newline + body
 
 
+# The demo pipeline call, run from a copy of the data; index 0 and every flag are edited.
+PIPELINE_ARGV = ["pipeline", "--config", "demo_config.json", "--out", "out/bundle.json",
+                 "--format", "markdown", "--precision", "4"]
+FLAG_AT = [i for i, arg in enumerate(PIPELINE_ARGV) if i == 0 or arg.startswith("-")]
+
+
+@st.composite
+def argv_edits(draw):
+    """The demo pipeline call with one flag (alone or with its value) dropped, repeated or garbled."""
+    argv = list(PIPELINE_ARGV)
+    i = draw(st.sampled_from(FLAG_AT))
+    end = i + draw(st.integers(1, 1 if i == 0 else 2))
+    edit = draw(st.sampled_from(["drop", "repeat", "garble"]))
+    if edit == "drop":
+        del argv[i:end]
+    elif edit == "repeat":
+        argv[i:i] = argv[i:end]
+    else:  # a few characters cut or put in; an argv string cannot hold a NUL byte
+        flag, at = argv[i], draw(st.integers(0, len(argv[i])))
+        text = draw(st.text(st.characters(blacklist_characters="\0"), max_size=2))
+        argv[i] = flag[:at] + text + flag[at + draw(st.integers(0, 2)):]
+    return argv
+
+
+# One path per bundle field: a list's first entry stands for the others.
+BUNDLE_PATHS = [p for p in key_paths(BUNDLE) if all(key == 0 for key in p if type(key) is int)]
+
+
+@st.composite
+def bundle_edits(draw):
+    """The demo bundle as JSON text with one value swapped, NaN among the swaps."""
+    bundle = json.loads(json.dumps(BUNDLE))
+    path = draw(st.sampled_from(BUNDLE_PATHS))
+    at(bundle, path)[path[-1]] = draw(st.sampled_from(SWAPS + (float("nan"),)))
+    return json.dumps(bundle)
+
+
+
+def demo_copy(tmp_path_factory) -> Path:
+    """A fresh directory holding the demo data and an empty ``out`` directory."""
+    work = tmp_path_factory.mktemp("hostile")
+    for src in DATA.iterdir():
+        shutil.copyfile(src, work / src.name)
+    (work / "out").mkdir()
+    return work
+
+
+def run_main(argv, cwd=None):
+    """``main(argv)`` run in ``cwd``: its exit code (``--help`` exits 0), stdout and stderr."""
+    stdout, stderr, home = io.StringIO(), io.StringIO(), os.getcwd()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            os.chdir(cwd or home)
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        finally:
+            os.chdir(home)
+    return rc, stdout.getvalue(), stderr.getvalue()
+
+
+def assert_contract(rc, stdout, stderr):
+    if rc == 0:
+        assert stderr == ""
+    else:
+        assert rc in (2, 3)
+        assert stdout == ""
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(config_edits(), byte_edits(), header_edits()))
 def test_mutated_demo_input_exits_0_2_or_3_with_one_line(tmp_path_factory, edit):
     name, data = edit
-    work = tmp_path_factory.mktemp("hostile")
-    for src in DATA.iterdir():
-        shutil.copyfile(src, work / src.name)
+    work = demo_copy(tmp_path_factory)
     (work / name).write_bytes(data)
     out = work / "out" / "bundle.json"
-    out.parent.mkdir()
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        rc = main(["pipeline", "--config", str(work / "demo_config.json"), "--out", str(out)])
-    assert stdout.getvalue() == ""
-    if rc == 0:
-        assert stderr.getvalue() == ""
-        assert [p.name for p in out.parent.iterdir()] == ["bundle.json"]
-    else:
-        assert rc in (2, 3)
-        assert stderr.getvalue().startswith("error: ") and stderr.getvalue().count("\n") == 1
-        assert list(out.parent.iterdir()) == []
+    rc, stdout, stderr = run_main(["pipeline", "--config", str(work / "demo_config.json"),
+                                   "--out", str(out)])
+    assert stdout == ""
+    assert_contract(rc, stdout, stderr)
+    assert [p.name for p in out.parent.iterdir()] == (["bundle.json"] if rc == 0 else [])
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv_edits())
+def test_mutated_demo_argv_exits_0_2_or_3_with_one_line(tmp_path_factory, argv):
+    work = demo_copy(tmp_path_factory)
+    before = sorted(os.listdir(work))
+    rc, stdout, stderr = run_main(argv, cwd=work)
+    assert_contract(rc, stdout, stderr)
+    if rc != 0:
+        assert sorted(os.listdir(work)) == before and not os.listdir(work / "out")
+
+
+@settings(max_examples=100, deadline=None)
+@given(bundle_edits(), st.sampled_from(["json", "markdown"]))
+def test_report_of_mutated_demo_bundle_exits_0_2_or_3_with_one_line(tmp_path_factory, text, fmt):
+    bundle = tmp_path_factory.mktemp("hostile") / "bundle.json"
+    bundle.write_text(text, encoding="utf-8")
+    assert_contract(*run_main(["report", "--bundle", str(bundle), "--format", fmt]))

@@ -152,9 +152,19 @@ class TestConfigValidation:
         with pytest.raises(SchemaError, match="cs_map"):
             run_pipeline(path)
 
-    def test_null_scale_max_reads_as_absent(self, tmp_path):
-        bundle = run_pipeline(demo_config_copy(tmp_path, set_key("scale_max", value=None)))
+    @pytest.mark.parametrize("keys", [("scale_max",), ("ca_table",), ("cs_map",), ("weights", "method"),
+                                      ("score", "bonus_cap"), ("rounds", 0, "thresholds")],
+                             ids=lambda keys: ".".join(map(str, keys)))
+    def test_null_optional_value_reads_as_absent(self, tmp_path, keys):
+        # the demo config gives the defaults or leaves the key out
+        bundle = run_pipeline(demo_config_copy(tmp_path, set_key(*keys, value=None)))
         assert bundle == run_pipeline(DEMO_CONFIG)
+
+    def test_null_stage_is_not_run(self, tmp_path):
+        nulls = {"weights": None, "reliability": None, "score": None}
+        bundle = run_pipeline(demo_config_copy(tmp_path, lambda config: config.update(nulls)))
+        assert (bundle.weights, bundle.reliability, bundle.score) == (None, None, None)
+        assert bundle.validity == run_pipeline(DEMO_CONFIG).validity
 
 
 def write_config(tmp_path, obj):

@@ -159,6 +159,20 @@ class TestBundleObject:
         assert len(rnd["positivity"]["display"].split(".")[1]) == 6
         assert len(obj["score"]["composite"]["display"].split(".")[1]) == 3
 
+    def test_records_written_by_declared_type(self):
+        bundle = full_bundle()
+        consensus = bundle.rounds[0].consensus
+        thresholds = ScreeningThresholds(mean_floor=3, fsf_floor=0, cv_ceiling=1)  # ints
+        section = RoundSection(consensus, screen_indicators(consensus.stats, thresholds))
+        obj = bundle_to_obj(ReportBundle(rounds=(section,), reliability=bundle.reliability))
+        written = obj["rounds"][0]["screening"]["thresholds"]["mean_floor"]
+        assert written == {"value": 3.0, "display": "3.0000"} and type(written["value"]) is float
+        rel = obj["reliability"]
+        assert list(rel) == ["n_respondents", "n_excluded", "total_alpha", "indices", "questions"]
+        assert (rel["n_respondents"], rel["n_excluded"]) == (3, 0)
+        assert list(rel["questions"][0]) == ["question_id", "index_id", "citc", "alpha_if_deleted",
+                                             "flagged", "note"]
+
     def test_screening_shape(self):
         obj = bundle_to_obj(full_bundle())
         scr = obj["rounds"][0]["screening"]
