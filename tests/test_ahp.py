@@ -407,3 +407,84 @@ class TestWeightTree:
             table.global_weights[n.id] for n in weighted.leaves() if not n.bonus
         )
         assert leaf_sum == pytest.approx(1.0, abs=1e-9)
+
+
+class TestWeightTreeSourceRule:
+    """Which weight source each method takes for a two-member sibling group,
+    pinned exactly: the weights equal the source functions' own output and
+    a missing source is named in the error."""
+
+    MATRIX = matrix_of([[1, 3], [1 / 3, 1]], ids=("d1.b", "d1.a"))  # not in member order
+    MEANS = {"d1.a": 6.0, "d1.b": 3.0}
+
+    def tree(self):
+        return IndicatorTree(nodes=(
+            IndicatorNode(id="d1", name="D1", level=Level.DIMENSION),
+            IndicatorNode(id="d1.a", name="A", level=Level.INDEX, parent_id="d1"),
+            IndicatorNode(id="d1.b", name="B", level=Level.INDEX, parent_id="d1"),
+        ))
+
+    def ahp(self):
+        weights, _ = principal_weights(self.MATRIX)
+        by_id = dict(zip(self.MATRIX.ids, weights))
+        return (by_id["d1.a"], by_id["d1.b"])
+
+    def scoring(self):
+        return importance_weights([self.MEANS["d1.a"], self.MEANS["d1.b"]])
+
+    @pytest.mark.parametrize("method, sources, expected", [
+        ("ahp", "matrix", "ahp"),
+        ("ahp", "means", "no pairwise matrix for children of d1"),
+        ("ahp", "both", "ahp"),
+        ("ahp", "neither", "no pairwise matrix for children of d1"),
+        ("scoring", "matrix", "no importance means for children of d1"),
+        ("scoring", "means", "scoring"),
+        ("scoring", "both", "scoring"),
+        ("scoring", "neither", "no importance means for children of d1"),
+        ("combined", "matrix", "ahp"),
+        ("combined", "means", "scoring"),
+        ("combined", "both", "combined"),
+        ("combined", "neither", "no pairwise matrix or importance means for children of d1"),
+    ])
+    def test_method_takes_its_sources(self, method, sources, expected):
+        pairwise = {"d1": self.MATRIX} if sources in ("matrix", "both") else {}
+        importance = self.MEANS if sources in ("means", "both") else {}
+        if expected.startswith("no "):
+            with pytest.raises(IncompleteWeightsError) as exc:
+                weight_tree(self.tree(), pairwise=pairwise, importance=importance, method=method)
+            assert str(exc.value) == expected
+            return
+        _, table = weight_tree(self.tree(), pairwise=pairwise, importance=importance, method=method)
+        want = {
+            "ahp": self.ahp,
+            "scoring": self.scoring,
+            "combined": lambda: combine_weights(self.scoring(), self.ahp()),
+        }[expected]()
+        assert (table.local_weights["d1.a"], table.local_weights["d1.b"]) == tuple(want)
+        assert table.local_weights["d1"] == 1.0  # the one-member dimension group
+        # every matrix given adds its consistency row, whatever the method
+        assert [c.parent_id for c in table.consistency] == (["d1"] if pairwise else [])
+
+    def test_one_member_group_takes_one_and_ignores_its_sources(self):
+        pairwise = {None: matrix_of([[1]], ids=("d1",)), "d1": self.MATRIX}
+        importance = {"d1": 4.0, **self.MEANS}
+        for method in ("ahp", "scoring", "combined"):
+            _, table = weight_tree(self.tree(), pairwise=pairwise, importance=importance,
+                                   method=method)
+            assert table.local_weights["d1"] == 1.0
+            assert [c.parent_id for c in table.consistency] == ["d1"]
+
+    def test_group_labels(self):
+        tree = IndicatorTree(nodes=(
+            IndicatorNode(id="d1", name="D1", level=Level.DIMENSION),
+            IndicatorNode(id="d2", name="D2", level=Level.DIMENSION),
+        ))
+        with pytest.raises(IncompleteWeightsError) as exc:
+            weight_tree(tree, method="ahp")
+        assert str(exc.value) == "no pairwise matrix for the dimension group"
+        wrong = {"d1": matrix_of([[1, 3], [1 / 3, 1]], ids=("d1.a", "x"))}
+        with pytest.raises(InvalidInputError) as exc:
+            weight_tree(self.tree(), pairwise=wrong, method="ahp")
+        assert str(exc.value) == (
+            "pairwise matrix ids ['d1.a', 'x'] do not match children of d1 ['d1.a', 'd1.b']"
+        )

@@ -315,6 +315,19 @@ class TestWeights:
         assert rc == 2
         assert "ghost" in err
 
+    @pytest.mark.parametrize("name, label", [
+        ("pairwise_dimensions.csv", "the dimension group"),
+        ("pairwise_ux.csv", "children of ux"),
+    ])
+    def test_two_matrices_for_one_group_exit_2(self, name, label, capsys):
+        rc, _, err = run(
+            capsys, "weights",
+            "--tree", DATA / "indicators.csv",
+            "--pairwise", f"{DATA / name},{DATA / name}",
+        )
+        assert rc == 2
+        assert err == f"error: two pairwise matrices given for {label}\n"
+
 
 class TestReliability:
     def test_demo_responses(self, capsys):
