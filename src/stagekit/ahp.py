@@ -213,6 +213,20 @@ def _global_of(
     return value
 
 
+# The weight sources of each method, as its missing-source error names them.
+# A group covered by both takes their product (combine_weights is symmetric).
+METHOD_SOURCES: dict[str, tuple[str, ...]] = {
+    "ahp": ("pairwise matrix",),
+    "scoring": ("importance means",),
+    "combined": ("pairwise matrix", "importance means"),
+}
+
+
+def group_label(parent_id: str | None) -> str:
+    """How messages name the sibling group under ``parent_id``."""
+    return "the dimension group" if parent_id is None else f"children of {parent_id}"
+
+
 def weight_tree(
     tree: IndicatorTree,
     *,
@@ -224,11 +238,11 @@ def weight_tree(
 
     ``pairwise`` maps a parent node id (None for the dimension group) to that
     group's comparison matrix; ``importance`` maps node ids to their mean
-    importance scores. Method "ahp" uses matrices only, "scoring" uses
-    importance means only, and "combined" multiplies the two where both exist
-    and falls back to whichever source covers a group.
+    importance scores. A group with one core member takes 1.0; any other takes
+    those of ``method``'s sources that cover it (see ``METHOD_SOURCES``).
     """
-    if method not in ("ahp", "scoring", "combined"):
+    sources = METHOD_SOURCES.get(method)
+    if sources is None:
         raise InvalidInputError(f"unknown weighting method {method!r}")
     pairwise = dict(pairwise or {})
     importance = dict(importance or {})
@@ -236,21 +250,18 @@ def weight_tree(
     assigned: dict[str, float] = {}
     diagnostics: list[GroupConsistency] = []
     for parent_id, members in tree.sibling_groups():
-        core = [n for n in members if not n.bonus]
-        if not core:
-            continue
-        member_ids = [n.id for n in core]
-        if len(core) == 1:
-            assigned[member_ids[0]] = 1.0
+        member_ids = [n.id for n in members if not n.bonus]
+        if len(member_ids) < 2:
+            assigned.update(dict.fromkeys(member_ids, 1.0))
             continue
 
-        ahp_w: dict[str, float] | None = None
+        found: dict[str, tuple[float, ...]] = {}  # source -> weights in member order
         matrix = pairwise.get(parent_id)
         if matrix is not None:
             if set(matrix.ids) != set(member_ids):
-                group = "the dimension group" if parent_id is None else f"children of {parent_id}"
                 raise InvalidInputError(
-                    f"pairwise matrix ids {sorted(matrix.ids)} do not match {group} {sorted(member_ids)}"
+                    f"pairwise matrix ids {sorted(matrix.ids)} do not match "
+                    f"{group_label(parent_id)} {sorted(member_ids)}"
                 )
             weights, lambda_max = principal_weights(matrix)
             ci, cr = consistency_ratio(lambda_max, matrix.n)
@@ -258,55 +269,22 @@ def weight_tree(
                 parent_id=parent_id, n=matrix.n, lambda_max=lambda_max,
                 ci=ci, cr=cr, acceptable=is_acceptable(cr),
             ))
-            ahp_w = dict(zip(matrix.ids, weights))
-
-        scoring_w: dict[str, float] | None = None
+            found["pairwise matrix"] = tuple(weights[matrix.ids.index(mid)] for mid in member_ids)
         if all(mid in importance for mid in member_ids):
-            weights = importance_weights([importance[mid] for mid in member_ids])
-            scoring_w = dict(zip(member_ids, weights))
+            found["importance means"] = importance_weights([importance[mid] for mid in member_ids])
 
-        chosen: dict[str, float]
-        if method == "ahp":
-            if ahp_w is None:
-                raise IncompleteWeightsError(_missing(parent_id, "pairwise matrix"))
-            chosen = ahp_w
-        elif method == "scoring":
-            if scoring_w is None:
-                raise IncompleteWeightsError(_missing(parent_id, "importance means"))
-            chosen = scoring_w
-        else:
-            if ahp_w is not None and scoring_w is not None:
-                combined = combine_weights(
-                    [scoring_w[mid] for mid in member_ids],
-                    [ahp_w[mid] for mid in member_ids],
-                )
-                chosen = dict(zip(member_ids, combined))
-            elif ahp_w is not None:
-                chosen = ahp_w
-            elif scoring_w is not None:
-                chosen = scoring_w
-            else:
-                raise IncompleteWeightsError(
-                    _missing(parent_id, "pairwise matrix or importance means")
-                )
-        assigned.update(chosen)
+        chosen = [found[source] for source in sources if source in found]
+        if not chosen:
+            raise IncompleteWeightsError(f"no {' or '.join(sources)} for {group_label(parent_id)}")
+        assigned.update(zip(member_ids, chosen[0] if len(chosen) == 1 else combine_weights(*chosen)))
 
-    weighted_nodes = []
-    for node in tree.nodes:
-        if node.id in assigned:
-            weighted_nodes.append(replace(node, local_weight=assigned[node.id]))
-        else:
-            weighted_nodes.append(node)
-    weighted = IndicatorTree(nodes=tuple(weighted_nodes))
+    weighted = _with_weights(tree, "local_weight", assigned)
     table = replace(compose_global(weighted), consistency=tuple(diagnostics))
-
-    final_nodes = []
-    for node in weighted.nodes:
-        g = table.global_weights.get(node.id)
-        final_nodes.append(node if g is None else replace(node, global_weight=g))
-    return IndicatorTree(nodes=tuple(final_nodes)), table
+    return _with_weights(weighted, "global_weight", table.global_weights), table
 
 
-def _missing(parent_id: str | None, what: str) -> str:
-    group = "the dimension group" if parent_id is None else f"children of {parent_id}"
-    return f"no {what} for {group}"
+def _with_weights(tree: IndicatorTree, field: str, weights: Mapping[str, float]) -> IndicatorTree:
+    return IndicatorTree(nodes=tuple(
+        replace(node, **{field: weights[node.id]}) if node.id in weights else node
+        for node in tree.nodes
+    ))

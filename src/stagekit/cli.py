@@ -16,7 +16,7 @@ import argparse
 import sys
 
 from . import io as sio
-from .ahp import PairwiseMatrix
+from .ahp import METHOD_SOURCES, PairwiseMatrix, group_label
 from .consensus import round_consensus
 from .errors import InvalidInputError, SchemaError, StagekitError
 from .instrument import load_default_instrument
@@ -114,8 +114,7 @@ def _cmd_weights(args) -> None:
         matrix = sio.parse_pairwise(path)
         group = _matrix_group(tree, matrix, path)
         if group in pairwise:
-            label = "the dimension group" if group is None else f"children of {group}"
-            raise InvalidInputError(f"two pairwise matrices given for {label}")
+            raise InvalidInputError(f"two pairwise matrices given for {group_label(group)}")
         pairwise[group] = matrix
     importance = _single_round(args.importance) if args.importance else None
     _emit(ReportBundle(weights=weights_stage(tree, pairwise, importance, args.method)), args)
@@ -202,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairwise", help="comma-separated pairwise matrix CSVs "
                                       "(each matrix's ids identify its sibling group)")
     p.add_argument("--importance", help="round-stats JSON supplying importance means")
-    p.add_argument("--method", choices=("ahp", "scoring", "combined"), default="combined")
+    p.add_argument("--method", choices=tuple(METHOD_SOURCES), default="combined")
 
     p = command("reliability", _cmd_reliability, "Cronbach's alpha / item-total analysis")
     p.add_argument("--responses", required=True, help="consumer responses CSV")
