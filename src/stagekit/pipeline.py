@@ -180,7 +180,7 @@ def run_pipeline(config_path: str | Path) -> ReportBundle:
         value = section.get(key)
         if not value:
             raise InvalidInputError(f"missing input: {key}")
-        if not isinstance(value, str):
+        if not isinstance(value, str) or "\0" in value:  # open() raises ValueError on a NUL
             raise SchemaError(f"config {key}: expected a file path, got {value!r}")
         return base / value
 

@@ -327,6 +327,10 @@ class TestConfigTypeErrors:
          "round-stats: config round_no: expected an integer, got '2'"),
         (set_key("rounds", 0, "ratings", value=7),
          "round-stats: config ratings: expected a file path, got 7"),
+        (set_key("rounds", 0, "ratings", value="a\u0000b.csv"),
+         "round-stats: config ratings: expected a file path, got 'a\\x00b.csv'"),
+        (set_key("indicators", value="a\u0000b.csv"),
+         "weights: config indicators: expected a file path, got 'a\\x00b.csv'"),
         (set_key("weights", value="combined"), "config weights: expected a JSON object"),
         (set_key("weights", "pairwise", value=["pairwise_ux.csv"]),
          "weights: config pairwise: expected a JSON object"),
@@ -360,7 +364,8 @@ class TestConfigTypeErrors:
         (set_key("rounds", 0, "screen", value="no"), "config screen: expected true or false, got 'no'"),
         (set_key("rounds", 1, "screen", value=1), "config screen: expected true or false, got 1"),
     ], ids=["rounds-str", "rounds-of-str", "scale_max-str", "thresholds-missing-key",
-            "thresholds-list", "round_no-str", "ratings-int", "weights-str", "pairwise-list",
+            "thresholds-list", "round_no-str", "ratings-int", "ratings-nul", "indicators-nul",
+            "weights-str", "pairwise-list",
             "importance_round-bool", "bonus_cap-str", "reliability-list", "ca_table-str",
             "cs_map-null", "top-level-typo", "round-typo", "weights-typo",
             "reliability-unknown", "validity-unknown", "score-typo", "cs_map-bool",
