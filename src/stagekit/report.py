@@ -264,7 +264,11 @@ def _md_table(headers: list[str], rows: list[list[str]]) -> list[str]:
 
 
 def _disp(field: Mapping[str, Any] | None, absent: str = "-") -> str:
-    return absent if field is None else field["display"]
+    """A number pair's display string; its value is checked as a bundle read back is."""
+    if field is None:
+        return absent
+    _value(field)
+    return field["display"]
 
 
 def render_markdown_obj(obj: Mapping[str, Any]) -> str:

@@ -558,6 +558,23 @@ class TestReport:
         assert err.startswith(f"error: {bundle}: not a stagekit bundle (bad or missing field ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("fmt", ["json", "markdown"])
+    @pytest.mark.parametrize("where", [("rounds", 0, "indicators", 0, "mean"),
+                                       ("reliability", "total_alpha")],
+                             ids=["rounds", "reliability"])
+    def test_non_number_value_exits_2(self, pipeline_bundle, tmp_path, capsys, where, fmt):
+        obj = json.loads(pipeline_bundle.read_text(encoding="utf-8"))
+        field = obj
+        for key in where:
+            field = field[key]
+        field["value"] = "x"
+        bundle = tmp_path / "bad_value.json"
+        bundle.write_text(json.dumps(obj), encoding="utf-8")
+        rc, out, err = run(capsys, "report", "--bundle", bundle, "--format", fmt)
+        assert (rc, out) == (2, "")
+        assert err == (f"error: {bundle}: not a stagekit bundle "
+                       "(bad or missing field value 'x' is not a number)\n")
+
 
 class TestPipelineCommand:
     def test_demo_config_runs_all_sections(self, capsys):
