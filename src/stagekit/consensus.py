@@ -168,25 +168,28 @@ def kendalls_w(ratings: Sequence[Sequence[float]], correct_ties: bool = True) ->
     With ``correct_ties`` the denominator subtracts m * sum of per-rater
     tie terms, i.e. W = 12S / (m^2 (n^3 - n) - m * sum_i T_i).
 
-    Raters are ranked W_BLOCK rows at a time (an integer numpy matrix as it
-    is, anything else as floats): a tie group is a run of equal values in a
+    Raters are ranked W_BLOCK rows at a time (an integer matrix as it is,
+    anything else as floats): a tie group is a run of equal values in a
     row's stable sort, and its members' rank is the mean of its first and last
     position. Doubled mid-ranks and tie terms (t^3 - t per group, t^2 - 1 per
     member) are integers, so every sum is exact whatever the blocking.
     """
-    rows = ratings if isinstance(ratings, np.ndarray) else [list(row) for row in ratings]
-    m = len(rows)
+    try:
+        arr = np.asarray(ratings)
+    except ValueError:  # rows of unequal length
+        raise InvalidInputError("ragged ratings matrix") from None
+    m = len(arr)
     if m < 2:
         raise InsufficientDataError(f"need >= 2 raters, got {m}")
-    n = len(rows[0])
-    if any(len(row) != n for row in rows):
+    if arr.ndim != 2:
         raise InvalidInputError("ragged ratings matrix")
+    n = arr.shape[1]
     if n < 2:
         raise InsufficientDataError(f"need >= 2 indicators, got {n}")
-    int_matrix = isinstance(rows, np.ndarray) and rows.dtype.kind in "iu"
-    arr = rows if int_matrix else np.asarray(rows, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInputError("ratings matrix contains missing or non-finite values")
+    if arr.dtype.kind not in "iu":
+        arr = np.asarray(arr, dtype=float)
+        if not np.all(np.isfinite(arr)):
+            raise InvalidInputError("ratings matrix contains missing or non-finite values")
 
     positions = np.arange(n)
     doubled_rank_sums = np.zeros(n)
