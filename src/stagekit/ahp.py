@@ -213,7 +213,7 @@ def _global_of(
     return value
 
 
-# The weight sources of each method, as its missing-source error names them.
+# The weight sources of each method, keyed by the text its missing-source error names them by.
 # A group covered by both takes their product (combine_weights is symmetric).
 METHOD_SOURCES: dict[str, tuple[str, ...]] = {
     "ahp": ("pairwise matrix",),
@@ -241,9 +241,9 @@ def weight_tree(
     importance scores. A group with one core member takes 1.0; any other takes
     those of ``method``'s sources that cover it (see ``METHOD_SOURCES``).
     """
-    sources = METHOD_SOURCES.get(method)
-    if sources is None:
+    if type(method) is not str or method not in METHOD_SOURCES:  # a config may hold [] or {}
         raise InvalidInputError(f"unknown weighting method {method!r}")
+    sources = METHOD_SOURCES[method]
     pairwise = dict(pairwise or {})
     importance = dict(importance or {})
 

@@ -395,6 +395,12 @@ class TestWeightTree:
         with pytest.raises(InvalidInputError):
             weight_tree(self.tree(), method="entropy")
 
+    @pytest.mark.parametrize("method", [["ahp"], {}], ids=["list", "dict"])
+    def test_non_string_method_rejected(self, method):
+        with pytest.raises(InvalidInputError) as exc:
+            weight_tree(self.tree(), method=method)
+        assert str(exc.value) == f"unknown weighting method {method!r}"
+
     def test_default_tree_weightable_end_to_end(self):
         tree = default_tree()
         importance = {
@@ -465,14 +471,13 @@ class TestWeightTreeSourceRule:
         # every matrix given adds its consistency row, whatever the method
         assert [c.parent_id for c in table.consistency] == (["d1"] if pairwise else [])
 
-    def test_one_member_group_takes_one_and_ignores_its_sources(self):
+    def test_one_member_group_takes_one(self):
         pairwise = {None: matrix_of([[1]], ids=("d1",)), "d1": self.MATRIX}
         importance = {"d1": 4.0, **self.MEANS}
         for method in ("ahp", "scoring", "combined"):
             _, table = weight_tree(self.tree(), pairwise=pairwise, importance=importance,
                                    method=method)
             assert table.local_weights["d1"] == 1.0
-            assert [c.parent_id for c in table.consistency] == ["d1"]
 
     def test_group_labels(self):
         tree = IndicatorTree(nodes=(

@@ -332,6 +332,8 @@ class TestConfigTypeErrors:
         (set_key("indicators", value="a\u0000b.csv"),
          "weights: config indicators: expected a file path, got 'a\\x00b.csv'"),
         (set_key("weights", value="combined"), "config weights: expected a JSON object"),
+        (set_key("weights", "method", value=["ahp"]),
+         "weights: unknown weighting method ['ahp']"),
         (set_key("weights", "pairwise", value=["pairwise_ux.csv"]),
          "weights: config pairwise: expected a JSON object"),
         (set_key("weights", "importance_round", value=True),
@@ -365,7 +367,7 @@ class TestConfigTypeErrors:
         (set_key("rounds", 1, "screen", value=1), "config screen: expected true or false, got 1"),
     ], ids=["rounds-str", "rounds-of-str", "scale_max-str", "thresholds-missing-key",
             "thresholds-list", "round_no-str", "ratings-int", "ratings-nul", "indicators-nul",
-            "weights-str", "pairwise-list",
+            "weights-str", "weights-method-list", "pairwise-list",
             "importance_round-bool", "bonus_cap-str", "reliability-list", "ca_table-str",
             "cs_map-null", "top-level-typo", "round-typo", "weights-typo",
             "reliability-unknown", "validity-unknown", "score-typo", "cs_map-bool",
