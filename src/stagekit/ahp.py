@@ -237,9 +237,11 @@ def weight_tree(
     """Derive local weights for every core sibling group and compose globals.
 
     ``pairwise`` maps a parent node id (None for the dimension group) to that
-    group's comparison matrix; ``importance`` maps node ids to their mean
-    importance scores. A group with one core member takes 1.0; any other takes
-    those of ``method``'s sources that cover it (see ``METHOD_SOURCES``).
+    group's comparison matrix, whose ids must be the group's core members; a key
+    that names no sibling group of the tree is an error. ``importance`` maps node
+    ids to their mean importance scores. A group with one core member takes 1.0;
+    any other takes those of ``method``'s sources that cover it (see
+    ``METHOD_SOURCES``).
     """
     if type(method) is not str or method not in METHOD_SOURCES:  # a config may hold [] or {}
         raise InvalidInputError(f"unknown weighting method {method!r}")
@@ -251,18 +253,18 @@ def weight_tree(
     diagnostics: list[GroupConsistency] = []
     for parent_id, members in tree.sibling_groups():
         member_ids = [n.id for n in members if not n.bonus]
+        matrix = pairwise.pop(parent_id, None)
+        if matrix is not None and set(matrix.ids) != set(member_ids):
+            raise InvalidInputError(
+                f"pairwise matrix ids {sorted(matrix.ids)} do not match "
+                f"{group_label(parent_id)} {sorted(member_ids)}"
+            )
         if len(member_ids) < 2:
             assigned.update(dict.fromkeys(member_ids, 1.0))
             continue
 
         found: dict[str, tuple[float, ...]] = {}  # source -> weights in member order
-        matrix = pairwise.get(parent_id)
         if matrix is not None:
-            if set(matrix.ids) != set(member_ids):
-                raise InvalidInputError(
-                    f"pairwise matrix ids {sorted(matrix.ids)} do not match "
-                    f"{group_label(parent_id)} {sorted(member_ids)}"
-                )
             weights, lambda_max = principal_weights(matrix)
             ci, cr = consistency_ratio(lambda_max, matrix.n)
             diagnostics.append(GroupConsistency(
@@ -277,6 +279,9 @@ def weight_tree(
         if not chosen:
             raise IncompleteWeightsError(f"no {' or '.join(sources)} for {group_label(parent_id)}")
         assigned.update(zip(member_ids, chosen[0] if len(chosen) == 1 else combine_weights(*chosen)))
+    if pairwise:
+        raise InvalidInputError(f"pairwise matrix for {', '.join(map(group_label, pairwise))}: "
+                                "no such sibling group in the indicator tree")
 
     weighted = _with_weights(tree, "local_weight", assigned)
     table = replace(compose_global(weighted), consistency=tuple(diagnostics))

@@ -4,8 +4,9 @@ Subcommands mirror the pipeline stages (round-stats, screen, weights,
 reliability, validity, score, form, report) plus the all-in-one `pipeline`.
 Each analysis subcommand reads its arguments, makes the same library or
 :mod:`stagekit.pipeline` stage call that a config run makes, and writes a
-report bundle (JSON by default, markdown on request) to --out or stdout. A
-bundle read back (`--stats`, `--screen`, `--importance`) must hold exactly one
+report bundle (JSON by default, markdown on request) to --out or stdout. Every
+bundle read back (by `report` too) is checked by :func:`report.bundle_from_obj`
+alone; one read by `--stats`, `--screen` or `--importance` must hold exactly one
 round. Exit codes: 0 success, 2 schema/validation error, 3 numeric or
 degenerate-data error, each with one `error:` line on stderr.
 """
@@ -158,12 +159,8 @@ def _cmd_form(args) -> None:
 
 def _cmd_report(args) -> None:
     obj = sio.read_json(args.bundle)
-    try:
-        markdown = render_markdown_obj(obj)  # the bundle check, whichever format is asked for
-    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(f"{args.bundle}: not a stagekit bundle "
-                          f"(bad or missing field {exc})") from None
-    _write(markdown if args.format == "markdown" else render_json_obj(obj), args)
+    bundle_from_obj(obj, args.bundle)  # the check; the output keeps the bundle's own displays
+    _write(render_markdown_obj(obj) if args.format == "markdown" else render_json_obj(obj), args)
 
 
 def _cmd_pipeline(args) -> None:

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
-from typing import Any, Mapping
+from types import UnionType
+from typing import Any, Mapping, get_args, get_origin, get_type_hints
 
 from .ahp import GroupConsistency, WeightTable
 from .consensus import IndicatorStats, RoundConsensus, ScreeningResult
@@ -181,70 +183,108 @@ def bundle_to_obj(
     }
 
 
-def _value(field: Mapping[str, Any]) -> float:
-    value = field["value"]
-    if type(value) not in (int, float):
+def _number(value: Any) -> float:
+    if type(value) not in (int, float):  # a bool is not a number here
         raise TypeError(f"value {value!r} is not a number")
+    return float(value)  # OverflowError past the float range
+
+
+def _field(name: str, kind: Any, value: Any) -> Any:
+    """A field read back by its declared type, the inverse of :func:`_record`'s rule.
+
+    ``float`` is a number pair (its display a string), ``X | None`` is X or null,
+    ``tuple[Row, ...]`` is a list of ``Row`` records, and any other type must be
+    the value's exact type (a bool is not an int).
+    """
+    if isinstance(kind, UnionType):  # X | None
+        return None if value is None else _field(name, get_args(kind)[0], value)
+    if kind is float:
+        if type(value["display"]) is not str:
+            raise TypeError(f"display {value['display']!r} is not a string")
+        return _number(value["value"])
+    if get_origin(kind) is tuple:
+        return tuple(_from_record(get_args(kind)[0], row) for row in _field(name, list, value))
+    if type(value) is not kind:
+        raise TypeError(f"{name} {value!r} is not {kind.__name__}")
     return value
 
 
-def _opt_value(field: Mapping[str, Any] | None) -> float | None:
-    return None if field is None else _value(field)
+def _read(cls, obj: Mapping[str, Any], names) -> dict[str, Any]:
+    """The named fields of ``cls``, each read from obj by its declared type."""
+    hints = get_type_hints(cls)
+    return {name: _field(name, hints[name], obj[name]) for name in names}
 
 
-def _values(cls, obj: Mapping[str, Any]):
-    """The inverse of :func:`_record` on a record of numbers: a ``cls`` instance from obj."""
-    return cls(**{f.name: _value(obj[f.name]) for f in fields(cls)})
+def _from_record(cls, obj: Mapping[str, Any]):
+    """The inverse of :func:`_record`: a ``cls`` instance read from obj."""
+    return cls(**_read(cls, obj, [f.name for f in fields(cls)]))
+
+
+def _strs(value: Any) -> tuple[str, ...]:
+    return tuple(_field("id", str, v) for v in _field("ids", list, value))
 
 
 def _round_from_obj(obj: Mapping[str, Any]) -> RoundSection:
     consensus = RoundConsensus(
-        **{key: obj[key] for key in ("round_no", "scale_max", "distributed", "returned")},
-        positivity=_value(obj["positivity"]),
-        **{key: _opt_value(obj["authority"][key]) for key in ("ca", "cs", "cr")},
-        kendall_w=_value(obj["kendall_w"]),
-        stats={s["id"]: _values(IndicatorStats, s) for s in obj["indicators"]},
+        **_read(RoundConsensus, obj, ("round_no", "scale_max", "distributed", "returned",
+                                      "positivity", "kendall_w")),
+        **_read(RoundConsensus, obj["authority"], ("ca", "cs", "cr")),
+        stats={_field("id", str, s["id"]): _from_record(IndicatorStats, s)
+               for s in _field("indicators", list, obj["indicators"])},
     )
     scr = obj["screening"]
-    return RoundSection(consensus=consensus, screening=None if scr is None else ScreeningResult(
-        thresholds=_values(ScreeningThresholds, scr["thresholds"]),
-        retained=tuple(scr["retained"]),
-        dropped=tuple(scr["dropped"]),
-        reasons={i: tuple(reasons) for i, reasons in scr["reasons"].items()},
-    ))
+    if scr is not None:
+        dropped, reasons = _strs(scr["dropped"]), _field("reasons", dict, scr["reasons"])
+        scr = ScreeningResult(thresholds=_from_record(ScreeningThresholds, scr["thresholds"]),
+                              retained=_strs(scr["retained"]), dropped=dropped,
+                              reasons={i: _strs(reasons[i]) for i in dropped})
+    return RoundSection(consensus=consensus, screening=scr)
 
 
 def _weights_from_obj(obj: Mapping[str, Any]) -> WeightsSection:
     nodes = tuple(IndicatorNode(
-        id=n["id"], name=n["name"], level=Level(n["level"]), parent_id=n["parent_id"],
-        local_weight=_opt_value(n["local_weight"]), global_weight=_opt_value(n["global_weight"]),
-    ) for n in obj["nodes"])
+        **_read(IndicatorNode, n, ("id", "name", "parent_id", "local_weight", "global_weight")),
+        level=Level(n["level"]),
+    ) for n in _field("nodes", list, obj["nodes"]))
     table = WeightTable(
         local_weights={n.id: n.local_weight for n in nodes if n.local_weight is not None},
         global_weights={n.id: n.global_weight for n in nodes if n.global_weight is not None},
         consistency=tuple(GroupConsistency(
-            parent_id=None if g["group"] == ROOT_GROUP else g["group"], n=g["n"],
-            **{key: _value(g[key]) for key in ("lambda_max", "ci", "cr")},
-            acceptable=g["acceptable"],
-        ) for g in obj["consistency"]),
+            parent_id=None if g["group"] == ROOT_GROUP else _field("group", str, g["group"]),
+            **_read(GroupConsistency, g, ("n", "lambda_max", "ci", "cr", "acceptable")),
+        ) for g in _field("consistency", list, obj["consistency"])),
     )
-    return WeightsSection(method=obj["method"], tree=IndicatorTree(nodes=nodes), table=table)
+    return WeightsSection(method=_field("method", str, obj["method"]), tree=IndicatorTree(nodes=nodes),
+                          table=table)
+
+
+def _score_from_obj(obj: Mapping[str, Any]) -> ScoreCard:
+    dims = _field("dimensions", list, obj["dimensions"])
+    return ScoreCard(
+        dimension_scores={_field("id", str, d["id"]): _field("score", float, d["score"]) for d in dims},
+        dimension_weights={d["id"]: _field("weight", float, d["weight"]) for d in dims},
+        **_read(ScoreCard, obj, ("composite", "bonus", "final", "final_rescaled", "n_respondents")),
+        bonus_cap=_number(obj["bonus_cap"]),  # written as a plain number
+        imputed=tuple((rid, qid) for rid, qid in map(_strs, _field("imputed", list, obj["imputed"]))),
+    )
 
 
 def bundle_from_obj(obj: Any, source: str | Path = "bundle") -> ReportBundle:
-    """Rebuild the rounds and weights sections of an emitted bundle from its JSON dict.
+    """Rebuild an emitted bundle from its JSON dict: the inverse of :func:`bundle_to_obj`.
 
-    The inverse of :func:`bundle_to_obj` for the sections a later stage reads
-    back; reliability, validity and score are not read and come back as None.
-    Display strings are dropped: output renders them again from the values.
+    This is the one check of a bundle read back, whichever subcommand reads it.
+    All five sections must be present (null for one not produced), each field
+    must hold its declared type (see :func:`_field`), and a screening's reasons
+    must cover every dropped id. Display strings are not kept: output renders
+    them again from the values.
     """
     try:
-        rounds = tuple(_round_from_obj(r) for r in obj.get("rounds") or ())
-        weights = obj.get("weights")
-        return ReportBundle(
-            rounds=rounds, weights=None if weights is None else _weights_from_obj(weights)
-        )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        rounds = tuple(_round_from_obj(r) for r in _field("rounds", list, obj["rounds"]))
+        readers = {"weights": _weights_from_obj, "reliability": partial(_from_record, ReliabilityTable),
+                   "validity": partial(_from_record, ValidityTable), "score": _score_from_obj}
+        return ReportBundle(rounds, **{key: None if obj[key] is None else read(obj[key])
+                                       for key, read in readers.items()})
+    except (KeyError, TypeError, ValueError, OverflowError, InvalidInputError) as exc:
         raise SchemaError(f"{source}: not a stagekit bundle (bad or missing field {exc})") from None
 
 
@@ -264,15 +304,11 @@ def _md_table(headers: list[str], rows: list[list[str]]) -> list[str]:
 
 
 def _disp(field: Mapping[str, Any] | None, absent: str = "-") -> str:
-    """A number pair's display string; its value is checked as a bundle read back is."""
-    if field is None:
-        return absent
-    _value(field)
-    return field["display"]
+    return absent if field is None else field["display"]
 
 
 def render_markdown_obj(obj: Mapping[str, Any]) -> str:
-    """Markdown report rendered from the JSON-ready dict (same display strings)."""
+    """Markdown report rendered from the JSON-ready dict (same display strings), taken as checked."""
     out: list[str] = ["# Evaluation report", ""]
 
     for rnd in obj["rounds"]:

@@ -479,6 +479,20 @@ class TestWeightTreeSourceRule:
                                    method=method)
             assert table.local_weights["d1"] == 1.0
 
+    @pytest.mark.parametrize("key, label", [("dx", "children of dx"), ("d1.a", "children of d1.a")],
+                             ids=["unknown-id", "leaf"])
+    def test_key_naming_no_sibling_group_rejected(self, key, label):
+        pairwise = {"d1": self.MATRIX, key: self.MATRIX}
+        with pytest.raises(InvalidInputError) as exc:
+            weight_tree(self.tree(), pairwise=pairwise, importance=self.MEANS)
+        assert str(exc.value) == f"pairwise matrix for {label}: no such sibling group in the indicator tree"
+
+    def test_one_member_group_matrix_ids_checked(self):
+        pairwise = {None: self.MATRIX, "d1": self.MATRIX}
+        with pytest.raises(InvalidInputError) as exc:
+            weight_tree(self.tree(), pairwise=pairwise, method="ahp")
+        assert str(exc.value) == "pairwise matrix ids ['d1.a', 'd1.b'] do not match the dimension group ['d1']"
+
     def test_group_labels(self):
         tree = IndicatorTree(nodes=(
             IndicatorNode(id="d1", name="D1", level=Level.DIMENSION),

@@ -241,7 +241,12 @@ class TestScreen:
         junk.write_text("{}", encoding="utf-8")
         rc, _, err = run(capsys, "screen", "--stats", junk)
         assert rc == 2
-        assert "no rounds" in err
+        assert err == f"error: {junk}: not a stagekit bundle (bad or missing field 'rounds')\n"
+
+    def test_bundle_without_rounds_exits_2(self, weights_bundle, capsys):
+        rc, out, err = run(capsys, "screen", "--stats", weights_bundle)
+        assert (rc, out) == (2, "")
+        assert err == f"error: {weights_bundle}: bundle contains no rounds\n"
 
     def test_malformed_json_exits_2(self, tmp_path, capsys):
         junk = tmp_path / "junk.json"

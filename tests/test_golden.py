@@ -22,6 +22,7 @@ import pytest
 import stagekit
 from stagekit import bundle_to_obj, render_json, render_markdown, run_pipeline
 from stagekit.instrument import load_default_instrument
+from stagekit.report import bundle_from_obj
 
 DATA = Path(stagekit.__file__).parent / "data"
 
@@ -241,3 +242,11 @@ def test_cli_chain_matches_pipeline_sections(cli_outputs):
     assert section("score.json", "score") == pipeline["score"]
     assert section("reliability.json", "reliability") == pipeline["reliability"]
     assert section("validity.json", "validity") == pipeline["validity"]
+
+
+def test_pinned_bundles_read_back_whole(survey_config, delphi_config, cli_outputs):
+    objs = [json.loads(render_json(run_pipeline(config))) for config in (survey_config, delphi_config)]
+    objs += [json.loads((cli_outputs / name).read_text(encoding="utf-8"))
+             for name, _ in CLI_CHAIN if name.endswith(".json")]
+    for obj in objs:
+        assert bundle_to_obj(bundle_from_obj(obj)) == obj

@@ -14,12 +14,15 @@ import os
 import shutil
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stagekit
 from stagekit.cli import main
-from stagekit.report import bundle_to_obj
+from stagekit.errors import StagekitError
+from stagekit.io import read_json
+from stagekit.report import bundle_from_obj, bundle_to_obj
 
 DATA = Path(stagekit.__file__).parent / "data"
 CONFIG = json.loads((DATA / "demo_config.json").read_text(encoding="utf-8"))
@@ -192,3 +195,46 @@ def test_report_of_mutated_demo_bundle_exits_0_2_or_3_with_one_line(tmp_path_fac
     bundle = tmp_path_factory.mktemp("hostile") / "bundle.json"
     bundle.write_text(text, encoding="utf-8")
     assert_contract(*run_main(["report", "--bundle", str(bundle), "--format", fmt]))
+
+
+def reader_accepts(path) -> bool:
+    """Whether ``bundle_from_obj`` (behind ``screen``, ``form``, ``weights``, ``score``) takes the file."""
+    try:
+        bundle_from_obj(read_json(path), path)
+    except StagekitError:
+        return False
+    return True
+
+
+@settings(max_examples=100, deadline=None)
+@given(bundle_edits(), st.sampled_from(["json", "markdown"]))
+def test_report_exits_0_exactly_when_the_bundle_reader_accepts(tmp_path_factory, text, fmt):
+    bundle = tmp_path_factory.mktemp("hostile") / "bundle.json"
+    bundle.write_text(text, encoding="utf-8")
+    rc, stdout, stderr = run_main(["report", "--bundle", str(bundle), "--format", fmt])
+    assert_contract(rc, stdout, stderr)
+    assert (rc == 0) == reader_accepts(bundle)
+
+
+# Edits that one of the two former bundle checks took and the other refused.
+@pytest.mark.parametrize("fmt", ["json", "markdown"])
+@pytest.mark.parametrize("path, value", [
+    (("rounds", 0, "indicators", 0, "mean"), None),
+    (("weights", "nodes", 0, "level"), "bogus"),
+    (("reliability", "questions", 0, "note"), 5),
+    (("reliability", "n_respondents"), "many"),
+    (("validity", "items", 0, "passes"), "no"),
+    (("rounds",), 0),
+    (("weights", "nodes", 0, "local_weight", "value"), 7),
+], ids=["mean-null", "level-bogus", "note-int", "n_respondents-str", "passes-str", "rounds-int",
+        "weight-above-1"])
+def test_edit_refused_by_report_and_the_bundle_reader(tmp_path, path, value, fmt):
+    obj = json.loads(json.dumps(BUNDLE))
+    at(obj, path)[path[-1]] = value
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(json.dumps(obj), encoding="utf-8")
+    rc, stdout, stderr = run_main(["report", "--bundle", str(bundle), "--format", fmt])
+    assert (rc, stdout) == (2, "")
+    assert stderr.startswith(f"error: {bundle}: not a stagekit bundle (bad or missing field ")
+    assert stderr.count("\n") == 1
+    assert not reader_accepts(bundle)

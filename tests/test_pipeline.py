@@ -223,6 +223,20 @@ class TestStageErrors:
         assert "indicators" in str(exc.value)
 
 
+class TestPairwiseGroups:
+    def test_misspelled_group_exits_2_with_one_weights_line(self, tmp_path, capsys):
+        from stagekit.cli import main
+
+        config = demo_config_copy(tmp_path, rename_key("weights", "pairwise", "ux", to="uxx"))
+        out_path = tmp_path / "bundle.json"
+        rc = main(["pipeline", "--config", str(config), "--out", str(out_path)])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (2, "")
+        assert captured.err == ("error: weights: pairwise matrix for children of uxx: "
+                                "no such sibling group in the indicator tree\n")
+        assert not out_path.exists()
+
+
 class TestRoundOptions:
     def test_explicit_round_thresholds(self, tmp_path):
         (tmp_path / "r1.csv").write_text(

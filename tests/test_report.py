@@ -311,10 +311,6 @@ class TestEmitReport:
         assert list(tmp_path.iterdir()) == []
 
 
-def read_sections(obj):
-    return {"rounds": obj["rounds"], "weights": obj["weights"]}
-
-
 class TestBundleFromObj:
     def demo_round_stats_obj(self):
         from stagekit.io import parse_experts, parse_ratings
@@ -326,7 +322,7 @@ class TestBundleFromObj:
     def test_round_trip_of_demo_pipeline_bundle(self):
         obj = json.loads(render_json(run_pipeline(DATA / "demo_config.json")))
         assert obj["weights"] is not None and len(obj["rounds"]) == 3
-        assert read_sections(bundle_to_obj(bundle_from_obj(obj))) == read_sections(obj)
+        assert bundle_to_obj(bundle_from_obj(obj)) == obj
 
     def test_round_trip_of_round_stats_bundle(self):
         obj = self.demo_round_stats_obj()
@@ -334,12 +330,15 @@ class TestBundleFromObj:
 
     def test_round_trip_of_full_bundle_at_other_precision(self):
         obj = bundle_to_obj(full_bundle(), coeff_places=6)
-        again = bundle_to_obj(bundle_from_obj(obj), coeff_places=6)
-        assert read_sections(again) == read_sections(obj)
+        assert bundle_to_obj(bundle_from_obj(obj), coeff_places=6) == obj
 
-    def test_unread_sections_come_back_empty(self):
-        bundle = bundle_from_obj(bundle_to_obj(full_bundle()))
-        assert (bundle.reliability, bundle.validity, bundle.score) == (None, None, None)
+    @pytest.mark.parametrize("places", [4, 6])
+    @pytest.mark.parametrize("make", [lambda: run_pipeline(DATA / "demo_config.json"), full_bundle],
+                             ids=["demo", "full"])
+    def test_every_section_round_trips(self, make, places):
+        obj = json.loads(render_json(make(), coeff_places=places))
+        assert all(obj[key] for key in ("rounds", "weights", "reliability", "validity", "score"))
+        assert bundle_to_obj(bundle_from_obj(obj), coeff_places=places) == obj
 
     def test_weight_table_read_back(self):
         original = full_bundle().weights
