@@ -16,6 +16,7 @@ import re
 from array import array
 from contextlib import contextmanager, suppress
 from fractions import Fraction
+from functools import partial
 from operator import itemgetter
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Sequence, TextIO
@@ -346,7 +347,16 @@ def _int_table(path: Path, header: list[str], rows: Iterable[list[str]], kind: s
     memo_of: dict[Any, dict[str, int]] = {}  # columns of one range or enum share a memo
     memos = [memo_of.setdefault(b, {} if isinstance(b, tuple) else {e.value: i for i, e in enumerate(b)})
              for b in bounds]
-    pick = itemgetter(*src) if len(src) > 1 else (lambda row: tuple(row[i] for i in src))
+    start = src[0] if src else 0
+    if list(src) == list(range(start, start + len(src))):  # one column range: one slice
+        pick = itemgetter(slice(start, start + len(src)))
+    else:
+        pick = itemgetter(*src)
+    # Columns that all share one memo (one rating range) look up through its bound method.
+    if len(memo_of) == 1:
+        code = partial(map, next(iter(memo_of.values())).__getitem__)
+    else:
+        code = partial(map, dict.__getitem__, memos)
     width = max([*src, key]) + 1
 
     def learn(row_id: str, cells: Sequence[str]):
@@ -389,7 +399,7 @@ def _int_table(path: Path, header: list[str], rows: Iterable[list[str]], kind: s
         row_of[row_id] = len(row_of)
         cells = pick(row)
         try:
-            buffer.extend(pack(map(dict.__getitem__, memos, cells)))
+            buffer.extend(pack(code(cells)))
         except KeyError:
             buffer.extend(learn(row_id, cells))
     matrix = np.frombuffer(buffer, dtype=dtype).reshape(len(row_of), len(columns))

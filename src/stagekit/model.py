@@ -13,11 +13,12 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from .errors import InvalidInputError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 WEIGHT_SUM_TOL = 1e-9
 
@@ -250,6 +251,8 @@ class ExpertPanel(Sequence):
         """``profiles`` as a panel (a panel as it is); two profiles may not share an id."""
         if isinstance(profiles, ExpertPanel):
             return profiles
+        import numpy as np
+
         code_of = [{m: i for i, m in enumerate(e)} for e in cls.ENUMS]
         row_of: dict[str, int] = {}
         codes: list[list[int]] = []
@@ -455,6 +458,8 @@ class RowMatrix(Mapping):
 
 def rating_dtype(scale_max: int) -> np.dtype:
     """The matrix dtype of ratings 1..scale_max: int8 where it holds them, else int64."""
+    import numpy as np
+
     if scale_max > np.iinfo(np.int64).max:
         raise InvalidInputError(f"scale_max {scale_max} is too large")
     return np.dtype(np.int8 if scale_max <= np.iinfo(np.int8).max else np.int64)
@@ -476,7 +481,7 @@ _BONUS_MESSAGES = (
 
 
 def _checked_rows(rows, columns: tuple[str, ...], messages: tuple[str, str], lo: int, hi: int,
-                  dtype=np.int8, read: Callable[[list], Any] = _answer_row,
+                  dtype="int8", read: Callable[[list], Any] = _answer_row,
                   allow_missing: bool = False) -> RowMatrix:
     """``rows`` as a checked RowMatrix over ``columns`` of integers in [lo, hi].
 
@@ -486,6 +491,8 @@ def _checked_rows(rows, columns: tuple[str, ...], messages: tuple[str, str], lo:
     ``MISSING`` where ``allow_missing``. Either way the first offending cell
     in row-major order is the one reported.
     """
+    import numpy as np
+
     cell_error, length_error = messages
 
     def fail(key, column, value):
@@ -559,6 +566,8 @@ class ResponseSet:
 
     def missing_cells(self) -> tuple[tuple[str, str], ...]:
         """(respondent_id, question_id) pairs with no answer, in row-major order."""
+        import numpy as np
+
         rows, cols = np.nonzero(self.consumer.matrix == MISSING)
         ids, qids = self.consumer.ids, self.question_ids
         return tuple((ids[r], qids[c]) for r, c in zip(rows.tolist(), cols.tolist()))

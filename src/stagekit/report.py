@@ -224,13 +224,23 @@ def _strs(value: Any) -> tuple[str, ...]:
     return tuple(_field("id", str, v) for v in _field("ids", list, value))
 
 
+def _keyed(name: str, pairs) -> dict[str, Any]:
+    """The (id, value) pairs of a section list as a dict; an id listed twice is an error."""
+    out: dict[str, Any] = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"{name}: id {key!r} listed twice")
+        out[key] = value
+    return out
+
+
 def _round_from_obj(obj: Mapping[str, Any]) -> RoundSection:
     consensus = RoundConsensus(
         **_read(RoundConsensus, obj, ("round_no", "scale_max", "distributed", "returned",
                                       "positivity", "kendall_w")),
         **_read(RoundConsensus, obj["authority"], ("ca", "cs", "cr")),
-        stats={_field("id", str, s["id"]): _from_record(IndicatorStats, s)
-               for s in _field("indicators", list, obj["indicators"])},
+        stats=_keyed("indicators", ((_field("id", str, s["id"]), _from_record(IndicatorStats, s))
+                                    for s in _field("indicators", list, obj["indicators"]))),
     )
     scr = obj["screening"]
     if scr is not None:
@@ -242,10 +252,11 @@ def _round_from_obj(obj: Mapping[str, Any]) -> RoundSection:
 
 
 def _weights_from_obj(obj: Mapping[str, Any]) -> WeightsSection:
+    listed = _keyed("nodes", ((_field("id", str, n["id"]), n) for n in _field("nodes", list, obj["nodes"])))
     nodes = tuple(IndicatorNode(
         **_read(IndicatorNode, n, ("id", "name", "parent_id", "local_weight", "global_weight")),
         level=Level(n["level"]),
-    ) for n in _field("nodes", list, obj["nodes"]))
+    ) for n in listed.values())
     table = WeightTable(
         local_weights={n.id: n.local_weight for n in nodes if n.local_weight is not None},
         global_weights={n.id: n.global_weight for n in nodes if n.global_weight is not None},
@@ -261,7 +272,8 @@ def _weights_from_obj(obj: Mapping[str, Any]) -> WeightsSection:
 def _score_from_obj(obj: Mapping[str, Any]) -> ScoreCard:
     dims = _field("dimensions", list, obj["dimensions"])
     return ScoreCard(
-        dimension_scores={_field("id", str, d["id"]): _field("score", float, d["score"]) for d in dims},
+        dimension_scores=_keyed("dimensions", ((_field("id", str, d["id"]),
+                                                _field("score", float, d["score"])) for d in dims)),
         dimension_weights={d["id"]: _field("weight", float, d["weight"]) for d in dims},
         **_read(ScoreCard, obj, ("composite", "bonus", "final", "final_rescaled", "n_respondents")),
         bonus_cap=_number(obj["bonus_cap"]),  # written as a plain number

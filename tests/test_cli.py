@@ -243,6 +243,16 @@ class TestScreen:
         assert rc == 2
         assert err == f"error: {junk}: not a stagekit bundle (bad or missing field 'rounds')\n"
 
+    def test_repeated_indicator_id_exits_2(self, stats1, capsys):
+        obj = json.loads(stats1.read_text(encoding="utf-8"))
+        indicators = obj["rounds"][0]["indicators"]
+        indicators[1]["id"] = indicators[0]["id"]
+        stats1.write_text(json.dumps(obj), encoding="utf-8")
+        rc, out, err = run(capsys, "screen", "--stats", stats1)
+        assert (rc, out) == (2, "")
+        assert err == (f"error: {stats1}: not a stagekit bundle (bad or missing field indicators: "
+                       f"id {indicators[0]['id']!r} listed twice)\n")
+
     def test_bundle_without_rounds_exits_2(self, weights_bundle, capsys):
         rc, out, err = run(capsys, "screen", "--stats", weights_bundle)
         assert (rc, out) == (2, "")

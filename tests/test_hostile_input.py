@@ -216,7 +216,7 @@ def test_report_exits_0_exactly_when_the_bundle_reader_accepts(tmp_path_factory,
     assert (rc == 0) == reader_accepts(bundle)
 
 
-# Edits that one of the two former bundle checks took and the other refused.
+# Edits that one of the two former bundle checks took and the other refused, and ids listed twice.
 @pytest.mark.parametrize("fmt", ["json", "markdown"])
 @pytest.mark.parametrize("path, value", [
     (("rounds", 0, "indicators", 0, "mean"), None),
@@ -226,8 +226,11 @@ def test_report_exits_0_exactly_when_the_bundle_reader_accepts(tmp_path_factory,
     (("validity", "items", 0, "passes"), "no"),
     (("rounds",), 0),
     (("weights", "nodes", 0, "local_weight", "value"), 7),
+    (("rounds", 0, "indicators", 1, "id"), BUNDLE["rounds"][0]["indicators"][0]["id"]),
+    (("weights", "nodes", 1, "id"), BUNDLE["weights"]["nodes"][0]["id"]),
+    (("score", "dimensions", 1, "id"), BUNDLE["score"]["dimensions"][0]["id"]),
 ], ids=["mean-null", "level-bogus", "note-int", "n_respondents-str", "passes-str", "rounds-int",
-        "weight-above-1"])
+        "weight-above-1", "indicator-id-repeated", "node-id-repeated", "dimension-id-repeated"])
 def test_edit_refused_by_report_and_the_bundle_reader(tmp_path, path, value, fmt):
     obj = json.loads(json.dumps(BUNDLE))
     at(obj, path)[path[-1]] = value

@@ -357,6 +357,19 @@ class TestBundleFromObj:
         with pytest.raises(SchemaError, match=r"^b\.json: not a stagekit bundle"):
             bundle_from_obj(obj, "b.json")
 
+    @pytest.mark.parametrize("path", [("rounds", 0, "indicators"), ("weights", "nodes"),
+                                      ("score", "dimensions")], ids=["round", "weights", "score"])
+    def test_repeated_id_rejected(self, path):
+        obj = json.loads(render_json(run_pipeline(DATA / "demo_config.json")))
+        entries = obj
+        for key in path:
+            entries = entries[key]
+        entries[1]["id"] = entries[0]["id"]
+        with pytest.raises(SchemaError) as exc:
+            bundle_from_obj(obj, "b.json")
+        assert str(exc.value) == (f"b.json: not a stagekit bundle (bad or missing field {path[-1]}: "
+                                  f"id {entries[0]['id']!r} listed twice)")
+
     def test_non_number_value_rejected(self):
         obj = self.demo_round_stats_obj()
         obj["rounds"][0]["kendall_w"]["value"] = "0.5"
