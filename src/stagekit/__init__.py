@@ -58,4 +58,4 @@ def __getattr__(name: str):
 
 
 def __dir__():
-    return list(__all__)
+    return sorted({*globals(), *__all__, *_EXPORTS})

@@ -16,7 +16,6 @@ import re
 from array import array
 from contextlib import contextmanager, suppress
 from fractions import Fraction
-from functools import partial
 from operator import itemgetter
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Sequence, TextIO
@@ -352,11 +351,6 @@ def _int_table(path: Path, header: list[str], rows: Iterable[list[str]], kind: s
         pick = itemgetter(slice(start, start + len(src)))
     else:
         pick = itemgetter(*src)
-    # Columns that all share one memo (one rating range) look up through its bound method.
-    if len(memo_of) == 1:
-        code = partial(map, next(iter(memo_of.values())).__getitem__)
-    else:
-        code = partial(map, dict.__getitem__, memos)
     width = max([*src, key]) + 1
 
     def learn(row_id: str, cells: Sequence[str]):
@@ -399,7 +393,7 @@ def _int_table(path: Path, header: list[str], rows: Iterable[list[str]], kind: s
         row_of[row_id] = len(row_of)
         cells = pick(row)
         try:
-            buffer.extend(pack(code(cells)))
+            buffer.extend(pack(map(dict.__getitem__, memos, cells)))
         except KeyError:
             buffer.extend(learn(row_id, cells))
     matrix = np.frombuffer(buffer, dtype=dtype).reshape(len(row_of), len(columns))

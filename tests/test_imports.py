@@ -56,8 +56,8 @@ def test_all_is_every_export_once():
     assert len(stagekit.__all__) == len(set(stagekit.__all__)) == len(stagekit._OWNER)
 
 
-def test_dir_lists_every_export():
-    assert set(stagekit.__all__) <= set(dir(stagekit))
+def test_dir_lists_every_export_submodule_and_the_version():
+    assert {*stagekit.__all__, *stagekit._EXPORTS, "__version__"} <= set(dir(stagekit))
 
 
 def test_star_import_binds_every_export():
