@@ -268,7 +268,6 @@ def round_consensus(
     *,
     ca_table: Mapping[JudgmentBasis, Mapping[Impact, float]] = DEFAULT_CA_TABLE,
     cs_map: Mapping[Familiarity, float] = DEFAULT_CS_MAP,
-    correct_ties: bool = True,
 ) -> RoundConsensus:
     """All consensus statistics for one round.
 
@@ -300,7 +299,7 @@ def round_consensus(
         indicator_id: indicator_stats(rnd.ratings.matrix[:, j], rnd.scale_max)
         for j, indicator_id in enumerate(rnd.indicator_ids)
     }
-    w = kendalls_w(rnd.ratings.matrix, correct_ties=correct_ties)
+    w = kendalls_w(rnd.ratings.matrix)
     return RoundConsensus(
         round_no=rnd.round_no,
         scale_max=rnd.scale_max,

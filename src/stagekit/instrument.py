@@ -156,11 +156,8 @@ def load_default_instrument() -> Instrument:
         Question(id=f"q{i}", text=text) for i, text in enumerate(_QUESTION_TEXTS, start=1)
     )
     return Instrument(
-        name="STAGE",
         indices=_QUESTION_GROUPS,
         questions=questions,
         dimension_of={idx: dim for idx, dim, _ in INDICES},
-        dimension_names=dict(DIMENSIONS),
-        index_names={idx: name for idx, _, name in INDICES},
         bonus_indicators=BONUS_INDICATORS,
     )

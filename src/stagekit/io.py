@@ -257,7 +257,7 @@ def _plain_table(path: Path, header: list[str], src: Sequence[int], bounds: Sequ
     regular file is read, as this reads it a second time.
     """
     if not all(isinstance(b, tuple) for b in bounds) or \
-            rating_dtype(max((hi for _, hi in bounds), default=0)) != np.int8:
+            rating_dtype(max((hi for _, hi in bounds), default=0)) != "int8":
         return None
     if not path.is_file():  # a pipe cannot be read a second time
         return None
@@ -341,8 +341,8 @@ def _int_table(path: Path, header: list[str], rows: Iterable[list[str]], kind: s
     noun, repeat = kind.split()
     dtype = rating_dtype(max((b[1] if isinstance(b, tuple) else len(b) - 1 for b in bounds), default=0))
     # An int8 row packs into bytes, the fastest to build and append; codes are unsigned bytes.
-    pack, mask = (bytes, 0xFF) if dtype == np.int8 else (tuple, -1)
-    buffer = bytearray() if dtype == np.int8 else array(dtype.char)
+    pack, mask = (bytes, 0xFF) if dtype == "int8" else (tuple, -1)
+    buffer = bytearray() if dtype == "int8" else array("q")
     memo_of: dict[Any, dict[str, int]] = {}  # columns of one range or enum share a memo
     memos = [memo_of.setdefault(b, {} if isinstance(b, tuple) else {e.value: i for i, e in enumerate(b)})
              for b in bounds]
@@ -445,7 +445,7 @@ def parse_ratings(
             scale_max=scale_max,
             distributed=distributed,
             indicator_ids=indicator_ids,
-            ratings=RowMatrix(row_of, matrix, tuple),
+            ratings=RowMatrix(row_of, matrix),
             non_respondents=non_respondents,
         )
     except InvalidInputError as exc:

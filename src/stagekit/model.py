@@ -308,7 +308,7 @@ class RatingRound:
         object.__setattr__(self, "indicator_ids", ids)
         object.__setattr__(self, "non_respondents", tuple(self.non_respondents))
         rows = _checked_rows(self.ratings, ids, _RATING_MESSAGES, 1, self.scale_max,
-                             rating_dtype(self.scale_max), tuple)
+                             rating_dtype(self.scale_max))
         if self.distributed < len(rows):
             raise InvalidInputError(
                 f"{len(rows)} responding experts exceed {self.distributed} distributed questionnaires"
@@ -357,12 +357,9 @@ class Instrument:
     exactly one index, and every index maps to one dimension.
     """
 
-    name: str
     indices: tuple[tuple[str, tuple[str, ...]], ...]
     questions: tuple[Question, ...]
     dimension_of: Mapping[str, str]
-    dimension_names: Mapping[str, str]
-    index_names: Mapping[str, str]
     bonus_indicators: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self):
@@ -370,8 +367,6 @@ class Instrument:
                            tuple((idx, tuple(qids)) for idx, qids in self.indices))
         object.__setattr__(self, "questions", tuple(self.questions))
         object.__setattr__(self, "dimension_of", dict(self.dimension_of))
-        object.__setattr__(self, "dimension_names", dict(self.dimension_names))
-        object.__setattr__(self, "index_names", dict(self.index_names))
         object.__setattr__(self, "bonus_indicators",
                            tuple((bid, bname) for bid, bname in self.bonus_indicators))
 
@@ -456,13 +451,11 @@ class RowMatrix(Mapping):
         return f"RowMatrix({len(self.ids)} rows x {self.matrix.shape[1]} columns)"
 
 
-def rating_dtype(scale_max: int) -> np.dtype:
-    """The matrix dtype of ratings 1..scale_max: int8 where it holds them, else int64."""
-    import numpy as np
-
-    if scale_max > np.iinfo(np.int64).max:
+def rating_dtype(scale_max: int) -> str:
+    """The matrix dtype name of ratings 1..scale_max: "int8" where it holds them, else "int64"."""
+    if scale_max > 2**63 - 1:
         raise InvalidInputError(f"scale_max {scale_max} is too large")
-    return np.dtype(np.int8 if scale_max <= np.iinfo(np.int8).max else np.int64)
+    return "int8" if scale_max <= 127 else "int64"
 
 
 # (cell error, row-length error) for each kind of rows a RowMatrix is checked for.
@@ -481,15 +474,14 @@ _BONUS_MESSAGES = (
 
 
 def _checked_rows(rows, columns: tuple[str, ...], messages: tuple[str, str], lo: int, hi: int,
-                  dtype="int8", read: Callable[[list], Any] = _answer_row,
-                  allow_missing: bool = False) -> RowMatrix:
+                  dtype: str = "int8", allow_missing: bool = False) -> RowMatrix:
     """``rows`` as a checked RowMatrix over ``columns`` of integers in [lo, hi].
 
     A RowMatrix of ``dtype`` is checked with one vectorised range test and
     kept; any other mapping (or iterable of pairs) is converted cell by cell
-    into one whose rows are read back by ``read``, with ``None`` stored as
-    ``MISSING`` where ``allow_missing``. Either way the first offending cell
-    in row-major order is the one reported.
+    into an answer RowMatrix, with ``None`` stored as ``MISSING`` where
+    ``allow_missing``. Either way the first offending cell in row-major order
+    is the one reported.
     """
     import numpy as np
 
@@ -525,7 +517,7 @@ def _checked_rows(rows, columns: tuple[str, ...], messages: tuple[str, str], lo:
                 raise fail(key, column, value)
         row_of[key] = len(row_of)
     matrix = np.array(codes, dtype=dtype).reshape(len(row_of), len(columns))
-    return RowMatrix(row_of, matrix, read)
+    return RowMatrix(row_of, matrix)
 
 
 @dataclass(frozen=True)
@@ -566,9 +558,7 @@ class ResponseSet:
 
     def missing_cells(self) -> tuple[tuple[str, str], ...]:
         """(respondent_id, question_id) pairs with no answer, in row-major order."""
-        import numpy as np
-
-        rows, cols = np.nonzero(self.consumer.matrix == MISSING)
+        rows, cols = (self.consumer.matrix == MISSING).nonzero()
         ids, qids = self.consumer.ids, self.question_ids
         return tuple((ids[r], qids[c]) for r, c in zip(rows.tolist(), cols.tolist()))
 

@@ -145,41 +145,35 @@ def _weights_obj(section: WeightsSection, places: int) -> dict[str, Any]:
     }
 
 
-def _score_obj(card: ScoreCard, coeff_places: int, score_places: int) -> dict[str, Any]:
+def _score_obj(card: ScoreCard, coeff_places: int) -> dict[str, Any]:
     return {
         "n_respondents": card.n_respondents,
         "dimensions": [
             {
                 "id": dim,
                 "weight": _num(card.dimension_weights[dim], coeff_places),
-                "score": _num(card.dimension_scores[dim], score_places),
+                "score": _num(card.dimension_scores[dim], SCORE_PLACES),
             }
             for dim in card.dimension_scores
         ],
-        "composite": _num(card.composite, score_places),
-        "bonus": _num(card.bonus, score_places),
+        "composite": _num(card.composite, SCORE_PLACES),
+        "bonus": _num(card.bonus, SCORE_PLACES),
         "bonus_cap": card.bonus_cap,
-        "final": _num(card.final, score_places),
-        "final_rescaled": _num(card.final_rescaled, score_places),
+        "final": _num(card.final, SCORE_PLACES),
+        "final_rescaled": _num(card.final_rescaled, SCORE_PLACES),
         "imputed": [[rid, qid] for rid, qid in card.imputed],
     }
 
 
-def bundle_to_obj(
-    bundle: ReportBundle,
-    *,
-    coeff_places: int = COEFF_PLACES,
-    score_places: int = SCORE_PLACES,
-) -> dict[str, Any]:
-    """The bundle as a JSON-ready dict with a fixed key order."""
+def bundle_to_obj(bundle: ReportBundle, *, coeff_places: int = COEFF_PLACES) -> dict[str, Any]:
+    """The bundle as a JSON-ready dict with a fixed key order; CVI and scores keep SCORE_PLACES."""
     return {
         "rounds": [_round_obj(s, coeff_places) for s in bundle.rounds],
         "weights": None if bundle.weights is None else _weights_obj(bundle.weights, coeff_places),
         "reliability": None if bundle.reliability is None
         else _record(bundle.reliability, coeff_places),
-        "validity": None if bundle.validity is None else _record(bundle.validity, score_places),
-        "score": None if bundle.score is None
-        else _score_obj(bundle.score, coeff_places, score_places),
+        "validity": None if bundle.validity is None else _record(bundle.validity, SCORE_PLACES),
+        "score": None if bundle.score is None else _score_obj(bundle.score, coeff_places),
     }
 
 
@@ -304,8 +298,8 @@ def render_json_obj(obj: Any) -> str:
     return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
 
 
-def render_json(bundle: ReportBundle, **places) -> str:
-    return render_json_obj(bundle_to_obj(bundle, **places))
+def render_json(bundle: ReportBundle, *, coeff_places: int = COEFF_PLACES) -> str:
+    return render_json_obj(bundle_to_obj(bundle, coeff_places=coeff_places))
 
 
 def _md_table(headers: list[str], rows: list[list[str]]) -> list[str]:
@@ -452,16 +446,16 @@ def render_markdown_obj(obj: Mapping[str, Any]) -> str:
     return "\n".join(out).rstrip("\n") + "\n"
 
 
-def render_markdown(bundle: ReportBundle, **places) -> str:
-    return render_markdown_obj(bundle_to_obj(bundle, **places))
+def render_markdown(bundle: ReportBundle, *, coeff_places: int = COEFF_PLACES) -> str:
+    return render_markdown_obj(bundle_to_obj(bundle, coeff_places=coeff_places))
 
 
-def emit_report(bundle: ReportBundle, fmt: str = "json", **places) -> str:
+def emit_report(bundle: ReportBundle, fmt: str = "json", *, coeff_places: int = COEFF_PLACES) -> str:
     """Serialize the bundle; fmt is "json" or "markdown"."""
     if fmt == "json":
-        return render_json(bundle, **places)
+        return render_json(bundle, coeff_places=coeff_places)
     if fmt == "markdown":
-        return render_markdown(bundle, **places)
+        return render_markdown(bundle, coeff_places=coeff_places)
     raise InvalidInputError(f"unknown report format {fmt!r}")
 
 

@@ -163,12 +163,9 @@ def reference_reliability_report(responses, instrument):
 def toy_instrument():
     """Six questions in a 2-, a 1- and a 3-question index over two dimensions."""
     return Instrument(
-        name="toy",
         indices=(("d1.a", ("q1", "q2")), ("d1.b", ("q3",)), ("d2.c", ("q4", "q5", "q6"))),
         questions=tuple(Question(id=f"q{i}", text=f"Question {i}") for i in range(1, 7)),
         dimension_of={"d1.a": "d1", "d1.b": "d1", "d2.c": "d2"},
-        dimension_names={"d1": "Dim One", "d2": "Dim Two"},
-        index_names={"d1.a": "A", "d1.b": "B", "d2.c": "C"},
     )
 
 
@@ -553,9 +550,8 @@ def ranged_instrument():
     questions = (Question(id="q1", text="Q1"), Question(id="q2", text="Q2", max_value=2),
                  Question(id="q3", text="Q3", min_value=1, max_value=3),
                  Question(id="q4", text="Q4", min_value=-2, max_value=9))
-    return Instrument(name="ranged", indices=(("d.a", ("q1", "q2")), ("d.b", ("q3", "q4"))),
-                      questions=questions, dimension_of={"d.a": "d", "d.b": "d"},
-                      dimension_names={"d": "D"}, index_names={"d.a": "A", "d.b": "B"})
+    return Instrument(indices=(("d.a", ("q1", "q2")), ("d.b", ("q3", "q4"))),
+                      questions=questions, dimension_of={"d.a": "d", "d.b": "d"})
 
 
 @st.composite

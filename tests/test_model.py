@@ -221,36 +221,27 @@ class TestInstrument:
         questions = (Question(id="q1", text="Q1"), Question(id="q2", text="Q2"))
         with pytest.raises(InvalidInputError):
             Instrument(
-                name="bad",
                 indices=(("i1", ("q1", "q2")), ("i2", ("q2",))),
                 questions=questions,
                 dimension_of={"i1": "d", "i2": "d"},
-                dimension_names={"d": "D"},
-                index_names={"i1": "I1", "i2": "I2"},
             )
 
     def test_unassigned_question_rejected(self):
         questions = (Question(id="q1", text="Q1"), Question(id="q2", text="Q2"))
         with pytest.raises(InvalidInputError):
             Instrument(
-                name="bad",
                 indices=(("i1", ("q1",)),),
                 questions=questions,
                 dimension_of={"i1": "d"},
-                dimension_names={"d": "D"},
-                index_names={"i1": "I1"},
             )
 
     def test_unknown_question_reference_rejected(self):
         questions = (Question(id="q1", text="Q1"),)
         with pytest.raises(InvalidInputError):
             Instrument(
-                name="bad",
                 indices=(("i1", ("q1", "ghost")),),
                 questions=questions,
                 dimension_of={"i1": "d"},
-                dimension_names={"d": "D"},
-                index_names={"i1": "I1"},
             )
 
     def test_instrument_matches_default_tree(self):

@@ -235,12 +235,9 @@ class TestContentValidity:
 def toy_instrument():
     questions = tuple(Question(id=f"q{i}", text=f"Question {i}") for i in range(1, 6))
     return Instrument(
-        name="toy",
         indices=(("d1.a", ("q1", "q2", "q3")), ("d1.b", ("q4", "q5"))),
         questions=questions,
         dimension_of={"d1.a": "d1", "d1.b": "d1"},
-        dimension_names={"d1": "Dim One"},
-        index_names={"d1.a": "Index A", "d1.b": "Index B"},
     )
 
 

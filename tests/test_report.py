@@ -69,12 +69,9 @@ class TestDisplay:
 def toy_instrument():
     questions = tuple(Question(id=f"q{i}", text=f"Question {i}") for i in range(1, 5))
     return Instrument(
-        name="toy",
         indices=(("d1.a", ("q1", "q2")), ("d2.b", ("q3", "q4"))),
         questions=questions,
         dimension_of={"d1.a": "d1", "d2.b": "d2"},
-        dimension_names={"d1": "One", "d2": "Two"},
-        index_names={"d1.a": "A", "d2.b": "B"},
     )
 
 
@@ -154,10 +151,10 @@ class TestBundleObject:
             assert pair["display"] == format(pair["value"], f".{places}f"), path
 
     def test_precision_parameters_respected(self):
-        obj = bundle_to_obj(full_bundle(), coeff_places=6, score_places=3)
+        obj = bundle_to_obj(full_bundle(), coeff_places=6)
         rnd = obj["rounds"][0]
         assert len(rnd["positivity"]["display"].split(".")[1]) == 6
-        assert len(obj["score"]["composite"]["display"].split(".")[1]) == 3
+        assert len(obj["score"]["composite"]["display"].split(".")[1]) == 2  # scores keep SCORE_PLACES
 
     def test_records_written_by_declared_type(self):
         bundle = full_bundle()

@@ -20,7 +20,6 @@ from stagekit import (
 def two_dim_instrument():
     questions = tuple(Question(id=f"q{i}", text=f"Question {i}") for i in range(1, 7))
     return Instrument(
-        name="toy",
         indices=(
             ("d1.a", ("q1", "q2")),
             ("d1.b", ("q3",)),
@@ -28,8 +27,6 @@ def two_dim_instrument():
         ),
         questions=questions,
         dimension_of={"d1.a": "d1", "d1.b": "d1", "d2.c": "d2"},
-        dimension_names={"d1": "Dim One", "d2": "Dim Two"},
-        index_names={"d1.a": "A", "d1.b": "B", "d2.c": "C"},
     )
 
 
@@ -308,7 +305,6 @@ class TestQuestionProportionalWeights:
         # proportional weights degenerate to equal sibling weights.
         questions = tuple(Question(id=f"q{i}", text=f"Q{i}") for i in range(1, 9))
         balanced = Instrument(
-            name="balanced",
             indices=(
                 ("d1.a", ("q1", "q2")),
                 ("d1.b", ("q3", "q4")),
@@ -317,8 +313,6 @@ class TestQuestionProportionalWeights:
             ),
             questions=questions,
             dimension_of={"d1.a": "d1", "d1.b": "d1", "d2.c": "d2", "d2.d": "d2"},
-            dimension_names={"d1": "One", "d2": "Two"},
-            index_names={"d1.a": "A", "d1.b": "B", "d2.c": "C", "d2.d": "D"},
         )
         weights = question_proportional_weights(balanced)
         assert weights == {
