@@ -187,8 +187,9 @@ def _field(name: str, kind: Any, value: Any) -> Any:
     """A field read back by its declared type, the inverse of :func:`_record`'s rule.
 
     ``float`` is a number pair (its display a string), ``X | None`` is X or null,
-    ``tuple[Row, ...]`` is a list of ``Row`` records, and any other type must be
-    the value's exact type (a bool is not an int).
+    ``tuple[Row, ...]`` is a list of ``Row`` records whose first field (the row's
+    id) does not repeat, and any other type must be the value's exact type (a
+    bool is not an int).
     """
     if isinstance(kind, UnionType):  # X | None
         return None if value is None else _field(name, get_args(kind)[0], value)
@@ -197,7 +198,9 @@ def _field(name: str, kind: Any, value: Any) -> Any:
             raise TypeError(f"display {value['display']!r} is not a string")
         return _number(value["value"])
     if get_origin(kind) is tuple:
-        return tuple(_from_record(get_args(kind)[0], row) for row in _field(name, list, value))
+        cls = get_args(kind)[0]
+        rows = (_from_record(cls, row) for row in _field(name, list, value))
+        return tuple(_keyed(name, ((getattr(row, fields(cls)[0].name), row) for row in rows)).values())
     if type(value) is not kind:
         raise TypeError(f"{name} {value!r} is not {kind.__name__}")
     return value
@@ -218,9 +221,9 @@ def _strs(value: Any) -> tuple[str, ...]:
     return tuple(_field("id", str, v) for v in _field("ids", list, value))
 
 
-def _keyed(name: str, pairs) -> dict[str, Any]:
+def _keyed(name: str, pairs) -> dict[Any, Any]:
     """The (id, value) pairs of a section list as a dict; an id listed twice is an error."""
-    out: dict[str, Any] = {}
+    out: dict[Any, Any] = {}
     for key, value in pairs:
         if key in out:
             raise ValueError(f"{name}: id {key!r} listed twice")
@@ -238,15 +241,19 @@ def _round_from_obj(obj: Mapping[str, Any]) -> RoundSection:
     )
     scr = obj["screening"]
     if scr is not None:
-        dropped, reasons = _strs(scr["dropped"]), _field("reasons", dict, scr["reasons"])
+        retained, dropped = _strs(scr["retained"]), _strs(scr["dropped"])
+        _keyed("retained/dropped", ((i, None) for i in retained + dropped))
+        reasons = _field("reasons", dict, scr["reasons"])
         scr = ScreeningResult(thresholds=_from_record(ScreeningThresholds, scr["thresholds"]),
-                              retained=_strs(scr["retained"]), dropped=dropped,
+                              retained=retained, dropped=dropped,
                               reasons={i: _strs(reasons[i]) for i in dropped})
     return RoundSection(consensus=consensus, screening=scr)
 
 
 def _weights_from_obj(obj: Mapping[str, Any]) -> WeightsSection:
     listed = _keyed("nodes", ((_field("id", str, n["id"]), n) for n in _field("nodes", list, obj["nodes"])))
+    groups = _keyed("consistency", ((_field("group", str, g["group"]), g)
+                                    for g in _field("consistency", list, obj["consistency"])))
     nodes = tuple(IndicatorNode(
         **_read(IndicatorNode, n, ("id", "name", "parent_id", "local_weight", "global_weight")),
         level=Level(n["level"]),
@@ -255,9 +262,9 @@ def _weights_from_obj(obj: Mapping[str, Any]) -> WeightsSection:
         local_weights={n.id: n.local_weight for n in nodes if n.local_weight is not None},
         global_weights={n.id: n.global_weight for n in nodes if n.global_weight is not None},
         consistency=tuple(GroupConsistency(
-            parent_id=None if g["group"] == ROOT_GROUP else _field("group", str, g["group"]),
+            parent_id=None if group == ROOT_GROUP else group,
             **_read(GroupConsistency, g, ("n", "lambda_max", "ci", "cr", "acceptable")),
-        ) for g in _field("consistency", list, obj["consistency"])),
+        ) for group, g in groups.items()),
     )
     return WeightsSection(method=_field("method", str, obj["method"]), tree=IndicatorTree(nodes=nodes),
                           table=table)
@@ -280,15 +287,18 @@ def bundle_from_obj(obj: Any, source: str | Path = "bundle") -> ReportBundle:
 
     This is the one check of a bundle read back, whichever subcommand reads it.
     All five sections must be present (null for one not produced), each field
-    must hold its declared type (see :func:`_field`), and a screening's reasons
-    must cover every dropped id. Display strings are not kept: output renders
-    them again from the values.
+    must hold its declared type (see :func:`_field`), no id may repeat in a list
+    (a round number, an indicator, node, consistency group, reliability index or
+    question, or validity item; a screened id is either retained or dropped,
+    once), and a screening's reasons must cover every dropped id. Display
+    strings are not kept: output renders them again from the values.
     """
     try:
-        rounds = tuple(_round_from_obj(r) for r in _field("rounds", list, obj["rounds"]))
+        rounds = _keyed("rounds", ((s.consensus.round_no, s)
+                                   for s in map(_round_from_obj, _field("rounds", list, obj["rounds"]))))
         readers = {"weights": _weights_from_obj, "reliability": partial(_from_record, ReliabilityTable),
                    "validity": partial(_from_record, ValidityTable), "score": _score_from_obj}
-        return ReportBundle(rounds, **{key: None if obj[key] is None else read(obj[key])
+        return ReportBundle(tuple(rounds.values()), **{key: None if obj[key] is None else read(obj[key])
                                        for key, read in readers.items()})
     except (KeyError, TypeError, ValueError, OverflowError, InvalidInputError) as exc:
         raise SchemaError(f"{source}: not a stagekit bundle (bad or missing field {exc})") from None

@@ -3,12 +3,13 @@
 Consumer answers (0-4) are normalized to [0,1], averaged into index scores,
 weighted into 0-100 dimension scores, and combined with the dimension weights
 into the core composite. The expert bonus is a separate additive component
-with a configurable cap, reported both raw (0 to 100+cap) and rescaled back
-to a 0-100 range.
+with a configurable positive finite cap, reported both raw (0 to 100+cap) and
+rescaled back to a 0-100 range.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -132,8 +133,8 @@ def score_expert_bonus(
 
     Rows are keyed by expert id, or numbered from 1 when given as a sequence.
     """
-    if cap <= 0:
-        raise InvalidInputError(f"bonus cap must be positive, got {cap!r}")
+    if not 0 < cap < math.inf:  # also refuses NaN
+        raise InvalidInputError(f"bonus cap must be a positive finite number, got {cap!r}")
     rows = bonus if isinstance(bonus, Mapping) else dict(enumerate(bonus, start=1))
     cells = []
     for expert, row in rows.items():
@@ -167,8 +168,8 @@ def composite(
     total_w = sum(dim_weights.values())
     if abs(total_w - 1.0) > _TOL:
         raise InvalidInputError(f"dimension weights sum to {total_w!r}, expected 1")
-    if cap <= 0:
-        raise InvalidInputError(f"bonus cap must be positive, got {cap!r}")
+    if not 0 < cap < math.inf:  # also refuses NaN
+        raise InvalidInputError(f"bonus cap must be a positive finite number, got {cap!r}")
     if not -_TOL <= bonus <= cap + _TOL:
         raise InvalidInputError(f"bonus {bonus!r} outside [0, {cap}]")
 

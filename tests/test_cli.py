@@ -53,6 +53,15 @@ class TestRoundStats:
         assert len(rnd["indicators"]) == 20
         assert rnd["screening"] is None
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--distributed", "3", "25 responding experts exceed 3 distributed questionnaires"),
+        ("--round-no", "0", "round_no must be positive, got 0"),
+    ], ids=["distributed-below-returned", "round-no-0"])
+    def test_round_arguments_checked(self, capsys, flag, value, message):
+        ratings = DATA / "ratings_round1.csv"
+        rc, out, err = run(capsys, "round-stats", "--ratings", ratings, flag, value)
+        assert (rc, out, err) == (2, "", f"error: {ratings}: {message}\n")
+
     def test_without_experts_authority_is_null(self, capsys):
         obj = run_json(capsys, "round-stats", "--ratings", DATA / "ratings_round2.csv")
         authority = obj["rounds"][0]["authority"]
@@ -343,6 +352,28 @@ class TestWeights:
         assert rc == 2
         assert err == f"error: two pairwise matrices given for {label}\n"
 
+    def test_matrix_spanning_two_groups_exits_2(self, tmp_path, capsys):
+        matrix = tmp_path / "pairwise.csv"
+        matrix.write_text("id,ux,ux.availability\nux,1,2\nux.availability,1/2,1\n", encoding="utf-8")
+        rc, out, err = run(capsys, "weights", "--tree", DATA / "indicators.csv", "--pairwise", matrix)
+        assert (rc, out, err) == (2, "", f"error: {matrix}: matrix ids span multiple sibling groups\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("id,name,level,parent_id,bonus,bonus\npq,PQ,dimension,,false,false\n",
+         "duplicated column in header"),
+        ("id,name,level,parent_id,bonus\npq,PQ,dimension,,false\npq.x,X,index,pq,true\n",
+         "invalid indicator tree: node pq.x: bonus node inside a non-bonus (core) subtree"),
+        ("id,name,level,parent_id,bonus,local_weight\npq,PQ,dimension,,false,heavy\n",
+         "row 'pq': local_weight 'heavy' is not a number"),
+        ("id,name,level,parent_id,bonus,local_weight\npq,PQ,dimension,,false,1.5\n",
+         "node pq: local_weight 1.5 outside [0, 1]"),
+    ], ids=["duplicated-column", "bonus-true-in-core", "weight-not-a-number", "weight-above-1"])
+    def test_bad_tree_exits_2(self, tmp_path, capsys, text, message):
+        tree = tmp_path / "tree.csv"
+        tree.write_text(text, encoding="utf-8")
+        rc, out, err = run(capsys, "weights", "--tree", tree)
+        assert (rc, out, err) == (2, "", f"error: {tree}: {message}\n")
+
 
 class TestReliability:
     def test_demo_responses(self, capsys):
@@ -417,6 +448,22 @@ class TestScore:
         )
         assert obj["score"]["bonus_cap"] == 20.0
 
+    @pytest.mark.parametrize("bonus", [False, True], ids=["no-bonus", "bonus"])
+    @pytest.mark.parametrize("cap", ["inf", "1e309", "nan"])
+    def test_bonus_cap_not_positive_finite_exits_2(self, weights_bundle, tmp_path, capsys, cap, bonus):
+        out = tmp_path / "score.json"
+        rc, stdout, err = run(
+            capsys, "score",
+            "--responses", DATA / "responses.csv",
+            *(["--bonus", DATA / "expert_bonus.csv"] if bonus else []),
+            "--weights", weights_bundle,
+            "--bonus-cap", cap,
+            "--out", out,
+        )
+        assert (rc, stdout) == (2, "")
+        assert err == f"error: bonus cap must be a positive finite number, got {float(cap)!r}\n"
+        assert not out.exists()
+
     def test_weights_bundle_without_weights_exits_2(self, stats1, capsys):
         rc, _, err = run(
             capsys, "score",
@@ -468,6 +515,13 @@ class TestForm:
             "--out", tmp_path / "form.csv",
         )
         assert rc == 2
+
+    def test_screen_bundle_without_screening_exits_2(self, stats1, tmp_path, capsys):
+        form = tmp_path / "form.csv"
+        rc, out, err = run(capsys, "form", "--stats", stats1, "--screen", stats1, "--round", "2",
+                           "--out", form)
+        assert (rc, out, err) == (2, "", f"error: {stats1}: bundle has no screening section\n")
+        assert not form.exists()
 
 
 @pytest.fixture

@@ -1,5 +1,7 @@
-"""The demo-data generator writes nothing when asked for help or given an unknown flag."""
+"""The demo-data generator writes nothing when asked for help or given an unknown flag,
+and regenerates the bundled demo data byte for byte."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -24,3 +26,16 @@ def test_arguments_are_parsed_before_anything_is_written(argv, code):
     assert "wrote" not in result.stdout
     assert {p.name: p.stat().st_mtime_ns for p in DATA.iterdir()} == before
     assert len(before) == 11
+
+
+def test_regenerated_data_equals_the_bundled_files(tmp_path, monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("gen_demo_data", TOOL)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    monkeypatch.setattr(gen, "DATA_DIR", tmp_path)
+    assert gen.main([]) == 0
+    bundled = sorted(p.name for p in DATA.iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == bundled
+    assert len(bundled) == 11
+    for name in bundled:
+        assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name

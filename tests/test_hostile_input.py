@@ -229,8 +229,18 @@ def test_report_exits_0_exactly_when_the_bundle_reader_accepts(tmp_path_factory,
     (("rounds", 0, "indicators", 1, "id"), BUNDLE["rounds"][0]["indicators"][0]["id"]),
     (("weights", "nodes", 1, "id"), BUNDLE["weights"]["nodes"][0]["id"]),
     (("score", "dimensions", 1, "id"), BUNDLE["score"]["dimensions"][0]["id"]),
+    (("rounds", 1, "round_no"), BUNDLE["rounds"][0]["round_no"]),
+    (("rounds", 0, "screening", "retained", 1), BUNDLE["rounds"][0]["screening"]["retained"][0]),
+    (("rounds", 0, "screening", "retained", 0), BUNDLE["rounds"][0]["screening"]["dropped"][0]),
+    (("weights", "consistency", 1, "group"), BUNDLE["weights"]["consistency"][0]["group"]),
+    (("reliability", "indices", 1, "index_id"), BUNDLE["reliability"]["indices"][0]["index_id"]),
+    (("reliability", "questions", 1, "question_id"),
+     BUNDLE["reliability"]["questions"][0]["question_id"]),
+    (("validity", "items", 1, "item_id"), BUNDLE["validity"]["items"][0]["item_id"]),
 ], ids=["mean-null", "level-bogus", "note-int", "n_respondents-str", "passes-str", "rounds-int",
-        "weight-above-1", "indicator-id-repeated", "node-id-repeated", "dimension-id-repeated"])
+        "weight-above-1", "indicator-id-repeated", "node-id-repeated", "dimension-id-repeated",
+        "round-repeated", "retained-id-repeated", "id-retained-and-dropped", "group-repeated",
+        "index-row-repeated", "question-row-repeated", "item-row-repeated"])
 def test_edit_refused_by_report_and_the_bundle_reader(tmp_path, path, value, fmt):
     obj = json.loads(json.dumps(BUNDLE))
     at(obj, path)[path[-1]] = value

@@ -1,3 +1,6 @@
+import re
+
+import numpy as np
 import pytest
 
 from stagekit import (
@@ -14,6 +17,7 @@ from stagekit import (
     load_default_instrument,
     validate_tree,
 )
+from stagekit.model import RowMatrix
 
 
 def node(node_id, level, parent=None, weight=None, bonus=False):
@@ -323,3 +327,34 @@ class TestResponseSet:
         assert rs2.bonus_ids == ("b1", "b2")
         assert rs2.expert_bonus["e1"] == (4, 2)
         assert rs2.consumer == rs.consumer
+
+
+def row_matrix(rows, dtype=np.int8):
+    return RowMatrix({f"r{i}": i for i in range(len(rows))}, np.array(rows, dtype=dtype))
+
+
+class TestMatrixHandedIn:
+    """A RowMatrix handed in is checked by one vectorised test; its first bad cell is reported."""
+
+    @pytest.mark.parametrize("rows, scale_max, dtype, message", [
+        ([[5, 4, 3]], 5, np.int8, "matrix has 3 columns, expected 2"),
+        ([[5, 4], [3, 9], [6, 1]], 5, np.int8, "expert r1, indicator b: rating 9 outside [1, 5]"),
+        ([[5, 0]], 5, np.int8, "expert r0, indicator b: rating 0 outside [1, 5]"),
+        ([[200, 201]], 200, np.int64, "expert r0, indicator b: rating 201 outside [1, 200]"),
+    ], ids=["width", "above", "below", "int64"])
+    def test_rating_round(self, rows, scale_max, dtype, message):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            RatingRound(round_no=1, scale_max=scale_max, distributed=3, indicator_ids=("a", "b"),
+                        ratings=row_matrix(rows, dtype))
+
+    @pytest.mark.parametrize("consumer, bonus, message", [
+        ([[4]], [[0]], "matrix has 1 columns, expected 2"),
+        ([[4, -1], [5, 0]], [[0]], "respondent r1, question q1: answer 5 outside [0, 4]"),
+        ([[4, -2]], [[0]], "respondent r0, question q2: answer -2 outside [0, 4]"),
+        ([[4, 0]], [[0], [-1]], "expert r1, bonus indicator b1: rating -1 outside [0, 4]"),
+        ([[4, 0]], [[0, 1]], "matrix has 2 columns, expected 1"),
+    ], ids=["consumer-width", "answer-above", "answer-below-missing", "bonus-missing", "bonus-width"])
+    def test_response_set(self, consumer, bonus, message):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            ResponseSet(question_ids=("q1", "q2"), consumer=row_matrix(consumer),
+                        bonus_ids=("b1",), expert_bonus=row_matrix(bonus))

@@ -367,6 +367,38 @@ class TestBundleFromObj:
         assert str(exc.value) == (f"b.json: not a stagekit bundle (bad or missing field {path[-1]}: "
                                   f"id {entries[0]['id']!r} listed twice)")
 
+    @pytest.mark.parametrize("path, key, name", [
+        (("rounds",), "round_no", "rounds"),
+        (("weights", "consistency"), "group", "consistency"),
+        (("reliability", "indices"), "index_id", "indices"),
+        (("reliability", "questions"), "question_id", "questions"),
+        (("validity", "items"), "item_id", "items"),
+    ], ids=["round", "consistency", "index", "question", "item"])
+    def test_repeated_row_rejected(self, path, key, name):
+        obj = json.loads(render_json(run_pipeline(DATA / "demo_config.json")))
+        rows = obj
+        for part in path:
+            rows = rows[part]
+        rows[1][key] = rows[0][key]
+        with pytest.raises(SchemaError) as exc:
+            bundle_from_obj(obj, "b.json")
+        assert str(exc.value) == (f"b.json: not a stagekit bundle (bad or missing field {name}: "
+                                  f"id {rows[0][key]!r} listed twice)")
+
+    @pytest.mark.parametrize("field, index, source", [("retained", 1, "retained"),
+                                                      ("retained", 0, "dropped"),
+                                                      ("dropped", 1, "dropped")],
+                             ids=["retained-twice", "retained-and-dropped", "dropped-twice"])
+    def test_screened_id_listed_once(self, field, index, source):
+        obj = json.loads(render_json(run_pipeline(DATA / "demo_config.json")))
+        screening = obj["rounds"][0]["screening"]
+        repeated = screening[source][0]
+        screening[field][index] = repeated
+        with pytest.raises(SchemaError) as exc:
+            bundle_from_obj(obj, "b.json")
+        assert str(exc.value) == ("b.json: not a stagekit bundle (bad or missing field "
+                                  f"retained/dropped: id {repeated!r} listed twice)")
+
     def test_non_number_value_rejected(self):
         obj = self.demo_round_stats_obj()
         obj["rounds"][0]["kendall_w"]["value"] = "0.5"

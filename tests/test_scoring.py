@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -200,6 +203,14 @@ class TestComposite:
         with pytest.raises(InvalidInputError):
             composite({"a": 50.0}, {"a": 1.0}, bonus=-0.5, cap=10.0)
 
+
+@pytest.mark.parametrize("cap", [0.0, -1.0, math.inf, math.nan])
+def test_bonus_cap_must_be_positive_and_finite(cap):
+    message = re.escape(f"bonus cap must be a positive finite number, got {cap!r}")
+    with pytest.raises(InvalidInputError, match=message):
+        score_expert_bonus({"e1": (4, 4)}, cap=cap)
+    with pytest.raises(InvalidInputError, match=message):
+        composite({"a": 50.0}, {"a": 1.0}, bonus=0.0, cap=cap)
 
 class TestScoreSoftware:
     def test_end_to_end_with_bonus(self):
