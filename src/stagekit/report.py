@@ -200,7 +200,8 @@ def _field(name: str, kind: Any, value: Any) -> Any:
     if get_origin(kind) is tuple:
         cls = get_args(kind)[0]
         rows = (_from_record(cls, row) for row in _field(name, list, value))
-        return tuple(_keyed(name, ((getattr(row, fields(cls)[0].name), row) for row in rows)).values())
+        key = fields(cls)[0].name  # a row's id
+        return tuple(_keyed(name, ((getattr(row, key), row) for row in rows)).values())
     if type(value) is not kind:
         raise TypeError(f"{name} {value!r} is not {kind.__name__}")
     return value
@@ -298,8 +299,8 @@ def bundle_from_obj(obj: Any, source: str | Path = "bundle") -> ReportBundle:
                                    for s in map(_round_from_obj, _field("rounds", list, obj["rounds"]))))
         readers = {"weights": _weights_from_obj, "reliability": partial(_from_record, ReliabilityTable),
                    "validity": partial(_from_record, ValidityTable), "score": _score_from_obj}
-        return ReportBundle(tuple(rounds.values()), **{key: None if obj[key] is None else read(obj[key])
-                                       for key, read in readers.items()})
+        sections = {key: None if obj[key] is None else read(obj[key]) for key, read in readers.items()}
+        return ReportBundle(tuple(rounds.values()), **sections)
     except (KeyError, TypeError, ValueError, OverflowError, InvalidInputError) as exc:
         raise SchemaError(f"{source}: not a stagekit bundle (bad or missing field {exc})") from None
 
