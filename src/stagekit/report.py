@@ -5,6 +5,11 @@ full precision, the display rounded half-even at a fixed number of decimals
 (4 for coefficients/weights, 2 for CVI and scores). Markdown output renders
 the same display strings as the JSON, so the two formats can never disagree;
 neither contains timestamps, locales, or other run-dependent bytes.
+
+Writer (:func:`_fields`) and reader (:func:`_read`) share one rule: a field's declared type
+makes it a number pair, a null or a plain value. Only regrouped or renamed entries are written
+by hand: a round's ``authority``, ``indicators`` ids and ``screening``, a node's ``level``, a
+consistency row's ``group``, and the score's ``dimensions``, ``imputed`` and ``bonus_cap``.
 """
 
 from __future__ import annotations
@@ -34,30 +39,31 @@ def display(value: float, places: int = COEFF_PLACES) -> str:
     return format(value, f".{places}f")
 
 
-def _num(value: float, places: int) -> dict[str, Any]:
-    return {"value": float(value), "display": display(value, places)}
+def _num(value: float | None, places: int) -> dict[str, Any] | None:
+    return None if value is None else {"value": float(value), "display": display(value, places)}
 
 
-def _opt(value: float | None, places: int) -> dict[str, Any] | None:
-    return None if value is None else _num(value, places)
-
-
-def _record(obj, places: int) -> dict[str, Any]:
-    """A result record's fields in declaration order.
+def _fields(obj, names, places: int) -> dict[str, Any]:
+    """The named fields of a result record by their declared types; the inverse of :func:`_read`.
 
     A field declared ``float`` or ``float | None`` becomes a number pair (None stays
     null), whatever the value's type; a tuple of records becomes a list of records;
     any other value is written as it is.
     """
+    kinds = {f.name: f.type for f in fields(obj)}
     out: dict[str, Any] = {}
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if f.type in ("float", "float | None"):  # annotations are strings here
-            value = _opt(value, places)
+    for name in names:
+        value = getattr(obj, name)
+        if kinds[name] in ("float", "float | None"):  # annotations are strings here
+            value = _num(value, places)
         elif isinstance(value, tuple):
             value = [_record(row, places) for row in value]
-        out[f.name] = value
+        out[name] = value
     return out
+
+
+def _record(obj, places: int) -> dict[str, Any]:
+    return _fields(obj, [f.name for f in fields(obj)], places)
 
 
 @dataclass(frozen=True)
@@ -85,35 +91,22 @@ class ReportBundle:
 
 
 def _round_obj(section: RoundSection, places: int) -> dict[str, Any]:
-    c = section.consensus
-    obj: dict[str, Any] = {
-        "round_no": c.round_no,
-        "scale_max": c.scale_max,
-        "distributed": c.distributed,
-        "returned": c.returned,
-        "positivity": _num(c.positivity, places),
-        "authority": {
-            "ca": _opt(c.ca, places),
-            "cs": _opt(c.cs, places),
-            "cr": _opt(c.cr, places),
-        },
-        "kendall_w": _num(c.kendall_w, places),
+    c, scr = section.consensus, section.screening
+    return {
+        **_fields(c, ("round_no", "scale_max", "distributed", "returned", "positivity"), places),
+        "authority": _fields(c, ("ca", "cs", "cr"), places),
+        **_fields(c, ("kendall_w",), places),
         "indicators": [
             {"id": indicator_id, **_record(s, places)}
             for indicator_id, s in c.stats.items()
         ],
-    }
-    if section.screening is None:
-        obj["screening"] = None
-    else:
-        scr = section.screening
-        obj["screening"] = {
+        "screening": None if scr is None else {
             "thresholds": _record(scr.thresholds, places),
             "retained": list(scr.retained),
             "dropped": list(scr.dropped),
             "reasons": {i: list(scr.reasons[i]) for i in scr.dropped},
-        }
-    return obj
+        },
+    }
 
 
 def _weights_obj(section: WeightsSection, places: int) -> dict[str, Any]:
@@ -121,12 +114,9 @@ def _weights_obj(section: WeightsSection, places: int) -> dict[str, Any]:
         "method": section.method,
         "nodes": [
             {
-                "id": node.id,
-                "name": node.name,
+                **_fields(node, ("id", "name"), places),
                 "level": node.level.value,
-                "parent_id": node.parent_id,
-                "local_weight": _opt(node.local_weight, places),
-                "global_weight": _opt(node.global_weight, places),
+                **_fields(node, ("parent_id", "local_weight", "global_weight"), places),
             }
             for node in section.tree.nodes
             if not node.bonus
@@ -134,11 +124,7 @@ def _weights_obj(section: WeightsSection, places: int) -> dict[str, Any]:
         "consistency": [
             {
                 "group": ROOT_GROUP if g.parent_id is None else g.parent_id,
-                "n": g.n,
-                "lambda_max": _num(g.lambda_max, places),
-                "ci": _num(g.ci, places),
-                "cr": _num(g.cr, places),
-                "acceptable": g.acceptable,
+                **_fields(g, ("n", "lambda_max", "ci", "cr", "acceptable"), places),
             }
             for g in section.table.consistency
         ],
@@ -147,7 +133,7 @@ def _weights_obj(section: WeightsSection, places: int) -> dict[str, Any]:
 
 def _score_obj(card: ScoreCard, coeff_places: int) -> dict[str, Any]:
     return {
-        "n_respondents": card.n_respondents,
+        **_fields(card, ("n_respondents",), SCORE_PLACES),
         "dimensions": [
             {
                 "id": dim,
@@ -156,11 +142,9 @@ def _score_obj(card: ScoreCard, coeff_places: int) -> dict[str, Any]:
             }
             for dim in card.dimension_scores
         ],
-        "composite": _num(card.composite, SCORE_PLACES),
-        "bonus": _num(card.bonus, SCORE_PLACES),
-        "bonus_cap": card.bonus_cap,
-        "final": _num(card.final, SCORE_PLACES),
-        "final_rescaled": _num(card.final_rescaled, SCORE_PLACES),
+        **_fields(card, ("composite", "bonus"), SCORE_PLACES),
+        "bonus_cap": card.bonus_cap,  # declared float, written as a plain number
+        **_fields(card, ("final", "final_rescaled"), SCORE_PLACES),
         "imputed": [[rid, qid] for rid, qid in card.imputed],
     }
 
@@ -184,7 +168,7 @@ def _number(value: Any) -> float:
 
 
 def _field(name: str, kind: Any, value: Any) -> Any:
-    """A field read back by its declared type, the inverse of :func:`_record`'s rule.
+    """A field read back by its declared type, the inverse of :func:`_fields`'s rule.
 
     ``float`` is a number pair (its display a string), ``X | None`` is X or null,
     ``tuple[Row, ...]`` is a list of ``Row`` records whose first field (the row's
@@ -208,7 +192,7 @@ def _field(name: str, kind: Any, value: Any) -> Any:
 
 
 def _read(cls, obj: Mapping[str, Any], names) -> dict[str, Any]:
-    """The named fields of ``cls``, each read from obj by its declared type."""
+    """The named fields of ``cls``, each read from obj by its declared type (see :func:`_fields`)."""
     hints = get_type_hints(cls)
     return {name: _field(name, hints[name], obj[name]) for name in names}
 
@@ -317,7 +301,7 @@ def _md_table(headers: list[str], rows: list[list[str]]) -> list[str]:
     lines = ["| " + " | ".join(headers) + " |",
              "|" + "|".join(" --- " for _ in headers) + "|"]
     lines += ["| " + " | ".join(row) + " |" for row in rows]
-    return lines
+    return lines + [""]  # the blank line that closes the block
 
 
 def _disp(field: Mapping[str, Any] | None, absent: str = "-") -> str:
@@ -342,13 +326,11 @@ def render_markdown_obj(obj: Mapping[str, Any]) -> str:
                 _disp(rnd["kendall_w"]),
             ]],
         )
-        out.append("")
         out += _md_table(
             ["Indicator", "Mean", "SD", "CV", "Full-score freq"],
             [[s["id"], _disp(s["mean"]), _disp(s["sd"]), _disp(s["cv"]),
               _disp(s["full_score_freq"])] for s in rnd["indicators"]],
         )
-        out.append("")
         scr = rnd["screening"]
         if scr is not None:
             t = scr["thresholds"]
@@ -368,8 +350,7 @@ def render_markdown_obj(obj: Mapping[str, Any]) -> str:
                     [[i, ", ".join(scr["reasons"][i])] for i in scr["dropped"]],
                 )
             else:
-                out.append("Dropped: (none)")
-            out.append("")
+                out += ["Dropped: (none)", ""]
 
     w = obj["weights"]
     if w is not None:
@@ -379,7 +360,6 @@ def render_markdown_obj(obj: Mapping[str, Any]) -> str:
             [[n["id"], n["level"], _disp(n["local_weight"]), _disp(n["global_weight"])]
              for n in w["nodes"]],
         )
-        out.append("")
         if w["consistency"]:
             out += _md_table(
                 ["Group", "n", "λmax", "CI", "CR", "Acceptable"],
@@ -387,7 +367,6 @@ def render_markdown_obj(obj: Mapping[str, Any]) -> str:
                   _disp(g["cr"]), "yes" if g["acceptable"] else "no"]
                  for g in w["consistency"]],
             )
-            out.append("")
 
     rel = obj["reliability"]
     if rel is not None:
@@ -405,14 +384,12 @@ def render_markdown_obj(obj: Mapping[str, Any]) -> str:
             [[r["index_id"], str(r["n_questions"]), _disp(r["alpha"]), r["note"] or ""]
              for r in rel["indices"]],
         )
-        out.append("")
         out += _md_table(
             ["Question", "Index", "CITC", "α if deleted", "Flagged"],
             [[q["question_id"], q["index_id"], _disp(q["citc"]),
               _disp(q["alpha_if_deleted"]), "yes" if q["flagged"] else ""]
              for q in rel["questions"]],
         )
-        out.append("")
 
     val = obj["validity"]
     if val is not None:
@@ -428,7 +405,6 @@ def render_markdown_obj(obj: Mapping[str, Any]) -> str:
               "yes" if i["passes"] else "no"] for i in val["items"]],
         )
         out += [
-            "",
             f"S-CVI: {_disp(val['s_cvi'])} "
             f"({'passes' if val['s_cvi_passes'] else 'fails'})",
             "",
@@ -442,7 +418,6 @@ def render_markdown_obj(obj: Mapping[str, Any]) -> str:
             [[d["id"], _disp(d["weight"]), _disp(d["score"])] for d in score["dimensions"]],
         )
         out += [
-            "",
             f"Core composite (0–100): {_disp(score['composite'])}",
             f"Expert bonus (0–{score['bonus_cap']:g}): {_disp(score['bonus'])}",
             f"Final score: {_disp(score['final'])}",
