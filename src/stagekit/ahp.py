@@ -239,9 +239,9 @@ def weight_tree(
     ``pairwise`` maps a parent node id (None for the dimension group) to that
     group's comparison matrix, whose ids must be the group's core members; a key
     that names no sibling group of the tree is an error. ``importance`` maps node
-    ids to their mean importance scores. A group with one core member takes 1.0;
-    any other takes those of ``method``'s sources that cover it (see
-    ``METHOD_SOURCES``).
+    ids to their mean importance scores; means for some but not all of a group's
+    core members are an error. A group with one core member takes 1.0; any other
+    takes those of ``method``'s sources that cover it (see ``METHOD_SOURCES``).
     """
     if type(method) is not str or method not in METHOD_SOURCES:  # a config may hold [] or {}
         raise InvalidInputError(f"unknown weighting method {method!r}")
@@ -272,7 +272,11 @@ def weight_tree(
                 ci=ci, cr=cr, acceptable=is_acceptable(cr),
             ))
             found["pairwise matrix"] = tuple(weights[matrix.ids.index(mid)] for mid in member_ids)
-        if all(mid in importance for mid in member_ids):
+        missing = [mid for mid in member_ids if mid not in importance]
+        if missing and len(missing) < len(member_ids):
+            raise IncompleteWeightsError(f"importance means for {group_label(parent_id)} "
+                                         f"miss {', '.join(missing)}")
+        if not missing:
             found["importance means"] = importance_weights([importance[mid] for mid in member_ids])
 
         chosen = [found[source] for source in sources if source in found]

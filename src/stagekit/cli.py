@@ -22,8 +22,8 @@ from .consensus import round_consensus
 from .errors import InvalidInputError, SchemaError, StagekitError
 from .instrument import load_default_instrument
 from .model import IndicatorTree
-from .pipeline import read_thresholds, run_pipeline, score_stage, screen_stage, weights_stage
-from .psychometrics import reliability_report, validity_report
+from .pipeline import read_thresholds, run_pipeline, score_stage, screen_stage, validity_stage, weights_stage
+from .psychometrics import reliability_report
 from .report import (
     ReportBundle,
     RoundSection,
@@ -128,7 +128,7 @@ def _cmd_reliability(args) -> None:
 
 
 def _cmd_validity(args) -> None:
-    bundle = ReportBundle(validity=validity_report(*sio.parse_importance(args.importance)))
+    bundle = ReportBundle(validity=validity_stage(*sio.parse_importance(args.importance)))
     _write(emit_report(bundle, args.format), args)  # the validity section holds no coefficients
 
 

@@ -1,13 +1,13 @@
 """Stage wiring and declarative end-to-end orchestration.
 
-A stage that needs wiring beyond one library call (screening, weights, score)
-is a ``*_stage`` function here, from parsed inputs (and the earlier section it
-builds on) to its bundle section; round stats, reliability and validity are
-one call each to their library function. A CLI subcommand makes one such call;
-:func:`run_pipeline` runs every stage a JSON config file declares, in a fixed
-order (round stats → screening → weights → reliability → validity → score),
-and a failure surfaces as a stage-labeled error. Paths are resolved relative
-to the config file; environment variables are never consulted.
+A stage that needs wiring beyond one library call (screening, weights,
+validity, score) is a ``*_stage`` function here, from parsed inputs (and the
+earlier section it builds on) to its bundle section; round stats and
+reliability are one call each to their library function. A CLI subcommand
+makes one such call; :func:`run_pipeline` runs every stage a JSON config file
+declares, in a fixed order (round stats → screening → weights → reliability →
+validity → score), and a failure surfaces as a stage-labeled error. Paths are
+resolved relative to the config file; environment variables are never consulted.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .consensus import (
     screen_indicators,
 )
 from .errors import InvalidInputError, PipelineStageError, SchemaError, StagekitError
-from .instrument import load_default_instrument
+from .instrument import ITEMS, load_default_instrument
 from .model import (
     Familiarity,
     Impact,
@@ -38,7 +38,7 @@ from .model import (
     ResponseSet,
     ScreeningThresholds,
 )
-from .psychometrics import reliability_report, validity_report
+from .psychometrics import ValidityTable, reliability_report, validity_report
 from .report import ROOT_GROUP, ReportBundle, RoundSection, WeightsSection
 from .scoring import DEFAULT_BONUS_CAP, ScoreCard, score_software
 
@@ -57,6 +57,15 @@ def weights_stage(tree: IndicatorTree, pairwise: Mapping[str | None, PairwiseMat
     means = {i: s.mean for i, s in importance.consensus.stats.items()} if importance else {}
     weighted, table = weight_tree(tree, pairwise=pairwise, importance=means, method=method)
     return WeightsSection(method=method, tree=weighted, table=table)
+
+
+def validity_stage(item_ids: Sequence[str], ratings: Sequence[Sequence[int]]) -> ValidityTable:
+    """Content validity of the bundled instrument's items (any subset); another column is an error."""
+    known = {item_id for item_id, _, _ in ITEMS}
+    unknown = [i for i in item_ids if i not in known]
+    if unknown:
+        raise InvalidInputError(f"importance column {unknown[0]!r} is not an item of the instrument")
+    return validity_report(item_ids, ratings)
 
 
 def score_stage(responses: ResponseSet, instrument: Instrument, weights: WeightsSection | None,
@@ -260,7 +269,7 @@ def run_pipeline(config_path: str | Path) -> ReportBundle:
     validity = None
     if "validity" in specs:
         with _stage("validity"):
-            validity = validity_report(*sio.parse_importance(path(specs["validity"], "importance")))
+            validity = validity_stage(*sio.parse_importance(path(specs["validity"], "importance")))
 
     score = None
     if "score" in specs:

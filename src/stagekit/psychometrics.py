@@ -232,7 +232,7 @@ def validity_report(
     *,
     relevance_floor: int = RELEVANCE_FLOOR,
 ) -> ValidityTable:
-    """Content validity from a complete rater x item importance matrix (1-7).
+    """Content validity from a complete rater x item importance matrix (1-7); no item id may repeat.
 
     An integer ndarray (as from :func:`stagekit.io.parse_importance`) gets one vectorised range
     check, other rows a check cell by cell; either reports the first bad cell by item, then rater.
@@ -240,6 +240,8 @@ def validity_report(
     ids = tuple(item_ids)
     if not ids:
         raise InvalidInputError("no items given")
+    if len(set(ids)) != len(ids):
+        raise InvalidInputError(f"item {next(i for i in ids if ids.count(i) > 1)!r} given twice")
     int_matrix = isinstance(ratings, np.ndarray) and ratings.ndim == 2 and ratings.dtype.kind in "iu"
     rows = ratings if int_matrix else [tuple(row) for row in ratings]
     if not len(rows):

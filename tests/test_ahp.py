@@ -471,6 +471,13 @@ class TestWeightTreeSourceRule:
         # every matrix given adds its consistency row, whatever the method
         assert [c.parent_id for c in table.consistency] == (["d1"] if pairwise else [])
 
+    @pytest.mark.parametrize("method", ["ahp", "scoring", "combined"])
+    def test_means_for_part_of_a_group_rejected(self, method):
+        with pytest.raises(IncompleteWeightsError) as exc:
+            weight_tree(self.tree(), pairwise={"d1": self.MATRIX}, importance={"d1.b": 3.0},
+                        method=method)
+        assert str(exc.value) == "importance means for children of d1 miss d1.a"
+
     def test_one_member_group_takes_one(self):
         pairwise = {None: matrix_of([[1]], ids=("d1",)), "d1": self.MATRIX}
         importance = {"d1": 4.0, **self.MEANS}

@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -409,6 +410,23 @@ class TestValidity:
         for item in val["items"]:
             assert item["passes"] == (item["i_cvi"]["value"] >= 0.78)
 
+    def test_column_not_an_item_exits_2(self, tmp_path, capsys):
+        importance, out = tmp_path / "importance.csv", tmp_path / "validity.json"
+        text = (DATA / "importance.csv").read_text(encoding="utf-8")
+        importance.write_text(text.replace("function_learnability", "no_such_item", 1), encoding="utf-8")
+        rc, stdout, err = run(capsys, "validity", "--importance", importance, "--out", out)
+        assert (rc, stdout) == (2, "")
+        assert err == "error: importance column 'ux.availability.no_such_item' is not an item of the instrument\n"
+        assert not out.exists()
+
+    def test_some_of_the_items_accepted(self, tmp_path, capsys):
+        importance = tmp_path / "importance.csv"
+        importance.write_text("rater_id,sp.ethics.service,pq.security.system_stability\nv01,7,4\nv02,6,5\n",
+                              encoding="utf-8")
+        obj = run_json(capsys, "validity", "--importance", importance)
+        assert [i["item_id"] for i in obj["validity"]["items"]] == ["sp.ethics.service",
+                                                                    "pq.security.system_stability"]
+
 
 class TestScore:
     def test_score_with_bonus(self, weights_bundle, capsys):
@@ -655,6 +673,22 @@ class TestPipelineCommand:
         assert obj["reliability"] is not None
         assert obj["validity"] is not None
         assert obj["score"] is not None
+
+    @pytest.mark.parametrize("name, old, new, message", [
+        ("ratings_round2.csv", ",ux.availability,", ",ux.availabilityy,",
+         "weights: importance means for children of ux miss ux.availability"),
+        ("importance.csv", "function_learnability", "no_such_item",
+         "validity: importance column 'ux.availability.no_such_item' is not an item of the instrument"),
+    ], ids=["importance-round-column-renamed", "importance-column-renamed"])
+    def test_renamed_reference_exits_2(self, tmp_path, capsys, name, old, new, message):
+        for src in DATA.iterdir():
+            shutil.copyfile(src, tmp_path / src.name)
+        text = (DATA / name).read_text(encoding="utf-8")
+        (tmp_path / name).write_text(text.replace(old, new, 1), encoding="utf-8")
+        out = tmp_path / "bundle.json"
+        rc, stdout, err = run(capsys, "pipeline", "--config", tmp_path / "demo_config.json", "--out", out)
+        assert (rc, stdout, err) == (2, "", f"error: {message}\n")
+        assert not out.exists()
 
     def test_stage_label_in_error(self, tmp_path, capsys):
         config = tmp_path / "config.json"

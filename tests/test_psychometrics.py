@@ -400,6 +400,15 @@ class TestValidityReport:
         with pytest.raises(InvalidInputError):
             validity_report(["a"], [])
 
+    @pytest.mark.parametrize("ids, ratings", [
+        (["a", "a"], [[5, 6]]),
+        (["b", "a", "b"], np.array([[5, 6, 7]], dtype=np.int8)),
+    ], ids=["rows", "int-matrix"])
+    def test_repeated_item_id_rejected(self, ids, ratings):
+        with pytest.raises(InvalidInputError) as exc:
+            validity_report(ids, ratings)
+        assert str(exc.value) == f"item {ids[-1]!r} given twice"
+
     def test_out_of_range_rating_rejected(self):
         with pytest.raises(InvalidInputError):
             validity_report(["a"], [[8]])
