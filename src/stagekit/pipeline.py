@@ -62,9 +62,9 @@ def weights_stage(tree: IndicatorTree, pairwise: Mapping[str | None, PairwiseMat
 def validity_stage(item_ids: Sequence[str], ratings: Sequence[Sequence[int]]) -> ValidityTable:
     """Content validity of the bundled instrument's items (any subset); another column is an error."""
     known = {item_id for item_id, _, _ in ITEMS}
-    unknown = [i for i in item_ids if i not in known]
-    if unknown:
-        raise InvalidInputError(f"importance column {unknown[0]!r} is not an item of the instrument")
+    for item_id in item_ids:
+        if item_id not in known:
+            raise InvalidInputError(f"importance column {item_id!r} is not an item of the instrument")
     return validity_report(item_ids, ratings)
 
 

@@ -21,10 +21,6 @@ from stagekit.io import parse_indicators
 from test_hostile_input import CONFIG, DATA, assert_contract, demo_copy, run_main
 
 
-def read_table(name):
-    return [line.split(",") for line in (DATA / name).read_text(encoding="utf-8").splitlines()]
-
-
 PAIRWISE = CONFIG["weights"]["pairwise"]  # group -> matrix file
 RATINGS = [entry["ratings"] for entry in CONFIG["rounds"]]
 IMPORTANCE = CONFIG["validity"]["importance"]
@@ -37,10 +33,6 @@ def new_name(old):
     return st.sampled_from([*TREE_IDS, "root", old + "x", old[:-1], "ghost"]).filter(lambda n: n != old)
 
 
-def table_bytes(rows):
-    return "".join(",".join(row) + "\n" for row in rows).encode()
-
-
 @st.composite
 def column_edits(draw, name, mirrored=False):
     """(file name, new bytes) for a CSV with one id column renamed or dropped.
@@ -48,7 +40,7 @@ def column_edits(draw, name, mirrored=False):
     A pairwise matrix is ``mirrored``: its row ids repeat the header, so the
     row of the id is renamed or dropped with its column.
     """
-    rows = read_table(name)
+    rows = [line.split(",") for line in (DATA / name).read_text(encoding="utf-8").splitlines()]
     j = draw(st.integers(1, len(rows[0]) - 1))
     old = rows[0][j]
     new = draw(st.one_of(st.none(), new_name(old)))  # None drops the column
@@ -59,7 +51,7 @@ def column_edits(draw, name, mirrored=False):
         for row in rows[1:]:
             if mirrored and row[0] == old:
                 row[0] = new
-    return name, table_bytes(rows)
+    return name, "".join(",".join(row) + "\n" for row in rows).encode()
 
 
 @st.composite
