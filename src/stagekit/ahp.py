@@ -16,7 +16,7 @@ from .errors import (
     InvalidInputError,
     UnsupportedOrderError,
 )
-from .model import IndicatorNode, IndicatorTree, weight_sum_problem
+from .model import IndicatorNode, IndicatorTree, group_label, weight_sum_problem
 
 RECIPROCAL_TOL = 1e-9
 POWER_TOL = 1e-12
@@ -220,11 +220,6 @@ METHOD_SOURCES: dict[str, tuple[str, ...]] = {
     "scoring": ("importance means",),
     "combined": ("pairwise matrix", "importance means"),
 }
-
-
-def group_label(parent_id: str | None) -> str:
-    """How messages name the sibling group under ``parent_id``."""
-    return "the dimension group" if parent_id is None else f"children of {parent_id}"
 
 
 def weight_tree(

@@ -17,11 +17,11 @@ import argparse
 import sys
 
 from . import io as sio
-from .ahp import METHOD_SOURCES, PairwiseMatrix, group_label
+from .ahp import METHOD_SOURCES, PairwiseMatrix
 from .consensus import round_consensus
 from .errors import InvalidInputError, SchemaError, StagekitError
 from .instrument import load_default_instrument
-from .model import IndicatorTree
+from .model import IndicatorTree, group_label
 from .pipeline import read_thresholds, run_pipeline, score_stage, screen_stage, validity_stage, weights_stage
 from .psychometrics import reliability_report
 from .report import (

@@ -14,6 +14,7 @@ import math
 import os
 import re
 from array import array
+from collections import Counter
 from contextlib import contextmanager, suppress
 from fractions import Fraction
 from operator import itemgetter
@@ -111,8 +112,8 @@ def read_json(path: str | Path) -> Any:
 
 
 @contextmanager
-def _csv_rows(path: Path, id_column: str = "") -> Iterator[tuple[list[str], Iterator[list[str]]]]:
-    """The stripped header (first column ``id_column``, if given) and a stream of the non-blank rows."""
+def _csv_rows(path: Path) -> Iterator[tuple[list[str], Iterator[list[str]]]]:
+    """The stripped header and a stream of the non-blank rows."""
     try:
         with open(path, encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
@@ -120,8 +121,6 @@ def _csv_rows(path: Path, id_column: str = "") -> Iterator[tuple[list[str], Iter
                 header = [h.strip() for h in next(reader)]
             except StopIteration:
                 raise SchemaError(f"{path}: empty file (header row is mandatory)") from None
-            if id_column and header[:1] != [id_column]:
-                raise SchemaError(f"{path}: first column must be {id_column}")
             yield header, (row for row in reader if any(map(str.strip, row)))
     except (OSError, UnicodeDecodeError) as exc:  # also raised while the caller reads the rows
         raise _unreadable(path, exc) from None
@@ -140,16 +139,20 @@ def _cell(row: list[str], i: int) -> str:
 
 def _require_columns(path: Path, header: list[str], required: Sequence[str],
                      optional: Sequence[str] = ()) -> dict[str, int]:
-    missing = [c for c in required if c not in header]
-    if missing:
-        raise SchemaError(f"{path}: missing column(s) {', '.join(missing)}")
-    allowed = set(required) | set(optional)
-    unknown = [c for c in header if c not in allowed]
-    if unknown:
-        raise SchemaError(f"{path}: unknown column(s) {', '.join(unknown)}")
-    if len(set(header)) != len(header):
-        raise SchemaError(f"{path}: duplicated column in header")
-    return {c: header.index(c) for c in header}
+    """Each column's position, once the header holds every ``required`` column and nothing
+    but the ``optional`` ones besides, each once; one line names every problem otherwise."""
+    counts = Counter(header)
+    allowed = {*required, *optional}
+    problems = {
+        "missing": [c for c in required if c not in counts],
+        "unknown": [c for c in counts if c not in allowed],
+        "duplicated": [c for c, n in counts.items() if n > 1],
+    }
+    if any(problems.values()):
+        raise SchemaError(f"{path}: " + "; ".join(
+            f"{problem} column(s) {', '.join(c or repr(c) for c in names)}"
+            for problem, names in problems.items() if names))
+    return {c: i for i, c in enumerate(header)}
 
 
 def _enum_value(path: Path, row_id: str, column: str, raw: str, enum_cls):
@@ -234,11 +237,8 @@ def emit_indicators(tree: IndicatorTree, path: str | Path) -> None:
 
 def parse_experts(path: str | Path) -> ExpertPanel:
     """Read expert profiles (id,group,familiarity,basis_theory,...,basis_intuition) into a panel."""
-    path = Path(path)
-    with _csv_rows(path) as (header, rows):
-        col = _require_columns(path, header, required=("id", "group", "familiarity") + _PANEL_COLUMNS[:4])
-        row_of, codes = _int_table(path, header, rows, "expert id", _PANEL_COLUMNS,
-                                   [col[c] for c in _PANEL_COLUMNS], ExpertPanel.ENUMS, "", None, col["id"])
+    _, row_of, codes = _read_table(Path(path), "id", dict(zip(_PANEL_COLUMNS, ExpertPanel.ENUMS)),
+                                   "expert id", "", None)
     return ExpertPanel(row_of, codes)
 
 
@@ -401,6 +401,24 @@ def _int_table(path: Path, header: list[str], rows: Iterable[list[str]], kind: s
     return row_of, matrix
 
 
+def _read_table(path: Path, key: str, bounds: Mapping[str, Any] | tuple[int, int], kind: str,
+                word: str, blank: str | None) -> tuple[tuple[str, ...], dict[str, int], np.ndarray]:
+    """The columns read, row id -> row number and matrix of the integer table at ``path``.
+
+    ``key`` names the id column. ``bounds`` maps each column to read to its
+    bound (see ``_int_table``), or is one (lo, hi) for every named column but
+    ``key``, in file order. The header must hold ``key`` and these columns,
+    each once, in any order.
+    """
+    with _csv_rows(path) as (header, rows):
+        if isinstance(bounds, tuple):
+            bounds = dict.fromkeys((c for c in header if c and c != key), bounds)
+        col = _require_columns(path, header, (key, *bounds))
+        columns = tuple(bounds)
+        return columns, *_int_table(path, header, rows, kind, columns, [col[c] for c in columns],
+                                    list(bounds.values()), word, blank, col[key])
+
+
 def parse_ratings(
     path: str | Path,
     *,
@@ -408,7 +426,7 @@ def parse_ratings(
     round_no: int | None = None,
     distributed: int | None = None,
 ) -> RatingRound:
-    """Read one round's ratings (expert_id, then one column per indicator id).
+    """Read one round's ratings (expert_id and one column per indicator id).
 
     A row with any blank rating cell counts as a non-response: the expert is
     excluded from the matrix but still counted in the distributed total.
@@ -416,16 +434,8 @@ def parse_ratings(
     ``round_no`` defaults to the number in the filename (e.g. round2), else 1.
     """
     path = Path(path)
-    with _csv_rows(path, "expert_id") as (header, rows):
-        indicator_ids = tuple(header[1:])
-        if not indicator_ids:
-            raise SchemaError(f"{path}: no indicator columns")
-        if len(set(indicator_ids)) != len(indicator_ids):
-            dupes = sorted({i for i in indicator_ids if indicator_ids.count(i) > 1})
-            raise SchemaError(f"{path}: duplicated indicator column(s) {', '.join(dupes)}")
-        row_of, matrix = _int_table(path, header, rows, "expert row", indicator_ids,
-                                    range(1, len(header)), [(1, scale_max)] * len(indicator_ids),
-                                    "rating", "row")
+    indicator_ids, row_of, matrix = _read_table(path, "expert_id", (1, scale_max), "expert row",
+                                                "rating", "row")
     # Non-responses stayed in the matrix, in file order, as rows holding MISSING.
     blank = (matrix == MISSING).any(axis=1)
     ids = tuple(row_of)
@@ -453,61 +463,31 @@ def parse_ratings(
 
 
 def parse_responses(path: str | Path, instrument: Instrument) -> ResponseSet:
-    """Read consumer answers (respondent_id, then the instrument's question columns).
+    """Read consumer answers (respondent_id and the instrument's question columns).
 
     Column order in the file is free; the result is normalized to the
     instrument's question order. Blank cells become missing answers.
     """
-    path = Path(path)
-    with _csv_rows(path, "respondent_id") as (header, rows):
-        file_qids = header[1:]
-        expected = instrument.question_ids
-        if sorted(file_qids) != sorted(expected):
-            missing = sorted(set(expected) - set(file_qids))
-            extra = sorted(set(file_qids) - set(expected))
-            dupes = sorted({q for q in file_qids if file_qids.count(q) > 1})
-            parts = []
-            if missing:
-                parts.append(f"missing question column(s) {', '.join(missing)}")
-            if extra:
-                parts.append(f"unknown column(s) {', '.join(extra)}")
-            if dupes:
-                parts.append(f"duplicated question column(s) {', '.join(dupes)}")
-            raise SchemaError(f"{path}: {'; '.join(parts)}")
-        # The matrix holds 0..4 answers, so a question's range is clipped to that.
-        bounds = [(max(q.min_value, RESPONSE_MIN), min(q.max_value, RESPONSE_MAX))
-                  for q in instrument.questions]
-        row_of, matrix = _int_table(path, header, rows, "respondent id", expected,
-                                    [file_qids.index(qid) + 1 for qid in expected], bounds,
-                                    "answer", "cell")
-    return ResponseSet(question_ids=expected, consumer=RowMatrix(row_of, matrix))
+    # The matrix holds 0..4 answers, so a question's range is clipped to that.
+    bounds = {q.id: (max(q.min_value, RESPONSE_MIN), min(q.max_value, RESPONSE_MAX))
+              for q in instrument.questions}
+    _, row_of, matrix = _read_table(Path(path), "respondent_id", bounds, "respondent id", "answer", "cell")
+    return ResponseSet(question_ids=instrument.question_ids, consumer=RowMatrix(row_of, matrix))
 
 
 def parse_expert_bonus(path: str | Path, bonus_ids: Sequence[str]) -> RowMatrix:
-    """Read expert bonus ratings (expert_id, then one column per bonus indicator).
+    """Read expert bonus ratings (expert_id and one column per bonus indicator).
 
     The result maps each expert id to a tuple of ratings in ``bonus_ids`` order.
     """
-    path = Path(path)
-    with _csv_rows(path, "expert_id") as (header, rows):
-        col = _require_columns(path, header, required=("expert_id",) + tuple(bonus_ids))
-        row_of, matrix = _int_table(path, header, rows, "expert row", bonus_ids,
-                                    [col[bid] for bid in bonus_ids],
-                                    [(RESPONSE_MIN, RESPONSE_MAX)] * len(bonus_ids), "rating", None)
+    bounds = dict.fromkeys(bonus_ids, (RESPONSE_MIN, RESPONSE_MAX))
+    _, row_of, matrix = _read_table(Path(path), "expert_id", bounds, "expert row", "rating", None)
     return RowMatrix(row_of, matrix)
 
 
 def parse_importance(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:
     """Read a rater x item importance matrix on the 1-7 scale: the item ids and a read-only int8 matrix."""
-    path = Path(path)
-    with _csv_rows(path, "rater_id") as (header, rows):
-        item_ids = tuple(header[1:])
-        if not item_ids:
-            raise SchemaError(f"{path}: no item columns")
-        if len(set(item_ids)) != len(item_ids):
-            raise SchemaError(f"{path}: duplicated item column in header")
-        _, matrix = _int_table(path, header, rows, "rater row", item_ids, range(1, len(header)),
-                               [(1, 7)] * len(item_ids), "rating", None)
+    item_ids, _, matrix = _read_table(Path(path), "rater_id", (1, 7), "rater row", "rating", None)
     return item_ids, matrix
 
 

@@ -195,13 +195,17 @@ def validate_tree(tree: IndicatorTree) -> list[str]:
     return problems
 
 
+def group_label(parent_id: str | None) -> str:
+    """How messages name the sibling group under ``parent_id``."""
+    return "the dimension group" if parent_id is None else f"children of {parent_id}"
+
+
 def weight_sum_problem(parent_id: str | None, local_weights: Sequence[float]) -> str | None:
     """Why a core sibling group's local weights do not sum to 1; None if they do or it is empty."""
     total = sum(local_weights)
     if not local_weights or abs(total - 1.0) <= WEIGHT_SUM_TOL:
         return None
-    where = "root dimensions" if parent_id is None else f"children of {parent_id}"
-    return f"local weights of {where} sum to {total!r}, expected 1"
+    return f"local weights of {group_label(parent_id)} sum to {total!r}, expected 1"
 
 
 @dataclass(frozen=True)

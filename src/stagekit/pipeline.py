@@ -71,9 +71,24 @@ def validity_stage(item_ids: Sequence[str], ratings: Sequence[Sequence[int]]) ->
 def score_stage(responses: ResponseSet, instrument: Instrument, weights: WeightsSection | None,
                 bonus: Mapping[str, Sequence[int]] | None = None,
                 bonus_cap: float = DEFAULT_BONUS_CAP) -> ScoreCard:
-    """Score the software with the weights stage's table, adding expert bonus ratings if given."""
+    """Score the software with the weights stage's table, adding expert bonus ratings if given.
+
+    Scoring groups the indices by the instrument's dimensions, so a weights tree
+    that holds an index under another parent, or a node the instrument does not
+    know under a dimension, is an error: either would take weight from the
+    dimension's indices unseen.
+    """
     if weights is None:
         raise InvalidInputError("missing input: weights (the score stage needs the weights stage)")
+    dimensions = set(instrument.dimension_of.values())
+    for node in weights.tree.nodes:
+        dimension_id = instrument.dimension_of.get(node.id)
+        if dimension_id is not None and node.parent_id != dimension_id:
+            raise InvalidInputError(f"index {node.id} is under {node.parent_id} in the weights tree "
+                                    f"but under {dimension_id} in the instrument")
+        if dimension_id is None and node.parent_id in dimensions:
+            raise InvalidInputError(f"node {node.id} is under {node.parent_id} in the weights tree "
+                                    "but is not an index of the instrument")
     if bonus is not None:
         responses = responses.with_bonus(instrument.bonus_ids, bonus)
     return score_software(responses, instrument, weights.table, bonus_cap=bonus_cap)

@@ -226,12 +226,7 @@ class ValidityTable:
     s_cvi_passes: bool
 
 
-def validity_report(
-    item_ids: Sequence[str],
-    ratings: Sequence[Sequence[int]],
-    *,
-    relevance_floor: int = RELEVANCE_FLOOR,
-) -> ValidityTable:
+def validity_report(item_ids: Sequence[str], ratings: Sequence[Sequence[int]]) -> ValidityTable:
     """Content validity from a complete rater x item importance matrix (1-7); no item id may repeat.
 
     An integer ndarray (as from :func:`stagekit.io.parse_importance`) gets one vectorised range
@@ -263,14 +258,14 @@ def validity_report(
                                 f"{rows[i, j]!r} outside 1..7")
     n = len(rows)
     sums = rows.sum(axis=0, dtype=np.int64).tolist()  # exact, so a mean is the one np.mean gives
-    relevant = np.count_nonzero(rows >= relevance_floor, axis=0).tolist()
+    relevant = np.count_nonzero(rows >= RELEVANCE_FLOOR, axis=0).tolist()
     items = tuple(ItemValidity(item_id=item_id, importance_mean=total / n, i_cvi=count / n,
                                passes=count / n >= ICVI_FLOOR)
                   for item_id, total, count in zip(ids, sums, relevant))
     scale = s_cvi([it.i_cvi for it in items])
     return ValidityTable(
         n_raters=n,
-        relevance_floor=relevance_floor,
+        relevance_floor=RELEVANCE_FLOOR,
         items=items,
         s_cvi=scale,
         s_cvi_passes=scale >= SCVI_FLOOR,

@@ -361,7 +361,7 @@ class TestWeights:
 
     @pytest.mark.parametrize("text, message", [
         ("id,name,level,parent_id,bonus,bonus\npq,PQ,dimension,,false,false\n",
-         "duplicated column in header"),
+         "duplicated column(s) bonus"),
         ("id,name,level,parent_id,bonus\npq,PQ,dimension,,false\npq.x,X,index,pq,true\n",
          "invalid indicator tree: node pq.x: bonus node inside a non-bonus (core) subtree"),
         ("id,name,level,parent_id,bonus,local_weight\npq,PQ,dimension,,false,heavy\n",
@@ -392,7 +392,7 @@ class TestReliability:
                        encoding="utf-8")
         rc, out, err = run(capsys, "reliability", "--responses", dup)
         assert rc == 2
-        assert err == f"error: {dup}: duplicated question column(s) q1\n"
+        assert err == f"error: {dup}: duplicated column(s) q1\n"
 
     def test_unknown_instrument_exits_2(self, capsys):
         # only the bundled instrument exists: no option
@@ -480,6 +480,25 @@ class TestScore:
         )
         assert (rc, stdout) == (2, "")
         assert err == f"error: bonus cap must be a positive finite number, got {float(cap)!r}\n"
+        assert not out.exists()
+
+    def test_index_under_another_dimension_exits_2(self, tmp_path, stats2, capsys):
+        tree = tmp_path / "indicators.csv"
+        tree.write_text((DATA / "indicators.csv").read_text(encoding="utf-8").replace(
+            "pq.innovation,Innovation,index,pq,", "pq.innovation,Innovation,index,sp,"), encoding="utf-8")
+        weights = tmp_path / "weights.json"
+        rc, _, err = run(
+            capsys, "weights", "--tree", tree,
+            "--pairwise", f"{DATA / 'pairwise_dimensions.csv'},{DATA / 'pairwise_ux.csv'}",
+            "--importance", stats2, "--out", weights,
+        )
+        assert rc == 0, err
+        out = tmp_path / "score.json"
+        rc, stdout, err = run(capsys, "score", "--responses", DATA / "responses.csv",
+                              "--weights", weights, "--out", out)
+        assert (rc, stdout) == (2, "")
+        assert err == ("error: index pq.innovation is under sp in the weights tree "
+                       "but under pq in the instrument\n")
         assert not out.exists()
 
     def test_weights_bundle_without_weights_exits_2(self, stats1, capsys):

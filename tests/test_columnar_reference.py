@@ -1007,9 +1007,10 @@ def importance_inputs(draw):
 @given(importance_inputs())
 def test_validity_report_equals_loop_reference(case):
     item_ids, ratings, floor = case
-    expected, got = _same_outcome(
-        lambda: reference_validity_report(item_ids, ratings, floor),
-        lambda: validity_report(item_ids, ratings, relevance_floor=floor))
+    with patch("stagekit.psychometrics.RELEVANCE_FLOOR", floor):
+        expected, got = _same_outcome(
+            lambda: reference_validity_report(item_ids, ratings, floor),
+            lambda: validity_report(item_ids, ratings))
     if expected is None:
         return
     assert got == expected

@@ -1,3 +1,4 @@
+import csv
 import importlib.util
 import os
 from pathlib import Path
@@ -36,6 +37,8 @@ from stagekit.io import (
     parse_ratings,
     parse_responses,
 )
+
+DATA = Path(sio.__file__).parent / "data"
 
 
 def write(path, text):
@@ -323,7 +326,7 @@ class TestParseResponses:
         p = write(tmp_path / "resp.csv", header + "\nr1," + ",".join(["2"] * len(qids)) + "\n")
         with pytest.raises(SchemaError) as err:
             parse_responses(p, instrument)
-        assert "missing question column" in str(err.value)
+        assert str(err.value) == f"{p}: missing column(s) q21"
 
     def test_out_of_range_answer_names_cell(self, tmp_path):
         instrument = load_default_instrument()
@@ -429,6 +432,80 @@ class TestParseImportance:
         p = write(tmp_path / "imp.csv", "rater_id,a\nr1,7\nr1,6\n")
         with pytest.raises(SchemaError):
             parse_importance(p)
+
+
+def read_experts(path):
+    panel = parse_experts(path)
+    return panel.row_of, panel.codes.tolist()
+
+
+def read_importance(path):
+    item_ids, matrix = parse_importance(path)
+    return item_ids, matrix.tolist()
+
+
+# Each table reader: its demo file, its id column, and its result as comparable values.
+HEADER_READERS = {
+    "indicators": ("indicators.csv", "id", parse_indicators),
+    "experts": ("experts.csv", "id", read_experts),
+    "ratings": ("ratings_round1.csv", "expert_id", parse_ratings),
+    "responses": ("responses.csv", "respondent_id", lambda p: parse_responses(p, load_default_instrument())),
+    "importance": ("importance.csv", "rater_id", read_importance),
+    "expert bonus": ("expert_bonus.csv", "expert_id",
+                     lambda p: parse_expert_bonus(p, load_default_instrument().bonus_ids)),
+}
+# Ratings and importance read every named column but the id column, so none is unknown to them.
+OPEN_READERS = ("ratings", "importance")
+HEADER_CASES = ("missing", "unknown", "duplicated", "all three", "unnamed")
+
+
+class TestHeaderRule:
+    """Every table's header holds its id column and expected columns once each, in any order."""
+
+    @staticmethod
+    def columns(name):
+        with open(DATA / name, encoding="utf-8", newline="") as fh:
+            return [list(column) for column in zip(*csv.reader(fh))]
+
+    @staticmethod
+    def write_columns(path, columns):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(zip(*columns))
+        return path
+
+    @pytest.mark.parametrize("reader, case", [(r, c) for r in HEADER_READERS for c in HEADER_CASES
+                                              if not (r in OPEN_READERS and c == "unknown")])
+    def test_every_problem_named_on_one_line(self, tmp_path, reader, case):
+        name, key, parse = HEADER_READERS[reader]
+        columns = self.columns(name)
+        last = columns[-1][0]
+        problems = []
+        if case in ("missing", "all three"):
+            columns = [c for c in columns if c[0] != key]
+            problems.append(f"missing column(s) {key}")
+        if case in ("unknown", "all three"):
+            columns.append(["color"] + ["1"] * (len(columns[0]) - 1))
+            if reader not in OPEN_READERS:
+                problems.append("unknown column(s) color")
+        if case in ("duplicated", "all three"):
+            columns.append(columns[-2] if case == "all three" else columns[-1])
+            problems.append(f"duplicated column(s) {last}")
+        if case == "unnamed":  # a blank header cell, as a trailing comma leaves it
+            columns.append([""] * len(columns[0]))
+            problems.append("unknown column(s) ''")
+        path = self.write_columns(tmp_path / name, columns)
+        with pytest.raises(SchemaError) as err:
+            parse(path)
+        assert str(err.value) == f"{path}: " + "; ".join(problems)
+
+    @pytest.mark.parametrize("reader", HEADER_READERS)
+    def test_id_column_found_by_name(self, tmp_path, reader):
+        name, key, parse = HEADER_READERS[reader]
+        columns = self.columns(name)
+        assert columns[0][0] == key
+        path = self.write_columns(tmp_path / name, columns[1:2] + columns[:1] + columns[2:])
+        assert path.read_text(encoding="utf-8") != (DATA / name).read_text(encoding="utf-8")
+        assert parse(path) == parse(DATA / name)
 
 
 # The benchmark's input generator, loaded from bench/ as test_bench_hooks.py loads spans.py.

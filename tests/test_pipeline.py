@@ -237,6 +237,42 @@ class TestPairwiseGroups:
         assert not out_path.exists()
 
 
+def move_innovation_to_sp(tmp_path):
+    tree = tmp_path / "indicators.csv"
+    tree.write_text(tree.read_text(encoding="utf-8").replace(
+        "pq.innovation,Innovation,index,pq,", "pq.innovation,Innovation,index,sp,"), encoding="utf-8")
+
+
+def add_an_index_to_pq(tmp_path):
+    """pq gains an index the instrument lacks, rated in the importance round like pq.security."""
+    tree = tmp_path / "indicators.csv"
+    tree.write_text(tree.read_text(encoding="utf-8") + "pq.extra,Extra,index,pq,false\n", encoding="utf-8")
+    ratings = tmp_path / "ratings_round2.csv"
+    rows = [line.split(",") for line in ratings.read_text(encoding="utf-8").splitlines()]
+    j = rows[0].index("pq.security")
+    ratings.write_text("".join(",".join(row + ["pq.extra" if i == 0 else row[j]]) + "\n"
+                               for i, row in enumerate(rows)), encoding="utf-8")
+
+
+class TestScoreTreeMatchesInstrument:
+    @pytest.mark.parametrize("edit, message", [
+        (move_innovation_to_sp,
+         "index pq.innovation is under sp in the weights tree but under pq in the instrument"),
+        (add_an_index_to_pq,
+         "node pq.extra is under pq in the weights tree but is not an index of the instrument"),
+    ], ids=["index-moved", "index-added"])
+    def test_exits_2_with_one_score_line(self, tmp_path, capsys, edit, message):
+        from stagekit.cli import main
+
+        config = demo_config_copy(tmp_path, lambda config: None)
+        edit(tmp_path)
+        out_path = tmp_path / "bundle.json"
+        rc = main(["pipeline", "--config", str(config), "--out", str(out_path)])
+        captured = capsys.readouterr()
+        assert (rc, captured.out, captured.err) == (2, "", f"error: score: {message}\n")
+        assert not out_path.exists()
+
+
 class TestRoundOptions:
     def test_explicit_round_thresholds(self, tmp_path):
         (tmp_path / "r1.csv").write_text(
