@@ -1,6 +1,6 @@
 """Golden bytes: the rendered bundles of three fixed pipeline runs, and the output
-files of the README quick start run as a chain of CLI subcommands, are pinned
-by sha256.
+files that README's quick start writes when its commands run as written, are
+pinned by sha256.
 
 Any change to parsing, validation, statistics, scoring or rendering that moves
 a single byte of the JSON or markdown output fails here. The pinned digests
@@ -13,7 +13,12 @@ the per-rater Kendall's W loop in the same way. A deliberate change to the outpu
 import csv
 import hashlib
 import json
+import os
+import re
+import shlex
 import shutil
+from contextlib import redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -174,29 +179,72 @@ def test_delphi_input_shape(delphi_config):
     assert bundle.rounds[0].screening is not None
 
 
-# The README quick start as a chain of CLI calls on the bundled demo data:
-# (file written, argv). Later steps read the files earlier steps wrote.
-CLI_CHAIN = (
-    ("round1.json", ["round-stats", "--ratings", "{data}/ratings_round1.csv",
-                     "--experts", "{data}/experts.csv"]),
-    ("screened.json", ["screen", "--stats", "{tmp}/round1.json"]),
-    ("round2_form.csv", ["form", "--stats", "{tmp}/round1.json", "--screen",
-                         "{tmp}/screened.json", "--round", "2",
-                         "--names", "{data}/indicators.csv"]),
-    ("round2.json", ["round-stats", "--ratings", "{data}/ratings_round2.csv",
-                     "--experts", "{data}/experts.csv"]),
-    ("weights.json", ["weights", "--tree", "{data}/indicators.csv", "--pairwise",
-                      "{data}/pairwise_dimensions.csv,{data}/pairwise_ux.csv",
-                      "--importance", "{tmp}/round2.json"]),
-    ("score.json", ["score", "--responses", "{data}/responses.csv",
-                    "--bonus", "{data}/expert_bonus.csv", "--weights", "{tmp}/weights.json"]),
-    ("reliability.json", ["reliability", "--responses", "{data}/responses.csv"]),
-    ("validity.json", ["validity", "--importance", "{data}/importance.csv"]),
-    ("screened.md", ["report", "--bundle", "{tmp}/screened.json", "--format", "markdown"]),
-    ("weights.md", ["report", "--bundle", "{tmp}/weights.json", "--format", "markdown"]),
-    ("score.md", ["report", "--bundle", "{tmp}/score.json", "--format", "markdown"]),
-)
+README = Path(__file__).resolve().parent.parent / "README.md"
 
+
+def readme_block(heading: str, fence: str) -> str:
+    """README's first ``fence`` block under ``## heading``, read as CI's awk reads it.
+
+    From the first line that starts with the heading, the block runs from the
+    first line that is exactly the opening fence to the next line that is
+    exactly the closing one.
+    """
+    lines = README.read_text(encoding="utf-8").splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith(f"## {heading}"))
+    opening = lines.index(f"```{fence}", start)
+    return "\n".join(lines[opening + 1:lines.index("```", opening + 1)])
+
+
+def quick_start() -> list[list[str]]:
+    """README's quick start as one argv per command, ``stagekit`` dropped.
+
+    The one assignment allowed is the ``DATA=$(python3 -c ...)`` line, whose
+    code must print the bundled data directory; ``$DATA`` in a command is that
+    directory.
+    """
+    commands = []
+    for line in readme_block("Quick start", "sh").replace("\\\n", "").splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if re.match(r"\w+=", line):
+            assert line.startswith("DATA=$(") and line.endswith(")"), f"unexpected assignment: {line}"
+            python, flag, code = shlex.split(line[len("DATA=$("):-1])
+            assert (python, flag) == ("python3", "-c"), line
+            printed = StringIO()
+            with redirect_stdout(printed):
+                exec(code, {})
+            assert printed.getvalue() == f"{DATA}\n", line
+            continue
+        program, *argv = shlex.split(line)
+        assert program == "stagekit", line
+        commands.append([arg.replace("$DATA", str(DATA)) for arg in argv])
+    return commands
+
+
+def run_quick_start(directory: Path) -> str:
+    """Run README's quick start through ``cli.main`` in ``directory``; the last command's stdout."""
+    from stagekit.cli import main
+
+    cwd = os.getcwd()
+    os.chdir(directory)
+    try:
+        for argv in quick_start():
+            stdout = StringIO()
+            with redirect_stdout(stdout):
+                assert main(argv) == 0, argv
+    finally:
+        os.chdir(cwd)
+    return stdout.getvalue()
+
+
+def file_digests(directory: Path) -> dict[str, str]:
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(directory.iterdir())}
+
+
+# The files README's quick start writes, by name. Its last command prints the
+# demo bundle as markdown, pinned as GOLDEN["demo"]["markdown"].
 GOLDEN_CLI = {
     "round1.json": "08c1d930589a8f9748828d1eae44c71aa2e863830eba3f5a36f72f33069e06ba",
     "screened.json": "4786d03cea55595b855668bee87a3446401961ef27dd753b1d1d3020f28f3777",
@@ -213,27 +261,28 @@ GOLDEN_CLI = {
 
 
 @pytest.fixture(scope="module")
-def cli_outputs(tmp_path_factory) -> Path:
-    from stagekit.cli import main
-
-    directory = tmp_path_factory.mktemp("golden-cli")
-    for name, argv in CLI_CHAIN:
-        args = [a.format(data=DATA, tmp=directory) for a in argv]
-        assert main([*args, "--out", str(directory / name)]) == 0, name
-    return directory
+def cli_outputs(tmp_path_factory) -> tuple[Path, str]:
+    """The directory README's quick start ran in, and the stdout of its last command."""
+    directory = tmp_path_factory.mktemp("quick-start")
+    return directory, run_quick_start(directory)
 
 
 def test_cli_output_bytes_pinned(cli_outputs):
-    digests = {name: hashlib.sha256((cli_outputs / name).read_bytes()).hexdigest()
-               for name, _ in CLI_CHAIN}
-    assert digests == GOLDEN_CLI
+    directory, stdout = cli_outputs
+    assert file_digests(directory) == GOLDEN_CLI
+    assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == GOLDEN["demo"]["markdown"]
+
+
+def test_readme_pipeline_config_is_the_demo_config():
+    config = json.loads((DATA / "demo_config.json").read_text(encoding="utf-8"))
+    assert json.loads(readme_block("Pipeline config", "json")) == config
 
 
 def test_cli_chain_matches_pipeline_sections(cli_outputs):
     pipeline = bundle_to_obj(run_pipeline(DATA / "demo_config.json"))
 
     def section(name, key):
-        return json.loads((cli_outputs / name).read_text(encoding="utf-8"))[key]
+        return json.loads((cli_outputs[0] / name).read_text(encoding="utf-8"))[key]
 
     assert section("screened.json", "rounds") == pipeline["rounds"][:1]
     assert section("round1.json", "rounds") == [{**pipeline["rounds"][0], "screening": None}]
@@ -246,7 +295,6 @@ def test_cli_chain_matches_pipeline_sections(cli_outputs):
 
 def test_pinned_bundles_read_back_whole(survey_config, delphi_config, cli_outputs):
     objs = [json.loads(render_json(run_pipeline(config))) for config in (survey_config, delphi_config)]
-    objs += [json.loads((cli_outputs / name).read_text(encoding="utf-8"))
-             for name, _ in CLI_CHAIN if name.endswith(".json")]
+    objs += [json.loads(path.read_text(encoding="utf-8")) for path in cli_outputs[0].glob("*.json")]
     for obj in objs:
         assert bundle_to_obj(bundle_from_obj(obj)) == obj
