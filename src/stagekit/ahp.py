@@ -106,7 +106,7 @@ def principal_weights(matrix: PairwiseMatrix) -> tuple[tuple[float, ...], float]
     a = matrix.array()
     w = np.full(n, 1.0 / n)
     for _ in range(POWER_MAX_ITER):
-        v = a @ w
+        v = (a * w).sum(axis=1)
         w_next = v / v.sum()
         if float(np.max(np.abs(w_next - w))) < POWER_TOL:
             w = w_next
@@ -116,7 +116,7 @@ def principal_weights(matrix: PairwiseMatrix) -> tuple[tuple[float, ...], float]
         raise ConvergenceError(
             f"power iteration did not converge within {POWER_MAX_ITER} iterations"
         )
-    lambda_max = float(w @ a @ w) / float(w @ w)
+    lambda_max = float(((a * w).sum(axis=1) * w).sum()) / float((w * w).sum())
     return tuple(float(x) for x in w), lambda_max
 
 

@@ -66,12 +66,12 @@ def _citc(arr: np.ndarray, row_sums: np.ndarray, item: int) -> float:
     rest = row_sums - x
     xc = x - x.mean()
     rc = rest - rest.mean()
-    denom = float(np.sqrt((xc @ xc) * (rc @ rc)))
+    denom = float(np.sqrt((xc * xc).sum() * (rc * rc).sum()))
     if denom == 0:
         raise DegenerateDataError(
             "constant item or constant rest-score; correlation is undefined"
         )
-    return float((xc @ rc) / denom)
+    return float((xc * rc).sum() / denom)
 
 
 def alpha_if_deleted(scores, item: int) -> float:

@@ -17,6 +17,8 @@ import os
 import re
 import shlex
 import shutil
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from io import StringIO
 from pathlib import Path
@@ -33,15 +35,15 @@ DATA = Path(stagekit.__file__).parent / "data"
 
 GOLDEN = {
     "demo": {
-        "json": "5f181e52c5d31aaa86fd8ff3d7a57ba216d965260e6d521a61cb9d2d244a2e9c",
+        "json": "539779b17a3643a44f3ba757ece28c2660c557c9e11f8c0f507618081468c20f",
         "markdown": "7cc734b6ff3ff3cffbb029e96a2b6c16bb95cb169f44fccc9ed7853ac3af5318",
     },
     "survey-5k": {
-        "json": "f6245199c42e0dea0fac0cc4ebaff9d77875551ff7e480ca9e82303a843d84e7",
+        "json": "3a443ed351bea733297937b603b82aa39e301c2cbb483d6d84369a563b2edc71",
         "markdown": "f065de775e5ffa2088e8570cab1080fce78c61d9aac39b50e51ea9800c7ccc19",
     },
     "delphi-2k": {
-        "json": "d542ed7f74d9387039455624491de9c57008cb954460e7abf93073bada35fd44",
+        "json": "ed858047e1bbc2b8d5b3fbe3bef66f045ed05a10904263121df89987a3308626",
         "markdown": "87669c482c80aad5e097e3347e01cec6b035472372773a8a64191c23b410cbef",
     },
 }
@@ -250,9 +252,9 @@ GOLDEN_CLI = {
     "screened.json": "4786d03cea55595b855668bee87a3446401961ef27dd753b1d1d3020f28f3777",
     "round2_form.csv": "34453a7a46e0380229364161efb3c215030c86407cc3074bc3e5ef34eab966b7",
     "round2.json": "e1e5d10c3981c85ccd3fdbc4fa0dee2dec02e4d0b7c61a47ca77e3b779f7e5f5",
-    "weights.json": "f293477b1fcc0aa4de233c7e6dc9c6e17393f0aa680ee117271a1b30a0bd7d5a",
-    "score.json": "9891ee6bafb9ba5964a41756f5451b3640db452c8be6134d45945dd7a4b4b50b",
-    "reliability.json": "48b3b9817c1de588a7f87f6e20eaea5d3fd02615e2c9c51adc2cca1040ac2308",
+    "weights.json": "cce5f75f45bd177712995d5ff33a8691b5196782c0bbc800ada998e2f01f7108",
+    "score.json": "b8ba4564ca7d4b77175c36a147c74cbab76988638f2885cce6b0500c701de201",
+    "reliability.json": "d21d357d235eeffe7557f002fed5679130d930823f7d9265725cf512489bd163",
     "validity.json": "1871e3458537fc942969a6ac1d92671485d339bf4b2ec7378668213e3bf8a79d",
     "screened.md": "31bf37bf93e35098e188c74e098e3ea4d2cf098c803d826459338f2427f492e5",
     "weights.md": "d4a6676ed47dd113035cc495944ef3fe602e716bf1a5d28d671974013fd35f80",
@@ -298,3 +300,37 @@ def test_pinned_bundles_read_back_whole(survey_config, delphi_config, cli_output
     objs += [json.loads(path.read_text(encoding="utf-8")) for path in cli_outputs[0].glob("*.json")]
     for obj in objs:
         assert bundle_to_obj(bundle_from_obj(obj)) == obj
+
+
+# OpenBLAS picks its kernels by CPU; OPENBLAS_CORETYPE forces one for a process.
+# A kernel the CPU lacks dies with SIGILL, so each runs only where its flag is.
+OPENBLAS_KERNELS = {"SkylakeX": "avx512f", "Haswell": "avx2", "Zen": "avx2", "Prescott": None}
+
+KERNEL_RUN = """
+import json, sys, tempfile
+from pathlib import Path
+import test_golden as g
+with tempfile.TemporaryDirectory() as tmp:
+    g.run_quick_start(Path(tmp))
+    json.dump({"demo": g._digests(g.DATA / "demo_config.json"), "cli": g.file_digests(Path(tmp))}, sys.stdout)
+"""
+
+
+def test_same_bytes_under_every_openblas_kernel():
+    try:
+        cpuinfo = Path("/proc/cpuinfo").read_text(encoding="utf-8")
+    except OSError:
+        pytest.skip("no /proc/cpuinfo")
+    flags = next((line.split(":", 1)[1].split() for line in cpuinfo.splitlines()
+                  if line.startswith("flags")), None)
+    if flags is None:
+        pytest.skip("no x86 CPU flags in /proc/cpuinfo")
+    path = os.pathsep.join([str(Path(stagekit.__file__).parent.parent), str(Path(__file__).parent)])
+    for kernel, flag in OPENBLAS_KERNELS.items():
+        if flag is not None and flag not in flags:
+            continue
+        env = {**os.environ, "OPENBLAS_CORETYPE": kernel, "PYTHONPATH": path}
+        run = subprocess.run([sys.executable, "-c", KERNEL_RUN], env=env, capture_output=True,
+                             text=True, timeout=300)
+        assert run.returncode == 0, (kernel, run.stderr)
+        assert json.loads(run.stdout) == {"demo": GOLDEN["demo"], "cli": GOLDEN_CLI}, kernel
