@@ -137,6 +137,12 @@ def _cell(row: list[str], i: int) -> str:
     return row[i].strip() if i < len(row) else ""
 
 
+def _require_width(path: Path, row_id: str, row: list[str], header: list[str]) -> None:
+    """A row may be short, its missing cells read as blanks, but never longer than the header."""
+    if len(row) > len(header):
+        raise SchemaError(f"{path}: row {row_id!r} has {len(row)} cells for {len(header)} columns")
+
+
 def _require_columns(path: Path, header: list[str], required: Sequence[str],
                      optional: Sequence[str] = ()) -> dict[str, int]:
     """Each column's position, once the header holds every ``required`` column and nothing
@@ -179,6 +185,7 @@ def parse_indicators(path: str | Path) -> IndicatorTree:
         node_id = _cell(row, col["id"])
         if not node_id:
             raise SchemaError(f"{path}: row with empty id")
+        _require_width(path, node_id, row, header)
         level = _enum_value(path, node_id, "level", _cell(row, col["level"]), Level)
         bonus_raw = _cell(row, col["bonus"]).lower()
         if bonus_raw in _TRUE:
@@ -327,10 +334,10 @@ def _int_table(path: Path, header: list[str], rows: Iterable[list[str]], kind: s
     The cells at ``src`` of a row are its ``columns``, each stripped and read
     by its entry in ``bounds``: with ``int()`` and checked against a (lo, hi),
     or looked up in an Enum and stored as its position there. A short row reads
-    as blanks and extra cells are ignored. A blank cell is ``MISSING`` when
-    ``blank`` is "cell", makes the row ``MISSING`` when it is "row", and is an
-    error when it is None. ``kind`` names a row in errors, e.g. "expert row".
-    ``header`` is the file's header as ``_csv_rows`` read it.
+    as blanks; a row longer than ``header`` is an error. A blank cell is
+    ``MISSING`` when ``blank`` is "cell", makes the row ``MISSING`` when it is
+    "row", and is an error when it is None. ``kind`` names a row in errors,
+    e.g. "expert row". ``header`` is the file's header as ``_csv_rows`` read it.
 
     Rows stream into one int8 buffer (int64 when a ``hi`` does not fit it).
     Each range or enum remembers the code of every raw string read for it
@@ -390,6 +397,7 @@ def _int_table(path: Path, header: list[str], rows: Iterable[list[str]], kind: s
             raise SchemaError(f"{path}: row with empty {noun} id")
         if row_id in row_of:
             raise SchemaError(f"{path}: duplicate {noun} {repeat} {row_id!r}")
+        _require_width(path, row_id, row, header)
         row_of[row_id] = len(row_of)
         cells = pick(row)
         try:
@@ -513,6 +521,7 @@ def parse_pairwise(path: str | Path) -> PairwiseMatrix:
             raise SchemaError(
                 f"{path}: row ids must mirror the header order; expected {expected_id!r}, got {row_id!r}"
             )
+        _require_width(path, row_id, row, header)
         values = []
         for i, col_id in enumerate(ids):
             raw = _cell(row, i + 1)

@@ -1,3 +1,4 @@
+import csv
 import json
 import shutil
 from pathlib import Path
@@ -177,6 +178,35 @@ class TestUnreadableInput:
                            "--weights", DATA / "no_such_weights.json")
         assert rc == 2
         assert err == f"error: {bonus}: cell (e2,3,3\\ne3,2,1, compliance): '' is not an integer\n"
+
+
+class TestLongRow:
+    """A row with one cell more than its header exits 2 with one line naming it and writes nothing."""
+
+    @pytest.mark.parametrize("name, argv", [
+        ("ratings_round1.csv", ["round-stats", "--ratings", "{file}"]),
+        ("experts.csv", ["round-stats", "--ratings", "{data}/ratings_round1.csv", "--experts", "{file}"]),
+        ("responses.csv", ["reliability", "--responses", "{file}"]),
+        ("importance.csv", ["validity", "--importance", "{file}"]),
+        ("expert_bonus.csv", ["score", "--responses", "{data}/responses.csv", "--bonus", "{file}",
+                              "--weights", "{weights}"]),
+        ("indicators.csv", ["weights", "--tree", "{file}", "--importance", "{stats2}"]),
+        ("pairwise_ux.csv", ["weights", "--tree", "{data}/indicators.csv",
+                             "--pairwise", "{data}/pairwise_dimensions.csv,{file}", "--method", "ahp"]),
+    ], ids=["ratings", "experts", "responses", "importance", "expert-bonus", "indicators", "pairwise"])
+    def test_exits_2_with_one_line(self, name, argv, stats2, weights_bundle, tmp_path, capsys):
+        with open(DATA / name, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[1].append("1")
+        file = tmp_path / name
+        with open(file, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        target = tmp_path / "out"
+        argv = [a.format(file=file, data=DATA, weights=weights_bundle, stats2=stats2) for a in argv]
+        rc, out, err = run(capsys, *argv, "--out", target)
+        assert (rc, out) == (2, "")
+        assert err == f"error: {file}: row {rows[1][0]!r} has {len(rows[1])} cells for {len(rows[0])} columns\n"
+        assert not target.exists()
 
 
 class TestUnwritableOutput:

@@ -375,6 +375,8 @@ def reference_parse_ratings(path, scale_max=5):
             raise SchemaError(f"{path}: row with empty expert id")
         if expert_id in ratings or expert_id in non_respondents:
             raise SchemaError(f"{path}: duplicate expert row {expert_id!r}")
+        if len(row) > len(header):
+            raise SchemaError(f"{path}: row {expert_id!r} has {len(row)} cells for {len(header)} columns")
         cells = [cell(row, i + 1) for i in range(len(indicator_ids))]
         if any(c == "" for c in cells):
             non_respondents.append(expert_id)
@@ -465,6 +467,8 @@ def reference_parse_responses(path, instrument):
             raise SchemaError(f"{path}: row with empty respondent id")
         if rid in consumer:
             raise SchemaError(f"{path}: duplicate respondent id {rid!r}")
+        if len(row) > len(header):
+            raise SchemaError(f"{path}: row {rid!r} has {len(row)} cells for {len(header)} columns")
         values = []
         for q in instrument.questions:
             raw = _reference_cell(row, header.index(q.id))
@@ -483,7 +487,7 @@ def reference_parse_responses(path, instrument):
     return consumer
 
 
-def reference_rating_rows(path, rows, kind, columns, lo, hi):
+def reference_rating_rows(path, header, rows, kind, columns, lo, hi):
     """Row id -> integer ratings in [lo, hi], read from the (column id, cell index) pairs."""
     out = {}
     for row in rows:
@@ -492,6 +496,8 @@ def reference_rating_rows(path, rows, kind, columns, lo, hi):
             raise SchemaError(f"{path}: row with empty {kind} id")
         if row_id in out:
             raise SchemaError(f"{path}: duplicate {kind} row {row_id!r}")
+        if len(row) > len(header):
+            raise SchemaError(f"{path}: row {row_id!r} has {len(row)} cells for {len(header)} columns")
         values = []
         for column, i in columns:
             raw = _reference_cell(row, i)
@@ -509,13 +515,13 @@ def reference_rating_rows(path, rows, kind, columns, lo, hi):
 def reference_parse_importance(path):
     header, rows = _reference_table(path)
     item_ids = tuple(header[1:])
-    matrix = reference_rating_rows(path, rows, "rater", list(zip(item_ids, range(1, len(header)))), 1, 7)
+    matrix = reference_rating_rows(path, header, rows, "rater", list(zip(item_ids, range(1, len(header)))), 1, 7)
     return item_ids, list(matrix.values())
 
 
 def reference_parse_expert_bonus(path, bonus_ids):
     header, rows = _reference_table(path)
-    return reference_rating_rows(path, rows, "expert", [(b, header.index(b)) for b in bonus_ids], 0, 4)
+    return reference_rating_rows(path, header, rows, "expert", [(b, header.index(b)) for b in bonus_ids], 0, 4)
 
 
 INT_CELLS = ("0", "1", "2", "3", "4", "5", "7", "8", " 3 ", "\t2", "+3", "03", "-1", "-0",
@@ -756,6 +762,8 @@ def reference_parse_experts(path):
             raise SchemaError(f"{path}: row with empty expert id")
         if expert_id in seen:
             raise SchemaError(f"{path}: duplicate expert id {expert_id!r}")
+        if len(row) > len(header):
+            raise SchemaError(f"{path}: row {expert_id!r} has {len(row)} cells for {len(header)} columns")
         seen.add(expert_id)
 
         def value(column, enum_cls):

@@ -260,7 +260,7 @@ class TestParseRatings:
         assert list(rnd.ratings) == ["e1", "e3"]
 
     def test_short_rows_are_non_respondents(self, tmp_path):
-        p = write(tmp_path / "r.csv", "expert_id,a,b\ne1,5,4\ne2,4\ne3\ne4,3,3,extra\n")
+        p = write(tmp_path / "r.csv", "expert_id,a,b\ne1,5,4\ne2,4\ne3\ne4,3,3\n")
         rnd = parse_ratings(p)
         assert rnd.non_respondents == ("e2", "e3")
         assert dict(rnd.ratings) == {"e1": (5, 4), "e4": (3, 3)}
