@@ -1,6 +1,7 @@
 """Golden bytes: the rendered bundles of three fixed pipeline runs, and the output
 files that README's quick start writes when its commands run as written, are
-pinned by sha256.
+pinned by sha256. README's pipeline config and library use blocks are checked
+against the bundled data too.
 
 Any change to parsing, validation, statistics, scoring or rendering that moves
 a single byte of the JSON or markdown output fails here. The pinned digests
@@ -278,6 +279,13 @@ def test_cli_output_bytes_pinned(cli_outputs):
 def test_readme_pipeline_config_is_the_demo_config():
     config = json.loads((DATA / "demo_config.json").read_text(encoding="utf-8"))
     assert json.loads(readme_block("Pipeline config", "json")) == config
+
+
+def test_readme_library_use_runs(tmp_path, monkeypatch):
+    for src in DATA.iterdir():
+        shutil.copy(src, tmp_path / src.name)
+    monkeypatch.chdir(tmp_path)
+    exec(readme_block("Library use", "python"), {})
 
 
 def test_cli_chain_matches_pipeline_sections(cli_outputs):
