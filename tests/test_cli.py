@@ -205,7 +205,8 @@ class TestLongRow:
         argv = [a.format(file=file, data=DATA, weights=weights_bundle, stats2=stats2) for a in argv]
         rc, out, err = run(capsys, *argv, "--out", target)
         assert (rc, out) == (2, "")
-        assert err == f"error: {file}: row {rows[1][0]!r} has {len(rows[1])} cells for {len(rows[0])} columns\n"
+        row_id, width = rows[1][0], len(rows[0])
+        assert err == f"error: {file}: row {row_id!r} has {width + 1} cells for {width} columns\n"
         assert not target.exists()
 
 

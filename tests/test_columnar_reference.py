@@ -515,13 +515,15 @@ def reference_rating_rows(path, header, rows, kind, columns, lo, hi):
 def reference_parse_importance(path):
     header, rows = _reference_table(path)
     item_ids = tuple(header[1:])
-    matrix = reference_rating_rows(path, header, rows, "rater", list(zip(item_ids, range(1, len(header)))), 1, 7)
+    matrix = reference_rating_rows(path, header, rows, "rater",
+                                   list(zip(item_ids, range(1, len(header)))), 1, 7)
     return item_ids, list(matrix.values())
 
 
 def reference_parse_expert_bonus(path, bonus_ids):
     header, rows = _reference_table(path)
-    return reference_rating_rows(path, header, rows, "expert", [(b, header.index(b)) for b in bonus_ids], 0, 4)
+    return reference_rating_rows(path, header, rows, "expert",
+                                 [(b, header.index(b)) for b in bonus_ids], 0, 4)
 
 
 INT_CELLS = ("0", "1", "2", "3", "4", "5", "7", "8", " 3 ", "\t2", "+3", "03", "-1", "-0",

@@ -242,8 +242,7 @@ def run_quick_start(directory: Path) -> str:
 
 
 def file_digests(directory: Path) -> dict[str, str]:
-    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-            for path in sorted(directory.iterdir())}
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in directory.iterdir()}
 
 
 # The files README's quick start writes, by name. Its last command prints the
