@@ -16,7 +16,7 @@ from .errors import (
     InvalidInputError,
     UnsupportedOrderError,
 )
-from .model import IndicatorNode, IndicatorTree, group_label, weight_sum_problem
+from .model import IndicatorNode, IndicatorTree, group_label, ordered_sum, weight_sum_problem
 
 RECIPROCAL_TOL = 1e-9
 POWER_TOL = 1e-12
@@ -145,7 +145,7 @@ def importance_weights(means: Sequence[float]) -> tuple[float, ...]:
         raise InvalidInputError("no importance means given")
     if any(m <= 0 for m in means):
         raise InvalidInputError("importance means must all be positive")
-    total = float(sum(means))
+    total = float(ordered_sum(means))
     return tuple(float(m) / total for m in means)
 
 
@@ -160,7 +160,7 @@ def combine_weights(
     if any(w < 0 for w in w_scoring) or any(w < 0 for w in w_ahp):
         raise InvalidInputError("weights must be non-negative")
     products = [float(a) * float(b) for a, b in zip(w_scoring, w_ahp)]
-    total = sum(products)
+    total = ordered_sum(products)
     if total == 0:
         raise DegenerateDataError("all pairwise products are zero; combined weights undefined")
     return tuple(p / total for p in products)

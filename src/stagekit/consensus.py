@@ -113,9 +113,10 @@ def judgment_coefficient(
     _check_ca_table(table)
     codes = ExpertPanel.of(profiles).codes
     lookup = np.array([[table[b][i] for i in Impact] for b in JudgmentBasis], dtype=float)
-    # Builtin sums, as over profiles: 0 + each basis in JudgmentBasis order, then over the experts.
+    # Sums in order, as over profiles: 0 + each basis in JudgmentBasis order, then over the
+    # experts (``ordered_sum``'s order, which builtin ``sum`` keeps only up to Python 3.11).
     per_expert = sum(lookup[j].take(codes[:, j]) for j in range(len(JudgmentBasis)))
-    return sum(per_expert.tolist()) / len(codes)
+    return float(np.add.accumulate(per_expert)[-1]) / len(codes)
 
 
 def familiarity_coefficient(
@@ -129,7 +130,8 @@ def familiarity_coefficient(
         if level not in mapping:
             raise InvalidInputError(f"familiarity map missing level {level.value!r}")
     lookup = np.array([mapping[level] for level in Familiarity], dtype=float)
-    return sum(lookup.take(ExpertPanel.of(profiles).codes[:, -1]).tolist()) / len(profiles)
+    levels = lookup.take(ExpertPanel.of(profiles).codes[:, -1])
+    return float(np.add.accumulate(levels)[-1]) / len(profiles)  # in order, as ordered_sum
 
 
 def authority_coefficient(ca: float, cs: float) -> float:

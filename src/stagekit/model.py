@@ -10,9 +10,11 @@ per-value range checks raise :class:`~stagekit.errors.InvalidInputError`.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import reduce
+from operator import add
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from .errors import InvalidInputError
@@ -195,6 +197,16 @@ def validate_tree(tree: IndicatorTree) -> list[str]:
     return problems
 
 
+def ordered_sum(values: Iterable[float]) -> float:
+    """``values`` added one at a time, left to right, from 0.
+
+    Builtin ``sum`` compensates float rounding from Python 3.12 on, so the last
+    bits of its float sums depend on the Python version; these do not. Over a
+    float ndarray, ``np.add.accumulate(a)[-1]`` adds in the same order.
+    """
+    return reduce(add, values, 0)
+
+
 def group_label(parent_id: str | None) -> str:
     """How messages name the sibling group under ``parent_id``."""
     return "the dimension group" if parent_id is None else f"children of {parent_id}"
@@ -202,7 +214,7 @@ def group_label(parent_id: str | None) -> str:
 
 def weight_sum_problem(parent_id: str | None, local_weights: Sequence[float]) -> str | None:
     """Why a core sibling group's local weights do not sum to 1; None if they do or it is empty."""
-    total = sum(local_weights)
+    total = ordered_sum(local_weights)
     if not local_weights or abs(total - 1.0) <= WEIGHT_SUM_TOL:
         return None
     return f"local weights of {group_label(parent_id)} sum to {total!r}, expected 1"

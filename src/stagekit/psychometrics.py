@@ -3,17 +3,19 @@ and content validity (I-CVI, S-CVI) with the instrument's thresholds and flags.
 
 Conventions: sample (n-1) variances throughout; negative alphas are reported
 as-is; a respondent with any missing answer is excluded from reliability.
+Alpha, CITC and alpha-if-deleted are read off one k x k covariance matrix.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DegenerateDataError, InsufficientDataError, InvalidInputError
-from .model import Instrument, ResponseSet
+from .model import Instrument, ResponseSet, ordered_sum
 
 CITC_FLOOR = 0.3  # items below this corrected item-total correlation get flagged
 ICVI_FLOOR = 0.78
@@ -30,48 +32,70 @@ def _as_matrix(scores) -> np.ndarray:
     return arr
 
 
-def cronbach_alpha(scores) -> float:
-    """Internal-consistency alpha: k/(k-1) * (1 - sum of item variances / total variance)."""
-    return _alpha(_as_matrix(scores))
+def _co_deviations(arr: np.ndarray) -> list[list]:
+    """A k x k matrix proportional to the sample covariances of the n x k matrix ``arr``.
 
-
-def _alpha(arr: np.ndarray) -> float:
-    n, k = arr.shape
+    Integer scores with n * max|x|**2 below 2**53 give n * XᵀX - s * sᵀ (``s`` the
+    column sums) exactly, as Python ints: every partial sum of the float64 product
+    XᵀX is then an integer below 2**53, so the product is exact under every BLAS
+    kernel, and the ints cannot overflow. Other real scores give the float
+    cross-products of the centred columns, each summed by numpy, not BLAS.
+    """
+    n = len(arr)
     if n < 2:
         raise InsufficientDataError(f"need >= 2 respondents, got {n}")
+    peak = float(np.abs(arr).max(initial=0))
+    if n * peak * peak < 2**53 and (arr.dtype.kind in "iu" or np.array_equal(arr, np.trunc(arr))):
+        x = arr.astype(np.float64, copy=False)
+        sums = [int(v) for v in x.sum(axis=0).tolist()]
+        return [[n * int(g) - si * sj for g, sj in zip(row, sums)]
+                for row, si in zip((x.T @ x).tolist(), sums)]
+    dev = (arr - arr.mean(axis=0)).T
+    return [[float((a * b).sum()) for b in dev] for a in dev]
+
+
+def _block_total(cov: list[list], rows: Sequence[int], cols: Sequence[int]):
+    return ordered_sum(cov[i][j] for i in rows for j in cols)
+
+
+def _alpha(cov: list[list], cols: Sequence[int]) -> float:
+    """Alpha of the items ``cols``: k/(k-1) * (1 - sum of item variances / total variance)."""
+    k = len(cols)
     if k < 2:
         raise InsufficientDataError(f"need >= 2 items, got {k}")
-    item_vars = arr.var(axis=0, ddof=1)
-    total_var = arr.sum(axis=1).var(ddof=1)
-    if total_var == 0:
+    total = _block_total(cov, cols, cols)
+    if total <= 0:  # below zero only by float rounding of a zero variance
         raise DegenerateDataError("total-score variance is zero; alpha is undefined")
-    return float(k / (k - 1) * (1.0 - item_vars.sum() / total_var))
+    return k * (total - ordered_sum(cov[i][i] for i in cols)) / ((k - 1) * total)
+
+
+def _citc(cov: list[list], cols: Sequence[int], item: int) -> float:
+    """Correlation of item ``item`` with the sum of the other items of ``cols``."""
+    rest = [c for c in cols if c != item]
+    cross = _block_total(cov, [item], rest)
+    den = cov[item][item] * _block_total(cov, rest, rest)
+    if den <= 0:  # below zero only by float rounding of a zero variance
+        raise DegenerateDataError(
+            "constant item or constant rest-score; correlation is undefined"
+        )
+    return math.copysign(math.sqrt(cross * cross / den), cross)
+
+
+def cronbach_alpha(scores) -> float:
+    """Internal-consistency alpha: k/(k-1) * (1 - sum of item variances / total variance)."""
+    arr = _as_matrix(scores)
+    return _alpha(_co_deviations(arr), range(arr.shape[1]))
 
 
 def corrected_item_total(scores, item: int) -> float:
     """Pearson correlation of one item with the sum of all other items."""
     arr = _as_matrix(scores)
-    return _citc(arr, arr.sum(axis=1), item)
-
-
-def _citc(arr: np.ndarray, row_sums: np.ndarray, item: int) -> float:
-    n, k = arr.shape
+    k = arr.shape[1]
     if not 0 <= item < k:
         raise InvalidInputError(f"item index {item} outside 0..{k - 1}")
     if k < 2:
         raise InsufficientDataError("need >= 2 items for an item-rest correlation")
-    if n < 2:
-        raise InsufficientDataError(f"need >= 2 respondents, got {n}")
-    x = arr[:, item]
-    rest = row_sums - x
-    xc = x - x.mean()
-    rc = rest - rest.mean()
-    denom = float(np.sqrt((xc * xc).sum() * (rc * rc).sum()))
-    if denom == 0:
-        raise DegenerateDataError(
-            "constant item or constant rest-score; correlation is undefined"
-        )
-    return float((xc * rc).sum() / denom)
+    return _citc(_co_deviations(arr), range(k), item)
 
 
 def alpha_if_deleted(scores, item: int) -> float:
@@ -84,7 +108,7 @@ def alpha_if_deleted(scores, item: int) -> float:
         )
     if not 0 <= item < k:
         raise InvalidInputError(f"item index {item} outside 0..{k - 1}")
-    return _alpha(np.delete(arr, item, axis=1))
+    return _alpha(_co_deviations(arr), [c for c in range(k) if c != item])
 
 
 def i_cvi(ratings: Sequence[int], relevance_floor: int = RELEVANCE_FLOOR) -> float:
@@ -105,7 +129,7 @@ def s_cvi(i_cvis: Sequence[float]) -> float:
     for v in i_cvis:
         if not 0.0 <= v <= 1.0:
             raise InvalidInputError(f"I-CVI {v!r} outside [0, 1]")
-    return float(sum(i_cvis)) / len(i_cvis)
+    return float(ordered_sum(i_cvis)) / len(i_cvis)
 
 
 @dataclass(frozen=True)
@@ -141,7 +165,9 @@ def reliability_report(responses: ResponseSet, instrument: Instrument) -> Reliab
     Statistics are computed per index (CITC pairs a question with the rest of
     its own index; alpha-if-deleted only where the index keeps >= 2 questions
     after deletion). Index-level degeneracies are reported inline as notes
-    rather than aborting the table.
+    rather than aborting the table. Every statistic comes from one exact integer
+    covariance matrix of the complete respondents, with one rounding division
+    (and one square root for CITC), so a zero variance is an exact zero.
     """
     if tuple(responses.question_ids) != instrument.question_ids:
         raise InvalidInputError("response columns do not match the instrument's questions")
@@ -151,17 +177,15 @@ def reliability_report(responses: ResponseSet, instrument: Instrument) -> Reliab
         raise InsufficientDataError(
             f"need >= 2 complete respondents, got {n_complete}"
         )
-    data = _as_matrix(responses.consumer.matrix[complete])  # the one check of the report
+    cov = _co_deviations(responses.consumer.matrix[complete])  # exact: answers are 0..4
     col_of = {qid: i for i, qid in enumerate(responses.question_ids)}
 
-    total_alpha = _alpha(data)
+    total_alpha = _alpha(cov, range(len(cov)))
 
     index_rows: list[IndexReliability] = []
     question_rows: list[QuestionReliability] = []
     for index_id, qids in instrument.indices:
         cols = [col_of[q] for q in qids]
-        sub = data[:, cols]
-        row_sums = sub.sum(axis=1)
         k = len(qids)
 
         alpha = None
@@ -170,25 +194,25 @@ def reliability_report(responses: ResponseSet, instrument: Instrument) -> Reliab
             note = "single question; alpha not applicable"
         else:
             try:
-                alpha = _alpha(sub)
+                alpha = _alpha(cov, cols)
             except DegenerateDataError as exc:
                 note = str(exc)
         index_rows.append(IndexReliability(index_id=index_id, n_questions=k, alpha=alpha, note=note))
 
-        for j, qid in enumerate(qids):
+        for col, qid in zip(cols, qids):
             citc = None
             q_note = None
             if k < 2:
                 q_note = "single question; item-rest correlation not applicable"
             else:
                 try:
-                    citc = _citc(sub, row_sums, j)
+                    citc = _citc(cov, cols, col)
                 except DegenerateDataError as exc:
                     q_note = str(exc)
             aid = None
             if k >= 3:
                 try:
-                    aid = _alpha(np.delete(sub, j, axis=1))
+                    aid = _alpha(cov, [c for c in cols if c != col])
                 except DegenerateDataError as exc:
                     q_note = str(exc) if q_note is None else f"{q_note}; {exc}"
             question_rows.append(QuestionReliability(

@@ -4,13 +4,18 @@
 per-respondent loops that ``score_consumer`` and ``reliability_report`` ran
 before consumer answers were stored as one matrix; the Delphi, integer-table,
 expert-panel and content-validity references are further down. They reach the answers
-only through the ``ResponseSet.consumer`` mapping. The column-wise code keeps
-the loops' order of float operations, so the property below demands exact
-equality, with no tolerance.
+only through the ``ResponseSet.consumer`` mapping. The column-wise scoring keeps
+the loop's order of float operations, so its property demands exact equality,
+with no tolerance. Reliability is now computed from exact integer covariances,
+so its property demands the loop's outcome with each value no farther from the
+exact statistic than the loop's value is, plus one unit in the last place.
 """
 
 import csv
+import math
 import re
+from dataclasses import replace
+from fractions import Fraction
 from unittest.mock import patch
 
 import numpy as np
@@ -58,9 +63,6 @@ from stagekit.psychometrics import (
     QuestionReliability,
     ReliabilityTable,
     ValidityTable,
-    alpha_if_deleted,
-    corrected_item_total,
-    cronbach_alpha,
 )
 
 
@@ -108,8 +110,34 @@ def reference_score_consumer(responses, instrument, local):
     return per_respondent, pooled_dims, pooled_indices, imputed
 
 
+def loop_alpha(arr):
+    """Alpha from float item and total-score variances, as before the covariance matrix."""
+    n, k = arr.shape
+    if n < 2:
+        raise InsufficientDataError(f"need >= 2 respondents, got {n}")
+    if k < 2:
+        raise InsufficientDataError(f"need >= 2 items, got {k}")
+    item_vars = arr.var(axis=0, ddof=1)
+    total_var = arr.sum(axis=1).var(ddof=1)
+    if total_var == 0:
+        raise DegenerateDataError("total-score variance is zero; alpha is undefined")
+    return float(k / (k - 1) * (1.0 - item_vars.sum() / total_var))
+
+
+def loop_citc(arr, item):
+    """Float Pearson correlation of one item with the sum of the others."""
+    x = arr[:, item]
+    rest = arr.sum(axis=1) - x
+    xc = x - x.mean()
+    rc = rest - rest.mean()
+    denom = float(np.sqrt((xc * xc).sum() * (rc * rc).sum()))
+    if denom == 0:
+        raise DegenerateDataError("constant item or constant rest-score; correlation is undefined")
+    return float((xc * rc).sum() / denom)
+
+
 def reference_reliability_report(responses, instrument):
-    """Complete respondents picked row by row, then the per-index statistics."""
+    """Complete respondents picked row by row, then the per-index statistics in floats."""
     complete = tuple(rid for rid, row in responses.consumer.items()
                      if all(v is not None for v in row))
     if len(complete) < 2:
@@ -117,7 +145,7 @@ def reference_reliability_report(responses, instrument):
     data = np.asarray([responses.consumer[rid] for rid in complete], dtype=float)
     col_of = {qid: i for i, qid in enumerate(responses.question_ids)}
 
-    total_alpha = cronbach_alpha(data)
+    total_alpha = loop_alpha(data)
     index_rows = []
     question_rows = []
     for index_id, qids in instrument.indices:
@@ -128,7 +156,7 @@ def reference_reliability_report(responses, instrument):
             note = "single question; alpha not applicable"
         else:
             try:
-                alpha = cronbach_alpha(sub)
+                alpha = loop_alpha(sub)
             except DegenerateDataError as exc:
                 note = str(exc)
         index_rows.append(IndexReliability(index_id=index_id, n_questions=k, alpha=alpha, note=note))
@@ -138,13 +166,13 @@ def reference_reliability_report(responses, instrument):
                 q_note = "single question; item-rest correlation not applicable"
             else:
                 try:
-                    citc = corrected_item_total(sub, j)
+                    citc = loop_citc(sub, j)
                 except DegenerateDataError as exc:
                     q_note = str(exc)
             aid = None
             if k >= 3:
                 try:
-                    aid = alpha_if_deleted(sub, j)
+                    aid = loop_alpha(np.delete(sub, j, axis=1))
                 except DegenerateDataError as exc:
                     q_note = str(exc) if q_note is None else f"{q_note}; {exc}"
             question_rows.append(QuestionReliability(
@@ -158,6 +186,74 @@ def reference_reliability_report(responses, instrument):
         indices=tuple(index_rows),
         questions=tuple(question_rows),
     )
+
+
+def signed_root(square, sign):
+    """sign * sqrt(square) for a Fraction ``square``, rounded toward zero to a multiple of 2**-200."""
+    root = Fraction(math.isqrt(square.numerator * square.denominator << 400),
+                    square.denominator << 200)
+    return root if sign >= 0 else -root
+
+
+def exact_reliability(responses, instrument):
+    """The statistics of ``reliability_report`` by definition, in Fractions, keyed like its rows.
+
+    Keys are "total", ("alpha", index), ("citc", question) and ("aid", question);
+    a statistic that is undefined (zero variance) is None. CITC is exact in its
+    square and sign (see ``signed_root``).
+    """
+    rows = [row for row in responses.consumer.values() if None not in row]
+    col_of = {qid: i for i, qid in enumerate(responses.question_ids)}
+
+    def co_deviation(xs, ys):
+        mx, my = Fraction(sum(xs), len(xs)), Fraction(sum(ys), len(ys))
+        return sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+
+    def column(c):
+        return [row[c] for row in rows]
+
+    def totals(cols):
+        return [sum(row[c] for c in cols) for row in rows]
+
+    def alpha(cols):
+        total = co_deviation(totals(cols), totals(cols))
+        if total == 0:
+            return None
+        k = len(cols)
+        return Fraction(k, k - 1) * (1 - sum(co_deviation(column(c), column(c)) for c in cols) / total)
+
+    def citc(cols, c):
+        rest = totals([d for d in cols if d != c])
+        den = co_deviation(column(c), column(c)) * co_deviation(rest, rest)
+        if den == 0:
+            return None
+        cross = co_deviation(column(c), rest)
+        return signed_root(cross * cross / den, cross)
+
+    out = {"total": alpha(list(range(len(col_of))))}
+    for index_id, qids in instrument.indices:
+        cols = [col_of[q] for q in qids]
+        if len(cols) >= 2:
+            out["alpha", index_id] = alpha(cols)
+            for q in qids:
+                out["citc", q] = citc(cols, col_of[q])
+        if len(cols) >= 3:
+            for q in qids:
+                out["aid", q] = alpha([c for c in cols if c != col_of[q]])
+    return out
+
+
+def reliability_values(table):
+    """The floats of a ReliabilityTable, keyed as in ``exact_reliability``."""
+    out = {"total": table.total_alpha}
+    out.update({("alpha", row.index_id): row.alpha for row in table.indices if row.n_questions >= 2})
+    for row in table.questions:
+        k = next(i.n_questions for i in table.indices if i.index_id == row.index_id)
+        if k >= 2:
+            out["citc", row.question_id] = row.citc
+        if k >= 3:
+            out["aid", row.question_id] = row.alpha_if_deleted
+    return out
 
 
 def toy_instrument():
@@ -223,14 +319,68 @@ def test_score_consumer_equals_loop_reference(case):
     assert got.imputed == imputed
 
 
+def check_reliability_against_loop(responses, instrument):
+    """``reliability_report`` against the float loop and the exact statistics.
+
+    Same error, or the same rows, ids, counts and notes; every value is within
+    2 ulp of the exact statistic and no farther from it than the loop's value
+    is, plus 1 ulp. ``flagged`` is the loop's, unless the exact CITC lies within
+    2 ulp of the floor, where the loop's last bits may fall either side of it.
+    """
+    expected, got = _same_outcome(lambda: reference_reliability_report(responses, instrument),
+                                  lambda: reliability_report(responses, instrument))
+    if expected is None:
+        return
+    exact = exact_reliability(responses, instrument)
+    values, loop_values = reliability_values(got), reliability_values(expected)
+    assert values.keys() == loop_values.keys() == exact.keys()
+    for key, value in values.items():
+        loop_value, true = loop_values[key], exact[key]
+        assert (value is None) == (loop_value is None) == (true is None), key
+        if true is None:
+            continue
+        error = abs(Fraction(value) - true)
+        assert error <= 2 * Fraction(math.ulp(float(true))), (key, value, true)
+        assert error <= abs(Fraction(loop_value) - true) + Fraction(math.ulp(loop_value)), \
+            (key, value, loop_value)
+
+    def strip(table):
+        return replace(table, total_alpha=None,
+                       indices=tuple(replace(row, alpha=None) for row in table.indices),
+                       questions=tuple(replace(row, citc=None, alpha_if_deleted=None, flagged=None)
+                                       for row in table.questions))
+
+    assert strip(got) == strip(expected)
+    for row, loop_row in zip(got.questions, expected.questions):
+        assert row.flagged == (row.citc is not None and row.citc < CITC_FLOOR)
+        true = exact.get(("citc", row.question_id))
+        if true is None or abs(true - Fraction(CITC_FLOOR)) > 2 * Fraction(math.ulp(CITC_FLOOR)):
+            assert row.flagged == loop_row.flagged, row.question_id
+
+
 @settings(max_examples=100, deadline=None)
 @given(scored_response_sets())
 def test_reliability_report_equals_loop_reference(case):
     responses, instrument, _ = case
-    expected, got = _same_outcome(lambda: reference_reliability_report(responses, instrument),
-                                  lambda: reliability_report(responses, instrument))
-    if expected is not None:
-        assert got == expected
+    check_reliability_against_loop(responses, instrument)
+
+
+@st.composite
+def integer_answer_sets(draw):
+    """(complete responses, instrument): 2-12 respondents answering 0-4, some columns constant."""
+    instrument = draw(st.sampled_from(INSTRUMENTS))
+    qids = instrument.question_ids
+    n = draw(st.integers(2, 12))
+    columns = [[draw(st.integers(0, 4))] * n if draw(st.booleans())
+               else draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)) for _ in qids]
+    rows = {f"r{i}": tuple(col[i] for col in columns) for i in range(n)}
+    return ResponseSet(question_ids=qids, consumer=rows), instrument
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_answer_sets())
+def test_reliability_report_is_exact_on_integer_answers(case):
+    check_reliability_against_loop(*case)
 
 
 # --- Delphi rounds -----------------------------------------------------------

@@ -11,9 +11,11 @@ bit; the scaled Delphi digests were taken from the per-cell ratings parser and
 the per-rater Kendall's W loop in the same way. A deliberate change to the output must update the digests and say why.
 """
 
+import builtins
 import csv
 import hashlib
 import json
+import math
 import os
 import re
 import shlex
@@ -36,15 +38,15 @@ DATA = Path(stagekit.__file__).parent / "data"
 
 GOLDEN = {
     "demo": {
-        "json": "539779b17a3643a44f3ba757ece28c2660c557c9e11f8c0f507618081468c20f",
+        "json": "0a05bfa5bf9000e07dfd1e2cf327abe84a87154cc135c622a103a9e6d2d693ff",
         "markdown": "7cc734b6ff3ff3cffbb029e96a2b6c16bb95cb169f44fccc9ed7853ac3af5318",
     },
     "survey-5k": {
-        "json": "3a443ed351bea733297937b603b82aa39e301c2cbb483d6d84369a563b2edc71",
+        "json": "62ad8d13746a82f7222bed6a065f1d0e80de45b7c72947d05696848c4a352db6",
         "markdown": "f065de775e5ffa2088e8570cab1080fce78c61d9aac39b50e51ea9800c7ccc19",
     },
     "delphi-2k": {
-        "json": "ed858047e1bbc2b8d5b3fbe3bef66f045ed05a10904263121df89987a3308626",
+        "json": "69576f5eb22835101b759fa7cd718ab2ba8497f279aa97ea166c6c6de86787d8",
         "markdown": "87669c482c80aad5e097e3347e01cec6b035472372773a8a64191c23b410cbef",
     },
 }
@@ -182,6 +184,52 @@ def test_delphi_input_shape(delphi_config):
     assert bundle.rounds[0].screening is not None
 
 
+_END = object()
+
+
+def compensated_sum(iterable, /, start=0):
+    """Builtin ``sum`` as Python 3.12 computes it.
+
+    A run of floats is added with Neumaier's compensation, as CPython's
+    ``builtin_sum_impl`` does: ints in the run are added plainly, and the
+    compensation is folded in, where finite, when the run ends. Anything else
+    is added with ``+``, as before 3.12.
+    """
+    items = iter(iterable)
+    result = start
+    for item in items:
+        if type(result) is not float:
+            result = result + item
+            continue
+        total, comp = result, 0.0
+        while item is not _END:
+            if type(item) is float:
+                t = total + item
+                comp += (total - t) + item if abs(total) >= abs(item) else (item - t) + total
+                total = t
+            elif isinstance(item, int) and -2**63 <= item < 2**63:
+                total += float(item)
+            else:
+                break
+            item = next(items, _END)
+        if comp and math.isfinite(comp):
+            total += comp
+        if item is _END:
+            return total
+        result = total + item
+    return result
+
+
+@pytest.mark.parametrize("name, fixture", [("demo", None), ("survey-5k", "survey_config"),
+                                           ("delphi-2k", "delphi_config")])
+def test_bundle_bytes_hold_under_compensated_sum(name, fixture, monkeypatch, request):
+    """The pinned bytes do not depend on builtin ``sum``, which Python 3.12 changed."""
+    config = DATA / "demo_config.json" if fixture is None else request.getfixturevalue(fixture)
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    assert sum([0.1] * 10) == 1.0  # 0.9999999999999999 when added in order
+    assert _digests(config) == GOLDEN[name]
+
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -254,7 +302,7 @@ GOLDEN_CLI = {
     "round2.json": "e1e5d10c3981c85ccd3fdbc4fa0dee2dec02e4d0b7c61a47ca77e3b779f7e5f5",
     "weights.json": "cce5f75f45bd177712995d5ff33a8691b5196782c0bbc800ada998e2f01f7108",
     "score.json": "b8ba4564ca7d4b77175c36a147c74cbab76988638f2885cce6b0500c701de201",
-    "reliability.json": "d21d357d235eeffe7557f002fed5679130d930823f7d9265725cf512489bd163",
+    "reliability.json": "00952e9adca539cbd5855395d09bca3fa0cdc6235d962347e2dd03973bbf7733",
     "validity.json": "1871e3458537fc942969a6ac1d92671485d339bf4b2ec7378668213e3bf8a79d",
     "screened.md": "31bf37bf93e35098e188c74e098e3ea4d2cf098c803d826459338f2427f492e5",
     "weights.md": "d4a6676ed47dd113035cc495944ef3fe602e716bf1a5d28d671974013fd35f80",
