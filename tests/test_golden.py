@@ -190,19 +190,21 @@ _END = object()
 def compensated_sum(iterable, /, start=0):
     """Builtin ``sum`` as Python 3.12 computes it.
 
-    A run of floats is added with Neumaier's compensation, as CPython's
-    ``builtin_sum_impl`` does: ints in the run are added plainly, and the
-    compensation is folded in, where finite, when the run ends. Anything else
-    is added with ``+``, as before 3.12.
+    As in CPython's ``builtin_sum_impl``: ints are added exactly; once the
+    result is a float, floats are added with Neumaier's compensation and ints
+    plainly, and the compensation is folded in, where finite, when that run
+    ends; anything after it is added with ``+``, as before 3.12.
     """
     items = iter(iterable)
     result = start
-    for item in items:
-        if type(result) is not float:
-            result = result + item
-            continue
+    while type(result) is int:
+        item = next(items, _END)
+        if item is _END:
+            return result
+        result = result + item
+    if type(result) is float:
         total, comp = result, 0.0
-        while item is not _END:
+        for item in items:
             if type(item) is float:
                 t = total + item
                 comp += (total - t) + item if abs(total) >= abs(item) else (item - t) + total
@@ -210,13 +212,12 @@ def compensated_sum(iterable, /, start=0):
             elif isinstance(item, int) and -2**63 <= item < 2**63:
                 total += float(item)
             else:
+                result = (total + comp if comp and math.isfinite(comp) else total) + item
                 break
-            item = next(items, _END)
-        if comp and math.isfinite(comp):
-            total += comp
-        if item is _END:
-            return total
-        result = total + item
+        else:
+            return total + comp if comp and math.isfinite(comp) else total
+    for item in items:
+        result = result + item
     return result
 
 
