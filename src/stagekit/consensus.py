@@ -162,6 +162,40 @@ def indicator_stats(ratings: Sequence[int], scale_max: int) -> IndicatorStats:
 W_BLOCK = 1024  # raters ranked at once by kendalls_w, which bounds its temporaries
 
 
+def _ranks_by_sorting(block: np.ndarray) -> tuple[np.ndarray, int]:
+    """Each column's doubled mid-rank sum over the block's rows, and the rows' tie terms.
+
+    A tie group is a run of equal values in a row's stable sort, and its
+    members' rank is the mean of its first and last position.
+    """
+    n = block.shape[1]
+    positions = np.arange(n)
+    order = np.argsort(block, axis=1, kind="stable")
+    ordered = np.take_along_axis(block, order, axis=1)
+    starts = np.ones(block.shape, dtype=bool)  # a tie group starts at this position
+    starts[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    first = np.maximum.accumulate(np.where(starts, positions, 0), axis=1)
+    ends = np.roll(starts, -1, axis=1)[:, ::-1]  # reversed: a tie group ends here
+    last = np.minimum.accumulate(np.where(ends, positions[::-1], n), axis=1)[:, ::-1]
+    sums = np.bincount(order.ravel(), (first + last + 2).ravel(), minlength=n)
+    return sums, int(((last - first + 1) ** 2 - 1).sum())
+
+
+def _ranks_by_counting(block: np.ndarray, lo: np.integer, span: int) -> tuple[np.ndarray, int]:
+    """``_ranks_by_sorting``'s result for integers in lo .. lo + span - 1, from each row's value counts.
+
+    A value that c cells of a row hold, with b cells below it, has the doubled
+    mid-rank 2b + c + 1 there, and its tie term is c^3 - c.
+    """
+    # Each x - lo lies in [0, span), so its bits read as unsigned are exact even where the dtype wraps.
+    codes = (block - lo).view(f"u{block.itemsize}").astype(np.intp)
+    cells = (np.arange(len(block))[:, None] * span + codes).ravel()
+    counts = np.bincount(cells, minlength=len(block) * span)
+    below = np.cumsum(counts.reshape(-1, span), axis=1).ravel() - counts
+    doubled = 2 * below + counts + 1
+    return doubled[cells].reshape(block.shape).sum(axis=0), int((counts ** 3 - counts).sum())
+
+
 def kendalls_w(ratings: Sequence[Sequence[float]], correct_ties: bool = True) -> float:
     """Kendall's coefficient of concordance over an m-rater x n-indicator matrix.
 
@@ -170,11 +204,11 @@ def kendalls_w(ratings: Sequence[Sequence[float]], correct_ties: bool = True) ->
     With ``correct_ties`` the denominator subtracts m * sum of per-rater
     tie terms, i.e. W = 12S / (m^2 (n^3 - n) - m * sum_i T_i).
 
-    Raters are ranked W_BLOCK rows at a time (an integer matrix as it is,
-    anything else as floats): a tie group is a run of equal values in a
-    row's stable sort, and its members' rank is the mean of its first and last
-    position. Doubled mid-ranks and tie terms (t^3 - t per group, t^2 - 1 per
-    member) are integers, so every sum is exact whatever the blocking.
+    Raters are ranked W_BLOCK rows at a time. An integer matrix whose values
+    span at most n is ranked by counting each row's values; any other matrix
+    is sorted row by row (as floats unless it is an integer matrix). Doubled
+    mid-ranks and tie terms are integers, so every sum is exact whatever the
+    blocking and the two give the same bits.
     """
     try:
         arr = np.asarray(ratings)
@@ -188,25 +222,23 @@ def kendalls_w(ratings: Sequence[Sequence[float]], correct_ties: bool = True) ->
     n = arr.shape[1]
     if n < 2:
         raise InsufficientDataError(f"need >= 2 indicators, got {n}")
-    if arr.dtype.kind not in "iu":
+    counting = False
+    if arr.dtype.kind in "iu":
+        lo = arr.min()
+        span = int(arr.max()) - int(lo) + 1
+        counting = span <= n
+    else:
         arr = np.asarray(arr, dtype=float)
         if not np.all(np.isfinite(arr)):
             raise InvalidInputError("ratings matrix contains missing or non-finite values")
 
-    positions = np.arange(n)
     doubled_rank_sums = np.zeros(n)
     tie_sum = 0
     for start in range(0, m, W_BLOCK):
         block = arr[start:start + W_BLOCK]
-        order = np.argsort(block, axis=1, kind="stable")
-        ordered = np.take_along_axis(block, order, axis=1)
-        starts = np.ones(block.shape, dtype=bool)  # a tie group starts at this position
-        starts[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
-        first = np.maximum.accumulate(np.where(starts, positions, 0), axis=1)
-        ends = np.roll(starts, -1, axis=1)[:, ::-1]  # reversed: a tie group ends here
-        last = np.minimum.accumulate(np.where(ends, positions[::-1], n), axis=1)[:, ::-1]
-        doubled_rank_sums += np.bincount(order.ravel(), (first + last + 2).ravel(), minlength=n)
-        tie_sum += int(((last - first + 1) ** 2 - 1).sum())
+        sums, ties = _ranks_by_counting(block, lo, span) if counting else _ranks_by_sorting(block)
+        doubled_rank_sums += sums
+        tie_sum += ties
     s = float(np.sum((doubled_rank_sums / 2.0 - m * (n + 1) / 2.0) ** 2))
 
     denom = m * m * (n**3 - n)

@@ -48,6 +48,9 @@ _FALSE = {"false", "0", "no", ""}
 # Cells per block of a plain table: its temporary arrays take about 8 bytes a cell each.
 _PLAIN_BLOCK_CELLS = 25_000
 
+# _FIRST_BYTES[s] keeps the first s bytes of an 8-byte word and zeroes the rest.
+_FIRST_BYTES = ((np.arange(8) < np.arange(9)[:, None]) * np.uint8(0xFF)).view(np.uint64)[:, 0]
+
 # An experts file's columns of the ExpertPanel.ENUMS, in that order.
 _PANEL_COLUMNS = ("basis_theory", "basis_practice", "basis_peer", "basis_intuition",
                   "group", "familiarity")
@@ -249,6 +252,38 @@ def parse_experts(path: str | Path) -> ExpertPanel:
     return ExpertPanel(row_of, codes)
 
 
+def _table_dtype(bounds: Sequence) -> str:
+    """The matrix dtype of a table read by ``bounds``: each range's hi and each enum's last position fit it."""
+    return rating_dtype(max((b[1] if isinstance(b, tuple) else len(b) - 1 for b in bounds), default=0))
+
+
+def _enum_codes(block: np.ndarray, ends: np.ndarray, size: np.ndarray, enum) -> np.ndarray | None:
+    """Each cell's position in ``enum``, MISSING for a blank cell; None if a cell holds none of its values.
+
+    A cell is the ``size`` bytes of ``block`` before its separator at ``ends``.
+    It is read as whole 8-byte words from its first byte, the bytes past its
+    end zeroed, and matches the value whose zero-filled words are the same,
+    that is, exactly when its bytes are the value's; a cell longer than every
+    value is none of them.
+    """
+    values = np.array([m.value.encode() for m in enum])
+    if (size > values.itemsize).any():
+        return None
+    words = -(-values.itemsize // 8)
+    padded = np.concatenate([block, np.zeros(8 * words, np.uint8)])
+    word_at = np.ndarray((padded.size - 7,), np.uint64, padded, strides=(1,))  # the 8 bytes from each offset
+    start, length = (ends - size).ravel(), size.ravel()
+    text = np.stack([word_at[start + 8 * j] & _FIRST_BYTES[np.clip(length - 8 * j, 0, 8)]
+                     for j in range(words)])
+    found = length == 0
+    codes = np.where(found, MISSING, 0).astype(np.int8)
+    for i, value in enumerate(values.astype(f"S{8 * words}").view(np.uint64).reshape(len(values), words)):
+        hit = (text == value[:, None]).all(axis=0)  # values are distinct: at most one hits a cell
+        found |= hit
+        codes += hit * np.int8(i)
+    return codes.reshape(size.shape) if found.all() else None
+
+
 def _plain_table(path: Path, header: list[str], src: Sequence[int], bounds: Sequence,
                  blank: str | None, key: int = 0) -> tuple[dict[str, int], np.ndarray] | None:
     """``_int_table``'s result for a plain file, read from its bytes; None for any other file.
@@ -256,15 +291,15 @@ def _plain_table(path: Path, header: list[str], src: Sequence[int], bounds: Sequ
     A plain file is ASCII after an optional BOM, with no quote, space, tab or
     other control byte but the CR of a CRLF; its first line is ``header``, each
     row ends in LF or CRLF and has ``len(header)`` cells, the ids are non-empty
-    and distinct, and each cell at ``src`` is blank (where ``blank`` allows) or
-    one digit within its int8 (lo, hi); a blank ratings row's other cells are
-    not range-checked.
+    and distinct, and each cell at ``src`` is blank (where ``blank`` allows) or,
+    by its bound, one digit within its int8 (lo, hi) or exactly one of its
+    enum's values; a blank ratings row's other digits are not range-checked.
     The csv loop reads such a file without error; this reads the same result
-    from separator positions, ``_PLAIN_BLOCK_CELLS`` cells at a time. Only a
-    regular file is read, as this reads it a second time.
+    from separator positions, ``_PLAIN_BLOCK_CELLS`` cells at a time, and an
+    enum cell by comparing its bytes with each value. Only a regular file is
+    read, as this reads it a second time.
     """
-    if not all(isinstance(b, tuple) for b in bounds) or \
-            rating_dtype(max((hi for _, hi in bounds), default=0)) != "int8":
+    if _table_dtype(bounds) != "int8":
         return None
     if not path.is_file():  # a pipe cannot be read a second time
         return None
@@ -287,7 +322,14 @@ def _plain_table(path: Path, header: list[str], src: Sequence[int], bounds: Sequ
     ends = np.flatnonzero(body == ord("\n"))
     width = len(header)
     cols = np.array(src, dtype=np.intp)
-    lo, hi = np.array(bounds, dtype=np.int64).reshape(-1, 2).T
+    # An enum's codes are its positions, all in range once read.
+    lo, hi = np.array([b if isinstance(b, tuple) else (0, len(b) - 1) for b in bounds],
+                      dtype=np.int64).reshape(-1, 2).T
+    digit_at = [j for j, b in enumerate(bounds) if isinstance(b, tuple)]
+    enum_at: dict[Any, list[int]] = {}  # the columns of one enum are read at once
+    for j, b in enumerate(bounds):
+        if not isinstance(b, tuple):
+            enum_at.setdefault(b, []).append(j)
     id_end = ",\n"[key == width - 1]
     matrix = np.empty((len(ends), len(src)), np.int8)
     row_of: dict[str, int] = {}
@@ -305,12 +347,23 @@ def _plain_table(path: Path, header: list[str], src: Sequence[int], bounds: Sequ
         size = np.diff(sep, prepend=-1).reshape(-1, width) - 1
         sep = sep.reshape(-1, width)
         id_size, cell_size = size[:, key], size[:, cols]
-        if not id_size.all() or id_size.max() > csv.field_size_limit() or (cell_size > 1).any():
+        if not id_size.all() or id_size.max() > csv.field_size_limit():
             return None
-        cells = block[sep[:, cols] - 1].view(np.int8) - ord("0")  # a one-byte cell ends at its separator
         empty = cell_size == 0
-        if not (empty | ((cells >= 0) & (cells <= 9))).all() or (blank is None and empty.any()):
+        if blank is None and empty.any():
             return None
+        if (cell_size[:, digit_at] > 1).any():
+            return None
+        digits = block[sep[:, cols[digit_at]] - 1].view(np.int8) - ord("0")  # a one-byte cell ends at its separator
+        if not (empty[:, digit_at] | ((digits >= 0) & (digits <= 9))).all():
+            return None
+        cells = np.empty(cell_size.shape, np.int8)
+        cells[:, digit_at] = digits
+        for enum, at in enum_at.items():
+            codes = _enum_codes(block, sep[:, cols[at]], cell_size[:, at], enum)
+            if codes is None:
+                return None
+            cells[:, at] = codes
         if blank == "row":
             empty = empty.any(axis=1, keepdims=True)
         if (((cells < lo) | (cells > hi)) & ~empty).any():
@@ -348,7 +401,7 @@ def _int_table(path: Path, header: list[str], rows: Iterable[list[str]], kind: s
     cell in file order is the one reported.
     """
     noun, repeat = kind.split()
-    dtype = rating_dtype(max((b[1] if isinstance(b, tuple) else len(b) - 1 for b in bounds), default=0))
+    dtype = _table_dtype(bounds)
     # An int8 row packs into bytes, the fastest to build and append; codes are unsigned bytes.
     pack, mask = (bytes, 0xFF) if dtype == "int8" else (tuple, -1)
     buffer = bytearray() if dtype == "int8" else array("q")

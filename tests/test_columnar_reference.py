@@ -506,6 +506,61 @@ def test_kendalls_w_errors_equal_loop_reference(rows):
         _same_w(rows, correct_ties)
 
 
+# ``kendalls_w`` ranks an integer matrix whose values span at most n by counting
+# and sorts any other; both must give the reference's bits wherever the values
+# are exact as floats (as the reference ranks them), and otherwise the bits of
+# the same ranks over x - min, whatever the dtype and however near its limits.
+
+W_DTYPES = (np.uint8, np.int8, np.int16, np.int64, np.uint64)
+W_OFFSETS = ("dtype min", "dtype max", "zero", "negative")
+
+
+@st.composite
+def int_matrices_near_limits(draw, dtype, offset):
+    """(matrix, min, span): integers of ``dtype`` from min to min + span - 1, some rows tied.
+
+    ``offset`` puts the values at the dtype's minimum or maximum, at zero or
+    around it (clipped to what the dtype holds); the span is at most n (ranked
+    by counting) or more (sorted).
+    """
+    info = np.iinfo(dtype)
+    m = draw(st.sampled_from((2, 7, 1023, 1024, 1025, 2049)))
+    n = draw(st.integers(2, 12))
+    span = draw(st.integers(1, n) if draw(st.booleans()) else
+                st.integers(n + 1, min(4 * n, int(info.max) - int(info.min))))
+    lo = {"dtype min": int(info.min), "dtype max": int(info.max) - span + 1, "zero": 0,
+          "negative": -span // 2 - 3}[offset]
+    lo = min(max(lo, int(info.min)), int(info.max) - span + 1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    offsets = rng.integers(0, span, size=(m, n))
+    offsets[rng.permutation(m)[:draw(st.sampled_from((0, 1, m // 3, m)))]] = rng.integers(0, span)  # tied rows
+    return np.array(offsets.astype(object) + lo, dtype=dtype), lo, span
+
+
+@pytest.mark.parametrize("offset", W_OFFSETS)
+@pytest.mark.parametrize("dtype", W_DTYPES)
+@settings(max_examples=6, deadline=None)
+@given(data=st.data(), correct_ties=st.booleans())
+def test_kendalls_w_counting_and_sorting_near_dtype_limits(dtype, offset, data, correct_ties):
+    x, lo, span = data.draw(int_matrices_near_limits(np.dtype(dtype), offset))
+    shifted = np.array(x.astype(object) - lo, dtype=np.uint64)  # the same ranks, from 0
+    if max(abs(lo), abs(lo + span - 1)) <= 2**53:  # each value is exact as a float
+        _same_w(x, correct_ties)
+    expected, got = _same_outcome(lambda: kendalls_w(shifted, correct_ties=correct_ties),
+                                  lambda: kendalls_w(x, correct_ties=correct_ties))
+    if expected is not None:
+        assert got == expected
+    _same_w(shifted.astype(np.int64), correct_ties)
+
+
+def test_kendalls_w_counts_a_full_int8_range():
+    """Span 256 fits n = 256 columns, but x - min overflows int8: it must be read as unsigned."""
+    rows = np.array([np.roll(np.arange(-128, 128), k) for k in range(3)], dtype=np.int8)
+    rows[2] = rows[2][::-1]
+    for correct_ties in (True, False):
+        _same_w(rows, correct_ties)
+
+
 def reference_parse_ratings(path, scale_max=5):
     """The per-cell loop over a ratings file: (ratings, non_respondents), or its error."""
     with open(path, encoding="utf-8-sig", newline="") as fh:
@@ -778,12 +833,15 @@ def test_parse_expert_bonus_equals_loop_reference(tmp_path_factory, case):
 # --- Plain files -----------------------------------------------------------------
 #
 # ``io._plain_table`` reads an integer table from the file's bytes when the
-# file is plain (ASCII, unquoted, one-digit cells) and returns None otherwise.
-# Whatever it returns must be exactly what the csv loop of ``_int_table``
-# returns for the same file: the same ids in the same order, and a matrix of
-# the same values, dtype and read-only flag.
+# file is plain (ASCII, unquoted, one-digit or enum-value cells) and returns
+# None otherwise. Whatever it returns must be exactly what the csv loop of
+# ``_int_table`` returns for the same file: the same ids in the same order, and
+# a matrix of the same values, dtype and read-only flag.
 
-PLAIN_BOUNDS = ((1, 5), (0, 4), (1, 3), (-2, 9), (1, 7))
+PLAIN_BOUNDS = ((1, 5), (0, 4), (1, 3), (-2, 9), (1, 7), Impact, Familiarity, IdentityGroup)
+# Tokens an enum cell may hold that are not its values: a prefix, an extension, the wrong
+# case, another enum's value, and one longer than every value.
+ENUM_NEAR_MISSES = ("", "larg", "larger", "LARGE", "large", "familiar", "other", "x" * 29)
 FILE_DEVIATIONS = ("bom", "crlf", "no final newline", "blank line", "header space", "cr after header")
 # A cell (the row id or another) rewritten from its text.
 CELL_DEVIATIONS = {"quote": '"{}"', "space": " {}", "tab": "{}\t", "control": "{}\x0c",
@@ -796,8 +854,9 @@ PLAIN_DEVIATIONS = (*FILE_DEVIATIONS, *CELL_DEVIATIONS, "short row", "long row",
 def plain_table_cases(draw):
     """(file bytes, src, bounds, blank, key): a plain table, or one a few steps away from plain.
 
-    Cells are mostly digits in range; a file's own rate of messy cells adds
-    blanks, out-of-range digits and garbage, inside blank rows too.
+    Cells are mostly digits in range or enum values; a file's own rate of messy
+    cells adds blanks, out-of-range digits, garbage and enum near misses, inside
+    blank rows too.
     """
     n = draw(st.integers(1, 5))
     blank = draw(st.sampled_from((None, "cell", "row")))
@@ -820,11 +879,13 @@ def plain_table_cases(draw):
         for i in range(n + 1):
             if i == key:
                 row.append(ids[k])
-            elif messy():
-                row.append(draw(st.sampled_from(("", "0", "9", "x", "-"))))
-            else:
+            elif isinstance(bound_at[i], tuple):
                 lo, hi = bound_at[i]
-                row.append(str(draw(st.integers(max(lo, 0), min(hi, 9)))))
+                row.append(draw(st.sampled_from(("", "0", "9", "x", "-"))) if messy()
+                           else str(draw(st.integers(max(lo, 0), min(hi, 9)))))
+            else:
+                row.append(draw(st.sampled_from(ENUM_NEAR_MISSES if messy() else
+                                                [e.value for e in bound_at[i]])))
         rows.append(row)
     header = [f"c{i}" for i in range(n + 1)]
     deviations = draw(st.lists(st.sampled_from(PLAIN_DEVIATIONS), max_size=2))

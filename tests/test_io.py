@@ -1,6 +1,7 @@
 import csv
 import importlib.util
 import os
+from enum import Enum
 from pathlib import Path
 from unittest.mock import patch
 
@@ -568,9 +569,72 @@ class TestPlainTables:
         assert len(returned) == 1 and returned[0] is not None
         assert np.array_equal(matrix, streamed(parse_importance, bench_files / "importance.csv")[1])
 
-    def test_bench_experts_decline(self, bench_files):
-        _, returned = plain_calls(parse_experts, bench_files / "experts.csv")
-        assert returned == [None]  # enum columns
+    def test_bench_experts_are_plain(self, bench_files):
+        panel, returned = plain_calls(parse_experts, bench_files / "experts.csv")
+        assert len(returned) == 1 and returned[0] is not None
+        expected = streamed(parse_experts, bench_files / "experts.csv")
+        assert list(panel.row_of.items()) == list(expected.row_of.items())
+        assert np.array_equal(panel.codes, expected.codes)
+
+    def test_experts_over_several_blocks(self, tmp_path):
+        """Three blocks of rows; a bad cell in the last one still declines, and the csv loop names it."""
+        rng = np.random.default_rng(3)
+        rows = [[f"e{k}", *(list(e)[rng.integers(len(e))].value for e in ExpertPanel.ENUMS)]
+                for k in range(9000)]
+        header = ",".join(["id", *sio._PANEL_COLUMNS])
+        p = write(tmp_path / "experts.csv", "\n".join([header, *map(",".join, rows)]) + "\n")
+        panel, returned = plain_calls(parse_experts, p)
+        assert returned[0] is not None and len(panel) == 9000
+        expected = streamed(parse_experts, p)
+        assert list(panel.row_of.items()) == list(expected.row_of.items())
+        assert np.array_equal(panel.codes, expected.codes)
+        rows[8999][1] = "larg"
+        write(p, "\n".join([header, *map(",".join, rows)]) + "\n")
+        err, returned = plain_calls(parse_experts, p)
+        assert returned == [None]
+        assert str(err) == f"{p}: row 'e8999', column 'basis_theory': 'larg' is not one of: large, medium, small"
+
+    EXPERTS = ("id,group,familiarity,basis_theory,basis_practice,basis_peer,basis_intuition\n"
+               "e1,other,familiar,large,medium,small,large\n"
+               "e2,technology_rnd,moderate,small,small,medium,large\n")
+    IMPACTS = "large, medium, small"
+
+    # Each declines, and the csv loop gives its one-line message; where a file has two bad
+    # cells, it names the first in file order.
+    EXPERTS_NOT_PLAIN = {
+        "unknown value": (EXPERTS.replace("moderate", "middling"),
+                          "row 'e2', column 'familiarity': 'middling' is not one of: very_familiar, "
+                          "familiar, moderate, unfamiliar, very_unfamiliar"),
+        "blank enum cell": (EXPERTS.replace(",medium,small", ",,small"),
+                            f"row 'e1', column 'basis_practice': '' is not one of: {IMPACTS}"),
+        "quoted value": (EXPERTS.replace("small,medium", '"smal",medium'),
+                         f"row 'e2', column 'basis_practice': 'smal' is not one of: {IMPACTS}"),
+        "capitalised value": (EXPERTS.replace("e1,other,familiar,large", "e1,other,familiar,Large"),
+                              f"row 'e1', column 'basis_theory': 'Large' is not one of: {IMPACTS}"),
+        "two bad cells": (EXPERTS.replace(",medium,small", ",larger,small").replace("moderate", "x"),
+                          f"row 'e1', column 'basis_practice': 'larger' is not one of: {IMPACTS}"),
+    }
+
+    @pytest.mark.parametrize("text, message", EXPERTS_NOT_PLAIN.values(), ids=EXPERTS_NOT_PLAIN.keys())
+    def test_bad_expert_cells_decline_with_the_csv_message(self, tmp_path, text, message):
+        p = write(tmp_path / "experts.csv", text)
+        err, returned = plain_calls(parse_experts, p)
+        assert returned == [None]
+        assert isinstance(err, SchemaError) and str(err) == f"{p}: {message}"
+
+    def test_quoted_expert_value_declines_to_the_same_panel(self, tmp_path):
+        p = write(tmp_path / "experts.csv", self.EXPERTS.replace(",large\n", ',"large"\n'))
+        panel, returned = plain_calls(parse_experts, p)
+        assert returned == [None]
+        assert np.array_equal(panel.codes, parse_experts(write(tmp_path / "plain.csv", self.EXPERTS)).codes)
+
+    def test_enum_cell_past_a_whole_word_declines(self, tmp_path):
+        """A value of 8 bytes fills its word, so a cell that starts with it and goes on is told apart by length."""
+        word = Enum("Word", {"FULL": "abcdefgh", "SHORT": "b"}, type=str)
+        p = write(tmp_path / "t.csv", "id,w\nr1,abcdefgh\nr2,b\n")
+        assert sio._plain_table(p, ["id", "w"], [1], [word], None)[1].tolist() == [[0], [1]]
+        write(p, "id,w\nr1,abcdefghi\nr2,b\n")
+        assert sio._plain_table(p, ["id", "w"], [1], [word], None) is None
 
     def test_bonus_is_plain(self, tmp_path):
         p = write(tmp_path / "bonus.csv", "expert_id,b2,b1\ne1,4,0\ne2,1,3\n")
