@@ -325,11 +325,12 @@ def _plain_table(path: Path, header: list[str], src: Sequence[int], bounds: Sequ
     # An enum's codes are its positions, all in range once read.
     lo, hi = np.array([b if isinstance(b, tuple) else (0, len(b) - 1) for b in bounds],
                       dtype=np.int64).reshape(-1, 2).T
-    digit_at = [j for j, b in enumerate(bounds) if isinstance(b, tuple)]
     enum_at: dict[Any, list[int]] = {}  # the columns of one enum are read at once
     for j, b in enumerate(bounds):
         if not isinstance(b, tuple):
             enum_at.setdefault(b, []).append(j)
+    # A table of digits alone indexes its digit columns with a slice: views, not copies.
+    digit_at = [j for j, b in enumerate(bounds) if isinstance(b, tuple)] if enum_at else slice(None)
     id_end = ",\n"[key == width - 1]
     matrix = np.empty((len(ends), len(src)), np.int8)
     row_of: dict[str, int] = {}
@@ -347,19 +348,13 @@ def _plain_table(path: Path, header: list[str], src: Sequence[int], bounds: Sequ
         size = np.diff(sep, prepend=-1).reshape(-1, width) - 1
         sep = sep.reshape(-1, width)
         id_size, cell_size = size[:, key], size[:, cols]
-        if not id_size.all() or id_size.max() > csv.field_size_limit():
+        if not id_size.all() or id_size.max() > csv.field_size_limit() or (cell_size[:, digit_at] > 1).any():
             return None
+        cells = block[sep[:, cols] - 1].view(np.int8) - ord("0")  # a one-byte cell ends at its separator
         empty = cell_size == 0
-        if blank is None and empty.any():
+        if not (empty | ((cells >= 0) & (cells <= 9)))[:, digit_at].all() or (blank is None and empty.any()):
             return None
-        if (cell_size[:, digit_at] > 1).any():
-            return None
-        digits = block[sep[:, cols[digit_at]] - 1].view(np.int8) - ord("0")  # a one-byte cell ends at its separator
-        if not (empty[:, digit_at] | ((digits >= 0) & (digits <= 9))).all():
-            return None
-        cells = np.empty(cell_size.shape, np.int8)
-        cells[:, digit_at] = digits
-        for enum, at in enum_at.items():
+        for enum, at in enum_at.items():  # each enum's columns are rewritten with their codes
             codes = _enum_codes(block, sep[:, cols[at]], cell_size[:, at], enum)
             if codes is None:
                 return None
