@@ -592,7 +592,7 @@ class TestPlainTables:
         write(p, "\n".join([header, *map(",".join, rows)]) + "\n")
         err, returned = plain_calls(parse_experts, p)
         assert returned == [None]
-        assert str(err) == f"{p}: row 'e8999', column 'basis_theory': 'larg' is not one of: large, medium, small"
+        assert str(err) == f"{p}: row 'e8999', column 'basis_theory': 'larg' is not one of: {self.IMPACTS}"
 
     EXPERTS = ("id,group,familiarity,basis_theory,basis_practice,basis_peer,basis_intuition\n"
                "e1,other,familiar,large,medium,small,large\n"
@@ -629,7 +629,7 @@ class TestPlainTables:
         assert np.array_equal(panel.codes, parse_experts(write(tmp_path / "plain.csv", self.EXPERTS)).codes)
 
     def test_enum_cell_past_a_whole_word_declines(self, tmp_path):
-        """A value of 8 bytes fills its word, so a cell that starts with it and goes on is told apart by length."""
+        """A value of 8 bytes fills its word: a cell that starts with it and goes on is told apart by length."""
         word = Enum("Word", {"FULL": "abcdefgh", "SHORT": "b"}, type=str)
         p = write(tmp_path / "t.csv", "id,w\nr1,abcdefgh\nr2,b\n")
         assert sio._plain_table(p, ["id", "w"], [1], [word], None)[1].tolist() == [[0], [1]]
