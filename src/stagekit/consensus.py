@@ -318,13 +318,13 @@ def round_consensus(
     ca = cs = cr = None
     if profiles is not None:
         panel = ExpertPanel.of(profiles)
-        missing = [eid for eid in rnd.ratings if eid not in panel.row_of]
-        if missing:
+        rows = list(map(panel.row_of.get, rnd.ratings.ids))
+        if None in rows:
+            missing = [eid for eid, row in zip(rnd.ratings.ids, rows) if row is None]
             raise InvalidInputError(
                 f"round {rnd.round_no}: no profile for responding expert(s) {', '.join(missing)}"
             )
-        rows = [panel.row_of[eid] for eid in rnd.ratings]
-        respondents = ExpertPanel(rnd.ratings.row_of, panel.codes[rows])
+        respondents = ExpertPanel(rnd.ratings.ids, panel.codes[rows])
         ca = judgment_coefficient(respondents, ca_table)
         cs = familiarity_coefficient(respondents, cs_map)
         cr = authority_coefficient(ca, cs)

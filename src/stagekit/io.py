@@ -17,6 +17,7 @@ from array import array
 from collections import Counter
 from contextlib import contextmanager, suppress
 from fractions import Fraction
+from itertools import compress
 from operator import itemgetter
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Sequence, TextIO
@@ -47,6 +48,10 @@ _FALSE = {"false", "0", "no", ""}
 
 # Cells per block of a plain table: its temporary arrays take about 8 bytes a cell each.
 _PLAIN_BLOCK_CELLS = 25_000
+
+# The byte path reads an id and the separator after it as at most this many 8-byte words,
+# so an id of up to 31 bytes; a longer id declines to the csv loop.
+_ID_WORDS = 4
 
 # _FIRST_BYTES[s] keeps the first s bytes of an 8-byte word and zeroes the rest.
 _FIRST_BYTES = ((np.arange(8) < np.arange(9)[:, None]) * np.uint8(0xFF)).view(np.uint64)[:, 0]
@@ -247,9 +252,9 @@ def emit_indicators(tree: IndicatorTree, path: str | Path) -> None:
 
 def parse_experts(path: str | Path) -> ExpertPanel:
     """Read expert profiles (id,group,familiarity,basis_theory,...,basis_intuition) into a panel."""
-    _, row_of, codes = _read_table(Path(path), "id", dict(zip(_PANEL_COLUMNS, ExpertPanel.ENUMS)),
-                                   "expert id", "", None)
-    return ExpertPanel(row_of, codes)
+    _, ids, codes = _read_table(Path(path), "id", dict(zip(_PANEL_COLUMNS, ExpertPanel.ENUMS)),
+                                "expert id", "", None)
+    return ExpertPanel(ids, codes)
 
 
 def _table_dtype(bounds: Sequence) -> str:
@@ -257,25 +262,33 @@ def _table_dtype(bounds: Sequence) -> str:
     return rating_dtype(max((b[1] if isinstance(b, tuple) else len(b) - 1 for b in bounds), default=0))
 
 
+def _words(block: np.ndarray, start: np.ndarray, length: np.ndarray, words: int) -> np.ndarray:
+    """The ``length`` bytes of ``block`` from each ``start`` as ``words`` 8-byte words, one row per word.
+
+    The bytes past a string's end are zeroed, so two strings of at most
+    ``8 * words`` bytes, neither holding a zero byte, are equal exactly when
+    their words are.
+    """
+    padded = np.concatenate([block, np.zeros(8 * words, np.uint8)])
+    word_at = np.ndarray((padded.size - 7,), np.uint64, padded, strides=(1,))  # the 8 bytes from each offset
+    return np.stack([word_at[start + 8 * j] & _FIRST_BYTES[np.clip(length - 8 * j, 0, 8)]
+                     for j in range(words)])
+
+
 def _enum_codes(block: np.ndarray, ends: np.ndarray, size: np.ndarray, enum) -> np.ndarray | None:
     """Each cell's position in ``enum``, MISSING for a blank cell; None if a cell holds none of its values.
 
     A cell is the ``size`` bytes of ``block`` before its separator at ``ends``.
-    It is read as whole 8-byte words from its first byte, the bytes past its
-    end zeroed, and matches the value whose zero-filled words are the same,
-    that is, exactly when its bytes are the value's; a cell longer than every
-    value is none of them.
+    Its ``_words`` match the value whose words are the same, that is, exactly
+    when its bytes are the value's; a cell longer than every value is none of
+    them.
     """
     values = np.array([m.value.encode() for m in enum])
     if (size > values.itemsize).any():
         return None
     words = -(-values.itemsize // 8)
-    padded = np.concatenate([block, np.zeros(8 * words, np.uint8)])
-    word_at = np.ndarray((padded.size - 7,), np.uint64, padded, strides=(1,))  # the 8 bytes from each offset
-    start, length = (ends - size).ravel(), size.ravel()
-    text = np.stack([word_at[start + 8 * j] & _FIRST_BYTES[np.clip(length - 8 * j, 0, 8)]
-                     for j in range(words)])
-    found = length == 0
+    text = _words(block, (ends - size).ravel(), size.ravel(), words)
+    found = size.ravel() == 0
     codes = np.where(found, MISSING, 0).astype(np.int8)
     for i, value in enumerate(values.astype(f"S{8 * words}").view(np.uint64).reshape(len(values), words)):
         hit = (text == value[:, None]).all(axis=0)  # values are distinct: at most one hits a cell
@@ -284,19 +297,28 @@ def _enum_codes(block: np.ndarray, ends: np.ndarray, size: np.ndarray, enum) -> 
     return codes.reshape(size.shape) if found.all() else None
 
 
+def _distinct(keys: np.ndarray) -> bool:
+    """Whether the columns of ``keys`` (one row per word) are distinct: sorted, equal ones are neighbours."""
+    if keys.shape[1] < 2:
+        return True
+    ordered = np.sort(keys[0])[None] if len(keys) == 1 else keys[:, np.lexsort(keys)]
+    return not (ordered[:, 1:] == ordered[:, :-1]).all(axis=0).any()
+
+
 def _plain_table(path: Path, header: list[str], src: Sequence[int], bounds: Sequence,
-                 blank: str | None, key: int = 0) -> tuple[dict[str, int], np.ndarray] | None:
+                 blank: str | None, key: int = 0) -> tuple[tuple[str, ...], np.ndarray] | None:
     """``_int_table``'s result for a plain file, read from its bytes; None for any other file.
 
     A plain file is ASCII after an optional BOM, with no quote, space, tab or
     other control byte but the CR of a CRLF; its first line is ``header``, each
-    row ends in LF or CRLF and has ``len(header)`` cells, the ids are non-empty
-    and distinct, and each cell at ``src`` is blank (where ``blank`` allows) or,
-    by its bound, one digit within its int8 (lo, hi) or exactly one of its
-    enum's values; a blank ratings row's other digits are not range-checked.
-    The csv loop reads such a file without error; this reads the same result
-    from separator positions, ``_PLAIN_BLOCK_CELLS`` cells at a time, and an
-    enum cell by comparing its bytes with each value. Only a regular file is
+    row ends in LF or CRLF and has ``len(header)`` cells, the ids are non-empty,
+    distinct and shorter than ``8 * _ID_WORDS`` bytes, and each cell at ``src`` is
+    blank (where ``blank`` allows) or, by its bound, one digit within its int8
+    (lo, hi) or exactly one of its enum's values; a blank ratings row's other
+    digits are not range-checked. The csv loop reads such a file without error;
+    this reads the same result from separator positions, ``_PLAIN_BLOCK_CELLS``
+    cells at a time, an enum cell by comparing its bytes with each value, and
+    tells the ids distinct by sorting their ``_words``. Only a regular file is
     read, as this reads it a second time.
     """
     if _table_dtype(bounds) != "int8":
@@ -322,9 +344,16 @@ def _plain_table(path: Path, header: list[str], src: Sequence[int], bounds: Sequ
     ends = np.flatnonzero(body == ord("\n"))
     width = len(header)
     cols = np.array(src, dtype=np.intp)
-    # An enum's codes are its positions, all in range once read.
+    # Consecutive columns are picked with a slice: views, not copies.
+    pick = slice(cols[0], cols[-1] + 1) if len(cols) and (np.diff(cols) == 1).all() else cols
+    # An enum's codes are its positions, all in range once read. A cell c is in [lo, hi]
+    # when (c - lo) mod 256 <= hi - lo, as int8 cells never reach past -128.
     lo, hi = np.array([b if isinstance(b, tuple) else (0, len(b) - 1) for b in bounds],
                       dtype=np.int64).reshape(-1, 2).T
+    lo = np.maximum(lo, -128)
+    if (lo > hi).any():  # no cell is in range: the csv loop names the first
+        return None
+    lo, span = lo.astype(np.int8), (hi - lo).astype(np.uint8)
     enum_at: dict[Any, list[int]] = {}  # the columns of one enum are read at once
     for j, b in enumerate(bounds):
         if not isinstance(b, tuple):
@@ -333,8 +362,9 @@ def _plain_table(path: Path, header: list[str], src: Sequence[int], bounds: Sequ
     digit_at = [j for j, b in enumerate(bounds) if isinstance(b, tuple)] if enum_at else slice(None)
     id_end = ",\n"[key == width - 1]
     matrix = np.empty((len(ends), len(src)), np.int8)
-    row_of: dict[str, int] = {}
     step = max(1, _PLAIN_BLOCK_CELLS // width)
+    # Each block's id offsets in body, and id sizes with the separator after; none for no rows.
+    id_at, id_bytes = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
     for first in range(0, len(ends), step):
         offset = ends[first - 1] + 1 if first else 0
         last = ends[first:first + step] - offset
@@ -347,12 +377,14 @@ def _plain_table(path: Path, header: list[str], src: Sequence[int], bounds: Sequ
             return None
         size = np.diff(sep, prepend=-1).reshape(-1, width) - 1
         sep = sep.reshape(-1, width)
-        id_size, cell_size = size[:, key], size[:, cols]
-        if not id_size.all() or id_size.max() > csv.field_size_limit() or (cell_size[:, digit_at] > 1).any():
+        id_size, cell_size = size[:, key], size[:, pick]
+        if not id_size.all() or id_size.max() >= 8 * _ID_WORDS or cell_size[:, digit_at].max(initial=0) > 1:
             return None
-        cells = block[sep[:, cols] - 1].view(np.int8) - ord("0")  # a one-byte cell ends at its separator
+        cells = matrix[first:first + last.size]  # read in place
+        np.subtract(block[sep[:, pick] - 1].view(np.int8), ord("0"), out=cells)  # a one-byte cell ends at its separator
         empty = cell_size == 0
-        if not (empty | ((cells >= 0) & (cells <= 9)))[:, digit_at].all() or (blank is None and empty.any()):
+        # A digit, less '0', is 0..9; any other byte is negative or past 9, so past 9 unsigned.
+        if not (empty | (cells.view(np.uint8) <= 9))[:, digit_at].all() or (blank is None and empty.any()):
             return None
         for enum, at in enum_at.items():  # each enum's columns are rewritten with their codes
             codes = _enum_codes(block, sep[:, cols[at]], cell_size[:, at], enum)
@@ -361,25 +393,25 @@ def _plain_table(path: Path, header: list[str], src: Sequence[int], bounds: Sequ
             cells[:, at] = codes
         if blank == "row":
             empty = empty.any(axis=1, keepdims=True)
-        if (((cells < lo) | (cells > hi)) & ~empty).any():
+        if (((cells - lo).view(np.uint8) > span) & ~empty).any():
             return None
-        matrix[first:first + last.size] = np.where(empty, MISSING, cells)
-        # Gather each id and the separator after it into one string, and split that.
-        span = id_size + 1
-        total = np.cumsum(span)
-        at = np.arange(total[-1]) + np.repeat(sep[:, key] + 1 - total, span)
-        ids = block[at].tobytes().decode("ascii").split(id_end)[:-1]
-        row_of.update(zip(ids, range(first, first + last.size)))
-    if len(row_of) != len(ends):
+        np.copyto(cells, MISSING, where=empty)
+        id_at.append(offset + sep[:, key] - id_size)
+        id_bytes.append(id_size + 1)
+    # Each id and the separator after it, zero-filled to whole words: equal ids have equal
+    # words, and the words without their zero bytes are the ids, each ended by its separator.
+    sizes = np.concatenate(id_bytes)
+    id_words = _words(body, np.concatenate(id_at), sizes, -(-int(sizes.max(initial=1)) // 8))
+    if not _distinct(id_words):  # the csv loop names the first repeat
         return None
     matrix.flags.writeable = False
-    return row_of, matrix
+    return tuple(id_words.T.tobytes().replace(b"\0", b"").decode("ascii").split(id_end)[:-1]), matrix
 
 
 def _int_table(path: Path, header: list[str], rows: Iterable[list[str]], kind: str,
                columns: Sequence[str], src: Sequence[int], bounds: Sequence, word: str,
-               blank: str | None, key: int = 0) -> tuple[dict[str, int], np.ndarray]:
-    """Row id (the cell at ``key``) -> row number, and the read-only matrix of a table keyed by row id.
+               blank: str | None, key: int = 0) -> tuple[tuple[str, ...], np.ndarray]:
+    """The row ids (the cells at ``key``) in row order, and the read-only matrix of a table keyed by row id.
 
     The cells at ``src`` of a row are its ``columns``, each stripped and read
     by its entry in ``bounds``: with ``int()`` and checked against a (lo, hi),
@@ -456,12 +488,12 @@ def _int_table(path: Path, header: list[str], rows: Iterable[list[str]], kind: s
             buffer.extend(learn(row_id, cells))
     matrix = np.frombuffer(buffer, dtype=dtype).reshape(len(row_of), len(columns))
     matrix.flags.writeable = False
-    return row_of, matrix
+    return tuple(row_of), matrix
 
 
 def _read_table(path: Path, key: str, bounds: Mapping[str, Any] | tuple[int, int], kind: str,
-                word: str, blank: str | None) -> tuple[tuple[str, ...], dict[str, int], np.ndarray]:
-    """The columns read, row id -> row number and matrix of the integer table at ``path``.
+                word: str, blank: str | None) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray]:
+    """The columns read, row ids and matrix of the integer table at ``path``.
 
     ``key`` names the id column. ``bounds`` maps each column to read to its
     bound (see ``_int_table``), or is one (lo, hi) for every named column but
@@ -492,15 +524,15 @@ def parse_ratings(
     ``round_no`` defaults to the number in the filename (e.g. round2), else 1.
     """
     path = Path(path)
-    indicator_ids, row_of, matrix = _read_table(path, "expert_id", (1, scale_max), "expert row",
-                                                "rating", "row")
+    indicator_ids, ids, matrix = _read_table(path, "expert_id", (1, scale_max), "expert row",
+                                             "rating", "row")
     # Non-responses stayed in the matrix, in file order, as rows holding MISSING.
     blank = (matrix == MISSING).any(axis=1)
-    ids = tuple(row_of)
-    non_respondents = tuple(ids[i] for i in np.flatnonzero(blank).tolist())
+    non_respondents = tuple(compress(ids, blank.tolist()))
+    respondents = ids
     if non_respondents:
         matrix = matrix[~blank]
-        row_of = {ids[i]: n for n, i in enumerate(np.flatnonzero(~blank).tolist())}
+        respondents = tuple(compress(ids, (~blank).tolist()))
 
     if round_no is None:
         match = re.search(r"round[_-]?(\d+)", path.name, re.IGNORECASE)
@@ -513,7 +545,7 @@ def parse_ratings(
             scale_max=scale_max,
             distributed=distributed,
             indicator_ids=indicator_ids,
-            ratings=RowMatrix(row_of, matrix),
+            ratings=RowMatrix(respondents, matrix),
             non_respondents=non_respondents,
         )
     except InvalidInputError as exc:
@@ -529,8 +561,8 @@ def parse_responses(path: str | Path, instrument: Instrument) -> ResponseSet:
     # The matrix holds 0..4 answers, so a question's range is clipped to that.
     bounds = {q.id: (max(q.min_value, RESPONSE_MIN), min(q.max_value, RESPONSE_MAX))
               for q in instrument.questions}
-    _, row_of, matrix = _read_table(Path(path), "respondent_id", bounds, "respondent id", "answer", "cell")
-    return ResponseSet(question_ids=instrument.question_ids, consumer=RowMatrix(row_of, matrix))
+    _, ids, matrix = _read_table(Path(path), "respondent_id", bounds, "respondent id", "answer", "cell")
+    return ResponseSet(question_ids=instrument.question_ids, consumer=RowMatrix(ids, matrix))
 
 
 def parse_expert_bonus(path: str | Path, bonus_ids: Sequence[str]) -> RowMatrix:
@@ -539,8 +571,8 @@ def parse_expert_bonus(path: str | Path, bonus_ids: Sequence[str]) -> RowMatrix:
     The result maps each expert id to a tuple of ratings in ``bonus_ids`` order.
     """
     bounds = dict.fromkeys(bonus_ids, (RESPONSE_MIN, RESPONSE_MAX))
-    _, row_of, matrix = _read_table(Path(path), "expert_id", bounds, "expert row", "rating", None)
-    return RowMatrix(row_of, matrix)
+    _, ids, matrix = _read_table(Path(path), "expert_id", bounds, "expert row", "rating", None)
+    return RowMatrix(ids, matrix)
 
 
 def parse_importance(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:

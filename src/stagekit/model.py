@@ -13,7 +13,7 @@ import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import reduce
+from functools import cached_property, reduce
 from operator import add
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
@@ -248,19 +248,23 @@ class ExpertProfile:
 class ExpertPanel(Sequence):
     """Expert profiles as one read-only ``int8`` code matrix, read back one ExpertProfile at a time.
 
-    ``row_of`` maps each expert id to its row number, in row order. Column j holds a value of
-    ``ENUMS[j]`` as its position there: the four bases' impacts in JudgmentBasis order, group, familiarity.
+    ``ids`` holds the distinct expert ids in row order (a mapping gives its keys); ``row_of``, built on
+    first use, maps each to its row number. Column j holds a value of ``ENUMS[j]`` as its position
+    there: the four bases' impacts in JudgmentBasis order, group, familiarity.
     """
 
     ENUMS = (Impact,) * len(JudgmentBasis) + (IdentityGroup, Familiarity)
 
-    def __init__(self, row_of: Mapping[str, int], codes: np.ndarray):
-        if codes.shape != (len(row_of), len(self.ENUMS)):
-            raise InvalidInputError(f"code matrix of shape {codes.shape} for {len(row_of)} experts")
+    def __init__(self, ids: Iterable[str], codes: np.ndarray):
+        self.ids = tuple(ids)
+        if codes.shape != (len(self.ids), len(self.ENUMS)):
+            raise InvalidInputError(f"code matrix of shape {codes.shape} for {len(self.ids)} experts")
         codes.flags.writeable = False
-        self.row_of = row_of
-        self.ids = tuple(row_of)
         self.codes = codes
+
+    @cached_property
+    def row_of(self) -> dict[str, int]:
+        return dict(zip(self.ids, range(len(self.ids))))
 
     @classmethod
     def of(cls, profiles: Sequence[ExpertProfile]) -> "ExpertPanel":
@@ -438,21 +442,26 @@ def _answer_row(row: list[int]) -> tuple[int | None, ...]:
 class RowMatrix(Mapping):
     """Read-only rows of one matrix, keyed by id and read back one row at a time.
 
-    ``row_of`` maps each id to its row number, in row order; ``read`` turns
-    one row, as a list, into the mapping's value. The object takes ownership
-    of ``matrix`` and marks it read-only. By default the rows are answers:
-    an ``int8`` matrix whose ``MISSING`` (-1) cells read back as ``None``.
+    ``ids`` holds the distinct row ids in row order (a mapping gives its keys);
+    ``row_of``, built on the first lookup by id, maps each to its row number.
+    ``read`` turns one row, as a list, into the mapping's value. The object
+    takes ownership of ``matrix`` and marks it read-only. By default the rows
+    are answers: an ``int8`` matrix whose ``MISSING`` (-1) cells read back as
+    ``None``.
     """
 
-    def __init__(self, row_of: Mapping[str, int], matrix: np.ndarray,
+    def __init__(self, ids: Iterable[str], matrix: np.ndarray,
                  read: Callable[[list], Any] = _answer_row):
-        if matrix.ndim != 2 or len(matrix) != len(row_of):
-            raise InvalidInputError(f"matrix of shape {matrix.shape} for {len(row_of)} row ids")
+        self.ids = tuple(ids)
+        if matrix.ndim != 2 or len(matrix) != len(self.ids):
+            raise InvalidInputError(f"matrix of shape {matrix.shape} for {len(self.ids)} row ids")
         matrix.flags.writeable = False
-        self.row_of = row_of
-        self.ids = tuple(row_of)
         self.matrix = matrix
         self._read = read
+
+    @cached_property
+    def row_of(self) -> dict[str, int]:
+        return dict(zip(self.ids, range(len(self.ids))))
 
     def __getitem__(self, key: str):
         return self._read(self.matrix[self.row_of[key]].tolist())
@@ -518,7 +527,7 @@ def _checked_rows(rows, columns: tuple[str, ...], messages: tuple[str, str], lo:
             raise fail(rows.ids[r], columns[c], int(matrix[r, c]))
         return rows
 
-    row_of: dict[str, int] = {}
+    ids: list[str] = []
     codes: list[int] = []
     for key, row in dict(rows).items():
         row = tuple(row)
@@ -531,9 +540,9 @@ def _checked_rows(rows, columns: tuple[str, ...], messages: tuple[str, str], lo:
                 codes.append(value)
             else:
                 raise fail(key, column, value)
-        row_of[key] = len(row_of)
-    matrix = np.array(codes, dtype=dtype).reshape(len(row_of), len(columns))
-    return RowMatrix(row_of, matrix)
+        ids.append(key)
+    matrix = np.array(codes, dtype=dtype).reshape(len(ids), len(columns))
+    return RowMatrix(ids, matrix)
 
 
 @dataclass(frozen=True)
@@ -574,9 +583,11 @@ class ResponseSet:
 
     def missing_cells(self) -> tuple[tuple[str, str], ...]:
         """(respondent_id, question_id) pairs with no answer, in row-major order."""
-        rows, cols = (self.consumer.matrix == MISSING).nonzero()
+        import numpy as np
+
+        rows, cols = np.divmod(np.flatnonzero(self.consumer.matrix == MISSING), len(self.question_ids))
         ids, qids = self.consumer.ids, self.question_ids
-        return tuple((ids[r], qids[c]) for r, c in zip(rows.tolist(), cols.tolist()))
+        return tuple(zip(map(ids.__getitem__, rows.tolist()), map(qids.__getitem__, cols.tolist())))
 
     def with_bonus(self, bonus_ids: Sequence[str], expert_bonus: Mapping[str, Sequence[int]]) -> "ResponseSet":
         return ResponseSet(

@@ -124,7 +124,7 @@ def score_consumer(
     n = len(responses.consumer)
     dims = tuple(dim_scores)
     return ConsumerScores(
-        per_respondent=RowMatrix(responses.consumer.row_of,
+        per_respondent=RowMatrix(responses.consumer.ids,
                                  np.column_stack(list(dim_scores.values())),
                                  lambda row: dict(zip(dims, row))),
         pooled_dimensions={dim: total(s) / n for dim, s in dim_scores.items()},

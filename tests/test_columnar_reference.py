@@ -842,6 +842,7 @@ PLAIN_BOUNDS = ((1, 5), (0, 4), (1, 3), (-2, 9), (1, 7), Impact, Familiarity, Id
 # Tokens an enum cell may hold that are not its values: a prefix, an extension, the wrong
 # case, another enum's value, and one longer than every value.
 ENUM_NEAR_MISSES = ("", "larg", "larger", "LARGE", "large", "familiar", "other", "x" * 29)
+LONG_ID_STEMS = ("", "abcdefgh", "abcdefghijklmnop")
 FILE_DEVIATIONS = ("bom", "crlf", "no final newline", "blank line", "header space", "cr after header")
 # A cell (the row id or another) rewritten from its text.
 CELL_DEVIATIONS = {"quote": '"{}"', "space": " {}", "tab": "{}\t", "control": "{}\x0c",
@@ -851,7 +852,7 @@ PLAIN_DEVIATIONS = (*FILE_DEVIATIONS, *CELL_DEVIATIONS, "short row", "long row",
 
 
 @st.composite
-def plain_table_cases(draw):
+def plain_table_cases(draw, deviation_pool=PLAIN_DEVIATIONS):
     """(file bytes, src, bounds, blank, key): a plain table, or one a few steps away from plain.
 
     Cells are mostly digits in range or enum values; a file's own rate of messy
@@ -868,7 +869,11 @@ def plain_table_cases(draw):
     bound_at = dict(zip(src, bounds))
     rate = draw(st.sampled_from((0, 0, 60, 15, 4)))
     # One-character ids, digits first, let a row that lost a cell line up with one that gained one.
-    ids = draw(st.sampled_from(([f"r{k}" for k in range(30)], list("0123456789abcdefghijklmnopqrst"))))
+    # Ids of up to 24 bytes share their first one or two 8-byte words, or are prefixes of each other.
+    ids = draw(st.sampled_from(([f"r{k}" for k in range(30)], list("0123456789abcdefghijklmnopqrst"),
+                                "long")))
+    if ids == "long":
+        ids = [draw(st.sampled_from(LONG_ID_STEMS)) + f"{k:0{draw(st.integers(1, 8))}d}" for k in range(30)]
 
     def messy():
         return rate and draw(st.integers(1, rate)) == 1
@@ -888,7 +893,7 @@ def plain_table_cases(draw):
                                                 [e.value for e in bound_at[i]])))
         rows.append(row)
     header = [f"c{i}" for i in range(n + 1)]
-    deviations = draw(st.lists(st.sampled_from(PLAIN_DEVIATIONS), max_size=2))
+    deviations = draw(st.lists(st.sampled_from(deviation_pool), max_size=2))
     for deviation in deviations:
         if deviation in FILE_DEVIATIONS or not rows:
             continue
@@ -906,8 +911,10 @@ def plain_table_cases(draw):
             rows[min(i + 1, len(rows) - 1)].append("1")
         elif deviation == "empty id":
             row[key] = ""
-        elif deviation == "repeated id":
-            row[key] = rows[i - 1][key]
+        elif deviation == "repeated id":  # an earlier row's, or the last row's
+            source = rows[draw(st.integers(-1, i - 1))]
+            if key < len(source):
+                row[key] = source[key]
         else:
             row[cell] = CELL_DEVIATIONS[deviation].format(row[cell])
     if "header space" in deviations:
@@ -944,10 +951,26 @@ def test_plain_table_is_none_or_the_streamed_int_table(tmp_path_factory, case):
     if plain is None:
         return
     row_of, matrix = _streamed_int_table(path, src, bounds, blank, key)
-    assert list(plain[0].items()) == list(row_of.items())
+    assert plain[0] == tuple(row_of)
     assert plain[1].dtype == matrix.dtype and plain[1].shape == matrix.shape
     assert np.array_equal(plain[1], matrix)
     assert not plain[1].flags.writeable and not matrix.flags.writeable
+
+
+@settings(max_examples=200, deadline=None)
+@given(plain_table_cases((*PLAIN_DEVIATIONS, *["repeated id"] * len(PLAIN_DEVIATIONS))), st.integers(1, 12))
+def test_plain_table_over_small_blocks_is_none_or_the_streamed_int_table(tmp_path_factory, case, block_cells):
+    """The same with a few cells to a block, and ids repeated more often: often in a later block."""
+    data, src, bounds, blank, key = case
+    path = tmp_path_factory.mktemp("plain") / "table.csv"
+    path.write_bytes(data)
+    with patch.object(sio, "_PLAIN_BLOCK_CELLS", block_cells), sio._csv_rows(path) as (header, _):
+        plain = sio._plain_table(path, header, src, bounds, blank, key)
+    if plain is None:
+        return
+    ids, matrix = _streamed_int_table(path, src, bounds, blank, key)
+    assert plain[0] == ids
+    assert plain[1].dtype == matrix.dtype and np.array_equal(plain[1], matrix)
 
 
 # --- Expert panel and content validity -------------------------------------------

@@ -25,7 +25,9 @@ from stagekit import (
     default_tree,
     demo_weighted_tree,
     load_default_instrument,
+    question_proportional_weights,
     round_consensus,
+    score_consumer,
 )
 from stagekit.io import (
     emit_indicators,
@@ -708,6 +710,72 @@ class TestPlainTables:
         err, returned = plain_calls(parse_importance, p)
         assert returned == [None]
         assert "'' is not an integer" in str(err)
+
+    @staticmethod
+    def write_ratings(path, ids):
+        """A ratings file of 25 indicators, ``ids`` its rows: 961 rows to a plain block."""
+        header = ",".join(["expert_id", *(f"i{j}" for j in range(25))])
+        return write(path, "\n".join([header, *(f"{i},{','.join('12345'[(k + j) % 5] for j in range(25))}"
+                                              for k, i in enumerate(ids))]) + "\n")
+
+    def test_repeat_in_a_later_block_declines_with_the_csv_message(self, tmp_path):
+        """Row 1's id again in the third block: each block alone holds distinct ids."""
+        step = sio._PLAIN_BLOCK_CELLS // 26
+        ids = [f"e{k:04d}" for k in range(3 * step)]
+        p = self.write_ratings(tmp_path / "ratings.csv", ids)
+        rnd, returned = plain_calls(parse_ratings, p)
+        assert returned[0] is not None and rnd.ratings.ids == tuple(ids)
+        ids[2 * step + 5] = ids[1]
+        self.write_ratings(p, ids)
+        err, returned = plain_calls(parse_ratings, p)
+        assert returned == [None]
+        assert isinstance(err, SchemaError) and str(err) == f"{p}: duplicate expert row 'e0001'"
+
+    # Ids of 9 to 24 bytes whose first 8 (or 16) bytes are the same, one a prefix of another.
+    LONG_IDS = ("panelist-a", "panelist-b", "panelist-a1", "panelist-0001-north", "panelist-0001-south",
+                "panelist-0001-north-02", "panelist-0001-north-03", "panelist-0001-north-003x")
+
+    def test_ids_sharing_a_first_word_are_told_apart(self, tmp_path):
+        assert {len(i) for i in self.LONG_IDS} >= {10, 11, 19, 22, 24}
+        p = self.write_ratings(tmp_path / "ratings.csv", self.LONG_IDS)
+        rnd, returned = plain_calls(parse_ratings, p)
+        assert returned[0] is not None
+        assert rnd.ratings.ids == self.LONG_IDS == streamed(parse_ratings, p).ratings.ids
+
+    @pytest.mark.parametrize("copy", [0, 3, 5, 7])
+    def test_equal_long_ids_decline_with_the_csv_message(self, tmp_path, copy):
+        ids = list(self.LONG_IDS) + [self.LONG_IDS[copy]]
+        p = self.write_ratings(tmp_path / "ratings.csv", ids)
+        err, returned = plain_calls(parse_ratings, p)
+        assert returned == [None]
+        assert str(err) == f"{p}: duplicate expert row {self.LONG_IDS[copy]!r}"
+
+    def test_id_past_the_word_bound_declines(self, tmp_path):
+        """An id and its separator fill at most _ID_WORDS words; one byte more takes the csv loop."""
+        longest = "x" * (8 * sio._ID_WORDS - 1)
+        p = write(tmp_path / "ratings.csv", f"expert_id,a\n{longest},1\ne2,2\n")
+        rnd, returned = plain_calls(parse_ratings, p)
+        assert returned[0] is not None and rnd.ratings.ids == (longest, "e2")
+        write(p, f"expert_id,a\n{longest}y,1\ne2,2\n")
+        rnd, returned = plain_calls(parse_ratings, p)
+        assert returned == [None] and rnd.ratings.ids == (longest + "y", "e2")
+
+    def test_header_only_reads_no_ids_and_no_rows(self, tmp_path):
+        p = write(tmp_path / "ratings.csv", "expert_id,a,b\n")
+        ids, matrix = sio._plain_table(p, ["expert_id", "a", "b"], [1, 2], [(1, 5)] * 2, "row")
+        assert ids == () and matrix.shape == (0, 2) and matrix.dtype == np.int8
+        assert not matrix.flags.writeable
+
+    def test_row_numbers_built_on_first_lookup(self, bench_files):
+        """Parsing and scoring a survey never looks an id up, so no id -> row dict is built."""
+        instrument = load_default_instrument()
+        responses = parse_responses(bench_files / "responses.csv", instrument)
+        scores = score_consumer(responses, instrument, question_proportional_weights(instrument))
+        consumer = responses.consumer
+        assert "row_of" not in vars(consumer) and "row_of" not in vars(scores.per_respondent)
+        assert len(consumer[consumer.ids[-1]]) == 21 and "row_of" in vars(consumer)
+        assert list(consumer.row_of.items()) == [(i, n) for n, i in enumerate(consumer.ids)]
+        assert len(consumer.ids) == 5000
 
 
 class TestParsePairwise:
