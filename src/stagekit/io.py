@@ -49,9 +49,8 @@ _FALSE = {"false", "0", "no", ""}
 # Cells per block of a plain table: its temporary arrays take about 8 bytes a cell each.
 _PLAIN_BLOCK_CELLS = 25_000
 
-# The byte path reads an id and the separator after it as at most this many 8-byte words,
-# so an id of up to 31 bytes; a longer id declines to the csv loop.
-_ID_WORDS = 4
+# _distinct's multiplier for mixing an id's words into one: odd, so a bijection of 64-bit words.
+_MIX = np.uint64(0x9E3779B97F4A7C15)
 
 # _FIRST_BYTES[s] keeps the first s bytes of an 8-byte word and zeroes the rest.
 _FIRST_BYTES = ((np.arange(8) < np.arange(9)[:, None]) * np.uint8(0xFF)).view(np.uint64)[:, 0]
@@ -298,10 +297,22 @@ def _enum_codes(block: np.ndarray, ends: np.ndarray, size: np.ndarray, enum) -> 
 
 
 def _distinct(keys: np.ndarray) -> bool:
-    """Whether the columns of ``keys`` (one row per word) are distinct: sorted, equal ones are neighbours."""
-    if keys.shape[1] < 2:
+    """Whether the columns of ``keys`` (one row per word) are distinct.
+
+    Each column's words are mixed into one word, and equal columns mix alike;
+    sorted, equal mixes are neighbours. Only the columns whose mix another
+    shares, rare for distinct columns, are sorted by all their words
+    (``np.lexsort``, far slower for many columns) and compared word by word.
+    """
+    mixed = keys[0]
+    for word in keys[1:]:
+        mixed = mixed * _MIX ^ word  # wraps, with no warning on arrays
+    ordered = np.sort(mixed)
+    shared = ordered[1:][ordered[1:] == ordered[:-1]]
+    if not shared.size:
         return True
-    ordered = np.sort(keys[0])[None] if len(keys) == 1 else keys[:, np.lexsort(keys)]
+    keys = keys[:, np.isin(mixed, shared)]
+    ordered = keys[:, np.lexsort(keys)]
     return not (ordered[:, 1:] == ordered[:, :-1]).all(axis=0).any()
 
 
@@ -311,15 +322,17 @@ def _plain_table(path: Path, header: list[str], src: Sequence[int], bounds: Sequ
 
     A plain file is ASCII after an optional BOM, with no quote, space, tab or
     other control byte but the CR of a CRLF; its first line is ``header``, each
-    row ends in LF or CRLF and has ``len(header)`` cells, the ids are non-empty,
-    distinct and shorter than ``8 * _ID_WORDS`` bytes, and each cell at ``src`` is
-    blank (where ``blank`` allows) or, by its bound, one digit within its int8
-    (lo, hi) or exactly one of its enum's values; a blank ratings row's other
-    digits are not range-checked. The csv loop reads such a file without error;
-    this reads the same result from separator positions, ``_PLAIN_BLOCK_CELLS``
-    cells at a time, an enum cell by comparing its bytes with each value, and
-    tells the ids distinct by sorting their ``_words``. Only a regular file is
-    read, as this reads it a second time.
+    row ends in LF or CRLF and has ``len(header)`` cells, the ids are non-empty and
+    distinct, each cell at ``src`` is blank (where ``blank`` allows) or, by its
+    bound, one digit within its int8 (lo, hi) or exactly one of its enum's
+    values, and a blank ratings row's other digits are not range-checked. The
+    csv loop reads such a file without error; this reads the same result from
+    separator positions, ``_PLAIN_BLOCK_CELLS`` cells at a time, an enum cell
+    by comparing its bytes with each value, and tells the ids distinct by
+    sorting their ``_words``. Every id takes as many words as the longest, so
+    a file whose words past the first would outgrow it (an id far longer than
+    most) is left to the csv loop. Only a regular file is read, as this reads
+    it a second time.
     """
     if _table_dtype(bounds) != "int8":
         return None
@@ -378,7 +391,7 @@ def _plain_table(path: Path, header: list[str], src: Sequence[int], bounds: Sequ
         size = np.diff(sep, prepend=-1).reshape(-1, width) - 1
         sep = sep.reshape(-1, width)
         id_size, cell_size = size[:, key], size[:, pick]
-        if not id_size.all() or id_size.max() >= 8 * _ID_WORDS or cell_size[:, digit_at].max(initial=0) > 1:
+        if not id_size.all() or id_size.max() > csv.field_size_limit() or cell_size[:, digit_at].max(initial=0) > 1:
             return None
         cells = matrix[first:first + last.size]  # read in place
         np.subtract(block[sep[:, pick] - 1].view(np.int8), ord("0"), out=cells)  # a one-byte cell ends at its separator
@@ -401,7 +414,10 @@ def _plain_table(path: Path, header: list[str], src: Sequence[int], bounds: Sequ
     # Each id and the separator after it, zero-filled to whole words: equal ids have equal
     # words, and the words without their zero bytes are the ids, each ended by its separator.
     sizes = np.concatenate(id_bytes)
-    id_words = _words(body, np.concatenate(id_at), sizes, -(-int(sizes.max(initial=1)) // 8))
+    words = -(-int(sizes.max(initial=1)) // 8)
+    if len(ends) * (words - 1) * 8 > body.size:  # ids far longer than most: their words would outgrow the file
+        return None
+    id_words = _words(body, np.concatenate(id_at), sizes, words)
     if not _distinct(id_words):  # the csv loop names the first repeat
         return None
     matrix.flags.writeable = False

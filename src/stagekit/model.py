@@ -245,12 +245,20 @@ class ExpertProfile:
         object.__setattr__(self, "judgment_basis", {b: basis[b] for b in JudgmentBasis})
 
 
+def _row_numbers(ids: tuple[str, ...]) -> dict[str, int]:
+    """Each of ``ids`` -> its position; an id given twice is an error."""
+    row_of = dict(zip(ids, range(len(ids))))
+    if len(row_of) != len(ids):  # a repeated id keeps its last position
+        raise InvalidInputError(f"repeated row id {next(i for n, i in enumerate(ids) if row_of[i] != n)!r}")
+    return row_of
+
+
 class ExpertPanel(Sequence):
     """Expert profiles as one read-only ``int8`` code matrix, read back one ExpertProfile at a time.
 
     ``ids`` holds the distinct expert ids in row order (a mapping gives its keys); ``row_of``, built on
-    first use, maps each to its row number. Column j holds a value of ``ENUMS[j]`` as its position
-    there: the four bases' impacts in JudgmentBasis order, group, familiarity.
+    first use, maps each to its row number, and a repeated id fails there. Column j holds a value of
+    ``ENUMS[j]`` as its position there: the four bases' impacts in JudgmentBasis order, group, familiarity.
     """
 
     ENUMS = (Impact,) * len(JudgmentBasis) + (IdentityGroup, Familiarity)
@@ -264,7 +272,7 @@ class ExpertPanel(Sequence):
 
     @cached_property
     def row_of(self) -> dict[str, int]:
-        return dict(zip(self.ids, range(len(self.ids))))
+        return _row_numbers(self.ids)
 
     @classmethod
     def of(cls, profiles: Sequence[ExpertProfile]) -> "ExpertPanel":
@@ -443,11 +451,11 @@ class RowMatrix(Mapping):
     """Read-only rows of one matrix, keyed by id and read back one row at a time.
 
     ``ids`` holds the distinct row ids in row order (a mapping gives its keys);
-    ``row_of``, built on the first lookup by id, maps each to its row number.
-    ``read`` turns one row, as a list, into the mapping's value. The object
-    takes ownership of ``matrix`` and marks it read-only. By default the rows
-    are answers: an ``int8`` matrix whose ``MISSING`` (-1) cells read back as
-    ``None``.
+    ``row_of``, built on the first lookup by id, maps each to its row number;
+    a repeated id fails there. ``read`` turns one row, as a list, into the
+    mapping's value. The object takes ownership of ``matrix`` and marks it
+    read-only. By default the rows are answers: an ``int8`` matrix whose
+    ``MISSING`` (-1) cells read back as ``None``.
     """
 
     def __init__(self, ids: Iterable[str], matrix: np.ndarray,
@@ -461,7 +469,7 @@ class RowMatrix(Mapping):
 
     @cached_property
     def row_of(self) -> dict[str, int]:
-        return dict(zip(self.ids, range(len(self.ids))))
+        return _row_numbers(self.ids)
 
     def __getitem__(self, key: str):
         return self._read(self.matrix[self.row_of[key]].tolist())

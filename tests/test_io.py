@@ -750,15 +750,45 @@ class TestPlainTables:
         assert returned == [None]
         assert str(err) == f"{p}: duplicate expert row {self.LONG_IDS[copy]!r}"
 
-    def test_id_past_the_word_bound_declines(self, tmp_path):
-        """An id and its separator fill at most _ID_WORDS words; one byte more takes the csv loop."""
-        longest = "x" * (8 * sio._ID_WORDS - 1)
-        p = write(tmp_path / "ratings.csv", f"expert_id,a\n{longest},1\ne2,2\n")
+    @pytest.mark.parametrize("size", [36, 200])
+    def test_long_ids_alike_read_plain(self, tmp_path, size):
+        """Ids all of one length take the byte path, however long; a repeat still declines."""
+        ids = [f"{k:0{size}d}" for k in range(50)]  # alike but for their last bytes
+        p = self.write_ratings(tmp_path / "ratings.csv", ids)
         rnd, returned = plain_calls(parse_ratings, p)
-        assert returned[0] is not None and rnd.ratings.ids == (longest, "e2")
-        write(p, f"expert_id,a\n{longest}y,1\ne2,2\n")
+        assert returned[0] is not None
+        assert rnd.ratings.ids == tuple(ids) == streamed(parse_ratings, p).ratings.ids
+        ids[40] = ids[3]
+        self.write_ratings(p, ids)
+        err, returned = plain_calls(parse_ratings, p)
+        assert returned == [None] and str(err) == f"{p}: duplicate expert row {ids[3]!r}"
+
+    def test_an_id_far_longer_than_most_declines(self, tmp_path):
+        """Every id takes the longest id's words; words that would outgrow the file take the csv loop."""
+        longest = "x" * 300
+        p = write(tmp_path / "ratings.csv", f"expert_id,a\n{longest},1\ne2,2\ne3,3\n")
         rnd, returned = plain_calls(parse_ratings, p)
-        assert returned == [None] and rnd.ratings.ids == (longest + "y", "e2")
+        assert returned == [None] and rnd.ratings.ids == (longest, "e2", "e3")
+
+    def test_id_past_the_csv_field_limit_declines(self, tmp_path):
+        p = write(tmp_path / "ratings.csv", f"expert_id,a\n{'x' * 65},1\n{'y' * 65},2\n")
+        limit = csv.field_size_limit(64)
+        try:
+            err, returned = plain_calls(parse_ratings, p)
+        finally:
+            csv.field_size_limit(limit)
+        assert returned == [None] and "field larger than field limit (64)" in str(err)
+
+    def test_columns_sharing_a_mix_are_compared_word_by_word(self):
+        """Two distinct columns whose mixed words are equal stay distinct; a true repeat does not."""
+        a, b, x = 0x3130, 0x3230, 0x61
+        keys = np.array([[a, b, 7], [x, x ^ (a * int(sio._MIX) % 2**64) ^ (b * int(sio._MIX) % 2**64), 8]],
+                        np.uint64)
+        mixed = keys[0] * sio._MIX ^ keys[1]
+        assert mixed[0] == mixed[1]
+        assert sio._distinct(keys)
+        assert not sio._distinct(np.concatenate([keys, keys[:, :1]], axis=1))
+        assert sio._distinct(keys[:1, :0]) and not sio._distinct(np.array([[5, 6, 5]], np.uint64))
 
     def test_header_only_reads_no_ids_and_no_rows(self, tmp_path):
         p = write(tmp_path / "ratings.csv", "expert_id,a,b\n")

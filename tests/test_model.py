@@ -17,7 +17,7 @@ from stagekit import (
     load_default_instrument,
     validate_tree,
 )
-from stagekit.model import RowMatrix
+from stagekit.model import ExpertPanel, RowMatrix
 
 
 def node(node_id, level, parent=None, weight=None, bonus=False):
@@ -358,3 +358,11 @@ class TestMatrixHandedIn:
         with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
             ResponseSet(question_ids=("q1", "q2"), consumer=row_matrix(consumer),
                         bonus_ids=("b1",), expert_bonus=row_matrix(bonus))
+
+    def test_repeated_row_id_fails_on_first_lookup(self):
+        rows = RowMatrix(("a", "b", "a"), np.array([[1], [2], [3]], np.int8))
+        with pytest.raises(InvalidInputError, match="^repeated row id 'a'$"):
+            rows["b"]
+        panel = ExpertPanel(("e1", "e2", "e2"), np.zeros((3, len(ExpertPanel.ENUMS)), np.int8))
+        with pytest.raises(InvalidInputError, match="^repeated row id 'e2'$"):
+            panel.row_of
