@@ -7,7 +7,8 @@ Each analysis subcommand reads its arguments, makes the same library or
 report bundle (JSON by default, markdown on request) to --out or stdout. Every
 bundle read back (by `report` too) is checked by :func:`report.bundle_from_obj`
 alone; one read by `--stats`, `--screen` or `--importance` must hold exactly one
-round. Exit codes: 0 success, 2 schema/validation error, 3 numeric or
+round. A file option is left out only by not giving it: an empty value is an
+error. Exit codes: 0 success, 2 schema/validation error, 3 numeric or
 degenerate-data error, each with one `error:` line on stderr.
 """
 
@@ -47,13 +48,25 @@ def precision(text: str) -> int:
     return places
 
 
+def _path(text: str) -> str:
+    """A file option's value; an empty one is an error, never read as the option left out."""
+    if not text or "\0" in text:  # open() raises ValueError on a NUL
+        raise argparse.ArgumentTypeError(f"expected a file path, got {text!r}")
+    return text
+
+
+def _paths(text: str) -> list[str]:
+    """Comma-separated file paths, each stripped."""
+    return [_path(p.strip()) for p in text.split(",")]
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # a usage error is a schema error: one line, exit code 2
         raise SchemaError(f"{self.prog}: {message}")
 
 
 def _add_output_args(parser: argparse.ArgumentParser, coefficients: bool) -> None:
-    parser.add_argument("--out", help="output file (default: stdout)")
+    parser.add_argument("--out", type=_path, help="output file (default: stdout)")
     parser.add_argument("--format", choices=("json", "markdown"), default="json",
                         help="output format (default: json)")
     if coefficients:
@@ -62,7 +75,7 @@ def _add_output_args(parser: argparse.ArgumentParser, coefficients: bool) -> Non
 
 
 def _write(text: str, args: argparse.Namespace) -> None:
-    if args.out:
+    if args.out is not None:
         write_output(text, args.out)
     else:
         sys.stdout.write(text)
@@ -84,7 +97,7 @@ def _single_round(path: str) -> RoundSection:
 
 
 def _cmd_round_stats(args) -> None:
-    profiles = sio.parse_experts(args.experts) if args.experts else None
+    profiles = sio.parse_experts(args.experts) if args.experts is not None else None
     rnd = sio.parse_ratings(args.ratings, scale_max=args.scale_max, round_no=args.round_no,
                             distributed=args.distributed)
     _emit(ReportBundle(rounds=(RoundSection(consensus=round_consensus(rnd, profiles)),)), args)
@@ -93,7 +106,7 @@ def _cmd_round_stats(args) -> None:
 def _cmd_screen(args) -> None:
     section = _single_round(args.stats)
     path = args.thresholds
-    thresholds = read_thresholds(sio.read_json(path), path) if path else None
+    thresholds = read_thresholds(sio.read_json(path), path) if path is not None else None
     _emit(ReportBundle(rounds=(screen_stage(section, thresholds),)), args)
 
 
@@ -111,13 +124,13 @@ def _matrix_group(tree: IndicatorTree, matrix: PairwiseMatrix, path: str) -> str
 def _cmd_weights(args) -> None:
     tree = sio.parse_indicators(args.tree)
     pairwise: dict[str | None, PairwiseMatrix] = {}
-    for path in filter(None, map(str.strip, (args.pairwise or "").split(","))):
+    for path in args.pairwise or ():
         matrix = sio.parse_pairwise(path)
         group = _matrix_group(tree, matrix, path)
         if group in pairwise:
             raise InvalidInputError(f"two pairwise matrices given for {group_label(group)}")
         pairwise[group] = matrix
-    importance = _single_round(args.importance) if args.importance else None
+    importance = _single_round(args.importance) if args.importance is not None else None
     _emit(ReportBundle(weights=weights_stage(tree, pairwise, importance, args.method)), args)
 
 
@@ -135,7 +148,7 @@ def _cmd_validity(args) -> None:
 def _cmd_score(args) -> None:
     instrument = load_default_instrument()
     responses = sio.parse_responses(args.responses, instrument)
-    bonus = sio.parse_expert_bonus(args.bonus, instrument.bonus_ids) if args.bonus else None
+    bonus = sio.parse_expert_bonus(args.bonus, instrument.bonus_ids) if args.bonus is not None else None
     weights = bundle_from_obj(sio.read_json(args.weights), args.weights).weights
     if weights is None:
         raise SchemaError(f"{args.weights}: no weights section (expected output of `stagekit weights`)")
@@ -144,7 +157,7 @@ def _cmd_score(args) -> None:
 
 def _cmd_form(args) -> None:
     consensus = _single_round(args.stats).consensus
-    if args.retained:
+    if args.retained is not None:
         retained = [i.strip() for i in args.retained.split(",") if i.strip()]
     else:
         screening = _single_round(args.screen).screening
@@ -152,7 +165,7 @@ def _cmd_form(args) -> None:
             raise SchemaError(f"{args.screen}: bundle has no screening section")
         retained = screening.retained
     names = {}
-    if args.names:
+    if args.names is not None:
         names = {n.id: n.name for n in sio.parse_indicators(args.names).nodes}
     sio.emit_round_form(consensus, retained, args.round, args.out, names=names)
 
@@ -171,7 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="stagekit",
         description="Delphi consensus, AHP weighting, reliability/validity, and "
-                    "weighted scoring for the STAGE age-appropriateness instrument.",
+                    "weighted scoring for the STAGE age-appropriateness instrument. "
+                    "A file option given an empty value is an error, not an option left out.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -181,51 +195,51 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = command("round-stats", _cmd_round_stats, "consensus statistics for one Delphi round")
-    p.add_argument("--ratings", required=True, help="ratings CSV (expert_id + indicator columns)")
-    p.add_argument("--experts", help="expert profiles CSV (enables Ca/Cs/Cr)")
+    p.add_argument("--ratings", required=True, type=_path, help="ratings CSV (expert_id + indicator columns)")
+    p.add_argument("--experts", type=_path, help="expert profiles CSV (enables Ca/Cs/Cr)")
     p.add_argument("--scale-max", type=int, default=5)
     p.add_argument("--round-no", type=int)
     p.add_argument("--distributed", type=int,
                    help="questionnaires distributed (default: rows in the ratings file)")
 
     p = command("screen", _cmd_screen, "apply retention thresholds to a round's indicators")
-    p.add_argument("--stats", required=True, help="round-stats JSON output")
-    p.add_argument("--thresholds", help="JSON with mean_floor/fsf_floor/cv_ceiling "
+    p.add_argument("--stats", required=True, type=_path, help="round-stats JSON output")
+    p.add_argument("--thresholds", type=_path, help="JSON with mean_floor/fsf_floor/cv_ceiling "
                                         "(default: derived from the round itself)")
 
     p = command("weights", _cmd_weights, "derive indicator weights")
-    p.add_argument("--tree", required=True, help="indicators CSV")
-    p.add_argument("--pairwise", help="comma-separated pairwise matrix CSVs "
+    p.add_argument("--tree", required=True, type=_path, help="indicators CSV")
+    p.add_argument("--pairwise", type=_paths, help="comma-separated pairwise matrix CSVs "
                                       "(each matrix's ids identify its sibling group)")
-    p.add_argument("--importance", help="round-stats JSON supplying importance means")
+    p.add_argument("--importance", type=_path, help="round-stats JSON supplying importance means")
     p.add_argument("--method", choices=tuple(METHOD_SOURCES), default="combined")
 
     p = command("reliability", _cmd_reliability, "Cronbach's alpha / item-total analysis")
-    p.add_argument("--responses", required=True, help="consumer responses CSV")
+    p.add_argument("--responses", required=True, type=_path, help="consumer responses CSV")
 
     p = command("validity", _cmd_validity, "content validity (I-CVI / S-CVI)")
-    p.add_argument("--importance", required=True, help="rater x item importance CSV (1-7)")
+    p.add_argument("--importance", required=True, type=_path, help="rater x item importance CSV (1-7)")
 
     p = command("score", _cmd_score, "score software from responses and weights")
-    p.add_argument("--responses", required=True, help="consumer responses CSV")
-    p.add_argument("--bonus", help="expert bonus ratings CSV")
-    p.add_argument("--weights", required=True, help="weights JSON (output of `stagekit weights`)")
+    p.add_argument("--responses", required=True, type=_path, help="consumer responses CSV")
+    p.add_argument("--bonus", type=_path, help="expert bonus ratings CSV")
+    p.add_argument("--weights", required=True, type=_path, help="weights JSON (output of `stagekit weights`)")
     p.add_argument("--bonus-cap", type=float, default=DEFAULT_BONUS_CAP)
 
     p = command("form", _cmd_form, "emit the next round's consultation form")
-    p.add_argument("--stats", required=True, help="previous round's round-stats JSON")
+    p.add_argument("--stats", required=True, type=_path, help="previous round's round-stats JSON")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--retained", help="comma-separated indicator ids to carry forward")
-    group.add_argument("--screen", help="screen JSON output; its retained list is used")
+    group.add_argument("--screen", type=_path, help="screen JSON output; its retained list is used")
     p.add_argument("--round", type=int, required=True, help="number of the round being prepared")
-    p.add_argument("--names", help="indicators CSV supplying display names")
-    p.add_argument("--out", required=True, help="output CSV path")
+    p.add_argument("--names", type=_path, help="indicators CSV supplying display names")
+    p.add_argument("--out", required=True, type=_path, help="output CSV path")
 
     p = command("report", _cmd_report, "re-render an emitted bundle (e.g. to markdown)")
-    p.add_argument("--bundle", required=True, help="bundle JSON produced by another subcommand")
+    p.add_argument("--bundle", required=True, type=_path, help="bundle JSON produced by another subcommand")
 
     p = command("pipeline", _cmd_pipeline, "run every stage a config file declares")
-    p.add_argument("--config", required=True, help="pipeline config JSON")
+    p.add_argument("--config", required=True, type=_path, help="pipeline config JSON")
 
     for name, p in sub.choices.items():
         if name != "form":  # form writes a CSV, not a report bundle

@@ -322,17 +322,18 @@ def _plain_table(path: Path, header: list[str], src: Sequence[int], bounds: Sequ
 
     A plain file is ASCII after an optional BOM, with no quote, space, tab or
     other control byte but the CR of a CRLF; its first line is ``header``, each
-    row ends in LF or CRLF and has ``len(header)`` cells, the ids are non-empty and
-    distinct, each cell at ``src`` is blank (where ``blank`` allows) or, by its
-    bound, one digit within its int8 (lo, hi) or exactly one of its enum's
-    values, and a blank ratings row's other digits are not range-checked. The
-    csv loop reads such a file without error; this reads the same result from
-    separator positions, ``_PLAIN_BLOCK_CELLS`` cells at a time, an enum cell
-    by comparing its bytes with each value, and tells the ids distinct by
-    sorting their ``_words``. Every id takes as many words as the longest, so
-    a file whose words past the first would outgrow it (an id far longer than
-    most) is left to the csv loop. Only a regular file is read, as this reads
-    it a second time.
+    row ends in LF or CRLF (the last may end the file instead) and has
+    ``len(header)`` cells, an empty line is skipped as the csv loop skips it,
+    the ids are non-empty and distinct, each cell at ``src`` is blank (where
+    ``blank`` allows) or, by its bound, one digit within its int8 (lo, hi) or
+    exactly one of its enum's values, and a blank ratings row's other digits
+    are not range-checked. The csv loop reads such a file without error; this
+    reads the same result from separator positions, ``_PLAIN_BLOCK_CELLS``
+    cells at a time, an enum cell by comparing its bytes with each value, and
+    tells the ids distinct by sorting their ``_words``. Every id takes as many
+    words as the longest, so a file whose words past the first would outgrow
+    it (an id far longer than most) is left to the csv loop. Only a regular
+    file is read, as this reads it a second time.
     """
     if _table_dtype(bounds) != "int8":
         return None
@@ -351,10 +352,14 @@ def _plain_table(path: Path, header: list[str], src: Sequence[int], bounds: Sequ
     first_line = data[start:first_end]
     if not first_line.isascii() or first_line.decode("ascii").split(",") != header:
         return None
+    if first_end + 1 < len(data) and not data.endswith(b"\n"):  # a last row without its line end
+        data += b"\n"
     body = np.frombuffer(data, np.uint8)[first_end + 1:]
-    if body.size and body[-1] != ord("\n"):
-        return None
     ends = np.flatnonzero(body == ord("\n"))
+    empty = ends[np.diff(ends, prepend=-1) == 1]  # the LF of each empty line, which the csv loop skips too
+    if empty.size:
+        body = np.delete(body, empty)
+        ends = np.flatnonzero(body == ord("\n"))
     width = len(header)
     cols = np.array(src, dtype=np.intp)
     # Consecutive columns are picked with a slice: views, not copies.
@@ -540,6 +545,8 @@ def parse_ratings(
     ``round_no`` defaults to the number in the filename (e.g. round2), else 1.
     """
     path = Path(path)
+    if scale_max < 1:  # else every rating would be out of range
+        raise InvalidInputError(f"scale_max must be positive, got {scale_max}")
     indicator_ids, ids, matrix = _read_table(path, "expert_id", (1, scale_max), "expert row",
                                              "rating", "row")
     # Non-responses stayed in the matrix, in file order, as rows holding MISSING.

@@ -202,9 +202,9 @@ def run_pipeline(config_path: str | Path) -> ReportBundle:
 
     def path(section: Mapping[str, Any], key: str) -> Path:
         value = section.get(key)
-        if not value:
+        if value is None:
             raise InvalidInputError(f"missing input: {key}")
-        if not isinstance(value, str) or "\0" in value:  # open() raises ValueError on a NUL
+        if not isinstance(value, str) or not value or "\0" in value:  # open() raises ValueError on a NUL
             raise SchemaError(f"config {key}: expected a file path, got {value!r}")
         return base / value
 
@@ -224,7 +224,7 @@ def run_pipeline(config_path: str | Path) -> ReportBundle:
     instrument = load_default_instrument()
 
     profiles = None
-    if config.get("experts"):
+    if "experts" in config:
         with _stage("round-stats"):
             profiles = sio.parse_experts(path(config, "experts"))
 
@@ -292,7 +292,7 @@ def run_pipeline(config_path: str | Path) -> ReportBundle:
         with _stage("score"):
             responses = responses_at(section)
             bonus = (sio.parse_expert_bonus(path(section, "bonus"), instrument.bonus_ids)
-                     if section.get("bonus") else None)
+                     if "bonus" in section else None)
             bonus_cap = _number(section.get("bonus_cap", DEFAULT_BONUS_CAP), "bonus_cap")
             score = score_stage(responses, instrument, weights, bonus, bonus_cap)
 

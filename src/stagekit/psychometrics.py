@@ -116,8 +116,9 @@ def i_cvi(ratings: Sequence[int], relevance_floor: int = RELEVANCE_FLOOR) -> flo
     if len(ratings) == 0:
         raise InvalidInputError("no ratings given")
     for rater, r in enumerate(ratings, start=1):
+        r = r.item() if isinstance(r, np.number) else r  # a numpy number is checked and named as Python's
         # bool is an int subclass: True would otherwise pass as the rating 1
-        if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or not 1 <= int(r) <= 7:
+        if isinstance(r, bool) or not isinstance(r, int) or not 1 <= r <= 7:
             raise InvalidInputError(f"rater {rater}: importance rating {r!r} outside 1..7")
     return sum(1 for r in ratings if r >= relevance_floor) / len(ratings)
 
@@ -127,6 +128,7 @@ def s_cvi(i_cvis: Sequence[float]) -> float:
     if len(i_cvis) == 0:
         raise InvalidInputError("no item-level indices given")
     for v in i_cvis:
+        v = v.item() if isinstance(v, np.number) else v
         if not 0.0 <= v <= 1.0:
             raise InvalidInputError(f"I-CVI {v!r} outside [0, 1]")
     return float(ordered_sum(i_cvis)) / len(i_cvis)
@@ -182,46 +184,32 @@ def reliability_report(responses: ResponseSet, instrument: Instrument) -> Reliab
 
     total_alpha = _alpha(cov, range(len(cov)))
 
+    def noted(statistic, *args) -> tuple[float | None, str | None]:
+        """The statistic and no note, or no statistic and the note of why it is undefined."""
+        try:
+            return statistic(cov, *args), None
+        except DegenerateDataError as exc:
+            return None, str(exc)
+
     index_rows: list[IndexReliability] = []
     question_rows: list[QuestionReliability] = []
     for index_id, qids in instrument.indices:
         cols = [col_of[q] for q in qids]
         k = len(qids)
-
-        alpha = None
-        note = None
-        if k < 2:
-            note = "single question; alpha not applicable"
-        else:
-            try:
-                alpha = _alpha(cov, cols)
-            except DegenerateDataError as exc:
-                note = str(exc)
+        alpha, note = (None, "single question; alpha not applicable") if k < 2 else noted(_alpha, cols)
         index_rows.append(IndexReliability(index_id=index_id, n_questions=k, alpha=alpha, note=note))
 
         for col, qid in zip(cols, qids):
-            citc = None
-            q_note = None
-            if k < 2:
-                q_note = "single question; item-rest correlation not applicable"
-            else:
-                try:
-                    citc = _citc(cov, cols, col)
-                except DegenerateDataError as exc:
-                    q_note = str(exc)
-            aid = None
-            if k >= 3:
-                try:
-                    aid = _alpha(cov, [c for c in cols if c != col])
-                except DegenerateDataError as exc:
-                    q_note = str(exc) if q_note is None else f"{q_note}; {exc}"
+            citc, q_note = ((None, "single question; item-rest correlation not applicable") if k < 2
+                            else noted(_citc, cols, col))
+            aid, aid_note = noted(_alpha, [c for c in cols if c != col]) if k >= 3 else (None, None)
             question_rows.append(QuestionReliability(
                 question_id=qid,
                 index_id=index_id,
                 citc=citc,
                 alpha_if_deleted=aid,
                 flagged=citc is not None and citc < CITC_FLOOR,
-                note=q_note,
+                note="; ".join(n for n in (q_note, aid_note) if n) or None,
             ))
 
     return ReliabilityTable(
@@ -279,7 +267,7 @@ def validity_report(item_ids: Sequence[str], ratings: Sequence[Sequence[int]]) -
     if bad.any():
         j, i = np.argwhere(bad.T)[0].tolist()
         raise InvalidInputError(f"item {ids[j]}, rater {i + 1}: importance rating "
-                                f"{rows[i, j]!r} outside 1..7")
+                                f"{rows[i, j].item()!r} outside 1..7")
     n = len(rows)
     sums = rows.sum(axis=0, dtype=np.int64).tolist()  # exact, so a mean is the one np.mean gives
     relevant = np.count_nonzero(rows >= RELEVANCE_FLOOR, axis=0).tolist()

@@ -10,6 +10,7 @@ Writer (:func:`_fields`) and reader (:func:`_read`) share one rule: a field's de
 makes it a number pair, a null or a plain value. Only regrouped or renamed entries are written
 by hand: a round's ``authority``, ``indicators`` ids and ``screening``, a node's ``level``, a
 consistency row's ``group``, and the score's ``dimensions``, ``imputed`` and ``bonus_cap``.
+Every markdown table is one :func:`_md_table` call, each of its cells rendered by :func:`_cell`.
 """
 
 from __future__ import annotations
@@ -297,15 +298,23 @@ def render_json(bundle: ReportBundle, *, coeff_places: int = COEFF_PLACES) -> st
     return render_json_obj(bundle_to_obj(bundle, coeff_places=coeff_places))
 
 
-def _md_table(headers: list[str], rows: list[list[str]]) -> list[str]:
-    lines = ["| " + " | ".join(headers) + " |",
-             "|" + "|".join(" --- " for _ in headers) + "|"]
-    lines += ["| " + " | ".join(row) + " |" for row in rows]
+def _cell(value: Any) -> str:
+    """A markdown cell: a number pair's display, ``-`` for null, yes/no for a bool, else the text."""
+    if isinstance(value, dict):
+        return value["display"]
+    if value is None:
+        return "-"
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    return str(value)
+
+
+def _md_table(columns: Mapping[str, str], rows) -> list[str]:
+    """A table of ``rows`` (dicts): each header in ``columns``, and below it the ``_cell`` of its key."""
+    lines = ["| " + " | ".join(columns) + " |",
+             "|" + "|".join(" --- " for _ in columns) + "|"]
+    lines += ["| " + " | ".join(_cell(row[key]) for key in columns.values()) + " |" for row in rows]
     return lines + [""]  # the blank line that closes the block
-
-
-def _disp(field: Mapping[str, Any] | None, absent: str = "-") -> str:
-    return absent if field is None else field["display"]
 
 
 def render_markdown_obj(obj: Mapping[str, Any]) -> str:
@@ -314,59 +323,38 @@ def render_markdown_obj(obj: Mapping[str, Any]) -> str:
 
     for rnd in obj["rounds"]:
         out += [f"## Round {rnd['round_no']}", ""]
-        out += _md_table(
-            ["Distributed", "Returned", "Positivity", "Ca", "Cs", "Cr", "Kendall's W"],
-            [[
-                str(rnd["distributed"]),
-                str(rnd["returned"]),
-                _disp(rnd["positivity"]),
-                _disp(rnd["authority"]["ca"]),
-                _disp(rnd["authority"]["cs"]),
-                _disp(rnd["authority"]["cr"]),
-                _disp(rnd["kendall_w"]),
-            ]],
-        )
-        out += _md_table(
-            ["Indicator", "Mean", "SD", "CV", "Full-score freq"],
-            [[s["id"], _disp(s["mean"]), _disp(s["sd"]), _disp(s["cv"]),
-              _disp(s["full_score_freq"])] for s in rnd["indicators"]],
-        )
+        out += _md_table({"Distributed": "distributed", "Returned": "returned", "Positivity": "positivity",
+                          "Ca": "ca", "Cs": "cs", "Cr": "cr", "Kendall's W": "kendall_w"},
+                         [{**rnd, **rnd["authority"]}])
+        out += _md_table({"Indicator": "id", "Mean": "mean", "SD": "sd", "CV": "cv",
+                          "Full-score freq": "full_score_freq"}, rnd["indicators"])
         scr = rnd["screening"]
         if scr is not None:
             t = scr["thresholds"]
             out += [
                 "### Screening",
                 "",
-                f"Thresholds: mean ≥ {_disp(t['mean_floor'])}, "
-                f"full-score freq ≥ {_disp(t['fsf_floor'])}, "
-                f"CV ≤ {_disp(t['cv_ceiling'])}",
+                f"Thresholds: mean ≥ {_cell(t['mean_floor'])}, "
+                f"full-score freq ≥ {_cell(t['fsf_floor'])}, "
+                f"CV ≤ {_cell(t['cv_ceiling'])}",
                 "",
                 f"Retained ({len(scr['retained'])}): {', '.join(scr['retained']) or '(none)'}",
                 "",
             ]
             if scr["dropped"]:
-                out += _md_table(
-                    ["Dropped", "Failed criteria"],
-                    [[i, ", ".join(scr["reasons"][i])] for i in scr["dropped"]],
-                )
+                out += _md_table({"Dropped": "id", "Failed criteria": "reasons"},
+                                 [{"id": i, "reasons": ", ".join(scr["reasons"][i])} for i in scr["dropped"]])
             else:
                 out += ["Dropped: (none)", ""]
 
     w = obj["weights"]
     if w is not None:
         out += [f"## Weights (method: {w['method']})", ""]
-        out += _md_table(
-            ["Node", "Level", "Local weight", "Global weight"],
-            [[n["id"], n["level"], _disp(n["local_weight"]), _disp(n["global_weight"])]
-             for n in w["nodes"]],
-        )
+        out += _md_table({"Node": "id", "Level": "level", "Local weight": "local_weight",
+                          "Global weight": "global_weight"}, w["nodes"])
         if w["consistency"]:
-            out += _md_table(
-                ["Group", "n", "λmax", "CI", "CR", "Acceptable"],
-                [[g["group"], str(g["n"]), _disp(g["lambda_max"]), _disp(g["ci"]),
-                  _disp(g["cr"]), "yes" if g["acceptable"] else "no"]
-                 for g in w["consistency"]],
-            )
+            out += _md_table({"Group": "group", "n": "n", "λmax": "lambda_max", "CI": "ci", "CR": "cr",
+                              "Acceptable": "acceptable"}, w["consistency"])
 
     rel = obj["reliability"]
     if rel is not None:
@@ -376,20 +364,15 @@ def render_markdown_obj(obj: Mapping[str, Any]) -> str:
             f"Complete respondents: {rel['n_respondents']} "
             f"(excluded for missing answers: {rel['n_excluded']})",
             "",
-            f"Total-scale Cronbach's α: {_disp(rel['total_alpha'])}",
+            f"Total-scale Cronbach's α: {_cell(rel['total_alpha'])}",
             "",
         ]
-        out += _md_table(
-            ["Index", "Questions", "α", "Note"],
-            [[r["index_id"], str(r["n_questions"]), _disp(r["alpha"]), r["note"] or ""]
-             for r in rel["indices"]],
-        )
-        out += _md_table(
-            ["Question", "Index", "CITC", "α if deleted", "Flagged"],
-            [[q["question_id"], q["index_id"], _disp(q["citc"]),
-              _disp(q["alpha_if_deleted"]), "yes" if q["flagged"] else ""]
-             for q in rel["questions"]],
-        )
+        # A null note and an unflagged question show as empty cells.
+        out += _md_table({"Index": "index_id", "Questions": "n_questions", "α": "alpha", "Note": "note"},
+                         [{**r, "note": r["note"] or ""} for r in rel["indices"]])
+        out += _md_table({"Question": "question_id", "Index": "index_id", "CITC": "citc",
+                          "α if deleted": "alpha_if_deleted", "Flagged": "flagged"},
+                         [{**q, "flagged": "yes" if q["flagged"] else ""} for q in rel["questions"]])
 
     val = obj["validity"]
     if val is not None:
@@ -399,13 +382,10 @@ def render_markdown_obj(obj: Mapping[str, Any]) -> str:
             f"Raters: {val['n_raters']} (relevance floor: ≥ {val['relevance_floor']})",
             "",
         ]
-        out += _md_table(
-            ["Item", "Importance mean", "I-CVI", "Passes"],
-            [[i["item_id"], _disp(i["importance_mean"]), _disp(i["i_cvi"]),
-              "yes" if i["passes"] else "no"] for i in val["items"]],
-        )
+        out += _md_table({"Item": "item_id", "Importance mean": "importance_mean", "I-CVI": "i_cvi",
+                          "Passes": "passes"}, val["items"])
         out += [
-            f"S-CVI: {_disp(val['s_cvi'])} "
+            f"S-CVI: {_cell(val['s_cvi'])} "
             f"({'passes' if val['s_cvi_passes'] else 'fails'})",
             "",
         ]
@@ -413,15 +393,12 @@ def render_markdown_obj(obj: Mapping[str, Any]) -> str:
     score = obj["score"]
     if score is not None:
         out += ["## Score", ""]
-        out += _md_table(
-            ["Dimension", "Weight", "Score"],
-            [[d["id"], _disp(d["weight"]), _disp(d["score"])] for d in score["dimensions"]],
-        )
+        out += _md_table({"Dimension": "id", "Weight": "weight", "Score": "score"}, score["dimensions"])
         out += [
-            f"Core composite (0–100): {_disp(score['composite'])}",
-            f"Expert bonus (0–{score['bonus_cap']:g}): {_disp(score['bonus'])}",
-            f"Final score: {_disp(score['final'])}",
-            f"Final rescaled to 0–100: {_disp(score['final_rescaled'])}",
+            f"Core composite (0–100): {_cell(score['composite'])}",
+            f"Expert bonus (0–{score['bonus_cap']:g}): {_cell(score['bonus'])}",
+            f"Final score: {_cell(score['final'])}",
+            f"Final rescaled to 0–100: {_cell(score['final_rescaled'])}",
             f"Respondents: {score['n_respondents']}",
         ]
         if score["imputed"]:

@@ -147,6 +147,7 @@ def score_expert_bonus(
     cells = []
     for expert, row in rows.items():
         for position, v in enumerate(row, start=1):
+            v = v.item() if isinstance(v, np.number) else v  # a numpy number reads as Python's
             if type(v) is not int or not 0 <= v <= 4:
                 raise InvalidInputError(
                     f"expert {expert}, bonus rating {position}: {v!r} outside [0, 4]"

@@ -749,6 +749,44 @@ class TestPipelineCommand:
         assert "missing input" in err
 
 
+class TestEmptyValue:
+    """A file option given the empty value exits 2 naming it; it never reads as the option left out."""
+
+    @pytest.mark.parametrize("argv", [
+        ["round-stats", "--ratings", DATA / "ratings_round1.csv", "--experts", ""],
+        ["round-stats", "--ratings", DATA / "ratings_round1.csv", "--out", ""],
+        ["screen", "--stats", "STATS", "--thresholds", ""],
+        ["weights", "--tree", DATA / "indicators.csv", "--method", "scoring", "--importance", ""],
+        ["weights", "--tree", DATA / "indicators.csv", "--pairwise", f"{DATA / 'pairwise_dimensions.csv'},"],
+        ["reliability", "--responses", ""],
+        ["validity", "--importance", ""],
+        ["score", "--responses", DATA / "responses.csv", "--weights", "STATS", "--bonus", ""],
+        ["form", "--stats", "STATS", "--screen", "", "--round", "2", "--out", "FORM"],
+        ["form", "--stats", "STATS", "--retained", "i1", "--round", "2", "--out", ""],
+        ["report", "--bundle", ""],
+        ["pipeline", "--config", ""],
+    ], ids=["experts", "out", "thresholds", "importance-bundle", "pairwise-trailing-comma", "responses",
+            "importance-csv", "bonus", "screen", "form-out", "bundle", "config"])
+    def test_exits_2_naming_the_option(self, stats1, tmp_path, capsys, argv):
+        argv = [{"STATS": stats1, "FORM": tmp_path / "form.csv"}.get(a, a) for a in argv]
+        option = argv[argv.index("") - 1] if "" in argv else "--pairwise"
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (2, "")
+        assert err == f"error: stagekit {argv[0]}: argument {option}: expected a file path, got ''\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["stats1.json"]
+
+    def test_retained_without_ids_is_no_retained_indicators(self, stats1, tmp_path, capsys):
+        rc, out, err = run(capsys, "form", "--stats", stats1, "--retained", "", "--round", "2",
+                           "--out", tmp_path / "form.csv")
+        assert (rc, out) == (2, "")
+        assert err == "error: no retained indicators; a round with no indicators is meaningless\n"
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_scale_max_below_1_is_named(self, capsys, value):
+        rc, out, err = run(capsys, "round-stats", "--ratings", DATA / "ratings_round1.csv", "--scale-max", value)
+        assert (rc, out, err) == (2, "", f"error: scale_max must be positive, got {value}\n")
+
+
 class TestArgparseSurface:
     """A usage error is one ``error:`` line with exit code 2, like any other input error."""
 

@@ -922,8 +922,9 @@ def plain_table_cases(draw, deviation_pool=PLAIN_DEVIATIONS):
     lines = [",".join(row) for row in [header, *rows]]
     if "cr after header" in deviations and rows:  # csv also ends a row at a lone CR
         lines[:2] = [lines[0] + "\r" + lines[1]]
-    if "blank line" in deviations:
-        lines.insert(draw(st.integers(1, len(lines))), "")
+    if "blank line" in deviations:  # one to three: after the header, between rows or last
+        for _ in range(draw(st.integers(1, 3))):
+            lines.insert(draw(st.integers(1, len(lines))), "")
     end = "\r\n" if "crlf" in deviations else "\n"
     text = end.join(lines) + end
     if "no final newline" in deviations:
@@ -1068,7 +1069,8 @@ def reference_validity_report(item_ids, ratings, relevance_floor):
     for j, item_id in enumerate(ids):
         column = [row[j] for row in rows]
         for rater, r in enumerate(column, start=1):
-            if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or not 1 <= int(r) <= 7:
+            r = r.item() if isinstance(r, np.number) else r  # a numpy number is named by its Python value
+            if isinstance(r, bool) or not isinstance(r, int) or not 1 <= r <= 7:
                 raise InvalidInputError(
                     f"item {item_id}, rater {rater}: importance rating {r!r} outside 1..7")
         cvi = sum(1 for r in column if r >= relevance_floor) / len(column)

@@ -1,10 +1,11 @@
 """The exit-code contract under hostile input: the demo data, mutated, run through ``cli.main``.
 
-Whatever is done to one input file (the config or a CSV), to one flag of the
-pipeline call, or to one value of an emitted bundle read back by ``report``, a
-run either succeeds (exit 0) or fails with exit 2 or 3 and one ``error:`` line
-on stderr; no traceback, and no output file (nor its temporary file) unless it
-succeeded.
+Whatever is done to one input file (the config or a CSV), to one flag of a
+command of README's quick start (or to one of its options, given the empty
+value), or to one value of an emitted bundle read back by ``report``, a run
+either succeeds (exit 0) or fails with exit 2 or 3 and one ``error:`` line on
+stderr; no traceback, and no output file (nor its temporary file) unless it
+succeeded; a failed command changes no file.
 """
 
 import contextlib
@@ -15,14 +16,15 @@ import shutil
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import stagekit
-from stagekit.cli import main
+from stagekit.cli import build_parser, main
 from stagekit.errors import StagekitError
 from stagekit.io import read_json
 from stagekit.report import bundle_from_obj, bundle_to_obj
+from test_golden import quick_start
 
 DATA = Path(stagekit.__file__).parent / "data"
 CONFIG = json.loads((DATA / "demo_config.json").read_text(encoding="utf-8"))
@@ -94,19 +96,43 @@ def header_edits(draw):
     return name, b",".join(cells) + newline + body
 
 
-# The demo pipeline call, run from a copy of the data; index 0 and every flag are edited.
-PIPELINE_ARGV = ["pipeline", "--config", "demo_config.json", "--out", "out/bundle.json",
-                 "--format", "markdown", "--precision", "4"]
-FLAG_AT = [i for i, arg in enumerate(PIPELINE_ARGV) if i == 0 or arg.startswith("-")]
+# README's quick start, one argv per command; each runs from a copy of the data and of
+# the files the commands before it wrote, so its $DATA paths are the copy's.
+QUICK_START = [[arg.replace(str(DATA), ".") for arg in argv] for argv in quick_start()]
+
+
+def _options(parser) -> dict[str, set[str]]:
+    """Each option of ``parser`` that takes a value, and the options it excludes, itself among them."""
+    excludes = {a: group._group_actions for group in parser._mutually_exclusive_groups for a in group._group_actions}
+    return {a.option_strings[-1]: {b.option_strings[-1] for b in excludes.get(a, [a])}
+            for a in parser._actions if a.option_strings and a.nargs is None}
+
+
+OPTIONS = {name: _options(p) for name, p in build_parser()._subparsers._group_actions[0].choices.items()}
+# Every quick-start command with one of its subcommand's options given the empty value.
+EMPTY_VALUE_CASES = [(k, option) for k, argv in enumerate(QUICK_START) for option in OPTIONS[argv[0]]]
+
+
+def with_empty_value(argv: list[str], option: str) -> list[str]:
+    """``argv`` with ``option`` given as '' in place of its value, or of the options it excludes."""
+    out = list(argv)
+    for name in OPTIONS[argv[0]][option]:
+        if name in out:
+            del out[out.index(name):out.index(name) + 2]
+    return out + [option, ""]
 
 
 @st.composite
 def argv_edits(draw):
-    """The demo pipeline call with one flag (alone or with its value) dropped, repeated or garbled."""
-    argv = list(PIPELINE_ARGV)
-    i = draw(st.sampled_from(FLAG_AT))
+    """A quick-start command with one flag (alone or with its value) dropped, repeated or garbled,
+    or with one option given the empty value: (the command's index, its argv)."""
+    k = draw(st.integers(0, len(QUICK_START) - 1))
+    argv = list(QUICK_START[k])
+    edit = draw(st.sampled_from(["drop", "repeat", "garble", "empty value"]))
+    if edit == "empty value":
+        return k, with_empty_value(argv, draw(st.sampled_from(sorted(OPTIONS[argv[0]]))))
+    i = draw(st.sampled_from([i for i, arg in enumerate(argv) if i == 0 or arg.startswith("-")]))
     end = i + draw(st.integers(1, 1 if i == 0 else 2))
-    edit = draw(st.sampled_from(["drop", "repeat", "garble"]))
     if edit == "drop":
         del argv[i:end]
     elif edit == "repeat":
@@ -115,7 +141,7 @@ def argv_edits(draw):
         flag, at = argv[i], draw(st.integers(0, len(argv[i])))
         text = draw(st.text(st.characters(blacklist_characters="\0"), max_size=2))
         argv[i] = flag[:at] + text + flag[at + draw(st.integers(0, 2)):]
-    return argv
+    return k, argv
 
 
 # One path per bundle field: a list's first entry stands for the others.
@@ -178,15 +204,42 @@ def test_mutated_demo_input_exits_0_2_or_3_with_one_line(tmp_path_factory, edit)
     assert [p.name for p in out.parent.iterdir()] == (["bundle.json"] if rc == 0 else [])
 
 
-@settings(max_examples=60, deadline=None)
-@given(argv_edits())
-def test_mutated_demo_argv_exits_0_2_or_3_with_one_line(tmp_path_factory, argv):
-    work = demo_copy(tmp_path_factory)
-    before = sorted(os.listdir(work))
+@pytest.fixture(scope="module")
+def quick_start_runs(tmp_path_factory) -> list[Path]:
+    """For each quick-start command, a directory as it stood before the command ran."""
+    work, runs = demo_copy(tmp_path_factory), []
+    for argv in QUICK_START:
+        runs.append(tmp_path_factory.mktemp("before"))
+        shutil.copytree(work, runs[-1], dirs_exist_ok=True)
+        assert run_main(argv, cwd=work)[0] == 0, argv
+    return runs
+
+
+def run_edited(runs: list[Path], k: int, argv: list[str], tmp_path_factory) -> None:
+    """Run ``argv`` where quick-start command ``k`` ran; it keeps the contract and changes nothing if it fails."""
+    work = tmp_path_factory.mktemp("hostile")
+    shutil.copytree(runs[k], work, dirs_exist_ok=True)
+    before = {p: p.read_bytes() for p in work.rglob("*") if p.is_file()}
     rc, stdout, stderr = run_main(argv, cwd=work)
     assert_contract(rc, stdout, stderr)
     if rc != 0:
-        assert sorted(os.listdir(work)) == before and not os.listdir(work / "out")
+        assert {p: p.read_bytes() for p in work.rglob("*") if p.is_file()} == before
+
+
+FORM = next(k for k, argv in enumerate(QUICK_START) if argv[0] == "form")
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv_edits())
+@example((FORM, with_empty_value(QUICK_START[FORM], "--retained")))  # once a TypeError traceback
+def test_mutated_demo_argv_exits_0_2_or_3_with_one_line(tmp_path_factory, quick_start_runs, edit):
+    run_edited(quick_start_runs, *edit, tmp_path_factory)
+
+
+@pytest.mark.parametrize("k, option", EMPTY_VALUE_CASES,
+                         ids=[f"{QUICK_START[k][0]}-{k}{option}" for k, option in EMPTY_VALUE_CASES])
+def test_quick_start_option_given_the_empty_value(tmp_path_factory, quick_start_runs, k, option):
+    run_edited(quick_start_runs, k, with_empty_value(QUICK_START[k], option), tmp_path_factory)
 
 
 @settings(max_examples=100, deadline=None)

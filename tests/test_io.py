@@ -566,6 +566,18 @@ class TestPlainTables:
         assert list(got.consumer.row_of.items()) == list(expected.consumer.row_of.items())
         assert np.array_equal(got.consumer.matrix, expected.consumer.matrix)
 
+    @pytest.mark.parametrize("edit", [lambda data: data[:-1], lambda data: data + b"\n"],
+                             ids=["without its final newline", "with a blank line appended"])
+    def test_bench_responses_read_plain_however_they_end(self, bench_files, tmp_path, edit):
+        p = tmp_path / "responses.csv"
+        p.write_bytes(edit((bench_files / "responses.csv").read_bytes()))
+        instrument = load_default_instrument()
+        got, returned = plain_calls(parse_responses, p, instrument)
+        assert len(returned) == 1 and returned[0] is not None
+        expected = streamed(parse_responses, bench_files / "responses.csv", instrument)
+        assert got.consumer.ids == expected.consumer.ids
+        assert np.array_equal(got.consumer.matrix, expected.consumer.matrix)
+
     def test_bench_importance_is_plain(self, bench_files):
         (ids, matrix), returned = plain_calls(parse_importance, bench_files / "importance.csv")
         assert len(returned) == 1 and returned[0] is not None
@@ -651,11 +663,16 @@ class TestPlainTables:
         "bom": "\ufeff" + RATINGS,
         "blank rows not range-checked": "expert_id,a,b\ne1,1,2\ne2,,9\ne3,0,\n",
         "no rows": "expert_id,a,b\n",
+        "no final newline": RATINGS[:-1],
+        "no final newline after crlf": RATINGS.replace("\n", "\r\n")[:-2],
+        "blank line": RATINGS.replace("\ne2", "\n\ne2"),
+        "blank lines after the header and at the end": RATINGS.replace("b\n", "b\n\n\n") + "\n\n",
+        "blank crlf line and no final newline": RATINGS.replace("\n", "\r\n").replace("\r\ne2", "\r\n\r\ne2")[:-2],
     }
     NOT_PLAIN = {
         "lone cr after header": RATINGS.replace("\n", "\r", 1),
         "cr before crlf": RATINGS.replace("\n", "\r\r\n"),
-        "no final newline": RATINGS[:-1],
+        "lone cr ending the file": RATINGS[:-1] + "\r",
         "quoted cell": RATINGS.replace("e1", '"e1"'),
         "space": RATINGS.replace(",1,", ", 1,"),
         "tab": RATINGS.replace(",1,", ",1\t,"),
@@ -664,7 +681,8 @@ class TestPlainTables:
         "short row": RATINGS.replace("e1,1,2", "e1,1"),
         "long row": RATINGS.replace("e1,1,2", "e1,1,2,3"),
         "comma moved to the next row": "expert_id,a,b\n1,2\n3,4,5,1\n",
-        "blank line": RATINGS.replace("\ne2", "\n\ne2"),
+        "line of blanks": RATINGS.replace("\ne2", "\n  \ne2"),
+        "line of commas": RATINGS.replace("\ne2", "\n,,\ne2"),
         "two digits": RATINGS.replace(",1,", ",01,"),
         "out of range": RATINGS.replace(",1,", ",6,"),
         "not a digit in a blank row": RATINGS.replace(",1,2", ",x,"),
@@ -677,8 +695,11 @@ class TestPlainTables:
     def test_plain_ratings(self, tmp_path, text):
         p = tmp_path / "ratings.csv"
         p.write_bytes(text.encode("utf-8"))
-        _, returned = plain_calls(parse_ratings, p)
+        rnd, returned = plain_calls(parse_ratings, p)
         assert returned[0] is not None
+        expected = streamed(parse_ratings, p)
+        assert (rnd.ratings.ids, rnd.non_respondents) == (expected.ratings.ids, expected.non_respondents)
+        assert np.array_equal(rnd.ratings.matrix, expected.ratings.matrix)
 
     @pytest.mark.parametrize("text", NOT_PLAIN.values(), ids=NOT_PLAIN.keys())
     def test_any_step_from_plain_declines(self, tmp_path, text):

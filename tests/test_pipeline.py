@@ -362,6 +362,10 @@ def cs_map_with(value):
     return {**{f.value: v for f, v in DEFAULT_CS_MAP.items()}, "very_familiar": value}
 
 
+# Given values that are no file path: none reads as the key left out.
+EMPTY_VALUES = (0, False, [], {}, "")
+
+
 class TestConfigTypeErrors:
     """A mistyped config exits 2 with one line naming the key, never a traceback."""
 
@@ -415,6 +419,15 @@ class TestConfigTypeErrors:
          "score: config bonus_cap: expected a finite number, got 1000"),
         (set_key("rounds", 0, "screen", value="no"), "config screen: expected true or false, got 'no'"),
         (set_key("rounds", 1, "screen", value=1), "config screen: expected true or false, got 1"),
+        *((set_key("experts", value=v), f"round-stats: config experts: expected a file path, got {v!r}")
+          for v in EMPTY_VALUES),
+        *((set_key("score", "bonus", value=v), f"score: config bonus: expected a file path, got {v!r}")
+          for v in EMPTY_VALUES),
+        (set_key("indicators", value=0), "weights: config indicators: expected a file path, got 0"),
+        (set_key("reliability", "responses", value=""),
+         "reliability: config responses: expected a file path, got ''"),
+        (set_key("scale_max", value=0), "round-stats: scale_max must be positive, got 0"),
+        (set_key("rounds", 2, "scale_max", value=-5), "round-stats: scale_max must be positive, got -5"),
     ], ids=["rounds-str", "rounds-of-str", "scale_max-str", "thresholds-missing-key",
             "thresholds-list", "round_no-str", "ratings-int", "ratings-nul", "indicators-nul",
             "weights-str", "weights-method-list", "pairwise-list",
@@ -422,7 +435,9 @@ class TestConfigTypeErrors:
             "cs_map-null", "top-level-typo", "round-typo", "weights-typo",
             "reliability-unknown", "validity-unknown", "score-typo", "cs_map-bool",
             "cs_map-str", "ca_table-bool", "cs_map-overflow", "bonus_cap-overflow",
-            "screen-str", "screen-int"])
+            "screen-str", "screen-int",
+            *(f"experts-{v!r}" for v in EMPTY_VALUES), *(f"bonus-{v!r}" for v in EMPTY_VALUES),
+            "indicators-0", "responses-empty", "scale_max-0", "round-scale_max-negative"])
     def test_exits_2_with_one_line(self, tmp_path, capsys, change, message):
         from stagekit.cli import main
 
