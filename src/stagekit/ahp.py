@@ -4,6 +4,7 @@ weights, their product combination, and composition down the indicator hierarchy
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
@@ -124,8 +125,8 @@ def consistency_ratio(lambda_max: float, n: int) -> tuple[float, float]:
     """(CI, CR) for a matrix of order n; CR = 0 for n <= 2 by construction."""
     if n < 2:
         raise InvalidInputError(f"matrix order must be >= 2, got {n}")
-    if lambda_max < n - 1e-9:
-        raise InvalidInputError(f"lambda_max {lambda_max!r} below matrix order {n}")
+    if not n - 1e-9 <= lambda_max < math.inf:  # also refuses NaN
+        raise InvalidInputError(f"lambda_max {lambda_max!r}: expected a finite number >= matrix order {n}")
     ci = (lambda_max - n) / (n - 1)
     if n <= 2:
         return ci, 0.0
@@ -143,8 +144,8 @@ def importance_weights(means: Sequence[float]) -> tuple[float, ...]:
     """Expert-scoring weights: importance means normalized to sum 1."""
     if not means:
         raise InvalidInputError("no importance means given")
-    if any(m <= 0 for m in means):
-        raise InvalidInputError("importance means must all be positive")
+    if not all(0 < m < math.inf for m in means):  # also refuses NaN
+        raise InvalidInputError("importance means must all be positive and finite")
     total = float(ordered_sum(means))
     return tuple(float(m) / total for m in means)
 
@@ -157,8 +158,8 @@ def combine_weights(
         raise InvalidInputError(
             f"weight vectors differ in length: {len(w_scoring)} vs {len(w_ahp)}"
         )
-    if any(w < 0 for w in w_scoring) or any(w < 0 for w in w_ahp):
-        raise InvalidInputError("weights must be non-negative")
+    if not all(0 <= w < math.inf for w in (*w_scoring, *w_ahp)):  # also refuses NaN
+        raise InvalidInputError("weights must be non-negative and finite")
     products = [float(a) * float(b) for a, b in zip(w_scoring, w_ahp)]
     total = ordered_sum(products)
     if total == 0:

@@ -147,7 +147,7 @@ def indicator_stats(ratings: Sequence[int], scale_max: int) -> IndicatorStats:
     if len(ratings) < 2:
         raise InsufficientDataError(f"need >= 2 ratings, got {len(ratings)}")
     arr = np.asarray(ratings, dtype=float)
-    if arr.min() < 1 or arr.max() > scale_max:
+    if not (arr.min() >= 1 and arr.max() <= scale_max):  # also refuses NaN
         raise InvalidInputError(f"ratings outside [1, {scale_max}]")
     mean = float(arr.mean())
     sd = float(arr.std(ddof=1))

@@ -13,12 +13,10 @@ import json
 import math
 import os
 import re
-from array import array
 from collections import Counter
 from contextlib import contextmanager, suppress
 from fractions import Fraction
 from itertools import compress
-from operator import itemgetter
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Sequence, TextIO
 
@@ -320,40 +318,58 @@ def _plain_table(path: Path, header: list[str], src: Sequence[int], bounds: Sequ
                  blank: str | None, key: int = 0) -> tuple[tuple[str, ...], np.ndarray] | None:
     """``_int_table``'s result for a plain file, read from its bytes; None for any other file.
 
-    A plain file is ASCII after an optional BOM, with no quote, space, tab or
-    other control byte but the CR of a CRLF; its first line is ``header``, each
-    row ends in LF or CRLF (the last may end the file instead) and has
-    ``len(header)`` cells, an empty line is skipped as the csv loop skips it,
-    the ids are non-empty and distinct, each cell at ``src`` is blank (where
-    ``blank`` allows) or, by its bound, one digit within its int8 (lo, hi) or
-    exactly one of its enum's values, and a blank ratings row's other digits
-    are not range-checked. The csv loop reads such a file without error; this
-    reads the same result from separator positions, ``_PLAIN_BLOCK_CELLS``
-    cells at a time, an enum cell by comparing its bytes with each value, and
-    tells the ids distinct by sorting their ``_words``. Every id takes as many
-    words as the longest, so a file whose words past the first would outgrow
-    it (an id far longer than most) is left to the csv loop. Only a regular
-    file is read, as this reads it a second time.
+    A plain file is ASCII after an optional BOM, with no tab or other control
+    byte but the CR of a CRLF; its first line is ``header``, each row ends in
+    LF or CRLF (the last may end the file instead) and has ``len(header)``
+    cells, an empty line is skipped as the csv loop skips it, the ids are
+    non-empty and distinct, each cell at ``src`` is blank (where ``blank``
+    allows) or, by its bound, one digit within its int8 (lo, hi) or exactly
+    one of its enum's values, and a blank ratings row's other digits are not
+    range-checked. A spreadsheet export is made plain first: each quote pair
+    that wraps a whole cell holding no quote, separator or line end goes, then
+    every blank beside a separator or line end; any other quote or blank (a
+    quote after a blank too), or a line past the csv field limit, declines.
+    The csv loop reads such a file without error; this reads the same result
+    from separator positions, ``_PLAIN_BLOCK_CELLS`` cells at a time, an enum
+    cell by comparing its bytes with each value, and tells the ids distinct by
+    sorting their ``_words``. Every id takes as many words as the longest, so
+    a file whose words past the first would outgrow it (an id far longer than
+    most) is left to the csv loop. Only a regular file is read, as this reads
+    it a second time.
     """
     if _table_dtype(bounds) != "int8":
         return None
     if not path.is_file():  # a pipe cannot be read a second time
         return None
     try:
-        data = path.read_bytes()
+        data = path.read_bytes().removeprefix(b"\xef\xbb\xbf")  # a UTF-8 BOM
     except OSError as exc:
         raise _unreadable(path, exc) from None
     if b"\r" in data:  # far quicker than a replace that finds nothing; a lone CR stays and declines
         data = data.replace(b"\r\n", b"\n")
-    start = 3 if data.startswith(b"\xef\xbb\xbf") else 0  # a UTF-8 BOM
-    first_end = data.find(b"\n", start)
-    if first_end < 0:
-        first_end = len(data)
-    first_line = data[start:first_end]
+    if not data.endswith(b"\n"):  # a last line without its line end
+        data += b"\n"
+    if b'"' in data or b" " in data:  # a spreadsheet export: quoted cells, or blanks beside separators
+        byte = np.frombuffer(data, np.uint8)
+        # The csv loop refuses a field past its limit, however much of it is quotes or blanks:
+        # a line past the limit may hold one.
+        if np.diff(np.flatnonzero(byte == ord("\n")), prepend=-1).max() > csv.field_size_limit():
+            return None
+        if b'"' in data:
+            quote, sep = byte == ord('"'), (byte == ord(",")) | (byte == ord("\n"))
+            # From each opening quote up to its closing one; the final LF is inside only if a quote is unclosed.
+            inside = np.bitwise_xor.accumulate(quote.view(np.uint8)).view(bool)
+            opening, closing = quote & inside, quote & ~inside
+            if (inside & sep).any() or (opening[1:] & ~sep[:-1]).any() or (closing[:-1] & ~sep[1:]).any():
+                return None
+            data = data.translate(None, b'"')
+        while b"  " in data:  # each pass halves a run of blanks
+            data = data.replace(b"  ", b" ")
+        data = data.replace(b" ,", b",").replace(b", ", b",").replace(b" \n", b"\n").replace(b"\n ", b"\n")
+    first_end = data.find(b"\n")
+    first_line = data[:first_end]
     if not first_line.isascii() or first_line.decode("ascii").split(",") != header:
         return None
-    if first_end + 1 < len(data) and not data.endswith(b"\n"):  # a last row without its line end
-        data += b"\n"
     body = np.frombuffer(data, np.uint8)[first_end + 1:]
     ends = np.flatnonzero(body == ord("\n"))
     empty = ends[np.diff(ends, prepend=-1) == 1]  # the LF of each empty line, which the csv loop skips too
@@ -387,8 +403,8 @@ def _plain_table(path: Path, header: list[str], src: Sequence[int], bounds: Sequ
         offset = ends[first - 1] + 1 if first else 0
         last = ends[first:first + step] - offset
         block = body[offset:offset + last[-1] + 1]
-        # Bytes outside '!'..'~' may only be the block's LFs, and none may be a quote.
-        if np.count_nonzero(block - np.uint8(0x21) >= 0x5E) != last.size or (block == ord('"')).any():
+        # Bytes outside '!'..'~' may only be the block's LFs.
+        if np.count_nonzero(block - np.uint8(0x21) >= 0x5E) != last.size:
             return None
         sep = np.flatnonzero((block == ord(",")) | (block == ord("\n")))
         if sep.size != last.size * width or not np.array_equal(sep[width - 1::width], last):
@@ -438,60 +454,20 @@ def _int_table(path: Path, header: list[str], rows: Iterable[list[str]], kind: s
     by its entry in ``bounds``: with ``int()`` and checked against a (lo, hi),
     or looked up in an Enum and stored as its position there. A short row reads
     as blanks; a row longer than ``header`` is an error. A blank cell is
-    ``MISSING`` when ``blank`` is "cell", makes the row ``MISSING`` when it is
-    "row", and is an error when it is None. ``kind`` names a row in errors,
-    e.g. "expert row". ``header`` is the file's header as ``_csv_rows`` read it.
-
-    Rows stream into one int8 buffer (int64 when a ``hi`` does not fit it).
-    Each range or enum remembers the code of every raw string read for it
-    (an enum's memo starts with its values), so a row costs one dict lookup
-    per cell; a row with a new string is read cell by cell, so the first bad
-    cell in file order is the one reported.
+    ``MISSING`` when ``blank`` is "cell", makes the row ``MISSING`` (its other
+    cells unread) when it is "row", and is an error when it is None. ``kind``
+    names a row in errors, e.g. "expert row". ``header`` is the file's header
+    as ``_csv_rows`` read it. A plain file or a spreadsheet export (see
+    ``_plain_table``) is read from its bytes; any other file cell by cell, so
+    the first bad cell in file order is the one reported.
     """
-    noun, repeat = kind.split()
-    dtype = _table_dtype(bounds)
-    # An int8 row packs into bytes, the fastest to build and append; codes are unsigned bytes.
-    pack, mask = (bytes, 0xFF) if dtype == "int8" else (tuple, -1)
-    buffer = bytearray() if dtype == "int8" else array("q")
-    memo_of: dict[Any, dict[str, int]] = {}  # columns of one range or enum share a memo
-    memos = [memo_of.setdefault(b, {} if isinstance(b, tuple) else {e.value: i for i, e in enumerate(b)})
-             for b in bounds]
-    start = src[0] if src else 0
-    if list(src) == list(range(start, start + len(src))):  # one column range: one slice
-        pick = itemgetter(slice(start, start + len(src)))
-    else:
-        pick = itemgetter(*src)
-    width = max([*src, key]) + 1
-
-    def learn(row_id: str, cells: Sequence[str]):
-        texts = [c.strip() for c in cells]
-        # A blank never enters a "row" memo, so every blank row is all MISSING.
-        if blank == "row" and "" in texts:  # the row's other cells are never read
-            return pack([MISSING & mask] * len(cells))
-        if blank:
-            for memo, raw, text in zip(memos, cells, texts):
-                if not text:
-                    memo[raw] = MISSING & mask
-        for column, bound, memo, raw, text in zip(columns, bounds, memos, cells, texts):
-            if raw in memo:
-                continue
-            if not isinstance(bound, tuple):
-                memo[raw] = memo[_enum_value(path, row_id, column, text, bound).value]
-                continue
-            lo, hi = bound
-            try:
-                value = int(text)
-            except ValueError:
-                raise SchemaError(f"{path}: cell ({row_id}, {column}): {text!r} is not an integer") from None
-            if not lo <= value <= hi:
-                raise SchemaError(f"{path}: cell ({row_id}, {column}): {word} {value} outside [{lo}, {hi}]")
-            memo[raw] = value & mask
-        return pack(map(dict.__getitem__, memos, cells))
-
     plain = _plain_table(path, header, src, bounds, blank, key)
     if plain is not None:
         return plain
+    noun, repeat = kind.split()
+    width = max([*src, key]) + 1
     row_of: dict[str, int] = {}
+    values: list[int] = []
     for row in rows:
         if len(row) < width:
             row += [""] * (width - len(row))
@@ -502,12 +478,25 @@ def _int_table(path: Path, header: list[str], rows: Iterable[list[str]], kind: s
             raise SchemaError(f"{path}: duplicate {noun} {repeat} {row_id!r}")
         _require_width(path, row_id, row, header)
         row_of[row_id] = len(row_of)
-        cells = pick(row)
-        try:
-            buffer.extend(pack(map(dict.__getitem__, memos, cells)))
-        except KeyError:
-            buffer.extend(learn(row_id, cells))
-    matrix = np.frombuffer(buffer, dtype=dtype).reshape(len(row_of), len(columns))
+        texts = [row[i].strip() for i in src]
+        if blank == "row" and "" in texts:  # the row's other cells are never read
+            values += [MISSING] * len(texts)
+            continue
+        for column, bound, text in zip(columns, bounds, texts):
+            if blank and not text:
+                values.append(MISSING)
+            elif not isinstance(bound, tuple):
+                values.append([*bound].index(_enum_value(path, row_id, column, text, bound)))
+            else:
+                lo, hi = bound
+                try:
+                    value = int(text)
+                except ValueError:
+                    raise SchemaError(f"{path}: cell ({row_id}, {column}): {text!r} is not an integer") from None
+                if not lo <= value <= hi:
+                    raise SchemaError(f"{path}: cell ({row_id}, {column}): {word} {value} outside [{lo}, {hi}]")
+                values.append(value)
+    matrix = np.array(values, dtype=_table_dtype(bounds)).reshape(len(row_of), len(columns))
     matrix.flags.writeable = False
     return tuple(row_of), matrix
 

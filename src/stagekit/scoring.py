@@ -174,6 +174,8 @@ def composite(
     extra = [d for d in dim_weights if d not in core]
     if extra:
         raise InvalidInputError(f"weights given for unknown dimension(s) {', '.join(sorted(extra))}")
+    if not all(map(math.isfinite, (*core.values(), *dim_weights.values()))):
+        raise InvalidInputError("dimension scores and weights must be finite numbers")
     total_w = ordered_sum(dim_weights.values())
     if abs(total_w - 1.0) > _TOL:
         raise InvalidInputError(f"dimension weights sum to {total_w!r}, expected 1")

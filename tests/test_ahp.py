@@ -192,6 +192,11 @@ class TestConsistencyRatio:
         assert not is_acceptable(0.1)
         assert not is_acceptable(0.3)
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_non_finite_lambda_rejected(self, lam):
+        with pytest.raises(InvalidInputError, match=rf"^lambda_max {lam!r}: expected a finite number >= matrix order 3$"):
+            consistency_ratio(lam, 3)
+
     def test_lambda_below_order_rejected(self):
         with pytest.raises(InvalidInputError):
             consistency_ratio(2.9, 3)
@@ -223,6 +228,11 @@ class TestImportanceWeights:
         for _ in range(50):
             means = rng.uniform(1, 7, size=int(rng.integers(1, 10))).tolist()
             assert sum(importance_weights(means)) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("mean", [np.nan, np.inf])
+    def test_non_finite_rejected(self, mean):
+        with pytest.raises(InvalidInputError, match="^importance means must all be positive and finite$"):
+            importance_weights([1.0, mean])
 
     def test_nonpositive_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -266,6 +276,12 @@ class TestCombineWeights:
     def test_negative_rejected(self):
         with pytest.raises(InvalidInputError):
             combine_weights((-0.1, 1.1), (0.5, 0.5))
+
+    @pytest.mark.parametrize("weight", [np.nan, np.inf])
+    def test_non_finite_rejected(self, weight):
+        for a, b in [((0.5, weight), (0.5, 0.5)), ((0.5, 0.5), (weight, 0.5))]:
+            with pytest.raises(InvalidInputError, match="^weights must be non-negative and finite$"):
+                combine_weights(a, b)
 
     def test_all_zero_products_degenerate(self):
         with pytest.raises(DegenerateDataError):

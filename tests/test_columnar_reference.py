@@ -16,6 +16,7 @@ import math
 import re
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
@@ -46,6 +47,7 @@ from stagekit import (
     validity_report,
 )
 from stagekit import io as sio
+from stagekit.cli import main
 from stagekit.consensus import DEFAULT_CA_TABLE, DEFAULT_CS_MAP
 from stagekit.io import (
     parse_expert_bonus,
@@ -843,7 +845,8 @@ PLAIN_BOUNDS = ((1, 5), (0, 4), (1, 3), (-2, 9), (1, 7), Impact, Familiarity, Id
 # case, another enum's value, and one longer than every value.
 ENUM_NEAR_MISSES = ("", "larg", "larger", "LARGE", "large", "familiar", "other", "x" * 29)
 LONG_ID_STEMS = ("", "abcdefgh", "abcdefghijklmnop")
-FILE_DEVIATIONS = ("bom", "crlf", "no final newline", "blank line", "header space", "cr after header")
+FILE_DEVIATIONS = ("bom", "crlf", "no final newline", "blank line", "header space", "cr after header",
+                   "every field quoted", "blank after each comma", "quoted and padded")
 # A cell (the row id or another) rewritten from its text.
 CELL_DEVIATIONS = {"quote": '"{}"', "space": " {}", "tab": "{}\t", "control": "{}\x0c",
                    "non-ascii": "{}\u00e9", "two digits": "{}3"}
@@ -919,7 +922,10 @@ def plain_table_cases(draw, deviation_pool=PLAIN_DEVIATIONS):
             row[cell] = CELL_DEVIATIONS[deviation].format(row[cell])
     if "header space" in deviations:
         header[0] = " " + header[0]
-    lines = [",".join(row) for row in [header, *rows]]
+    # Spreadsheet exports: every field quoted, a blank after each comma, or both.
+    quote = {"every field quoted", "quoted and padded"} & set(deviations)
+    comma = ", " if {"blank after each comma", "quoted and padded"} & set(deviations) else ","
+    lines = [comma.join(f'"{c}"' if quote else c for c in row) for row in [header, *rows]]
     if "cr after header" in deviations and rows:  # csv also ends a row at a lone CR
         lines[:2] = [lines[0] + "\r" + lines[1]]
     if "blank line" in deviations:  # one to three: after the header, between rows or last
@@ -972,6 +978,33 @@ def test_plain_table_over_small_blocks_is_none_or_the_streamed_int_table(tmp_pat
     ids, matrix = _streamed_int_table(path, src, bounds, blank, key)
     assert plain[0] == ids
     assert plain[1].dtype == matrix.dtype and np.array_equal(plain[1], matrix)
+
+
+def test_clean_table_exported_is_plain_unless_quoted_and_padded(tmp_path, capsys):
+    """The bundled responses with every field quoted, or a blank after each comma, take the byte path;
+    with both, the csv loop reads the header cells as ' "q1"', and the run exits 2 naming them."""
+    data = Path(sio.__file__).parent / "data" / "responses.csv"
+    with open(data, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    qids = rows[0][1:]
+
+    def export(name, comma, quote):
+        path = tmp_path / name
+        path.write_text("".join(comma.join(f'"{c}"' if quote else c for c in row) + "\n" for row in rows),
+                        encoding="utf-8")
+        return path
+
+    args = (list(range(1, 22)), [(0, 4)] * 21, "cell", 0)
+    for path in (export("quoted.csv", ",", True), export("padded.csv", ", ", False)):
+        with sio._csv_rows(path) as (header, _):
+            plain = sio._plain_table(path, header, *args)
+        ids, matrix = _streamed_int_table(path, *args)
+        assert plain is not None and plain[0] == ids and np.array_equal(plain[1], matrix)
+    path = export("both.csv", ", ", True)
+    assert main(["reliability", "--responses", str(path), "--out", str(tmp_path / "out.json")]) == 2
+    unknown = ", ".join(f'"{q}"' for q in qids)
+    assert capsys.readouterr().err == f"error: {path}: missing column(s) {', '.join(qids)}; unknown column(s) {unknown}\n"
+    assert not (tmp_path / "out.json").exists()
 
 
 # --- Expert panel and content validity -------------------------------------------

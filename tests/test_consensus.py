@@ -245,6 +245,10 @@ class TestIndicatorStats:
         with pytest.raises(InvalidInputError):
             indicator_stats([0, 4], scale_max=5)
 
+    def test_nan_rating_rejected(self):
+        with pytest.raises(InvalidInputError, match=r"^ratings outside \[1, 5\]$"):
+            indicator_stats([1, np.nan, 3], scale_max=5)
+
 
 class TestKendallsW:
     def test_perfect_agreement(self):

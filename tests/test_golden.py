@@ -25,11 +25,13 @@ import sys
 from contextlib import redirect_stdout
 from io import StringIO
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 
 import stagekit
+from stagekit import io as sio
 from stagekit import bundle_to_obj, render_json, render_markdown, run_pipeline
 from stagekit.instrument import load_default_instrument
 from stagekit.report import bundle_from_obj
@@ -182,6 +184,39 @@ def test_delphi_input_shape(delphi_config):
     assert returned[:2] == [DELPHI_EXPERTS] * 2
     assert 0.8 * DELPHI_EXPERTS < returned[2] < 0.9 * DELPHI_EXPERTS
     assert bundle.rounds[0].screening is not None
+
+
+# The demo data's integer tables, which the pipeline reads through io._plain_table.
+INT_TABLES = ("experts.csv", "ratings_round1.csv", "ratings_round2.csv", "ratings_round3.csv",
+              "importance.csv", "expert_bonus.csv", "responses.csv")
+
+
+def write_export(directory: Path, comma: str, quote: bool) -> None:
+    """The demo data in ``directory``, each integer table as a spreadsheet exports it: a BOM,
+    CRLF line ends and ``comma`` between fields, each field quoted when ``quote``."""
+    for src in DATA.iterdir():
+        shutil.copy(src, directory / src.name)
+    for name in INT_TABLES:
+        with open(DATA / name, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        text = "".join(comma.join(f'"{c}"' if quote else c for c in row) + "\r\n" for row in rows)
+        (directory / name).write_text("\ufeff" + text, encoding="utf-8", newline="")
+
+
+@pytest.mark.parametrize("comma, quote", [(",", True), (", ", False)],
+                         ids=["every field quoted", "blank after each comma"])
+def test_demo_exports_read_plain_to_the_pinned_bytes(tmp_path, comma, quote):
+    write_export(tmp_path, comma, quote)
+    read, plain_table = {}, sio._plain_table
+
+    def spy(path, *args):
+        read[path.name] = plain_table(path, *args)
+        return read[path.name]
+
+    with patch.object(sio, "_plain_table", spy):
+        assert _digests(tmp_path / "demo_config.json") == GOLDEN["demo"]
+    assert sorted(read) == sorted(INT_TABLES)
+    assert all(result is not None for result in read.values())
 
 
 _END = object()

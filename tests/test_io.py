@@ -636,10 +636,13 @@ class TestPlainTables:
         assert returned == [None]
         assert isinstance(err, SchemaError) and str(err) == f"{p}: {message}"
 
-    def test_quoted_expert_value_declines_to_the_same_panel(self, tmp_path):
+    def test_quoted_expert_value_reads_plain_to_the_same_panel(self, tmp_path):
         p = write(tmp_path / "experts.csv", self.EXPERTS.replace(",large\n", ',"large"\n'))
         panel, returned = plain_calls(parse_experts, p)
-        assert returned == [None]
+        assert returned[0] is not None
+        expected = streamed(parse_experts, p)
+        assert panel.ids == expected.ids and panel.codes.dtype == expected.codes.dtype
+        assert np.array_equal(panel.codes, expected.codes) and not panel.codes.flags.writeable
         assert np.array_equal(panel.codes, parse_experts(write(tmp_path / "plain.csv", self.EXPERTS)).codes)
 
     def test_enum_cell_past_a_whole_word_declines(self, tmp_path):
@@ -673,15 +676,12 @@ class TestPlainTables:
         "lone cr after header": RATINGS.replace("\n", "\r", 1),
         "cr before crlf": RATINGS.replace("\n", "\r\r\n"),
         "lone cr ending the file": RATINGS[:-1] + "\r",
-        "quoted cell": RATINGS.replace("e1", '"e1"'),
-        "space": RATINGS.replace(",1,", ", 1,"),
         "tab": RATINGS.replace(",1,", ",1\t,"),
         "control byte": RATINGS.replace("e1", "e1\x0c"),
         "not ascii": RATINGS.replace("e1", "\u00e91"),
         "short row": RATINGS.replace("e1,1,2", "e1,1"),
         "long row": RATINGS.replace("e1,1,2", "e1,1,2,3"),
         "comma moved to the next row": "expert_id,a,b\n1,2\n3,4,5,1\n",
-        "line of blanks": RATINGS.replace("\ne2", "\n  \ne2"),
         "line of commas": RATINGS.replace("\ne2", "\n,,\ne2"),
         "two digits": RATINGS.replace(",1,", ",01,"),
         "out of range": RATINGS.replace(",1,", ",6,"),
@@ -689,6 +689,24 @@ class TestPlainTables:
         "empty id": RATINGS.replace("e1", ""),
         "repeated id": RATINGS.replace("e2", "e1"),
         "id past the csv field limit": RATINGS.replace("e1", "e" * 131_073),
+        "quoted and padded": RATINGS.replace("\ne1,1,2", '\n"e1", "1", "2"'),
+        "blank after a closing quote": RATINGS.replace(",1,", ',"1" ,'),
+        "escaped quote": RATINGS.replace("e1", '"e""1"'),
+        "separator inside quotes": RATINGS.replace("e1,1,2", '"e1,1",2'),  # a short row: e1,1 and blanks
+        "quote inside an unquoted cell": RATINGS.replace("e1", 'e"1'),
+    }
+    # Spreadsheet exports: a quote pair around a whole cell, and blanks beside a separator or line end.
+    EXPORTS = {
+        "quoted cell": RATINGS.replace("e1", '"e1"'),
+        "space": RATINGS.replace(",1,", ", 1,"),
+        "line of blanks": RATINGS.replace("\ne2", "\n  \ne2"),
+        "every field quoted": "".join(",".join(f'"{c}"' for c in line.split(",")) + "\r\n"
+                                      for line in RATINGS.splitlines()),
+        "blank after each comma": RATINGS.replace(",", ", "),
+        "runs of blanks around each comma": RATINGS.replace(",", "   ,  "),
+        "blank before each id": RATINGS.replace("\ne", "\n e"),
+        "blank before each line end": RATINGS.replace("\n", " \n"),
+        "quoted blanks in a blank row": RATINGS.replace("e2,3,4", 'e2,"  ",""'),
     }
 
     @pytest.mark.parametrize("text", PLAIN.values(), ids=PLAIN.keys())
@@ -707,6 +725,20 @@ class TestPlainTables:
         p.write_bytes(text.encode("utf-8"))
         _, returned = plain_calls(parse_ratings, p)
         assert returned == [None]
+
+    @pytest.mark.parametrize("text", EXPORTS.values(), ids=EXPORTS.keys())
+    def test_exports_read_plain(self, tmp_path, text):
+        """The byte path returns what the csv loop returns: the ids, and the matrix, its dtype and flag."""
+        p = tmp_path / "ratings.csv"
+        p.write_bytes(text.encode("utf-8"))
+        with sio._csv_rows(p) as (header, rows):
+            plain = sio._plain_table(p, header, [1, 2], [(1, 5)] * 2, "row")
+            with patch.object(sio, "_plain_table", return_value=None):
+                ids, matrix = sio._int_table(p, header, rows, "expert row", ["a", "b"], [1, 2], [(1, 5)] * 2,
+                                             "rating", "row")
+        assert plain is not None and plain[0] == ids
+        assert plain[1].dtype == matrix.dtype and np.array_equal(plain[1], matrix)
+        assert not plain[1].flags.writeable and not matrix.flags.writeable
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     def test_a_pipe_is_read_once_in_full(self):
@@ -793,6 +825,16 @@ class TestPlainTables:
 
     def test_id_past_the_csv_field_limit_declines(self, tmp_path):
         p = write(tmp_path / "ratings.csv", f"expert_id,a\n{'x' * 65},1\n{'y' * 65},2\n")
+        limit = csv.field_size_limit(64)
+        try:
+            err, returned = plain_calls(parse_ratings, p)
+        finally:
+            csv.field_size_limit(limit)
+        assert returned == [None] and "field larger than field limit (64)" in str(err)
+
+    def test_padded_field_past_the_csv_field_limit_declines(self, tmp_path):
+        """A cell of one digit and many blanks is still a field past the limit for the csv loop."""
+        p = write(tmp_path / "ratings.csv", f"expert_id,a\ne1,{' ' * 70}1\ne2,2\n")
         limit = csv.field_size_limit(64)
         try:
             err, returned = plain_calls(parse_ratings, p)

@@ -197,6 +197,14 @@ class TestComposite:
         with pytest.raises(InvalidInputError):
             composite({"a": 50.0}, {"a": 0.5, "zz": 0.5}, bonus=0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_score_or_weight_rejected(self, value):
+        message = "^dimension scores and weights must be finite numbers$"
+        with pytest.raises(InvalidInputError, match=message):
+            composite({"d": value}, {"d": 1.0}, 0.0)
+        with pytest.raises(InvalidInputError, match=message):
+            composite({"d": 50.0, "e": 50.0}, {"d": value, "e": 0.5}, 0.0)
+
     def test_bonus_outside_cap_rejected(self):
         with pytest.raises(InvalidInputError):
             composite({"a": 50.0}, {"a": 1.0}, bonus=10.5, cap=10.0)
