@@ -44,7 +44,7 @@ from .model import (
 _TRUE = {"true", "1", "yes"}
 _FALSE = {"false", "0", "no", ""}
 
-# Cells per block of a plain table: its temporary arrays take about 8 bytes a cell each.
+# Cells per block of a plain table, whose temporary arrays take about 8 bytes a cell; bytes per export piece.
 _PLAIN_BLOCK_CELLS = 25_000
 
 # _distinct's multiplier for mixing an id's words into one: odd, so a bijection of 64-bit words.
@@ -325,21 +325,17 @@ def _plain_table(path: Path, header: list[str], src: Sequence[int], bounds: Sequ
     non-empty and distinct, each cell at ``src`` is blank (where ``blank``
     allows) or, by its bound, one digit within its int8 (lo, hi) or exactly
     one of its enum's values, and a blank ratings row's other digits are not
-    range-checked. A spreadsheet export is made plain first: each quote pair
-    that wraps a whole cell holding no quote, separator or line end goes, then
-    every blank beside a separator or line end; any other quote or blank (a
-    quote after a blank too), or a line past the csv field limit, declines.
-    The csv loop reads such a file without error; this reads the same result
-    from separator positions, ``_PLAIN_BLOCK_CELLS`` cells at a time, an enum
-    cell by comparing its bytes with each value, and tells the ids distinct by
-    sorting their ``_words``. Every id takes as many words as the longest, so
-    a file whose words past the first would outgrow it (an id far longer than
-    most) is left to the csv loop. Only a regular file is read, as this reads
-    it a second time.
+    range-checked. An export is made plain first, whole lines at a time: a
+    quote pair around a whole cell holding no quote, separator or line end
+    goes, then each blank beside a separator or line end; any other quote (one
+    after a blank too), or a line past the csv field limit, declines. The csv
+    loop reads a plain file without error; this reads the same result from
+    separator positions, ``_PLAIN_BLOCK_CELLS`` cells at a time, an enum cell
+    by comparing its bytes with each value, and tells the ids distinct by
+    sorting their ``_words``, each id as many words as the longest: a file
+    whose words past the first would outgrow it is left to the csv loop.
     """
-    if _table_dtype(bounds) != "int8":
-        return None
-    if not path.is_file():  # a pipe cannot be read a second time
+    if _table_dtype(bounds) != "int8" or not path.is_file():  # a pipe cannot be read a second time
         return None
     try:
         data = path.read_bytes().removeprefix(b"\xef\xbb\xbf")  # a UTF-8 BOM
@@ -350,27 +346,31 @@ def _plain_table(path: Path, header: list[str], src: Sequence[int], bounds: Sequ
     if not data.endswith(b"\n"):  # a last line without its line end
         data += b"\n"
     if b'"' in data or b" " in data:  # a spreadsheet export: quoted cells, or blanks beside separators
-        byte = np.frombuffer(data, np.uint8)
-        # The csv loop refuses a field past its limit, however much of it is quotes or blanks:
-        # a line past the limit may hold one.
-        if np.diff(np.flatnonzero(byte == ord("\n")), prepend=-1).max() > csv.field_size_limit():
-            return None
-        if b'"' in data:
-            quote, sep = byte == ord('"'), (byte == ord(",")) | (byte == ord("\n"))
-            # From each opening quote up to its closing one; the final LF is inside only if a quote is unclosed.
-            inside = np.bitwise_xor.accumulate(quote.view(np.uint8)).view(bool)
-            opening, closing = quote & inside, quote & ~inside
-            if (inside & sep).any() or (opening[1:] & ~sep[:-1]).any() or (closing[:-1] & ~sep[1:]).any():
+        plain, start = bytearray(), 0
+        while start < len(data):  # whole lines, about _PLAIN_BLOCK_CELLS bytes at a time
+            end = data.find(b"\n", start + _PLAIN_BLOCK_CELLS) + 1 or len(data)
+            piece, start = data[start:end], end
+            byte = np.frombuffer(piece, np.uint8)
+            # The csv loop refuses a field past its limit, quotes and blanks included: a longer line may hold one.
+            if np.diff(np.flatnonzero(byte == ord("\n")), prepend=-1).max() > csv.field_size_limit():
                 return None
-            data = data.translate(None, b'"')
-        while b"  " in data:  # each pass halves a run of blanks
-            data = data.replace(b"  ", b" ")
-        data = data.replace(b" ,", b",").replace(b", ", b",").replace(b" \n", b"\n").replace(b"\n ", b"\n")
-    first_end = data.find(b"\n")
-    first_line = data[:first_end]
+            if b'"' in piece:
+                quote, sep = byte == ord('"'), (byte == ord(",")) | (byte == ord("\n"))
+                # From each opening quote up to its closing one; the last LF is inside only if a quote is unclosed.
+                inside = np.bitwise_xor.accumulate(quote.view(np.uint8)).view(bool)
+                opening, closing = quote & inside, quote & ~inside
+                if (inside & sep).any() or (opening[1:] & ~sep[:-1]).any() or (closing[:-1] & ~sep[1:]).any():
+                    return None
+                piece = piece.translate(None, b'"')
+            while b"  " in piece:  # each pass halves a run of blanks
+                piece = piece.replace(b"  ", b" ")
+            piece = piece.replace(b" ,", b",").replace(b", ", b",").replace(b" \n", b"\n").replace(b"\n ", b"\n")
+            plain += piece.removeprefix(b" ")  # a piece starts a line
+        data = plain
+    first_line = data[:data.find(b"\n")]
     if not first_line.isascii() or first_line.decode("ascii").split(",") != header:
         return None
-    body = np.frombuffer(data, np.uint8)[first_end + 1:]
+    body = np.frombuffer(data, np.uint8)[len(first_line) + 1:]
     ends = np.flatnonzero(body == ord("\n"))
     empty = ends[np.diff(ends, prepend=-1) == 1]  # the LF of each empty line, which the csv loop skips too
     if empty.size:
@@ -457,46 +457,47 @@ def _int_table(path: Path, header: list[str], rows: Iterable[list[str]], kind: s
     ``MISSING`` when ``blank`` is "cell", makes the row ``MISSING`` (its other
     cells unread) when it is "row", and is an error when it is None. ``kind``
     names a row in errors, e.g. "expert row". ``header`` is the file's header
-    as ``_csv_rows`` read it. A plain file or a spreadsheet export (see
-    ``_plain_table``) is read from its bytes; any other file cell by cell, so
-    the first bad cell in file order is the one reported.
+    as ``_csv_rows`` read it. A plain file or export (see ``_plain_table``)
+    is read from its bytes, any other cell by cell, naming its first bad cell.
     """
     plain = _plain_table(path, header, src, bounds, blank, key)
     if plain is not None:
         return plain
     noun, repeat = kind.split()
     width = max([*src, key]) + 1
+    position = {b: {e: i for i, e in enumerate(b)} for b in bounds if not isinstance(b, tuple)}
     row_of: dict[str, int] = {}
-    values: list[int] = []
-    for row in rows:
-        if len(row) < width:
+
+    def cells() -> Iterator[int]:  # each cell's code in file order: np.fromiter keeps them a byte a cell
+        for row in rows:
             row += [""] * (width - len(row))
-        row_id = row[key].strip()
-        if not row_id:
-            raise SchemaError(f"{path}: row with empty {noun} id")
-        if row_id in row_of:
-            raise SchemaError(f"{path}: duplicate {noun} {repeat} {row_id!r}")
-        _require_width(path, row_id, row, header)
-        row_of[row_id] = len(row_of)
-        texts = [row[i].strip() for i in src]
-        if blank == "row" and "" in texts:  # the row's other cells are never read
-            values += [MISSING] * len(texts)
-            continue
-        for column, bound, text in zip(columns, bounds, texts):
-            if blank and not text:
-                values.append(MISSING)
-            elif not isinstance(bound, tuple):
-                values.append([*bound].index(_enum_value(path, row_id, column, text, bound)))
-            else:
-                lo, hi = bound
-                try:
-                    value = int(text)
-                except ValueError:
-                    raise SchemaError(f"{path}: cell ({row_id}, {column}): {text!r} is not an integer") from None
-                if not lo <= value <= hi:
-                    raise SchemaError(f"{path}: cell ({row_id}, {column}): {word} {value} outside [{lo}, {hi}]")
-                values.append(value)
-    matrix = np.array(values, dtype=_table_dtype(bounds)).reshape(len(row_of), len(columns))
+            row_id = row[key].strip()
+            if not row_id:
+                raise SchemaError(f"{path}: row with empty {noun} id")
+            if row_id in row_of:
+                raise SchemaError(f"{path}: duplicate {noun} {repeat} {row_id!r}")
+            _require_width(path, row_id, row, header)
+            row_of[row_id] = len(row_of)
+            texts = [row[i].strip() for i in src]
+            if blank == "row" and "" in texts:  # the row's other cells are never read
+                yield from [MISSING] * len(texts)
+                continue
+            for column, bound, text in zip(columns, bounds, texts):
+                if blank and not text:
+                    yield MISSING
+                elif not isinstance(bound, tuple):
+                    yield position[bound][_enum_value(path, row_id, column, text, bound)]
+                else:
+                    try:
+                        value = int(text)
+                    except ValueError:
+                        raise SchemaError(
+                            f"{path}: cell ({row_id}, {column}): {text!r} is not an integer") from None
+                    if not bound[0] <= value <= bound[1]:
+                        raise SchemaError(
+                            f"{path}: cell ({row_id}, {column}): {word} {value} outside [{bound[0]}, {bound[1]}]")
+                    yield value
+    matrix = np.fromiter(cells(), dtype=_table_dtype(bounds)).reshape(len(row_of), len(columns))
     matrix.flags.writeable = False
     return tuple(row_of), matrix
 

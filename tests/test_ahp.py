@@ -194,7 +194,8 @@ class TestConsistencyRatio:
 
     @pytest.mark.parametrize("lam", [np.nan, np.inf])
     def test_non_finite_lambda_rejected(self, lam):
-        with pytest.raises(InvalidInputError, match=rf"^lambda_max {lam!r}: expected a finite number >= matrix order 3$"):
+        message = rf"^lambda_max {lam!r}: expected a finite number >= matrix order 3$"
+        with pytest.raises(InvalidInputError, match=message):
             consistency_ratio(lam, 3)
 
     def test_lambda_below_order_rejected(self):

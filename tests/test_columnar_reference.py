@@ -846,7 +846,7 @@ PLAIN_BOUNDS = ((1, 5), (0, 4), (1, 3), (-2, 9), (1, 7), Impact, Familiarity, Id
 ENUM_NEAR_MISSES = ("", "larg", "larger", "LARGE", "large", "familiar", "other", "x" * 29)
 LONG_ID_STEMS = ("", "abcdefgh", "abcdefghijklmnop")
 FILE_DEVIATIONS = ("bom", "crlf", "no final newline", "blank line", "header space", "cr after header",
-                   "every field quoted", "blank after each comma", "quoted and padded")
+                   "every field quoted", "text fields quoted", "blank after each comma", "quoted and padded")
 # A cell (the row id or another) rewritten from its text.
 CELL_DEVIATIONS = {"quote": '"{}"', "space": " {}", "tab": "{}\t", "control": "{}\x0c",
                    "non-ascii": "{}\u00e9", "two digits": "{}3"}
@@ -922,10 +922,13 @@ def plain_table_cases(draw, deviation_pool=PLAIN_DEVIATIONS):
             row[cell] = CELL_DEVIATIONS[deviation].format(row[cell])
     if "header space" in deviations:
         header[0] = " " + header[0]
-    # Spreadsheet exports: every field quoted, a blank after each comma, or both.
+    # Spreadsheet exports: every field quoted, every field but the numbers (R's write.csv), a blank
+    # after each comma, or both.
     quote = {"every field quoted", "quoted and padded"} & set(deviations)
+    text = "text fields quoted" in deviations
     comma = ", " if {"blank after each comma", "quoted and padded"} & set(deviations) else ","
-    lines = [comma.join(f'"{c}"' if quote else c for c in row) for row in [header, *rows]]
+    lines = [comma.join(f'"{c}"' if quote or text and not c.isdigit() else c for c in row)
+             for row in [header, *rows]]
     if "cr after header" in deviations and rows:  # csv also ends a row at a lone CR
         lines[:2] = [lines[0] + "\r" + lines[1]]
     if "blank line" in deviations:  # one to three: after the header, between rows or last
@@ -981,29 +984,30 @@ def test_plain_table_over_small_blocks_is_none_or_the_streamed_int_table(tmp_pat
 
 
 def test_clean_table_exported_is_plain_unless_quoted_and_padded(tmp_path, capsys):
-    """The bundled responses with every field quoted, or a blank after each comma, take the byte path;
-    with both, the csv loop reads the header cells as ' "q1"', and the run exits 2 naming them."""
+    """The bundled responses with every field quoted, every field but the numbers, or a blank after each
+    comma take the byte path; quoted and padded, the csv loop reads the header cells as ' "q1"', and the
+    run exits 2 naming them."""
     data = Path(sio.__file__).parent / "data" / "responses.csv"
     with open(data, encoding="utf-8", newline="") as fh:
         rows = list(csv.reader(fh))
     qids = rows[0][1:]
 
-    def export(name, comma, quote):
+    def export(name, comma, quote):  # quote "all" fields, the "text" ones (not numbers), or none
         path = tmp_path / name
-        path.write_text("".join(comma.join(f'"{c}"' if quote else c for c in row) + "\n" for row in rows),
-                        encoding="utf-8")
+        path.write_text("".join(comma.join(f'"{c}"' if quote == "all" or quote == "text" and not c.isdigit()
+                                           else c for c in row) + "\n" for row in rows), encoding="utf-8")
         return path
 
     args = (list(range(1, 22)), [(0, 4)] * 21, "cell", 0)
-    for path in (export("quoted.csv", ",", True), export("padded.csv", ", ", False)):
+    for path in (export("quoted.csv", ",", "all"), export("text.csv", ",", "text"), export("padded.csv", ", ", "")):
         with sio._csv_rows(path) as (header, _):
             plain = sio._plain_table(path, header, *args)
         ids, matrix = _streamed_int_table(path, *args)
         assert plain is not None and plain[0] == ids and np.array_equal(plain[1], matrix)
-    path = export("both.csv", ", ", True)
+    path = export("both.csv", ", ", "all")
     assert main(["reliability", "--responses", str(path), "--out", str(tmp_path / "out.json")]) == 2
-    unknown = ", ".join(f'"{q}"' for q in qids)
-    assert capsys.readouterr().err == f"error: {path}: missing column(s) {', '.join(qids)}; unknown column(s) {unknown}\n"
+    missing, unknown = ", ".join(qids), ", ".join(f'"{q}"' for q in qids)
+    assert capsys.readouterr().err == f"error: {path}: missing column(s) {missing}; unknown column(s) {unknown}\n"
     assert not (tmp_path / "out.json").exists()
 
 

@@ -191,20 +191,22 @@ INT_TABLES = ("experts.csv", "ratings_round1.csv", "ratings_round2.csv", "rating
               "importance.csv", "expert_bonus.csv", "responses.csv")
 
 
-def write_export(directory: Path, comma: str, quote: bool) -> None:
+def write_export(directory: Path, comma: str, quote: str) -> None:
     """The demo data in ``directory``, each integer table as a spreadsheet exports it: a BOM,
-    CRLF line ends and ``comma`` between fields, each field quoted when ``quote``."""
+    CRLF line ends and ``comma`` between fields. ``quote`` "all" quotes every field (Python's
+    csv.QUOTE_ALL), "text" every field but the numbers (csv.QUOTE_NONNUMERIC, R's write.csv)."""
     for src in DATA.iterdir():
         shutil.copy(src, directory / src.name)
     for name in INT_TABLES:
         with open(DATA / name, encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
-        text = "".join(comma.join(f'"{c}"' if quote else c for c in row) + "\r\n" for row in rows)
+        text = "".join(comma.join(f'"{c}"' if quote == "all" or quote == "text" and not c.isdigit() else c
+                                  for c in row) + "\r\n" for row in rows)
         (directory / name).write_text("\ufeff" + text, encoding="utf-8", newline="")
 
 
-@pytest.mark.parametrize("comma, quote", [(",", True), (", ", False)],
-                         ids=["every field quoted", "blank after each comma"])
+@pytest.mark.parametrize("comma, quote", [(",", "all"), (",", "text"), (", ", "")],
+                         ids=["every field quoted", "text fields quoted", "blank after each comma"])
 def test_demo_exports_read_plain_to_the_pinned_bytes(tmp_path, comma, quote):
     write_export(tmp_path, comma, quote)
     read, plain_table = {}, sio._plain_table

@@ -1,6 +1,7 @@
 import csv
 import importlib.util
 import os
+import tracemalloc
 from enum import Enum
 from pathlib import Path
 from unittest.mock import patch
@@ -739,6 +740,31 @@ class TestPlainTables:
         assert plain is not None and plain[0] == ids
         assert plain[1].dtype == matrix.dtype and np.array_equal(plain[1], matrix)
         assert not plain[1].flags.writeable and not matrix.flags.writeable
+
+    @pytest.mark.parametrize("text", EXPORTS.values(), ids=EXPORTS.keys())
+    def test_exports_read_plain_a_line_at_a_time(self, tmp_path, text):
+        """An export is made plain in pieces of whole lines: with one line a piece, the same result."""
+        p = tmp_path / "ratings.csv"
+        p.write_bytes(text.encode("utf-8"))
+        with sio._csv_rows(p) as (header, _):
+            whole = sio._plain_table(p, header, [1, 2], [(1, 5)] * 2, "row")
+            with patch.object(sio, "_PLAIN_BLOCK_CELLS", 1):
+                pieces = sio._plain_table(p, header, [1, 2], [(1, 5)] * 2, "row")
+        assert pieces is not None and pieces[0] == whole[0] and np.array_equal(pieces[1], whole[1])
+
+    def test_export_in_pieces_keeps_its_memory_near_the_plain_file(self, tmp_path):
+        """Quote and blank masks are built a piece at a time, not over the whole file."""
+        rows = [f"r{k:06d}," + ",".join(str((k + j) % 5) for j in range(21)) for k in range(20_000)]
+        header = ["respondent_id", *(f"q{j}" for j in range(1, 22))]
+        peaks = []
+        for quote in ("", '"'):
+            p = write(tmp_path / "responses.csv", "".join(
+                ",".join(f"{quote}{c}{quote}" for c in line.split(",")) + "\n" for line in [",".join(header), *rows]))
+            tracemalloc.start()
+            assert sio._plain_table(p, header, list(range(1, 22)), [(0, 4)] * 21, "cell") is not None
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0]
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     def test_a_pipe_is_read_once_in_full(self):
