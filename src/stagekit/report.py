@@ -1,10 +1,10 @@
 """Deterministic report serialization.
 
-Every numeric field is emitted as a {"value", "display"} pair: the value at
-full precision, the display rounded half-even at a fixed number of decimals
-(4 for coefficients/weights, 2 for CVI and scores). Markdown output renders
-the same display strings as the JSON, so the two formats can never disagree;
-neither contains timestamps, locales, or other run-dependent bytes.
+Every numeric field is emitted as a {"value", "display"} pair: the value at full precision, the
+display rounded half-even at a fixed number of decimals (4 for coefficients/weights, 2 for CVI and
+scores). Markdown output renders the same display strings as the JSON, so the two formats can never
+disagree; neither contains timestamps, locales, or other run-dependent bytes.
+JSON text is the bytes of ``json.dumps(obj, indent=2, ensure_ascii=False)`` and a final LF, at any depth.
 
 Writer (:func:`_fields`) and reader (:func:`_read`) share one rule: a field's declared type
 makes it a number pair, a null or a plain value. Only regrouped or renamed entries are written
@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 from functools import partial
+from itertools import chain
 from pathlib import Path
 from types import UnionType
 from typing import Any, Mapping, get_args, get_origin, get_type_hints
@@ -290,8 +291,47 @@ def bundle_from_obj(obj: Any, source: str | Path = "bundle") -> ReportBundle:
         raise SchemaError(f"{source}: not a stagekit bundle (bad or missing field {exc})") from None
 
 
+# json's text of each exact scalar type. Any other value, save a list, tuple or str-keyed dict, is json.dumps's.
+_LEAF = {str: json.encoder.encode_basestring, int: int.__repr__, bool: {True: "true", False: "false"}.get,
+         float: lambda v: repr(v).replace("inf", "Infinity").replace("nan", "NaN"), type(None): lambda v: "null"}
+
+
+def _rows(v: list | tuple, inner: str) -> str | None:
+    """A list's items indented as ``inner``, if they are equal-width rows of scalars of one exact type; else None."""
+    if (set(map(type, v)) <= {list, tuple} and len(widths := set(map(len, v))) == 1 and (width := widths.pop())
+            and len(kinds := set(map(type, chain.from_iterable(v)))) == 1 and (leaf := _LEAF.get(kinds.pop()))):
+        rows = map(f",{inner}  ".join, zip(*[map(leaf, chain.from_iterable(v))] * width))
+        return f"{inner}[{inner}  " + f"{inner}],{inner}[{inner}  ".join(rows) + f"{inner}]"
+    return None
+
+
 def render_json_obj(obj: Any) -> str:
-    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+    """``json.dumps(obj, indent=2, ensure_ascii=False) + "\\n"``, byte for byte, at any depth."""
+    out, stack = [], {None: (iter((("", obj),)), "\n", "\n")}  # the open containers by id, innermost last
+    while stack:
+        children, close, ind = next(reversed(stack.values()))  # ind: the children's; the root's close: the LF
+        for head, v in children:
+            if not ((is_dict := isinstance(v, dict)) and set(map(type, v)) == {str} or isinstance(v, (list, tuple)) and v):
+                leaf = _LEAF.get(type(v))  # else json's own text, or its TypeError
+                out.append(head + (leaf(v) if leaf else json.dumps(v, indent=2, ensure_ascii=False).replace("\n", ind)))
+                continue
+            if id(v) in stack:
+                raise ValueError("Circular reference detected")
+            pre, values = f",{ind}  ", v.values() if is_dict else v  # a comma, the children's indent
+            if set(map(type, values)) <= _LEAF.keys():  # all scalars: the container in one piece
+                text = "".join([f"{pre}{_LEAF[str](k)}: {_LEAF[type(x)](x)}" for k, x in v.items()] if is_dict
+                               else [pre + _LEAF[type(x)](x) for x in v])[1:]
+            elif is_dict or (text := _rows(v, ind + "  ")) is None:
+                heads = [f"{pre}{_LEAF[str](k)}: " for k in v] if is_dict else [pre] * len(v)
+                heads[0] = heads[0][1:]  # no comma before the first
+                out.append(head + "[{"[is_dict])
+                stack[id(v)] = (zip(heads, values), ind + "]}"[is_dict], ind + "  ")
+                break  # go on inside v
+            out.append(head + "[{"[is_dict] + text + ind + "]}"[is_dict])
+        else:
+            out.append(close)
+            stack.popitem()
+    return "".join(out)
 
 
 def render_json(bundle: ReportBundle, *, coeff_places: int = COEFF_PLACES) -> str:

@@ -13,6 +13,8 @@ import io
 import json
 import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -304,3 +306,33 @@ def test_edit_refused_by_report_and_the_bundle_reader(tmp_path, path, value, fmt
     assert stderr.startswith(f"error: {bundle}: not a stagekit bundle (bad or missing field ")
     assert stderr.count("\n") == 1
     assert not reader_accepts(bundle)
+
+
+@pytest.mark.parametrize("fmt", ["json", "markdown"])
+@pytest.mark.parametrize("depth", [980, 1200])
+def test_report_of_a_bundle_with_a_deeply_nested_unknown_field(tmp_path, depth, fmt):
+    """``report`` in a fresh interpreter, whose JSON reader accepts or refuses the depth by version:
+    exit 0 with the bundle written back, or exit 2 with one line; never a traceback, never a partial file."""
+    nested = "[" * depth + "0" + "]" * depth
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(json.dumps(BUNDLE)[:-1] + f', "unknown": {nested}}}', encoding="utf-8")
+    (tmp_path / "out").mkdir()
+    out = tmp_path / "out" / f"report.{fmt}"
+    env = {**os.environ, "PYTHONPATH": str(Path(stagekit.__file__).parent.parent)}
+    run = subprocess.run([sys.executable, "-m", "stagekit.cli", "report", "--bundle", str(bundle),
+                          "--format", fmt, "--out", str(out)], env=env, capture_output=True, text=True, timeout=120)
+    assert_contract(run.returncode, run.stdout, run.stderr)
+    assert run.returncode in (0, 2)
+    assert [p.name for p in out.parent.iterdir()] == ([out.name] if run.returncode == 0 else [])
+    if run.returncode == 0 and fmt == "json":
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(limit, 4 * depth))  # json.loads may recurse once per level
+        try:
+            written = json.loads(out.read_text(encoding="utf-8"))
+        finally:
+            sys.setrecursionlimit(limit)
+        nested = written.pop("unknown")
+        assert written == json.loads(json.dumps(BUNDLE))
+        for _ in range(depth):  # one list per level, walked without recursion
+            (nested,) = nested
+        assert nested == 0

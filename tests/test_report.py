@@ -1,9 +1,12 @@
+import enum
 import json
 import os
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import stagekit
@@ -36,7 +39,7 @@ from stagekit import (
 )
 from stagekit.ahp import PairwiseMatrix
 from stagekit.model import IndicatorNode, IndicatorTree, Level
-from stagekit.report import bundle_from_obj, render_markdown_obj, write_output
+from stagekit.report import bundle_from_obj, render_json_obj, render_markdown_obj, write_output
 
 DATA = Path(stagekit.__file__).parent / "data"
 
@@ -232,6 +235,94 @@ class TestRenderJson:
         cr = {"value": (0.8864 + 0.8651) / 2, "display": "0.8758"}
         assert cr["value"] == 0.87575
         assert display(cr["value"]) == cr["display"]
+
+
+def json_oracle(value) -> str:
+    """The text ``render_json_obj`` must write: json's own indent=2 encoder, and a final LF."""
+    return json.dumps(value, indent=2, ensure_ascii=False) + "\n"
+
+
+class Rank(enum.IntEnum):
+    HIGH = 3
+
+
+# Strings with quotes, backslashes, control characters, non-ASCII, a line separator and lone surrogates.
+TEXT = st.text(st.characters(exclude_categories=()) | st.sampled_from('"\\\x00\x1f\x7f\u2028é\ud800\udfff'),
+               max_size=6)
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(2 ** 64, 2 ** 200), st.integers(-2 ** 200, -2 ** 64),
+    st.floats(), TEXT,
+    st.sampled_from([-0.0, 1e16, 5e-324, float("nan"), float("inf"), -float("inf")]),
+    st.sampled_from([np.float64(2.5), np.float64(-0.0), np.float64("inf"), Rank.HIGH]),  # scalar subclasses
+)
+
+
+def rows(cells):
+    """Lists of equal-width rows (each a list or a tuple) of ``cells``, the width 0 among them."""
+    def of_width(w):
+        row = st.lists(cells, min_size=w, max_size=w)
+        return st.lists(st.one_of(row, row.map(tuple)), max_size=4)
+    return st.integers(0, 3).flatmap(of_width)
+
+
+JSON_TREES = st.recursive(SCALARS, lambda children: st.one_of(
+    st.lists(children, max_size=4), st.lists(children, max_size=4).map(tuple),
+    st.dictionaries(TEXT, children, max_size=4), rows(SCALARS), rows(children),
+    st.lists(st.dictionaries(TEXT, SCALARS, max_size=3), max_size=3),
+), max_leaves=30)
+
+
+class TestRenderJsonObj:
+    """``render_json_obj`` writes exactly the bytes of json's indent=2 encoder."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(JSON_TREES)
+    @example([["r1", "q1"], ["r2", "q2"]])  # the shape of a score's imputed cells
+    @example([["a"], ["b", "c"]])  # ragged rows
+    @example([[1, []], (2, [3])])  # rows holding a container or an empty list
+    @example([[], []])
+    @example([{"x": 1, "y": 2}, {"x": 3, "y": 4}])  # a dict iterates as its keys: not rows
+    @example({"imputed": [["r1", "q1"]], "empty": {}, "none": [], "t": ()})
+    def test_same_bytes_as_json(self, value):
+        assert render_json_obj(value) == json_oracle(value)
+
+    @pytest.mark.parametrize("value", [
+        {1: "a", 1.5: [2], True: {}, None: "n", -0.0: 0, float("nan"): 1},
+        [{"k": {2: {"a": [1, {3: None}]}}}],
+        {"k": [{Rank.HIGH: np.float64(1.0)}]},
+    ], ids=["non-str-keys", "nested-non-str-keys", "subclass-key"])
+    def test_non_str_keys_as_json_writes_them(self, value):
+        assert render_json_obj(value) == json_oracle(value)
+
+    @pytest.mark.parametrize("value", [
+        object(), [1, object()], {"a": {1, 2}}, {"a": [[1, object()], [2, 3]]}, {(1,): 2}, {"a": {(1,): 2}},
+    ], ids=["object", "in-list", "set", "in-row", "tuple-key", "nested-tuple-key"])
+    def test_unserialisable_value_is_a_type_error(self, value):
+        with pytest.raises(TypeError):
+            json_oracle(value)
+        with pytest.raises(TypeError):
+            render_json_obj(value)
+
+    def test_circular_reference_is_a_value_error(self):
+        looped: list = [1]
+        looped.append({"back": looped})
+        with pytest.raises(ValueError, match="Circular reference"):
+            json_oracle(looped)
+        with pytest.raises(ValueError, match="Circular reference"):
+            render_json_obj(looped)
+
+    @pytest.mark.parametrize("opener, closer, head", [("[", "]", ""), ("{", "}", '"k": ')])
+    @pytest.mark.parametrize("depth", [1, 6, 3 * sys.getrecursionlimit()])
+    def test_any_depth_without_recursion(self, opener, closer, head, depth):
+        value = 0
+        for _ in range(depth):
+            value = [value] if opener == "[" else {"k": value}
+        lines = ["  " * i + (head if i else "") + opener for i in range(depth)]
+        lines += ["  " * depth + head + "0"] + ["  " * i + closer for i in reversed(range(depth))]
+        text = "\n".join(lines) + "\n"
+        if depth < 100:  # json's encoder recurses, so the oracle checks the layout at small depths only
+            assert json_oracle(value) == text
+        assert render_json_obj(value) == text
 
 
 class TestRenderMarkdown:
