@@ -376,6 +376,10 @@ class Question:
     min_value: int = RESPONSE_MIN
     max_value: int = RESPONSE_MAX
 
+    def __post_init__(self):
+        if not self.max_value > 0:  # scoring divides each answer by it
+            raise InvalidInputError(f"question {self.id}: max_value {self.max_value!r} must be positive")
+
 
 @dataclass(frozen=True)
 class Instrument:
@@ -480,6 +484,15 @@ class RowMatrix(Mapping):
     def __len__(self) -> int:
         return len(self.ids)
 
+    @cached_property
+    def blank_cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row and column numbers of the ``MISSING`` cells in row-major order, from one scan; read-only."""
+        import numpy as np
+
+        rows, cols = np.divmod(np.flatnonzero(self.matrix == MISSING), self.matrix.shape[1])
+        rows.flags.writeable = cols.flags.writeable = False
+        return rows, cols
+
     def __repr__(self) -> str:
         return f"RowMatrix({len(self.ids)} rows x {self.matrix.shape[1]} columns)"
 
@@ -562,7 +575,10 @@ class ResponseSet:
     ``None``; ``expert_bonus`` is experts x ``bonus_ids`` and has no blanks.
     A plain mapping of rows is checked cell by cell and converted; a matrix
     (from the parser, or reused by ``with_bonus``) gets one vectorised range
-    check and is kept as it is, never re-read row by row.
+    check and is kept as it is, never re-read row by row. ``complete_mask``,
+    ``missing_cells`` and scoring's per-question counts all read the consumer
+    matrix's one cached scan for blanks (``RowMatrix.blank_cells``), which
+    ``with_bonus`` keeps with the matrix.
     """
 
     question_ids: tuple[str, ...]
@@ -587,13 +603,15 @@ class ResponseSet:
     @property
     def complete_mask(self) -> np.ndarray:
         """One bool per respondent: True when every question is answered."""
-        return (self.consumer.matrix != MISSING).all(axis=1)
+        import numpy as np
+
+        mask = np.ones(len(self.consumer), dtype=bool)
+        mask[self.consumer.blank_cells[0]] = False
+        return mask
 
     def missing_cells(self) -> tuple[tuple[str, str], ...]:
         """(respondent_id, question_id) pairs with no answer, in row-major order."""
-        import numpy as np
-
-        rows, cols = np.divmod(np.flatnonzero(self.consumer.matrix == MISSING), len(self.question_ids))
+        rows, cols = self.consumer.blank_cells
         ids, qids = self.consumer.ids, self.question_ids
         return tuple(zip(map(ids.__getitem__, rows.tolist()), map(qids.__getitem__, cols.tolist())))
 

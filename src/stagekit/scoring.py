@@ -5,12 +5,21 @@ weighted into 0-100 dimension scores, and combined with the dimension weights
 into the core composite. The expert bonus is a separate additive component
 with a configurable positive finite cap, reported both raw (0 to 100+cap) and
 rescaled back to a 0-100 range.
+
+A blank answer is imputed with its question's mean, so a question's mean over
+every respondent, imputed cells included, is exactly its answer sum over its
+answer count. Each pooled index and dimension score is therefore computed
+exactly from those per-question integers and the exact values of the local
+weights, and rounded to a float once: it is the correctly rounded value,
+whatever the panel's size or order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from numbers import Real
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -32,7 +41,9 @@ class ConsumerScores:
     """Dimension/index scores (0-100) per respondent and pooled.
 
     ``per_respondent`` reads each respondent's dimension scores, as a dict,
-    from one respondents x dimensions matrix when it is looked up.
+    from one respondents x dimensions matrix when it is looked up. The pooled
+    scores are those :func:`score_software` uses, correctly rounded from exact
+    per-question sums; they are not the float means of ``per_respondent``.
     """
 
     per_respondent: Mapping[str, Mapping[str, float]]
@@ -56,8 +67,76 @@ class ScoreCard:
     imputed: tuple[tuple[str, str], ...]
 
 
-def _local_weights(weights: WeightTable | Mapping[str, float]) -> Mapping[str, float]:
-    return weights.local_weights if isinstance(weights, WeightTable) else weights
+def _weight(node: str, value) -> float:
+    """A local weight as a finite float; a bool, a string or any other non-real is refused."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise InvalidInputError(f"node {node}: local weight {value!r} is not a real number")
+    try:
+        value = float(value)
+    except OverflowError:  # an int beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise InvalidInputError("dimension scores and weights must be finite numbers")
+    return value
+
+
+def _local_weights(responses: ResponseSet, instrument: Instrument,
+                   weights: WeightTable | Mapping[str, float]) -> dict[str, float]:
+    """Every dimension's and index's local weight, read by ``_weight``, once there are respondents."""
+    if not responses.consumer:
+        raise InvalidInputError("no respondents to score")
+    local = weights.local_weights if isinstance(weights, WeightTable) else weights
+    out: dict[str, float] = {}
+    for dim in instrument.dimensions():
+        for kind, node in (("dimension", dim),
+                           *(("index", idx) for idx in instrument.indices_of_dimension(dim))):
+            if node not in local:
+                raise IncompleteWeightsError(f"no local weight for {kind} {node}")
+            out[node] = _weight(node, local[node])
+    return out
+
+
+def _question_means(responses: ResponseSet) -> dict[str, Fraction]:
+    """Each question's exact mean answer, its answer sum over its answer count.
+
+    The sums and counts come from the answer matrix's column sums and its cached
+    scan for blanks. A question nobody answered has no mean to impute with.
+    """
+    matrix = responses.consumer.matrix
+    n_blank = np.bincount(responses.consumer.blank_cells[1], minlength=len(responses.question_ids))
+    counts = (len(matrix) - n_blank).tolist()
+    sums = (matrix.sum(axis=0, dtype=np.int64) - MISSING * n_blank).tolist()
+    means = {}
+    for qid, total, count in zip(responses.question_ids, sums, counts):
+        if not count:
+            raise DegenerateDataError(f"question {qid} has no answers at all; cannot impute")
+        means[qid] = Fraction(total, count)
+    return means
+
+
+def _rounded(value: Fraction) -> float:
+    """``value`` correctly rounded to a float; past the float range, an infinity of its sign."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _pooled(instrument: Instrument, local: Mapping[str, float],
+            means: Mapping[str, Fraction]) -> tuple[dict[str, float], dict[str, float]]:
+    """Pooled index and dimension scores (0-100), each the correctly rounded exact value.
+
+    Imputed cells included, a question's mean over every respondent is its
+    mean answer, so an index score is 100 times the mean of its questions'
+    mean answers over their maxima, and a dimension score is 100 times the sum
+    of local weight x index mean. ``sum`` over Fractions is exact on every Python.
+    """
+    max_of = {q.id: q.max_value for q in instrument.questions}
+    index = {idx: sum(means[q] / max_of[q] for q in qids) / len(qids) for idx, qids in instrument.indices}
+    dimensions = {dim: _rounded(100 * sum(Fraction(local[idx]) * index[idx]
+                                          for idx in instrument.indices_of_dimension(dim)))
+                  for dim in instrument.dimensions()}
+    return {idx: _rounded(100 * value) for idx, value in index.items()}, dimensions
 
 
 def score_consumer(
@@ -71,64 +150,44 @@ def score_consumer(
     answers (and recorded in ``imputed``); a dimension score is
     100 * sum over its indices of local_weight * mean question score.
 
-    The work is column-wise on the respondents x questions answer matrix,
-    in the float order of a per-respondent loop, so results are bit-for-bit
-    those of that loop: a question mean is an integer sum divided by a count;
+    The pooled scores are :func:`score_software`'s, each correctly rounded
+    from exact per-question sums. ``per_respondent`` is worked column-wise on
+    the respondents x questions answer matrix, in the float order of a
+    per-respondent loop: a question mean is an integer sum divided by a count;
     an index score adds its question columns left to right, then divides; a
-    dimension starts at 0.0 and adds local weight x index score per index;
-    sums over respondents add in respondent order, as ``ordered_sum`` does
-    (``ndarray.sum`` adds pairwise and would move the last bit).
+    dimension starts at 0.0 and adds local weight x index score per index.
     """
-    if not responses.consumer:
-        raise InvalidInputError("no respondents to score")
-    local = _local_weights(weights)
-    for dim in instrument.dimensions():
-        if dim not in local:
-            raise IncompleteWeightsError(f"no local weight for dimension {dim}")
-        for idx in instrument.indices_of_dimension(dim):
-            if idx not in local:
-                raise IncompleteWeightsError(f"no local weight for index {idx}")
+    local = _local_weights(responses, instrument, weights)
+    means = _question_means(responses)
+    pooled_indices, pooled_dimensions = _pooled(instrument, local, means)
 
+    # Normalized answers per question, blanks imputed with the question mean
+    # (each float mean is the integer sum divided by the count, correctly rounded).
     question_ids = responses.question_ids
     answers = np.ascontiguousarray(responses.consumer.matrix.T)  # one row per question
-    blank = answers == MISSING
-    n_blank = np.count_nonzero(blank, axis=1)
-    counts = (len(responses.consumer) - n_blank).tolist()
-    sums = (answers.sum(axis=1, dtype=np.int64) - MISSING * n_blank).tolist()
-    for qid, count in zip(question_ids, counts):
-        if not count:
-            raise DegenerateDataError(f"question {qid} has no answers at all; cannot impute")
-
-    # Normalized answers per question, blanks imputed with the question mean.
-    means = np.array([s / c for s, c in zip(sums, counts)])
     max_of = {q.id: q.max_value for q in instrument.questions}
     maxima = np.array([float(max_of[qid]) for qid in question_ids])
-    normalized = np.where(blank, means[:, None], answers)
+    imputed = np.array([float(means[qid]) for qid in question_ids])
+    normalized = np.where(answers == MISSING, imputed[:, None], answers)
     normalized /= maxima[:, None]
     norm = dict(zip(question_ids, normalized))
-    del answers, blank  # 4 MB at 100k respondents, freed before the index sums peak
+    del answers  # 2 MB at 100k respondents, freed before the dimension sums peak
 
-    index_scores: dict[str, np.ndarray] = {}
     dim_scores: dict[str, np.ndarray] = {}
     for dim in instrument.dimensions():
         acc = 0.0
         for idx in instrument.indices_of_dimension(dim):
             qids = instrument.questions_of(idx)
-            index_scores[idx] = sum(norm[q] for q in qids) / len(qids)
-            acc = acc + local[idx] * index_scores[idx]
+            acc = acc + local[idx] * (sum(norm[q] for q in qids) / len(qids))
         dim_scores[dim] = 100.0 * acc
 
-    def total(scores: np.ndarray) -> float:
-        return float(np.add.accumulate(scores)[-1])  # in order, as ordered_sum
-
-    n = len(responses.consumer)
     dims = tuple(dim_scores)
     return ConsumerScores(
         per_respondent=RowMatrix(responses.consumer.ids,
                                  np.column_stack(list(dim_scores.values())),
                                  lambda row: dict(zip(dims, row))),
-        pooled_dimensions={dim: total(s) / n for dim, s in dim_scores.items()},
-        pooled_indices={idx: 100.0 * total(index_scores[idx]) / n for idx, _ in instrument.indices},
+        pooled_dimensions=pooled_dimensions,
+        pooled_indices=pooled_indices,
         imputed=responses.missing_cells(),
     )
 
@@ -206,9 +265,13 @@ def score_software(
     *,
     bonus_cap: float = DEFAULT_BONUS_CAP,
 ) -> ScoreCard:
-    """End-to-end scoring: consumer composite plus expert bonus (when present)."""
-    consumer = score_consumer(responses, instrument, weights)
-    local = _local_weights(weights)
+    """End-to-end scoring: consumer composite plus expert bonus (when present).
+
+    The dimension scores are :func:`score_consumer`'s pooled ones, computed
+    without its per-respondent matrices.
+    """
+    local = _local_weights(responses, instrument, weights)
+    _, dimension_scores = _pooled(instrument, local, _question_means(responses))
     dim_weights = {dim: local[dim] for dim in instrument.dimensions()}
     bonus = (
         score_expert_bonus(responses.expert_bonus, bonus_cap)
@@ -216,12 +279,12 @@ def score_software(
         else 0.0
     )
     return composite(
-        consumer.pooled_dimensions,
+        dimension_scores,
         dim_weights,
         bonus,
         cap=bonus_cap,
         n_respondents=len(responses.consumer),
-        imputed=consumer.imputed,
+        imputed=responses.missing_cells(),
     )
 
 

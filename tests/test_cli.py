@@ -513,6 +513,22 @@ class TestScore:
         assert err == f"error: bonus cap must be a positive finite number, got {float(cap)!r}\n"
         assert not out.exists()
 
+    def test_question_nobody_answered_exits_3(self, weights_bundle, tmp_path, capsys):
+        with open(DATA / "responses.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        column = rows[0].index("q5")
+        for row in rows[1:]:
+            row[column] = ""
+        responses = tmp_path / "responses.csv"
+        with open(responses, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        out = tmp_path / "score.json"
+        rc, stdout, err = run(capsys, "score", "--responses", responses,
+                              "--weights", weights_bundle, "--out", out)
+        assert (rc, stdout) == (3, "")
+        assert err == "error: question q5 has no answers at all; cannot impute\n"
+        assert not out.exists()
+
     def test_index_under_another_dimension_exits_2(self, tmp_path, stats2, capsys):
         tree = tmp_path / "indicators.csv"
         tree.write_text((DATA / "indicators.csv").read_text(encoding="utf-8").replace(

@@ -4,11 +4,12 @@
 per-respondent loops that ``score_consumer`` and ``reliability_report`` ran
 before consumer answers were stored as one matrix; the Delphi, integer-table,
 expert-panel and content-validity references are further down. They reach the answers
-only through the ``ResponseSet.consumer`` mapping. The column-wise scoring keeps
-the loop's order of float operations, so its property demands exact equality,
-with no tolerance. Reliability is now computed from exact integer covariances,
-so its property demands the loop's outcome with each value no farther from the
-exact statistic than the loop's value is, plus one unit in the last place.
+only through the ``ResponseSet.consumer`` mapping. The column-wise per-respondent
+scores keep the loop's order of float operations, so they must equal the loop's
+bit for bit. The pooled scores and reliability are now computed from exact
+integer sums, so their properties demand each value no farther from the exact
+value than the loop's is, plus one unit in the last place; the pooled scores
+must also be the exact value correctly rounded (``exact_pooled_scores``).
 """
 
 import csv
@@ -44,6 +45,7 @@ from stagekit import (
     reliability_report,
     round_consensus,
     score_consumer,
+    score_software,
     validity_report,
 )
 from stagekit import io as sio
@@ -56,6 +58,7 @@ from stagekit.io import (
     parse_ratings,
     parse_responses,
 )
+from stagekit.model import ordered_sum
 from stagekit.psychometrics import (
     CITC_FLOOR,
     ICVI_FLOOR,
@@ -110,6 +113,38 @@ def reference_score_consumer(responses, instrument, local):
     }
     pooled_indices = {idx: 100.0 * total / n for idx, total in index_accum.items()}
     return per_respondent, pooled_dims, pooled_indices, imputed
+
+
+def exact_pooled_scores(responses, instrument, local):
+    """(index, dimension) pooled scores as Fractions, by brute force.
+
+    Each respondent's blanks are imputed with the exact mean of the question's
+    answers, every respondent is scored in exact arithmetic (each local weight
+    taken as the exact value of its float) and the scores are averaged.
+    """
+    max_of = {q.id: q.max_value for q in instrument.questions}
+    col_of = {qid: i for i, qid in enumerate(responses.question_ids)}
+    rows = list(responses.consumer.values())
+    q_mean = {}
+    for qid, col in col_of.items():
+        present = [row[col] for row in rows if row[col] is not None]
+        if not present:
+            raise DegenerateDataError(f"question {qid} has no answers at all; cannot impute")
+        q_mean[qid] = Fraction(sum(present), len(present))
+    index_total = {idx: Fraction(0) for idx, _ in instrument.indices}
+    dim_total = {dim: Fraction(0) for dim in instrument.dimensions()}
+    for row in rows:
+        norm = {qid: (q_mean[qid] if row[col] is None else Fraction(row[col])) / max_of[qid]
+                for qid, col in col_of.items()}
+        for dim in instrument.dimensions():
+            for idx in instrument.indices_of_dimension(dim):
+                qids = instrument.questions_of(idx)
+                score = sum(norm[q] for q in qids) / len(qids)
+                index_total[idx] += score
+                dim_total[dim] += Fraction(float(local[idx])) * score
+    n = len(rows)
+    return ({idx: 100 * total / n for idx, total in index_total.items()},
+            {dim: 100 * total / n for dim, total in dim_total.items()})
 
 
 def loop_alpha(arr):
@@ -314,11 +349,62 @@ def test_score_consumer_equals_loop_reference(case):
     per_respondent, pooled_dims, pooled_indices, imputed = expected
     assert dict(got.per_respondent) == per_respondent
     assert list(got.per_respondent) == list(per_respondent)
-    assert got.pooled_dimensions == pooled_dims
     assert list(got.pooled_dimensions) == list(pooled_dims)
-    assert got.pooled_indices == pooled_indices
     assert list(got.pooled_indices) == list(pooled_indices)
+    exact_indices, exact_dims = exact_pooled_scores(responses, instrument, local)
+    for values, loop_values, exact in ((got.pooled_dimensions, pooled_dims, exact_dims),
+                                       (got.pooled_indices, pooled_indices, exact_indices)):
+        for key, value in values.items():
+            loop_value, true = loop_values[key], exact[key]
+            assert value == float(true), (key, value, true)
+            assert abs(Fraction(value) - true) <= \
+                abs(Fraction(loop_value) - true) + Fraction(math.ulp(loop_value)), (key, value, loop_value)
     assert got.imputed == imputed
+
+
+@st.composite
+def answered_response_sets(draw):
+    """(responses, instrument, local weights): blanks anywhere but every question answered once
+    or more, index weights any finite float up to 1e300 in size, dimension weights summing to 1."""
+    instrument = draw(st.sampled_from(INSTRUMENTS))
+    qids = instrument.question_ids
+    n = draw(st.integers(1, 30))
+    answer = st.integers(0, 4)
+    rows = draw(st.lists(st.lists(st.one_of(st.none(), answer), min_size=len(qids), max_size=len(qids)),
+                         min_size=n, max_size=n))
+    for q in range(len(qids)):
+        if all(row[q] is None for row in rows):
+            rows[draw(st.integers(0, n - 1))][q] = draw(answer)
+    responses = ResponseSet(question_ids=qids,
+                            consumer={f"r{i}": tuple(row) for i, row in enumerate(rows)})
+    local = {idx: draw(st.floats(-1e300, 1e300)) for idx, _ in instrument.indices}
+    *dims, last = instrument.dimensions()
+    local.update({dim: draw(st.floats(0.0, 1.0)) for dim in dims})
+    local[last] = 1.0 - ordered_sum(local[dim] for dim in dims)
+    return responses, instrument, local
+
+
+@settings(max_examples=200, deadline=None)
+@given(answered_response_sets())
+def test_pooled_scores_are_the_exact_values_correctly_rounded(case):
+    responses, instrument, local = case
+    exact_indices, exact_dims = exact_pooled_scores(responses, instrument, local)
+    scores = score_consumer(responses, instrument, local)
+    assert scores.pooled_indices == {idx: float(value) for idx, value in exact_indices.items()}
+    assert scores.pooled_dimensions == {dim: float(value) for dim, value in exact_dims.items()}
+    card = score_software(responses, instrument, local)
+    assert card.dimension_scores == scores.pooled_dimensions
+    assert card.composite == ordered_sum(local[dim] * card.dimension_scores[dim] for dim in card.dimension_scores)
+
+
+def test_a_question_nobody_answered_is_degenerate():
+    instrument = toy_instrument()
+    responses = ResponseSet(question_ids=instrument.question_ids,
+                            consumer={"r1": (4, None, 3, 0, 1, 4), "r2": (2, None, 1, 3, 3, 2)})
+    local = {"d1": 0.5, "d2": 0.5, "d1.a": 0.5, "d1.b": 0.5, "d2.c": 1.0}
+    for score in (score_consumer, score_software):
+        with pytest.raises(DegenerateDataError, match="^question q2 has no answers at all; cannot impute$"):
+            score(responses, instrument, local)
 
 
 def check_reliability_against_loop(responses, instrument):

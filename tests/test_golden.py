@@ -4,11 +4,14 @@ pinned by sha256. README's pipeline config and library use blocks are checked
 against the bundled data too.
 
 Any change to parsing, validation, statistics, scoring or rendering that moves
-a single byte of the JSON or markdown output fails here. The pinned digests
+a single byte of the JSON or markdown output fails here. The markdown digests
 were taken from the row-by-row implementation that preceded the columnar
 response matrix, so they also show that the matrix code reproduces it bit for
 bit; the scaled Delphi digests were taken from the per-cell ratings parser and
-the per-rater Kendall's W loop in the same way. A deliberate change to the output must update the digests and say why.
+the per-rater Kendall's W loop in the same way. The JSON digests were retaken
+when pooled scores became correctly rounded from exact per-question sums, which
+moved only the last bits of some dimension scores and of what is added from
+them. A deliberate change to the output must update the digests and say why.
 """
 
 import builtins
@@ -40,15 +43,15 @@ DATA = Path(stagekit.__file__).parent / "data"
 
 GOLDEN = {
     "demo": {
-        "json": "0a05bfa5bf9000e07dfd1e2cf327abe84a87154cc135c622a103a9e6d2d693ff",
+        "json": "ab8c2c4fba4d2a54fe86f515389f444e5464f79878d75dbd2191c77ffbb16541",
         "markdown": "7cc734b6ff3ff3cffbb029e96a2b6c16bb95cb169f44fccc9ed7853ac3af5318",
     },
     "survey-5k": {
-        "json": "62ad8d13746a82f7222bed6a065f1d0e80de45b7c72947d05696848c4a352db6",
+        "json": "fb68ec4039bf58c06799a600b27fef509af5f7ac538e72468c21ca502f1db511",
         "markdown": "f065de775e5ffa2088e8570cab1080fce78c61d9aac39b50e51ea9800c7ccc19",
     },
     "delphi-2k": {
-        "json": "69576f5eb22835101b759fa7cd718ab2ba8497f279aa97ea166c6c6de86787d8",
+        "json": "97ba43d9de7635caff5fa175dc253f854661a8d64f985dab37c00038ffe31072",
         "markdown": "87669c482c80aad5e097e3347e01cec6b035472372773a8a64191c23b410cbef",
     },
 }
@@ -339,7 +342,7 @@ GOLDEN_CLI = {
     "round2_form.csv": "34453a7a46e0380229364161efb3c215030c86407cc3074bc3e5ef34eab966b7",
     "round2.json": "e1e5d10c3981c85ccd3fdbc4fa0dee2dec02e4d0b7c61a47ca77e3b779f7e5f5",
     "weights.json": "cce5f75f45bd177712995d5ff33a8691b5196782c0bbc800ada998e2f01f7108",
-    "score.json": "b8ba4564ca7d4b77175c36a147c74cbab76988638f2885cce6b0500c701de201",
+    "score.json": "3e55e11b78f1f7c74e40d33b4baa3f434e1efab8321fdbc19c29bc761c78accb",
     "reliability.json": "00952e9adca539cbd5855395d09bca3fa0cdc6235d962347e2dd03973bbf7733",
     "validity.json": "1871e3458537fc942969a6ac1d92671485d339bf4b2ec7378668213e3bf8a79d",
     "screened.md": "31bf37bf93e35098e188c74e098e3ea4d2cf098c803d826459338f2427f492e5",

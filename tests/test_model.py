@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stagekit import (
     IndicatorNode,
@@ -17,7 +19,7 @@ from stagekit import (
     load_default_instrument,
     validate_tree,
 )
-from stagekit.model import ExpertPanel, RowMatrix
+from stagekit.model import MISSING, ExpertPanel, RowMatrix
 
 
 def node(node_id, level, parent=None, weight=None, bonus=False):
@@ -262,6 +264,12 @@ class TestInstrument:
             assert bid not in tree
 
 
+@pytest.mark.parametrize("max_value", [0, -4])
+def test_question_max_value_must_be_positive(max_value):
+    with pytest.raises(InvalidInputError, match=f"^question q1: max_value {max_value} must be positive$"):
+        Question(id="q1", text="Q1", max_value=max_value)
+
+
 class TestResponseSet:
     def test_missing_cells_tracked(self):
         rs = ResponseSet(
@@ -271,6 +279,30 @@ class TestResponseSet:
         assert rs.respondents == ("r1", "r2")
         assert rs.complete_mask.tolist() == [False, True]
         assert rs.missing_cells() == (("r1", "q2"),)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 6).flatmap(lambda k: st.tuples(st.just(k), st.lists(
+        st.lists(st.one_of(st.none(), st.integers(0, 4)), min_size=k, max_size=k), max_size=12))))
+    def test_blank_scan_matches_the_matrix_formulas(self, case):
+        """complete_mask and missing_cells, read off the one scan, equal the formulas on the matrix."""
+        k, rows = case
+        qids = tuple(f"q{j}" for j in range(k))
+        rs = ResponseSet(question_ids=qids, consumer={f"r{i}": tuple(row) for i, row in enumerate(rows)})
+        m = rs.consumer.matrix
+        assert rs.complete_mask.dtype == bool
+        assert rs.complete_mask.tolist() == (m != MISSING).all(axis=1).tolist()
+        flat_rows, flat_cols = np.divmod(np.flatnonzero(m == MISSING), len(qids))
+        assert rs.missing_cells() == tuple((rs.respondents[r], qids[c])
+                                           for r, c in zip(flat_rows.tolist(), flat_cols.tolist()))
+        assert rs.missing_cells() == tuple((f"r{i}", qids[j]) for i, row in enumerate(rows)
+                                           for j, v in enumerate(row) if v is None)
+
+    def test_blank_scan_is_kept_with_the_answer_matrix(self):
+        rs = ResponseSet(question_ids=("q1", "q2"), consumer={"r1": (4, None), "r2": (3, 2)})
+        rows, cols = rs.consumer.blank_cells
+        assert (rows.tolist(), cols.tolist()) == ([0], [1])
+        assert rs.consumer.blank_cells is rs.consumer.blank_cells
+        assert rs.with_bonus(("b1",), {"e1": (3,)}).consumer.blank_cells is rs.consumer.blank_cells
 
     def test_value_range_enforced(self):
         with pytest.raises(InvalidInputError):

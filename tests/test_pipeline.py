@@ -1,6 +1,7 @@
 import json
 import os
 import types
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from stagekit import (
     render_json,
     run_pipeline,
 )
+from stagekit.model import RowMatrix
 from stagekit.pipeline import load_config
 
 DATA = Path(stagekit.__file__).parent / "data"
@@ -31,6 +33,23 @@ class TestDemoRun:
         assert bundle.reliability is not None
         assert bundle.validity is not None
         assert bundle.score is not None
+
+    def test_one_run_scans_the_responses_for_blanks_once(self, monkeypatch):
+        """Reliability and score (with its bonus ratings) share one scan of the answer matrix."""
+        scanned = []
+        scan = vars(RowMatrix)["blank_cells"].func
+
+        def counted(matrix):
+            scanned.append(matrix)
+            return scan(matrix)
+
+        counting = cached_property(counted)
+        counting.__set_name__(RowMatrix, "blank_cells")
+        monkeypatch.setattr(RowMatrix, "blank_cells", counting)
+        bundle = run_pipeline(DEMO_CONFIG)
+        assert bundle.reliability is not None and bundle.score is not None
+        assert bundle.score.bonus > 0
+        assert len(scanned) == 1
 
     def test_byte_identical_across_runs(self):
         first = render_json(run_pipeline(DEMO_CONFIG))

@@ -282,6 +282,44 @@ class TestScoreSoftware:
             assert -1e-9 <= card.final_rescaled <= 100 + 1e-9
 
 
+class TestLocalWeightTypes:
+    """Every local weight is read as a finite real number before any arithmetic."""
+
+    ROWS = {"r1": (4, 2, 3, 0, 1, 4), "r2": (2, None, 1, 3, 3, 2)}
+
+    @pytest.mark.parametrize("node", ["d1", "d1.b"])
+    @pytest.mark.parametrize("value", ["0.5", True, None, 1j, b"1", [0.5]])
+    def test_non_real_weight_names_its_node(self, node, value):
+        weights = {**WEIGHTS, node: value}
+        message = f"^node {re.escape(node)}: local weight {re.escape(repr(value))} is not a real number$"
+        for score in (score_consumer, score_software):
+            with pytest.raises(InvalidInputError, match=message):
+                score(make_responses(self.ROWS), two_dim_instrument(), weights)
+
+    @pytest.mark.parametrize("node", ["d1", "d1.b"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64(math.nan), 10**400])
+    def test_non_finite_weight_keeps_the_finite_message(self, node, value):
+        weights = {**WEIGHTS, node: value}
+        for score in (score_consumer, score_software):
+            with pytest.raises(InvalidInputError, match="^dimension scores and weights must be finite numbers$"):
+                score(make_responses(self.ROWS), two_dim_instrument(), weights)
+
+    def test_dimension_score_past_the_float_range_is_not_finite(self):
+        weights = {**WEIGHTS, "d1.b": 1e308}
+        with pytest.raises(InvalidInputError, match="^dimension scores and weights must be finite numbers$"):
+            score_software(make_responses(self.ROWS), two_dim_instrument(), weights)
+
+    @pytest.mark.parametrize("kind", [np.float32, np.float64, float])
+    def test_numpy_and_int_weights_score_as_their_float_value(self, kind):
+        weights = {key: kind(value) for key, value in {**WEIGHTS, "d1": 0.5, "d2": 0.5}.items()}
+        weights["d2.c"] = 1  # an int
+        as_floats = {key: float(value) for key, value in weights.items()}
+        expected = score_software(make_responses(self.ROWS), two_dim_instrument(), as_floats)
+        card = score_software(make_responses(self.ROWS), two_dim_instrument(), weights)
+        assert card == expected
+        assert all(type(w) is float for w in card.dimension_weights.values())
+
+
 class TestQuestionProportionalWeights:
     def test_collapses_to_plain_mean(self):
         # With count-proportional weights the composite must equal 100 times
