@@ -497,6 +497,77 @@ class RowMatrix(Mapping):
         return f"RowMatrix({len(self.ids)} rows x {self.matrix.shape[1]} columns)"
 
 
+class CellPairs(Sequence):
+    """(row id, column id) pairs of matrix cells, kept as two read-only index arrays.
+
+    Pair i is ``(row_ids[rows[i]], column_ids[cols[i]])``. It reads as the tuple of
+    those pairs: ``len``, indexing, slicing (to a tuple) and iteration give the same
+    values, and it equals any sequence of 2-item sequences holding the same pairs in
+    the same order (``(("r1", "q2"),)`` or ``[["r1", "q2"]]``). The object takes
+    ownership of ``rows`` and ``cols`` and marks them read-only.
+    """
+
+    def __init__(self, row_ids: Sequence[str], column_ids: Sequence[str], rows: np.ndarray, cols: np.ndarray):
+        if rows.shape != cols.shape or rows.ndim != 1:
+            raise InvalidInputError(f"row and column arrays of shapes {rows.shape} and {cols.shape}")
+        self.row_ids, self.column_ids = tuple(row_ids), tuple(column_ids)
+        rows.flags.writeable = cols.flags.writeable = False
+        self.rows, self.cols = rows, cols
+
+    @classmethod
+    def of(cls, pairs: Iterable[tuple[str, str]], column_ids: Sequence[str]) -> "CellPairs":
+        """``pairs`` over ``column_ids`` (a column not among them is a KeyError), row ids in order of first use."""
+        import numpy as np
+
+        column_of = dict(zip(column_ids, range(len(column_ids))))
+        row_of: dict[str, int] = {}
+        codes = [(row_of.setdefault(r, len(row_of)), column_of[c]) for r, c in pairs]
+        rows, cols = np.array(codes, dtype=np.intp).reshape(-1, 2).T.copy()
+        return cls(row_of, column_ids, rows, cols)
+
+    def _pairs(self, rows: np.ndarray, cols: np.ndarray):
+        row_ids, column_ids = self.row_ids, self.column_ids
+        return zip([row_ids[r] for r in rows.tolist()], [column_ids[c] for c in cols.tolist()])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self._pairs(self.rows[i], self.cols[i]))
+        return self.row_ids[self.rows[i]], self.column_ids[self.cols[i]]
+
+    def __iter__(self):
+        return self._pairs(self.rows, self.cols)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            isinstance(b, Sequence) and not isinstance(b, (str, bytes)) and a == tuple(b)
+            for a, b in zip(self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    @cached_property
+    def columns(self) -> tuple[tuple[list[str], np.ndarray], tuple[tuple[str, ...], np.ndarray]]:
+        """The pairs as two columns, each (values, codes) with cell i ``values[codes[i]]``.
+
+        The first column's values are the row ids that occur, in row order; the
+        second's are the column ids. Each id is thus held once, however many pairs name it.
+        """
+        import numpy as np
+
+        used = np.zeros(len(self.row_ids), dtype=bool)  # a mask, not np.unique: no sort
+        used[self.rows] = True
+        codes = (np.cumsum(used) - 1)[self.rows]  # each row's place among the rows used
+        return ([self.row_ids[r] for r in np.flatnonzero(used).tolist()], codes), (self.column_ids, self.cols)
+
+    def __repr__(self) -> str:
+        return f"CellPairs({tuple(self)!r})"
+
+
 def rating_dtype(scale_max: int) -> str:
     """The matrix dtype name of ratings 1..scale_max: "int8" where it holds them, else "int64"."""
     if scale_max > 2**63 - 1:
@@ -609,11 +680,9 @@ class ResponseSet:
         mask[self.consumer.blank_cells[0]] = False
         return mask
 
-    def missing_cells(self) -> tuple[tuple[str, str], ...]:
-        """(respondent_id, question_id) pairs with no answer, in row-major order."""
-        rows, cols = self.consumer.blank_cells
-        ids, qids = self.consumer.ids, self.question_ids
-        return tuple(zip(map(ids.__getitem__, rows.tolist()), map(qids.__getitem__, cols.tolist())))
+    def missing_cells(self) -> CellPairs:
+        """(respondent_id, question_id) pairs with no answer, row-major: the blank scan's arrays, no pair built."""
+        return CellPairs(self.consumer.ids, self.question_ids, *self.consumer.blank_cells)
 
     def with_bonus(self, bonus_ids: Sequence[str], expert_bonus: Mapping[str, Sequence[int]]) -> "ResponseSet":
         return ResponseSet(

@@ -5,6 +5,7 @@ display rounded half-even at a fixed number of decimals (4 for coefficients/weig
 scores). Markdown output renders the same display strings as the JSON, so the two formats can never
 disagree; neither contains timestamps, locales, or other run-dependent bytes.
 JSON text is the bytes of ``json.dumps(obj, indent=2, ensure_ascii=False)`` and a final LF, at any depth.
+The imputed pairs are written from their columns (:func:`_join_columns`), each id encoded once.
 
 Writer (:func:`_fields`) and reader (:func:`_read`) share one rule: a field's declared type
 makes it a number pair, a null or a plain value. Only regrouped or renamed entries are written
@@ -21,13 +22,16 @@ from functools import partial
 from itertools import chain
 from pathlib import Path
 from types import UnionType
-from typing import Any, Mapping, get_args, get_origin, get_type_hints
+from typing import Any, Callable, Mapping, Sequence, get_args, get_origin, get_type_hints
+
+import numpy as np
 
 from .ahp import GroupConsistency, WeightTable
 from .consensus import IndicatorStats, RoundConsensus, ScreeningResult
 from .errors import InvalidInputError, SchemaError
 from .io import replacing
-from .model import IndicatorNode, IndicatorTree, Level, ScreeningThresholds
+from .instrument import load_default_instrument
+from .model import CellPairs, IndicatorNode, IndicatorTree, Level, ScreeningThresholds
 from .psychometrics import ReliabilityTable, ValidityTable
 from .scoring import ScoreCard
 
@@ -147,12 +151,12 @@ def _score_obj(card: ScoreCard, coeff_places: int) -> dict[str, Any]:
         **_fields(card, ("composite", "bonus"), SCORE_PLACES),
         "bonus_cap": card.bonus_cap,  # declared float, written as a plain number
         **_fields(card, ("final", "final_rescaled"), SCORE_PLACES),
-        "imputed": [[rid, qid] for rid, qid in card.imputed],
+        "imputed": card.imputed or [],  # the pairs, written from their columns
     }
 
 
-def bundle_to_obj(bundle: ReportBundle, *, coeff_places: int = COEFF_PLACES) -> dict[str, Any]:
-    """The bundle as a JSON-ready dict with a fixed key order; CVI and scores keep SCORE_PLACES."""
+def _tree(bundle: ReportBundle, coeff_places: int) -> dict[str, Any]:
+    """The bundle as :func:`bundle_to_obj`'s dict, save that the imputed pairs stay a CellPairs."""
     return {
         "rounds": [_round_obj(s, coeff_places) for s in bundle.rounds],
         "weights": None if bundle.weights is None else _weights_obj(bundle.weights, coeff_places),
@@ -161,6 +165,17 @@ def bundle_to_obj(bundle: ReportBundle, *, coeff_places: int = COEFF_PLACES) -> 
         "validity": None if bundle.validity is None else _record(bundle.validity, SCORE_PLACES),
         "score": None if bundle.score is None else _score_obj(bundle.score, coeff_places),
     }
+
+
+def bundle_to_obj(bundle: ReportBundle, *, coeff_places: int = COEFF_PLACES) -> dict[str, Any]:
+    """The bundle as a JSON-ready dict with a fixed key order; CVI and scores keep SCORE_PLACES.
+
+    Each imputed pair is a ``[rid, qid]`` list here; the renderers write the pairs from their columns.
+    """
+    obj = _tree(bundle, coeff_places)
+    if obj["score"] is not None:
+        obj["score"]["imputed"] = list(map(list, obj["score"]["imputed"]))
+    return obj
 
 
 def _number(value: Any) -> float:
@@ -265,8 +280,17 @@ def _score_from_obj(obj: Mapping[str, Any]) -> ScoreCard:
         dimension_weights={d["id"]: _field("weight", float, d["weight"]) for d in dims},
         **_read(ScoreCard, obj, ("composite", "bonus", "final", "final_rescaled", "n_respondents")),
         bonus_cap=_number(obj["bonus_cap"]),  # written as a plain number
-        imputed=tuple((rid, qid) for rid, qid in map(_strs, _field("imputed", list, obj["imputed"]))),
+        imputed=_imputed_from_obj(obj["imputed"]),
     )
+
+
+def _imputed_from_obj(value: Any) -> CellPairs:
+    """A score's imputed (respondent, question) pairs; each names a question of the instrument, and none twice."""
+    pairs = _keyed("imputed", ((pair, None) for pair in map(_strs, _field("imputed", list, value))))
+    try:
+        return CellPairs.of(pairs, load_default_instrument().question_ids)
+    except KeyError as exc:
+        raise ValueError(f"imputed: {exc.args[0]!r} is not a question of the instrument") from None
 
 
 def bundle_from_obj(obj: Any, source: str | Path = "bundle") -> ReportBundle:
@@ -277,8 +301,9 @@ def bundle_from_obj(obj: Any, source: str | Path = "bundle") -> ReportBundle:
     must hold its declared type (see :func:`_field`), no id may repeat in a list
     (a round number, an indicator, node, consistency group, reliability index or
     question, or validity item; a screened id is either retained or dropped,
-    once), and a screening's reasons must cover every dropped id. Display
-    strings are not kept: output renders them again from the values.
+    once), a screening's reasons must cover every dropped id, and each imputed
+    pair must name a question of the instrument, once. Display strings are not
+    kept: output renders them again from the values.
     """
     try:
         rounds = _keyed("rounds", ((s.consensus.round_no, s)
@@ -296,32 +321,65 @@ _LEAF = {str: json.encoder.encode_basestring, int: int.__repr__, bool: {True: "t
          float: lambda v: repr(v).replace("inf", "Infinity").replace("nan", "NaN"), type(None): lambda v: "null"}
 
 
-def _rows(v: list | tuple, inner: str) -> str | None:
-    """A list's items indented as ``inner``, if they are equal-width rows of scalars of one exact type; else None."""
-    if (set(map(type, v)) <= {list, tuple} and len(widths := set(map(len, v))) == 1 and (width := widths.pop())
-            and len(kinds := set(map(type, chain.from_iterable(v)))) == 1 and (leaf := _LEAF.get(kinds.pop()))):
-        rows = map(f",{inner}  ".join, zip(*[map(leaf, chain.from_iterable(v))] * width))
-        return f"{inner}[{inner}  " + f"{inner}],{inner}[{inner}  ".join(rows) + f"{inner}]"
+def _columns(v: Any) -> Sequence[tuple[Sequence, np.ndarray]] | None:
+    """A CellPairs' columns, or those of a non-empty list of equal-width rows of scalars; else None.
+
+    Each column is (values, codes), its cell i ``values[codes[i]]``, codes an index array.
+    """
+    if isinstance(v, CellPairs):
+        return v.columns
+    if (v and set(map(type, v)) <= {list, tuple} and len(widths := set(map(len, v))) == 1 and widths.pop()
+            and set(map(type, chain.from_iterable(v))) <= _LEAF.keys()):
+        return [(column, np.arange(len(v))) for column in zip(*v)]
     return None
 
 
+def _join_columns(columns: Sequence[tuple[Sequence, np.ndarray]], texts: Callable[[Sequence], list[str]],
+                  sep: str, row_sep: str) -> str:
+    """The rows held in ``columns``, cells joined by ``sep`` and rows by ``row_sep``.
+
+    ``texts`` gives the text of each of a column's values, so each distinct value is written once.
+    """
+    cells = np.empty((len(columns[0][1]), len(columns)), dtype=object)
+    for k, (values, codes) in enumerate(columns):  # a cell carries the separator before it, a last cell the row's
+        head, tail = sep if k else "", row_sep if k == len(columns) - 1 else ""
+        cells[:, k] = np.array([head + t + tail for t in texts(values)] if head or tail else texts(values),
+                               dtype=object)[codes]
+    return "".join(cells.ravel().tolist())[:-len(row_sep)]
+
+
+def _json_texts(values: Sequence) -> list[str]:
+    """json's text of each scalar in ``values``."""
+    try:
+        return list(map(_LEAF[str], values))  # a column of ids
+    except TypeError:  # a value that is not a str
+        return [json.dumps(value, ensure_ascii=False) for value in values]
+
+
 def render_json_obj(obj: Any) -> str:
-    """``json.dumps(obj, indent=2, ensure_ascii=False) + "\\n"``, byte for byte, at any depth."""
+    """``json.dumps(obj, indent=2, ensure_ascii=False) + "\\n"``, byte for byte, at any depth.
+
+    A CellPairs in ``obj`` is written as the list of its pairs.
+    """
     out, stack = [], {None: (iter((("", obj),)), "\n", "\n")}  # the open containers by id, innermost last
     while stack:
         children, close, ind = next(reversed(stack.values()))  # ind: the children's; the root's close: the LF
         for head, v in children:
-            if not ((is_dict := isinstance(v, dict)) and set(map(type, v)) == {str} or isinstance(v, (list, tuple)) and v):
+            if not ((is_dict := isinstance(v, dict)) and set(map(type, v)) == {str}
+                    or isinstance(v, (list, tuple, CellPairs)) and v):
                 leaf = _LEAF.get(type(v))  # else json's own text, or its TypeError
                 out.append(head + (leaf(v) if leaf else json.dumps(v, indent=2, ensure_ascii=False).replace("\n", ind)))
                 continue
             if id(v) in stack:
                 raise ValueError("Circular reference detected")
             pre, values = f",{ind}  ", v.values() if is_dict else v  # a comma, the children's indent
-            if set(map(type, values)) <= _LEAF.keys():  # all scalars: the container in one piece
+            if not is_dict and (columns := _columns(v)):  # rows of scalars: written from their columns
+                row = f"{ind}  [{ind}    "
+                text = row + _join_columns(columns, _json_texts, f",{ind}    ", f"{ind}  ],{row}") + f"{ind}  ]"
+            elif set(map(type, values)) <= _LEAF.keys():  # all scalars: the container in one piece
                 text = "".join([f"{pre}{_LEAF[str](k)}: {_LEAF[type(x)](x)}" for k, x in v.items()] if is_dict
                                else [pre + _LEAF[type(x)](x) for x in v])[1:]
-            elif is_dict or (text := _rows(v, ind + "  ")) is None:
+            else:
                 heads = [f"{pre}{_LEAF[str](k)}: " for k in v] if is_dict else [pre] * len(v)
                 heads[0] = heads[0][1:]  # no comma before the first
                 out.append(head + "[{"[is_dict])
@@ -335,7 +393,7 @@ def render_json_obj(obj: Any) -> str:
 
 
 def render_json(bundle: ReportBundle, *, coeff_places: int = COEFF_PLACES) -> str:
-    return render_json_obj(bundle_to_obj(bundle, coeff_places=coeff_places))
+    return render_json_obj(_tree(bundle, coeff_places))
 
 
 def _cell(value: Any) -> str:
@@ -357,8 +415,15 @@ def _md_table(columns: Mapping[str, str], rows) -> list[str]:
     return lines + [""]  # the blank line that closes the block
 
 
+def _md_texts(values: Sequence) -> list[str]:
+    return list(map(str, values))
+
+
 def render_markdown_obj(obj: Mapping[str, Any]) -> str:
-    """Markdown report rendered from the JSON-ready dict (same display strings), taken as checked."""
+    """Markdown report rendered from the JSON-ready dict (same display strings), taken as checked.
+
+    The imputed pairs may be a CellPairs, as in :func:`render_markdown`'s tree.
+    """
     out: list[str] = ["# Evaluation report", ""]
 
     for rnd in obj["rounds"]:
@@ -442,15 +507,14 @@ def render_markdown_obj(obj: Mapping[str, Any]) -> str:
             f"Respondents: {score['n_respondents']}",
         ]
         if score["imputed"]:
-            cells = ", ".join(f"({rid}, {qid})" for rid, qid in score["imputed"])
-            out.append(f"Imputed answers: {cells}")
+            out.append(f"Imputed answers: ({_join_columns(_columns(score['imputed']), _md_texts, ', ', '), (')})")
         out.append("")
 
     return "\n".join(out).rstrip("\n") + "\n"
 
 
 def render_markdown(bundle: ReportBundle, *, coeff_places: int = COEFF_PLACES) -> str:
-    return render_markdown_obj(bundle_to_obj(bundle, coeff_places=coeff_places))
+    return render_markdown_obj(_tree(bundle, coeff_places))
 
 
 def emit_report(bundle: ReportBundle, fmt: str = "json", *, coeff_places: int = COEFF_PLACES) -> str:

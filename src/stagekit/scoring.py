@@ -30,7 +30,7 @@ from .errors import (
     IncompleteWeightsError,
     InvalidInputError,
 )
-from .model import MISSING, Instrument, ResponseSet, RowMatrix, ordered_sum
+from .model import MISSING, CellPairs, Instrument, ResponseSet, RowMatrix, ordered_sum
 
 DEFAULT_BONUS_CAP = 10.0
 _TOL = 1e-9
@@ -49,7 +49,7 @@ class ConsumerScores:
     per_respondent: Mapping[str, Mapping[str, float]]
     pooled_dimensions: Mapping[str, float]
     pooled_indices: Mapping[str, float]
-    imputed: tuple[tuple[str, str], ...]  # (respondent_id, question_id)
+    imputed: CellPairs  # (respondent_id, question_id) of each blank, row-major, held as index columns
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,7 @@ class ScoreCard:
     final: float  # composite + bonus, range 0 .. 100 + cap
     final_rescaled: float  # final mapped back onto 0-100
     n_respondents: int
-    imputed: tuple[tuple[str, str], ...]
+    imputed: CellPairs  # (respondent_id, question_id) of each imputed answer, held as index columns
 
 
 def _weight(node: str, value) -> float:
@@ -224,9 +224,9 @@ def composite(
     *,
     cap: float = DEFAULT_BONUS_CAP,
     n_respondents: int = 0,
-    imputed: tuple[tuple[str, str], ...] = (),
+    imputed: CellPairs | None = None,
 ) -> ScoreCard:
-    """Combine dimension scores and the bonus into the final scorecard."""
+    """Combine dimension scores and the bonus into the final scorecard; ``imputed`` defaults to no pairs."""
     missing = [d for d in core if d not in dim_weights]
     if missing:
         raise IncompleteWeightsError(f"no weight for dimension(s) {', '.join(sorted(missing))}")
@@ -254,7 +254,7 @@ def composite(
         final=final,
         final_rescaled=final / (100.0 + cap) * 100.0,
         n_respondents=n_respondents,
-        imputed=imputed,
+        imputed=CellPairs.of((), ()) if imputed is None else imputed,
     )
 
 

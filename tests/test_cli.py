@@ -712,6 +712,22 @@ class TestReport:
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("fmt", ["json", "markdown"])
+    @pytest.mark.parametrize("imputed, message", [
+        ([["r1", "q99"]], "imputed: 'q99' is not a question of the instrument"),
+        ([["r26", "q7"], ["r26", "q7"]], "imputed: id ('r26', 'q7') listed twice"),
+    ], ids=["unknown-question", "pair-twice"])
+    def test_impossible_imputed_pair_exits_2(self, pipeline_bundle, tmp_path, capsys, imputed, message, fmt):
+        obj = json.loads(pipeline_bundle.read_text(encoding="utf-8"))
+        obj["score"]["imputed"] = imputed
+        bundle = tmp_path / "bad_imputed.json"
+        bundle.write_text(json.dumps(obj), encoding="utf-8")
+        out_path = tmp_path / "report.out"
+        rc, out, err = run(capsys, "report", "--bundle", bundle, "--format", fmt, "--out", out_path)
+        assert (rc, out) == (2, "")
+        assert err == f"error: {bundle}: not a stagekit bundle (bad or missing field {message})\n"
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("fmt", ["json", "markdown"])
     @pytest.mark.parametrize("where", [("rounds", 0, "indicators", 0, "mean"),
                                        ("reliability", "total_alpha")],
                              ids=["rounds", "reliability"])

@@ -19,7 +19,7 @@ from stagekit import (
     load_default_instrument,
     validate_tree,
 )
-from stagekit.model import MISSING, ExpertPanel, RowMatrix
+from stagekit.model import MISSING, CellPairs, ExpertPanel, RowMatrix
 
 
 def node(node_id, level, parent=None, weight=None, bonus=False):
@@ -359,6 +359,66 @@ class TestResponseSet:
         assert rs2.bonus_ids == ("b1", "b2")
         assert rs2.expert_bonus["e1"] == (4, 2)
         assert rs2.consumer == rs.consumer
+
+
+# Ids that need JSON escaping: quotes, backslashes, control characters, non-ASCII.
+IDS = st.text(st.characters(exclude_categories=("Cs",)) | st.sampled_from('"\\\x00\x1f\n\u2028é'), max_size=5)
+
+
+@st.composite
+def blank_masks(draw):
+    """A ResponseSet of 0-12 respondents x 0-6 questions with escaped ids, and its blanks as a tuple of pairs."""
+    k = draw(st.integers(0, 6))
+    qids = tuple(draw(st.lists(IDS, min_size=k, max_size=k, unique=True)))
+    ids = draw(st.lists(IDS, max_size=12, unique=True))
+    rows = [draw(st.lists(st.one_of(st.none(), st.integers(0, 4)), min_size=k, max_size=k)) for _ in ids]
+    rs = ResponseSet(question_ids=qids, consumer=dict(zip(ids, map(tuple, rows))))
+    return rs, tuple((rid, qids[j]) for rid, row in zip(ids, rows) for j, v in enumerate(row) if v is None)
+
+
+class TestCellPairs:
+    """``missing_cells()`` keeps the blanks as index columns and reads as the tuple of pairs."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(blank_masks(), st.slices(14))
+    def test_reads_as_the_tuple_of_pairs(self, case, cut):
+        rs, pairs = case
+        cells = rs.missing_cells()
+        assert isinstance(cells, CellPairs)
+        assert len(cells) == len(pairs) and bool(cells) == bool(pairs)
+        assert [cells[i] for i in range(-len(pairs), len(pairs))] == list(pairs + pairs)
+        with pytest.raises(IndexError):
+            cells[len(pairs)]
+        assert cells[cut] == pairs[cut] and type(cells[cut]) is tuple
+        assert tuple(cells) == tuple(iter(cells)) == pairs
+        assert cells == pairs and pairs == cells and cells == [list(p) for p in pairs]
+        assert hash(cells) == hash(pairs)
+        assert CellPairs.of(pairs, rs.question_ids) == cells
+        if pairs:
+            assert cells != pairs[:-1] and cells != pairs[::-1] + ((None, None),)
+            assert cells != [list(p) + ["x"] for p in pairs] and cells != ["".join(p) for p in pairs]
+
+    def test_built_in_constant_time_from_the_blank_scan(self):
+        rs = ResponseSet(question_ids=("q1", "q2"), consumer={"r1": (4, None), "r2": (None, None)})
+        cells = rs.missing_cells()
+        assert cells.rows is rs.consumer.blank_cells[0] and cells.cols is rs.consumer.blank_cells[1]
+        assert cells.row_ids is rs.respondents and cells.column_ids is rs.question_ids
+        assert not cells.rows.flags.writeable and not cells.cols.flags.writeable
+
+    def test_columns_hold_each_id_once(self):
+        rs = ResponseSet(question_ids=("q1", "q2", "q3"),
+                         consumer={"r1": (None, 1, None), "r2": (0, 1, 2), "r3": (None, None, 4)})
+        (respondents, rows), (questions, cols) = rs.missing_cells().columns
+        assert respondents == ["r1", "r3"] and questions == ("q1", "q2", "q3")
+        assert rows.tolist() == [0, 0, 1, 1] and cols.tolist() == [0, 2, 0, 1]
+
+    def test_of_keeps_the_order_given(self):
+        cells = CellPairs.of([("b", "q2"), ("a", "q1"), ("b", "q1")], ("q1", "q2"))
+        assert cells == (("b", "q2"), ("a", "q1"), ("b", "q1"))
+        assert cells.row_ids == ("b", "a") and cells.rows.tolist() == [0, 1, 0]
+        assert CellPairs.of((), ()) == () and len(CellPairs.of((), ())) == 0
+        with pytest.raises(KeyError):
+            CellPairs.of([("a", "q9")], ("q1",))
 
 
 def row_matrix(rows, dtype=np.int8):

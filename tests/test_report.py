@@ -24,7 +24,9 @@ from stagekit import (
     ScreeningThresholds,
     WeightsSection,
     bundle_to_obj,
+    composite,
     derive_thresholds,
+    load_default_instrument,
     display,
     emit_report,
     reliability_report,
@@ -38,7 +40,8 @@ from stagekit import (
     weight_tree,
 )
 from stagekit.ahp import PairwiseMatrix
-from stagekit.model import IndicatorNode, IndicatorTree, Level
+from stagekit.io import parse_responses
+from stagekit.model import CellPairs, IndicatorNode, IndicatorTree, Level
 from stagekit.report import bundle_from_obj, render_json_obj, render_markdown_obj, write_output
 
 DATA = Path(stagekit.__file__).parent / "data"
@@ -325,6 +328,63 @@ class TestRenderJsonObj:
         assert render_json_obj(value) == text
 
 
+@st.composite
+def imputed_bundles(draw):
+    """A score bundle whose imputed pairs are the blanks of 0-12 respondents x 0-6 questions, ids escaped."""
+    k = draw(st.integers(0, 6))
+    qids = tuple(draw(st.lists(TEXT, min_size=k, max_size=k, unique=True)))
+    ids = draw(st.lists(TEXT, max_size=12, unique=True))
+    rows = [tuple(draw(st.lists(st.one_of(st.none(), st.integers(0, 4)), min_size=k, max_size=k))) for _ in ids]
+    cells = ResponseSet(question_ids=qids, consumer=dict(zip(ids, rows))).missing_cells()
+    return ReportBundle(score=composite({"d": 50.0}, {"d": 1.0}, 0.0, n_respondents=len(ids), imputed=cells))
+
+
+def assert_pairs_written_as_lists(bundle):
+    """The renderers' column writer gives the bytes of the pairs written as ``[rid, qid]`` lists."""
+    pairs = tuple(bundle.score.imputed)
+    obj = bundle_to_obj(bundle)
+    assert obj["score"]["imputed"] == [[rid, qid] for rid, qid in pairs]
+    text = render_json(bundle)
+    assert text == json_oracle(obj)
+    markdown = render_markdown(bundle)
+    assert markdown == render_markdown_obj(json.loads(text)) == render_markdown_obj(obj)
+    line = "Imputed answers: " + ", ".join(f"({rid}, {qid})" for rid, qid in pairs)
+    assert markdown.endswith(f"\n{line}\n") == bool(pairs)  # the score's last line
+
+
+class TestImputedColumns:
+    """Imputed pairs are written from their columns, to the bytes of the list of pairs."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(imputed_bundles())
+    def test_same_bytes_as_the_list_of_pairs(self, bundle):
+        assert isinstance(bundle.score.imputed, CellPairs)
+        assert_pairs_written_as_lists(bundle)
+
+    def test_ids_read_by_the_csv_loop(self, tmp_path):
+        """Quoted ids holding a quote, a backslash, a tab and non-ASCII, scored; the byte path declines such a file."""
+        path = tmp_path / "responses.csv"
+        header = "respondent_id," + ",".join(f"q{i}" for i in range(1, 22))
+        ids = ['"a""b"', '"c\\d"', '"e\tf"', '"é😀"']
+        path.write_text("\n".join([header, *(f"{rid}," + ",".join(["1"] * 21) for rid in ids),
+                                   '"a""b2",' + ",".join(["", "2"] * 10 + [""])]) + "\n", encoding="utf-8")
+        instrument = load_default_instrument()
+        responses = parse_responses(path, instrument)
+        assert responses.respondents == ('a"b', "c\\d", "e\tf", "é😀", 'a"b2')
+        weights = stagekit.question_proportional_weights(instrument)
+        bundle = ReportBundle(score=score_software(responses, instrument, weights))
+        assert bundle.score.imputed == tuple(('a"b2', f"q{j}") for j in range(1, 22, 2))
+        assert_pairs_written_as_lists(bundle)
+        assert bundle_from_obj(json.loads(render_json(bundle))).score.imputed == bundle.score.imputed
+
+    def test_rows_read_from_a_file_take_the_same_writer(self):
+        obj = json.loads(render_json(run_pipeline(DATA / "demo_config.json")))
+        assert obj["score"]["imputed"] == [["r26", "q7"]]
+        obj["score"]["imputed"] = [["r1", "q2"], ["r1", "q3"], ["é\"", "q21"]]
+        assert render_json_obj(obj) == json_oracle(obj)
+        assert "Imputed answers: (r1, q2), (r1, q3), (é\", q21)" in render_markdown_obj(obj)
+
+
 class TestRenderMarkdown:
     def test_markdown_shows_exactly_the_json_displays(self):
         bundle = full_bundle()
@@ -489,6 +549,25 @@ class TestBundleFromObj:
             bundle_from_obj(obj, "b.json")
         assert str(exc.value) == ("b.json: not a stagekit bundle (bad or missing field "
                                   f"retained/dropped: id {repeated!r} listed twice)")
+
+    def test_imputed_pairs_read_back_as_columns(self):
+        obj = json.loads(render_json(run_pipeline(DATA / "demo_config.json")))
+        obj["score"]["imputed"] = [["r9", "q2"], ["r1", "q21"], ["r9", "q1"]]
+        imputed = bundle_from_obj(obj).score.imputed
+        assert isinstance(imputed, CellPairs) and imputed == obj["score"]["imputed"]
+        assert imputed.row_ids == ("r9", "r1") and imputed.column_ids == load_default_instrument().question_ids
+
+    @pytest.mark.parametrize("imputed, message", [
+        ([["r1", "q99"]], "imputed: 'q99' is not a question of the instrument"),
+        ([["r1", "q2"], ["r2", "q2"], ["r1", "q2"]], "imputed: id ('r1', 'q2') listed twice"),
+        ([["r1", "q2", "q3"]], "too many values to unpack (expected 2)"),
+    ], ids=["unknown-question", "pair-twice", "not-a-pair"])
+    def test_impossible_imputed_pairs_rejected(self, imputed, message):
+        obj = json.loads(render_json(run_pipeline(DATA / "demo_config.json")))
+        obj["score"]["imputed"] = imputed
+        with pytest.raises(SchemaError) as exc:
+            bundle_from_obj(obj, "b.json")
+        assert str(exc.value) == f"b.json: not a stagekit bundle (bad or missing field {message})"
 
     def test_non_number_value_rejected(self):
         obj = self.demo_round_stats_obj()
