@@ -5,9 +5,10 @@ reliability, validity, score, form, report) plus the all-in-one `pipeline`.
 Each analysis subcommand reads its arguments, makes the same library or
 :mod:`stagekit.pipeline` stage call that a config run makes, and writes a
 report bundle (JSON by default, markdown on request) to --out or stdout. Every
-bundle read back (by `report` too) is checked by :func:`report.bundle_from_obj`
-alone; one read by `--stats`, `--screen` or `--importance` must hold exactly one
-round. A file option is left out only by not giving it: an empty value is an
+bundle read back is read by :func:`report.bundle_from_obj` alone, the writer's
+exact inverse; `report` renders the bundle it read, at the precision its
+displays show. One read by `--stats`, `--screen` or `--importance` must hold
+exactly one round. A file option is left out only by not giving it: an empty value is an
 error. Exit codes: 0 success, 2 schema/validation error, 3 numeric or
 degenerate-data error, each with one `error:` line on stderr.
 """
@@ -26,18 +27,15 @@ from .model import IndicatorTree, group_label
 from .pipeline import read_thresholds, run_pipeline, score_stage, screen_stage, validity_stage, weights_stage
 from .psychometrics import reliability_report
 from .report import (
+    MAX_PRECISION,
     ReportBundle,
     RoundSection,
     bundle_from_obj,
+    display_places,
     emit_report,
-    render_json_obj,
-    render_markdown_obj,
     write_output,
 )
 from .scoring import DEFAULT_BONUS_CAP
-
-
-MAX_PRECISION = 17  # display decimals beyond this only print representation noise
 
 
 def precision(text: str) -> int:
@@ -172,8 +170,8 @@ def _cmd_form(args) -> None:
 
 def _cmd_report(args) -> None:
     obj = sio.read_json(args.bundle)
-    bundle_from_obj(obj, args.bundle)  # the check; the output keeps the bundle's own displays
-    _write(render_markdown_obj(obj) if args.format == "markdown" else render_json_obj(obj), args)
+    bundle = bundle_from_obj(obj, args.bundle)
+    _write(emit_report(bundle, args.format, coeff_places=display_places(obj)), args)
 
 
 def _cmd_pipeline(args) -> None:
@@ -243,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, p in sub.choices.items():
         if name != "form":  # form writes a CSV, not a report bundle
-            # report re-renders the displays it reads; validity has only CVI places
+            # report renders at the precision of the displays it reads; validity has only CVI places
             _add_output_args(p, coefficients=name not in ("report", "validity"))
     return parser
 

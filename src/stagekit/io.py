@@ -647,6 +647,9 @@ def emit_round_form(
         raise InvalidInputError(f"a consultation form carries prior means; round_no must be >= 2, got {round_no}")
     if not retained:
         raise InvalidInputError("no retained indicators; a round with no indicators is meaningless")
+    repeated = sorted(i for i, n in Counter(retained).items() if n > 1)
+    if repeated:
+        raise InvalidInputError(f"retained indicator(s) listed twice: {', '.join(repeated)}")
     missing = [i for i in retained if i not in prev.stats]
     if missing:
         raise InvalidInputError(

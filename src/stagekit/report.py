@@ -4,13 +4,16 @@ Every numeric field is emitted as a {"value", "display"} pair: the value at full
 display rounded half-even at a fixed number of decimals (4 for coefficients/weights, 2 for CVI and
 scores). Markdown output renders the same display strings as the JSON, so the two formats can never
 disagree; neither contains timestamps, locales, or other run-dependent bytes.
-JSON text is the bytes of ``json.dumps(obj, indent=2, ensure_ascii=False)`` and a final LF, at any depth.
-The imputed pairs are written from their columns (:func:`_join_columns`), each id encoded once.
+JSON text is ``json.dumps(obj, indent=2, ensure_ascii=False)`` and a final LF, save that the imputed
+pairs, the last value, are written from their columns (:func:`_join_columns`), each id encoded once.
 
 Writer (:func:`_fields`) and reader (:func:`_read`) share one rule: a field's declared type
 makes it a number pair, a null or a plain value. Only regrouped or renamed entries are written
 by hand: a round's ``authority``, ``indicators`` ids and ``screening``, a node's ``level``, a
 consistency row's ``group``, and the score's ``dimensions``, ``imputed`` and ``bonus_cap``.
+The reader is the writer's exact inverse: it takes a file only if the bundle it read, written
+again at the precision of its displays, is the file's JSON value, so every reader of a bundle
+refuses a field it does not know and a display that is not its value's.
 Every markdown table is one :func:`_md_table` call, each of its cells rendered by :func:`_cell`.
 """
 
@@ -37,6 +40,7 @@ from .scoring import ScoreCard
 
 COEFF_PLACES = 4
 SCORE_PLACES = 2
+MAX_PRECISION = 17  # coefficient display decimals beyond this only print representation noise
 ROOT_GROUP = "root"  # label of the dimension-level sibling group
 
 
@@ -274,7 +278,7 @@ def _weights_from_obj(obj: Mapping[str, Any]) -> WeightsSection:
 
 def _score_from_obj(obj: Mapping[str, Any]) -> ScoreCard:
     dims = _field("dimensions", list, obj["dimensions"])
-    return ScoreCard(
+    card = ScoreCard(
         dimension_scores=_keyed("dimensions", ((_field("id", str, d["id"]),
                                                 _field("score", float, d["score"])) for d in dims)),
         dimension_weights={d["id"]: _field("weight", float, d["weight"]) for d in dims},
@@ -282,6 +286,10 @@ def _score_from_obj(obj: Mapping[str, Any]) -> ScoreCard:
         bonus_cap=_number(obj["bonus_cap"]),  # written as a plain number
         imputed=_imputed_from_obj(obj["imputed"]),
     )
+    least = max(1, len(card.imputed.row_ids))  # one respondent at least, and each with an imputed answer
+    if card.n_respondents < least:
+        raise ValueError(f"n_respondents: {card.n_respondents} is below {least}, the respondents it must count")
+    return card
 
 
 def _imputed_from_obj(value: Any) -> CellPairs:
@@ -293,17 +301,34 @@ def _imputed_from_obj(value: Any) -> CellPairs:
         raise ValueError(f"imputed: {exc.args[0]!r} is not a question of the instrument") from None
 
 
+def display_places(obj: Mapping[str, Any]) -> int:
+    """The coefficient decimals of a bundle read back: those of its first coefficient display, else COEFF_PLACES.
+
+    That is a round's positivity, else a node's local weight, the total alpha or a dimension weight.
+    ``obj`` is taken as read by :func:`bundle_from_obj`.
+    """
+    weights, rel, score = obj["weights"], obj["reliability"], obj["score"]
+    coefficients = chain((r["positivity"] for r in obj["rounds"]),
+                         (n["local_weight"] for n in weights["nodes"]) if weights else (),
+                         (rel["total_alpha"],) if rel else (),
+                         (d["weight"] for d in score["dimensions"]) if score else ())
+    first = next((pair["display"] for pair in coefficients if pair is not None), None)
+    return COEFF_PLACES if first is None else len(first.partition(".")[2])
+
+
 def bundle_from_obj(obj: Any, source: str | Path = "bundle") -> ReportBundle:
-    """Rebuild an emitted bundle from its JSON dict: the inverse of :func:`bundle_to_obj`.
+    """Rebuild an emitted bundle from its JSON dict: the exact inverse of :func:`bundle_to_obj`.
 
     This is the one check of a bundle read back, whichever subcommand reads it.
     All five sections must be present (null for one not produced), each field
     must hold its declared type (see :func:`_field`), no id may repeat in a list
     (a round number, an indicator, node, consistency group, reliability index or
     question, or validity item; a screened id is either retained or dropped,
-    once), a screening's reasons must cover every dropped id, and each imputed
-    pair must name a question of the instrument, once. Display strings are not
-    kept: output renders them again from the values.
+    once), a screening's reasons must cover every dropped id, each imputed
+    pair must name a question of the instrument, once, and a score must count
+    one respondent at least and each imputed one. Then the bundle read, written
+    again at :func:`display_places` (at most MAX_PRECISION), must be ``obj``:
+    no field it does not know, and every display its value's.
     """
     try:
         rounds = _keyed("rounds", ((s.consensus.round_no, s)
@@ -311,33 +336,24 @@ def bundle_from_obj(obj: Any, source: str | Path = "bundle") -> ReportBundle:
         readers = {"weights": _weights_from_obj, "reliability": partial(_from_record, ReliabilityTable),
                    "validity": partial(_from_record, ValidityTable), "score": _score_from_obj}
         sections = {key: None if obj[key] is None else read(obj[key]) for key, read in readers.items()}
-        return ReportBundle(tuple(rounds.values()), **sections)
+        bundle = ReportBundle(tuple(rounds.values()), **sections)
     except (KeyError, TypeError, ValueError, OverflowError, InvalidInputError) as exc:
         raise SchemaError(f"{source}: not a stagekit bundle (bad or missing field {exc})") from None
-
-
-# json's text of each exact scalar type. Any other value, save a list, tuple or str-keyed dict, is json.dumps's.
-_LEAF = {str: json.encoder.encode_basestring, int: int.__repr__, bool: {True: "true", False: "false"}.get,
-         float: lambda v: repr(v).replace("inf", "Infinity").replace("nan", "NaN"), type(None): lambda v: "null"}
-
-
-def _columns(v: Any) -> Sequence[tuple[Sequence, np.ndarray]] | None:
-    """A CellPairs' columns, or those of a non-empty list of equal-width rows of scalars; else None.
-
-    Each column is (values, codes), its cell i ``values[codes[i]]``, codes an index array.
-    """
-    if isinstance(v, CellPairs):
-        return v.columns
-    if (v and set(map(type, v)) <= {list, tuple} and len(widths := set(map(len, v))) == 1 and widths.pop()
-            and set(map(type, chain.from_iterable(v))) <= _LEAF.keys()):
-        return [(column, np.arange(len(v))) for column in zip(*v)]
-    return None
+    places = display_places(obj)
+    if places > MAX_PRECISION:
+        raise SchemaError(f"{source}: not a stagekit bundle (coefficient displays of {places} decimals, "
+                          f"more than {MAX_PRECISION})")
+    if _tree(bundle, places) != obj:  # a CellPairs equals the list of its pairs
+        raise SchemaError(f"{source}: not a stagekit bundle (a field it does not know, or a display "
+                          f"that is not its value at {places} decimals)")
+    return bundle
 
 
 def _join_columns(columns: Sequence[tuple[Sequence, np.ndarray]], texts: Callable[[Sequence], list[str]],
                   sep: str, row_sep: str) -> str:
     """The rows held in ``columns``, cells joined by ``sep`` and rows by ``row_sep``.
 
+    Each column is (values, codes), its cell i ``values[codes[i]]``, codes an index array.
     ``texts`` gives the text of each of a column's values, so each distinct value is written once.
     """
     cells = np.empty((len(columns[0][1]), len(columns)), dtype=object)
@@ -348,52 +364,25 @@ def _join_columns(columns: Sequence[tuple[Sequence, np.ndarray]], texts: Callabl
     return "".join(cells.ravel().tolist())[:-len(row_sep)]
 
 
-def _json_texts(values: Sequence) -> list[str]:
-    """json's text of each scalar in ``values``."""
-    try:
-        return list(map(_LEAF[str], values))  # a column of ids
-    except TypeError:  # a value that is not a str
-        return [json.dumps(value, ensure_ascii=False) for value in values]
-
-
-def render_json_obj(obj: Any) -> str:
-    """``json.dumps(obj, indent=2, ensure_ascii=False) + "\\n"``, byte for byte, at any depth.
-
-    A CellPairs in ``obj`` is written as the list of its pairs.
-    """
-    out, stack = [], {None: (iter((("", obj),)), "\n", "\n")}  # the open containers by id, innermost last
-    while stack:
-        children, close, ind = next(reversed(stack.values()))  # ind: the children's; the root's close: the LF
-        for head, v in children:
-            if not ((is_dict := isinstance(v, dict)) and set(map(type, v)) == {str}
-                    or isinstance(v, (list, tuple, CellPairs)) and v):
-                leaf = _LEAF.get(type(v))  # else json's own text, or its TypeError
-                out.append(head + (leaf(v) if leaf else json.dumps(v, indent=2, ensure_ascii=False).replace("\n", ind)))
-                continue
-            if id(v) in stack:
-                raise ValueError("Circular reference detected")
-            pre, values = f",{ind}  ", v.values() if is_dict else v  # a comma, the children's indent
-            if not is_dict and (columns := _columns(v)):  # rows of scalars: written from their columns
-                row = f"{ind}  [{ind}    "
-                text = row + _join_columns(columns, _json_texts, f",{ind}    ", f"{ind}  ],{row}") + f"{ind}  ]"
-            elif set(map(type, values)) <= _LEAF.keys():  # all scalars: the container in one piece
-                text = "".join([f"{pre}{_LEAF[str](k)}: {_LEAF[type(x)](x)}" for k, x in v.items()] if is_dict
-                               else [pre + _LEAF[type(x)](x) for x in v])[1:]
-            else:
-                heads = [f"{pre}{_LEAF[str](k)}: " for k in v] if is_dict else [pre] * len(v)
-                heads[0] = heads[0][1:]  # no comma before the first
-                out.append(head + "[{"[is_dict])
-                stack[id(v)] = (zip(heads, values), ind + "]}"[is_dict], ind + "  ")
-                break  # go on inside v
-            out.append(head + "[{"[is_dict] + text + ind + "]}"[is_dict])
-        else:
-            out.append(close)
-            stack.popitem()
-    return "".join(out)
+def _json_texts(values: Sequence[str]) -> list[str]:
+    """json's text of each id in ``values``."""
+    return list(map(json.encoder.encode_basestring, values))
 
 
 def render_json(bundle: ReportBundle, *, coeff_places: int = COEFF_PLACES) -> str:
-    return render_json_obj(_tree(bundle, coeff_places))
+    """``json.dumps(bundle_to_obj(bundle), indent=2, ensure_ascii=False)`` and a final LF.
+
+    The imputed pairs, the bundle's last value, are written from their columns.
+    """
+    tree = _tree(bundle, coeff_places)
+    score = tree["score"]
+    if not (score and score["imputed"]):
+        return json.dumps(tree, indent=2, ensure_ascii=False) + "\n"
+    pairs, score["imputed"] = score["imputed"], []
+    head, _, tail = json.dumps(tree, indent=2, ensure_ascii=False).rpartition("[]")
+    row = "\n      [\n        "  # a pair's opening; its ids sit two levels inside the score
+    return "".join((head, "[", row, _join_columns(pairs.columns, _json_texts, ",\n        ", "\n      ]," + row),
+                    "\n      ]\n    ]", tail, "\n"))
 
 
 def _cell(value: Any) -> str:
@@ -420,10 +409,7 @@ def _md_texts(values: Sequence) -> list[str]:
 
 
 def render_markdown_obj(obj: Mapping[str, Any]) -> str:
-    """Markdown report rendered from the JSON-ready dict (same display strings), taken as checked.
-
-    The imputed pairs may be a CellPairs, as in :func:`render_markdown`'s tree.
-    """
+    """Markdown report rendered from :func:`_tree`'s dict (the JSON's displays), imputed pairs a CellPairs."""
     out: list[str] = ["# Evaluation report", ""]
 
     for rnd in obj["rounds"]:
@@ -507,7 +493,7 @@ def render_markdown_obj(obj: Mapping[str, Any]) -> str:
             f"Respondents: {score['n_respondents']}",
         ]
         if score["imputed"]:
-            out.append(f"Imputed answers: ({_join_columns(_columns(score['imputed']), _md_texts, ', ', '), (')})")
+            out.append(f"Imputed answers: ({_join_columns(score['imputed'].columns, _md_texts, ', ', '), (')})")
         out.append("")
 
     return "\n".join(out).rstrip("\n") + "\n"

@@ -600,6 +600,13 @@ class TestForm:
         )
         assert rc == 2
 
+    def test_repeated_retained_id_exits_2(self, stats1, tmp_path, capsys):
+        form = tmp_path / "form.csv"
+        rc, out, err = run(capsys, "form", "--stats", stats1, "--retained", "ux.availability,ux.availability",
+                           "--round", "2", "--out", form)
+        assert (rc, out, err) == (2, "", "error: retained indicator(s) listed twice: ux.availability\n")
+        assert not form.exists()
+
     def test_screen_bundle_without_screening_exits_2(self, stats1, tmp_path, capsys):
         form = tmp_path / "form.csv"
         rc, out, err = run(capsys, "form", "--stats", stats1, "--screen", stats1, "--round", "2",
@@ -743,6 +750,106 @@ class TestReport:
         assert (rc, out) == (2, "")
         assert err == (f"error: {bundle}: not a stagekit bundle "
                        "(bad or missing field value 'x' is not a number)\n")
+
+
+@pytest.fixture
+def quick_start_bundles(tmp_path, capsys):
+    """The quick start's screened round-1 bundle and its weights bundle, written to disk."""
+    screened, weights = tmp_path / "screened.json", tmp_path / "weights.json"
+    for argv in (["round-stats", "--ratings", DATA / "ratings_round1.csv", "--experts", DATA / "experts.csv",
+                  "--out", tmp_path / "round1.json"],
+                 ["screen", "--stats", tmp_path / "round1.json", "--out", screened],
+                 ["round-stats", "--ratings", DATA / "ratings_round2.csv", "--out", tmp_path / "round2.json"],
+                 ["weights", "--tree", DATA / "indicators.csv",
+                  "--pairwise", f"{DATA / 'pairwise_dimensions.csv'},{DATA / 'pairwise_ux.csv'}",
+                  "--importance", tmp_path / "round2.json", "--out", weights]):
+        assert run(capsys, *argv)[0] == 0
+    return {"screen": screened, "score": weights}
+
+
+THREE_IMPUTED = [["r1", "q2"], ["r2", "q2"], ["r3", "q1"], ["r1", "q3"]]  # three distinct respondents
+
+
+def _set(key, value):
+    def edit(entry):
+        entry[key] = value
+    return edit
+
+
+class TestBundleContract:
+    """A bundle read back is exactly what the writer writes: `report` and every reader refuse anything else."""
+
+    @pytest.mark.parametrize("fmt", ["json", "markdown"])
+    @pytest.mark.parametrize("reader, path, edit, message", [
+        ("screen", (), _set("notes", 1), "a field it does not know"),
+        ("score", ("weights",), _set("notes", 1), "a field it does not know"),
+        ("screen", ("rounds", 0, "indicators", 0), _set("median", 4.0), "a field it does not know"),
+        ("score", ("weights", "nodes", 0, "global_weight"), _set("unit", "%"), "a field it does not know"),
+        ("screen", ("rounds", 0, "screening"), lambda scr: scr["reasons"].setdefault(scr["retained"][0], ["mean"]),
+         "a field it does not know"),
+        ("screen", ("rounds", 0, "positivity"), _set("display", "0.1234"), "a display"),
+        ("score", ("weights", "nodes", 3, "local_weight"), _set("display", "0.5"), "a display"),
+    ], ids=["top-level", "section", "row", "number-pair", "extra-reason", "display", "display-places"])
+    def test_refused_by_report_and_the_reader(self, quick_start_bundles, tmp_path, capsys, reader, path, edit,
+                                              message, fmt):
+        obj = json.loads(quick_start_bundles[reader].read_text(encoding="utf-8"))
+        entry = obj
+        for key in path:
+            entry = entry[key]
+        edit(entry)
+        bundle = tmp_path / "edited.json"
+        bundle.write_text(json.dumps(obj), encoding="utf-8")
+        out_path = tmp_path / "report.out"
+        rc, out, err = run(capsys, "report", "--bundle", bundle, "--format", fmt, "--out", out_path)
+        assert (rc, out) == (2, "")
+        assert err.startswith(f"error: {bundle}: not a stagekit bundle (") and message in err
+        assert err.count("\n") == 1
+        assert not out_path.exists()
+        argv = (["screen", "--stats", bundle] if reader == "screen" else
+                ["score", "--responses", DATA / "responses.csv", "--weights", bundle])
+        assert run(capsys, *argv, "--out", out_path) == (2, "", err)
+        assert not out_path.exists()
+
+    def test_keys_in_another_order_written_back_in_the_bundle_order(self, pipeline_bundle, tmp_path, capsys):
+        def reversed_keys(value):
+            if isinstance(value, dict):
+                return {key: reversed_keys(value[key]) for key in reversed(value)}
+            return [reversed_keys(v) for v in value] if isinstance(value, list) else value
+
+        text = pipeline_bundle.read_text(encoding="utf-8")
+        bundle = tmp_path / "reordered.json"
+        bundle.write_text(json.dumps(reversed_keys(json.loads(text)), indent=2), encoding="utf-8")
+        rc, out, err = run(capsys, "report", "--bundle", bundle)
+        assert (rc, out, err) == (0, text, "")
+
+    @pytest.mark.parametrize("fmt", ["json", "markdown"])
+    @pytest.mark.parametrize("n, imputed, least", [
+        (-5, THREE_IMPUTED, 3), (-5, [], 1), (0, [], 1), (2, THREE_IMPUTED, 3), (3, THREE_IMPUTED, None),
+    ], ids=["negative", "negative-none-imputed", "zero", "fewer-than-imputed", "as-many-as-imputed"])
+    def test_score_counting_too_few_respondents_exits_2(self, pipeline_bundle, tmp_path, capsys, n, imputed,
+                                                        least, fmt):
+        obj = json.loads(pipeline_bundle.read_text(encoding="utf-8"))
+        obj["score"]["n_respondents"] = n
+        obj["score"]["imputed"] = imputed
+        bundle = tmp_path / "score.json"
+        bundle.write_text(json.dumps(obj), encoding="utf-8")
+        rc, out, err = run(capsys, "report", "--bundle", bundle, "--format", fmt)
+        if least is None:
+            assert (rc, err) == (0, "")
+            assert json.loads(out) == obj if fmt == "json" else f"Respondents: {n}\n" in out
+        else:
+            assert (rc, out, err) == (2, "", f"error: {bundle}: not a stagekit bundle (bad or missing field "
+                                             f"n_respondents: {n} is below {least}, the respondents it must count)\n")
+
+    def test_displays_past_max_precision_exit_2(self, stats1, tmp_path, capsys):
+        obj = json.loads(stats1.read_text(encoding="utf-8"))
+        positivity = obj["rounds"][0]["positivity"]
+        positivity["display"] = format(positivity["value"], ".18f")
+        bundle = tmp_path / "long.json"
+        bundle.write_text(json.dumps(obj), encoding="utf-8")
+        rc, out, err = run(capsys, "report", "--bundle", bundle)
+        assert (rc, out, err) == (2, "", f"error: {bundle}: not a stagekit bundle (coefficient displays of "
+                                         "18 decimals, more than 17)\n")
 
 
 class TestPipelineCommand:

@@ -965,3 +965,9 @@ class TestEmitRoundForm:
     def test_unknown_indicator_rejected(self, tmp_path):
         with pytest.raises(InvalidInputError):
             emit_round_form(self.consensus(), ["a", "zz"], 2, tmp_path / "f.csv")
+
+    def test_repeated_indicator_rejected(self, tmp_path):
+        out = tmp_path / "f.csv"
+        with pytest.raises(InvalidInputError, match=r"^retained indicator\(s\) listed twice: a$"):
+            emit_round_form(self.consensus(), ["a", "b", "a"], 2, out)
+        assert not out.exists()

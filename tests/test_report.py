@@ -1,12 +1,9 @@
-import enum
 import json
 import os
-import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import stagekit
@@ -40,9 +37,10 @@ from stagekit import (
     weight_tree,
 )
 from stagekit.ahp import PairwiseMatrix
+from stagekit.cli import main
 from stagekit.io import parse_responses
 from stagekit.model import CellPairs, IndicatorNode, IndicatorTree, Level
-from stagekit.report import bundle_from_obj, render_json_obj, render_markdown_obj, write_output
+from stagekit.report import bundle_from_obj, display_places, render_markdown_obj, write_output
 
 DATA = Path(stagekit.__file__).parent / "data"
 
@@ -241,102 +239,47 @@ class TestRenderJson:
 
 
 def json_oracle(value) -> str:
-    """The text ``render_json_obj`` must write: json's own indent=2 encoder, and a final LF."""
+    """The text ``render_json`` must write: json's own indent=2 encoder, and a final LF."""
     return json.dumps(value, indent=2, ensure_ascii=False) + "\n"
-
-
-class Rank(enum.IntEnum):
-    HIGH = 3
 
 
 # Strings with quotes, backslashes, control characters, non-ASCII, a line separator and lone surrogates.
 TEXT = st.text(st.characters(exclude_categories=()) | st.sampled_from('"\\\x00\x1f\x7f\u2028é\ud800\udfff'),
                max_size=6)
-SCALARS = st.one_of(
-    st.none(), st.booleans(), st.integers(), st.integers(2 ** 64, 2 ** 200), st.integers(-2 ** 200, -2 ** 64),
-    st.floats(), TEXT,
-    st.sampled_from([-0.0, 1e16, 5e-324, float("nan"), float("inf"), -float("inf")]),
-    st.sampled_from([np.float64(2.5), np.float64(-0.0), np.float64("inf"), Rank.HIGH]),  # scalar subclasses
-)
+QUESTION_IDS = load_default_instrument().question_ids
 
 
-def rows(cells):
-    """Lists of equal-width rows (each a list or a tuple) of ``cells``, the width 0 among them."""
-    def of_width(w):
-        row = st.lists(cells, min_size=w, max_size=w)
-        return st.lists(st.one_of(row, row.map(tuple)), max_size=4)
-    return st.integers(0, 3).flatmap(of_width)
+def reported(tmp_path, text: str, fmt: str) -> str:
+    """What ``stagekit report`` writes of the bundle ``text``, in ``fmt``."""
+    bundle, out = tmp_path / "bundle.json", tmp_path / f"report.{fmt}"
+    bundle.write_text(text, encoding="utf-8")
+    assert main(["report", "--bundle", str(bundle), "--format", fmt, "--out", str(out)]) == 0
+    return out.read_text(encoding="utf-8")
 
 
-JSON_TREES = st.recursive(SCALARS, lambda children: st.one_of(
-    st.lists(children, max_size=4), st.lists(children, max_size=4).map(tuple),
-    st.dictionaries(TEXT, children, max_size=4), rows(SCALARS), rows(children),
-    st.lists(st.dictionaries(TEXT, SCALARS, max_size=3), max_size=3),
-), max_leaves=30)
+class TestJsonText:
+    """A bundle's JSON is json's own indent=2 text, and `report` of it writes the same bytes back."""
 
-
-class TestRenderJsonObj:
-    """``render_json_obj`` writes exactly the bytes of json's indent=2 encoder."""
-
-    @settings(max_examples=400, deadline=None)
-    @given(JSON_TREES)
-    @example([["r1", "q1"], ["r2", "q2"]])  # the shape of a score's imputed cells
-    @example([["a"], ["b", "c"]])  # ragged rows
-    @example([[1, []], (2, [3])])  # rows holding a container or an empty list
-    @example([[], []])
-    @example([{"x": 1, "y": 2}, {"x": 3, "y": 4}])  # a dict iterates as its keys: not rows
-    @example({"imputed": [["r1", "q1"]], "empty": {}, "none": [], "t": ()})
-    def test_same_bytes_as_json(self, value):
-        assert render_json_obj(value) == json_oracle(value)
-
-    @pytest.mark.parametrize("value", [
-        {1: "a", 1.5: [2], True: {}, None: "n", -0.0: 0, float("nan"): 1},
-        [{"k": {2: {"a": [1, {3: None}]}}}],
-        {"k": [{Rank.HIGH: np.float64(1.0)}]},
-    ], ids=["non-str-keys", "nested-non-str-keys", "subclass-key"])
-    def test_non_str_keys_as_json_writes_them(self, value):
-        assert render_json_obj(value) == json_oracle(value)
-
-    @pytest.mark.parametrize("value", [
-        object(), [1, object()], {"a": {1, 2}}, {"a": [[1, object()], [2, 3]]}, {(1,): 2}, {"a": {(1,): 2}},
-    ], ids=["object", "in-list", "set", "in-row", "tuple-key", "nested-tuple-key"])
-    def test_unserialisable_value_is_a_type_error(self, value):
-        with pytest.raises(TypeError):
-            json_oracle(value)
-        with pytest.raises(TypeError):
-            render_json_obj(value)
-
-    def test_circular_reference_is_a_value_error(self):
-        looped: list = [1]
-        looped.append({"back": looped})
-        with pytest.raises(ValueError, match="Circular reference"):
-            json_oracle(looped)
-        with pytest.raises(ValueError, match="Circular reference"):
-            render_json_obj(looped)
-
-    @pytest.mark.parametrize("opener, closer, head", [("[", "]", ""), ("{", "}", '"k": ')])
-    @pytest.mark.parametrize("depth", [1, 6, 3 * sys.getrecursionlimit()])
-    def test_any_depth_without_recursion(self, opener, closer, head, depth):
-        value = 0
-        for _ in range(depth):
-            value = [value] if opener == "[" else {"k": value}
-        lines = ["  " * i + (head if i else "") + opener for i in range(depth)]
-        lines += ["  " * depth + head + "0"] + ["  " * i + closer for i in reversed(range(depth))]
-        text = "\n".join(lines) + "\n"
-        if depth < 100:  # json's encoder recurses, so the oracle checks the layout at small depths only
-            assert json_oracle(value) == text
-        assert render_json_obj(value) == text
+    @pytest.mark.parametrize("places", range(18))
+    def test_full_bundle_at_every_precision(self, tmp_path, places):
+        bundle = full_bundle()
+        text = render_json(bundle, coeff_places=places)
+        assert text == json_oracle(bundle_to_obj(bundle, coeff_places=places))
+        assert display_places(json.loads(text)) == places
+        assert reported(tmp_path, text, "json") == text
+        assert reported(tmp_path, text, "markdown") == render_markdown(bundle, coeff_places=places)
 
 
 @st.composite
-def imputed_bundles(draw):
+def imputed_bundles(draw, question_ids=TEXT):
     """A score bundle whose imputed pairs are the blanks of 0-12 respondents x 0-6 questions, ids escaped."""
     k = draw(st.integers(0, 6))
-    qids = tuple(draw(st.lists(TEXT, min_size=k, max_size=k, unique=True)))
+    qids = tuple(draw(st.lists(question_ids, min_size=k, max_size=k, unique=True)))
     ids = draw(st.lists(TEXT, max_size=12, unique=True))
     rows = [tuple(draw(st.lists(st.one_of(st.none(), st.integers(0, 4)), min_size=k, max_size=k))) for _ in ids]
     cells = ResponseSet(question_ids=qids, consumer=dict(zip(ids, rows))).missing_cells()
-    return ReportBundle(score=composite({"d": 50.0}, {"d": 1.0}, 0.0, n_respondents=len(ids), imputed=cells))
+    return ReportBundle(score=composite({"d": 50.0}, {"d": 1.0}, 0.0, n_respondents=max(1, len(ids)),
+                                        imputed=cells))
 
 
 def assert_pairs_written_as_lists(bundle):
@@ -347,7 +290,6 @@ def assert_pairs_written_as_lists(bundle):
     text = render_json(bundle)
     assert text == json_oracle(obj)
     markdown = render_markdown(bundle)
-    assert markdown == render_markdown_obj(json.loads(text)) == render_markdown_obj(obj)
     line = "Imputed answers: " + ", ".join(f"({rid}, {qid})" for rid, qid in pairs)
     assert markdown.endswith(f"\n{line}\n") == bool(pairs)  # the score's last line
 
@@ -360,6 +302,17 @@ class TestImputedColumns:
     def test_same_bytes_as_the_list_of_pairs(self, bundle):
         assert isinstance(bundle.score.imputed, CellPairs)
         assert_pairs_written_as_lists(bundle)
+
+    @settings(max_examples=100, deadline=None)
+    @given(imputed_bundles(st.sampled_from(QUESTION_IDS)))
+    def test_read_back_and_written_again_to_the_same_bytes(self, bundle):
+        """What ``report`` does: the bundle read back, rendered at its displays' places."""
+        text = render_json(bundle)
+        obj = json.loads(text)
+        again = bundle_from_obj(obj)
+        assert again.score.imputed == bundle.score.imputed
+        assert render_json(again, coeff_places=display_places(obj)) == text
+        assert render_markdown(again, coeff_places=display_places(obj)) == render_markdown(bundle)
 
     def test_ids_read_by_the_csv_loop(self, tmp_path):
         """Quoted ids holding a quote, a backslash, a tab and non-ASCII, scored; the byte path declines such a file."""
@@ -377,12 +330,12 @@ class TestImputedColumns:
         assert_pairs_written_as_lists(bundle)
         assert bundle_from_obj(json.loads(render_json(bundle))).score.imputed == bundle.score.imputed
 
-    def test_rows_read_from_a_file_take_the_same_writer(self):
+    def test_rows_read_from_a_file_take_the_same_writer(self, tmp_path):
         obj = json.loads(render_json(run_pipeline(DATA / "demo_config.json")))
         assert obj["score"]["imputed"] == [["r26", "q7"]]
         obj["score"]["imputed"] = [["r1", "q2"], ["r1", "q3"], ["é\"", "q21"]]
-        assert render_json_obj(obj) == json_oracle(obj)
-        assert "Imputed answers: (r1, q2), (r1, q3), (é\", q21)" in render_markdown_obj(obj)
+        assert reported(tmp_path, json_oracle(obj), "json") == json_oracle(obj)
+        assert "Imputed answers: (r1, q2), (r1, q3), (é\", q21)" in reported(tmp_path, json_oracle(obj), "markdown")
 
 
 class TestRenderMarkdown:
