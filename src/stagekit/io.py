@@ -264,12 +264,22 @@ def _words(block: np.ndarray, start: np.ndarray, length: np.ndarray, words: int)
 
     The bytes past a string's end are zeroed, so two strings of at most
     ``8 * words`` bytes, neither holding a zero byte, are equal exactly when
-    their words are.
+    their words are. A word that fits inside ``block`` is read from it in
+    place; only the block's last few bytes are copied, zero-padded, for the
+    words that reach past its end.
     """
-    padded = np.concatenate([block, np.zeros(8 * words, np.uint8)])
-    word_at = np.ndarray((padded.size - 7,), np.uint64, padded, strides=(1,))  # the 8 bytes from each offset
-    return np.stack([word_at[start + 8 * j] & _FIRST_BYTES[np.clip(length - 8 * j, 0, 8)]
-                     for j in range(words)])
+    cut = max(block.size - 7, 0)  # a word from this offset on reaches past the block's end
+    tail = np.concatenate([block[cut:], np.zeros(8 * words, np.uint8)])
+    # The 8 bytes from each offset that has 8, one word each: views of the block and of its tail.
+    head, tail = (np.ndarray((max(b.size - 7, 0),), np.uint64, b, strides=(1,)) for b in (block, tail))
+    rows = []
+    for j in range(words):
+        at = start + 8 * j
+        past = at >= cut
+        word = np.empty(at.shape, np.uint64)
+        word[~past], word[past] = head[at[~past]], tail[at[past] - cut]
+        rows.append(word & _FIRST_BYTES[np.clip(length - 8 * j, 0, 8)])
+    return np.stack(rows)
 
 
 def _enum_codes(block: np.ndarray, ends: np.ndarray, size: np.ndarray, enum) -> np.ndarray | None:
@@ -334,7 +344,20 @@ def _plain_table(path: Path, header: list[str], src: Sequence[int], bounds: Sequ
     by comparing its bytes with each value, and tells the ids distinct by
     sorting their ``_words``, each id as many words as the longest: a file
     whose words past the first would outgrow it is left to the csv loop.
+    The ids are decoded once ``_plain_words`` has returned, so the file's bytes
+    and the id strings, each about the file's size, are never held at once.
     """
+    read = _plain_words(path, header, src, bounds, blank, key)
+    if read is None:
+        return None
+    id_words, matrix = read
+    id_end = ",\n"[key == len(header) - 1]
+    return tuple(id_words.T.tobytes().replace(b"\0", b"").decode("ascii").split(id_end)[:-1]), matrix
+
+
+def _plain_words(path: Path, header: list[str], src: Sequence[int], bounds: Sequence,
+                 blank: str | None, key: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """``_plain_table``'s result with its ids as their ``_words``, each ended by its separator; or None."""
     if _table_dtype(bounds) != "int8" or not path.is_file():  # a pipe cannot be read a second time
         return None
     try:
@@ -394,11 +417,10 @@ def _plain_table(path: Path, header: list[str], src: Sequence[int], bounds: Sequ
             enum_at.setdefault(b, []).append(j)
     # A table of digits alone indexes its digit columns with a slice: views, not copies.
     digit_at = [j for j, b in enumerate(bounds) if isinstance(b, tuple)] if enum_at else slice(None)
-    id_end = ",\n"[key == width - 1]
     matrix = np.empty((len(ends), len(src)), np.int8)
     step = max(1, _PLAIN_BLOCK_CELLS // width)
-    # Each block's id offsets in body, and id sizes with the separator after; none for no rows.
-    id_at, id_bytes = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
+    # Each id's offset in body, and its size with the separator after.
+    id_at, id_bytes = np.empty(len(ends), np.intp), np.empty(len(ends), np.intp)
     for first in range(0, len(ends), step):
         offset = ends[first - 1] + 1 if first else 0
         last = ends[first:first + step] - offset
@@ -430,19 +452,18 @@ def _plain_table(path: Path, header: list[str], src: Sequence[int], bounds: Sequ
         if (((cells - lo).view(np.uint8) > span) & ~empty).any():
             return None
         np.copyto(cells, MISSING, where=empty)
-        id_at.append(offset + sep[:, key] - id_size)
-        id_bytes.append(id_size + 1)
+        id_at[first:first + last.size] = offset + sep[:, key] - id_size
+        id_bytes[first:first + last.size] = id_size + 1
     # Each id and the separator after it, zero-filled to whole words: equal ids have equal
     # words, and the words without their zero bytes are the ids, each ended by its separator.
-    sizes = np.concatenate(id_bytes)
-    words = -(-int(sizes.max(initial=1)) // 8)
+    words = -(-int(id_bytes.max(initial=1)) // 8)
     if len(ends) * (words - 1) * 8 > body.size:  # ids far longer than most: their words would outgrow the file
         return None
-    id_words = _words(body, np.concatenate(id_at), sizes, words)
+    id_words = _words(body, id_at, id_bytes, words)
     if not _distinct(id_words):  # the csv loop names the first repeat
         return None
     matrix.flags.writeable = False
-    return tuple(id_words.T.tobytes().replace(b"\0", b"").decode("ascii").split(id_end)[:-1]), matrix
+    return id_words, matrix
 
 
 def _int_table(path: Path, header: list[str], rows: Iterable[list[str]], kind: str,

@@ -13,7 +13,8 @@ by hand: a round's ``authority``, ``indicators`` ids and ``screening``, a node's
 consistency row's ``group``, and the score's ``dimensions``, ``imputed`` and ``bonus_cap``.
 The reader is the writer's exact inverse: it takes a file only if the bundle it read, written
 again at the precision of its displays, is the file's JSON value, so every reader of a bundle
-refuses a field it does not know and a display that is not its value's.
+refuses a field it does not know, a display that is not its value's and a list out of the
+writer's order, naming the first path where the file differs.
 Every markdown table is one :func:`_md_table` call, each of its cells rendered by :func:`_cell`.
 """
 
@@ -328,7 +329,9 @@ def bundle_from_obj(obj: Any, source: str | Path = "bundle") -> ReportBundle:
     pair must name a question of the instrument, once, and a score must count
     one respondent at least and each imputed one. Then the bundle read, written
     again at :func:`display_places` (at most MAX_PRECISION), must be ``obj``:
-    no field it does not know, and every display its value's.
+    no field it does not know, every display its value's, and every list in the
+    writer's order. A file that is not is refused at the first path, in the
+    writer's order, where the two differ (:func:`_difference`).
     """
     try:
         rounds = _keyed("rounds", ((s.consensus.round_no, s)
@@ -344,9 +347,29 @@ def bundle_from_obj(obj: Any, source: str | Path = "bundle") -> ReportBundle:
         raise SchemaError(f"{source}: not a stagekit bundle (coefficient displays of {places} decimals, "
                           f"more than {MAX_PRECISION})")
     if _tree(bundle, places) != obj:  # a CellPairs equals the list of its pairs
-        raise SchemaError(f"{source}: not a stagekit bundle (a field it does not know, or a display "
-                          f"that is not its value at {places} decimals)")
+        where = _difference(bundle_to_obj(bundle, coeff_places=places), obj, "", places).removeprefix(".")
+        raise SchemaError(f"{source}: not a stagekit bundle ({where})")
     return bundle
+
+
+def _difference(written: Any, read: Any, path: str, places: int) -> str:
+    """The first path, in the writer's order, where the JSON value ``read`` is not ``written``, and why."""
+    if isinstance(written, dict) and isinstance(read, dict):
+        unknown = [key for key in read if key not in written]
+        key = unknown[0] if unknown else next(key for key in written if written[key] != read.get(key))
+        at = f"{path}.{key}" if str(key).isidentifier() else f"{path}[{key!r}]"  # an id may hold dots
+        if unknown:
+            return f"{at}: a field it does not know"
+        if key == "display":  # of a number pair, whose value is the writer's
+            return f"{path}: a display that is not its value at {places} decimals"
+        return _difference(written[key], read.get(key), at, places)
+    if isinstance(written, list) and isinstance(read, list) and len(written) == len(read):
+        canonical = partial(json.dumps, sort_keys=True)
+        if sorted(map(canonical, written)) == sorted(map(canonical, read)):
+            return f"{path}: a list not in the writer's order"
+        i = next(i for i, (w, r) in enumerate(zip(written, read)) if w != r)
+        return _difference(written[i], read[i], f"{path}[{i}]", places)
+    return f"{path}: not the value the writer writes"
 
 
 def _join_columns(columns: Sequence[tuple[Sequence, np.ndarray]], texts: Callable[[Sequence], list[str]],

@@ -810,6 +810,35 @@ class TestBundleContract:
         assert run(capsys, *argv, "--out", out_path) == (2, "", err)
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("case", ["nodes-reversed", "display", "row-field", "reason-of-a-retained-id"])
+    def test_refusal_names_the_first_path_that_differs(self, quick_start_bundles, tmp_path, capsys, case):
+        reader = "score" if case in ("nodes-reversed", "row-field") else "screen"
+        obj = json.loads(quick_start_bundles[reader].read_text(encoding="utf-8"))
+        if case == "nodes-reversed":  # the writer writes nodes by id
+            obj["weights"]["nodes"].reverse()
+            where = "weights.nodes: a list not in the writer's order"
+        elif case == "display":
+            obj["rounds"][0]["kendall_w"]["display"] = "9.9999"
+            where = "rounds[0].kendall_w: a display that is not its value at 4 decimals"
+        elif case == "row-field":
+            obj["weights"]["consistency"][1]["unit"] = "%"
+            where = "weights.consistency[1].unit: a field it does not know"
+        else:  # an indicator id holds dots, so it is named as a key
+            screening = obj["rounds"][0]["screening"]
+            retained = screening["retained"][0]
+            screening["reasons"][retained] = ["mean"]
+            where = f"rounds[0].screening.reasons[{retained!r}]: a field it does not know"
+        bundle = tmp_path / "edited.json"
+        bundle.write_text(json.dumps(obj), encoding="utf-8")
+        out_path = tmp_path / "report.out"
+        err = f"error: {bundle}: not a stagekit bundle ({where})\n"
+        assert run(capsys, "report", "--bundle", bundle, "--out", out_path) == (2, "", err)
+        assert not out_path.exists()
+        argv = (["screen", "--stats", bundle] if reader == "screen" else
+                ["score", "--responses", DATA / "responses.csv", "--weights", bundle])
+        assert run(capsys, *argv, "--out", out_path) == (2, "", err)
+        assert not out_path.exists()
+
     def test_keys_in_another_order_written_back_in_the_bundle_order(self, pipeline_bundle, tmp_path, capsys):
         def reversed_keys(value):
             if isinstance(value, dict):

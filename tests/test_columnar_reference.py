@@ -1069,6 +1069,32 @@ def test_plain_table_over_small_blocks_is_none_or_the_streamed_int_table(tmp_pat
     assert plain[1].dtype == matrix.dtype and np.array_equal(plain[1], matrix)
 
 
+def _padded_words(block, start, length, words):
+    """``io._words`` as it was: the 8 bytes from each offset of the whole block copied with 8 * words zeros after."""
+    padded = np.concatenate([block, np.zeros(8 * words, np.uint8)])
+    word_at = np.ndarray((padded.size - 7,), np.uint64, padded, strides=(1,))
+    return np.stack([word_at[start + 8 * j] & sio._FIRST_BYTES[np.clip(length - 8 * j, 0, 8)]
+                     for j in range(words)])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.binary(max_size=40), st.integers(0, 3), st.integers(1, 3), st.data())
+def test_words_read_in_place_are_the_padded_copy_words(raw, lead, words, data):
+    """Strings anywhere in the block, one ending on its last byte; blocks shorter than 8 * words, and empty."""
+    block = np.frombuffer(b"\xff" * lead + raw, np.uint8)[lead:]  # a view into a larger buffer, as the parse's
+    strings = data.draw(st.lists(st.integers(0, block.size).flatmap(
+        lambda at: st.tuples(st.just(at), st.integers(0, block.size - at))), max_size=8))
+    tail = data.draw(st.integers(0, block.size))
+    strings.append((block.size - tail, tail))  # ends on the block's last byte (empty at its end)
+    start, length = (np.array(column, np.intp) for column in zip(*strings))
+    got = sio._words(block, start, length, words)
+    expected = _padded_words(block, start, length, words)
+    assert got.dtype == expected.dtype and got.shape == expected.shape == (words, len(strings))
+    assert np.array_equal(got, expected)
+    none = np.zeros(0, np.intp)
+    assert np.array_equal(sio._words(block, none, none, words), _padded_words(block, none, none, words))
+
+
 def test_clean_table_exported_is_plain_unless_quoted_and_padded(tmp_path, capsys):
     """The bundled responses with every field quoted, every field but the numbers, or a blank after each
     comma take the byte path; quoted and padded, the csv loop reads the header cells as ' "q1"', and the

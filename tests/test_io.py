@@ -1,6 +1,7 @@
 import csv
 import importlib.util
 import os
+import sys
 import tracemalloc
 from enum import Enum
 from pathlib import Path
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from stagekit import io as sio
+from stagekit.model import MISSING
 from stagekit import (
     ExpertPanel,
     Familiarity,
@@ -765,6 +767,22 @@ class TestPlainTables:
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
         assert peaks[1] < 1.5 * peaks[0]
+
+    def test_plain_file_keeps_its_memory_near_its_size(self, tmp_path):
+        """Beyond the ids and matrix it returns, a plain file's parse holds about one copy of its bytes."""
+        rows = [f"r{k:06d}," + ",".join("" if (k + j) % 97 == 0 else str((k + j) % 5) for j in range(21))
+                for k in range(20_000)]
+        header = ["respondent_id", *(f"q{j}" for j in range(1, 22))]
+        p = write(tmp_path / "responses.csv", "".join(f"{line}\n" for line in [",".join(header), *rows]))
+        tracemalloc.start()
+        try:
+            ids, matrix = sio._plain_table(p, header, list(range(1, 22)), [(0, 4)] * 21, "cell")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(ids) == 20_000 and (matrix == MISSING).any()
+        result = matrix.nbytes + sys.getsizeof(ids) + sum(map(sys.getsizeof, ids))
+        assert peak - result <= 1.5 * p.stat().st_size
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     def test_a_pipe_is_read_once_in_full(self):

@@ -1,3 +1,6 @@
+import tracemalloc
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +28,8 @@ from stagekit import (
     s_cvi,
     validity_report,
 )
+from stagekit import psychometrics
+from stagekit.model import MISSING, RowMatrix
 from stagekit.psychometrics import CITC_FLOOR
 
 
@@ -348,6 +353,42 @@ class TestReliabilityReport:
         for qr in table.questions:
             if len(instrument.questions_of(qr.index_id)) == 2:
                 assert qr.alpha_if_deleted is None
+
+    def test_memory_of_a_large_panel(self):
+        """A 100k x 21 panel, about 1% blank: its complete rows become float64 a block at a time."""
+        instrument = load_default_instrument()
+        rng = np.random.default_rng(26)
+        matrix = rng.integers(0, 5, size=(100_000, 21), dtype=np.int8)
+        matrix[rng.random(matrix.shape) < 0.01] = MISSING
+        rs = ResponseSet(question_ids=instrument.question_ids,
+                         consumer=RowMatrix([f"r{i}" for i in range(len(matrix))], matrix))
+        tracemalloc.start()
+        try:
+            table = reliability_report(rs, instrument)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 75_000 < table.n_respondents < 85_000
+        assert peak <= 6 * 2**20  # one float64 copy of the complete rows alone is 13 MiB
+
+
+class TestBlockedGram:
+    """``_co_deviations`` sums XᵀX over blocks of ``_GRAM_ROWS`` rows, here a few rows each."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(-1, 1), st.integers(1, 6),
+           st.sampled_from([np.int8, np.int64, np.float64]), st.data())
+    def test_equals_one_exact_int64_product(self, block_rows, blocks, offset, k, dtype, data):
+        n = max(2, blocks * block_rows + offset)  # a row short of, on or a row past a block boundary
+        cells = data.draw(st.lists(st.integers(-100, 100), min_size=n * k, max_size=n * k))
+        arr = np.array(cells, dtype).reshape(n, k)
+        x = arr.astype(np.int64)
+        sums = x.sum(axis=0)
+        expected = (n * (x.T @ x) - np.outer(sums, sums)).tolist()
+        with patch.object(psychometrics, "_GRAM_ROWS", block_rows):
+            got = psychometrics._co_deviations(arr)
+        assert got == expected
+        assert all(type(v) is int for row in got for v in row)
 
 
 class TestValidityReport:
