@@ -208,6 +208,8 @@ def _global_of(
         raise IncompleteWeightsError(f"node {node.id} has no local weight")
     if node.parent_id is None:
         value = local[node.id]
+    elif node.parent_id not in tree:
+        raise InvalidInputError(f"node {node.id}: parent {node.parent_id!r} does not exist")
     else:
         value = local[node.id] * _global_of(tree, tree.node(node.parent_id), local, cache)
     cache[node.id] = value

@@ -9,8 +9,6 @@ must treat them as read-only (they are frozen dataclasses anyway).
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .model import IndicatorNode, IndicatorTree, Instrument, Level, Question
 
 DIMENSIONS: tuple[tuple[str, str], ...] = (
@@ -137,17 +135,10 @@ DEMO_LOCAL_WEIGHTS: dict[str, float] = {
 
 def demo_weighted_tree() -> IndicatorTree:
     """The default tree carrying the synthetic demo weights (local + global)."""
-    bare = default_tree()
-    weighted = []
-    for node in bare.nodes:
-        local = DEMO_LOCAL_WEIGHTS[node.id]
-        g = local
-        parent_id = node.parent_id
-        while parent_id is not None:
-            g *= DEMO_LOCAL_WEIGHTS[parent_id]
-            parent_id = bare.node(parent_id).parent_id
-        weighted.append(replace(node, local_weight=local, global_weight=g))
-    return IndicatorTree(nodes=tuple(weighted))
+    from .ahp import _with_weights, compose_global  # here, so that loading the instrument loads no numpy
+
+    weighted = _with_weights(default_tree(), "local_weight", DEMO_LOCAL_WEIGHTS)
+    return _with_weights(weighted, "global_weight", compose_global(weighted).global_weights)
 
 
 def load_default_instrument() -> Instrument:

@@ -56,7 +56,7 @@ def weights_stage(tree: IndicatorTree, pairwise: Mapping[str | None, PairwiseMat
     """Local and global weights; ``importance`` is the round whose means score the indicators."""
     means = {i: s.mean for i, s in importance.consensus.stats.items()} if importance else {}
     weighted, table = weight_tree(tree, pairwise=pairwise, importance=means, method=method)
-    return WeightsSection(method=method, tree=weighted, table=table)
+    return WeightsSection(method=method, tree=weighted, consistency=table.consistency)
 
 
 def validity_stage(item_ids: Sequence[str], ratings: Sequence[Sequence[int]]) -> ValidityTable:
@@ -71,7 +71,7 @@ def validity_stage(item_ids: Sequence[str], ratings: Sequence[Sequence[int]]) ->
 def score_stage(responses: ResponseSet, instrument: Instrument, weights: WeightsSection | None,
                 bonus: Mapping[str, Sequence[int]] | None = None,
                 bonus_cap: float = DEFAULT_BONUS_CAP) -> ScoreCard:
-    """Score the software with the weights stage's table, adding expert bonus ratings if given.
+    """Score the software with the weights tree's local weights, adding expert bonus ratings if given.
 
     Scoring groups the indices by the instrument's dimensions, so a weights tree
     that holds an index under another parent, or a node the instrument does not
@@ -91,7 +91,8 @@ def score_stage(responses: ResponseSet, instrument: Instrument, weights: Weights
                                     "but is not an index of the instrument")
     if bonus is not None:
         responses = responses.with_bonus(instrument.bonus_ids, bonus)
-    return score_software(responses, instrument, weights.table, bonus_cap=bonus_cap)
+    local = {node.id: node.local_weight for node in weights.tree.nodes if not node.bonus}
+    return score_software(responses, instrument, local, bonus_cap=bonus_cap)
 
 
 def read_thresholds(obj: Any, source: str | Path) -> ScreeningThresholds:

@@ -11,7 +11,9 @@ Writer (:func:`_fields`) and reader (:func:`_read`) share one rule: a field's de
 makes it a number pair, a null or a plain value. Only regrouped or renamed entries are written
 by hand: a round's ``authority``, ``indicators`` ids and ``screening``, a node's ``level``, a
 consistency row's ``group``, and the score's ``dimensions``, ``imputed`` and ``bonus_cap``.
-The reader is the writer's exact inverse: it takes a file only if the bundle it read, written
+The reader takes no derived value as written: it composes each global weight from the local
+weights (``compose_global``) and the score's totals from its dimensions (``composite``).
+It is the writer's exact inverse: it takes a file only if the bundle it read, written
 again at the precision of its displays, is the file's JSON value, so every reader of a bundle
 refuses a field it does not know, a display that is not its value's and a list out of the
 writer's order, naming the first path where the file differs.
@@ -30,14 +32,14 @@ from typing import Any, Callable, Mapping, Sequence, get_args, get_origin, get_t
 
 import numpy as np
 
-from .ahp import GroupConsistency, WeightTable
+from .ahp import GroupConsistency, _with_weights, compose_global
 from .consensus import IndicatorStats, RoundConsensus, ScreeningResult
 from .errors import InvalidInputError, SchemaError
 from .io import replacing
 from .instrument import load_default_instrument
-from .model import CellPairs, IndicatorNode, IndicatorTree, Level, ScreeningThresholds
+from .model import CellPairs, IndicatorNode, IndicatorTree, Level, ScreeningThresholds, validate_tree
 from .psychometrics import ReliabilityTable, ValidityTable
-from .scoring import ScoreCard
+from .scoring import ScoreCard, composite
 
 COEFF_PLACES = 4
 SCORE_PLACES = 2
@@ -87,7 +89,7 @@ class RoundSection:
 class WeightsSection:
     method: str
     tree: IndicatorTree  # carrying the derived local/global weights
-    table: WeightTable
+    consistency: tuple[GroupConsistency, ...]  # of each group weighted from a pairwise matrix
 
 
 @dataclass(frozen=True)
@@ -137,7 +139,7 @@ def _weights_obj(section: WeightsSection, places: int) -> dict[str, Any]:
                 "group": ROOT_GROUP if g.parent_id is None else g.parent_id,
                 **_fields(g, ("n", "lambda_max", "ci", "cr", "acceptable"), places),
             }
-            for g in section.table.consistency
+            for g in section.consistency
         ],
     }
 
@@ -261,30 +263,30 @@ def _weights_from_obj(obj: Mapping[str, Any]) -> WeightsSection:
     listed = _keyed("nodes", ((_field("id", str, n["id"]), n) for n in _field("nodes", list, obj["nodes"])))
     groups = _keyed("consistency", ((_field("group", str, g["group"]), g)
                                     for g in _field("consistency", list, obj["consistency"])))
-    nodes = tuple(IndicatorNode(
-        **_read(IndicatorNode, n, ("id", "name", "parent_id", "local_weight", "global_weight")),
+    tree = IndicatorTree(nodes=tuple(IndicatorNode(
+        **_read(IndicatorNode, n, ("id", "name", "parent_id", "local_weight")),
         level=Level(n["level"]),
-    ) for n in listed.values())
-    table = WeightTable(
-        local_weights={n.id: n.local_weight for n in nodes if n.local_weight is not None},
-        global_weights={n.id: n.global_weight for n in nodes if n.global_weight is not None},
+    ) for n in listed.values()))
+    problems = validate_tree(tree)
+    if problems:
+        raise InvalidInputError("nodes: " + "; ".join(problems))
+    return WeightsSection(
+        method=_field("method", str, obj["method"]),
+        tree=_with_weights(tree, "global_weight", compose_global(tree).global_weights),
         consistency=tuple(GroupConsistency(
             parent_id=None if group == ROOT_GROUP else group,
             **_read(GroupConsistency, g, ("n", "lambda_max", "ci", "cr", "acceptable")),
         ) for group, g in groups.items()),
     )
-    return WeightsSection(method=_field("method", str, obj["method"]), tree=IndicatorTree(nodes=nodes),
-                          table=table)
 
 
 def _score_from_obj(obj: Mapping[str, Any]) -> ScoreCard:
     dims = _field("dimensions", list, obj["dimensions"])
-    card = ScoreCard(
-        dimension_scores=_keyed("dimensions", ((_field("id", str, d["id"]),
-                                                _field("score", float, d["score"])) for d in dims)),
-        dimension_weights={d["id"]: _field("weight", float, d["weight"]) for d in dims},
-        **_read(ScoreCard, obj, ("composite", "bonus", "final", "final_rescaled", "n_respondents")),
-        bonus_cap=_number(obj["bonus_cap"]),  # written as a plain number
+    card = composite(
+        _keyed("dimensions", ((_field("id", str, d["id"]), _field("score", float, d["score"])) for d in dims)),
+        {d["id"]: _field("weight", float, d["weight"]) for d in dims},
+        **_read(ScoreCard, obj, ("bonus", "n_respondents")),
+        cap=_number(obj["bonus_cap"]),  # written as a plain number
         imputed=_imputed_from_obj(obj["imputed"]),
     )
     least = max(1, len(card.imputed.row_ids))  # one respondent at least, and each with an imputed answer
@@ -327,7 +329,9 @@ def bundle_from_obj(obj: Any, source: str | Path = "bundle") -> ReportBundle:
     question, or validity item; a screened id is either retained or dropped,
     once), a screening's reasons must cover every dropped id, each imputed
     pair must name a question of the instrument, once, and a score must count
-    one respondent at least and each imputed one. Then the bundle read, written
+    one respondent at least and each imputed one. A weights tree must pass
+    :func:`validate_tree`; global weights and score totals are derived, not read.
+    Then the bundle read, written
     again at :func:`display_places` (at most MAX_PRECISION), must be ``obj``:
     no field it does not know, every display its value's, and every list in the
     writer's order. A file that is not is refused at the first path, in the

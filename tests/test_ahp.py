@@ -21,6 +21,7 @@ from stagekit import (
     weight_tree,
 )
 from stagekit.ahp import is_acceptable
+from stagekit.instrument import DEMO_LOCAL_WEIGHTS
 
 
 def matrix_of(entries, ids=None):
@@ -316,6 +317,16 @@ class TestComposeGlobal:
             if not n.bonus
         )
         assert leaf_sum == pytest.approx(1.0, abs=1e-9)
+
+    def test_demo_tree_globals_are_the_path_products(self):
+        tree = demo_weighted_tree()
+        for node in tree.nodes:
+            product, parent_id = DEMO_LOCAL_WEIGHTS[node.id], node.parent_id
+            while parent_id is not None:
+                product *= DEMO_LOCAL_WEIGHTS[parent_id]
+                parent_id = tree.node(parent_id).parent_id
+            assert node.local_weight == DEMO_LOCAL_WEIGHTS[node.id]
+            assert node.global_weight.hex() == product.hex(), node.id
 
     def test_children_sum_to_parent_global(self):
         tree = demo_weighted_tree()

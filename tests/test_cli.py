@@ -881,6 +881,46 @@ class TestBundleContract:
                                          "18 decimals, more than 17)\n")
 
 
+def _node(node_id, key, value):
+    def edit(obj):
+        next(node for node in obj["weights"]["nodes"] if node["id"] == node_id)[key] = value
+    return edit
+
+
+class TestDerivedValues:
+    """A bundle's global weights and score totals are derived from its own inputs, never taken as written."""
+
+    @pytest.mark.parametrize("edit, why, weights", [
+        (_node("ux.availability", "local_weight", {"value": 0.9, "display": "0.9000"}),
+         "bad or missing field nodes: local weights of children of ux sum to 1.44", True),
+        (_node("pq.innovation.incentive_mechanism", "global_weight", {"value": 0.5, "display": "0.5000"}),
+         "weights.nodes[3].global_weight.value: not the value the writer writes", True),
+        (_node("sp.ethics.service", "parent_id", "sp.ethic"),
+         "bad or missing field nodes: node sp.ethics.service: parent 'sp.ethic' does not exist; ", True),
+        (_node("sp.ethics.service", "local_weight", None),
+         "bad or missing field node sp.ethics.service has no local weight", True),
+        (lambda obj: obj["score"].update(final={"value": 99.0, "display": "99.00"}),
+         "score.final.value: not the value the writer writes", False),
+        (lambda obj: obj["score"]["dimensions"][0].update(weight={"value": 0.9, "display": "0.9000"}),
+         "bad or missing field dimension weights sum to 1.32", False),
+    ], ids=["group-sum", "global-weight", "missing-parent", "null-local-weight", "final", "dimension-weights"])
+    def test_edited_demo_bundle_exits_2(self, pipeline_bundle, tmp_path, capsys, edit, why, weights):
+        obj = json.loads(pipeline_bundle.read_text(encoding="utf-8"))
+        edit(obj)
+        bundle = tmp_path / "edited.json"
+        bundle.write_text(json.dumps(obj), encoding="utf-8")
+        out_path = tmp_path / "report.out"
+        rc, out, err = run(capsys, "report", "--bundle", bundle, "--out", out_path)
+        assert (rc, out) == (2, "")
+        assert err.startswith(f"error: {bundle}: not a stagekit bundle ({why}") and err.count("\n") == 1
+        assert not out_path.exists()
+        if weights:
+            argv = ["score", "--responses", DATA / "responses.csv", "--bonus", DATA / "expert_bonus.csv",
+                    "--weights", bundle, "--out", out_path]
+            assert run(capsys, *argv) == (2, "", err)
+            assert not out_path.exists()
+
+
 class TestPipelineCommand:
     def test_demo_config_runs_all_sections(self, capsys):
         obj = run_json(capsys, "pipeline", "--config", DATA / "demo_config.json")

@@ -77,6 +77,14 @@ class TestAhp:
         with pytest.raises(IncompleteWeightsError, match=r"^node B has no local weight$"):
             compose_global(tree)
 
+    def test_core_node_under_a_missing_parent(self):
+        tree = IndicatorTree(nodes=(
+            IndicatorNode("d", "core", Level.DIMENSION, local_weight=1.0),
+            IndicatorNode("d.i", "orphan", Level.INDEX, parent_id="x", local_weight=1.0),
+        ))
+        with pytest.raises(InvalidInputError, match=r"^node d\.i: parent 'x' does not exist$"):
+            compose_global(tree)
+
 
 class TestConsensus:
     def test_judgment_table_missing_a_basis(self):
