@@ -15,9 +15,8 @@ __version__ = "0.1.0"
 
 # Each submodule and the names it exports; a submodule is itself an attribute.
 _EXPORTS = {
-    "ahp": ("GroupConsistency", "PairwiseMatrix", "WeightTable", "combine_weights",
-            "compose_global", "consistency_ratio", "importance_weights", "principal_weights",
-            "weight_tree"),
+    "ahp": ("GroupConsistency", "PairwiseMatrix", "combine_weights", "compose_global",
+            "consistency_ratio", "importance_weights", "principal_weights", "weight_tree"),
     "cli": (),
     "consensus": ("DEFAULT_CA_TABLE", "DEFAULT_CS_MAP", "IndicatorStats", "RoundConsensus",
                   "ScreeningResult", "authority_coefficient", "derive_thresholds",

@@ -83,15 +83,6 @@ class GroupConsistency:
     acceptable: bool
 
 
-@dataclass(frozen=True)
-class WeightTable:
-    """Local and composed global weights over a tree's core (non-bonus) nodes."""
-
-    local_weights: Mapping[str, float]
-    global_weights: Mapping[str, float]
-    consistency: tuple[GroupConsistency, ...] = ()
-
-
 def principal_weights(matrix: PairwiseMatrix) -> tuple[tuple[float, ...], float]:
     """Normalized principal eigenvector and lambda_max of a pairwise matrix.
 
@@ -167,9 +158,9 @@ def combine_weights(
     return tuple(p / total for p in products)
 
 
-def compose_global(tree: IndicatorTree) -> WeightTable:
-    """Compose each core node's global weight as the product of local weights
-    along its path from the dimension root.
+def compose_global(tree: IndicatorTree) -> IndicatorTree:
+    """The tree with each core node's global weight set: the product of local
+    weights along its path from the dimension root.
 
     Every core (non-bonus) node must carry a local weight and every core
     sibling group must sum to 1; bonus subtrees are ignored entirely.
@@ -192,7 +183,7 @@ def compose_global(tree: IndicatorTree) -> WeightTable:
         if node.bonus:
             continue
         global_w[node.id] = _global_of(tree, node, local, global_w)
-    return WeightTable(local_weights=local, global_weights=global_w)
+    return _with_weights(tree, "global_weight", global_w)
 
 
 def _global_of(
@@ -231,8 +222,9 @@ def weight_tree(
     pairwise: Mapping[str | None, PairwiseMatrix] | None = None,
     importance: Mapping[str, float] | None = None,
     method: str = "combined",
-) -> tuple[IndicatorTree, WeightTable]:
-    """Derive local weights for every core sibling group and compose globals.
+) -> tuple[IndicatorTree, tuple[GroupConsistency, ...]]:
+    """The tree with local weights derived for every core sibling group and globals
+    composed, and the consistency of each group weighted from a pairwise matrix.
 
     ``pairwise`` maps a parent node id (None for the dimension group) to that
     group's comparison matrix, whose ids must be the group's core members; a key
@@ -285,9 +277,7 @@ def weight_tree(
         raise InvalidInputError(f"pairwise matrix for {', '.join(map(group_label, pairwise))}: "
                                 "no such sibling group in the indicator tree")
 
-    weighted = _with_weights(tree, "local_weight", assigned)
-    table = replace(compose_global(weighted), consistency=tuple(diagnostics))
-    return _with_weights(weighted, "global_weight", table.global_weights), table
+    return compose_global(_with_weights(tree, "local_weight", assigned)), tuple(diagnostics)
 
 
 def _with_weights(tree: IndicatorTree, field: str, weights: Mapping[str, float]) -> IndicatorTree:

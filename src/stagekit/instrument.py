@@ -9,6 +9,8 @@ must treat them as read-only (they are frozen dataclasses anyway).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .model import IndicatorNode, IndicatorTree, Instrument, Level, Question
 
 DIMENSIONS: tuple[tuple[str, str], ...] = (
@@ -135,10 +137,10 @@ DEMO_LOCAL_WEIGHTS: dict[str, float] = {
 
 def demo_weighted_tree() -> IndicatorTree:
     """The default tree carrying the synthetic demo weights (local + global)."""
-    from .ahp import _with_weights, compose_global  # here, so that loading the instrument loads no numpy
+    from .ahp import compose_global  # here, so that loading the instrument loads no numpy
 
-    weighted = _with_weights(default_tree(), "local_weight", DEMO_LOCAL_WEIGHTS)
-    return _with_weights(weighted, "global_weight", compose_global(weighted).global_weights)
+    return compose_global(IndicatorTree(nodes=tuple(
+        replace(node, local_weight=DEMO_LOCAL_WEIGHTS[node.id]) for node in default_tree().nodes)))
 
 
 def load_default_instrument() -> Instrument:

@@ -55,8 +55,7 @@ def weights_stage(tree: IndicatorTree, pairwise: Mapping[str | None, PairwiseMat
                   importance: RoundSection | None, method: str) -> WeightsSection:
     """Local and global weights; ``importance`` is the round whose means score the indicators."""
     means = {i: s.mean for i, s in importance.consensus.stats.items()} if importance else {}
-    weighted, table = weight_tree(tree, pairwise=pairwise, importance=means, method=method)
-    return WeightsSection(method=method, tree=weighted, consistency=table.consistency)
+    return WeightsSection(method, *weight_tree(tree, pairwise=pairwise, importance=means, method=method))
 
 
 def validity_stage(item_ids: Sequence[str], ratings: Sequence[Sequence[int]]) -> ValidityTable:

@@ -32,7 +32,7 @@ from typing import Any, Callable, Mapping, Sequence, get_args, get_origin, get_t
 
 import numpy as np
 
-from .ahp import GroupConsistency, _with_weights, compose_global
+from .ahp import GroupConsistency, compose_global
 from .consensus import IndicatorStats, RoundConsensus, ScreeningResult
 from .errors import InvalidInputError, SchemaError
 from .io import replacing
@@ -272,7 +272,7 @@ def _weights_from_obj(obj: Mapping[str, Any]) -> WeightsSection:
         raise InvalidInputError("nodes: " + "; ".join(problems))
     return WeightsSection(
         method=_field("method", str, obj["method"]),
-        tree=_with_weights(tree, "global_weight", compose_global(tree).global_weights),
+        tree=compose_global(tree),
         consistency=tuple(GroupConsistency(
             parent_id=None if group == ROOT_GROUP else group,
             **_read(GroupConsistency, g, ("n", "lambda_max", "ci", "cr", "acceptable")),
@@ -330,7 +330,8 @@ def bundle_from_obj(obj: Any, source: str | Path = "bundle") -> ReportBundle:
     once), a screening's reasons must cover every dropped id, each imputed
     pair must name a question of the instrument, once, and a score must count
     one respondent at least and each imputed one. A weights tree must pass
-    :func:`validate_tree`; global weights and score totals are derived, not read.
+    :func:`validate_tree`, and a score beside it must weigh each dimension by
+    the tree's local weight; global weights and score totals are derived, not read.
     Then the bundle read, written
     again at :func:`display_places` (at most MAX_PRECISION), must be ``obj``:
     no field it does not know, every display its value's, and every list in the
@@ -344,6 +345,10 @@ def bundle_from_obj(obj: Any, source: str | Path = "bundle") -> ReportBundle:
                    "validity": partial(_from_record, ValidityTable), "score": _score_from_obj}
         sections = {key: None if obj[key] is None else read(obj[key]) for key, read in readers.items()}
         bundle = ReportBundle(tuple(rounds.values()), **sections)
+        weights, score = bundle.weights, bundle.score
+        for dim, weight in score.dimension_weights.items() if weights and score else ():
+            if getattr(weights.tree.node(dim), "local_weight", None) != weight:  # no node, no local weight
+                raise ValueError(f"score.dimensions: {dim} weighs {weight!r}, not its local weight in weights.nodes")
     except (KeyError, TypeError, ValueError, OverflowError, InvalidInputError) as exc:
         raise SchemaError(f"{source}: not a stagekit bundle (bad or missing field {exc})") from None
     places = display_places(obj)

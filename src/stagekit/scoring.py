@@ -24,16 +24,15 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .ahp import WeightTable
 from .errors import (
     DegenerateDataError,
     IncompleteWeightsError,
     InvalidInputError,
 )
-from .model import MISSING, CellPairs, Instrument, ResponseSet, RowMatrix, ordered_sum
+from .model import MISSING, WEIGHT_SUM_TOL, CellPairs, Instrument, ResponseSet, RowMatrix, ordered_sum
 
 DEFAULT_BONUS_CAP = 10.0
-_TOL = 1e-9
+_TOL = 1e-9  # slack on the bonus range
 
 
 @dataclass(frozen=True)
@@ -81,11 +80,10 @@ def _weight(node: str, value) -> float:
 
 
 def _local_weights(responses: ResponseSet, instrument: Instrument,
-                   weights: WeightTable | Mapping[str, float]) -> dict[str, float]:
+                   local: Mapping[str, float]) -> dict[str, float]:
     """Every dimension's and index's local weight, read by ``_weight``, once there are respondents."""
     if not responses.consumer:
         raise InvalidInputError("no respondents to score")
-    local = weights.local_weights if isinstance(weights, WeightTable) else weights
     out: dict[str, float] = {}
     for dim in instrument.dimensions():
         for kind, node in (("dimension", dim),
@@ -142,7 +140,7 @@ def _pooled(instrument: Instrument, local: Mapping[str, float],
 def score_consumer(
     responses: ResponseSet,
     instrument: Instrument,
-    weights: WeightTable | Mapping[str, float],
+    weights: Mapping[str, float],
 ) -> ConsumerScores:
     """Score every respondent and pool the results.
 
@@ -236,7 +234,7 @@ def composite(
     if not all(map(math.isfinite, (*core.values(), *dim_weights.values()))):
         raise InvalidInputError("dimension scores and weights must be finite numbers")
     total_w = ordered_sum(dim_weights.values())
-    if abs(total_w - 1.0) > _TOL:
+    if abs(total_w - 1.0) > WEIGHT_SUM_TOL:
         raise InvalidInputError(f"dimension weights sum to {total_w!r}, expected 1")
     if not 0 < cap < math.inf:  # also refuses NaN
         raise InvalidInputError(f"bonus cap must be a positive finite number, got {cap!r}")
@@ -261,7 +259,7 @@ def composite(
 def score_software(
     responses: ResponseSet,
     instrument: Instrument,
-    weights: WeightTable | Mapping[str, float],
+    weights: Mapping[str, float],
     *,
     bonus_cap: float = DEFAULT_BONUS_CAP,
 ) -> ScoreCard:

@@ -220,15 +220,15 @@ def test_criterion_07_ahp_suite():
         )
         assert lam >= n - 1e-9
 
-    table = compose_global(demo_weighted_tree())
+    composed = compose_global(demo_weighted_tree())
     tree = default_tree()
-    leaf_total = sum(table.global_weights[leaf.id] for leaf in tree.leaves())
+    leaf_total = sum(composed.node(leaf.id).global_weight for leaf in tree.leaves())
     assert abs(leaf_total - 1.0) <= 1e-9
 
     importance = {node.id: 4.0 + (i % 10) / 10 for i, node in enumerate(tree.nodes)}
     weighted, _ = weight_tree(tree, importance=importance, method="scoring")
     rebuilt = compose_global(weighted)
-    assert abs(sum(rebuilt.global_weights[leaf.id] for leaf in tree.leaves()) - 1.0) <= 1e-9
+    assert abs(sum(rebuilt.node(leaf.id).global_weight for leaf in tree.leaves()) - 1.0) <= 1e-9
 
     worst = 0.0
     for _ in range(200):

@@ -302,17 +302,16 @@ def two_level_tree():
 
 class TestComposeGlobal:
     def test_two_level_products(self):
-        table = compose_global(two_level_tree())
-        assert table.global_weights["d1"] == pytest.approx(0.6, abs=1e-15)
-        assert table.global_weights["d1.a"] == pytest.approx(0.3, abs=1e-15)
-        assert table.global_weights["d1.b"] == pytest.approx(0.3, abs=1e-15)
-        assert table.global_weights["d2.c"] == pytest.approx(0.4, abs=1e-15)
+        tree = compose_global(two_level_tree())
+        assert tree.node("d1").global_weight == pytest.approx(0.6, abs=1e-15)
+        assert tree.node("d1.a").global_weight == pytest.approx(0.3, abs=1e-15)
+        assert tree.node("d1.b").global_weight == pytest.approx(0.3, abs=1e-15)
+        assert tree.node("d2.c").global_weight == pytest.approx(0.4, abs=1e-15)
 
     def test_leaf_weights_sum_to_one(self):
-        tree = demo_weighted_tree()
-        table = compose_global(tree)
+        tree = compose_global(demo_weighted_tree())
         leaf_sum = sum(
-            table.global_weights[n.id]
+            n.global_weight
             for n in tree.leaves()
             if not n.bonus
         )
@@ -329,16 +328,15 @@ class TestComposeGlobal:
             assert node.global_weight.hex() == product.hex(), node.id
 
     def test_children_sum_to_parent_global(self):
-        tree = demo_weighted_tree()
-        table = compose_global(tree)
+        tree = compose_global(demo_weighted_tree())
         for parent_id, members in tree.sibling_groups():
             if parent_id is None:
                 continue
             core = [n for n in members if not n.bonus]
             if not core:
                 continue
-            total = sum(table.global_weights[n.id] for n in core)
-            assert total == pytest.approx(table.global_weights[parent_id], abs=1e-12)
+            total = sum(n.global_weight for n in core)
+            assert total == pytest.approx(tree.node(parent_id).global_weight, abs=1e-12)
 
     def test_missing_weight_rejected(self):
         tree = IndicatorTree(nodes=(
@@ -359,9 +357,9 @@ class TestComposeGlobal:
     def test_bonus_nodes_ignored(self):
         nodes = list(two_level_tree().nodes)
         nodes.append(IndicatorNode(id="x", name="Extra", level=Level.DIMENSION, bonus=True))
-        table = compose_global(IndicatorTree(nodes=tuple(nodes)))
-        assert "x" not in table.global_weights
-        assert "x" not in table.local_weights
+        extra = compose_global(IndicatorTree(nodes=tuple(nodes))).node("x")
+        assert extra.global_weight is None
+        assert extra.local_weight is None
 
 
 class TestWeightTree:
@@ -379,31 +377,31 @@ class TestWeightTree:
             None: matrix_of([[1, 3], [1 / 3, 1]], ids=("d1", "d2")),
             "d1": matrix_of([[1, 1], [1, 1]], ids=("d1.a", "d1.b")),
         }
-        weighted, table = weight_tree(self.tree(), pairwise=pairwise, method="ahp")
-        assert table.local_weights["d1"] == pytest.approx(0.75, abs=1e-9)
-        assert table.local_weights["d1.a"] == pytest.approx(0.5, abs=1e-12)
+        weighted, consistency = weight_tree(self.tree(), pairwise=pairwise, method="ahp")
+        assert weighted.node("d1").local_weight == pytest.approx(0.75, abs=1e-9)
+        assert weighted.node("d1.a").local_weight == pytest.approx(0.5, abs=1e-12)
         # Singleton group gets weight 1 without a matrix.
-        assert table.local_weights["d2.c"] == 1.0
+        assert weighted.node("d2.c").local_weight == 1.0
         assert weighted.node("d1.a").global_weight == pytest.approx(0.375, abs=1e-9)
-        assert {c.parent_id for c in table.consistency} == {None, "d1"}
+        assert {c.parent_id for c in consistency} == {None, "d1"}
 
     def test_scoring_method(self):
         importance = {"d1": 6.0, "d2": 2.0, "d1.a": 5.0, "d1.b": 5.0, "d2.c": 3.0}
-        weighted, table = weight_tree(self.tree(), importance=importance, method="scoring")
-        assert table.local_weights["d1"] == pytest.approx(0.75, abs=1e-15)
-        assert table.local_weights["d1.b"] == pytest.approx(0.5, abs=1e-15)
-        assert table.consistency == ()
+        weighted, consistency = weight_tree(self.tree(), importance=importance, method="scoring")
+        assert weighted.node("d1").local_weight == pytest.approx(0.75, abs=1e-15)
+        assert weighted.node("d1.b").local_weight == pytest.approx(0.5, abs=1e-15)
+        assert consistency == ()
 
     def test_combined_method_multiplies(self):
         pairwise = {None: matrix_of([[1, 3], [1 / 3, 1]], ids=("d1", "d2"))}
         importance = {"d1": 5.0, "d2": 5.0, "d1.a": 6.0, "d1.b": 2.0, "d2.c": 3.0}
-        _, table = weight_tree(
+        weighted, _ = weight_tree(
             self.tree(), pairwise=pairwise, importance=importance, method="combined"
         )
         # Dimension group: uniform scoring x (0.75, 0.25) AHP -> unchanged.
-        assert table.local_weights["d1"] == pytest.approx(0.75, abs=1e-9)
+        assert weighted.node("d1").local_weight == pytest.approx(0.75, abs=1e-9)
         # d1 group: no matrix, scoring alone decides.
-        assert table.local_weights["d1.a"] == pytest.approx(0.75, abs=1e-15)
+        assert weighted.node("d1.a").local_weight == pytest.approx(0.75, abs=1e-15)
 
     def test_ahp_method_requires_every_matrix(self):
         pairwise = {None: matrix_of([[1, 3], [1 / 3, 1]], ids=("d1", "d2"))}
@@ -436,9 +434,9 @@ class TestWeightTree:
             for n in tree.nodes
             if not n.bonus
         }
-        weighted, table = weight_tree(tree, importance=importance, method="scoring")
+        weighted, _ = weight_tree(tree, importance=importance, method="scoring")
         leaf_sum = sum(
-            table.global_weights[n.id] for n in weighted.leaves() if not n.bonus
+            n.global_weight for n in weighted.leaves() if not n.bonus
         )
         assert leaf_sum == pytest.approx(1.0, abs=1e-9)
 
@@ -488,16 +486,17 @@ class TestWeightTreeSourceRule:
                 weight_tree(self.tree(), pairwise=pairwise, importance=importance, method=method)
             assert str(exc.value) == expected
             return
-        _, table = weight_tree(self.tree(), pairwise=pairwise, importance=importance, method=method)
+        weighted, consistency = weight_tree(self.tree(), pairwise=pairwise, importance=importance,
+                                            method=method)
         want = {
             "ahp": self.ahp,
             "scoring": self.scoring,
             "combined": lambda: combine_weights(self.scoring(), self.ahp()),
         }[expected]()
-        assert (table.local_weights["d1.a"], table.local_weights["d1.b"]) == tuple(want)
-        assert table.local_weights["d1"] == 1.0  # the one-member dimension group
+        assert (weighted.node("d1.a").local_weight, weighted.node("d1.b").local_weight) == tuple(want)
+        assert weighted.node("d1").local_weight == 1.0  # the one-member dimension group
         # every matrix given adds its consistency row, whatever the method
-        assert [c.parent_id for c in table.consistency] == (["d1"] if pairwise else [])
+        assert [c.parent_id for c in consistency] == (["d1"] if pairwise else [])
 
     @pytest.mark.parametrize("method", ["ahp", "scoring", "combined"])
     def test_means_for_part_of_a_group_rejected(self, method):
@@ -510,9 +509,9 @@ class TestWeightTreeSourceRule:
         pairwise = {None: matrix_of([[1]], ids=("d1",)), "d1": self.MATRIX}
         importance = {"d1": 4.0, **self.MEANS}
         for method in ("ahp", "scoring", "combined"):
-            _, table = weight_tree(self.tree(), pairwise=pairwise, importance=importance,
-                                   method=method)
-            assert table.local_weights["d1"] == 1.0
+            weighted, _ = weight_tree(self.tree(), pairwise=pairwise, importance=importance,
+                                      method=method)
+            assert weighted.node("d1").local_weight == 1.0
 
     @pytest.mark.parametrize("key, label", [("dx", "children of dx"), ("d1.a", "children of d1.a")],
                              ids=["unknown-id", "leaf"])

@@ -1,12 +1,15 @@
 import csv
 import json
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import stagekit
+from stagekit import composite, render_json
 from stagekit.cli import main
+from stagekit.report import bundle_from_obj
 
 DATA = Path(stagekit.__file__).parent / "data"
 
@@ -918,6 +921,30 @@ class TestDerivedValues:
             argv = ["score", "--responses", DATA / "responses.csv", "--bonus", DATA / "expert_bonus.csv",
                     "--weights", bundle, "--out", out_path]
             assert run(capsys, *argv) == (2, "", err)
+            assert not out_path.exists()
+
+    @pytest.mark.parametrize("edit, dim", [
+        (lambda weights: {**weights, "ux": weights["pq"], "pq": weights["ux"]}, "ux"),
+        (lambda weights: {("social" if d == "sp" else d): w for d, w in weights.items()}, "social"),
+    ], ids=["swapped", "no-such-node"])
+    def test_score_dimension_weight_not_the_tree_local_weight_exits_2(self, pipeline_bundle, tmp_path, capsys,
+                                                                      edit, dim):
+        """A score beside a weights section weighs each dimension by the tree's local weight, read or scored."""
+        read = bundle_from_obj(json.loads(pipeline_bundle.read_text(encoding="utf-8")))
+        card = read.score
+        weights = edit(card.dimension_weights)
+        scores = dict(zip(weights, card.dimension_scores.values()))
+        edited = composite(scores, weights, card.bonus, cap=card.bonus_cap, n_respondents=card.n_respondents,
+                           imputed=card.imputed)  # a score whose own totals hold
+        bundle = tmp_path / "edited.json"
+        bundle.write_text(render_json(replace(read, score=edited)), encoding="utf-8")
+        why = f"score.dimensions: {dim} weighs {weights[dim]!r}, not its local weight in weights.nodes"
+        err = f"error: {bundle}: not a stagekit bundle (bad or missing field {why})\n"
+        out_path = tmp_path / "out.json"
+        for argv in (["report", "--bundle", bundle],
+                     ["score", "--responses", DATA / "responses.csv", "--bonus", DATA / "expert_bonus.csv",
+                      "--weights", bundle]):
+            assert run(capsys, *argv, "--out", out_path) == (2, "", err)
             assert not out_path.exists()
 
 

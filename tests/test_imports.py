@@ -80,3 +80,19 @@ def test_from_import_of_a_submodule():
     from stagekit import io as sio
 
     assert sio is stagekit.io
+
+
+def test_no_module_imports_a_private_name_of_another():
+    """An underscore name stays inside its module: no ``from .other import _name`` in the package."""
+    imported = [
+        f"{path.name}: from {'.' * node.level}{node.module or ''} import {alias.name}"
+        for path in sorted((SRC / "stagekit").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("stagekit"))
+        for alias in node.names if alias.name.startswith("_")
+    ]
+    assert imported == []
+
+
+def test_scoring_takes_weights_without_the_ahp_module():
+    assert "stagekit.ahp" not in loaded_after("import stagekit.scoring")

@@ -102,7 +102,7 @@ def full_bundle():
 
     pairwise = {None: PairwiseMatrix(ids=("d1", "d2"), entries=((1.0, 3.0), (1 / 3, 1.0)))}
     importance = {"d1.a": 5.0, "d2.b": 6.0}
-    tree, table = weight_tree(toy_tree(), pairwise=pairwise, importance=importance)
+    tree, consistency = weight_tree(toy_tree(), pairwise=pairwise, importance=importance)
 
     instrument = toy_instrument()
     responses = ResponseSet(
@@ -115,10 +115,10 @@ def full_bundle():
     ).with_bonus(("b1",), {"e1": (3,)})
     reliability = reliability_report(responses, instrument)
     validity = validity_report(["a", "b"], [[7, 6], [6, 4], [7, 5]])
-    score = score_software(responses, instrument, table)
+    score = score_software(responses, instrument, {n.id: n.local_weight for n in tree.nodes if not n.bonus})
     return ReportBundle(
         rounds=(RoundSection(consensus=consensus, screening=screening),),
-        weights=WeightsSection(method="combined", tree=tree, consistency=table.consistency),
+        weights=WeightsSection(method="combined", tree=tree, consistency=consistency),
         reliability=reliability,
         validity=validity,
         score=score,
@@ -211,9 +211,9 @@ class TestBundleObject:
             IndicatorNode(id="xtra", name="Extra", level=Level.DIMENSION, bonus=True)
         ]
         importance = {"d1": 5.0, "d2": 5.0, "d1.a": 5.0, "d2.b": 5.0}
-        tree, table = weight_tree(IndicatorTree(nodes=tuple(nodes)), importance=importance)
+        tree, consistency = weight_tree(IndicatorTree(nodes=tuple(nodes)), importance=importance)
         obj = bundle_to_obj(ReportBundle(
-            weights=WeightsSection(method="scoring", tree=tree, consistency=table.consistency)
+            weights=WeightsSection(method="scoring", tree=tree, consistency=consistency)
         ))
         assert all(n["id"] != "xtra" for n in obj["weights"]["nodes"])
 
