@@ -58,6 +58,14 @@ def _paths(text: str) -> list[str]:
     return [_path(p.strip()) for p in text.split(",")]
 
 
+def _ids(text: str) -> list[str]:
+    """Comma-separated ids, each stripped; a blank value holds none, and an empty id among others is an error."""
+    ids = [i.strip() for i in text.split(",")] if text.strip() else []
+    if "" in ids:
+        raise argparse.ArgumentTypeError(f"expected comma-separated ids, got an empty one in {text!r}")
+    return ids
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # a usage error is a schema error: one line, exit code 2
         raise SchemaError(f"{self.prog}: {message}")
@@ -156,12 +164,14 @@ def _cmd_score(args) -> None:
 def _cmd_form(args) -> None:
     consensus = _single_round(args.stats).consensus
     if args.retained is not None:
-        retained = [i.strip() for i in args.retained.split(",") if i.strip()]
+        retained = args.retained
     else:
-        screening = _single_round(args.screen).screening
-        if screening is None:
+        screened = _single_round(args.screen)
+        if screened.screening is None:
             raise SchemaError(f"{args.screen}: bundle has no screening section")
-        retained = screening.retained
+        if screened.consensus != consensus:  # a form carries the verdicts of the round whose means it writes
+            raise SchemaError(f"{args.screen}: screens another round than {args.stats}")
+        retained = screened.screening.retained
     names = {}
     if args.names is not None:
         names = {n.id: n.name for n in sio.parse_indicators(args.names).nodes}
@@ -227,8 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("form", _cmd_form, "emit the next round's consultation form")
     p.add_argument("--stats", required=True, type=_path, help="previous round's round-stats JSON")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--retained", help="comma-separated indicator ids to carry forward")
-    group.add_argument("--screen", type=_path, help="screen JSON output; its retained list is used")
+    group.add_argument("--retained", type=_ids, help="comma-separated indicator ids to carry forward")
+    group.add_argument("--screen", type=_path, help="screen JSON of the --stats round; its retained list is used")
     p.add_argument("--round", type=int, required=True, help="number of the round being prepared")
     p.add_argument("--names", type=_path, help="indicators CSV supplying display names")
     p.add_argument("--out", required=True, type=_path, help="output CSV path")

@@ -597,8 +597,9 @@ def _checked_rows(rows, columns: tuple[str, ...], messages: tuple[str, str], lo:
     A RowMatrix of ``dtype`` is checked with one vectorised range test and
     kept; any other mapping (or iterable of pairs) is converted cell by cell
     into an answer RowMatrix, with ``None`` stored as ``MISSING`` where
-    ``allow_missing``. Either way the first offending cell in row-major order
-    is the one reported.
+    ``allow_missing`` and a numpy scalar read as the Python value it holds
+    (a numpy bool is refused, as a bool is). Either way the first offending
+    cell in row-major order is the one reported.
     """
     import numpy as np
 
@@ -626,6 +627,7 @@ def _checked_rows(rows, columns: tuple[str, ...], messages: tuple[str, str], lo:
         if len(row) != len(columns):
             raise InvalidInputError(length_error.format(key=key, n=len(row), k=len(columns)))
         for column, value in zip(columns, row):
+            value = value.item() if isinstance(value, np.generic) else value  # a numpy scalar reads as Python's
             if value is None and allow_missing:
                 codes.append(MISSING)
             elif type(value) is int and lo <= value <= hi:

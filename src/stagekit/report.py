@@ -11,8 +11,8 @@ Writer (:func:`_fields`) and reader (:func:`_read`) share one rule: a field's de
 makes it a number pair, a null or a plain value. Only regrouped or renamed entries are written
 by hand: a round's ``authority``, ``indicators`` ids and ``screening``, a node's ``level``, a
 consistency row's ``group``, and the score's ``dimensions``, ``imputed`` and ``bonus_cap``.
-The reader takes no derived value as written: it composes each global weight from the local
-weights (``compose_global``) and the score's totals from its dimensions (``composite``).
+The reader takes no derived value as written: it derives a round's screening verdicts (``screen_indicators``),
+each global weight (``compose_global``) and the score's totals (``composite``) from the file's inputs.
 It is the writer's exact inverse: it takes a file only if the bundle it read, written
 again at the precision of its displays, is the file's JSON value, so every reader of a bundle
 refuses a field it does not know, a display that is not its value's and a list out of the
@@ -33,7 +33,7 @@ from typing import Any, Callable, Mapping, Sequence, get_args, get_origin, get_t
 import numpy as np
 
 from .ahp import GroupConsistency, compose_global
-from .consensus import IndicatorStats, RoundConsensus, ScreeningResult
+from .consensus import IndicatorStats, RoundConsensus, ScreeningResult, screen_indicators
 from .errors import InvalidInputError, SchemaError
 from .io import replacing
 from .instrument import load_default_instrument
@@ -249,13 +249,9 @@ def _round_from_obj(obj: Mapping[str, Any]) -> RoundSection:
                                     for s in _field("indicators", list, obj["indicators"]))),
     )
     scr = obj["screening"]
-    if scr is not None:
-        retained, dropped = _strs(scr["retained"]), _strs(scr["dropped"])
-        _keyed("retained/dropped", ((i, None) for i in retained + dropped))
-        reasons = _field("reasons", dict, scr["reasons"])
-        scr = ScreeningResult(thresholds=_from_record(ScreeningThresholds, scr["thresholds"]),
-                              retained=retained, dropped=dropped,
-                              reasons={i: _strs(reasons[i]) for i in dropped})
+    if scr is not None:  # the verdicts are derived; the write-back refuses lists that are not these
+        _keyed("retained/dropped", ((i, None) for i in _strs(scr["retained"]) + _strs(scr["dropped"])))
+        scr = screen_indicators(consensus.stats, _from_record(ScreeningThresholds, scr["thresholds"]))
     return RoundSection(consensus=consensus, screening=scr)
 
 
@@ -327,12 +323,12 @@ def bundle_from_obj(obj: Any, source: str | Path = "bundle") -> ReportBundle:
     must hold its declared type (see :func:`_field`), no id may repeat in a list
     (a round number, an indicator, node, consistency group, reliability index or
     question, or validity item; a screened id is either retained or dropped,
-    once), a screening's reasons must cover every dropped id, each imputed
-    pair must name a question of the instrument, once, and a score must count
-    one respondent at least and each imputed one. A weights tree must pass
-    :func:`validate_tree`, and a score beside it must weigh each dimension by
-    the tree's local weight; global weights and score totals are derived, not read.
-    Then the bundle read, written
+    once), each imputed pair must name a question of the instrument, once, and
+    a score must count one respondent at least and each imputed one. A weights
+    tree must pass :func:`validate_tree`, and a score beside it must weigh each
+    dimension by the tree's local weight. A round's screening verdicts are
+    derived from its thresholds (:func:`screen_indicators`), global weights and
+    score totals from their inputs: none is read. Then the bundle read, written
     again at :func:`display_places` (at most MAX_PRECISION), must be ``obj``:
     no field it does not know, every display its value's, and every list in the
     writer's order. A file that is not is refused at the first path, in the

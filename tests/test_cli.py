@@ -618,6 +618,80 @@ class TestForm:
         assert not form.exists()
 
 
+def _move(source, target, reason=None):
+    """An edit of a screening: its first ``source`` id moved to the end of ``target``, with ``reason`` if dropped."""
+    def edit(scr):
+        moved = scr[source].pop(0)
+        scr[target].append(moved)
+        if reason is None:
+            del scr["reasons"][moved]
+        else:
+            scr["reasons"][moved] = reason
+    return edit
+
+
+def _set_reason(scr):
+    scr["reasons"][scr["dropped"][0]] = ["cv"]  # failing the mean and full-score floors, not the CV ceiling
+
+
+def _pass_all(scr):
+    """Thresholds every indicator meets, so none of the file's dropped verdicts holds."""
+    scr["thresholds"] = {"mean_floor": {"value": 1.0, "display": "1.0000"},
+                         "fsf_floor": {"value": 0.0, "display": "0.0000"},
+                         "cv_ceiling": {"value": 9.0, "display": "9.0000"}}
+
+
+class TestScreeningDerived:
+    """A screened round's verdicts are derived from its statistics and thresholds, never taken as written."""
+
+    @pytest.mark.parametrize("edit, where", [
+        (_move("dropped", "retained"), "rounds[0].screening.retained: not the value the writer writes"),
+        (_move("retained", "dropped", ["mean"]), "rounds[0].screening.retained: not the value the writer writes"),
+        (_set_reason, "rounds[0].screening.reasons[{dropped!r}]: not the value the writer writes"),
+        (_pass_all, "rounds[0].screening.retained: not the value the writer writes"),
+    ], ids=["dropped-id-retained", "retained-id-dropped", "other-reason", "thresholds"])
+    def test_edited_screening_exits_2(self, stats1, tmp_path, capsys, edit, where):
+        """Each edit, first cand.mascot_branding (below the mean and full-score floors) listed as retained,
+        is refused by every reader, `form --screen` among them, which then writes no form."""
+        screened = tmp_path / "screened.json"
+        assert run(capsys, "screen", "--stats", stats1, "--out", screened)[0] == 0
+        obj = json.loads(screened.read_text(encoding="utf-8"))
+        scr = obj["rounds"][0]["screening"]
+        assert scr["dropped"][0] == "cand.mascot_branding" and scr["reasons"][scr["dropped"][0]] == ["mean", "fsf"]
+        where = where.format(dropped=scr["dropped"][0])
+        edit(scr)
+        bundle = tmp_path / "edited.json"
+        bundle.write_text(json.dumps(obj, indent=2), encoding="utf-8")
+        out_path = tmp_path / "out.json"
+        err = f"error: {bundle}: not a stagekit bundle ({where})\n"
+        for argv in (["report", "--bundle", bundle, "--out", out_path],
+                     ["screen", "--stats", bundle, "--out", out_path],
+                     ["form", "--stats", stats1, "--screen", bundle, "--round", "2", "--out", out_path]):
+            assert run(capsys, *argv) == (2, "", err)
+            assert not out_path.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--ratings", DATA / "ratings_round1.csv", "--experts", DATA / "experts.csv", "--round-no", "2"],
+        ["--ratings", DATA / "ratings_round1.csv", "--round-no", "1"],
+        ["--ratings", DATA / "ratings_round2.csv", "--experts", DATA / "experts.csv", "--round-no", "1"],
+    ], ids=["round-no", "without-authority", "other-ratings"])
+    def test_screen_of_another_round_exits_2(self, stats1, tmp_path, capsys, argv):
+        other, screened, form = tmp_path / "other.json", tmp_path / "screened.json", tmp_path / "form.csv"
+        assert run(capsys, "round-stats", *argv, "--out", other)[0] == 0
+        assert run(capsys, "screen", "--stats", other, "--out", screened)[0] == 0
+        rc, out, err = run(capsys, "form", "--stats", stats1, "--screen", screened, "--round", "2", "--out", form)
+        assert (rc, out, err) == (2, "", f"error: {screened}: screens another round than {stats1}\n")
+        assert not form.exists()
+
+    def test_form_of_a_screened_stats_bundle_carries_its_retained_ids(self, stats1, tmp_path, capsys):
+        screened, form = tmp_path / "screened.json", tmp_path / "form.csv"
+        assert run(capsys, "screen", "--stats", stats1, "--out", screened)[0] == 0
+        assert run(capsys, "form", "--stats", screened, "--screen", screened, "--round", "2", "--out", form)[0] == 0
+        retained = json.loads(screened.read_text(encoding="utf-8"))["rounds"][0]["screening"]["retained"]
+        with open(form, encoding="utf-8", newline="") as fh:
+            assert [row["indicator_id"] for row in csv.DictReader(fh)] == sorted(retained)
+
+
 @pytest.fixture
 def pipeline_bundle(tmp_path, capsys):
     """The three-round demo pipeline bundle, written to disk."""
@@ -1009,6 +1083,16 @@ class TestEmptyValue:
         assert (rc, out) == (2, "")
         assert err == f"error: stagekit {argv[0]}: argument {option}: expected a file path, got ''\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["stats1.json"]
+
+    @pytest.mark.parametrize("value", ["ux.availability,,pq.security", "ux.availability,", ",ux.availability",
+                                       " , ux.availability", " , "])
+    def test_retained_empty_entry_exits_2_naming_the_option(self, stats1, tmp_path, capsys, value):
+        form = tmp_path / "form.csv"
+        rc, out, err = run(capsys, "form", "--stats", stats1, "--retained", value, "--round", "2", "--out", form)
+        assert (rc, out) == (2, "")
+        assert err == (f"error: stagekit form: argument --retained: expected comma-separated ids, "
+                       f"got an empty one in {value!r}\n")
+        assert not form.exists()
 
     def test_retained_without_ids_is_no_retained_indicators(self, stats1, tmp_path, capsys):
         rc, out, err = run(capsys, "form", "--stats", stats1, "--retained", "", "--round", "2",

@@ -19,9 +19,11 @@ from stagekit import (
     Impact,
     IndicatorNode,
     IndicatorTree,
+    Instrument,
     InvalidInputError,
     JudgmentBasis,
     Level,
+    Question,
     RatingRound,
     SchemaError,
     StagekitError,
@@ -660,6 +662,21 @@ class TestPlainTables:
         p = write(tmp_path / "bonus.csv", "expert_id,b2,b1\ne1,4,0\ne2,1,3\n")
         got, returned = plain_calls(parse_expert_bonus, p, ("b1", "b2"))
         assert returned[0] is not None and got == {"e1": (0, 4), "e2": (3, 1)}
+
+    def test_question_with_an_empty_range_declines_with_the_csv_message(self, tmp_path):
+        """A question whose minimum is past the answer scale admits no answer: the byte path
+        declines, and both paths name the first answer in the csv loop's words."""
+        instrument = Instrument(indices=(("i1", ("q1", "q2")),),
+                                questions=(Question("q1", "?"), Question("q2", "?", min_value=5)),
+                                dimension_of={"i1": "d1"})
+        p = write(tmp_path / "responses.csv", "respondent_id,q1,q2\nr1,3,4\nr2,0,0\n")
+        err, returned = plain_calls(parse_responses, p, instrument)
+        assert returned == [None]
+        message = f"{p}: cell (r1, q2): answer 4 outside [5, 4]"
+        assert isinstance(err, SchemaError) and str(err) == message
+        with pytest.raises(SchemaError) as streamed_err:
+            streamed(parse_responses, p, instrument)
+        assert str(streamed_err.value) == message
 
     RATINGS = "expert_id,a,b\ne1,1,2\ne2,3,4\n"
 

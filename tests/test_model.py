@@ -186,6 +186,25 @@ class TestRatingRound:
                 indicator_ids=("a", "b"), ratings={"e": (3, True)},
             )
 
+    def test_scale_max_below_1_is_named(self):
+        with pytest.raises(InvalidInputError, match=r"^scale_max must be positive, got 0$"):
+            RatingRound(round_no=1, scale_max=0, distributed=1, indicator_ids=("a",), ratings={"e1": (1,)})
+
+    @pytest.mark.parametrize("row", [(np.int64(3), np.int8(5)), np.array([3, 5], dtype=np.int8),
+                                     np.array([3, 5], dtype=np.uint64)], ids=["numpy-ints", "int8-row", "uint64-row"])
+    def test_numpy_integer_ratings_read_as_their_ints(self, row):
+        rnd = RatingRound(round_no=1, scale_max=5, distributed=2, indicator_ids=("a", "b"),
+                          ratings={"e1": row, "e2": (1, 2)})
+        assert rnd.ratings.matrix.tolist() == [[3, 5], [1, 2]] and rnd.ratings["e1"] == (3, 5)
+
+    @pytest.mark.parametrize("value, named", [(np.int8(6), "6"), (np.int64(0), "0"), (np.bool_(True), "True"),
+                                              (np.float64(3.0), "3.0")])
+    def test_numpy_rating_refused_by_its_plain_value(self, value, named):
+        with pytest.raises(InvalidInputError) as exc:
+            RatingRound(round_no=1, scale_max=5, distributed=1, indicator_ids=("a", "b"),
+                        ratings={"e1": (np.int64(3), value)})
+        assert str(exc.value) == f"expert e1, indicator b: rating {named} outside [1, 5]"
+
     def test_column_and_matrix(self):
         rnd = RatingRound(
             round_no=2, scale_max=5, distributed=3,
@@ -330,6 +349,20 @@ class TestResponseSet:
             ResponseSet(question_ids=("q1",), consumer={"r": (1,)},
                         bonus_ids=("b1",), expert_bonus={"e": (False,)})
 
+    def test_numpy_integer_answers_read_as_their_ints(self):
+        rs = ResponseSet(question_ids=("q1", "q2"), consumer={"r1": (np.int64(3), 2), "r2": np.array([0, 4])},
+                         bonus_ids=("b1",), expert_bonus={"e1": (np.uint8(4),)})
+        assert rs.consumer.matrix.tolist() == [[3, 2], [0, 4]] and rs.expert_bonus["e1"] == (4,)
+
+    @pytest.mark.parametrize("value, named", [(np.int64(5), "5"), (np.int16(-1), "-1"), (np.bool_(False), "False")])
+    def test_numpy_answer_refused_by_its_plain_value(self, value, named):
+        with pytest.raises(InvalidInputError) as answer:
+            ResponseSet(question_ids=("q1", "q2"), consumer={"r1": (np.int64(3), value)})
+        assert str(answer.value) == f"respondent r1, question q2: answer {named} outside [0, 4]"
+        with pytest.raises(InvalidInputError) as bonus:
+            ResponseSet(question_ids=("q1",), consumer={"r1": (1,)}, bonus_ids=("b1",), expert_bonus={"e1": (value,)})
+        assert str(bonus.value) == f"expert e1, bonus indicator b1: rating {named} outside [0, 4]"
+
     def test_first_bad_cell_reported(self):
         with pytest.raises(InvalidInputError, match=r"respondent r2, question q1: answer 2.5"):
             ResponseSet(question_ids=("q1", "q2"),
@@ -411,6 +444,16 @@ class TestCellPairs:
         (respondents, rows), (questions, cols) = rs.missing_cells().columns
         assert respondents == ["r1", "r3"] and questions == ("q1", "q2", "q3")
         assert rows.tolist() == [0, 0, 1, 1] and cols.tolist() == [0, 2, 0, 1]
+
+    def test_row_and_column_arrays_of_one_shape(self):
+        with pytest.raises(InvalidInputError, match=r"^row and column arrays of shapes \(2,\) and \(3,\)$"):
+            CellPairs(("r1",), ("q1",), np.zeros(2, np.intp), np.zeros(3, np.intp))
+
+    @pytest.mark.parametrize("other", [5, None, "r1q1", b"r1q1"])
+    def test_not_equal_to_a_non_sequence_or_a_string(self, other):
+        cells = CellPairs.of([("r1", "q1")], ("q1",))
+        assert cells.__eq__(other) is NotImplemented
+        assert cells != other and other != cells
 
     def test_of_keeps_the_order_given(self):
         cells = CellPairs.of([("b", "q2"), ("a", "q1"), ("b", "q1")], ("q1", "q2"))

@@ -1,6 +1,7 @@
 import json
 import os
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, given, settings
@@ -502,6 +503,16 @@ class TestBundleFromObj:
         assert str(exc.value) == ("b.json: not a stagekit bundle (bad or missing field "
                                   f"retained/dropped: id {repeated!r} listed twice)")
 
+
+    def test_screening_read_back_is_screen_indicators_of_the_round(self):
+        """The reader screens each round itself, from the statistics and thresholds it read."""
+        obj = json.loads(render_json(run_pipeline(DATA / "demo_config.json")))
+        with patch("stagekit.report.screen_indicators", wraps=screen_indicators) as screen:
+            rounds = bundle_from_obj(obj).rounds
+        screened = [s for s in rounds if s.screening is not None]
+        assert screen.call_count == len(screened) == 1
+        for s in screened:
+            assert s.screening == screen_indicators(s.consensus.stats, s.screening.thresholds)
     def test_imputed_pairs_read_back_as_columns(self):
         obj = json.loads(render_json(run_pipeline(DATA / "demo_config.json")))
         obj["score"]["imputed"] = [["r9", "q2"], ["r1", "q21"], ["r9", "q1"]]
