@@ -379,6 +379,12 @@ class Question:
     def __post_init__(self):
         if not self.max_value > 0:  # scoring divides each answer by it
             raise InvalidInputError(f"question {self.id}: max_value {self.max_value!r} must be positive")
+        if self.min_value > self.max_value:
+            raise InvalidInputError(
+                f"question {self.id}: min_value {self.min_value!r} exceeds max_value {self.max_value!r}")
+        if self.min_value > RESPONSE_MAX:  # answers are 0..RESPONSE_MAX, so no answer would fit
+            raise InvalidInputError(
+                f"question {self.id}: min_value {self.min_value!r} exceeds {RESPONSE_MAX}, the highest answer")
 
 
 @dataclass(frozen=True)
@@ -549,20 +555,6 @@ class CellPairs(Sequence):
 
     def __hash__(self) -> int:
         return hash(tuple(self))
-
-    @cached_property
-    def columns(self) -> tuple[tuple[list[str], np.ndarray], tuple[tuple[str, ...], np.ndarray]]:
-        """The pairs as two columns, each (values, codes) with cell i ``values[codes[i]]``.
-
-        The first column's values are the row ids that occur, in row order; the
-        second's are the column ids. Each id is thus held once, however many pairs name it.
-        """
-        import numpy as np
-
-        used = np.zeros(len(self.row_ids), dtype=bool)  # a mask, not np.unique: no sort
-        used[self.rows] = True
-        codes = (np.cumsum(used) - 1)[self.rows]  # each row's place among the rows used
-        return ([self.row_ids[r] for r in np.flatnonzero(used).tolist()], codes), (self.column_ids, self.cols)
 
     def __repr__(self) -> str:
         return f"CellPairs({tuple(self)!r})"

@@ -5,7 +5,7 @@ display rounded half-even at a fixed number of decimals (4 for coefficients/weig
 scores). Markdown output renders the same display strings as the JSON, so the two formats can never
 disagree; neither contains timestamps, locales, or other run-dependent bytes.
 JSON text is ``json.dumps(obj, indent=2, ensure_ascii=False)`` and a final LF, save that the imputed
-pairs, the last value, are written from their columns (:func:`_join_columns`), each id encoded once.
+pairs, the last value, are joined from the blank scan's index codes (:func:`_pair_texts`).
 
 Writer (:func:`_fields`) and reader (:func:`_read`) share one rule: a field's declared type
 makes it a number pair, a null or a plain value. Only regrouped or renamed entries are written
@@ -28,9 +28,7 @@ from functools import partial
 from itertools import chain
 from pathlib import Path
 from types import UnionType
-from typing import Any, Callable, Mapping, Sequence, get_args, get_origin, get_type_hints
-
-import numpy as np
+from typing import Any, Mapping, get_args, get_origin, get_type_hints
 
 from .ahp import GroupConsistency, compose_global
 from .consensus import IndicatorStats, RoundConsensus, ScreeningResult, screen_indicators
@@ -158,7 +156,7 @@ def _score_obj(card: ScoreCard, coeff_places: int) -> dict[str, Any]:
         **_fields(card, ("composite", "bonus"), SCORE_PLACES),
         "bonus_cap": card.bonus_cap,  # declared float, written as a plain number
         **_fields(card, ("final", "final_rescaled"), SCORE_PLACES),
-        "imputed": card.imputed or [],  # the pairs, written from their columns
+        "imputed": card.imputed or [],  # the pairs, written from their index codes
     }
 
 
@@ -177,7 +175,7 @@ def _tree(bundle: ReportBundle, coeff_places: int) -> dict[str, Any]:
 def bundle_to_obj(bundle: ReportBundle, *, coeff_places: int = COEFF_PLACES) -> dict[str, Any]:
     """The bundle as a JSON-ready dict with a fixed key order; CVI and scores keep SCORE_PLACES.
 
-    Each imputed pair is a ``[rid, qid]`` list here; the renderers write the pairs from their columns.
+    Each imputed pair is a ``[rid, qid]`` list here; the renderers write the pairs from their index codes.
     """
     obj = _tree(bundle, coeff_places)
     if obj["score"] is not None:
@@ -377,30 +375,16 @@ def _difference(written: Any, read: Any, path: str, places: int) -> str:
     return f"{path}: not the value the writer writes"
 
 
-def _join_columns(columns: Sequence[tuple[Sequence, np.ndarray]], texts: Callable[[Sequence], list[str]],
-                  sep: str, row_sep: str) -> str:
-    """The rows held in ``columns``, cells joined by ``sep`` and rows by ``row_sep``.
-
-    Each column is (values, codes), its cell i ``values[codes[i]]``, codes an index array.
-    ``texts`` gives the text of each of a column's values, so each distinct value is written once.
-    """
-    cells = np.empty((len(columns[0][1]), len(columns)), dtype=object)
-    for k, (values, codes) in enumerate(columns):  # a cell carries the separator before it, a last cell the row's
-        head, tail = sep if k else "", row_sep if k == len(columns) - 1 else ""
-        cells[:, k] = np.array([head + t + tail for t in texts(values)] if head or tail else texts(values),
-                               dtype=object)[codes]
-    return "".join(cells.ravel().tolist())[:-len(row_sep)]
-
-
-def _json_texts(values: Sequence[str]) -> list[str]:
-    """json's text of each id in ``values``."""
-    return list(map(json.encoder.encode_basestring, values))
+def _pair_texts(pairs: CellPairs, text, sep: str) -> list[str]:
+    """Each pair's text: its row id's ``text``, ``sep``, then its column id's ``text``."""
+    row_ids, tails = pairs.row_ids, [sep + text(c) for c in pairs.column_ids]
+    return [text(row_ids[r]) + tails[c] for r, c in zip(pairs.rows.tolist(), pairs.cols.tolist())]
 
 
 def render_json(bundle: ReportBundle, *, coeff_places: int = COEFF_PLACES) -> str:
     """``json.dumps(bundle_to_obj(bundle), indent=2, ensure_ascii=False)`` and a final LF.
 
-    The imputed pairs, the bundle's last value, are written from their columns.
+    The imputed pairs, the bundle's last value, are spliced in from their index codes.
     """
     tree = _tree(bundle, coeff_places)
     score = tree["score"]
@@ -409,8 +393,8 @@ def render_json(bundle: ReportBundle, *, coeff_places: int = COEFF_PLACES) -> st
     pairs, score["imputed"] = score["imputed"], []
     head, _, tail = json.dumps(tree, indent=2, ensure_ascii=False).rpartition("[]")
     row = "\n      [\n        "  # a pair's opening; its ids sit two levels inside the score
-    return "".join((head, "[", row, _join_columns(pairs.columns, _json_texts, ",\n        ", "\n      ]," + row),
-                    "\n      ]\n    ]", tail, "\n"))
+    texts = _pair_texts(pairs, json.encoder.encode_basestring, ",\n        ")
+    return "".join((head, "[", row, ("\n      ]," + row).join(texts), "\n      ]\n    ]", tail, "\n"))
 
 
 def _cell(value: Any) -> str:
@@ -430,10 +414,6 @@ def _md_table(columns: Mapping[str, str], rows) -> list[str]:
              "|" + "|".join(" --- " for _ in columns) + "|"]
     lines += ["| " + " | ".join(_cell(row[key]) for key in columns.values()) + " |" for row in rows]
     return lines + [""]  # the blank line that closes the block
-
-
-def _md_texts(values: Sequence) -> list[str]:
-    return list(map(str, values))
 
 
 def render_markdown_obj(obj: Mapping[str, Any]) -> str:
@@ -521,7 +501,7 @@ def render_markdown_obj(obj: Mapping[str, Any]) -> str:
             f"Respondents: {score['n_respondents']}",
         ]
         if score["imputed"]:
-            out.append(f"Imputed answers: ({_join_columns(score['imputed'].columns, _md_texts, ', ', '), (')})")
+            out.append(f"Imputed answers: ({'), ('.join(_pair_texts(score['imputed'], str, ', '))})")
         out.append("")
 
     return "\n".join(out).rstrip("\n") + "\n"

@@ -96,3 +96,14 @@ def test_no_module_imports_a_private_name_of_another():
 
 def test_scoring_takes_weights_without_the_ahp_module():
     assert "stagekit.ahp" not in loaded_after("import stagekit.scoring")
+
+
+def test_report_module_imports_no_numpy():
+    """``report.py`` writes and reads bundles without numpy: no ``import numpy`` or ``from numpy`` in it."""
+    tree = ast.parse((SRC / "stagekit" / "report.py").read_text(encoding="utf-8"))
+    imported = [
+        ast.unparse(node) for node in ast.walk(tree)
+        if isinstance(node, ast.Import) and any(a.name.partition(".")[0] == "numpy" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and not node.level and (node.module or "").partition(".")[0] == "numpy"
+    ]
+    assert imported == []

@@ -19,11 +19,9 @@ from stagekit import (
     Impact,
     IndicatorNode,
     IndicatorTree,
-    Instrument,
     InvalidInputError,
     JudgmentBasis,
     Level,
-    Question,
     RatingRound,
     SchemaError,
     StagekitError,
@@ -664,18 +662,17 @@ class TestPlainTables:
         assert returned[0] is not None and got == {"e1": (0, 4), "e2": (3, 1)}
 
     def test_question_with_an_empty_range_declines_with_the_csv_message(self, tmp_path):
-        """A question whose minimum is past the answer scale admits no answer: the byte path
-        declines, and both paths name the first answer in the csv loop's words."""
-        instrument = Instrument(indices=(("i1", ("q1", "q2")),),
-                                questions=(Question("q1", "?"), Question("q2", "?", min_value=5)),
-                                dimension_of={"i1": "d1"})
+        """A column whose range is empty admits no answer: the byte path declines, and both
+        paths name the first answer in the csv loop's words. ``Question`` refuses such a range,
+        so the table is read with the bound itself."""
         p = write(tmp_path / "responses.csv", "respondent_id,q1,q2\nr1,3,4\nr2,0,0\n")
-        err, returned = plain_calls(parse_responses, p, instrument)
+        args = (p, "respondent_id", {"q1": (0, 4), "q2": (5, 4)}, "respondent id", "answer", "cell")
+        err, returned = plain_calls(sio._read_table, *args)
         assert returned == [None]
         message = f"{p}: cell (r1, q2): answer 4 outside [5, 4]"
         assert isinstance(err, SchemaError) and str(err) == message
         with pytest.raises(SchemaError) as streamed_err:
-            streamed(parse_responses, p, instrument)
+            streamed(sio._read_table, *args)
         assert str(streamed_err.value) == message
 
     RATINGS = "expert_id,a,b\ne1,1,2\ne2,3,4\n"

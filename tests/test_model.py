@@ -289,6 +289,17 @@ def test_question_max_value_must_be_positive(max_value):
         Question(id="q1", text="Q1", max_value=max_value)
 
 
+@pytest.mark.parametrize("bounds, message", [
+    ((5, 4), "min_value 5 exceeds max_value 4"),
+    ((3, 2), "min_value 3 exceeds max_value 2"),
+    ((5, 7), "min_value 5 exceeds 4, the highest answer"),
+])
+def test_question_range_must_admit_an_answer(bounds, message):
+    min_value, max_value = bounds
+    with pytest.raises(InvalidInputError, match=f"^question q2: {message}$"):
+        Question(id="q2", text="Q2", min_value=min_value, max_value=max_value)
+
+
 class TestResponseSet:
     def test_missing_cells_tracked(self):
         rs = ResponseSet(
@@ -437,13 +448,6 @@ class TestCellPairs:
         assert cells.rows is rs.consumer.blank_cells[0] and cells.cols is rs.consumer.blank_cells[1]
         assert cells.row_ids is rs.respondents and cells.column_ids is rs.question_ids
         assert not cells.rows.flags.writeable and not cells.cols.flags.writeable
-
-    def test_columns_hold_each_id_once(self):
-        rs = ResponseSet(question_ids=("q1", "q2", "q3"),
-                         consumer={"r1": (None, 1, None), "r2": (0, 1, 2), "r3": (None, None, 4)})
-        (respondents, rows), (questions, cols) = rs.missing_cells().columns
-        assert respondents == ["r1", "r3"] and questions == ("q1", "q2", "q3")
-        assert rows.tolist() == [0, 0, 1, 1] and cols.tolist() == [0, 2, 0, 1]
 
     def test_row_and_column_arrays_of_one_shape(self):
         with pytest.raises(InvalidInputError, match=r"^row and column arrays of shapes \(2,\) and \(3,\)$"):

@@ -284,7 +284,7 @@ def imputed_bundles(draw, question_ids=TEXT):
 
 
 def assert_pairs_written_as_lists(bundle):
-    """The renderers' column writer gives the bytes of the pairs written as ``[rid, qid]`` lists."""
+    """The renderers' pair writer gives the bytes of the pairs written as ``[rid, qid]`` lists."""
     pairs = tuple(bundle.score.imputed)
     obj = bundle_to_obj(bundle)
     assert obj["score"]["imputed"] == [[rid, qid] for rid, qid in pairs]
@@ -296,7 +296,7 @@ def assert_pairs_written_as_lists(bundle):
 
 
 class TestImputedColumns:
-    """Imputed pairs are written from their columns, to the bytes of the list of pairs."""
+    """Imputed pairs are written from their index codes, to the bytes of the list of pairs."""
 
     @settings(max_examples=200, deadline=None)
     @given(imputed_bundles())
@@ -305,15 +305,24 @@ class TestImputedColumns:
         assert_pairs_written_as_lists(bundle)
 
     @settings(max_examples=100, deadline=None)
-    @given(imputed_bundles(st.sampled_from(QUESTION_IDS)))
-    def test_read_back_and_written_again_to_the_same_bytes(self, bundle):
-        """What ``report`` does: the bundle read back, rendered at its displays' places."""
+    @given(imputed_bundles(st.sampled_from(QUESTION_IDS)), st.data())
+    def test_read_back_and_written_again_to_the_same_bytes(self, bundle, data):
+        """What ``report`` does: the bundle read back, rendered at its displays' places.
+
+        Also of a file listing the pairs in any order: read back, their row codes follow
+        the file's order of first use, and they are written in the file's order."""
         text = render_json(bundle)
         obj = json.loads(text)
         again = bundle_from_obj(obj)
         assert again.score.imputed == bundle.score.imputed
         assert render_json(again, coeff_places=display_places(obj)) == text
         assert render_markdown(again, coeff_places=display_places(obj)) == render_markdown(bundle)
+        obj["score"]["imputed"] = data.draw(st.permutations(obj["score"]["imputed"]))
+        shuffled = bundle_from_obj(obj)
+        assert shuffled.score.imputed == obj["score"]["imputed"]
+        assert render_json(shuffled, coeff_places=display_places(obj)) == json_oracle(obj)
+        line = "Imputed answers: " + ", ".join(f"({rid}, {qid})" for rid, qid in obj["score"]["imputed"])
+        assert render_markdown(shuffled).endswith(f"\n{line}\n") == bool(obj["score"]["imputed"])
 
     def test_ids_read_by_the_csv_loop(self, tmp_path):
         """Quoted ids holding a quote, a backslash, a tab and non-ASCII, scored; the byte path declines such a file."""
