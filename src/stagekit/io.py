@@ -36,6 +36,7 @@ from .model import (
     Level,
     RatingRound,
     ResponseSet,
+    RowIds,
     RowMatrix,
     rating_dtype,
     validate_tree,
@@ -325,7 +326,7 @@ def _distinct(keys: np.ndarray) -> bool:
 
 
 def _plain_table(path: Path, header: list[str], src: Sequence[int], bounds: Sequence,
-                 blank: str | None, key: int = 0) -> tuple[tuple[str, ...], np.ndarray] | None:
+                 blank: str | None, key: int = 0) -> tuple[Sequence[str], np.ndarray] | None:
     """``_int_table``'s result for a plain file, read from its bytes; None for any other file.
 
     A plain file is ASCII after an optional BOM, with no tab or other control
@@ -344,15 +345,15 @@ def _plain_table(path: Path, header: list[str], src: Sequence[int], bounds: Sequ
     by comparing its bytes with each value, and tells the ids distinct by
     sorting their ``_words``, each id as many words as the longest: a file
     whose words past the first would outgrow it is left to the csv loop.
-    The ids are decoded once ``_plain_words`` has returned, so the file's bytes
-    and the id strings, each about the file's size, are never held at once.
+    The ids are returned as a RowIds over those words, which decodes an id
+    only when it is read, so the id strings, together about the file's size,
+    are never built while the file's bytes are held, nor at all for ids never read.
     """
     read = _plain_words(path, header, src, bounds, blank, key)
     if read is None:
         return None
     id_words, matrix = read
-    id_end = ",\n"[key == len(header) - 1]
-    return tuple(id_words.T.tobytes().replace(b"\0", b"").decode("ascii").split(id_end)[:-1]), matrix
+    return RowIds(id_words, ",\n"[key == len(header) - 1]), matrix
 
 
 def _plain_words(path: Path, header: list[str], src: Sequence[int], bounds: Sequence,
@@ -468,7 +469,7 @@ def _plain_words(path: Path, header: list[str], src: Sequence[int], bounds: Sequ
 
 def _int_table(path: Path, header: list[str], rows: Iterable[list[str]], kind: str,
                columns: Sequence[str], src: Sequence[int], bounds: Sequence, word: str,
-               blank: str | None, key: int = 0) -> tuple[tuple[str, ...], np.ndarray]:
+               blank: str | None, key: int = 0) -> tuple[Sequence[str], np.ndarray]:
     """The row ids (the cells at ``key``) in row order, and the read-only matrix of a table keyed by row id.
 
     The cells at ``src`` of a row are its ``columns``, each stripped and read
@@ -524,7 +525,7 @@ def _int_table(path: Path, header: list[str], rows: Iterable[list[str]], kind: s
 
 
 def _read_table(path: Path, key: str, bounds: Mapping[str, Any] | tuple[int, int], kind: str,
-                word: str, blank: str | None) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray]:
+                word: str, blank: str | None) -> tuple[tuple[str, ...], Sequence[str], np.ndarray]:
     """The columns read, row ids and matrix of the integer table at ``path``.
 
     ``key`` names the id column. ``bounds`` maps each column to read to its

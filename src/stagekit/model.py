@@ -457,10 +457,55 @@ def _answer_row(row: list[int]) -> tuple[int | None, ...]:
     return tuple(None if v == MISSING else v for v in row)
 
 
+class RowIds(Sequence):
+    """Row ids kept as their bytes, read as the tuple of those ids.
+
+    ``words`` holds each id and the ``sep`` after it, zero-filled to whole 8-byte
+    words, one column per id (as ``io._plain_words`` reads them); no id holds a
+    zero byte or ``sep``. Iteration and ``==`` (to a tuple or a RowIds) decode
+    every id once and keep the tuple; indexing, slicing and ``take`` decode only
+    the ids they give. The object marks ``words`` read-only.
+    """
+
+    def __init__(self, words: np.ndarray, sep: str):
+        words.flags.writeable = False
+        self.words, self.sep = words, sep
+
+    def take(self, rows) -> tuple[str, ...]:
+        """The ids at ``rows`` (index codes or a slice), decoded from their words alone."""
+        return tuple(self.words[:, rows].T.tobytes().replace(b"\0", b"").decode("ascii").split(self.sep)[:-1])
+
+    @cached_property
+    def _ids(self) -> tuple[str, ...]:
+        return self.take(slice(None))
+
+    def __getitem__(self, i):
+        return self.take(i) if isinstance(i, slice) else self.take([i])[0]
+
+    def __iter__(self):
+        return iter(self._ids)
+
+    def __len__(self) -> int:
+        return self.words.shape[1]
+
+    def __eq__(self, other):
+        other = other._ids if isinstance(other, RowIds) else other
+        return self._ids == other if isinstance(other, tuple) else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"RowIds({self._ids!r})"
+
+
+def ids_at(ids: Sequence[str], rows: np.ndarray) -> Sequence[str]:
+    """``ids[r]`` for each index code r of ``rows``: from a RowIds, only those ids are decoded."""
+    return ids.take(rows) if isinstance(ids, RowIds) else [ids[r] for r in rows.tolist()]
+
+
 class RowMatrix(Mapping):
     """Read-only rows of one matrix, keyed by id and read back one row at a time.
 
-    ``ids`` holds the distinct row ids in row order (a mapping gives its keys);
+    ``ids`` holds the distinct row ids in row order: a RowIds as it is, any other
+    iterable (a mapping gives its keys) as a tuple;
     ``row_of``, built on the first lookup by id, maps each to its row number;
     a repeated id fails there. ``read`` turns one row, as a list, into the
     mapping's value. The object takes ownership of ``matrix`` and marks it
@@ -470,7 +515,7 @@ class RowMatrix(Mapping):
 
     def __init__(self, ids: Iterable[str], matrix: np.ndarray,
                  read: Callable[[list], Any] = _answer_row):
-        self.ids = tuple(ids)
+        self.ids = ids if isinstance(ids, RowIds) else tuple(ids)
         if matrix.ndim != 2 or len(matrix) != len(self.ids):
             raise InvalidInputError(f"matrix of shape {matrix.shape} for {len(self.ids)} row ids")
         matrix.flags.writeable = False
@@ -509,14 +554,17 @@ class CellPairs(Sequence):
     Pair i is ``(row_ids[rows[i]], column_ids[cols[i]])``. It reads as the tuple of
     those pairs: ``len``, indexing, slicing (to a tuple) and iteration give the same
     values, and it equals any sequence of 2-item sequences holding the same pairs in
-    the same order (``(("r1", "q2"),)`` or ``[["r1", "q2"]]``). The object takes
-    ownership of ``rows`` and ``cols`` and marks them read-only.
+    the same order (``(("r1", "q2"),)`` or ``[["r1", "q2"]]``). ``row_ids`` is kept
+    as it is when a RowIds, whose ids are then decoded only for the pairs read, and
+    as a tuple otherwise. The object takes ownership of ``rows`` and ``cols`` and
+    marks them read-only.
     """
 
     def __init__(self, row_ids: Sequence[str], column_ids: Sequence[str], rows: np.ndarray, cols: np.ndarray):
         if rows.shape != cols.shape or rows.ndim != 1:
             raise InvalidInputError(f"row and column arrays of shapes {rows.shape} and {cols.shape}")
-        self.row_ids, self.column_ids = tuple(row_ids), tuple(column_ids)
+        self.row_ids = row_ids if isinstance(row_ids, RowIds) else tuple(row_ids)
+        self.column_ids = tuple(column_ids)
         rows.flags.writeable = cols.flags.writeable = False
         self.rows, self.cols = rows, cols
 
@@ -532,8 +580,7 @@ class CellPairs(Sequence):
         return cls(row_of, column_ids, rows, cols)
 
     def _pairs(self, rows: np.ndarray, cols: np.ndarray):
-        row_ids, column_ids = self.row_ids, self.column_ids
-        return zip([row_ids[r] for r in rows.tolist()], [column_ids[c] for c in cols.tolist()])
+        return zip(ids_at(self.row_ids, rows), ids_at(self.column_ids, cols))
 
     def __getitem__(self, i):
         if isinstance(i, slice):
@@ -662,7 +709,7 @@ class ResponseSet:
             self.expert_bonus, bids, _BONUS_MESSAGES, RESPONSE_MIN, RESPONSE_MAX))
 
     @property
-    def respondents(self) -> tuple[str, ...]:
+    def respondents(self) -> Sequence[str]:
         return self.consumer.ids
 
     @property

@@ -35,7 +35,7 @@ from .consensus import IndicatorStats, RoundConsensus, ScreeningResult, screen_i
 from .errors import InvalidInputError, SchemaError
 from .io import replacing
 from .instrument import load_default_instrument
-from .model import CellPairs, IndicatorNode, IndicatorTree, Level, ScreeningThresholds, validate_tree
+from .model import CellPairs, IndicatorNode, IndicatorTree, Level, ScreeningThresholds, ids_at, validate_tree
 from .psychometrics import ReliabilityTable, ValidityTable
 from .scoring import ScoreCard, composite
 
@@ -377,8 +377,8 @@ def _difference(written: Any, read: Any, path: str, places: int) -> str:
 
 def _pair_texts(pairs: CellPairs, text, sep: str) -> list[str]:
     """Each pair's text: its row id's ``text``, ``sep``, then its column id's ``text``."""
-    row_ids, tails = pairs.row_ids, [sep + text(c) for c in pairs.column_ids]
-    return [text(row_ids[r]) + tails[c] for r, c in zip(pairs.rows.tolist(), pairs.cols.tolist())]
+    tails = [sep + text(c) for c in pairs.column_ids]
+    return [text(r) + tails[c] for r, c in zip(ids_at(pairs.row_ids, pairs.rows), pairs.cols.tolist())]
 
 
 def render_json(bundle: ReportBundle, *, coeff_places: int = COEFF_PLACES) -> str:

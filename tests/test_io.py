@@ -1,5 +1,6 @@
 import csv
 import importlib.util
+import json
 import os
 import sys
 import tracemalloc
@@ -9,9 +10,11 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stagekit import io as sio
-from stagekit.model import MISSING
+from stagekit.model import MISSING, RowIds, RowMatrix
 from stagekit import (
     ExpertPanel,
     Familiarity,
@@ -29,7 +32,10 @@ from stagekit import (
     demo_weighted_tree,
     load_default_instrument,
     question_proportional_weights,
+    render_json,
+    render_markdown,
     round_consensus,
+    run_pipeline,
     score_consumer,
 )
 from stagekit.io import (
@@ -916,6 +922,68 @@ class TestPlainTables:
         ids, matrix = sio._plain_table(p, ["expert_id", "a", "b"], [1, 2], [(1, 5)] * 2, "row")
         assert ids == () and matrix.shape == (0, 2) and matrix.dtype == np.int8
         assert not matrix.flags.writeable
+
+    # Bytes an id of a plain file may hold: '!'..'~' but the separator and the quote.
+    ID_BYTES = "".join(chr(c) for c in range(0x21, 0x7F) if chr(c) not in ',"')
+
+    @settings(max_examples=150, deadline=None)
+    @given(ids=st.lists(st.text(ID_BYTES, min_size=1, max_size=24), max_size=40, unique=True),
+           key_last=st.booleans(), block_cells=st.integers(1, 40), data=st.data())
+    def test_plain_ids_read_as_the_csv_loops_tuple(self, tmp_path_factory, ids, key_last, block_cells, data):
+        """Ids of 1-24 bytes (1-3 words), over blocks of a few rows, each ended by ',' or, last in its row, LF.
+
+        Twelve digit columns keep every row longer than its id's words past the first, so the byte
+        path takes each file; indexing, slicing and ``take`` decode no more than they give.
+        """
+        key, header = 12 if key_last else 0, [f"c{j}" for j in range(12)]
+        header.insert(key, "id")
+        digits = ",".join(str(1 + j % 5) for j in range(12))
+        p = tmp_path_factory.mktemp("ids") / "ratings.csv"
+        p.write_text("".join(f"{line}\n" for line in [",".join(header),
+                     *(f"{digits},{i}" if key_last else f"{i},{digits}" for i in ids)]), encoding="ascii")
+        src, bounds = [j for j in range(13) if j != key], [(1, 5)] * 12
+        with sio._csv_rows(p) as (_, rows), patch.object(sio, "_PLAIN_BLOCK_CELLS", block_cells):
+            got, matrix = sio._plain_table(p, header, src, bounds, None, key)
+            with patch.object(sio, "_plain_table", return_value=None):
+                expected, _ = sio._int_table(p, header, rows, "expert row", header[1:], src, bounds,
+                                             "rating", None, key)
+        assert isinstance(got, RowIds) and type(expected) is tuple and expected == tuple(ids)
+        assert len(got) == len(expected)
+        if ids:
+            i = data.draw(st.integers(-len(ids), len(ids) - 1), label="index")
+            assert got[i] == expected[i]
+        cut = data.draw(st.slices(len(ids)), label="slice")
+        assert got[cut] == expected[cut]
+        rows = data.draw(st.lists(st.integers(0, len(ids) - 1), max_size=12) if ids else st.just([]), label="rows")
+        assert got.take(np.array(rows, np.intp)) == tuple(expected[r] for r in rows)
+        assert "_ids" not in vars(got)  # nothing so far read every id
+        assert list(RowMatrix(got, matrix).row_of.items()) == list(RowMatrix(expected, matrix).row_of.items())
+        assert list(got) == list(expected)
+        assert got == expected and expected == got and got == got[:] and got != expected + ("x",)
+
+    def test_survey_run_decodes_only_the_imputed_respondents(self, tmp_path):
+        """A run and both renders of a survey read plain decode each render's imputed ids and no other."""
+        gen.generate("survey-100k", 7, tmp_path, respondents=3000)
+        decoded, take = [], RowIds.take
+
+        def spy(ids, rows):
+            out = take(ids, rows)
+            decoded.append((len(ids), len(out)))
+            return out
+
+        with patch.object(RowIds, "take", spy):
+            bundle = run_pipeline(tmp_path / "demo_config.json")
+            text, markdown = render_json(bundle), render_markdown(bundle)
+        pairs = bundle.score.imputed
+        assert isinstance(pairs.row_ids, RowIds) and "_ids" not in vars(pairs.row_ids)
+        assert [n for size, n in decoded if size == 3000] == [len(pairs)] * 2
+        with open(tmp_path / "responses.csv", encoding="utf-8", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        at = [header.index(q) for q in load_default_instrument().question_ids]
+        blanks = [[row[0], header[i]] for row in rows for i in at if not row[i].strip()]
+        assert len(blanks) > 20
+        assert json.loads(text)["score"]["imputed"] == blanks
+        assert f"Imputed answers: ({'), ('.join(map(', '.join, blanks))})" in markdown.splitlines()
 
     def test_row_numbers_built_on_first_lookup(self, bench_files):
         """Parsing and scoring a survey never looks an id up, so no id -> row dict is built."""
