@@ -25,6 +25,7 @@ from .model import (
     JudgmentBasis,
     RatingRound,
     ScreeningThresholds,
+    ids_at,
 )
 
 # Judgment-basis lookup: contribution of each basis to an expert's judgment
@@ -318,9 +319,9 @@ def round_consensus(
     ca = cs = cr = None
     if profiles is not None:
         panel = ExpertPanel.of(profiles)
-        rows = list(map(panel.row_of.get, rnd.ratings.ids))
-        if None in rows:
-            missing = [eid for eid, row in zip(rnd.ratings.ids, rows) if row is None]
+        rows = panel.rows(rnd.ratings.ids)
+        if (rows < 0).any():
+            missing = ids_at(rnd.ratings.ids, np.flatnonzero(rows < 0))
             raise InvalidInputError(
                 f"round {rnd.round_no}: no profile for responding expert(s) {', '.join(missing)}"
             )

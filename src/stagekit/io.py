@@ -38,6 +38,7 @@ from .model import (
     ResponseSet,
     RowIds,
     RowMatrix,
+    ids_at,
     rating_dtype,
     validate_tree,
 )
@@ -273,14 +274,15 @@ def _words(block: np.ndarray, start: np.ndarray, length: np.ndarray, words: int)
     tail = np.concatenate([block[cut:], np.zeros(8 * words, np.uint8)])
     # The 8 bytes from each offset that has 8, one word each: views of the block and of its tail.
     head, tail = (np.ndarray((max(b.size - 7, 0),), np.uint64, b, strides=(1,)) for b in (block, tail))
-    rows = []
-    for j in range(words):
+    out = np.empty((words, start.size), np.uint64)
+    for j, word in enumerate(out):
         at = start + 8 * j
-        past = at >= cut
-        word = np.empty(at.shape, np.uint64)
-        word[~past], word[past] = head[at[~past]], tail[at[past] - cut]
-        rows.append(word & _FIRST_BYTES[np.clip(length - 8 * j, 0, 8)])
-    return np.stack(rows)
+        if cut:  # each word from the block, those reaching past its end then from the tail
+            word[:] = head[np.minimum(at, cut - 1)]
+        past = np.flatnonzero(at >= cut)
+        word[past] = tail[at[past] - cut]
+        word &= _FIRST_BYTES[np.clip(length - 8 * j, 0, 8)]
+    return out
 
 
 def _enum_codes(block: np.ndarray, ends: np.ndarray, size: np.ndarray, enum) -> np.ndarray | None:
@@ -432,7 +434,11 @@ def _plain_words(path: Path, header: list[str], src: Sequence[int], bounds: Sequ
         sep = np.flatnonzero((block == ord(",")) | (block == ord("\n")))
         if sep.size != last.size * width or not np.array_equal(sep[width - 1::width], last):
             return None
-        size = np.diff(sep, prepend=-1).reshape(-1, width) - 1
+        size = np.empty(sep.size, np.intp)  # each cell's size: the gap to the separator before, less 1
+        size[0] = sep[0] + 1
+        np.subtract(sep[1:], sep[:-1], out=size[1:])
+        size -= 1
+        size = size.reshape(-1, width)
         sep = sep.reshape(-1, width)
         id_size, cell_size = size[:, key], size[:, pick]
         if not id_size.all() or id_size.max() > csv.field_size_limit() or cell_size[:, digit_at].max(initial=0) > 1:
@@ -561,13 +567,14 @@ def parse_ratings(
         raise InvalidInputError(f"scale_max must be positive, got {scale_max}")
     indicator_ids, ids, matrix = _read_table(path, "expert_id", (1, scale_max), "expert row",
                                              "rating", "row")
-    # Non-responses stayed in the matrix, in file order, as rows holding MISSING.
+    # Non-responses stayed in the matrix, in file order, as rows holding MISSING: only their ids are decoded.
     blank = (matrix == MISSING).any(axis=1)
-    non_respondents = tuple(compress(ids, blank.tolist()))
+    non_respondents = ids_at(ids, np.flatnonzero(blank))
     respondents = ids
     if non_respondents:
         matrix = matrix[~blank]
-        respondents = tuple(compress(ids, (~blank).tolist()))
+        respondents = (RowIds(ids.words[:, ~blank], ids.sep) if isinstance(ids, RowIds)
+                       else tuple(compress(ids, (~blank).tolist())))
 
     if round_no is None:
         match = re.search(r"round[_-]?(\d+)", path.name, re.IGNORECASE)

@@ -256,15 +256,16 @@ def _row_numbers(ids: tuple[str, ...]) -> dict[str, int]:
 class ExpertPanel(Sequence):
     """Expert profiles as one read-only ``int8`` code matrix, read back one ExpertProfile at a time.
 
-    ``ids`` holds the distinct expert ids in row order (a mapping gives its keys); ``row_of``, built on
-    first use, maps each to its row number, and a repeated id fails there. Column j holds a value of
-    ``ENUMS[j]`` as its position there: the four bases' impacts in JudgmentBasis order, group, familiarity.
+    ``ids`` holds the distinct expert ids in row order: a RowIds as it is, any other iterable (a
+    mapping gives its keys) as a tuple; ``row_of``, built on first use, maps each to its row number,
+    and a repeated id fails there. Column j holds a value of ``ENUMS[j]`` as its position there: the
+    four bases' impacts in JudgmentBasis order, group, familiarity.
     """
 
     ENUMS = (Impact,) * len(JudgmentBasis) + (IdentityGroup, Familiarity)
 
     def __init__(self, ids: Iterable[str], codes: np.ndarray):
-        self.ids = tuple(ids)
+        self.ids = ids if isinstance(ids, RowIds) else tuple(ids)
         if codes.shape != (len(self.ids), len(self.ENUMS)):
             raise InvalidInputError(f"code matrix of shape {codes.shape} for {len(self.ids)} experts")
         codes.flags.writeable = False
@@ -273,6 +274,29 @@ class ExpertPanel(Sequence):
     @cached_property
     def row_of(self) -> dict[str, int]:
         return _row_numbers(self.ids)
+
+    def rows(self, ids: Sequence[str]) -> np.ndarray:
+        """Each of ``ids``' row number, -1 for an id not in the panel.
+
+        A RowIds is joined to a RowIds panel on its words, decoding neither: each given id's
+        mix is looked up among the panel's sorted mixes, and a match is kept only when every
+        word is equal. Any other ids, or a panel whose mixes are not distinct (a repeated id,
+        or a rare shared mix), go through ``row_of``.
+        """
+        import numpy as np
+
+        if isinstance(ids, RowIds) and isinstance(self.ids, RowIds) and len(self):
+            width = max(len(ids.words), len(self.ids.words))
+            (panel, mixed), (given, sought) = self.ids.key_words(width), ids.key_words(width)
+            order = np.argsort(mixed)
+            mixed = mixed[order]
+            if not (mixed[1:] == mixed[:-1]).any():
+                by_mix = np.argsort(sought)  # sorted, the lookups walk the panel's mixes in order
+                at = np.empty_like(by_mix)
+                at[by_mix] = order[np.searchsorted(mixed, sought[by_mix]).clip(max=len(order) - 1)]
+                return np.where((panel[:, at] == given).all(axis=0), at, -1)
+        row_of = self.row_of
+        return np.array([row_of.get(i, -1) for i in ids], dtype=np.intp)
 
     @classmethod
     def of(cls, profiles: Sequence[ExpertProfile]) -> "ExpertPanel":
@@ -453,6 +477,10 @@ class Instrument:
         return tuple(bid for bid, _ in self.bonus_indicators)
 
 
+# RowIds.key_words' multiplier for mixing an id's words into one, as io._distinct's: odd, so a bijection.
+_MIX = 0x9E3779B97F4A7C15
+
+
 def _answer_row(row: list[int]) -> tuple[int | None, ...]:
     return tuple(None if v == MISSING else v for v in row)
 
@@ -470,6 +498,21 @@ class RowIds(Sequence):
     def __init__(self, words: np.ndarray, sep: str):
         words.flags.writeable = False
         self.words, self.sep = words, sep
+
+    def key_words(self, width: int) -> tuple[np.ndarray, np.ndarray]:
+        """The ids' words with the separator byte zeroed, padded with zero words to ``width``
+        words, and each id's words mixed into one: equal ids have equal words and equal mixes,
+        whatever separator or word count their files gave them."""
+        import numpy as np
+
+        keys = np.zeros((width, len(self)), np.uint64)
+        keys[:len(self.words)] = self.words
+        byte = keys.view(np.uint8)
+        byte[byte == ord(self.sep)] = 0
+        mixed = keys[0]
+        for word in keys[1:]:
+            mixed = mixed * _MIX ^ word  # wraps, with no warning on arrays
+        return keys, mixed
 
     def take(self, rows) -> tuple[str, ...]:
         """The ids at ``rows`` (index codes or a slice), decoded from their words alone."""

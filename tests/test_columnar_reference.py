@@ -15,6 +15,7 @@ must also be the exact value correctly rounded (``exact_pooled_scores``).
 import csv
 import math
 import re
+import tempfile
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -1284,12 +1285,30 @@ def test_parse_experts_equals_loop_reference(tmp_path_factory, text):
 
 AUTHORITY_VALUES = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 1.0, 1 / 3, 0.15, 0.05)
 
+# Characters of the expert ids drawn: a file of such ids is read from its bytes, its ids kept as words.
+EXPERT_ID_CHARS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_.-"
+
+
+def parsed_round(round_no, expert_ids, non_respondents, key_last, blank_at):
+    """``expert_ids`` rating (1, 2), a cell blank for ``non_respondents``, written as a ratings file and parsed."""
+    lines = [["a", "b", "expert_id"] if key_last else ["expert_id", "a", "b"]]
+    for eid in expert_ids:
+        cells = ["1", "2"]
+        if eid in non_respondents:
+            cells[blank_at] = ""
+        lines.append([*cells, eid] if key_last else [eid, *cells])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ratings.csv"
+        path.write_text("".join(",".join(line) + "\n" for line in lines), encoding="utf-8")
+        return parse_ratings(path, round_no=round_no)
+
 
 @st.composite
 def authority_cases(draw):
-    """(round, profiles, ca_table, cs_map): parsed or hand-built panels, custom lookups."""
+    """(round, profiles, ca_table, cs_map): parsed or hand-built panels and rounds, custom lookups."""
     n = draw(st.integers(2, 12))
-    ids = [f"e{i}" for i in range(n)]
+    expert_id = st.integers(1, 20).flatmap(lambda size: st.text(EXPERT_ID_CHARS, min_size=size, max_size=size))
+    ids = draw(st.lists(expert_id, min_size=n, max_size=n, unique=True))
     rows = [[draw(st.sampled_from(tuple(Impact))) for _ in JudgmentBasis]
             + [draw(st.sampled_from(tuple(IdentityGroup))), draw(st.sampled_from(tuple(Familiarity)))]
             for _ in ids]
@@ -1310,9 +1329,16 @@ def authority_cases(draw):
 
     respondents = draw(st.lists(st.sampled_from(ids + ["ghost"] * draw(st.integers(0, 1))),
                                 min_size=2, max_size=n, unique=True))
-    rnd = RatingRound(round_no=draw(st.integers(1, 3)), scale_max=5,
-                      distributed=len(respondents), indicator_ids=("a", "b"),
-                      ratings={eid: (1, 2) for eid in respondents})
+    round_no = draw(st.integers(1, 3))
+    if draw(st.booleans()):  # a ratings file, its key column first or last, unlike the experts file's
+        rest = [eid for eid in ids if eid not in respondents]
+        non_respondents = draw(st.lists(st.sampled_from(rest), min_size=1, unique=True) if rest else st.just([]))
+        rnd = parsed_round(round_no, draw(st.permutations(respondents + non_respondents)), non_respondents,
+                           draw(st.booleans()), draw(st.integers(0, 1)))
+    else:
+        rnd = RatingRound(round_no=round_no, scale_max=5,
+                          distributed=len(respondents), indicator_ids=("a", "b"),
+                          ratings={eid: (1, 2) for eid in respondents})
 
     value = st.one_of(st.sampled_from(AUTHORITY_VALUES), st.floats(0.0, 0.4))
     ca_table = DEFAULT_CA_TABLE

@@ -985,6 +985,28 @@ class TestPlainTables:
         assert json.loads(text)["score"]["imputed"] == blanks
         assert f"Imputed answers: ({'), ('.join(map(', '.join, blanks))})" in markdown.splitlines()
 
+    def test_delphi_rounds_decode_only_their_non_respondents(self, tmp_path):
+        """Reading a panel and three rounds plain and joining each round to the panel decode only the blank rows."""
+        gen.generate("delphi-10k", 7, tmp_path, experts=3000)
+        calls, decoded, take = [], [], RowIds.take
+
+        def spy(ids, rows):
+            out = take(ids, rows)
+            calls.append(rows)
+            decoded.extend(out)
+            return out
+
+        with patch.object(RowIds, "take", spy):
+            panel = parse_experts(tmp_path / "experts.csv")
+            rounds = [parse_ratings(tmp_path / f"ratings_round{n}.csv") for n in (1, 2, 3)]
+            joined = [round_consensus(rnd, panel) for rnd in rounds]
+        assert not any(isinstance(rows, slice) for rows in calls)
+        assert isinstance(panel.ids, RowIds) and all(isinstance(rnd.ratings.ids, RowIds) for rnd in rounds)
+        non_respondents = [eid for rnd in rounds for eid in rnd.non_respondents]
+        assert decoded == non_respondents and len(non_respondents) == 600
+        by_dict = [round_consensus(rnd, tuple(panel)) for rnd in rounds]  # ExpertProfile objects: row_of's join
+        assert [(c.ca, c.cs, c.cr) for c in joined] == [(c.ca, c.cs, c.cr) for c in by_dict]
+
     def test_row_numbers_built_on_first_lookup(self, bench_files):
         """Parsing and scoring a survey never looks an id up, so no id -> row dict is built."""
         instrument = load_default_instrument()
