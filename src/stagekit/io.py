@@ -18,7 +18,7 @@ from contextlib import contextmanager, suppress
 from fractions import Fraction
 from itertools import compress
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import Any, BinaryIO, Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -46,8 +46,12 @@ from .model import (
 _TRUE = {"true", "1", "yes"}
 _FALSE = {"false", "0", "no", ""}
 
-# Cells per block of a plain table, whose temporary arrays take about 8 bytes a cell; bytes per export piece.
+# Cells per block of a plain table, whose temporary arrays take about 8 bytes a cell; bytes of an
+# export made plain at a time.
 _PLAIN_BLOCK_CELLS = 25_000
+
+# Bytes of a plain table read at a time, in whole lines: a file is never held whole.
+_PLAIN_PIECE_BYTES = 1 << 20
 
 # _distinct's multiplier for mixing an id's words into one: odd, so a bijection of 64-bit words.
 _MIX = np.uint64(0x9E3779B97F4A7C15)
@@ -338,70 +342,98 @@ def _plain_table(path: Path, header: list[str], src: Sequence[int], bounds: Sequ
     non-empty and distinct, each cell at ``src`` is blank (where ``blank``
     allows) or, by its bound, one digit within its int8 (lo, hi) or exactly
     one of its enum's values, and a blank ratings row's other digits are not
-    range-checked. An export is made plain first, whole lines at a time: a
-    quote pair around a whole cell holding no quote, separator or line end
-    goes, then each blank beside a separator or line end; any other quote (one
-    after a blank too), or a line past the csv field limit, declines. The csv
-    loop reads a plain file without error; this reads the same result from
-    separator positions, ``_PLAIN_BLOCK_CELLS`` cells at a time, an enum cell
-    by comparing its bytes with each value, and tells the ids distinct by
-    sorting their ``_words``, each id as many words as the longest: a file
-    whose words past the first would outgrow it is left to the csv loop.
-    The ids are returned as a RowIds over those words, which decodes an id
-    only when it is read, so the id strings, together about the file's size,
-    are never built while the file's bytes are held, nor at all for ids never read.
+    range-checked. The file is read in pieces of whole lines of about
+    ``_PLAIN_PIECE_BYTES`` (a longer line makes its piece longer); the lines
+    after the first piece are counted, so that one matrix of the rows they
+    allow is filled in place: beyond its result the parse holds about one
+    piece, never the whole file. A piece of an export is made plain first,
+    whole lines at a time: a quote pair around a whole cell holding no quote,
+    separator or line end goes, then each blank beside a separator or line
+    end; any other quote (one after a blank too), or a line past the csv field
+    limit, declines. The csv loop reads a plain file without error; this reads the
+    same result from separator positions, ``_PLAIN_BLOCK_CELLS`` cells at a
+    time, an enum cell by comparing its bytes with each value, and tells the
+    ids distinct by sorting their ``_words``, each id as many words as the
+    longest: a file whose words past the first would outgrow it is left to the
+    csv loop. The ids are returned as a RowIds over those words, which decodes
+    an id only when it is read, so the id strings, together about the file's
+    size, are never built by the parse, nor at all for ids never read.
     """
-    read = _plain_words(path, header, src, bounds, blank, key)
+    if _table_dtype(bounds) != "int8" or not path.is_file():  # a pipe cannot be read a second time
+        return None
+    try:
+        with open(path, "rb") as fh:
+            read = _plain_words(fh, header, src, bounds, blank, key)
+    except OSError as exc:
+        raise _unreadable(path, exc) from None
     if read is None:
         return None
     id_words, matrix = read
     return RowIds(id_words, ",\n"[key == len(header) - 1]), matrix
 
 
-def _plain_words(path: Path, header: list[str], src: Sequence[int], bounds: Sequence,
-                 blank: str | None, key: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """``_plain_table``'s result with its ids as their ``_words``, each ended by its separator; or None."""
-    if _table_dtype(bounds) != "int8" or not path.is_file():  # a pipe cannot be read a second time
-        return None
-    try:
-        data = path.read_bytes().removeprefix(b"\xef\xbb\xbf")  # a UTF-8 BOM
-    except OSError as exc:
-        raise _unreadable(path, exc) from None
-    if b"\r" in data:  # far quicker than a replace that finds nothing; a lone CR stays and declines
-        data = data.replace(b"\r\n", b"\n")
-    if not data.endswith(b"\n"):  # a last line without its line end
-        data += b"\n"
-    if b'"' in data or b" " in data:  # a spreadsheet export: quoted cells, or blanks beside separators
-        plain, start = bytearray(), 0
-        while start < len(data):  # whole lines, about _PLAIN_BLOCK_CELLS bytes at a time
-            end = data.find(b"\n", start + _PLAIN_BLOCK_CELLS) + 1 or len(data)
-            piece, start = data[start:end], end
-            byte = np.frombuffer(piece, np.uint8)
-            # The csv loop refuses a field past its limit, quotes and blanks included: a longer line may hold one.
-            if np.diff(np.flatnonzero(byte == ord("\n")), prepend=-1).max() > csv.field_size_limit():
+def _line_pieces(fh: BinaryIO, size: int) -> Iterator[bytes]:
+    """The rest of ``fh``, a regular file of ``size`` bytes, in pieces of whole lines of about
+    ``_PLAIN_PIECE_BYTES``; a file no longer than that in one read.
+
+    Each piece ends in LF but the last, which ends where the file does. A line
+    longer than a piece is read again, twice as far each time, until one piece
+    holds it. No read asks for more than is left, so none allocates a piece
+    for nothing.
+    """
+    want = _PLAIN_PIECE_BYTES
+    while fh.tell() < size and (piece := fh.read(min(want, size - fh.tell()))):
+        if fh.tell() < size:  # not the last piece: it ends with its last LF
+            cut = piece.rfind(b"\n") + 1
+            if not cut:
+                fh.seek(-len(piece), os.SEEK_CUR)
+                want *= 2
+                continue
+            fh.seek(cut - len(piece), os.SEEK_CUR)  # the partial line starts the next piece
+            piece, want = piece[:cut], _PLAIN_PIECE_BYTES
+        yield piece
+
+
+def _lines_after(fh: BinaryIO, size: int) -> int:
+    """The lines of ``fh``, a file of ``size`` bytes, after where it is read to (the last may end without
+    LF), read back to there."""
+    at, lines, last = fh.tell(), 0, b"\n"
+    while fh.tell() < size and (chunk := fh.read(min(_PLAIN_PIECE_BYTES, size - fh.tell()))):
+        lines, last = lines + np.count_nonzero(np.frombuffer(chunk, np.uint8) == ord("\n")), chunk[-1:]
+    fh.seek(at)
+    return lines + (last != b"\n")
+
+
+def _made_plain(data: bytes) -> bytearray | None:
+    """Whole lines of a spreadsheet export made plain (see ``_plain_table``), about ``_PLAIN_BLOCK_CELLS``
+    bytes at a time; None where a quote is not a pair around a whole cell, or a line is past the csv field limit."""
+    plain, start = bytearray(), 0
+    while start < len(data):
+        end = data.find(b"\n", start + _PLAIN_BLOCK_CELLS) + 1 or len(data)
+        piece, start = data[start:end], end
+        byte = np.frombuffer(piece, np.uint8)
+        # The csv loop refuses a field past its limit, quotes and blanks included: a longer line may hold one.
+        if np.diff(np.flatnonzero(byte == ord("\n")), prepend=-1).max() > csv.field_size_limit():
+            return None
+        if b'"' in piece:
+            quote, sep = byte == ord('"'), (byte == ord(",")) | (byte == ord("\n"))
+            # From each opening quote up to its closing one; the last LF is inside only if a quote is unclosed.
+            inside = np.bitwise_xor.accumulate(quote.view(np.uint8)).view(bool)
+            opening, closing = quote & inside, quote & ~inside
+            if (inside & sep).any() or (opening[1:] & ~sep[:-1]).any() or (closing[:-1] & ~sep[1:]).any():
                 return None
-            if b'"' in piece:
-                quote, sep = byte == ord('"'), (byte == ord(",")) | (byte == ord("\n"))
-                # From each opening quote up to its closing one; the last LF is inside only if a quote is unclosed.
-                inside = np.bitwise_xor.accumulate(quote.view(np.uint8)).view(bool)
-                opening, closing = quote & inside, quote & ~inside
-                if (inside & sep).any() or (opening[1:] & ~sep[:-1]).any() or (closing[:-1] & ~sep[1:]).any():
-                    return None
-                piece = piece.translate(None, b'"')
-            while b"  " in piece:  # each pass halves a run of blanks
-                piece = piece.replace(b"  ", b" ")
-            piece = piece.replace(b" ,", b",").replace(b", ", b",").replace(b" \n", b"\n").replace(b"\n ", b"\n")
-            plain += piece.removeprefix(b" ")  # a piece starts a line
-        data = plain
-    first_line = data[:data.find(b"\n")]
-    if not first_line.isascii() or first_line.decode("ascii").split(",") != header:
-        return None
-    body = np.frombuffer(data, np.uint8)[len(first_line) + 1:]
-    ends = np.flatnonzero(body == ord("\n"))
-    empty = ends[np.diff(ends, prepend=-1) == 1]  # the LF of each empty line, which the csv loop skips too
-    if empty.size:
-        body = np.delete(body, empty)
-        ends = np.flatnonzero(body == ord("\n"))
+            piece = piece.translate(None, b'"')
+        while b"  " in piece:  # each pass halves a run of blanks
+            piece = piece.replace(b"  ", b" ")
+        piece = piece.replace(b" ,", b",").replace(b", ", b",").replace(b" \n", b"\n").replace(b"\n ", b"\n")
+        plain += piece.removeprefix(b" ")  # a piece starts a line
+    return plain
+
+
+def _plain_words(fh: BinaryIO, header: list[str], src: Sequence[int], bounds: Sequence,
+                 blank: str | None, key: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """``_plain_table``'s result for the regular file open as ``fh``, with its ids as their ``_words``,
+    each ended by its separator; or None."""
     width = len(header)
     cols = np.array(src, dtype=np.intp)
     # Consecutive columns are picked with a slice: views, not copies.
@@ -420,55 +452,99 @@ def _plain_words(path: Path, header: list[str], src: Sequence[int], bounds: Sequ
             enum_at.setdefault(b, []).append(j)
     # A table of digits alone indexes its digit columns with a slice: views, not copies.
     digit_at = [j for j, b in enumerate(bounds) if isinstance(b, tuple)] if enum_at else slice(None)
-    matrix = np.empty((len(ends), len(src)), np.int8)
     step = max(1, _PLAIN_BLOCK_CELLS // width)
-    # Each id's offset in body, and its size with the separator after.
-    id_at, id_bytes = np.empty(len(ends), np.intp), np.empty(len(ends), np.intp)
-    for first in range(0, len(ends), step):
-        offset = ends[first - 1] + 1 if first else 0
-        last = ends[first:first + step] - offset
-        block = body[offset:offset + last[-1] + 1]
-        # Bytes outside '!'..'~' may only be the block's LFs.
-        if np.count_nonzero(block - np.uint8(0x21) >= 0x5E) != last.size:
-            return None
-        sep = np.flatnonzero((block == ord(",")) | (block == ord("\n")))
-        if sep.size != last.size * width or not np.array_equal(sep[width - 1::width], last):
-            return None
-        size = np.empty(sep.size, np.intp)  # each cell's size: the gap to the separator before, less 1
-        size[0] = sep[0] + 1
-        np.subtract(sep[1:], sep[:-1], out=size[1:])
-        size -= 1
-        size = size.reshape(-1, width)
-        sep = sep.reshape(-1, width)
-        id_size, cell_size = size[:, key], size[:, pick]
-        if not id_size.all() or id_size.max() > csv.field_size_limit() or cell_size[:, digit_at].max(initial=0) > 1:
-            return None
-        cells = matrix[first:first + last.size]  # read in place
-        np.subtract(block[sep[:, pick] - 1].view(np.int8), ord("0"), out=cells)  # a one-byte cell ends at its separator
-        empty = cell_size == 0
-        # A digit, less '0', is 0..9; any other byte is negative or past 9, so past 9 unsigned.
-        if not (empty | (cells.view(np.uint8) <= 9))[:, digit_at].all() or (blank is None and empty.any()):
-            return None
-        for enum, at in enum_at.items():  # each enum's columns are rewritten with their codes
-            codes = _enum_codes(block, sep[:, cols[at]], cell_size[:, at], enum)
-            if codes is None:
+    file_bytes = os.fstat(fh.fileno()).st_size
+    matrix, done, body_bytes, id_parts = None, 0, 0, []
+    for piece in _line_pieces(fh, file_bytes):
+        starts = matrix is None  # the file's first piece, which holds its BOM and header
+        if starts:
+            piece = piece.removeprefix(b"\xef\xbb\xbf")  # a UTF-8 BOM
+        if b"\r" in piece:  # far quicker than a replace that finds nothing; a lone CR stays and declines
+            piece = piece.replace(b"\r\n", b"\n")
+        if not piece.endswith(b"\n"):  # a last line without its line end
+            piece += b"\n"
+        if b'"' in piece or b" " in piece:  # a spreadsheet export: quoted cells, or blanks beside separators
+            piece = _made_plain(piece)
+            if piece is None:
                 return None
-            cells[:, at] = codes
-        if blank == "row":
-            empty = empty.any(axis=1, keepdims=True)
-        if (((cells - lo).view(np.uint8) > span) & ~empty).any():
+        body = np.frombuffer(piece, np.uint8)
+        if starts:
+            first_line = piece[:piece.find(b"\n")]
+            if not first_line.isascii() or first_line.decode("ascii").split(",") != header:
+                return None
+            body = body[len(first_line) + 1:]
+        ends = np.flatnonzero(body == ord("\n"))
+        empty = ends[np.diff(ends, prepend=-1) == 1]  # the LF of each empty line, which the csv loop skips too
+        if empty.size:
+            body = np.delete(body, empty)
+            ends = np.flatnonzero(body == ord("\n"))
+        if starts:  # one matrix takes this piece's rows and as many as the lines after it
+            matrix = np.empty((len(ends) + _lines_after(fh, file_bytes), len(src)), np.int8)
+        if done + len(ends) > len(matrix):  # more rows than lines counted: the file grew while read
             return None
-        np.copyto(cells, MISSING, where=empty)
-        id_at[first:first + last.size] = offset + sep[:, key] - id_size
-        id_bytes[first:first + last.size] = id_size + 1
-    # Each id and the separator after it, zero-filled to whole words: equal ids have equal
-    # words, and the words without their zero bytes are the ids, each ended by its separator.
-    words = -(-int(id_bytes.max(initial=1)) // 8)
-    if len(ends) * (words - 1) * 8 > body.size:  # ids far longer than most: their words would outgrow the file
+        # Each id's offset in body, and its size with the separator after.
+        id_at, id_bytes = np.empty(len(ends), np.intp), np.empty(len(ends), np.intp)
+        for first in range(0, len(ends), step):
+            offset = ends[first - 1] + 1 if first else 0
+            last = ends[first:first + step] - offset
+            block = body[offset:offset + last[-1] + 1]
+            # Bytes outside '!'..'~' may only be the block's LFs.
+            if np.count_nonzero(block - np.uint8(0x21) >= 0x5E) != last.size:
+                return None
+            sep = np.flatnonzero((block == ord(",")) | (block == ord("\n")))
+            if sep.size != last.size * width or not np.array_equal(sep[width - 1::width], last):
+                return None
+            size = np.empty(sep.size, np.intp)  # each cell's size: the gap to the separator before, less 1
+            size[0] = sep[0] + 1
+            np.subtract(sep[1:], sep[:-1], out=size[1:])
+            size -= 1
+            size = size.reshape(-1, width)
+            sep = sep.reshape(-1, width)
+            id_size, cell_size = size[:, key], size[:, pick]
+            if not id_size.all() or id_size.max() > csv.field_size_limit() or cell_size[:, digit_at].max(initial=0) > 1:
+                return None
+            cells = matrix[done + first:done + first + last.size]  # in place; a one-byte cell ends at its separator
+            np.subtract(block[sep[:, pick] - 1].view(np.int8), ord("0"), out=cells)
+            empty = cell_size == 0
+            # A digit, less '0', is 0..9; any other byte is negative or past 9, so past 9 unsigned.
+            if not (empty | (cells.view(np.uint8) <= 9))[:, digit_at].all() or (blank is None and empty.any()):
+                return None
+            for enum, at in enum_at.items():  # each enum's columns are rewritten with their codes
+                codes = _enum_codes(block, sep[:, cols[at]], cell_size[:, at], enum)
+                if codes is None:
+                    return None
+                cells[:, at] = codes
+            if blank == "row":
+                empty = empty.any(axis=1, keepdims=True)
+            if (((cells - lo).view(np.uint8) > span) & ~empty).any():
+                return None
+            np.copyto(cells, MISSING, where=empty)
+            id_at[first:first + last.size] = offset + sep[:, key] - id_size
+            id_bytes[first:first + last.size] = id_size + 1
+        # Each id and the separator after it, zero-filled to whole words: equal ids have equal
+        # words, and the words without their zero bytes are the ids, each ended by its separator.
+        words = -(-int(id_bytes.max(initial=1)) // 8)
+        if len(ends) * (words - 1) * 8 > file_bytes:  # this piece's words alone outgrow the file: so would all
+            return None
+        id_parts.append(_words(body, id_at, id_bytes, words))
+        done, body_bytes = done + len(ends), body_bytes + body.size
+        piece = body = block = None  # gone before the next piece is read, and before the sort below
+    if matrix is None:  # an empty file: no header
         return None
-    id_words = _words(body, id_at, id_bytes, words)
+    words = max(len(part) for part in id_parts)
+    if done * (words - 1) * 8 > body_bytes:  # ids far longer than most: their words would outgrow the file
+        return None
+    id_words = id_parts[0]
+    if len(id_parts) > 1:  # each piece's words, the ids' zero-filled to the widest
+        id_words, at = np.zeros((words, done), np.uint64), 0
+        for part in id_parts:
+            id_words[:len(part), at:at + part.shape[1]] = part
+            at += part.shape[1]
+    del id_parts  # before the sort
     if not _distinct(id_words):  # the csv loop names the first repeat
         return None
+    if done < len(matrix):  # empty lines, counted but not rows
+        matrix = matrix[:done]
     matrix.flags.writeable = False
     return id_words, matrix
 

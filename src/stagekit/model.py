@@ -270,6 +270,9 @@ class ExpertPanel(Sequence):
             raise InvalidInputError(f"code matrix of shape {codes.shape} for {len(self.ids)} experts")
         codes.flags.writeable = False
         self.codes = codes
+        # Word width -> the panel's key words, the order sorting their mixes, and the sorted mixes (None if two
+        # are equal): the panel does not change, so each width's are built once, whatever rounds are joined.
+        self._sorted_keys: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray | None]] = {}
 
     @cached_property
     def row_of(self) -> dict[str, int]:
@@ -287,10 +290,14 @@ class ExpertPanel(Sequence):
 
         if isinstance(ids, RowIds) and isinstance(self.ids, RowIds) and len(self):
             width = max(len(ids.words), len(self.ids.words))
-            (panel, mixed), (given, sought) = self.ids.key_words(width), ids.key_words(width)
-            order = np.argsort(mixed)
-            mixed = mixed[order]
-            if not (mixed[1:] == mixed[:-1]).any():
+            if width not in self._sorted_keys:
+                panel, mixed = self.ids.key_words(width)
+                order = np.argsort(mixed)
+                mixed = mixed[order]
+                self._sorted_keys[width] = panel, order, None if (mixed[1:] == mixed[:-1]).any() else mixed
+            panel, order, mixed = self._sorted_keys[width]
+            if mixed is not None:
+                given, sought = ids.key_words(width)
                 by_mix = np.argsort(sought)  # sorted, the lookups walk the panel's mixes in order
                 at = np.empty_like(by_mix)
                 at[by_mix] = order[np.searchsorted(mixed, sought[by_mix]).clip(max=len(order) - 1)]
@@ -580,10 +587,16 @@ class RowMatrix(Mapping):
 
     @cached_property
     def blank_cells(self) -> tuple[np.ndarray, np.ndarray]:
-        """Row and column numbers of the ``MISSING`` cells in row-major order, from one scan; read-only."""
+        """Row and column numbers of the ``MISSING`` cells in row-major order, from one scan; read-only.
+
+        The scan takes 8192 rows at a time, so that its temporary mask is of one block, not of the matrix.
+        """
         import numpy as np
 
-        rows, cols = np.divmod(np.flatnonzero(self.matrix == MISSING), self.matrix.shape[1])
+        width = self.matrix.shape[1]
+        found = [np.flatnonzero(self.matrix[first:first + 8192] == MISSING) + first * width
+                 for first in range(0, len(self.matrix), 8192)]
+        rows, cols = np.divmod(np.concatenate(found) if found else np.empty(0, np.intp), width)
         rows.flags.writeable = cols.flags.writeable = False
         return rows, cols
 

@@ -21,7 +21,7 @@ CITC_FLOOR = 0.3  # items below this corrected item-total correlation get flagge
 ICVI_FLOOR = 0.78
 SCVI_FLOOR = 0.90
 RELEVANCE_FLOOR = 5  # on the 1-7 importance scale, >= 5 counts as relevant
-_GRAM_ROWS = 8192  # rows of one float64 block of XᵀX: about 1.4 MB at 21 questions
+_GRAM_ROWS = 8192  # rows of one block of XᵀX, as float32 or float64: at most 1.4 MB at 21 questions
 
 
 def _as_matrix(scores) -> np.ndarray:
@@ -33,28 +33,34 @@ def _as_matrix(scores) -> np.ndarray:
     return arr
 
 
-def _co_deviations(arr: np.ndarray) -> list[list]:
-    """A k x k matrix proportional to the sample covariances of the n x k matrix ``arr``.
+def _co_deviations(arr: np.ndarray, keep: np.ndarray | None = None) -> list[list]:
+    """A k x k matrix proportional to the sample covariances of the n x k matrix ``arr``,
+    or of its rows where ``keep`` holds.
 
     Integer scores with n * max|x|**2 below 2**53 give n * XᵀX - s * sᵀ (``s`` the
     column sums) exactly, as Python ints. XᵀX and s = 1ᵀX are summed as integers
-    over blocks of ``_GRAM_ROWS`` rows, each block's float64 products at a time:
-    every partial sum of a block's product is an integer below 2**53, so it is
-    exact under every BLAS kernel, and the integer totals cannot overflow. Other
-    real scores give the float cross-products of the centred columns, each
-    summed by numpy, not BLAS.
+    over the kept rows of blocks of ``_GRAM_ROWS`` rows, each block's float
+    products at a time: every partial sum of a block's product is an integer
+    below 2**24 (float32) or 2**53 (float64), so it is exact under every BLAS
+    kernel, and the integer totals cannot overflow. Other real scores give the
+    float cross-products of the centred columns, each summed by numpy, not BLAS.
+    max|x| is taken over every row, kept or not: a bound on the kept rows'.
     """
-    n = len(arr)
+    n = len(arr) if keep is None else int(np.count_nonzero(keep))
     if n < 2:
         raise InsufficientDataError(f"need >= 2 respondents, got {n}")
-    peak = float(np.abs(arr).max(initial=0))
+    peak = max(float(arr.max(initial=0)), -float(arr.min(initial=0)))
     if n * peak * peak < 2**53 and (arr.dtype.kind in "iu" or np.array_equal(arr, np.trunc(arr))):
+        dtype = np.float32 if _GRAM_ROWS * peak * peak < 2**24 else np.float64
         sums, gram = 0, 0
-        for first in range(0, n, _GRAM_ROWS):
-            x = arr[first:first + _GRAM_ROWS].astype(np.float64, copy=False)
-            sums, gram = sums + (np.ones(len(x)) @ x).astype(np.int64), gram + (x.T @ x).astype(np.int64)
+        for first in range(0, len(arr), _GRAM_ROWS):
+            x = arr[first:first + _GRAM_ROWS]
+            x = (x if keep is None else x[keep[first:first + _GRAM_ROWS]]).astype(dtype, copy=False)
+            sums, gram = sums + (np.ones(len(x), dtype) @ x).astype(np.int64), gram + (x.T @ x).astype(np.int64)
         sums = sums.tolist()
         return [[n * g - si * sj for g, sj in zip(row, sums)] for row, si in zip(gram.tolist(), sums)]
+    if keep is not None:
+        arr = arr[keep]
     dev = (arr - arr.mean(axis=0)).T
     return [[float((a * b).sum()) for b in dev] for a in dev]
 
@@ -184,7 +190,7 @@ def reliability_report(responses: ResponseSet, instrument: Instrument) -> Reliab
         raise InsufficientDataError(
             f"need >= 2 complete respondents, got {n_complete}"
         )
-    cov = _co_deviations(responses.consumer.matrix.compress(complete, axis=0))  # exact: answers are 0..4
+    cov = _co_deviations(responses.consumer.matrix, complete)  # exact: answers are 0..4
     col_of = {qid: i for i, qid in enumerate(responses.question_ids)}
 
     total_alpha = _alpha(cov, range(len(cov)))

@@ -1055,13 +1055,16 @@ def test_plain_table_is_none_or_the_streamed_int_table(tmp_path_factory, case):
 
 
 @settings(max_examples=200, deadline=None)
-@given(plain_table_cases((*PLAIN_DEVIATIONS, *["repeated id"] * len(PLAIN_DEVIATIONS))), st.integers(1, 12))
-def test_plain_table_over_small_blocks_is_none_or_the_streamed_int_table(tmp_path_factory, case, block_cells):
-    """The same with a few cells to a block, and ids repeated more often: often in a later block."""
+@given(plain_table_cases((*PLAIN_DEVIATIONS, *["repeated id"] * len(PLAIN_DEVIATIONS))), st.integers(1, 12),
+       st.integers(1, 64))
+def test_plain_table_over_small_blocks_is_none_or_the_streamed_int_table(tmp_path_factory, case, block_cells, piece):
+    """The same with a few cells to a block and a few bytes to a piece, so that a file spans many pieces
+    (a line longer than a piece too), and ids repeated more often: often in a later block or piece."""
     data, src, bounds, blank, key = case
     path = tmp_path_factory.mktemp("plain") / "table.csv"
     path.write_bytes(data)
-    with patch.object(sio, "_PLAIN_BLOCK_CELLS", block_cells), sio._csv_rows(path) as (header, _):
+    with patch.object(sio, "_PLAIN_BLOCK_CELLS", block_cells), patch.object(sio, "_PLAIN_PIECE_BYTES", piece), \
+            sio._csv_rows(path) as (header, _):
         plain = sio._plain_table(path, header, src, bounds, blank, key)
     if plain is None:
         return

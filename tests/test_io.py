@@ -2,7 +2,6 @@ import csv
 import importlib.util
 import json
 import os
-import sys
 import tracemalloc
 from enum import Enum
 from pathlib import Path
@@ -770,9 +769,55 @@ class TestPlainTables:
         p.write_bytes(text.encode("utf-8"))
         with sio._csv_rows(p) as (header, _):
             whole = sio._plain_table(p, header, [1, 2], [(1, 5)] * 2, "row")
-            with patch.object(sio, "_PLAIN_BLOCK_CELLS", 1):
+            with patch.object(sio, "_PLAIN_BLOCK_CELLS", 1), patch.object(sio, "_PLAIN_PIECE_BYTES", 1):
                 pieces = sio._plain_table(p, header, [1, 2], [(1, 5)] * 2, "row")
         assert pieces is not None and pieces[0] == whole[0] and np.array_equal(pieces[1], whole[1])
+
+    # Rows of 8 bytes after a 14-byte header: pieces of 16 bytes hold two rows each, of 8 bytes one,
+    # and a header or row is longer than a piece of 1 byte.
+    ROWS = "expert_id,a,b\n" + "".join(f"e{k:02d},{1 + k % 5},{1 + k % 3}\n" for k in range(40))
+    SEAMS = {
+        "bom in the first piece": "\ufeff" + ROWS,
+        "crlf": ROWS.replace("\n", "\r\n"),
+        "empty lines at a piece's start": ROWS.replace("\ne04", "\n\ne04").replace("\ne21", "\n\n\ne21"),
+        "last line without lf": ROWS[:-1],
+        "rows longer than a piece": ROWS.replace("\ne", "\nexpert-of-the-panel-"),
+        "export": "".join(f'"{key}", {a}, {b}\r\n' for key, a, b in (line.split(",") for line in ROWS.splitlines())),
+        "header only": "expert_id,a,b\n",
+        "header only without lf": "expert_id,a,b",
+    }
+
+    @pytest.mark.parametrize("piece", [1, 8, 16, 64])
+    @pytest.mark.parametrize("text", SEAMS.values(), ids=SEAMS.keys())
+    def test_plain_in_pieces_reads_as_the_csv_loop(self, tmp_path, text, piece):
+        """A file read a few bytes at a time, in whole lines, gives the csv loop's round (one no longer than
+        a piece is read at once)."""
+        p = tmp_path / "ratings.csv"
+        p.write_bytes(text.encode("utf-8"))
+        with patch.object(sio, "_PLAIN_PIECE_BYTES", piece):
+            rnd, returned = plain_calls(parse_ratings, p)
+        assert returned[0] is not None
+        expected = streamed(parse_ratings, p)
+        assert (rnd.ratings.ids, rnd.non_respondents) == (expected.ratings.ids, expected.non_respondents)
+        assert np.array_equal(rnd.ratings.matrix, expected.ratings.matrix)
+
+    NOT_PLAIN_IN_PIECES = {
+        "bom in a later piece": ROWS.replace("\ne04", "\n\ufeffe04"),
+        "id repeated in a later piece": ROWS.replace("e39", "e01"),
+        "quote unclosed in a later piece": ROWS.replace("e31", '"e31'),
+    }
+
+    @pytest.mark.parametrize("piece", [1, 8, 16, 64])
+    @pytest.mark.parametrize("text", NOT_PLAIN_IN_PIECES.values(), ids=NOT_PLAIN_IN_PIECES.keys())
+    def test_any_step_from_plain_in_a_later_piece_declines(self, tmp_path, text, piece):
+        """The byte path declines, and the csv loop gives its round or its error."""
+        p = tmp_path / "ratings.csv"
+        p.write_bytes(text.encode("utf-8"))
+        with patch.object(sio, "_PLAIN_PIECE_BYTES", piece):
+            got, returned = plain_calls(parse_ratings, p)
+        assert returned == [None]
+        expected, _ = plain_calls(streamed, parse_ratings, p)
+        assert type(got) is type(expected) and str(got) == str(expected)
 
     def test_export_in_pieces_keeps_its_memory_near_the_plain_file(self, tmp_path):
         """Quote and blank masks are built a piece at a time, not over the whole file."""
@@ -788,21 +833,25 @@ class TestPlainTables:
             tracemalloc.stop()
         assert peaks[1] < 1.5 * peaks[0]
 
-    def test_plain_file_keeps_its_memory_near_its_size(self, tmp_path):
-        """Beyond the ids and matrix it returns, a plain file's parse holds about one copy of its bytes."""
-        rows = [f"r{k:06d}," + ",".join("" if (k + j) % 97 == 0 else str((k + j) % 5) for j in range(21))
-                for k in range(20_000)]
+    def test_plain_file_keeps_its_memory_near_one_piece(self, tmp_path):
+        """Beyond the ids and matrix it returns, a plain file's parse holds no more than about a megabyte,
+        however long the file: a piece, a block's temporaries and the ids' sort. Files of 1 and 2 MB,
+        read in pieces of 64 KB, the same."""
         header = ["respondent_id", *(f"q{j}" for j in range(1, 22))]
-        p = write(tmp_path / "responses.csv", "".join(f"{line}\n" for line in [",".join(header), *rows]))
-        tracemalloc.start()
-        try:
-            ids, matrix = sio._plain_table(p, header, list(range(1, 22)), [(0, 4)] * 21, "cell")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(ids) == 20_000 and (matrix == MISSING).any()
-        result = matrix.nbytes + sys.getsizeof(ids) + sum(map(sys.getsizeof, ids))
-        assert peak - result <= 1.5 * p.stat().st_size
+        for n in (20_000, 40_000):
+            rows = [f"r{k:06d}," + ",".join("" if (k + j) % 97 == 0 else str((k + j) % 5) for j in range(21))
+                    for k in range(n)]
+            p = write(tmp_path / "responses.csv", "".join(f"{line}\n" for line in [",".join(header), *rows]))
+            with patch.object(sio, "_PLAIN_PIECE_BYTES", 1 << 16):
+                assert p.stat().st_size > 15 * sio._PLAIN_PIECE_BYTES
+                tracemalloc.start()
+                try:
+                    ids, matrix = sio._plain_table(p, header, list(range(1, 22)), [(0, 4)] * 21, "cell")
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert len(ids) == n and (matrix == MISSING).any()
+            assert peak - matrix.nbytes - ids.words.nbytes <= 2**20
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     def test_a_pipe_is_read_once_in_full(self):
@@ -1005,6 +1054,23 @@ class TestPlainTables:
         non_respondents = [eid for rnd in rounds for eid in rnd.non_respondents]
         assert decoded == non_respondents and len(non_respondents) == 600
         by_dict = [round_consensus(rnd, tuple(panel)) for rnd in rounds]  # ExpertProfile objects: row_of's join
+        assert [(c.ca, c.cs, c.cr) for c in joined] == [(c.ca, c.cs, c.cr) for c in by_dict]
+
+    def test_a_panel_sorts_its_keys_once_for_every_round(self, tmp_path):
+        """Joining three rounds to one parsed panel builds the panel's key words once, each round's once."""
+        gen.generate("delphi-10k", 7, tmp_path, experts=500)
+        panel = parse_experts(tmp_path / "experts.csv")
+        rounds = [parse_ratings(tmp_path / f"ratings_round{n}.csv") for n in (1, 2, 3)]
+        built, key_words = [], RowIds.key_words
+
+        def spy(ids, width):
+            built.append(ids is panel.ids)
+            return key_words(ids, width)
+
+        with patch.object(RowIds, "key_words", spy):
+            joined = [round_consensus(rnd, panel) for rnd in rounds]
+        assert built == [True, False, False, False]
+        by_dict = [round_consensus(rnd, tuple(panel)) for rnd in rounds]
         assert [(c.ca, c.cs, c.cr) for c in joined] == [(c.ca, c.cs, c.cr) for c in by_dict]
 
     def test_row_numbers_built_on_first_lookup(self, bench_files):

@@ -355,7 +355,7 @@ class TestReliabilityReport:
                 assert qr.alpha_if_deleted is None
 
     def test_memory_of_a_large_panel(self):
-        """A 100k x 21 panel, about 1% blank: its complete rows become float64 a block at a time."""
+        """A 100k x 21 panel, about 1% blank: its blanks are found, and its complete rows made float, a block at a time."""
         instrument = load_default_instrument()
         rng = np.random.default_rng(26)
         matrix = rng.integers(0, 5, size=(100_000, 21), dtype=np.int8)
@@ -369,7 +369,7 @@ class TestReliabilityReport:
         finally:
             tracemalloc.stop()
         assert 75_000 < table.n_respondents < 85_000
-        assert peak <= 6 * 2**20  # one float64 copy of the complete rows alone is 13 MiB
+        assert peak <= 2 * 2**20  # the matrix's blank mask alone is 2 MiB, its complete rows' float64 copy 13 MiB
 
 
 class TestBlockedGram:
@@ -389,6 +389,33 @@ class TestBlockedGram:
             got = psychometrics._co_deviations(arr)
         assert got == expected
         assert all(type(v) is int for row in got for v in row)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 4), st.integers(2, 12), st.integers(1, 4), st.sampled_from([np.int64, np.float64]),
+           st.data())
+    def test_blocks_past_float32_products_sum_as_float64(self, block_rows, n, k, dtype, data):
+        """Cells of up to ±3000 in blocks of 2-4 rows: a block's products may pass 2**24, so float32 is not taken."""
+        cells = data.draw(st.lists(st.integers(-3000, 3000), min_size=n * k, max_size=n * k))
+        cells[data.draw(st.integers(0, n * k - 1))] = data.draw(st.sampled_from([-3000, 3000]))
+        arr = np.array(cells, dtype).reshape(n, k)
+        assert block_rows * 3000**2 >= 2**24
+        x = arr.astype(np.int64)
+        sums = x.sum(axis=0)
+        with patch.object(psychometrics, "_GRAM_ROWS", block_rows):
+            assert psychometrics._co_deviations(arr) == (n * (x.T @ x) - np.outer(sums, sums)).tolist()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4), st.integers(2, 16), st.integers(1, 4), st.data())
+    def test_kept_rows_equal_their_copy(self, block_rows, n, k, data):
+        """Summing only the kept rows of each block gives the Gram of those rows copied out."""
+        arr = np.array(data.draw(st.lists(st.integers(-1, 4), min_size=n * k, max_size=n * k)), np.int8).reshape(n, k)
+        keep = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        with patch.object(psychometrics, "_GRAM_ROWS", block_rows):
+            if keep.sum() < 2:
+                with pytest.raises(InsufficientDataError):
+                    psychometrics._co_deviations(arr, keep)
+                return
+            assert psychometrics._co_deviations(arr, keep) == psychometrics._co_deviations(arr[keep])
 
 
 class TestValidityReport:
