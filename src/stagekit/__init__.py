@@ -36,8 +36,7 @@ _EXPORTS = {
                       "s_cvi", "validity_report"),
     "report": ("ReportBundle", "RoundSection", "WeightsSection", "bundle_to_obj", "display",
                "emit_report", "render_json", "render_markdown"),
-    "scoring": ("ConsumerScores", "ScoreCard", "composite", "question_proportional_weights",
-                "score_consumer", "score_expert_bonus", "score_software"),
+    "scoring": ("ScoreCard", "composite", "score_expert_bonus", "score_software"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 

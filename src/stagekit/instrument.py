@@ -103,9 +103,10 @@ def default_tree() -> IndicatorTree:
     return IndicatorTree(nodes=tuple(nodes))
 
 
-# Synthetic weights for demos and the bundled sample data. These are labeled
-# placeholders chosen to be visibly non-uniform; real studies derive weights
-# from pairwise comparisons (see the ahp module).
+# Synthetic weights for demo_weighted_tree, an example of a fully weighted
+# tree. These are labeled placeholders chosen to be visibly non-uniform; the
+# bundled sample data does not use them, as its config derives weights from
+# pairwise comparisons and importance means (see the ahp module).
 DEMO_LOCAL_WEIGHTS: dict[str, float] = {
     "ux": 0.5, "pq": 0.3, "sp": 0.2,
     "ux.availability": 0.4,

@@ -110,14 +110,25 @@ def _finite(text: str) -> float:
 
 
 def read_json(path: str | Path) -> Any:
-    """The parsed content of a UTF-8 JSON file (a config, a bundle, thresholds); numbers are finite."""
+    """The parsed content of a UTF-8 JSON file (a config, a bundle, thresholds).
+
+    Numbers are finite, and an object that holds a key twice is refused, not read as its last value.
+    """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise _unreadable(path, exc) from None
+
+    def unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+            raise SchemaError(f"{path}: key {key!r} repeated in one object")
+        return obj
+
     try:
-        return json.loads(text, parse_float=_finite, parse_constant=_finite)
+        return json.loads(text, object_pairs_hook=unique_keys, parse_float=_finite, parse_constant=_finite)
     except (ValueError, RecursionError) as exc:  # also an integer past int()'s digit limit, or deep nesting
         raise SchemaError(f"{path}: not valid JSON ({exc})") from None
 
@@ -232,25 +243,6 @@ def parse_indicators(path: str | Path) -> IndicatorTree:
     if problems:
         raise SchemaError(f"{path}: invalid indicator tree: " + "; ".join(problems))
     return tree
-
-
-def emit_indicators(tree: IndicatorTree, path: str | Path) -> None:
-    """Write a tree back to CSV; weight columns appear iff any node has weights."""
-    with_weights = any(n.local_weight is not None or n.global_weight is not None
-                       for n in tree.nodes)
-    header = ["id", "name", "level", "parent_id", "bonus"]
-    if with_weights:
-        header += ["local_weight", "global_weight"]
-    with replacing(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for n in tree.nodes:  # already sorted by id
-            row = [n.id, n.name, n.level.value, n.parent_id or "",
-                   "true" if n.bonus else "false"]
-            if with_weights:
-                row += ["" if n.local_weight is None else repr(n.local_weight),
-                        "" if n.global_weight is None else repr(n.global_weight)]
-            writer.writerow(row)
 
 
 def parse_experts(path: str | Path) -> ExpertPanel:

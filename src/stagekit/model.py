@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, reduce
 from operator import add
-from typing import TYPE_CHECKING, Any, Callable, Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from .errors import InvalidInputError
 
@@ -488,10 +488,6 @@ class Instrument:
 _MIX = 0x9E3779B97F4A7C15
 
 
-def _answer_row(row: list[int]) -> tuple[int | None, ...]:
-    return tuple(None if v == MISSING else v for v in row)
-
-
 class RowIds(Sequence):
     """Row ids kept as their bytes, read as the tuple of those ids.
 
@@ -557,27 +553,24 @@ class RowMatrix(Mapping):
     ``ids`` holds the distinct row ids in row order: a RowIds as it is, any other
     iterable (a mapping gives its keys) as a tuple;
     ``row_of``, built on the first lookup by id, maps each to its row number;
-    a repeated id fails there. ``read`` turns one row, as a list, into the
-    mapping's value. The object takes ownership of ``matrix`` and marks it
-    read-only. By default the rows are answers: an ``int8`` matrix whose
-    ``MISSING`` (-1) cells read back as ``None``.
+    a repeated id fails there. The object takes ownership of ``matrix`` and
+    marks it read-only. The rows are answers: an integer matrix whose
+    ``MISSING`` (-1) cells read back as ``None``, each row as a tuple.
     """
 
-    def __init__(self, ids: Iterable[str], matrix: np.ndarray,
-                 read: Callable[[list], Any] = _answer_row):
+    def __init__(self, ids: Iterable[str], matrix: np.ndarray):
         self.ids = ids if isinstance(ids, RowIds) else tuple(ids)
         if matrix.ndim != 2 or len(matrix) != len(self.ids):
             raise InvalidInputError(f"matrix of shape {matrix.shape} for {len(self.ids)} row ids")
         matrix.flags.writeable = False
         self.matrix = matrix
-        self._read = read
 
     @cached_property
     def row_of(self) -> dict[str, int]:
         return _row_numbers(self.ids)
 
-    def __getitem__(self, key: str):
-        return self._read(self.matrix[self.row_of[key]].tolist())
+    def __getitem__(self, key: str) -> tuple[int | None, ...]:
+        return tuple(None if v == MISSING else v for v in self.matrix[self.row_of[key]].tolist())
 
     def __iter__(self):
         return iter(self.ids)

@@ -8,10 +8,10 @@ rescaled back to a 0-100 range.
 
 A blank answer is imputed with its question's mean, so a question's mean over
 every respondent, imputed cells included, is exactly its answer sum over its
-answer count. Each pooled index and dimension score is therefore computed
-exactly from those per-question integers and the exact values of the local
-weights, and rounded to a float once: it is the correctly rounded value,
-whatever the panel's size or order.
+answer count. Each pooled dimension score is therefore computed exactly
+from those per-question integers and the exact values of the local weights,
+and rounded to a float once: it is the correctly rounded value, whatever the
+panel's size or order.
 """
 
 from __future__ import annotations
@@ -29,26 +29,10 @@ from .errors import (
     IncompleteWeightsError,
     InvalidInputError,
 )
-from .model import MISSING, WEIGHT_SUM_TOL, CellPairs, Instrument, ResponseSet, RowMatrix, ordered_sum
+from .model import MISSING, WEIGHT_SUM_TOL, CellPairs, Instrument, ResponseSet, ordered_sum
 
 DEFAULT_BONUS_CAP = 10.0
 _TOL = 1e-9  # slack on the bonus range
-
-
-@dataclass(frozen=True)
-class ConsumerScores:
-    """Dimension/index scores (0-100) per respondent and pooled.
-
-    ``per_respondent`` reads each respondent's dimension scores, as a dict,
-    from one respondents x dimensions matrix when it is looked up. The pooled
-    scores are those :func:`score_software` uses, correctly rounded from exact
-    per-question sums; they are not the float means of ``per_respondent``.
-    """
-
-    per_respondent: Mapping[str, Mapping[str, float]]
-    pooled_dimensions: Mapping[str, float]
-    pooled_indices: Mapping[str, float]
-    imputed: CellPairs  # (respondent_id, question_id) of each blank, row-major, held as index columns
 
 
 @dataclass(frozen=True)
@@ -121,73 +105,19 @@ def _rounded(value: Fraction) -> float:
 
 
 def _pooled(instrument: Instrument, local: Mapping[str, float],
-            means: Mapping[str, Fraction]) -> tuple[dict[str, float], dict[str, float]]:
-    """Pooled index and dimension scores (0-100), each the correctly rounded exact value.
+            means: Mapping[str, Fraction]) -> dict[str, float]:
+    """Pooled dimension scores (0-100), each the correctly rounded exact value.
 
     Imputed cells included, a question's mean over every respondent is its
-    mean answer, so an index score is 100 times the mean of its questions'
-    mean answers over their maxima, and a dimension score is 100 times the sum
-    of local weight x index mean. ``sum`` over Fractions is exact on every Python.
+    mean answer, so an index's mean is the mean of its questions' mean answers
+    over their maxima, and a dimension score is 100 times the sum of local
+    weight x index mean. ``sum`` over Fractions is exact on every Python.
     """
     max_of = {q.id: q.max_value for q in instrument.questions}
     index = {idx: sum(means[q] / max_of[q] for q in qids) / len(qids) for idx, qids in instrument.indices}
-    dimensions = {dim: _rounded(100 * sum(Fraction(local[idx]) * index[idx]
-                                          for idx in instrument.indices_of_dimension(dim)))
-                  for dim in instrument.dimensions()}
-    return {idx: _rounded(100 * value) for idx, value in index.items()}, dimensions
-
-
-def score_consumer(
-    responses: ResponseSet,
-    instrument: Instrument,
-    weights: Mapping[str, float],
-) -> ConsumerScores:
-    """Score every respondent and pool the results.
-
-    A missing answer is imputed with the mean of that question's present
-    answers (and recorded in ``imputed``); a dimension score is
-    100 * sum over its indices of local_weight * mean question score.
-
-    The pooled scores are :func:`score_software`'s, each correctly rounded
-    from exact per-question sums. ``per_respondent`` is worked column-wise on
-    the respondents x questions answer matrix, in the float order of a
-    per-respondent loop: a question mean is an integer sum divided by a count;
-    an index score adds its question columns left to right, then divides; a
-    dimension starts at 0.0 and adds local weight x index score per index.
-    """
-    local = _local_weights(responses, instrument, weights)
-    means = _question_means(responses)
-    pooled_indices, pooled_dimensions = _pooled(instrument, local, means)
-
-    # Normalized answers per question, blanks imputed with the question mean
-    # (each float mean is the integer sum divided by the count, correctly rounded).
-    question_ids = responses.question_ids
-    answers = np.ascontiguousarray(responses.consumer.matrix.T)  # one row per question
-    max_of = {q.id: q.max_value for q in instrument.questions}
-    maxima = np.array([float(max_of[qid]) for qid in question_ids])
-    imputed = np.array([float(means[qid]) for qid in question_ids])
-    normalized = np.where(answers == MISSING, imputed[:, None], answers)
-    normalized /= maxima[:, None]
-    norm = dict(zip(question_ids, normalized))
-    del answers  # 2 MB at 100k respondents, freed before the dimension sums peak
-
-    dim_scores: dict[str, np.ndarray] = {}
-    for dim in instrument.dimensions():
-        acc = 0.0
-        for idx in instrument.indices_of_dimension(dim):
-            qids = instrument.questions_of(idx)
-            acc = acc + local[idx] * (sum(norm[q] for q in qids) / len(qids))
-        dim_scores[dim] = 100.0 * acc
-
-    dims = tuple(dim_scores)
-    return ConsumerScores(
-        per_respondent=RowMatrix(responses.consumer.ids,
-                                 np.column_stack(list(dim_scores.values())),
-                                 lambda row: dict(zip(dims, row))),
-        pooled_dimensions=pooled_dimensions,
-        pooled_indices=pooled_indices,
-        imputed=responses.missing_cells(),
-    )
+    return {dim: _rounded(100 * sum(Fraction(local[idx]) * index[idx]
+                                    for idx in instrument.indices_of_dimension(dim)))
+            for dim in instrument.dimensions()}
 
 
 def score_expert_bonus(
@@ -265,11 +195,12 @@ def score_software(
 ) -> ScoreCard:
     """End-to-end scoring: consumer composite plus expert bonus (when present).
 
-    The dimension scores are :func:`score_consumer`'s pooled ones, computed
-    without its per-respondent matrices.
+    A blank answer is imputed with its question's mean answer (and recorded in
+    ``imputed``); each dimension score is 100 * sum over its indices of
+    local_weight * mean question score, pooled over the respondents.
     """
     local = _local_weights(responses, instrument, weights)
-    _, dimension_scores = _pooled(instrument, local, _question_means(responses))
+    dimension_scores = _pooled(instrument, local, _question_means(responses))
     dim_weights = {dim: local[dim] for dim in instrument.dimensions()}
     bonus = (
         score_expert_bonus(responses.expert_bonus, bonus_cap)
@@ -284,24 +215,3 @@ def score_software(
         n_respondents=len(responses.consumer),
         imputed=responses.missing_cells(),
     )
-
-
-def question_proportional_weights(instrument: Instrument) -> dict[str, float]:
-    """Local weights that give every question the same influence on the composite.
-
-    Each dimension's weight is its share of the questionnaire's questions and
-    each index's local weight is its share of the dimension's questions, so
-    the composite reduces to the plain mean of all normalized question scores
-    (times 100). This is the neutral "no expert weighting" configuration.
-    """
-    total = len(instrument.questions)
-    if total == 0:
-        raise InvalidInputError("instrument has no questions")
-    out: dict[str, float] = {}
-    for dim in instrument.dimensions():
-        indices = instrument.indices_of_dimension(dim)
-        dim_total = sum(len(instrument.questions_of(idx)) for idx in indices)
-        out[dim] = dim_total / total
-        for idx in indices:
-            out[idx] = len(instrument.questions_of(idx)) / dim_total
-    return out

@@ -38,7 +38,6 @@ from stagekit import (
     load_default_instrument,
     positivity_coefficient,
     principal_weights,
-    question_proportional_weights,
     s_cvi,
     score_software,
     screen_indicators,
@@ -287,8 +286,16 @@ def _complete_responses(rng, instrument, n_resp):
 
 def test_criterion_09_scoring_suite():
     instrument = load_default_instrument()
-    weights = question_proportional_weights(instrument)
     n_q = len(instrument.question_ids)
+    # Question-count weights: a dimension weighs its share of the questions, and an
+    # index its share of its dimension's questions, so every question weighs the same.
+    count = {idx: len(qids) for idx, qids in instrument.indices}
+    weights = {}
+    for dim in instrument.dimensions():
+        indices = instrument.indices_of_dimension(dim)
+        dim_count = sum(count[idx] for idx in indices)
+        weights[dim] = dim_count / n_q
+        weights.update((idx, count[idx] / dim_count) for idx in indices)
 
     top = ResponseSet(
         question_ids=instrument.question_ids,

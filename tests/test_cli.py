@@ -1058,6 +1058,41 @@ class TestPipelineCommand:
         assert "missing input" in err
 
 
+class TestRepeatedJsonKey:
+    """A JSON object holding a key twice exits 2 naming the key; it is never read as its last value."""
+
+    @pytest.mark.parametrize("old, new, key", [
+        ('"scale_max": 5,', '"scale_max": 5, "scale_max": 7,', "scale_max"),
+        ('"ux": "pairwise_ux.csv"', '"ux": "pairwise_ux.csv", "ux": "pairwise_ux.csv"', "ux"),
+    ], ids=["top-level", "pairwise"])
+    def test_config(self, tmp_path, capsys, old, new, key):
+        for src in DATA.iterdir():
+            shutil.copyfile(src, tmp_path / src.name)
+        config = tmp_path / "demo_config.json"
+        text = config.read_text(encoding="utf-8")
+        assert old in text
+        config.write_text(text.replace(old, new, 1), encoding="utf-8")
+        out = tmp_path / "bundle.json"
+        rc, stdout, err = run(capsys, "pipeline", "--config", config, "--out", out)
+        assert (rc, stdout, err) == (2, "", f"error: {config}: key {key!r} repeated in one object\n")
+        assert not out.exists()
+
+    def test_bundle(self, pipeline_bundle, tmp_path, capsys):
+        text = pipeline_bundle.read_text(encoding="utf-8")
+        assert text.count('\n  "score": {') == 1  # the bundle's score section
+        bundle = tmp_path / "repeated.json"
+        bundle.write_text(text.replace('\n  "score": {', '\n  "score": {"bonus": 0,'), encoding="utf-8")
+        rc, out, err = run(capsys, "report", "--bundle", bundle)
+        assert (rc, out, err) == (2, "", f"error: {bundle}: key 'bonus' repeated in one object\n")
+
+    def test_thresholds(self, stats1, tmp_path, capsys):
+        thresholds = tmp_path / "thresholds.json"
+        thresholds.write_text('{"mean_floor": 0, "fsf_floor": 0, "cv_ceiling": 99, "mean_floor": 5}',
+                              encoding="utf-8")
+        rc, out, err = run(capsys, "screen", "--stats", stats1, "--thresholds", thresholds)
+        assert (rc, out, err) == (2, "", f"error: {thresholds}: key 'mean_floor' repeated in one object\n")
+
+
 class TestEmptyValue:
     """A file option given the empty value exits 2 naming it; it never reads as the option left out."""
 

@@ -1,15 +1,14 @@
 """Row-by-row references for the column-wise scoring, reliability and Delphi code.
 
-``reference_score_consumer`` and ``reference_reliability_report`` are the
-per-respondent loops that ``score_consumer`` and ``reliability_report`` ran
-before consumer answers were stored as one matrix; the Delphi, integer-table,
+``reference_score_consumer`` is the per-respondent scoring loop in float order,
+and ``reference_reliability_report`` the loop ``reliability_report`` ran before
+consumer answers were stored as one matrix; the Delphi, integer-table,
 expert-panel and content-validity references are further down. They reach the answers
-only through the ``ResponseSet.consumer`` mapping. The column-wise per-respondent
-scores keep the loop's order of float operations, so they must equal the loop's
-bit for bit. The pooled scores and reliability are now computed from exact
-integer sums, so their properties demand each value no farther from the exact
-value than the loop's is, plus one unit in the last place; the pooled scores
-must also be the exact value correctly rounded (``exact_pooled_scores``).
+only through the ``ResponseSet.consumer`` mapping. ``score_software``'s pooled
+dimension scores and reliability are computed from exact integer sums, so their
+properties demand each value no farther from the exact value than the loop's is,
+plus one unit in the last place; the pooled scores must also be the exact value
+correctly rounded (``exact_pooled_scores``).
 """
 
 import csv
@@ -45,7 +44,6 @@ from stagekit import (
     load_default_instrument,
     reliability_report,
     round_consensus,
-    score_consumer,
     score_software,
     validity_report,
 )
@@ -117,7 +115,7 @@ def reference_score_consumer(responses, instrument, local):
 
 
 def exact_pooled_scores(responses, instrument, local):
-    """(index, dimension) pooled scores as Fractions, by brute force.
+    """Pooled dimension scores as Fractions, by brute force.
 
     Each respondent's blanks are imputed with the exact mean of the question's
     answers, every respondent is scored in exact arithmetic (each local weight
@@ -132,7 +130,6 @@ def exact_pooled_scores(responses, instrument, local):
         if not present:
             raise DegenerateDataError(f"question {qid} has no answers at all; cannot impute")
         q_mean[qid] = Fraction(sum(present), len(present))
-    index_total = {idx: Fraction(0) for idx, _ in instrument.indices}
     dim_total = {dim: Fraction(0) for dim in instrument.dimensions()}
     for row in rows:
         norm = {qid: (q_mean[qid] if row[col] is None else Fraction(row[col])) / max_of[qid]
@@ -140,12 +137,8 @@ def exact_pooled_scores(responses, instrument, local):
         for dim in instrument.dimensions():
             for idx in instrument.indices_of_dimension(dim):
                 qids = instrument.questions_of(idx)
-                score = sum(norm[q] for q in qids) / len(qids)
-                index_total[idx] += score
-                dim_total[dim] += Fraction(float(local[idx])) * score
-    n = len(rows)
-    return ({idx: 100 * total / n for idx, total in index_total.items()},
-            {dim: 100 * total / n for dim, total in dim_total.items()})
+                dim_total[dim] += Fraction(float(local[idx])) * sum(norm[q] for q in qids) / len(qids)
+    return {dim: 100 * total / len(rows) for dim, total in dim_total.items()}
 
 
 def loop_alpha(arr):
@@ -341,26 +334,23 @@ def _same_outcome(reference, program):
 
 @settings(max_examples=100, deadline=None)
 @given(scored_response_sets())
-def test_score_consumer_equals_loop_reference(case):
+def test_score_software_equals_loop_reference(case):
     responses, instrument, local = case
-    expected, got = _same_outcome(lambda: reference_score_consumer(responses, instrument, local),
-                                  lambda: score_consumer(responses, instrument, local))
+    *dims, last = instrument.dimensions()
+    local = {**local, last: 1.0 - ordered_sum(local[dim] for dim in dims)}  # the composite's weights sum to 1
+    expected, card = _same_outcome(lambda: reference_score_consumer(responses, instrument, local),
+                                   lambda: score_software(responses, instrument, local))
     if expected is None:
         return
-    per_respondent, pooled_dims, pooled_indices, imputed = expected
-    assert dict(got.per_respondent) == per_respondent
-    assert list(got.per_respondent) == list(per_respondent)
-    assert list(got.pooled_dimensions) == list(pooled_dims)
-    assert list(got.pooled_indices) == list(pooled_indices)
-    exact_indices, exact_dims = exact_pooled_scores(responses, instrument, local)
-    for values, loop_values, exact in ((got.pooled_dimensions, pooled_dims, exact_dims),
-                                       (got.pooled_indices, pooled_indices, exact_indices)):
-        for key, value in values.items():
-            loop_value, true = loop_values[key], exact[key]
-            assert value == float(true), (key, value, true)
-            assert abs(Fraction(value) - true) <= \
-                abs(Fraction(loop_value) - true) + Fraction(math.ulp(loop_value)), (key, value, loop_value)
-    assert got.imputed == imputed
+    _, pooled_dims, _, imputed = expected
+    assert list(card.dimension_scores) == list(pooled_dims)
+    exact = exact_pooled_scores(responses, instrument, local)
+    for key, value in card.dimension_scores.items():
+        loop_value, true = pooled_dims[key], exact[key]
+        assert value == float(true), (key, value, true)
+        assert abs(Fraction(value) - true) <= \
+            abs(Fraction(loop_value) - true) + Fraction(math.ulp(loop_value)), (key, value, loop_value)
+    assert card.imputed == imputed
 
 
 @st.composite
@@ -389,12 +379,9 @@ def answered_response_sets(draw):
 @given(answered_response_sets())
 def test_pooled_scores_are_the_exact_values_correctly_rounded(case):
     responses, instrument, local = case
-    exact_indices, exact_dims = exact_pooled_scores(responses, instrument, local)
-    scores = score_consumer(responses, instrument, local)
-    assert scores.pooled_indices == {idx: float(value) for idx, value in exact_indices.items()}
-    assert scores.pooled_dimensions == {dim: float(value) for dim, value in exact_dims.items()}
+    exact_dims = exact_pooled_scores(responses, instrument, local)
     card = score_software(responses, instrument, local)
-    assert card.dimension_scores == scores.pooled_dimensions
+    assert card.dimension_scores == {dim: float(value) for dim, value in exact_dims.items()}
     assert card.composite == ordered_sum(local[dim] * card.dimension_scores[dim] for dim in card.dimension_scores)
 
 
@@ -403,9 +390,8 @@ def test_a_question_nobody_answered_is_degenerate():
     responses = ResponseSet(question_ids=instrument.question_ids,
                             consumer={"r1": (4, None, 3, 0, 1, 4), "r2": (2, None, 1, 3, 3, 2)})
     local = {"d1": 0.5, "d2": 0.5, "d1.a": 0.5, "d1.b": 0.5, "d2.c": 1.0}
-    for score in (score_consumer, score_software):
-        with pytest.raises(DegenerateDataError, match="^question q2 has no answers at all; cannot impute$"):
-            score(responses, instrument, local)
+    with pytest.raises(DegenerateDataError, match="^question q2 has no answers at all; cannot impute$"):
+        score_software(responses, instrument, local)
 
 
 def check_reliability_against_loop(responses, instrument):

@@ -21,7 +21,7 @@ from stagekit.errors import (
     InvalidInputError,
     SchemaError,
 )
-from stagekit.instrument import load_default_instrument
+from stagekit.instrument import DEMO_LOCAL_WEIGHTS, load_default_instrument
 from stagekit.io import parse_indicators, parse_pairwise, parse_responses
 from stagekit.model import (
     ExpertPanel,
@@ -46,7 +46,7 @@ from stagekit.psychometrics import (
     s_cvi,
     validity_report,
 )
-from stagekit.scoring import question_proportional_weights, score_consumer, score_expert_bonus
+from stagekit.scoring import score_expert_bonus, score_software
 
 DATA = Path(stagekit.__file__).parent / "data"
 
@@ -166,17 +166,13 @@ class TestPsychometrics:
 
 
 class TestScoring:
-    def test_score_consumer_without_a_dimension_weight(self):
+    def test_score_software_without_a_dimension_weight(self):
         instrument = load_default_instrument()
-        weights = question_proportional_weights(instrument)
+        weights = dict(DEMO_LOCAL_WEIGHTS)
         dimension = instrument.dimensions()[-1]
         del weights[dimension]
         with pytest.raises(IncompleteWeightsError, match=rf"^no local weight for dimension {dimension}$"):
-            score_consumer(parse_responses(DATA / "responses.csv", instrument), instrument, weights)
-
-    def test_question_proportional_weights_of_an_empty_instrument(self):
-        with pytest.raises(InvalidInputError, match=r"^instrument has no questions$"):
-            question_proportional_weights(Instrument(indices=(), questions=(), dimension_of={}))
+            score_software(parse_responses(DATA / "responses.csv", instrument), instrument, weights)
 
 
 class TestNumpyScalars:

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stagekit import io as sio
+from stagekit.instrument import DEMO_LOCAL_WEIGHTS
 from stagekit.model import MISSING, RowIds, RowMatrix
 from stagekit import (
     ExpertPanel,
@@ -30,15 +31,13 @@ from stagekit import (
     default_tree,
     demo_weighted_tree,
     load_default_instrument,
-    question_proportional_weights,
     render_json,
     render_markdown,
     round_consensus,
     run_pipeline,
-    score_consumer,
+    score_software,
 )
 from stagekit.io import (
-    emit_indicators,
     emit_round_form,
     parse_expert_bonus,
     parse_experts,
@@ -58,10 +57,9 @@ def write(path, text):
 
 
 class TestIndicatorsRoundTrip:
-    def test_unweighted_round_trip(self, tmp_path):
+    def test_unweighted_round_trip(self):
         tree = default_tree()
-        out = tmp_path / "indicators.csv"
-        emit_indicators(tree, out)
+        out = DATA / "indicators.csv"  # the bundled tree, written from default_tree()
         back = parse_indicators(out)
         assert [n.id for n in back.nodes] == [n.id for n in tree.nodes]
         for a, b in zip(tree.nodes, back.nodes):
@@ -73,26 +71,17 @@ class TestIndicatorsRoundTrip:
     def test_weighted_round_trip_exact(self, tmp_path):
         tree = demo_weighted_tree()
         out = tmp_path / "indicators.csv"
-        emit_indicators(tree, out)
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["id", "name", "level", "parent_id", "bonus", "local_weight", "global_weight"])
+            writer.writerows([n.id, n.name, n.level.value, n.parent_id or "", str(n.bonus).lower(),
+                              repr(n.local_weight), repr(n.global_weight)] for n in tree.nodes)
         back = parse_indicators(out)
         for a in tree.nodes:
             b = back.node(a.id)
-            # repr-based emission makes float round-trips exact
+            # repr-written floats read back exactly
             assert b.local_weight == a.local_weight
             assert b.global_weight == a.global_weight
-
-    def test_unwritable_target_is_a_schema_error(self, tmp_path):
-        with pytest.raises(SchemaError, match="cannot write"):
-            emit_indicators(default_tree(), tmp_path / "nodir" / "tree.csv")
-        assert list(tmp_path.iterdir()) == []
-
-    def test_emission_is_deterministic(self, tmp_path):
-        tree = demo_weighted_tree()
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        emit_indicators(tree, p1)
-        emit_indicators(tree, p2)
-        assert p1.read_bytes() == p2.read_bytes()
-        assert b"\r" not in p1.read_bytes()
 
     def test_missing_column_rejected(self, tmp_path):
         p = write(tmp_path / "ind.csv", "id,name,level,parent_id\na,A,dimension,\n")
@@ -1077,9 +1066,9 @@ class TestPlainTables:
         """Parsing and scoring a survey never looks an id up, so no id -> row dict is built."""
         instrument = load_default_instrument()
         responses = parse_responses(bench_files / "responses.csv", instrument)
-        scores = score_consumer(responses, instrument, question_proportional_weights(instrument))
+        score_software(responses, instrument, dict(DEMO_LOCAL_WEIGHTS))
         consumer = responses.consumer
-        assert "row_of" not in vars(consumer) and "row_of" not in vars(scores.per_respondent)
+        assert "row_of" not in vars(consumer)
         assert len(consumer[consumer.ids[-1]]) == 21 and "row_of" in vars(consumer)
         assert list(consumer.row_of.items()) == [(i, n) for n, i in enumerate(consumer.ids)]
         assert len(consumer.ids) == 5000

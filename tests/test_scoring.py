@@ -12,9 +12,6 @@ from stagekit import (
     Question,
     ResponseSet,
     composite,
-    load_default_instrument,
-    question_proportional_weights,
-    score_consumer,
     score_expert_bonus,
     score_software,
 )
@@ -47,33 +44,29 @@ def make_responses(rows, bonus=None):
 
 
 class TestScoreConsumer:
+    """``score_software``'s pooled dimension scores of the consumer answers."""
+
     def test_hand_computed_case(self):
         # Worked by hand: r1 normalizes to (1, .5, .75, 0, .25, 1):
         #   index A = .75, B = .75, C = 5/12; d1 = 75, d2 = 125/3.
         # r2 normalizes to (.5, .5, .25, .75, .75, .5):
         #   index A = .5, B = .25, C = 2/3; d1 = 42.5, d2 = 200/3.
+        # Pooled: index A = 62.5, B = 50, C = 1300/24; d1 = 58.75, d2 = 325/6.
         rows = {
             "r1": (4, 2, 3, 0, 1, 4),
             "r2": (2, 2, 1, 3, 3, 2),
         }
-        scores = score_consumer(make_responses(rows), two_dim_instrument(), WEIGHTS)
-        assert scores.per_respondent["r1"]["d1"] == pytest.approx(75.0, abs=1e-12)
-        assert scores.per_respondent["r1"]["d2"] == pytest.approx(125 / 3, abs=1e-12)
-        assert scores.per_respondent["r2"]["d1"] == pytest.approx(42.5, abs=1e-12)
-        assert scores.per_respondent["r2"]["d2"] == pytest.approx(200 / 3, abs=1e-12)
-        assert scores.pooled_dimensions["d1"] == pytest.approx(58.75, abs=1e-12)
-        assert scores.pooled_dimensions["d2"] == pytest.approx(325 / 6, abs=1e-12)
-        assert scores.pooled_indices["d1.a"] == pytest.approx(62.5, abs=1e-12)
-        assert scores.pooled_indices["d1.b"] == pytest.approx(50.0, abs=1e-12)
-        assert scores.pooled_indices["d2.c"] == pytest.approx(1300 / 24, abs=1e-12)
-        assert scores.imputed == ()
+        card = score_software(make_responses(rows), two_dim_instrument(), WEIGHTS)
+        assert card.dimension_scores["d1"] == pytest.approx(58.75, abs=1e-12)
+        assert card.dimension_scores["d2"] == pytest.approx(325 / 6, abs=1e-12)
+        assert card.imputed == ()
 
     def test_saturation_and_floor(self):
         top = make_responses({"r1": (4,) * 6})
         bottom = make_responses({"r1": (0,) * 6})
         instrument = two_dim_instrument()
-        assert score_consumer(top, instrument, WEIGHTS).pooled_dimensions["d1"] == pytest.approx(100.0, abs=1e-9)
-        assert score_consumer(bottom, instrument, WEIGHTS).pooled_dimensions["d2"] == pytest.approx(0.0, abs=1e-12)
+        assert score_software(top, instrument, WEIGHTS).dimension_scores["d1"] == pytest.approx(100.0, abs=1e-9)
+        assert score_software(bottom, instrument, WEIGHTS).dimension_scores["d2"] == pytest.approx(0.0, abs=1e-12)
 
     def test_missing_answer_imputed_with_question_mean(self):
         rows = {
@@ -81,11 +74,12 @@ class TestScoreConsumer:
             "r2": (2, 2, 1, 3, 3, 2),
             "r3": (3, None, 2, 1, 0, 4),
         }
-        scores = score_consumer(make_responses(rows), two_dim_instrument(), WEIGHTS)
-        assert scores.imputed == (("r3", "q2"),)
+        card = score_software(make_responses(rows), two_dim_instrument(), WEIGHTS)
+        assert card.imputed == (("r3", "q2"),)
         # q2's present answers are 2 and 2, so r3's gap is filled with 2:
-        # index A = (.75 + .5) / 2 = .625, B = .5, d1 = 100*(.7*.625 + .3*.5)
-        assert scores.per_respondent["r3"]["d1"] == pytest.approx(58.75, abs=1e-12)
+        # r3's index A = (.75 + .5) / 2 = .625, B = .5, d1 = 100*(.7*.625 + .3*.5) = 58.75,
+        # and the pooled d1 is the mean of r1's 75, r2's 42.5 and r3's 58.75.
+        assert card.dimension_scores["d1"] == pytest.approx((75 + 42.5 + 58.75) / 3, abs=1e-12)
 
     def test_unanswered_question_everywhere_degenerate(self):
         rows = {
@@ -93,18 +87,18 @@ class TestScoreConsumer:
             "r2": (2, None, 1, 3, 3, 2),
         }
         with pytest.raises(DegenerateDataError):
-            score_consumer(make_responses(rows), two_dim_instrument(), WEIGHTS)
+            score_software(make_responses(rows), two_dim_instrument(), WEIGHTS)
 
     def test_missing_weight_rejected(self):
         partial = {k: v for k, v in WEIGHTS.items() if k != "d1.b"}
         with pytest.raises(IncompleteWeightsError):
-            score_consumer(
+            score_software(
                 make_responses({"r1": (4,) * 6}), two_dim_instrument(), partial
             )
 
     def test_no_respondents_rejected(self):
         with pytest.raises(InvalidInputError):
-            score_consumer(make_responses({}), two_dim_instrument(), WEIGHTS)
+            score_software(make_responses({}), two_dim_instrument(), WEIGHTS)
 
     def test_respondent_permutation_invariance(self):
         rows = {
@@ -113,11 +107,11 @@ class TestScoreConsumer:
             "r3": (1, 1, 4, 2, 0, 3),
         }
         reordered = {k: rows[k] for k in ("r3", "r1", "r2")}
-        a = score_consumer(make_responses(rows), two_dim_instrument(), WEIGHTS)
-        b = score_consumer(make_responses(reordered), two_dim_instrument(), WEIGHTS)
+        a = score_software(make_responses(rows), two_dim_instrument(), WEIGHTS)
+        b = score_software(make_responses(reordered), two_dim_instrument(), WEIGHTS)
         for dim in ("d1", "d2"):
-            assert a.pooled_dimensions[dim] == pytest.approx(
-                b.pooled_dimensions[dim], abs=1e-12
+            assert a.dimension_scores[dim] == pytest.approx(
+                b.dimension_scores[dim], abs=1e-12
             )
 
 
@@ -292,17 +286,15 @@ class TestLocalWeightTypes:
     def test_non_real_weight_names_its_node(self, node, value):
         weights = {**WEIGHTS, node: value}
         message = f"^node {re.escape(node)}: local weight {re.escape(repr(value))} is not a real number$"
-        for score in (score_consumer, score_software):
-            with pytest.raises(InvalidInputError, match=message):
-                score(make_responses(self.ROWS), two_dim_instrument(), weights)
+        with pytest.raises(InvalidInputError, match=message):
+            score_software(make_responses(self.ROWS), two_dim_instrument(), weights)
 
     @pytest.mark.parametrize("node", ["d1", "d1.b"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64(math.nan), 10**400])
     def test_non_finite_weight_keeps_the_finite_message(self, node, value):
         weights = {**WEIGHTS, node: value}
-        for score in (score_consumer, score_software):
-            with pytest.raises(InvalidInputError, match="^dimension scores and weights must be finite numbers$"):
-                score(make_responses(self.ROWS), two_dim_instrument(), weights)
+        with pytest.raises(InvalidInputError, match="^dimension scores and weights must be finite numbers$"):
+            score_software(make_responses(self.ROWS), two_dim_instrument(), weights)
 
     def test_dimension_score_past_the_float_range_is_not_finite(self):
         weights = {**WEIGHTS, "d1.b": 1e308}
@@ -319,59 +311,3 @@ class TestLocalWeightTypes:
         assert card == expected
         assert all(type(w) is float for w in card.dimension_weights.values())
 
-
-class TestQuestionProportionalWeights:
-    def test_collapses_to_plain_mean(self):
-        # With count-proportional weights the composite must equal 100 times
-        # the overall mean of normalized answers, for any response pattern.
-        instrument = load_default_instrument()
-        weights = question_proportional_weights(instrument)
-        rng = np.random.default_rng(197)
-        for _ in range(20):
-            rows = {
-                f"r{i}": tuple(int(v) for v in rng.integers(0, 5, size=21))
-                for i in range(5)
-            }
-            rs = ResponseSet(question_ids=instrument.question_ids, consumer=rows)
-            card = score_software(rs, instrument, weights)
-            flat = np.asarray([rows[r] for r in rows], dtype=float) / 4.0
-            assert card.composite == pytest.approx(100.0 * flat.mean(), abs=1e-12)
-
-    def test_weights_are_count_shares(self):
-        instrument = load_default_instrument()
-        weights = question_proportional_weights(instrument)
-        for dim in instrument.dimensions():
-            indices = instrument.indices_of_dimension(dim)
-            dim_count = sum(len(instrument.questions_of(i)) for i in indices)
-            assert weights[dim] == pytest.approx(dim_count / 21, abs=1e-15)
-            for idx in indices:
-                assert weights[idx] == pytest.approx(
-                    len(instrument.questions_of(idx)) / dim_count, abs=1e-15
-                )
-
-    def test_sibling_sums_are_one(self):
-        instrument = load_default_instrument()
-        weights = question_proportional_weights(instrument)
-        assert sum(weights[d] for d in instrument.dimensions()) == pytest.approx(1.0, abs=1e-12)
-        for dim in instrument.dimensions():
-            total = sum(weights[i] for i in instrument.indices_of_dimension(dim))
-            assert total == pytest.approx(1.0, abs=1e-12)
-
-    def test_balanced_instrument_equal_weights_identity(self):
-        # When every dimension holds the same number of questions, the
-        # proportional weights degenerate to equal sibling weights.
-        questions = tuple(Question(id=f"q{i}", text=f"Q{i}") for i in range(1, 9))
-        balanced = Instrument(
-            indices=(
-                ("d1.a", ("q1", "q2")),
-                ("d1.b", ("q3", "q4")),
-                ("d2.c", ("q5", "q6")),
-                ("d2.d", ("q7", "q8")),
-            ),
-            questions=questions,
-            dimension_of={"d1.a": "d1", "d1.b": "d1", "d2.c": "d2", "d2.d": "d2"},
-        )
-        weights = question_proportional_weights(balanced)
-        assert weights == {
-            "d1": 0.5, "d2": 0.5, "d1.a": 0.5, "d1.b": 0.5, "d2.c": 0.5, "d2.d": 0.5,
-        }

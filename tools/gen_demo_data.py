@@ -29,7 +29,6 @@ from stagekit import (
     screen_indicators,
     validity_report,
 )
-from stagekit import io as sio
 from stagekit.consensus import indicator_stats
 from stagekit.instrument import ITEMS
 
@@ -246,7 +245,9 @@ def gen_expert_bonus() -> None:
 
 
 def gen_indicators() -> None:
-    sio.emit_indicators(default_tree(), DATA_DIR / "indicators.csv")
+    write_csv("indicators.csv", ["id", "name", "level", "parent_id", "bonus"],
+              [[n.id, n.name, n.level.value, n.parent_id or "", "true" if n.bonus else "false"]
+               for n in default_tree().nodes])
 
 
 def gen_config() -> None:
